@@ -30,7 +30,7 @@ use crate::solver::{Solver, SolverConfig};
 use crate::validation::{ModelErrorSample, ModelValidator};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use tssdn_cpl::{CdpiConfig, CdpiEvent, CdpiFrontend, CommandBody};
 use tssdn_dataplane::{
     BackhaulRequest, DrainRegistry, PrefixAllocator, RouteEntry, RouteTable, RoutingFabric,
@@ -313,7 +313,15 @@ pub struct Orchestrator {
     /// Link-attempt ledger (Figure 8/11 source).
     pub ledger: LinkLedger,
     /// cpl intent id → controller intent id, for confirmation wiring.
+    /// Entries leave on `Expired` and once their intent can no longer
+    /// be live (`prune_confirm_stores`), so the map tracks the live
+    /// intents instead of every intent ever commanded.
     cpl_to_intent: BTreeMap<u64, IntentId>,
+    /// Side-channel working set: the keys of `cpl_to_intent` not yet
+    /// offered to `CdpiFrontend::confirm_intent` by `update_manet`.
+    /// One offer is enough — the frontend confirms at most once per
+    /// cpl id and answers `None` ever after.
+    confirm_unoffered: BTreeSet<u64>,
     /// Pending establish deliveries: intent → endpoints delivered.
     pending_deliveries: BTreeMap<IntentId, (bool, bool, SimTime)>,
     /// Pending route programs: cpl intent → (flow, full path w/ EC,
@@ -520,6 +528,7 @@ impl Orchestrator {
             machines: Vec::new(),
             ledger: LinkLedger::new(),
             cpl_to_intent: BTreeMap::new(),
+            confirm_unoffered: BTreeSet::new(),
             pending_deliveries: BTreeMap::new(),
             pending_routes: BTreeMap::new(),
             route_version: 0,
@@ -709,8 +718,11 @@ impl Orchestrator {
                 .map(|t| self.now.since(t) >= self.config.controller_pipeline)
                 .unwrap_or(false)
             {
-                if let Some(graph) = self.last_graph.clone() {
+                // Lent out for the solve (which never reads it) and put
+                // straight back.
+                if let Some(graph) = self.last_graph.take() {
                     self.solve_and_actuate(&graph);
+                    self.last_graph = Some(graph);
                 } else {
                     self.program_routes();
                 }
@@ -1081,6 +1093,7 @@ impl Orchestrator {
                 }
             }
             CdpiEvent::Expired { intent_id, .. } => {
+                self.confirm_unoffered.remove(&intent_id);
                 if let Some(iid) = self.cpl_to_intent.remove(&intent_id) {
                     // Establish commands undeliverable: intent dies.
                     if let Some(i) = self.intents.get(iid) {
@@ -1346,61 +1359,92 @@ impl Orchestrator {
                 self.handle_cpl_event(e);
             }
         }
+        self.prune_confirm_stores();
         // Balloons: reachable when BATMAN routes them to a gateway.
         let balloons: Vec<PlatformId> = (0..self.fleet.balloons.len() as u32)
             .map(PlatformId)
             .collect();
         for b in balloons {
-            let gw = self.manet.protocol().selected_gateway(b);
-            let reachable = gw
-                .map(|g| self.manet.route_works(b, g) && !self.tunnels.ecs_of(g).is_empty())
-                .unwrap_or(false);
-            // An in-band partition severs the node's control-plane
-            // session without touching the radio links beneath it —
-            // the pure fail-static case.
-            if reachable && self.effectively_powered(b) && !self.chaos.inband_partitioned(b) {
-                let hops = self
-                    .manet
-                    .route_path(b, gw.expect("reachable implies gateway"))
-                    .map(|p| p.len() as u32 - 1)
-                    .unwrap_or(1);
-                let evs = self.cdpi.node_connected_inband(b, hops, self.now);
-                for e in evs {
+            // In-band means powered, not partitioned (an in-band
+            // partition severs the node's control-plane session without
+            // touching the radio links beneath it — the pure
+            // fail-static case), and routed by BATMAN to a gateway with
+            // a tunnel. One walk of the next-hop chain answers both
+            // "does the route work" and "how many hops".
+            let session_up = self.effectively_powered(b) && !self.chaos.inband_partitioned(b);
+            let hops = self
+                .manet
+                .protocol()
+                .selected_gateway(b)
+                .filter(|g| session_up && !self.tunnels.ecs_of(*g).is_empty())
+                .and_then(|g| self.manet.route_path(b, g))
+                .map(|path| path.len() as u32 - 1);
+            let Some(hops) = hops else {
+                self.cdpi.node_disconnected_inband(b);
+                continue;
+            };
+            let evs = self.cdpi.node_connected_inband(b, hops, self.now);
+            for e in evs {
+                self.handle_cpl_event(e);
+            }
+            // Side channel: an in-band balloon confirms its established
+            // link intents. Offers go out in ascending cpl id per
+            // balloon, and a cpl id is offered once: after its first
+            // offer the frontend answers `None` whatever happens, so
+            // it leaves the working set here.
+            let offers: Vec<u64> = self
+                .confirm_unoffered
+                .iter()
+                .copied()
+                .filter(|c| {
+                    self.intents.get(self.cpl_to_intent[c]).is_some_and(|i| {
+                        matches!(i.state, LinkIntentState::Established { .. })
+                            && (i.link.a.platform == b || i.link.b.platform == b)
+                    })
+                })
+                .collect();
+            for c in offers {
+                self.confirm_unoffered.remove(&c);
+                if let Some(e) = self.cdpi.confirm_intent(c, self.now) {
                     self.handle_cpl_event(e);
                 }
-                // Side channel: an in-band balloon confirms its
-                // established link intents.
-                let confirmable: Vec<u64> = self
-                    .cpl_to_intent
-                    .iter()
-                    .filter(|(_, iid)| {
-                        self.intents
-                            .get(**iid)
-                            .map(|i| {
-                                matches!(i.state, LinkIntentState::Established { .. })
-                                    && (i.link.a.platform == b || i.link.b.platform == b)
-                            })
-                            .unwrap_or(false)
-                    })
-                    .map(|(c, _)| *c)
-                    .collect();
-                for c in confirmable {
-                    if let Some(e) = self.cdpi.confirm_intent(c, self.now) {
-                        self.handle_cpl_event(e);
-                    }
-                }
-            } else {
-                self.cdpi.node_disconnected_inband(b);
             }
         }
     }
 
+    /// Record that cpl intent `cpl_id` carries commands for `iid`, and
+    /// queue it for one side-channel confirmation offer.
+    fn track_cpl_intent(&mut self, cpl_id: u64, iid: IntentId) {
+        self.cpl_to_intent.insert(cpl_id, iid);
+        self.confirm_unoffered.insert(cpl_id);
+    }
+
+    /// Forget the cpl ids of intents that are over for good, so that
+    /// both stores track the live intent set and `confirm_unoffered ⊆
+    /// keys(cpl_to_intent)` holds. Every reader of either store does
+    /// nothing for an `Ended` intent, so the moment an entry goes is
+    /// unobservable. An ended intent whose link machine still runs is
+    /// kept: the machine's `Established` transition would make it live
+    /// again.
+    fn prune_confirm_stores(&mut self) {
+        let (intents, machines) = (&self.intents, &self.machines);
+        self.cpl_to_intent.retain(|_, iid| {
+            intents.get(*iid).is_some_and(|i| i.is_live())
+                || machines.iter().any(|m| m.intent == *iid)
+        });
+        let kept = &self.cpl_to_intent;
+        self.confirm_unoffered.retain(|c| kept.contains_key(c));
+    }
+
     fn controller_cycle(&mut self) {
+        // The cached graph is dead the moment a new one is evaluated;
+        // freeing it first keeps the two from ever coexisting.
+        self.last_graph = None;
         let graph = self
             .evaluator
             .evaluate(&self.model, self.now + self.config.plan_lead);
-        self.last_graph = Some(graph.clone());
         self.solve_and_actuate(&graph);
+        self.last_graph = Some(graph);
         // Record model-vs-measured samples for established links.
         self.record_validation_samples();
     }
@@ -1515,7 +1559,7 @@ impl Orchestrator {
                 ],
                 self.now,
             );
-            self.cpl_to_intent.insert(cpl_id, iid);
+            self.track_cpl_intent(cpl_id, iid);
             self.intents
                 .set_state(iid, LinkIntentState::Commanded { tte });
         }
@@ -1534,7 +1578,7 @@ impl Orchestrator {
                     ],
                     self.now,
                 );
-                self.cpl_to_intent.insert(cpl_id, iid);
+                self.track_cpl_intent(cpl_id, iid);
                 self.intents
                     .set_state(iid, LinkIntentState::WithdrawRequested { at: self.now });
             }
@@ -2480,6 +2524,178 @@ mod tests {
             Some(primary.clone()),
         );
         assert!(!o.stale_alt_flows().contains(&flow), "nothing lingers");
+    }
+
+    /// Mid-morning, everything powered, ground stations wired to the
+    /// controller, nothing commanded yet.
+    fn small_at_ten() -> Orchestrator {
+        let mut o = small();
+        o.now = SimTime::from_hours(10);
+        mesh_tick(&mut o);
+        o
+    }
+
+    /// Advance the clock one tick and run only the in-band mesh stage:
+    /// no control-plane poll, so nothing is confirmed by acks.
+    fn mesh_tick(o: &mut Orchestrator) {
+        o.now += o.config.tick;
+        o.fleet.advance_to(o.now);
+        o.update_manet();
+    }
+
+    /// Command a link from balloon 0 to the first ground station the
+    /// way `solve_and_actuate` does; returns `(intent, establish cpl
+    /// id, balloon, ground station)`.
+    fn command_b2g(o: &mut Orchestrator) -> (IntentId, u64, PlatformId, PlatformId) {
+        let (balloon, gs) = (PlatformId(0), o.fleet.ground_stations[0].id);
+        let link = crate::evaluator::CandidateLink {
+            a: TransceiverId::new(balloon, 0),
+            b: TransceiverId::new(gs, 0),
+            kind: LinkKind::B2G,
+            band: 0,
+            bitrate_bps: 1_000_000_000,
+            margin_db: 10.0,
+            quality: tssdn_rf::LinkQuality::Acceptable,
+            pointing_a: tssdn_geo::AzEl::new(0.0, 0.0),
+            pointing_b: tssdn_geo::AzEl::new(180.0, 45.0),
+            range_m: 100_000.0,
+        };
+        let iid = o.intents.create(link, o.now);
+        let establish = |local, peer| CommandBody::EstablishLink {
+            intent_id: iid.0,
+            local,
+            peer,
+        };
+        let (cpl_id, tte) = o.cdpi.submit_intent(
+            vec![
+                (balloon, establish(link.a, link.b)),
+                (gs, establish(link.b, link.a)),
+            ],
+            o.now,
+        );
+        o.track_cpl_intent(cpl_id, iid);
+        o.intents.set_state(iid, LinkIntentState::Commanded { tte });
+        (iid, cpl_id, balloon, gs)
+    }
+
+    /// Tick the mesh until `balloon` is in-band; panics if BATMAN
+    /// never gets it there.
+    fn tick_until_inband(o: &mut Orchestrator, balloon: PlatformId) {
+        for _ in 0..6 {
+            mesh_tick(o);
+            if o.cdpi.inband.is_reachable(balloon, o.now) {
+                return;
+            }
+        }
+        panic!("{balloon:?} never came in-band");
+    }
+
+    #[test]
+    fn intent_established_out_of_band_confirms_once_at_first_inband_tick() {
+        let mut o = small_at_ten();
+        let (iid, cpl_id, balloon, gs) = command_b2g(&mut o);
+        o.intents
+            .set_state(iid, LinkIntentState::Established { at: o.now });
+        // No mesh edge: the balloon is out of band, nothing is offered.
+        mesh_tick(&mut o);
+        mesh_tick(&mut o);
+        assert!(o.cdpi.records().is_empty());
+        assert!(o.confirm_unoffered.contains(&cpl_id));
+        // The edge appears; the first tick that finds the balloon
+        // in-band confirms the intent.
+        o.manet.set_link(balloon, gs, 1.0);
+        tick_until_inband(&mut o, balloon);
+        assert_eq!(o.cdpi.records().len(), 1, "confirmed at the first tick");
+        assert!(!o.confirm_unoffered.contains(&cpl_id), "offered once");
+        mesh_tick(&mut o);
+        mesh_tick(&mut o);
+        assert_eq!(o.cdpi.records().len(), 1, "and never again");
+    }
+
+    #[test]
+    fn intent_established_in_band_is_offered_at_the_next_tick_only() {
+        let mut o = small_at_ten();
+        // The balloon is in-band first (a standing link to the site)...
+        let (balloon, gs) = (PlatformId(0), o.fleet.ground_stations[0].id);
+        o.manet.set_link(balloon, gs, 1.0);
+        tick_until_inband(&mut o, balloon);
+        // ...and only then is a link commanded, so connecting does not
+        // confirm it; while `Commanded` it is not offered either.
+        let (iid, cpl_id, _, _) = command_b2g(&mut o);
+        mesh_tick(&mut o);
+        assert!(o.cdpi.records().is_empty());
+        assert!(o.confirm_unoffered.contains(&cpl_id));
+        o.intents
+            .set_state(iid, LinkIntentState::Established { at: o.now });
+        mesh_tick(&mut o);
+        assert_eq!(o.cdpi.records().len(), 1, "offered at the next tick");
+        assert!(!o.confirm_unoffered.contains(&cpl_id));
+        assert!(
+            o.cpl_to_intent.contains_key(&cpl_id),
+            "still mapped: the intent is live"
+        );
+        mesh_tick(&mut o);
+        assert_eq!(o.cdpi.records().len(), 1, "a second tick adds none");
+    }
+
+    #[test]
+    fn ended_intents_leave_both_confirm_stores() {
+        let mut o = small_at_ten();
+        let (iid, establish_id, balloon, gs) = command_b2g(&mut o);
+        // A withdrawal rides its own cpl intent, mapped to the same
+        // controller intent.
+        let teardown = CommandBody::TeardownLink { intent_id: iid.0 };
+        let (teardown_id, _) = o
+            .cdpi
+            .submit_intent(vec![(balloon, teardown.clone()), (gs, teardown)], o.now);
+        o.track_cpl_intent(teardown_id, iid);
+        o.intents
+            .set_state(iid, LinkIntentState::WithdrawRequested { at: o.now });
+        mesh_tick(&mut o);
+        assert_eq!(o.cpl_to_intent.len(), 2, "live: both ids kept");
+        assert_eq!(o.confirm_unoffered.len(), 2);
+
+        // Ended, but its link machine still runs and could yet report
+        // `Established`: the ids stay until the machine is gone.
+        o.spawn_machine(iid, o.now);
+        let ended = LinkIntentState::Ended {
+            at: o.now,
+            planned: true,
+        };
+        o.intents.set_state(iid, ended);
+        mesh_tick(&mut o);
+        assert_eq!(o.cpl_to_intent.len(), 2);
+        o.machines.clear();
+        mesh_tick(&mut o);
+        for id in [establish_id, teardown_id] {
+            assert!(!o.cpl_to_intent.contains_key(&id));
+            assert!(!o.confirm_unoffered.contains(&id));
+        }
+    }
+
+    #[test]
+    fn confirm_stores_stay_flat_over_three_days() {
+        // ROADMAP's "state size flat across a multi-day run", as data:
+        // at every day boundary both stores are bounded by the live
+        // intent set (one establish id and the occasional teardown id
+        // each), however many intents the run has been through.
+        let mut o = Orchestrator::new(OrchestratorConfig::kenya(12, 7));
+        for day in 1..=3 {
+            o.run_until(SimTime::from_hours(24 * day));
+            let live = o.intents.live().count();
+            let ever = o.intents.all().count();
+            assert!(ever > 100 * day as usize, "day {day}: a busy run: {ever}");
+            assert!(
+                o.cpl_to_intent.len() <= 2 * live + 4,
+                "day {day}: {} cpl ids mapped for {live} live intents ({ever} ever)",
+                o.cpl_to_intent.len()
+            );
+            assert!(o.confirm_unoffered.len() <= o.cpl_to_intent.len());
+            assert!(o
+                .confirm_unoffered
+                .iter()
+                .all(|c| o.cpl_to_intent.contains_key(c)));
+        }
     }
 
     #[test]

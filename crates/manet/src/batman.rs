@@ -15,8 +15,7 @@
 //! connectivity flapping (the "one working RA at a time" behaviour of
 //! Appendix D).
 
-use crate::types::{Ctx, ManetProtocol, NodeId};
-use std::collections::BTreeMap;
+use crate::types::{Ctx, ManetProtocol, NodeId, NodeIndex};
 use tssdn_sim::{SimDuration, SimTime};
 
 /// An originator message.
@@ -47,17 +46,31 @@ struct OriginatorEntry {
 #[derive(Debug, Default)]
 struct NodeState {
     seq: u64,
-    /// Best route per originator.
-    table: BTreeMap<NodeId, OriginatorEntry>,
+    /// Best route per originator, indexed by the originator's slot.
+    /// Grown when an originator beyond its end is first heard, so it
+    /// may be shorter than the node count.
+    table: Vec<Option<OriginatorEntry>>,
     /// Currently selected gateway (sticky).
     selected_gateway: Option<NodeId>,
+    /// Configured as a gateway (ground station).
+    gateway: bool,
+}
+
+impl NodeState {
+    /// The table entry for originator `dest`, if held.
+    fn route_to(&self, index: &NodeIndex, dest: NodeId) -> Option<&OriginatorEntry> {
+        self.table.get(index.get(dest)?)?.as_ref()
+    }
 }
 
 /// The BATMAN protocol state for all simulated nodes.
 #[derive(Debug, Default)]
 pub struct Batman {
-    nodes: BTreeMap<NodeId, NodeState>,
-    gateways: BTreeMap<NodeId, bool>,
+    /// Node id → slot, in registration order. One slot space indexes
+    /// both `nodes` and every node's originator table; no order is
+    /// read off it — wherever node order matters it is by id.
+    index: NodeIndex,
+    nodes: Vec<NodeState>,
     /// Entries unrefreshed for this long are purged.
     pub route_timeout: SimDuration,
     /// A new gateway must beat the current one's TQ by this factor to
@@ -71,53 +84,79 @@ impl Batman {
     /// use 5 s ≈ 5 lost OGM intervals).
     pub fn new() -> Self {
         Batman {
-            nodes: BTreeMap::new(),
-            gateways: BTreeMap::new(),
             route_timeout: SimDuration::from_secs(5),
             gateway_hysteresis: 1.2,
+            ..Self::default()
         }
     }
 
     /// Mark `n` as a gateway (ground station).
     pub fn set_gateway(&mut self, n: NodeId, is_gw: bool) {
-        self.gateways.insert(n, is_gw);
+        let slot = self.slot(n);
+        self.nodes[slot].gateway = is_gw;
     }
 
     /// The gateway `node` currently selects, if any is reachable.
     pub fn selected_gateway(&self, node: NodeId) -> Option<NodeId> {
-        self.nodes.get(&node)?.selected_gateway
+        self.nodes[self.index.get(node)?].selected_gateway
     }
 
     /// TQ of `node`'s route to `dest`, if known.
     pub fn route_tq(&self, node: NodeId, dest: NodeId) -> Option<f64> {
-        self.nodes.get(&node)?.table.get(&dest).map(|e| e.best_tq)
+        self.entry(node, dest).map(|e| e.best_tq)
     }
 
-    fn purge(&mut self, now: SimTime, node: NodeId, timeout: SimDuration) {
-        let st = self.nodes.get_mut(&node).expect("known node");
-        st.table.retain(|_, e| now.since(e.updated) < timeout);
+    /// The slot of `id`, registering it when new.
+    fn slot(&mut self, id: NodeId) -> usize {
+        let slot = self.index.intern(id);
+        if slot == self.nodes.len() {
+            self.nodes.push(NodeState::default());
+        }
+        slot
+    }
+
+    fn entry(&self, node: NodeId, dest: NodeId) -> Option<&OriginatorEntry> {
+        self.nodes[self.index.get(node)?].route_to(&self.index, dest)
+    }
+
+    fn purge(&mut self, now: SimTime, node: usize) {
+        let st = &mut self.nodes[node];
+        for cell in &mut st.table {
+            if cell.is_some_and(|e| now.since(e.updated) >= self.route_timeout) {
+                *cell = None;
+            }
+        }
         // Drop a selected gateway that fell out of the table.
         if let Some(gw) = st.selected_gateway {
-            if !st.table.contains_key(&gw) {
+            if st.route_to(&self.index, gw).is_none() {
                 st.selected_gateway = None;
             }
         }
     }
 
-    fn reselect_gateway(&mut self, node: NodeId) {
-        let st = self.nodes.get_mut(&node).expect("known node");
+    fn reselect_gateway(&mut self, node: usize) {
+        let st = &mut self.nodes[node];
+        // Highest TQ, and among exactly equal TQs the highest id — how
+        // `max_by` over an id-ordered map resolves the tie. Slots are
+        // in registration order, so the id is compared explicitly.
         let best = st
             .table
             .iter()
-            .filter(|(_, e)| e.gateway)
-            .max_by(|a, b| a.1.best_tq.partial_cmp(&b.1.best_tq).expect("finite tq"))
-            .map(|(gw, e)| (*gw, e.best_tq));
+            .enumerate()
+            .filter_map(|(slot, cell)| {
+                let e = cell.as_ref().filter(|e| e.gateway)?;
+                Some((self.index.id(slot), e.best_tq))
+            })
+            .max_by(|a, b| {
+                let by_tq = a.1.partial_cmp(&b.1).expect("finite tq");
+                by_tq.then(a.0.cmp(&b.0))
+            });
         match (st.selected_gateway, best) {
             (_, None) => st.selected_gateway = None,
             (None, Some((gw, _))) => st.selected_gateway = Some(gw),
             (Some(cur), Some((gw, tq))) => {
                 if gw != cur {
-                    let cur_tq = st.table.get(&cur).map(|e| e.best_tq).unwrap_or(0.0);
+                    let cur_tq = st.route_to(&self.index, cur).map_or(0.0, |e| e.best_tq);
                     if tq > cur_tq * self.gateway_hysteresis {
                         st.selected_gateway = Some(gw);
                     }
@@ -135,22 +174,20 @@ impl ManetProtocol for Batman {
     }
 
     fn add_node(&mut self, node: NodeId) {
-        self.nodes.entry(node).or_default();
-        self.gateways.entry(node).or_insert(false);
+        self.slot(node);
     }
 
     fn on_tick(&mut self, now: SimTime, node: NodeId, ctx: &mut Ctx<Ogm>) {
-        let timeout = self.route_timeout;
-        self.purge(now, node, timeout);
-        self.reselect_gateway(node);
-        let is_gw = *self.gateways.get(&node).unwrap_or(&false);
-        let st = self.nodes.get_mut(&node).expect("known node");
+        let slot = self.index.get(node).expect("known node");
+        self.purge(now, slot);
+        self.reselect_gateway(slot);
+        let st = &mut self.nodes[slot];
         st.seq += 1;
         let ogm = Ogm {
             originator: node,
             seq: st.seq,
             tq: 1.0,
-            gateway: is_gw,
+            gateway: st.gateway,
         };
         ctx.broadcast(node, ogm, OGM_BYTES);
     }
@@ -171,32 +208,34 @@ impl ManetProtocol for Batman {
         if tq < 0.05 {
             return; // below usable quality; stop propagation
         }
-        let st = self.nodes.get_mut(&node).expect("known node");
-        let entry = st.table.get(&msg.originator);
-        let accept = match entry {
+        let originator = self.slot(msg.originator);
+        let slot = self.index.get(node).expect("known node");
+        let table = &mut self.nodes[slot].table;
+        if table.len() <= originator {
+            table.resize(originator + 1, None);
+        }
+        let cell = &mut table[originator];
+        let is_new_seq = match cell {
             None => true,
             Some(e) => {
-                msg.seq > e.seq
+                let accept = msg.seq > e.seq
                     || (msg.seq == e.seq && tq > e.best_tq)
                     // Allow refresh from the incumbent next hop even at
                     // equal seq/tq so `updated` advances.
-                    || (msg.seq == e.seq && from == e.next_hop)
+                    || (msg.seq == e.seq && from == e.next_hop);
+                if !accept {
+                    return;
+                }
+                msg.seq > e.seq
             }
         };
-        if !accept {
-            return;
-        }
-        let is_new_seq = entry.map(|e| msg.seq > e.seq).unwrap_or(true);
-        st.table.insert(
-            msg.originator,
-            OriginatorEntry {
-                best_tq: tq,
-                next_hop: from,
-                seq: msg.seq,
-                updated: now,
-                gateway: msg.gateway,
-            },
-        );
+        *cell = Some(OriginatorEntry {
+            best_tq: tq,
+            next_hop: from,
+            seq: msg.seq,
+            updated: now,
+            gateway: msg.gateway,
+        });
         // Rebroadcast only the first/best copy of a new sequence
         // number, with our residual TQ — classic BATMAN flooding.
         if is_new_seq {
@@ -208,7 +247,7 @@ impl ManetProtocol for Batman {
         if node == dest {
             return None;
         }
-        self.nodes.get(&node)?.table.get(&dest).map(|e| e.next_hop)
+        self.entry(node, dest).map(|e| e.next_hop)
     }
 }
 
@@ -332,6 +371,44 @@ mod tests {
         // 4 nodes × ~1 own OGM/s plus rebroadcasts.
         assert!(o10.messages >= 40, "got {}", o10.messages);
         assert_eq!(o10.bytes, o10.messages * 24);
+    }
+
+    #[test]
+    fn equal_tq_gateways_resolve_to_the_higher_id() {
+        // Two gateways one lossless hop away: TQ is exactly 1.0 for
+        // both. Whichever was registered first, the higher id wins.
+        for order in [[n(1), n(2)], [n(2), n(1)]] {
+            let mut b = Batman::new();
+            for gw in order {
+                b.set_gateway(gw, true);
+            }
+            let mut h = Harness::new(b, &RngStreams::new(9));
+            for gw in order {
+                h.set_link(gw, n(5), 1.0);
+            }
+            h.run_until(SimTime::from_secs(3));
+            let p = h.protocol();
+            assert_eq!(p.route_tq(n(5), n(1)), p.route_tq(n(5), n(2)));
+            assert_eq!(p.selected_gateway(n(5)), Some(n(2)), "order {order:?}");
+        }
+    }
+
+    #[test]
+    fn sparse_ids_cost_slots_not_range() {
+        // Tables are sized by how many nodes exist, not by the largest
+        // id: the top of the id space is just another node.
+        let far = PlatformId(u32::MAX);
+        let mut b = Batman::new();
+        b.set_gateway(far, true);
+        let mut h = Harness::new(b, &RngStreams::new(10));
+        h.set_link(far, n(7), 0.95);
+        h.set_link(n(7), PlatformId(1 << 31), 0.95);
+        h.run_until(SimTime::from_secs(5));
+        assert_eq!(
+            h.route_path(PlatformId(1 << 31), far),
+            Some(vec![PlatformId(1 << 31), n(7), far])
+        );
+        assert_eq!(h.protocol().selected_gateway(n(7)), Some(far));
     }
 
     #[test]

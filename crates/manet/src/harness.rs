@@ -6,11 +6,13 @@
 use crate::types::{Ctx, ManetProtocol, NodeId, Topology};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use tssdn_sim::{EventQueue, RngStreams, SimDuration, SimTime};
+use std::collections::VecDeque;
+use tssdn_sim::{RngStreams, SimDuration, SimTime};
 
 /// One in-flight control message.
 #[derive(Debug, Clone)]
 struct Delivery<M> {
+    due: SimTime,
     to: NodeId,
     from: NodeId,
     msg: M,
@@ -35,20 +37,94 @@ pub struct ConvergenceProbe {
     pub to: NodeId,
 }
 
+/// The shared medium between callbacks: what the last callback asked
+/// to send, the loss draws, and the copies still in flight.
+struct Medium<M> {
+    /// The one outbox every callback writes into; drained by
+    /// [`Medium::transmit`] before the next callback runs.
+    outbox: Ctx<M>,
+    rng: ChaCha8Rng,
+    /// In-flight copies in (due, insertion) order — the `(at, seq)`
+    /// order of `sim::EventQueue`, kept by where a copy is inserted
+    /// instead of by a heap.
+    in_flight: VecDeque<Delivery<M>>,
+    overhead: OverheadStats,
+}
+
+impl<M: Clone> Medium<M> {
+    /// Turn the outbox into in-flight copies due at `due`, applying
+    /// per-link loss.
+    ///
+    /// Ordering contract (the `manet-loss` stream and every table
+    /// downstream depend on it): outbox entries go out in emission
+    /// order; a unicast draws one `gen_bool(q)`; a broadcast draws one
+    /// `gen_bool(q)` per neighbor in ascending neighbor id, which is
+    /// the order [`Topology::neighbors`] yields.
+    fn transmit(&mut self, topo: &Topology, due: SimTime) {
+        let Medium {
+            outbox,
+            rng,
+            in_flight,
+            overhead,
+        } = self;
+        for (from, target, msg, bytes) in outbox.drain() {
+            match target {
+                Some(to) => {
+                    let Some(q) = topo.quality(from, to) else {
+                        continue;
+                    };
+                    overhead.messages += 1;
+                    overhead.bytes += bytes as u64;
+                    if rng.gen_bool(q) {
+                        enqueue(in_flight, Delivery { due, to, from, msg });
+                    }
+                }
+                None => {
+                    let mut neighbors = topo.neighbors(from).peekable();
+                    // A broadcast is one transmission regardless of the
+                    // neighbor count (shared medium).
+                    if neighbors.peek().is_some() {
+                        overhead.messages += 1;
+                        overhead.bytes += bytes as u64;
+                    }
+                    for (to, q) in neighbors {
+                        if rng.gen_bool(q) {
+                            let msg = msg.clone();
+                            enqueue(in_flight, Delivery { due, to, from, msg });
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Insert `d` after the last copy due at or before it. Copies are
+/// scheduled at `now + hop_latency`, so with a steady latency this is
+/// always the back; a copy scheduled with a shorter latency than ones
+/// already in flight lands ahead of them, behind its own instant's
+/// earlier copies.
+fn enqueue<M>(in_flight: &mut VecDeque<Delivery<M>>, d: Delivery<M>) {
+    if in_flight.back().is_none_or(|last| last.due <= d.due) {
+        in_flight.push_back(d);
+    } else {
+        let at = in_flight.partition_point(|e| e.due <= d.due);
+        in_flight.insert(at, d);
+    }
+}
+
 /// The harness binding a protocol implementation to a dynamic
 /// topology.
 pub struct Harness<P: ManetProtocol> {
     proto: P,
     topo: Topology,
-    queue: EventQueue<Delivery<P::Msg>>,
-    rng: ChaCha8Rng,
+    medium: Medium<P::Msg>,
     now: SimTime,
     next_tick: SimTime,
     /// Interval between protocol ticks.
     pub tick_interval: SimDuration,
     /// One-hop control-message latency.
     pub hop_latency: SimDuration,
-    overhead: OverheadStats,
 }
 
 impl<P: ManetProtocol> Harness<P> {
@@ -58,13 +134,16 @@ impl<P: ManetProtocol> Harness<P> {
         Harness {
             proto,
             topo: Topology::new(),
-            queue: EventQueue::new(),
-            rng: streams.stream("manet-loss"),
+            medium: Medium {
+                outbox: Ctx::default(),
+                rng: streams.stream("manet-loss"),
+                in_flight: VecDeque::new(),
+                overhead: OverheadStats::default(),
+            },
             now: SimTime::ZERO,
             next_tick: SimTime::ZERO,
             tick_interval: SimDuration::from_secs(1),
             hop_latency: SimDuration(10),
-            overhead: OverheadStats::default(),
         }
     }
 
@@ -85,7 +164,7 @@ impl<P: ManetProtocol> Harness<P> {
 
     /// Overhead accumulated so far.
     pub fn overhead(&self) -> OverheadStats {
-        self.overhead
+        self.medium.overhead
     }
 
     /// Current harness time.
@@ -101,8 +180,6 @@ impl<P: ManetProtocol> Harness<P> {
 
     /// Install/update a link.
     pub fn set_link(&mut self, a: NodeId, b: NodeId, q: f64) {
-        self.topo.add_node(a);
-        self.topo.add_node(b);
         self.proto.add_node(a);
         self.proto.add_node(b);
         self.topo.set_link(a, b, q);
@@ -120,12 +197,23 @@ impl<P: ManetProtocol> Harness<P> {
 
     /// Advance to `until`, ticking the protocol and delivering
     /// messages.
+    ///
+    /// Ordering contract: at each instant, copies due fire first, in
+    /// (due, insertion) order — including copies a delivery itself
+    /// schedules for the same instant — and then, on a tick instant,
+    /// nodes tick in ascending `NodeId`. This holds for any sequence
+    /// of `hop_latency` / `tick_interval` values set between calls.
     pub fn run_until(&mut self, until: SimTime) {
+        let Harness {
+            proto,
+            topo,
+            medium,
+            ..
+        } = self;
         while self.now < until {
             // Next interesting instant: tick or message delivery.
-            let next_msg = self.queue.peek_time();
-            let next = match next_msg {
-                Some(t) if t < self.next_tick => t,
+            let next = match medium.in_flight.front() {
+                Some(d) if d.due < self.next_tick => d.due,
                 _ => self.next_tick,
             };
             if next > until {
@@ -133,75 +221,27 @@ impl<P: ManetProtocol> Harness<P> {
                 return;
             }
             self.now = next;
+            let now = next;
 
             // Deliver any messages due now.
-            while let Some(ev) = self.queue.pop_until(self.now) {
-                let Delivery { to, from, msg } = ev.event;
+            while medium.in_flight.front().is_some_and(|d| d.due <= now) {
+                let Delivery { to, from, msg, .. } =
+                    medium.in_flight.pop_front().expect("front is due");
                 // The link may have vanished while the message flew.
-                let Some(q) = self.topo.quality(from, to) else {
+                let Some(q) = topo.quality(from, to) else {
                     continue;
                 };
-                let mut ctx = Ctx::default();
-                self.proto.on_message(self.now, to, from, q, msg, &mut ctx);
-                self.flush(ctx);
+                proto.on_message(now, to, from, q, msg, &mut medium.outbox);
+                medium.transmit(topo, now + self.hop_latency);
             }
 
             // Tick every node when the tick instant arrives.
-            if self.now >= self.next_tick {
-                let nodes: Vec<NodeId> = self.topo.nodes().collect();
-                for n in nodes {
-                    let mut ctx = Ctx::default();
-                    self.proto.on_tick(self.now, n, &mut ctx);
-                    self.flush(ctx);
+            if now >= self.next_tick {
+                for n in topo.nodes() {
+                    proto.on_tick(now, n, &mut medium.outbox);
+                    medium.transmit(topo, now + self.hop_latency);
                 }
                 self.next_tick += self.tick_interval;
-            }
-        }
-    }
-
-    /// Turn a callback's outbox into queued deliveries, applying
-    /// per-link loss.
-    fn flush(&mut self, ctx: Ctx<P::Msg>) {
-        for (from, target, msg, bytes) in ctx.outbox {
-            match target {
-                Some(to) => {
-                    let Some(q) = self.topo.quality(from, to) else {
-                        continue;
-                    };
-                    self.overhead.messages += 1;
-                    self.overhead.bytes += bytes as u64;
-                    if self.rng.gen_bool(q) {
-                        self.queue.schedule(
-                            self.now + self.hop_latency,
-                            Delivery {
-                                to,
-                                from,
-                                msg: msg.clone(),
-                            },
-                        );
-                    }
-                }
-                None => {
-                    let neighbors: Vec<(NodeId, f64)> = self.topo.neighbors(from).collect();
-                    // A broadcast is one transmission regardless of the
-                    // neighbor count (shared medium).
-                    if !neighbors.is_empty() {
-                        self.overhead.messages += 1;
-                        self.overhead.bytes += bytes as u64;
-                    }
-                    for (to, q) in neighbors {
-                        if self.rng.gen_bool(q) {
-                            self.queue.schedule(
-                                self.now + self.hop_latency,
-                                Delivery {
-                                    to,
-                                    from,
-                                    msg: msg.clone(),
-                                },
-                            );
-                        }
-                    }
-                }
             }
         }
     }
@@ -210,29 +250,37 @@ impl<P: ManetProtocol> Harness<P> {
     /// when it reaches `to` over *currently existing* links without
     /// loops.
     pub fn route_works(&self, from: NodeId, to: NodeId) -> bool {
-        self.route_path(from, to).is_some()
+        self.walk(from, to, |_| {})
     }
 
     /// The realized forwarding path, if complete and loop-free.
     pub fn route_path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
         let mut path = vec![from];
+        self.walk(from, to, |hop| path.push(hop)).then_some(path)
+    }
+
+    /// Walk the next-hop chain from `from`, reporting each hop taken;
+    /// true when the walk ends at `to`.
+    fn walk(&self, from: NodeId, to: NodeId, mut visit: impl FnMut(NodeId)) -> bool {
         let mut at = from;
         let mut hops = 0;
         while at != to {
             hops += 1;
             if hops > self.topo.num_nodes() {
-                return None; // loop
+                return false; // loop
             }
-            let nh = self.proto.next_hop(at, to)?;
+            let Some(nh) = self.proto.next_hop(at, to) else {
+                return false;
+            };
             // A stale table entry pointing over a vanished link is a
             // broken route.
             if !self.topo.linked(at, nh) {
-                return None;
+                return false;
             }
-            path.push(nh);
+            visit(nh);
             at = nh;
         }
-        Some(path)
+        true
     }
 
     /// Run until `probe`'s route works or `deadline` passes; returns
@@ -370,6 +418,67 @@ mod tests {
         h.set_link(n(0), n(1), 1.0);
         h.add_node(n(9));
         assert!(!h.route_works(n(0), n(9)));
+    }
+
+    /// Node 0 broadcasts its tick count every tick; everyone logs
+    /// what arrives and when.
+    #[derive(Default)]
+    struct Beacon {
+        ticks: u32,
+        heard: Vec<(SimTime, u32)>,
+    }
+
+    impl ManetProtocol for Beacon {
+        type Msg = u32;
+        fn name(&self) -> &'static str {
+            "beacon"
+        }
+        fn add_node(&mut self, _node: NodeId) {}
+        fn on_tick(&mut self, _now: SimTime, node: NodeId, ctx: &mut Ctx<u32>) {
+            if node == n(0) {
+                self.ticks += 1;
+                ctx.broadcast(node, self.ticks, 8);
+            }
+        }
+        fn on_message(
+            &mut self,
+            now: SimTime,
+            _node: NodeId,
+            _from: NodeId,
+            _q: f64,
+            msg: u32,
+            _ctx: &mut Ctx<u32>,
+        ) {
+            self.heard.push((now, msg));
+        }
+        fn next_hop(&self, _node: NodeId, _dest: NodeId) -> Option<NodeId> {
+            None
+        }
+    }
+
+    #[test]
+    fn shorter_latency_overtakes_copies_in_flight() {
+        let mut h = Harness::new(Beacon::default(), &RngStreams::new(1));
+        h.set_link(n(0), n(1), 1.0);
+        h.tick_interval = SimDuration(5);
+        h.hop_latency = SimDuration(40);
+        h.run_until(SimTime(3)); // beacon 1 sent at 0, due at 40
+        h.hop_latency = SimDuration(1);
+        h.run_until(SimTime(12)); // beacons 2 and 3 sent at 5 and 10
+        assert_eq!(
+            h.protocol().heard,
+            vec![(SimTime(6), 2), (SimTime(11), 3)],
+            "later copies with the shorter latency arrive first"
+        );
+        h.run_until(SimTime(41));
+        let heard = &h.protocol().heard;
+        assert_eq!(heard.len(), 9, "beacons 1..=9 all arrived");
+        assert_eq!(heard[8], (SimTime(41), 9));
+        assert_eq!(
+            heard[7],
+            (SimTime(40), 1),
+            "the slow copy fires at its own due time, after the 36 ms beacon and before the 41 ms one"
+        );
     }
 
     #[test]

@@ -1,22 +1,110 @@
 //! Shared types: node ids, the dynamic topology, the protocol trait,
 //! and the send context protocols use to emit control messages.
 
-use std::collections::{BTreeMap, BTreeSet};
 use tssdn_sim::{PlatformId, SimTime};
 
 /// A MANET node. Aliases the fleet's platform id so the layers above
 /// can map balloons/ground stations directly onto routing nodes.
 pub type NodeId = PlatformId;
 
+/// Interns node ids to dense slots `0..n` in first-seen order: the
+/// O(1) id → slot step under [`Topology`] and the BATMAN tables.
+/// Storage grows with the number of ids interned, never with their
+/// values — `PlatformId(u32::MAX)` costs one slot like any other.
+#[derive(Debug, Clone)]
+pub(crate) struct NodeIndex {
+    /// Slot → id.
+    ids: Vec<NodeId>,
+    /// Open-addressed `(id, slot)` buckets with linear probing; a
+    /// power-of-two count, at least twice `ids.len()`.
+    buckets: Vec<(u32, u32)>,
+}
+
+/// Slot value of an unoccupied bucket.
+const VACANT: u32 = u32::MAX;
+
+impl Default for NodeIndex {
+    fn default() -> Self {
+        NodeIndex {
+            ids: Vec::new(),
+            buckets: vec![(0, VACANT); 8],
+        }
+    }
+}
+
+impl NodeIndex {
+    /// First bucket to probe for `id`: a multiplicative hash folded
+    /// onto the low bits, so dense and strided ids both spread.
+    fn home(&self, id: NodeId) -> usize {
+        let h = id.0.wrapping_mul(0x9E37_79B9);
+        (h ^ (h >> 16)) as usize & (self.buckets.len() - 1)
+    }
+
+    /// The id interned at `slot`.
+    pub(crate) fn id(&self, slot: usize) -> NodeId {
+        self.ids[slot]
+    }
+
+    /// The slot of `id`, if interned.
+    pub(crate) fn get(&self, id: NodeId) -> Option<usize> {
+        let mask = self.buckets.len() - 1;
+        let mut i = self.home(id);
+        loop {
+            let (key, slot) = self.buckets[i];
+            if slot == VACANT {
+                return None;
+            }
+            if key == id.0 {
+                return Some(slot as usize);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The slot of `id`, interning it at the next free slot when new.
+    pub(crate) fn intern(&mut self, id: NodeId) -> usize {
+        if let Some(slot) = self.get(id) {
+            return slot;
+        }
+        let slot = self.ids.len();
+        assert!(slot < VACANT as usize, "node slots exhausted");
+        self.ids.push(id);
+        if self.ids.len() * 2 > self.buckets.len() {
+            self.buckets = vec![(0, VACANT); self.buckets.len() * 2];
+            for s in 0..slot {
+                self.place(self.ids[s], s);
+            }
+        }
+        self.place(id, slot);
+        slot
+    }
+
+    /// Put `id → slot` in the first vacant bucket of `id`'s probe run.
+    fn place(&mut self, id: NodeId, slot: usize) {
+        let mask = self.buckets.len() - 1;
+        let mut i = self.home(id);
+        while self.buckets[i].1 != VACANT {
+            i = (i + 1) & mask;
+        }
+        self.buckets[i] = (id.0, slot as u32);
+    }
+}
+
 /// The instantaneous link-layer adjacency the MANET runs over.
 ///
 /// Link quality is a delivery probability in `(0, 1]`, playing the
-/// role of batman-adv's TQ. BTree containers keep iteration order
-/// deterministic.
+/// role of batman-adv's TQ. Nodes and each node's neighbors are kept
+/// sorted by id, so iteration order is deterministic and independent
+/// of the order nodes and links were added in — the harness's tick
+/// order and per-broadcast loss draws rely on it.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
-    edges: BTreeMap<NodeId, BTreeMap<NodeId, f64>>,
-    nodes: BTreeSet<NodeId>,
+    index: NodeIndex,
+    /// Node ids, ascending.
+    sorted: Vec<NodeId>,
+    /// Per slot of `index`: `(neighbor, quality)`, ascending by
+    /// neighbor id.
+    adj: Vec<Vec<(NodeId, f64)>>,
 }
 
 impl Topology {
@@ -27,8 +115,18 @@ impl Topology {
 
     /// Ensure a node exists (it may have no links yet).
     pub fn add_node(&mut self, n: NodeId) {
-        self.nodes.insert(n);
-        self.edges.entry(n).or_default();
+        self.slot(n);
+    }
+
+    /// The slot of `n`, adding the node when new.
+    fn slot(&mut self, n: NodeId) -> usize {
+        let slot = self.index.intern(n);
+        if slot == self.adj.len() {
+            self.adj.push(Vec::new());
+            let at = self.sorted.partition_point(|m| *m < n);
+            self.sorted.insert(at, n);
+        }
+        slot
     }
 
     /// Install or update a bidirectional link with delivery quality
@@ -36,43 +134,44 @@ impl Topology {
     pub fn set_link(&mut self, a: NodeId, b: NodeId, q: f64) {
         assert!(a != b, "no self links");
         let q = q.clamp(0.0, 1.0);
-        self.add_node(a);
-        self.add_node(b);
-        self.edges.get_mut(&a).expect("added").insert(b, q);
-        self.edges.get_mut(&b).expect("added").insert(a, q);
+        let (sa, sb) = (self.slot(a), self.slot(b));
+        for (list, peer) in [(sa, b), (sb, a)] {
+            let list = &mut self.adj[list];
+            match list.binary_search_by_key(&peer, |e| e.0) {
+                Ok(i) => list[i].1 = q,
+                Err(i) => list.insert(i, (peer, q)),
+            }
+        }
     }
 
     /// Remove a link if present.
     pub fn remove_link(&mut self, a: NodeId, b: NodeId) {
-        if let Some(m) = self.edges.get_mut(&a) {
-            m.remove(&b);
-        }
-        if let Some(m) = self.edges.get_mut(&b) {
-            m.remove(&a);
+        for (n, peer) in [(a, b), (b, a)] {
+            if let Some(s) = self.index.get(n) {
+                self.adj[s].retain(|e| e.0 != peer);
+            }
         }
     }
 
-    /// All nodes.
+    /// All nodes, ascending by id.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().copied()
+        self.sorted.iter().copied()
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.sorted.len()
     }
 
-    /// Neighbors of `n` with link qualities.
+    /// Neighbors of `n` with link qualities, ascending by id.
     pub fn neighbors(&self, n: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        self.edges
-            .get(&n)
-            .into_iter()
-            .flat_map(|m| m.iter().map(|(k, v)| (*k, *v)))
+        let list = self.index.get(n).map_or(&[][..], |s| &self.adj[s]);
+        list.iter().copied()
     }
 
     /// Quality of the `a`–`b` link, if linked.
     pub fn quality(&self, a: NodeId, b: NodeId) -> Option<f64> {
-        self.edges.get(&a).and_then(|m| m.get(&b)).copied()
+        self.neighbors(a).find(|e| e.0 == b).map(|e| e.1)
     }
 
     /// Whether `a` and `b` share a direct link.
@@ -82,7 +181,7 @@ impl Topology {
 
     /// Number of (undirected) links.
     pub fn num_links(&self) -> usize {
-        self.edges.values().map(|m| m.len()).sum::<usize>() / 2
+        self.adj.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Whether a path exists from `a` to `b` in the raw adjacency
@@ -91,16 +190,20 @@ impl Topology {
         if a == b {
             return true;
         }
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![a];
-        seen.insert(a);
-        while let Some(n) = stack.pop() {
-            for (m, _) in self.neighbors(n) {
+        let Some(start) = self.index.get(a) else {
+            return false;
+        };
+        let mut seen = vec![false; self.adj.len()];
+        seen[start] = true;
+        let mut stack = vec![start];
+        while let Some(s) = stack.pop() {
+            for &(m, _) in &self.adj[s] {
                 if m == b {
                     return true;
                 }
-                if seen.insert(m) {
-                    stack.push(m);
+                let ms = self.index.get(m).expect("neighbors are nodes");
+                if !std::mem::replace(&mut seen[ms], true) {
+                    stack.push(ms);
                 }
             }
         }
@@ -132,6 +235,14 @@ impl<M> Ctx<M> {
     /// Unicast `msg` to a specific neighbor.
     pub fn unicast(&mut self, from: NodeId, to: NodeId, msg: M, bytes: usize) {
         self.outbox.push((from, Some(to), msg, bytes));
+    }
+
+    /// Take everything queued so far, in emission order, as
+    /// `(from, target, msg, bytes)` with `target` `None` for a
+    /// broadcast. The allocation stays with the context, so a harness
+    /// can lend one `Ctx` to every callback.
+    pub fn drain(&mut self) -> impl Iterator<Item = (NodeId, Option<NodeId>, M, usize)> + '_ {
+        self.outbox.drain(..)
     }
 }
 
@@ -224,6 +335,49 @@ mod tests {
         t.set_link(n(5), n(1), 1.0);
         let order: Vec<u32> = t.neighbors(n(5)).map(|(m, _)| m.0).collect();
         assert_eq!(order, vec![1, 2, 9], "BTree order");
+    }
+
+    #[test]
+    fn node_index_round_trips_through_growth_and_collisions() {
+        // Strided ids (many share low bits) plus the ends of the id
+        // space, enough of them to regrow the table several times.
+        let ids: Vec<NodeId> = (0..500u32)
+            .map(|i| n(i.wrapping_mul(1 << 20)))
+            .chain([n(u32::MAX), n(u32::MAX - 1), n(1)])
+            .collect();
+        let mut distinct: Vec<NodeId> = Vec::new();
+        let mut index = NodeIndex::default();
+        for &id in &ids {
+            let slot = index.intern(id);
+            if !distinct.contains(&id) {
+                assert_eq!(slot, distinct.len(), "next free slot");
+                distinct.push(id);
+            }
+            assert_eq!(distinct[slot], id);
+        }
+        for (slot, &id) in distinct.iter().enumerate() {
+            assert_eq!(index.get(id), Some(slot));
+            assert_eq!(index.id(slot), id);
+        }
+        assert_eq!(index.get(n(12_345)), None);
+        assert!(
+            index.buckets.len() <= 4 * distinct.len(),
+            "sized by count: {} buckets for {} ids",
+            index.buckets.len(),
+            distinct.len()
+        );
+    }
+
+    #[test]
+    fn node_order_is_by_id_whatever_the_insertion_order() {
+        let mut t = Topology::new();
+        for i in [7, u32::MAX, 0, 3] {
+            t.add_node(n(i));
+        }
+        t.set_link(n(5), n(3), 1.0); // adds 5 mid-way
+        let order: Vec<u32> = t.nodes().map(|m| m.0).collect();
+        assert_eq!(order, vec![0, 3, 5, 7, u32::MAX]);
+        assert_eq!(t.num_nodes(), 5);
     }
 
     #[test]

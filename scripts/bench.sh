@@ -14,17 +14,26 @@
 #                                  # BENCH_custody_ab.json (E19)
 #                                  # and BENCH_sharding.json (E22:
 #                                  # 1000-balloon sharded epoch vs the
-#                                  # 100-balloon global budget)
+#                                  # 100-balloon global budget),
+#                                  # then the benchmark of record:
+#                                  # `tssdn-e2e --all` (four whole-loop
+#                                  # workloads, untraced + traced,
+#                                  # artifact_out/e2e/results.json)
 #   ./scripts/bench.sh --smoke     # quick runs, wired into verify.sh:
 #                                  # planning writes no file but proves
 #                                  # the bit-identity equivalence gate;
 #                                  # the other bins still write their
 #                                  # artifacts (full gates, smaller
-#                                  # fleets/iters)
+#                                  # fleets/iters); `tssdn-e2e --all
+#                                  # --smoke` runs 30-step windows
+#                                  # (checks on, numbers not
+#                                  # comparable with a full run)
 #   ./scripts/bench.sh --out DIR   # write every artifact under DIR
 #                                  # (created if missing) instead of
 #                                  # the repo root; composes with
-#                                  # --smoke
+#                                  # --smoke. `tssdn-e2e` takes no
+#                                  # destination: it always writes
+#                                  # artifact_out/e2e/
 #   ./scripts/bench.sh --only NAME # run just the scenario matrix,
 #                                  # filtered to the named scenario
 #                                  # (e.g. --only chaos_blackout);
@@ -105,3 +114,10 @@ cargo run --release -q -p tssdn-bench --bin snf_ab -- \
 # conservation invariant in both arms.
 cargo run --release -q -p tssdn-bench --bin custody_ab -- \
   ${smoke:+"$smoke"} --out "$out_dir/BENCH_custody_ab.json"
+
+# The benchmark of record (BENCHMARK.json, crates/e2e/README.md): the
+# four scenario workloads through `Orchestrator::run_until`, each
+# untraced then traced in its own process, with the suite's own
+# checks (traced-vs-untraced scorecard identity, exact counts). It
+# runs last so a failed identity gate above is reported first.
+cargo run --release -q -p tssdn-e2e -- --all ${smoke:+"$smoke"}

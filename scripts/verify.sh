@@ -39,7 +39,7 @@ if [ "$mode" != "lint" ]; then
   echo "==> cargo test -q"
   cargo test -q
 
-  echo "==> scripts/bench.sh --smoke (scenario matrix + planning + sharding + traffic gates)"
+  echo "==> scripts/bench.sh --smoke (scenario matrix + planning + sharding + traffic gates + e2e suite)"
   ./scripts/bench.sh --smoke
 fi
 
