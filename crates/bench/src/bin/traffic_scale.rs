@@ -411,8 +411,8 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"traffic_scale\",\n  \"mode\": \"{}\",\n  \"seed\": {},\n  \"iters\": {},\n  \"meshes\": [\n{}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
+        "{{\n  \"bench\": \"traffic_scale\",\n  \"manifest\": {},\n  \"seed\": {},\n  \"iters\": {},\n  \"meshes\": [\n{}\n  ]\n}}\n",
+        tssdn_bench::manifest_json(if smoke { "smoke" } else { "full" }),
         seed(),
         iters,
         meshes_json.join(",\n")

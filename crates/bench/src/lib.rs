@@ -84,6 +84,40 @@ pub fn print_summary(label: &str, xs: &[f64]) {
     }
 }
 
+/// The provenance object a committed `BENCH_*.json` carries, as a JSON
+/// object literal: git revision (`-dirty` when tracked files differ),
+/// `rustc -V`, the worker threads available, and the bench mode —
+/// without these a number cannot be compared across commits or hosts.
+pub fn manifest_json(mode: &str) -> String {
+    let first_line = |cmd: &str, args: &[&str]| {
+        let out = std::process::Command::new(cmd).args(args).output().ok()?;
+        let line = String::from_utf8(out.stdout)
+            .ok()?
+            .lines()
+            .next()?
+            .trim()
+            .to_string();
+        (out.status.success() && !line.is_empty()).then_some(line)
+    };
+    let unknown = || "unknown".to_string();
+    let revision = first_line("git", &["rev-parse", "HEAD"]).map_or_else(unknown, |rev| {
+        let clean = std::process::Command::new("git")
+            .args(["diff", "--quiet", "HEAD"])
+            .status()
+            .is_ok_and(|s| s.success());
+        if clean {
+            rev
+        } else {
+            format!("{rev}-dirty")
+        }
+    });
+    let rustc = first_line("rustc", &["-V"]).unwrap_or_else(unknown);
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!(
+        "{{\"revision\": \"{revision}\", \"rustc\": \"{rustc}\", \"nproc\": {nproc}, \"mode\": \"{mode}\"}}"
+    )
+}
+
 /// Appendix A's mesh-redundancy fraction: given `b` balloons in the
 /// mesh, `g` ground-station transceivers, and `l` installed links,
 /// `Lmin = b`, `Lmax = floor((g + 3b)/2)`, and the utilized fraction

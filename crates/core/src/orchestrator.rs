@@ -376,6 +376,12 @@ pub struct Orchestrator {
     /// The most recent candidate graph (reused by event-driven
     /// re-solves between evaluator runs).
     last_graph: Option<CandidateGraph>,
+    /// Every platform some link of `last_graph` touches — the
+    /// "potential operable" set behind probe and traffic eligibility.
+    /// Refreshed where `controller_cycle` stores a graph, so it is
+    /// computed once per graph rather than on every probe; empty until
+    /// the first evaluation.
+    reachable: std::collections::BTreeSet<PlatformId>,
     /// Enactment-feedback evidence (only consulted when
     /// `policy.enactment_feedback` is on).
     pub feedback: crate::feedback::FeedbackStats,
@@ -548,6 +554,7 @@ impl Orchestrator {
             validator: ModelValidator::new(),
             last_plan: None,
             last_graph: None,
+            reachable: std::collections::BTreeSet::new(),
             feedback: crate::feedback::FeedbackStats::new(),
             traffic,
             last_traffic: SimTime::ZERO,
@@ -719,7 +726,8 @@ impl Orchestrator {
                 .unwrap_or(false)
             {
                 // Lent out for the solve (which never reads it) and put
-                // straight back.
+                // straight back; `reachable` describes the same graph
+                // throughout.
                 if let Some(graph) = self.last_graph.take() {
                     self.solve_and_actuate(&graph);
                     self.last_graph = Some(graph);
@@ -1444,9 +1452,29 @@ impl Orchestrator {
             .evaluator
             .evaluate(&self.model, self.now + self.config.plan_lead);
         self.solve_and_actuate(&graph);
+        self.reachable = Self::platforms_of(&graph);
         self.last_graph = Some(graph);
         // Record model-vs-measured samples for established links.
         self.record_validation_samples();
+    }
+
+    /// The platforms a candidate graph's links touch.
+    fn platforms_of(graph: &CandidateGraph) -> std::collections::BTreeSet<PlatformId> {
+        graph
+            .links
+            .iter()
+            .flat_map(|l| [l.a.platform, l.b.platform])
+            .collect()
+    }
+
+    /// "Potential operable time", the eligibility rule the
+    /// availability probe and the traffic engine share: powered, and
+    /// within reach of some candidate link. A balloon that has drifted
+    /// beyond every candidate cannot possibly be part of the mesh; its
+    /// dark time is not an availability failure (it is the FMS's
+    /// problem, not the network's), and it offers no traffic.
+    fn potentially_operable(&self, b: PlatformId) -> bool {
+        self.effectively_powered(b) && self.reachable.contains(&b)
     }
 
     /// Solve against `graph` and actuate the diff (establish commands,
@@ -1856,25 +1884,19 @@ impl Orchestrator {
     fn probe(&mut self) {
         let ec = self.ec_ids[0];
         let established = self.physical_up_links();
-        // "Potential operable time": a balloon that has drifted beyond
-        // every candidate link's reach cannot possibly be part of the
-        // mesh; its dark time is not an availability failure (it is the
-        // FMS's problem, not the network's).
-        let reachable: std::collections::BTreeSet<PlatformId> = self
-            .last_graph
-            .as_ref()
-            .map(|g| {
-                g.links
-                    .iter()
-                    .flat_map(|l| [l.a.platform, l.b.platform])
-                    .collect()
-            })
-            .unwrap_or_default();
+        debug_assert_eq!(
+            self.reachable,
+            self.last_graph
+                .as_ref()
+                .map(Self::platforms_of)
+                .unwrap_or_default(),
+            "reachable set out of step with the cached graph"
+        );
         let balloons: Vec<PlatformId> = (0..self.fleet.balloons.len() as u32)
             .map(PlatformId)
             .collect();
         for b in balloons {
-            let eligible = self.effectively_powered(b) && reachable.contains(&b);
+            let eligible = self.potentially_operable(b);
             // Link layer: any installed link touches the balloon.
             let link_up = established.iter().any(|(x, y)| *x == b || *y == b);
             // Control plane: in-band reachable.
@@ -1960,20 +1982,8 @@ impl Orchestrator {
         }
 
         let mut view = TopologyView::default();
-        // Same eligibility rule as the availability probe: unpowered
-        // or out-of-reach balloons offer no traffic.
-        let reachable: std::collections::BTreeSet<PlatformId> = self
-            .last_graph
-            .as_ref()
-            .map(|g| {
-                g.links
-                    .iter()
-                    .flat_map(|l| [l.a.platform, l.b.platform])
-                    .collect()
-            })
-            .unwrap_or_default();
         for b in (0..self.fleet.balloons.len() as u32).map(PlatformId) {
-            if self.effectively_powered(b) && reachable.contains(&b) {
+            if self.potentially_operable(b) {
                 view.eligible.insert(b);
             }
             // A balloon inside an active loss window is gone, not
@@ -2696,6 +2706,39 @@ mod tests {
                 .iter()
                 .all(|c| o.cpl_to_intent.contains_key(c)));
         }
+    }
+
+    #[test]
+    fn reachable_set_tracks_the_cached_graph() {
+        let derived = |o: &Orchestrator| {
+            o.last_graph
+                .as_ref()
+                .map(Orchestrator::platforms_of)
+                .unwrap_or_default()
+        };
+        let mut o = small();
+        // Before any evaluation there is no graph and nobody is
+        // potentially operable; a probe must cope.
+        assert!(o.last_graph.is_none() && o.reachable.is_empty());
+        o.probe();
+        // Step tick by tick through the morning: scheduled cycles
+        // replace the graph, event-driven re-solves lend it out and put
+        // it back, and the set must describe it after every one (the
+        // same check is a debug_assert at every probe).
+        let (mut scheduled, mut event_driven) = (0, 0);
+        while o.now() < SimTime::from_hours(10) {
+            let (dirty, solve_due) = (o.dirty_since, o.next_solve);
+            o.run_until(o.now() + o.config.tick);
+            assert_eq!(o.reachable, derived(&o), "at {}", o.now());
+            if o.next_solve != solve_due {
+                scheduled += 1;
+            } else if dirty.is_some() && o.dirty_since.is_none() {
+                event_driven += 1;
+            }
+        }
+        assert!(scheduled > 500, "scheduled cycles ran: {scheduled}");
+        assert!(event_driven > 0, "an event-driven re-solve ran");
+        assert!(!o.reachable.is_empty(), "the morning graph has links");
     }
 
     #[test]

@@ -120,11 +120,51 @@ pub struct AggregateFlow {
     pub class: TrafficClass,
 }
 
+/// One site's flows: a contiguous index range, bulk flows first, then
+/// the control flow when the site has one. Flows are emitted
+/// site-major, so the runs tile `0..flows().len()` in the order the
+/// sites were handed to [`DemandGenerator::new`] — unsorted, and with
+/// one run per occurrence if a site was listed twice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SiteRun {
+    /// The site every flow of the run belongs to.
+    pub site: PlatformId,
+    /// First flow index of the run.
+    pub first: u32,
+    /// One past the last bulk flow: `first..bulk_end` are
+    /// [`TrafficClass::Bulk`], `bulk_end..end` [`TrafficClass::Control`].
+    pub bulk_end: u32,
+    /// One past the last flow of the run.
+    pub end: u32,
+}
+
+/// The time-dependent factors of a bulk flow's offered load — the
+/// same for every flow at one instant, so a tick computes them once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LoadFactor {
+    diurnal: f64,
+    surge: f64,
+}
+
+impl LoadFactor {
+    /// Offered load of a bulk flow whose time-invariant prefix
+    /// `users · busy_hour · weight` is `base_bps`: the product
+    /// continues left to right, so hoisting the factors changes no bit.
+    fn bulk_bps(self, base_bps: f64) -> u64 {
+        (base_bps * self.diurnal * self.surge).round() as u64
+    }
+}
+
 /// Deterministic demand generator over a fixed site set.
 #[derive(Debug, Clone)]
 pub struct DemandGenerator {
     config: DemandConfig,
     flows: Vec<AggregateFlow>,
+    runs: Vec<SiteRun>,
+    /// Per flow, the time-invariant prefix `users · busy_hour · weight`
+    /// of the offered-load product (0 for control flows, which offer a
+    /// constant).
+    base_bps: Vec<f64>,
 }
 
 impl DemandGenerator {
@@ -134,7 +174,9 @@ impl DemandGenerator {
         let mut rng = streams.stream("traffic-demand");
         let per_flow_users = (config.users_per_site / config.flows_per_site.max(1) as u64).max(1);
         let mut flows = Vec::with_capacity(sites.len() * (config.flows_per_site + 1));
+        let mut runs = Vec::with_capacity(sites.len());
         for site in sites {
+            let first = flows.len() as u32;
             for t in 0..config.flows_per_site {
                 let id = FlowId(flows.len() as u32);
                 // Heterogeneous cells: some flows aggregate denser
@@ -153,6 +195,7 @@ impl DemandGenerator {
             // The site's fleet-control backhaul: steady, strict
             // priority, no RNG draw (keeps bulk weights stable when
             // the control load is reconfigured).
+            let bulk_end = flows.len() as u32;
             if config.control_bps_per_site > 0 {
                 let id = FlowId(flows.len() as u32);
                 flows.push(AggregateFlow {
@@ -164,8 +207,23 @@ impl DemandGenerator {
                     class: TrafficClass::Control,
                 });
             }
+            runs.push(SiteRun {
+                site: *site,
+                first,
+                bulk_end,
+                end: flows.len() as u32,
+            });
         }
-        DemandGenerator { config, flows }
+        let base_bps = flows
+            .iter()
+            .map(|f| f.users as f64 * config.busy_hour_bps_per_user * f.weight)
+            .collect();
+        DemandGenerator {
+            config,
+            flows,
+            runs,
+            base_bps,
+        }
     }
 
     /// The demand config.
@@ -178,29 +236,61 @@ impl DemandGenerator {
         &self.flows
     }
 
-    /// Offered load of flow `idx` at `now`, bps. Control flows offer
-    /// a steady [`DemandConfig::control_bps_per_site`]; bulk flows
-    /// ride the diurnal curve.
-    pub fn offered_bps(&self, idx: usize, now: SimTime) -> u64 {
-        let f = &self.flows[idx];
-        if f.class == TrafficClass::Control {
-            return self.config.control_bps_per_site;
+    /// The per-site runs of [`Self::flows`], in construction order.
+    pub fn runs(&self) -> &[SiteRun] {
+        &self.runs
+    }
+
+    /// The diurnal and surge multipliers at `now`.
+    pub fn load_factor(&self, now: SimTime) -> LoadFactor {
+        LoadFactor {
+            diurnal: self.config.diurnal(now.hour_of_day()),
+            surge: match self.config.surge {
+                Some(s) if s.active_at(now) => s.multiplier,
+                _ => 1.0,
+            },
         }
-        let d = self.config.diurnal(now.hour_of_day());
-        let surge = match self.config.surge {
-            Some(s) if s.active_at(now) => s.multiplier,
-            _ => 1.0,
-        };
-        (f.users as f64 * self.config.busy_hour_bps_per_user * f.weight * d * surge).round() as u64
+    }
+
+    /// Write the offered load of every flow of `run` under `factor`
+    /// into `out` (one slot per flow of the run) and return the sum.
+    /// A bulk flow offers the left-to-right product `users · busy_hour
+    /// · weight · diurnal · surge`, rounded; a control flow the steady
+    /// [`DemandConfig::control_bps_per_site`].
+    pub fn offer_run(&self, run: &SiteRun, factor: LoadFactor, out: &mut [u64]) -> u64 {
+        let n_bulk = (run.bulk_end - run.first) as usize;
+        let base = &self.base_bps[run.first as usize..run.bulk_end as usize];
+        let (bulk, control) = out.split_at_mut(n_bulk);
+        let mut sum = 0u64;
+        for (o, &b) in bulk.iter_mut().zip(base) {
+            *o = factor.bulk_bps(b);
+            sum += *o;
+        }
+        control.fill(self.config.control_bps_per_site);
+        sum + self.config.control_bps_per_site * control.len() as u64
+    }
+
+    /// Offered load of flow `idx` at `now`, bps: the one-flow form of
+    /// [`Self::offer_run`].
+    pub fn offered_bps(&self, idx: usize, now: SimTime) -> u64 {
+        self.offered_under(idx, self.load_factor(now))
+    }
+
+    fn offered_under(&self, idx: usize, factor: LoadFactor) -> u64 {
+        match self.flows[idx].class {
+            TrafficClass::Control => self.config.control_bps_per_site,
+            TrafficClass::Bulk => factor.bulk_bps(self.base_bps[idx]),
+        }
     }
 
     /// Total offered load across a site's flows at `now`, bps.
     pub fn site_offered_bps(&self, site: PlatformId, now: SimTime) -> u64 {
-        self.flows
+        let factor = self.load_factor(now);
+        self.runs
             .iter()
-            .enumerate()
-            .filter(|(_, f)| f.site == site)
-            .map(|(i, _)| self.offered_bps(i, now))
+            .filter(|r| r.site == site)
+            .flat_map(|r| r.first..r.end)
+            .map(|i| self.offered_under(i as usize, factor))
             .sum()
     }
 }

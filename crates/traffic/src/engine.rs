@@ -23,7 +23,9 @@ use tssdn_telemetry::GoodputSeries;
 
 use crate::aggregate::{AggregateMember, AggregateSpec, HierarchicalAllocator};
 use crate::allocator::{FairShareAllocator, FlowSpec, TrafficClass};
-use crate::demand::{DemandConfig, DemandGenerator};
+use crate::demand::{DemandConfig, DemandGenerator, SiteRun};
+
+mod phases;
 
 /// Store-and-forward (delay-tolerant) plane configuration. When a
 /// Bulk flow's site has no programmed route, its offered bits enter a
@@ -169,7 +171,7 @@ fn paths_signature(view: &TopologyView) -> u64 {
 }
 
 /// Lifetime byte totals for one aggregate flow.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FlowStats {
     /// Bits the flow's users offered.
     pub offered_bits: u64,
@@ -216,7 +218,7 @@ pub struct SnfTotals {
 }
 
 /// One tick's aggregate outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TickSummary {
     /// Total offered load this tick, bps.
     pub offered_bps: u64,
@@ -255,6 +257,19 @@ pub struct TickSummary {
     pub snf_in_transit_bits: u64,
 }
 
+/// One demand run (a site's contiguous flows) and where its flows sit
+/// in the cached incidence.
+#[derive(Debug, Clone, Copy)]
+struct SiteSlot {
+    run: SiteRun,
+    /// Index of the run's site in [`TrafficEngine::site_ids`].
+    acc: usize,
+    /// Allocator index of the alternate-path subflow of the run's
+    /// first bulk flow, when the site is dual-path in the cached
+    /// incidence; bulk flow `run.first + i` splits onto `alt_first + i`.
+    alt_first: Option<u32>,
+}
+
 /// Deterministic flow-level traffic engine.
 #[derive(Debug)]
 pub struct TrafficEngine {
@@ -266,24 +281,26 @@ pub struct TrafficEngine {
     /// The aggregate-tree allocator (used when
     /// [`TrafficConfig::hierarchical`] is on).
     hier: HierarchicalAllocator,
-    /// Allocator flow count of the cached topology (demand flows plus
-    /// appended alt subflows).
-    n_alloc: usize,
-    /// Reused per-tick rate vector, so capacity-only ticks make no
-    /// allocator-side heap allocation.
-    rates_buf: Vec<u64>,
+    /// Reused per-tick rate vector. Valid only on ticks where some
+    /// run demanded, and then only read for those runs.
+    rates: Vec<u64>,
     series: GoodputSeries,
     flow_stats: Vec<FlowStats>,
     /// Signature of the paths the cached incidence was built from.
     paths_sig: Option<u64>,
     /// Link-id order of the cached incidence.
     links: Vec<(PlatformId, PlatformId)>,
-    /// Per-site link ids of the primary and alternate paths in the
-    /// cached incidence (alt empty when the site is single-path).
-    site_path_ids: BTreeMap<PlatformId, (Vec<u32>, Vec<u32>)>,
-    /// Demand-flow index → allocator index of its alternate-path
-    /// subflow, when the flow is split this topology.
-    alt_subflow: Vec<Option<u32>>,
+    /// Per-platform link ids of the primary and alternate paths in the
+    /// cached incidence (alt empty when single-path). Keyed by every
+    /// platform with a programmed path, served site or not — a
+    /// custodian drains over its own path.
+    path_ids: BTreeMap<PlatformId, (Vec<u32>, Vec<u32>)>,
+    /// The demand runs, in flow order.
+    sites: Vec<SiteSlot>,
+    /// The distinct served sites, ascending — the order series rows
+    /// come out in whatever order the sites were handed over in; a
+    /// site listed twice is two runs and one row.
+    site_ids: Vec<PlatformId>,
     /// Last tick's path per site, for reroute/disruption detection.
     last_paths: BTreeMap<PlatformId, Vec<PlatformId>>,
     /// Last tick's offered load per site (disruptions only count when
@@ -306,6 +323,7 @@ pub struct TrafficEngine {
     custody_refused_total: u64,
     custody_lost_total: u64,
     backlog_lost_total: u64,
+    scratch: phases::TickScratch,
 }
 
 impl TrafficEngine {
@@ -315,19 +333,32 @@ impl TrafficEngine {
     pub fn new(config: TrafficConfig, sites: &[PlatformId], streams: &RngStreams) -> Self {
         let demand = DemandGenerator::new(config.demand, sites, streams);
         let n_flows = demand.flows().len();
+        let mut site_ids: Vec<PlatformId> = sites.to_vec();
+        site_ids.sort_unstable();
+        site_ids.dedup();
+        let slots: Vec<SiteSlot> = demand
+            .runs()
+            .iter()
+            .map(|run| SiteSlot {
+                run: *run,
+                acc: site_ids.binary_search(&run.site).expect("run site listed"),
+                alt_first: None,
+            })
+            .collect();
+        let scratch = phases::TickScratch::new(n_flows, slots.len(), site_ids.len());
         TrafficEngine {
             config,
             demand,
             allocator: FairShareAllocator::new(config.workers),
             hier: HierarchicalAllocator::new(config.workers),
-            n_alloc: 0,
-            rates_buf: Vec::new(),
+            rates: Vec::new(),
             series: GoodputSeries::new(config.window_ms),
             flow_stats: vec![FlowStats::default(); n_flows],
             paths_sig: None,
             links: Vec::new(),
-            site_path_ids: BTreeMap::new(),
-            alt_subflow: Vec::new(),
+            path_ids: BTreeMap::new(),
+            sites: slots,
+            site_ids,
             last_paths: BTreeMap::new(),
             last_offered: BTreeMap::new(),
             digest_bps: BTreeMap::new(),
@@ -338,6 +369,7 @@ impl TrafficEngine {
             custody_refused_total: 0,
             custody_lost_total: 0,
             backlog_lost_total: 0,
+            scratch,
         }
     }
 
@@ -384,7 +416,7 @@ impl TrafficEngine {
                 ..acc
             });
         t.evicted_bits += self.custody_refused_total + self.custody_lost_total;
-        t.in_transit_bits = self.custody_transit.iter().map(|(_, c)| c.bits).sum();
+        t.in_transit_bits = self.in_transit_bits();
         t.custody_initiated_bits = self.custody_initiated_total;
         t.custody_accepted_bits = self.custody_accepted_total;
         t.custody_refused_bits = self.custody_refused_total;
@@ -393,10 +425,14 @@ impl TrafficEngine {
         t
     }
 
+    fn in_transit_bits(&self) -> u64 {
+        self.custody_transit.iter().map(|(_, c)| c.bits).sum()
+    }
+
     fn rebuild_topology(&mut self, view: &TopologyView) {
         let mut link_ids: BTreeMap<(PlatformId, PlatformId), u32> = BTreeMap::new();
         self.links.clear();
-        self.site_path_ids.clear();
+        self.path_ids.clear();
         // Deterministic link-id assignment: first-seen order over the
         // BTreeMap-ordered site paths (primary paths first, then the
         // alternate paths, so single-path runs keep the pre-multipath
@@ -416,13 +452,13 @@ impl TrafficEngine {
         };
         for (site, path) in &view.paths {
             let ids = path_ids(&mut self.links, path);
-            self.site_path_ids.insert(*site, (ids, Vec::new()));
+            self.path_ids.insert(*site, (ids, Vec::new()));
         }
         if self.config.multipath {
             for (site, path) in &view.alt_paths {
                 // Alt paths only count for sites that also have a
                 // primary, and only when genuinely distinct.
-                let Some(entry) = self.site_path_ids.get_mut(site) else {
+                let Some(entry) = self.path_ids.get_mut(site) else {
                     continue;
                 };
                 if view.paths.get(site) == Some(path) {
@@ -435,566 +471,131 @@ impl TrafficEngine {
 
         // Allocator index space: one flow per demand flow on its
         // primary path (indices align with FlowId), plus an appended
-        // alt subflow for each bulk flow whose site is dual-path.
-        let n_flows = self.demand.flows().len();
-        self.alt_subflow = vec![None; n_flows];
-        let mut next_alt = n_flows as u32;
-        for (fi, f) in self.demand.flows().iter().enumerate() {
-            if f.class != TrafficClass::Bulk {
-                continue;
+        // alt subflow for each bulk flow whose site is dual-path — in
+        // flow order, so one run's subflows are contiguous.
+        let flows = self.demand.flows();
+        let mut next_alt = flows.len() as u32;
+        for slot in &mut self.sites {
+            let n_bulk = slot.run.bulk_end - slot.run.first;
+            let dual =
+                matches!(self.path_ids.get(&slot.run.site), Some((_, alt)) if !alt.is_empty());
+            slot.alt_first = (dual && n_bulk > 0).then_some(next_alt);
+            if dual {
+                next_alt += n_bulk;
             }
-            let Some((_, alt)) = self.site_path_ids.get(&f.site) else {
-                continue;
-            };
-            if alt.is_empty() {
-                continue;
-            }
-            self.alt_subflow[fi] = Some(next_alt);
-            next_alt += 1;
         }
-        self.n_alloc = next_alt as usize;
+        let n_alloc = next_alt as usize;
+        self.scratch.reset_demands(n_alloc);
 
+        let primary_of = |site: PlatformId| match self.path_ids.get(&site) {
+            Some((p, _)) => p.clone(),
+            None => Vec::new(),
+        };
         if self.config.hierarchical {
             // Site×class aggregate tree: the flows of one (site,
             // class, path) triple cross identical links, so each
-            // becomes one aggregate node. Demand flows are site-major
-            // (DemandGenerator order), so a linear key-change walk
-            // yields the groups deterministically; alt subflows form
-            // their own per-site Bulk aggregates over the alternate
-            // path.
+            // becomes one aggregate node. A run is bulk flows then
+            // control, so a key-change walk over the runs' class
+            // ranges yields the groups deterministically (and merges
+            // neighbouring runs of one site exactly as a walk over the
+            // flows would); alt subflows form their own per-site Bulk
+            // aggregates over the alternate path.
+            let member = |flow: u32, of: u32| AggregateMember {
+                flow,
+                weight: flows[of as usize].tier_weight,
+            };
             let mut groups: Vec<AggregateSpec> = Vec::new();
             let mut last: Option<(PlatformId, TrafficClass)> = None;
-            for (fi, f) in self.demand.flows().iter().enumerate() {
-                if last != Some((f.site, f.class)) {
-                    let links = self
-                        .site_path_ids
-                        .get(&f.site)
-                        .map(|(p, _)| p.clone())
-                        .unwrap_or_default();
-                    groups.push(AggregateSpec {
-                        links,
-                        class: f.class,
-                        members: Vec::new(),
-                    });
-                    last = Some((f.site, f.class));
+            for slot in &self.sites {
+                let r = slot.run;
+                for (class, range) in [
+                    (TrafficClass::Bulk, r.first..r.bulk_end),
+                    (TrafficClass::Control, r.bulk_end..r.end),
+                ] {
+                    if range.is_empty() {
+                        continue;
+                    }
+                    if last != Some((r.site, class)) {
+                        groups.push(AggregateSpec {
+                            links: primary_of(r.site),
+                            class,
+                            members: Vec::new(),
+                        });
+                        last = Some((r.site, class));
+                    }
+                    let group = groups.last_mut().expect("group pushed");
+                    group.members.extend(range.map(|f| member(f, f)));
                 }
-                groups
-                    .last_mut()
-                    .expect("group pushed")
-                    .members
-                    .push(AggregateMember {
-                        flow: fi as u32,
-                        weight: f.tier_weight,
-                    });
             }
             let mut last_site: Option<PlatformId> = None;
-            for (fi, f) in self.demand.flows().iter().enumerate() {
-                let Some(ai) = self.alt_subflow[fi] else {
+            for slot in &self.sites {
+                let (Some(alt_first), r) = (slot.alt_first, slot.run) else {
                     continue;
                 };
-                if last_site != Some(f.site) {
-                    let (_, alt) = &self.site_path_ids[&f.site];
+                if last_site != Some(r.site) {
                     groups.push(AggregateSpec {
-                        links: alt.clone(),
+                        links: self.path_ids[&r.site].1.clone(),
                         class: TrafficClass::Bulk,
                         members: Vec::new(),
                     });
-                    last_site = Some(f.site);
+                    last_site = Some(r.site);
                 }
-                groups
-                    .last_mut()
-                    .expect("group pushed")
+                let group = groups.last_mut().expect("group pushed");
+                group
                     .members
-                    .push(AggregateMember {
-                        flow: ai,
-                        weight: f.tier_weight,
-                    });
+                    .extend((r.first..r.bulk_end).map(|f| member(alt_first + f - r.first, f)));
             }
-            self.hier.set_aggregates(groups, n_links, self.n_alloc);
+            self.hier.set_aggregates(groups, n_links, n_alloc);
         } else {
-            let mut specs: Vec<FlowSpec> = self
-                .demand
-                .flows()
+            let mut specs: Vec<FlowSpec> = flows
                 .iter()
-                .map(|f| {
-                    let links = self
-                        .site_path_ids
-                        .get(&f.site)
-                        .map(|(p, _)| p.clone())
-                        .unwrap_or_default();
-                    FlowSpec::new(links, f.tier_weight, f.class)
-                })
+                .map(|f| FlowSpec::new(primary_of(f.site), f.tier_weight, f.class))
                 .collect();
-            for (fi, f) in self.demand.flows().iter().enumerate() {
-                if let Some(ai) = self.alt_subflow[fi] {
-                    debug_assert_eq!(ai as usize, specs.len());
-                    let (_, alt) = &self.site_path_ids[&f.site];
-                    specs.push(FlowSpec::new(alt.clone(), f.tier_weight, f.class));
-                }
+            for slot in &self.sites {
+                let (Some(alt_first), r) = (slot.alt_first, slot.run) else {
+                    continue;
+                };
+                debug_assert_eq!(alt_first as usize, specs.len());
+                let alt = &self.path_ids[&r.site].1;
+                specs.extend(
+                    flows[r.first as usize..r.bulk_end as usize]
+                        .iter()
+                        .map(|f| FlowSpec::new(alt.clone(), f.tier_weight, f.class)),
+                );
             }
             self.allocator.set_flows(specs, n_links);
         }
     }
 
-    /// Bottleneck capacity of a cached path (min over its link ids).
-    fn bottleneck_bps(&self, ids: &[u32], capacities: &[u64]) -> u64 {
-        ids.iter()
-            .map(|&l| capacities[l as usize])
-            .min()
-            .unwrap_or(self.config.tunnel_capacity_bps)
-    }
-
     /// Advance one tick of length `dt` ending at `now`: offer demand,
     /// allocate over the forwarding graph, and account the outcome.
+    ///
+    /// The tick is this ordered list of phases and nothing else
+    /// (DESIGN.md §15 says what each may read and write). From `offer`
+    /// on, the flow population is walked as per-site runs, and a run
+    /// that offers nothing is skipped by every phase.
     pub fn tick(&mut self, now: SimTime, dt: SimDuration, view: &TopologyView) -> TickSummary {
-        // Reroute/disruption bookkeeping against the previous tick.
-        for (site, last_path) in &self.last_paths {
-            let offered_then = self.last_offered.get(site).copied().unwrap_or(0);
-            match view.paths.get(site) {
-                None if offered_then > 0 => self.series.record_disruption(*site),
-                Some(p) if p != last_path => self.series.record_reroute(*site),
-                _ => {}
-            }
-        }
-
-        // Incidence rebuild only when the programmed paths changed;
-        // capacity-only ticks reuse the cached topology.
-        let sig = paths_signature(view);
-        let rebuilt = self.paths_sig != Some(sig);
-        if rebuilt {
-            self.rebuild_topology(view);
-            self.paths_sig = Some(sig);
-        }
-
-        // Offered load per flow; flows on ineligible or path-less
-        // sites present zero demand to the allocator (their offered
-        // bits still count against goodput when the site is eligible).
-        let n_flows = self.demand.flows().len();
-        let n_alloc = self.n_alloc;
-        let capacities: Vec<u64> = self
-            .links
-            .iter()
-            .map(|edge| {
-                view.link_capacity_bps
-                    .get(edge)
-                    .copied()
-                    .unwrap_or(self.config.tunnel_capacity_bps)
-            })
-            .collect();
-
-        let now_ms = now.as_ms();
-        let dt_ms = dt.as_ms();
-        let snf_cfg = self.config.store_forward;
-
-        // Custody arrivals: chunks extracted last tick spent one tick
-        // in transit and are now offered to their custodian, which
-        // accepts what fits (and is not over-age) and refuses the
-        // rest. Bits addressed to a custodian that died in the
-        // meantime are lost in transit.
-        let mut custody_accepted = 0u64;
-        let mut custody_refused = 0u64;
-        let mut custody_lost = 0u64;
-        if !self.custody_transit.is_empty() {
-            let transit = std::mem::take(&mut self.custody_transit);
-            let mut by_dest: BTreeMap<PlatformId, Vec<BufferedChunk<u32>>> = BTreeMap::new();
-            for (to, chunk) in transit {
-                if view.dead.contains(&to) {
-                    custody_lost += chunk.bits;
-                } else {
-                    by_dest.entry(to).or_default().push(chunk);
-                }
-            }
-            for (to, chunks) in by_dest {
-                let buf = self.snf.entry(to).or_insert_with(|| {
-                    StoreForwardBuffer::new(snf_cfg.max_bytes, snf_cfg.max_age_ms)
-                });
-                let (acc, refu) = buf.accept_custody(chunks, now_ms);
-                custody_accepted += acc;
-                custody_refused += refu;
-            }
-            self.custody_accepted_total += custody_accepted;
-            self.custody_refused_total += custody_refused;
-            self.custody_lost_total += custody_lost;
-            if custody_accepted > 0 {
-                self.series.record_custody_accepted(custody_accepted);
-            }
-            if custody_refused > 0 {
-                self.series.record_custody_refused(custody_refused);
-            }
-            if custody_lost > 0 {
-                self.series.record_custody_lost(custody_lost);
-            }
-        }
-
-        // A dead platform's backlog dies with it. This wipe is
-        // exactly the loss custody transfer exists to pre-empt, and
-        // it applies with custody on or off — the no-custody arm of
-        // the E19 A/B pays it in full.
-        let mut backlog_lost = 0u64;
-        for d in &view.dead {
-            if let Some(buf) = self.snf.get_mut(d) {
-                let lost = buf.wipe();
-                if lost > 0 {
-                    backlog_lost += lost;
-                    self.series.record_buffer_evicted(*d, lost);
-                    self.series.record_backlog_lost(lost);
-                }
-            }
-        }
-        self.backlog_lost_total += backlog_lost;
-
-        // Age-evict before this tick's arrivals: bits at or past the
-        // age bound must never be delivered, even if a route came
-        // back.
-        let mut snf_evicted = backlog_lost;
-        for (site, buf) in self.snf.iter_mut() {
-            let ev = buf.expire(now_ms);
-            if ev > 0 {
-                snf_evicted += ev;
-                self.series.record_buffer_evicted(*site, ev);
-            }
-        }
-        let mut snf_queued = 0u64;
-        let mut offered = vec![0u64; n_flows];
-        let mut demands = vec![0u64; n_alloc];
-        let mut multipath_sites: BTreeSet<PlatformId> = BTreeSet::new();
-        for f in 0..n_flows {
-            let flow = self.demand.flows()[f];
-            let site = flow.site;
-            if !view.eligible.contains(&site) || view.dead.contains(&site) {
-                continue;
-            }
-            offered[f] = self.demand.offered_bps(f, now);
-            if !view.paths.contains_key(&site) {
-                // Routeless but eligible: Bulk bits wait in the site's
-                // store-and-forward buffer instead of counting
-                // dropped. Control is never buffered — it stays
-                // fail-fast so the control-latency story is untouched.
-                if snf_cfg.enabled && flow.class == TrafficClass::Bulk {
-                    let bits = offered[f] * dt_ms / 1000;
-                    if bits > 0 {
-                        let buf = self.snf.entry(site).or_insert_with(|| {
-                            StoreForwardBuffer::new(snf_cfg.max_bytes, snf_cfg.max_age_ms)
-                        });
-                        let ev = buf.enqueue(f as u32, now_ms, bits);
-                        snf_queued += bits;
-                        snf_evicted += ev;
-                        self.flow_stats[f].buffered_bits += bits;
-                        self.series.record_buffered(site, bits);
-                        if ev > 0 {
-                            self.series.record_buffer_evicted(site, ev);
-                        }
-                    }
-                }
-                continue;
-            }
-            match self.alt_subflow[f] {
-                // Dual-path bulk flow: split the offered load across
-                // the primary and alternate paths, weighted by their
-                // instantaneous bottleneck capacities (u128 keeps the
-                // multiply exact).
-                Some(ai) => {
-                    let (p_ids, a_ids) = &self.site_path_ids[&site];
-                    let bp = self.bottleneck_bps(p_ids, &capacities);
-                    let ba = self.bottleneck_bps(a_ids, &capacities);
-                    let d_p = if bp.saturating_add(ba) == 0 {
-                        offered[f]
-                    } else {
-                        ((offered[f] as u128 * bp as u128) / (bp as u128 + ba as u128)) as u64
-                    };
-                    demands[f] = d_p;
-                    demands[ai as usize] = offered[f] - d_p;
-                    if offered[f] > 0 {
-                        multipath_sites.insert(site);
-                    }
-                }
-                None => demands[f] = offered[f],
-            }
-        }
-
-        let mut rates = std::mem::take(&mut self.rates_buf);
-        if self.config.hierarchical {
-            self.hier.allocate_into(&demands, &capacities, &mut rates);
-        } else {
-            self.allocator
-                .allocate_into(&demands, &capacities, &mut rates);
-        }
-        let rates = rates;
-
-        // Account bits per flow, per site, and per class (an alt
-        // subflow's rate folds back into its demand flow).
-        let mut site_offered: BTreeMap<PlatformId, u64> = BTreeMap::new();
-        let mut site_delivered: BTreeMap<PlatformId, u64> = BTreeMap::new();
-        let mut class_bits: BTreeMap<TrafficClass, (u64, u64)> = BTreeMap::new();
-        let mut site_class_bits: BTreeMap<(PlatformId, TrafficClass), (u64, u64)> = BTreeMap::new();
-        let mut total_offered = 0u64;
-        let mut total_delivered = 0u64;
-        let mut flows_active = 0usize;
-        for f in 0..n_flows {
-            let flow = self.demand.flows()[f];
-            let delivered = match self.alt_subflow[f] {
-                Some(ai) => rates[f] + rates[ai as usize],
-                None => rates[f],
-            };
-            self.flow_stats[f].offered_bits += offered[f] * dt_ms / 1000;
-            self.flow_stats[f].delivered_bits += delivered * dt_ms / 1000;
-            total_offered += offered[f];
-            total_delivered += delivered;
-            if offered[f] > 0 && view.paths.contains_key(&flow.site) {
-                flows_active += 1;
-            }
-            if offered[f] > 0 {
-                *site_offered.entry(flow.site).or_default() += offered[f];
-                *site_delivered.entry(flow.site).or_default() += delivered;
-                // The class series measures strict-priority protection
-                // *where a path exists*. A Control flow whose site has
-                // no route this tick is an availability loss (the
-                // site series catches it), not a priority failure —
-                // charging it here made control goodput dip below 1.0
-                // during route flaps even though every routed control
-                // bit was delivered. Bulk stays inclusive: its
-                // routeless bits either buffer or drop, and both
-                // belong in the bulk goodput story.
-                if flow.class != TrafficClass::Control || view.paths.contains_key(&flow.site) {
-                    let bits = class_bits.entry(flow.class).or_default();
-                    bits.0 += offered[f] * dt_ms / 1000;
-                    bits.1 += delivered * dt_ms / 1000;
-                    // Per-aggregate counters: the hierarchical
-                    // allocator's site×class nodes, accounted whether
-                    // or not aggregation is on so the two modes export
-                    // comparable tables.
-                    let sc = site_class_bits.entry((flow.site, flow.class)).or_default();
-                    sc.0 += offered[f] * dt_ms / 1000;
-                    sc.1 += delivered * dt_ms / 1000;
-                }
-            }
-        }
-        for (class, &(off_bits, del_bits)) in &class_bits {
-            self.series
-                .record_class(class_label(*class), now, off_bits, del_bits);
-        }
-        for (&(site, class), &(off_bits, del_bits)) in &site_class_bits {
-            self.series
-                .record_site_class(site, class_label(class), off_bits, del_bits);
-        }
-        for (site, &off) in &site_offered {
-            let del = site_delivered.get(site).copied().unwrap_or(0);
-            self.series
-                .record(*site, now, off * dt_ms / 1000, del * dt_ms / 1000);
-            // Demand digest: EWMA over the site's measured offered
-            // load while in its operable window.
-            let alpha = self.config.feedback_alpha;
-            self.digest_bps
-                .entry(*site)
-                .and_modify(|w| *w = alpha * off as f64 + (1.0 - alpha) * *w)
-                .or_insert(off as f64);
-        }
-
-        // Drain stored bits behind the live traffic: whatever
-        // capacity the allocator left on a site's primary path this
-        // tick carries buffered bits toward delivery, oldest first.
-        // Sites drain in id order and each drain debits the shared
-        // residuals, so contention between recovering sites resolves
-        // deterministically.
-        let mut snf_drained = 0u64;
-        let mut custody_initiated = 0u64;
-        if snf_cfg.enabled && !self.snf.is_empty() {
-            let mut residual_bits: Vec<u128> = capacities
-                .iter()
-                .map(|&c| c as u128 * dt_ms as u128 / 1000)
-                .collect();
-            let mut carried = vec![0u64; self.links.len()];
-            for f in 0..n_flows {
-                let site = self.demand.flows()[f].site;
-                let Some((p_ids, a_ids)) = self.site_path_ids.get(&site) else {
-                    continue;
-                };
-                for &l in p_ids {
-                    carried[l as usize] += rates[f];
-                }
-                if let Some(ai) = self.alt_subflow[f] {
-                    for &l in a_ids {
-                        carried[l as usize] += rates[ai as usize];
-                    }
-                }
-            }
-            for (l, r) in residual_bits.iter_mut().enumerate() {
-                *r = r.saturating_sub(carried[l] as u128 * dt_ms as u128 / 1000);
-            }
-            let tunnel_bits = self.config.tunnel_capacity_bps as u128 * dt_ms as u128 / 1000;
-            for (holder, buf) in self.snf.iter_mut() {
-                if buf.is_empty()
-                    || view.dead.contains(holder)
-                    || !view.eligible.contains(holder)
-                    || !view.paths.contains_key(holder)
-                {
-                    continue;
-                }
-                let Some((p_ids, _)) = self.site_path_ids.get(holder) else {
-                    continue;
-                };
-                let budget = p_ids
-                    .iter()
-                    .map(|&l| residual_bits[l as usize])
-                    .min()
-                    .unwrap_or(tunnel_bits)
-                    .min(u64::MAX as u128) as u64;
-                if budget == 0 {
-                    continue;
-                }
-                let chunks = buf.drain(now_ms, budget);
-                let mut bits = 0u64;
-                // Drains credit each chunk's *origin* site (via its
-                // flow id) — after a custody handoff the holder and
-                // the origin differ.
-                let mut by_origin: BTreeMap<PlatformId, (u64, u128)> = BTreeMap::new();
-                for c in &chunks {
-                    bits += c.bits;
-                    let origin = self.demand.flows()[c.flow as usize].site;
-                    let o = by_origin.entry(origin).or_default();
-                    o.0 += c.bits;
-                    o.1 += c.bits as u128 * c.age_ms as u128;
-                    let fs = &mut self.flow_stats[c.flow as usize];
-                    fs.delivered_bits += c.bits;
-                    fs.drained_bits += c.bits;
-                    fs.age_bits_ms += c.bits as u128 * c.age_ms as u128;
-                }
-                if bits == 0 {
-                    continue;
-                }
-                snf_drained += bits;
-                for &l in p_ids {
-                    residual_bits[l as usize] =
-                        residual_bits[l as usize].saturating_sub(bits as u128);
-                }
-                for (origin, (o_bits, o_age)) in by_origin {
-                    self.series
-                        .record_buffer_drained(origin, now, o_bits, o_age);
-                    self.series.record_site_class_drained(
-                        origin,
-                        tssdn_telemetry::ServiceClass::Bulk,
-                        o_bits,
-                    );
-                }
-                self.series
-                    .record_class_drained(tssdn_telemetry::ServiceClass::Bulk, now, bits);
-            }
-
-            // Custody extraction: a doomed holder hands its oldest
-            // resident bits toward its designated custodian, at
-            // whatever residual capacity the handoff edge has left
-            // after live traffic and drains — custody never preempts
-            // Control or live Bulk. The bits ride one tick in transit
-            // and are offered to the custodian next tick.
-            if snf_cfg.custody && !view.custody.is_empty() {
-                let link_ids: BTreeMap<(PlatformId, PlatformId), usize> = self
-                    .links
-                    .iter()
-                    .enumerate()
-                    .map(|(i, e)| (*e, i))
-                    .collect();
-                for (&from, &to) in &view.custody {
-                    if view.dead.contains(&from) || view.dead.contains(&to) {
-                        continue;
-                    }
-                    let edge = edge_key(from, to);
-                    // A handoff edge on a programmed path shares that
-                    // path's residual; an off-path edge offers its
-                    // full idle capacity. No capacity entry, no link,
-                    // no transfer.
-                    let budget = match link_ids.get(&edge) {
-                        Some(&l) => residual_bits[l].min(u64::MAX as u128) as u64,
-                        None => (view.link_capacity_bps.get(&edge).copied().unwrap_or(0) as u128
-                            * dt_ms as u128
-                            / 1000)
-                            .min(u64::MAX as u128) as u64,
-                    };
-                    if budget == 0 {
-                        continue;
-                    }
-                    let Some(buf) = self.snf.get_mut(&from) else {
-                        continue;
-                    };
-                    if buf.is_empty() {
-                        continue;
-                    }
-                    let chunks = buf.extract_custody(budget);
-                    let bits: u64 = chunks.iter().map(|c| c.bits).sum();
-                    if bits == 0 {
-                        continue;
-                    }
-                    custody_initiated += bits;
-                    if let Some(&l) = link_ids.get(&edge) {
-                        residual_bits[l] = residual_bits[l].saturating_sub(bits as u128);
-                    }
-                    self.custody_transit
-                        .extend(chunks.into_iter().map(|c| (to, c)));
-                }
-                self.custody_initiated_total += custody_initiated;
-                if custody_initiated > 0 {
-                    self.series.record_custody_initiated(custody_initiated);
-                }
-            }
-        }
-
-        // Tick-granularity occupancy observations: resident backlog
-        // and oldest-chunk age per non-empty holder buffer (absent
-        // ticks read as an empty buffer).
-        if snf_cfg.enabled {
-            for (holder, buf) in &self.snf {
-                if !buf.is_empty() {
-                    let age = buf.oldest_age_ms(now_ms).unwrap_or(0);
-                    self.series
-                        .record_buffer_occupancy(*holder, now, buf.total_bits(), age);
-                }
-            }
-        }
-
-        self.last_paths = view.paths.clone();
-        self.last_offered = site_offered;
-        self.rates_buf = rates;
-
-        // Conservation must hold at every tick boundary, not just at
-        // run end: every queued bit is accounted for as drained,
-        // evicted (incl. refused/lost custody), resident, or riding a
-        // custody transfer.
-        #[cfg(debug_assertions)]
-        {
-            let t = self.snf_totals();
-            debug_assert_eq!(
-                t.queued_bits,
-                t.drained_bits + t.evicted_bits + t.buffered_bits + t.in_transit_bits,
-                "snf conservation violated at t={now}"
-            );
-        }
-
-        TickSummary {
-            offered_bps: total_offered,
-            delivered_bps: total_delivered,
-            flows_active,
+        let (now_ms, dt_ms) = (now.as_ms(), dt.as_ms());
+        let mut s = TickSummary {
             sites_with_path: view.paths.len(),
-            multipath_sites: multipath_sites.len(),
-            topology_rebuilt: rebuilt,
-            snf_queued_bits: snf_queued,
-            snf_drained_bits: snf_drained,
-            snf_evicted_bits: snf_evicted,
-            snf_buffered_bits: self.snf.values().map(|b| b.total_bits()).sum(),
-            snf_backlog_lost_bits: backlog_lost,
-            custody_initiated_bits: custody_initiated,
-            custody_accepted_bits: custody_accepted,
-            custody_refused_bits: custody_refused,
-            custody_lost_bits: custody_lost,
-            snf_in_transit_bits: self.custody_transit.iter().map(|(_, c)| c.bits).sum(),
+            ..TickSummary::default()
+        };
+        self.note_path_changes(view);
+        s.topology_rebuilt = self.refresh_incidence(view);
+        self.custody_arrivals(view, now_ms, &mut s);
+        self.wipe_dead(view, &mut s);
+        self.expire(now_ms, &mut s);
+        self.offer(now, dt_ms, view, &mut s);
+        self.allocate();
+        self.account(now, dt_ms, &mut s);
+        if self.config.store_forward.enabled && !self.snf.is_empty() {
+            self.drain(now, dt_ms, view, &mut s);
+            if self.config.store_forward.custody && !view.custody.is_empty() {
+                self.extract_custody(dt_ms, view, &mut s);
+            }
         }
-    }
-}
-
-/// Map the allocator's strict-priority class onto the telemetry
-/// series' class key.
-fn class_label(c: TrafficClass) -> tssdn_telemetry::ServiceClass {
-    match c {
-        TrafficClass::Control => tssdn_telemetry::ServiceClass::Control,
-        TrafficClass::Bulk => tssdn_telemetry::ServiceClass::Bulk,
+        self.observe(now, view, &mut s);
+        s
     }
 }
 
@@ -1631,6 +1232,71 @@ mod tests {
         assert_eq!(e.series().site_occupancy(PlatformId(0)).len(), 2);
         let peak = e.series().peak_occupancy(PlatformId(0)).expect("samples");
         assert_eq!(peak.resident_bits, occ[1].resident_bits);
+    }
+
+    #[test]
+    fn all_ineligible_tick_touches_nothing_and_skips_the_allocator() {
+        let sites = [PlatformId(0), PlatformId(1)];
+        let mut e = engine(&sites);
+        let mut view = view_for(&sites, 1_000_000_000);
+        view.eligible.clear(); // night
+        let t = SimTime::from_hours(2);
+        let s = e.tick(t, SimDuration::from_mins(1), &view);
+        // The incidence is still rebuilt for the new paths, exactly as
+        // a daytime first tick would; everything else is zero.
+        let idle = TickSummary {
+            sites_with_path: 2,
+            topology_rebuilt: true,
+            ..TickSummary::default()
+        };
+        assert_eq!(s, idle);
+        let s2 = e.tick(t, SimDuration::from_mins(1), &view);
+        assert_eq!(
+            s2,
+            TickSummary {
+                topology_rebuilt: false,
+                ..idle
+            }
+        );
+        assert!(e.flow_stats().iter().all(|f| *f == FlowStats::default()));
+        assert!(e.series().sites().is_empty() && e.series().classes().is_empty());
+        assert!(e.rates.is_empty(), "the allocator never ran");
+    }
+
+    #[test]
+    fn routeless_site_enqueues_one_chunk_per_bulk_flow_in_flow_order() {
+        // Handed over out of order: the buffer still fills in ascending
+        // flow index, which is construction order, not site order.
+        let sites = [PlatformId(5), PlatformId(2)];
+        let mut e = engine(&sites);
+        let mut dark = view_for(&sites, 1_000_000_000);
+        dark.paths.clear();
+        e.tick(SimTime::from_hours(20), SimDuration::from_mins(1), &dark);
+        for run in e.demand().runs().to_vec() {
+            let buf = e.snf.get_mut(&run.site).expect("site buffered");
+            let queued: Vec<u32> = buf
+                .extract_custody(u64::MAX)
+                .iter()
+                .map(|c| c.flow)
+                .collect();
+            let bulk: Vec<u32> = (run.first..run.bulk_end).collect();
+            assert_eq!(queued, bulk, "site {}", run.site);
+        }
+    }
+
+    #[test]
+    fn duplicated_site_merges_into_one_series_row() {
+        let twice = [PlatformId(3), PlatformId(3)];
+        let mut e = engine(&twice);
+        assert_eq!(e.demand().runs().len(), 2);
+        let view = view_for(&twice[..1], 1_000_000_000);
+        let s = e.tick(SimTime::from_hours(20), SimDuration::from_mins(1), &view);
+        assert_eq!(e.series().sites(), vec![PlatformId(3)]);
+        // One `record` and one digest sample for the site, carrying
+        // both runs: the EWMA's first sample seeds it directly.
+        assert_eq!(e.demand_weight_bps(PlatformId(3)), Some(s.offered_bps));
+        assert_eq!(e.series().offered_bits(), s.offered_bps * 60);
+        assert_eq!(s.flows_active, e.demand().flows().len());
     }
 
     #[test]

@@ -31,7 +31,9 @@
 //!   (via `tssdn_rf::capacity_mbps`), account goodput/disruptions
 //!   into a `tssdn_telemetry::GoodputSeries`, and export the
 //!   EWMA demand digest the planner feeds back into its request
-//!   weights.
+//!   weights. The tick is an ordered list of phases that walk the
+//!   flows as per-site runs and skip a site that offers nothing
+//!   (`engine/phases.rs`, DESIGN.md §15).
 //!
 //! Determinism contract: all randomness is drawn from the dedicated
 //! `"traffic-demand"` stream at construction; ticking never consumes
@@ -49,7 +51,9 @@ pub use aggregate::{AggregateMember, AggregateSpec, HierarchicalAllocator};
 pub use allocator::{
     flows_signature, incidence_signature, FairShareAllocator, FlowSpec, TrafficClass,
 };
-pub use demand::{AggregateFlow, DemandConfig, DemandGenerator, DemandSurge, FlowId};
+pub use demand::{
+    AggregateFlow, DemandConfig, DemandGenerator, DemandSurge, FlowId, LoadFactor, SiteRun,
+};
 pub use engine::{
     FlowStats, SnfTotals, StoreForwardConfig, TickSummary, TopologyView, TrafficConfig,
     TrafficEngine,

@@ -24,7 +24,10 @@
 #                                  # the bit-identity equivalence gate;
 #                                  # the other bins still write their
 #                                  # artifacts (full gates, smaller
-#                                  # fleets/iters); `tssdn-e2e --all
+#                                  # fleets/iters) — under
+#                                  # artifact_out/, never over the
+#                                  # committed full-mode BENCH_*.json
+#                                  # at the repo root; `tssdn-e2e --all
 #                                  # --smoke` runs 30-step windows
 #                                  # (checks on, numbers not
 #                                  # comparable with a full run)
@@ -96,24 +99,32 @@ fi
 cargo run --release -q -p tssdn-bench --bin sharding_scale -- \
   ${sharding_args[@]+"${sharding_args[@]}"}
 
+# Only full-mode numbers live at the repo root: a smoke run with the
+# default out dir writes its traffic / A-B artifacts beside the
+# scenario matrix under artifact_out/, so verify.sh leaves the
+# committed BENCH_*.json untouched.
+ab_out="$out_dir"
+[ -n "$smoke" ] && ab_out="$matrix_out"
+mkdir -p "$ab_out"
+
 # The traffic bench always records the full 25/50/100 flat ladder
 # plus the 1000-balloon × 1M-flow hierarchical tier (identity,
 # lossless-collapse, tick-budget, and warm≤cold gates in both modes);
 # smoke only shrinks the iteration count.
 cargo run --release -q -p tssdn-bench --bin traffic_scale -- \
-  ${smoke:+"$smoke"} --out "$out_dir/BENCH_traffic.json"
+  ${smoke:+"$smoke"} --out "$ab_out/BENCH_traffic.json"
 
 # E18 store-and-forward A/B: gates on rerun identity, strictly higher
 # bulk delivery with buffering on, and an untouched Control class.
 cargo run --release -q -p tssdn-bench --bin snf_ab -- \
-  ${smoke:+"$smoke"} --out "$out_dir/BENCH_snf_ab.json"
+  ${smoke:+"$smoke"} --out "$ab_out/BENCH_snf_ab.json"
 
 # E19 custody-transfer A/B: gates on rerun identity, queued bits
 # surviving a warned balloon loss (strictly more drained, strictly
 # less backlog lost), an untouched Control class, and the extended
 # conservation invariant in both arms.
 cargo run --release -q -p tssdn-bench --bin custody_ab -- \
-  ${smoke:+"$smoke"} --out "$out_dir/BENCH_custody_ab.json"
+  ${smoke:+"$smoke"} --out "$ab_out/BENCH_custody_ab.json"
 
 # The benchmark of record (BENCHMARK.json, crates/e2e/README.md): the
 # four scenario workloads through `Orchestrator::run_until`, each

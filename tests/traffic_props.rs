@@ -351,6 +351,32 @@ proptest! {
         }
     }
 
+    /// Zero demand, zero rate — in both allocator arms, whatever the
+    /// other flows want and even through a linkless or shared
+    /// aggregate. The traffic engine's tick rests on this: a site that
+    /// offers nothing is skipped outright, its flows' rates taken to
+    /// be 0 without being read (DESIGN.md §15).
+    #[test]
+    fn zero_demand_gets_zero_rate(
+        case in raw_case(),
+        silenced in prop::collection::vec(proptest::bool::ANY, 12..13),
+    ) {
+        let (flows, caps) = case;
+        let demands: Vec<u64> = demands_of(&flows)
+            .iter()
+            .zip(&silenced)
+            .map(|(&d, &off)| if off { 0 } else { d })
+            .collect();
+        let flat = allocate(&specs_of(&flows), &demands, &caps);
+        let hier = allocate_hier(&groups_of(&flows), flows.len(), &demands, &caps);
+        for f in 0..flows.len() {
+            if demands[f] == 0 {
+                prop_assert_eq!(flat[f], 0, "flat: flow {} granted without demand", f);
+                prop_assert_eq!(hier[f], 0, "hierarchical: flow {} granted without demand", f);
+            }
+        }
+    }
+
     /// Strict priority survives aggregation: zeroing all bulk demand
     /// changes no control member's rate — control aggregates are
     /// filled as if bulk did not exist, and the within-aggregate
