@@ -2,9 +2,14 @@
 //! retained naive reference, at production fleet sizes.
 //!
 //! Emits `BENCH_planning.json` — the first point on the repo's perf
-//! trajectory — with p50/p95 wall times for the optimized
+//! trajectory — with a provenance `manifest` (revision, rustc, nproc,
+//! mode) and p50/p95 wall times for the optimized
 //! `LinkEvaluator::evaluate` / `Solver::solve` and their naive
-//! references at 25/50/100-balloon fleets, plus the speedups. Before
+//! references at 25/50/100-balloon fleets, plus the speedups. The
+//! references keep the pre-hoisting arithmetic (one path walk per
+//! band, per-pairing gains and noise floor, set-and-map solver
+//! bookkeeping), so both speedups measure the production kernels
+//! against them, not just the sweep structure around them. Before
 //! timing anything it asserts the optimized outputs are bit-identical
 //! to the references at every size (the same golden-equivalence
 //! contract the proptest enforces, here at production scale where the
@@ -288,8 +293,8 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"planning_hot_path\",\n  \"mode\": \"{}\",\n  \"seed\": 42,\n  \"iters\": {},\n  \"fleets\": [\n{}\n  ]\n}}\n",
-        if smoke { "smoke" } else { "full" },
+        "{{\n  \"bench\": \"planning_hot_path\",\n  \"manifest\": {},\n  \"seed\": 42,\n  \"iters\": {},\n  \"fleets\": [\n{}\n  ]\n}}\n",
+        tssdn_bench::manifest_json(if smoke { "smoke" } else { "full" }),
         iters,
         fleets_json.join(",\n")
     );

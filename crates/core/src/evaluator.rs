@@ -17,10 +17,10 @@
 
 use crate::model::{ModelWeather, NetworkModel, PlatformInfo};
 use std::collections::{BTreeSet, HashMap};
-use tssdn_geo::{line_of_sight_clear, AzEl, Ecef, GeoPoint, PointingSolution};
+use tssdn_geo::{line_of_sight_clear, AzEl, Ecef, GeoPoint, LocalFrame, PointingSolution};
 use tssdn_link::{LinkKind, TransceiverId};
-use tssdn_rf::{LinkQuality, RadioParams};
-use tssdn_sim::{PlatformKind, SimTime};
+use tssdn_rf::{BandConsts, LinkQuality, PathIntegrator, RadioParams};
+use tssdn_sim::{PlatformId, PlatformKind, SimTime};
 
 /// Evaluator configuration.
 #[derive(Debug, Clone)]
@@ -81,6 +81,28 @@ impl CandidateLink {
     pub fn key(&self) -> (TransceiverId, TransceiverId) {
         (self.a, self.b)
     }
+}
+
+/// The platform of every link end, in link order, minus the ids that
+/// repeat the one before them on the same side. The evaluator names
+/// each platform in long runs of consecutive links, so callers that
+/// only need the *set* of platforms sort a list near the platform
+/// count rather than twice the link count; nothing here assumes that
+/// grouping — an ungrouped graph just yields a longer list.
+pub(crate) fn platform_runs(links: &[CandidateLink]) -> Vec<PlatformId> {
+    let mut ids = Vec::new();
+    let (mut last_a, mut last_b) = (None, None);
+    for l in links {
+        if last_a != Some(l.a.platform) {
+            ids.push(l.a.platform);
+            last_a = Some(l.a.platform);
+        }
+        if last_b != Some(l.b.platform) {
+            ids.push(l.b.platform);
+            last_b = Some(l.b.platform);
+        }
+    }
+    ids
 }
 
 /// The candidate graph at one evaluation instant.
@@ -172,48 +194,64 @@ impl LinkEvaluator {
     ///
     /// This is the optimized sweep; it must produce a graph
     /// **bit-identical** to the naive all-pairs reference
-    /// ([`crate::reference::evaluate_reference`]):
+    /// ([`crate::reference::evaluate_reference`]). What is computed
+    /// where (DESIGN.md §16):
     ///
-    /// * the pessimism-adjusted band vector is hoisted out of the pair
-    ///   loop (loop-invariant: it depends only on the config);
-    /// * a coarse spatial grid buckets platforms by `max_range_m` in
-    ///   ECEF, so only pairs within ±1 cell per axis — a superset of
-    ///   every pair within range — reach the slant-range/LoS math.
-    ///   Any pair farther apart than one cell edge on some axis is
-    ///   farther apart than `max_range_m` in space, which the naive
-    ///   sweep would discard at its range check anyway;
-    /// * the surviving pair list is sorted and fanned across scoped
-    ///   worker threads in contiguous chunks, merged back in chunk
-    ///   order. Candidate order is therefore the naive sweep's
-    ///   ascending-`PlatformId` pair order regardless of worker count
-    ///   (determinism contract: thread count never affects output).
+    /// * *per evaluate* — the pessimism-adjusted bands and each band's
+    ///   [`BandConsts`] (attenuation coefficients, noise floor);
+    /// * *per platform* — a [`PlatformSnap`]: predicted position, its
+    ///   [`LocalFrame`] (ECEF image plus the sines and cosines pointing
+    ///   needs) and every transceiver's boresight gain;
+    /// * *per pair* — range, line of sight, the two pointing
+    ///   directions, which antennas on each side can point, and one
+    ///   walk of the path that yields every band's attenuation;
+    /// * *per antenna pairing × band* — only the link-budget sum.
+    ///
+    /// A coarse spatial grid buckets platforms by `max_range_m` in
+    /// ECEF, so only pairs within ±1 cell per axis — a superset of
+    /// every pair within range — reach the slant-range/LoS math. Any
+    /// pair farther apart than one cell edge on some axis is farther
+    /// apart than `max_range_m` in space, which the naive sweep would
+    /// discard at its range check anyway. The surviving pair list is
+    /// sorted and fanned across scoped worker threads in contiguous
+    /// chunks, merged back in chunk order. Candidate order is
+    /// therefore the naive sweep's ascending-`PlatformId` pair order
+    /// regardless of worker count (determinism contract: thread count
+    /// never affects output).
     pub fn evaluate(&self, model: &NetworkModel, at: SimTime) -> CandidateGraph {
         let weather = ModelWeather { model };
-        // Hoisted out of the pair loop: the model's deliberate
-        // pessimism rides in as extra assumed implementation loss.
-        let bands: Vec<RadioParams> = self
+        // The model's deliberate pessimism rides in as extra assumed
+        // implementation loss.
+        let bands: Vec<BandConsts> = self
             .config
             .bands
             .iter()
-            .map(|band| RadioParams {
-                implementation_loss_db: band.implementation_loss_db
-                    + self.config.model_pessimism_db,
-                ..*band
+            .map(|band| {
+                BandConsts::new(&RadioParams {
+                    implementation_loss_db: band.implementation_loss_db
+                        + self.config.model_pessimism_db,
+                    ..*band
+                })
             })
             .collect();
 
         // Snapshot the platforms that can form links at all, in
-        // ascending-id order, with predicted position and its ECEF
-        // image precomputed (slant range is exactly the ECEF chord,
-        // so reusing the conversion is bit-identical to
-        // `GeoPoint::slant_range_m`).
-        let snaps: Vec<(&PlatformInfo, GeoPoint, Ecef)> = model
+        // ascending-id order.
+        let snaps: Vec<PlatformSnap<'_>> = model
             .platforms()
             .filter(|p| p.powered)
             .filter_map(|p| {
                 let pos = model.predicted_position(p.id, at)?;
-                let ecef = pos.to_ecef();
-                Some((p, pos, ecef))
+                Some(PlatformSnap {
+                    info: p,
+                    pos,
+                    frame: LocalFrame::of(&pos),
+                    boresight_gain_dbi: p
+                        .transceivers
+                        .iter()
+                        .map(|t| t.pattern.gain_dbi(0.0))
+                        .collect(),
+                })
             })
             .collect();
 
@@ -229,12 +267,14 @@ impl LinkEvaluator {
             )
         };
         let mut grid: HashMap<(i64, i64, i64), Vec<u32>> = HashMap::new();
-        for (i, (_, _, ecef)) in snaps.iter().enumerate() {
-            grid.entry(key_of(ecef)).or_default().push(i as u32);
+        for (i, snap) in snaps.iter().enumerate() {
+            grid.entry(key_of(&snap.frame.ecef))
+                .or_default()
+                .push(i as u32);
         }
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for (i, (_, _, ecef)) in snaps.iter().enumerate() {
-            let (kx, ky, kz) = key_of(ecef);
+        for (i, snap) in snaps.iter().enumerate() {
+            let (kx, ky, kz) = key_of(&snap.frame.ecef);
             for dx in -1..=1 {
                 for dy in -1..=1 {
                     for dz in -1..=1 {
@@ -262,84 +302,118 @@ impl LinkEvaluator {
             .map(|n| n.get())
             .unwrap_or(1)
             .clamp(1, 8);
-        let links: Vec<CandidateLink> = if pairs.len() < 64 || workers == 1 {
-            let mut out = Vec::new();
-            for &(i, j) in &pairs {
-                self.evaluate_pair(
-                    &snaps[i as usize],
-                    &snaps[j as usize],
-                    &bands,
-                    &weather,
-                    at,
-                    &mut out,
-                );
+        let sweep = |chunk: &[(u32, u32)]| -> Vec<CandidateLink> {
+            let mut sweep = PairSweep::new(&self.config, &bands, &weather, at);
+            for &(i, j) in chunk {
+                sweep.evaluate_pair(&snaps[i as usize], &snaps[j as usize]);
             }
-            out
+            sweep.out
+        };
+        let links: Vec<CandidateLink> = if pairs.len() < 64 || workers == 1 {
+            sweep(&pairs)
         } else {
             let chunk_len = pairs.len().div_ceil(workers);
-            let chunks: Vec<&[(u32, u32)]> = pairs.chunks(chunk_len).collect();
-            let mut partials: Vec<Vec<CandidateLink>> = Vec::with_capacity(chunks.len());
+            let mut chunks = pairs.chunks(chunk_len);
+            let first = chunks.next().expect("pairs is non-empty");
             std::thread::scope(|s| {
-                let handles: Vec<_> = chunks
-                    .iter()
-                    .map(|chunk| {
-                        let snaps = &snaps;
-                        let bands = &bands;
-                        let weather = &weather;
-                        s.spawn(move || {
-                            let mut out = Vec::new();
-                            for &(i, j) in *chunk {
-                                self.evaluate_pair(
-                                    &snaps[i as usize],
-                                    &snaps[j as usize],
-                                    bands,
-                                    weather,
-                                    at,
-                                    &mut out,
-                                );
-                            }
-                            out
-                        })
-                    })
-                    .collect();
+                let handles: Vec<_> = chunks.map(|chunk| s.spawn(|| sweep(chunk))).collect();
+                // The calling thread takes the first chunk itself — it
+                // is already running, a spawned worker has yet to be
+                // scheduled — and its output becomes the graph; the
+                // workers' outputs are appended in chunk order.
+                let mut links = sweep(first);
                 for h in handles {
-                    partials.push(h.join().expect("evaluator worker panicked"));
+                    links.extend_from_slice(&h.join().expect("evaluator worker panicked"));
                 }
-            });
-            partials.concat()
+                links
+            })
         };
         CandidateGraph { at, links }
     }
+}
 
-    /// Evaluate one platform pair and append its candidates. Shared by
-    /// the grid/threaded sweep above; the naive reference keeps its own
-    /// verbatim copy of this logic (including the per-pair band
-    /// rebuild it is benchmarked against).
-    fn evaluate_pair(
-        &self,
-        a: &(&PlatformInfo, GeoPoint, Ecef),
-        b: &(&PlatformInfo, GeoPoint, Ecef),
-        bands: &[RadioParams],
-        weather: &ModelWeather<'_>,
+/// One linkable platform as the pair sweep sees it: everything that
+/// depends on the platform alone, computed once per evaluation.
+struct PlatformSnap<'m> {
+    info: &'m PlatformInfo,
+    /// Predicted position at the evaluation instant.
+    pos: GeoPoint,
+    /// ECEF image of `pos` plus the trigonometry of its tangent frame.
+    frame: LocalFrame,
+    /// Boresight gain of each transceiver, in `info.transceivers` order.
+    boresight_gain_dbi: Vec<f64>,
+}
+
+/// One worker's share of the pair sweep: the shared inputs plus the
+/// scratch a pair needs, reused from pair to pair.
+struct PairSweep<'a> {
+    config: &'a EvaluatorConfig,
+    bands: &'a [BandConsts],
+    weather: &'a ModelWeather<'a>,
+    at: SimTime,
+    integrator: PathIntegrator<'a>,
+    /// Indices of the antennas on each side that can point at the
+    /// other platform.
+    pointable_a: Vec<usize>,
+    pointable_b: Vec<usize>,
+    out: Vec<CandidateLink>,
+}
+
+impl<'a> PairSweep<'a> {
+    fn new(
+        config: &'a EvaluatorConfig,
+        bands: &'a [BandConsts],
+        weather: &'a ModelWeather<'a>,
         at: SimTime,
-        out: &mut Vec<CandidateLink>,
-    ) {
-        let (pa, pos_a, ecef_a) = a;
-        let (pb, pos_b, ecef_b) = b;
+    ) -> Self {
+        PairSweep {
+            config,
+            bands,
+            weather,
+            at,
+            integrator: PathIntegrator::new(bands),
+            pointable_a: Vec::new(),
+            pointable_b: Vec::new(),
+            out: Vec::new(),
+        }
+    }
+
+    /// Evaluate one platform pair and append its candidates. The naive
+    /// reference keeps its own verbatim copy of the pre-hoisting logic
+    /// (per-pair band rebuild, per-band path walk, per-pairing gains).
+    fn evaluate_pair(&mut self, a: &PlatformSnap<'_>, b: &PlatformSnap<'_>) {
+        let (pa, pb) = (a.info, b.info);
         // Ground stations never pair with each other (they're wired).
         if pa.kind == PlatformKind::GroundStation && pb.kind == PlatformKind::GroundStation {
             return;
         }
-        // Geometric pruning common to all antenna combos.
-        let range = ecef_a.distance_m(ecef_b);
+        // Geometric pruning common to all antenna combos. Slant range
+        // is exactly the ECEF chord, so reusing the snapshot's
+        // conversion is bit-identical to `GeoPoint::slant_range_m`.
+        let range = a.frame.ecef.distance_m(&b.frame.ecef);
         if range > self.config.max_range_m {
             return;
         }
-        if !line_of_sight_clear(pos_a, pos_b, self.config.los_clearance_m) {
+        if !line_of_sight_clear(&a.pos, &b.pos, self.config.los_clearance_m) {
             return;
         }
-        let point_ab = PointingSolution::between(pos_a, pos_b);
-        let point_ba = PointingSolution::between(pos_b, pos_a);
+        let point_ab = PointingSolution::from_frame(&a.frame, &b.frame.ecef);
+        let point_ba = PointingSolution::from_frame(&b.frame, &a.frame.ecef);
+        let pointable = |info: &PlatformInfo, dir: &AzEl, out: &mut Vec<usize>| {
+            out.clear();
+            out.extend(
+                info.transceivers
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, t)| t.can_point_at(dir))
+                    .map(|(i, _)| i),
+            );
+        };
+        pointable(pa, &point_ab.direction, &mut self.pointable_a);
+        pointable(pb, &point_ba.direction, &mut self.pointable_b);
+        if self.pointable_a.is_empty() || self.pointable_b.is_empty() {
+            return;
+        }
         let kind = if pa.kind == PlatformKind::Balloon && pb.kind == PlatformKind::Balloon {
             LinkKind::B2B
         } else {
@@ -347,28 +421,20 @@ impl LinkEvaluator {
         };
 
         // Path attenuation depends only on the platform pair and band
-        // — compute once, reuse across all antenna pairings ("caching
-        // or precomputing attenuation values", §3.1).
-        let attenuations: Vec<tssdn_rf::AttenuationBreakdown> = bands
-            .iter()
-            .map(|band| tssdn_rf::path_attenuation_db(pos_a, pos_b, band, weather, at.as_ms()))
-            .collect();
-        for ta in &pa.transceivers {
-            if !ta.can_point_at(&point_ab.direction) {
-                continue;
-            }
-            for tb in &pb.transceivers {
-                if !tb.can_point_at(&point_ba.direction) {
-                    continue;
-                }
+        // — one walk of the path serves every band and every antenna
+        // pairing ("caching or precomputing attenuation values", §3.1).
+        let attenuations =
+            self.integrator
+                .integrate(&a.pos, &b.pos, range, self.weather, self.at.as_ms());
+        for &ai in &self.pointable_a {
+            for &bi in &self.pointable_b {
                 // Best band for this antenna pairing.
                 let mut best: Option<(u8, tssdn_rf::LinkBudgetReport)> = None;
-                for (bi, band) in bands.iter().enumerate() {
-                    let rep = tssdn_rf::link_budget::evaluate_with_attenuation(
-                        band,
-                        ta.pattern.gain_dbi(0.0),
-                        tb.pattern.gain_dbi(0.0),
-                        attenuations[bi],
+                for (band_i, band) in self.bands.iter().enumerate() {
+                    let rep = band.evaluate(
+                        a.boresight_gain_dbi[ai],
+                        b.boresight_gain_dbi[bi],
+                        attenuations[band_i],
                     );
                     if rep.quality == LinkQuality::Infeasible {
                         continue;
@@ -378,13 +444,13 @@ impl LinkEvaluator {
                         Some((_, b)) => rep.margin_db > b.margin_db,
                     };
                     if better {
-                        best = Some((bi as u8, rep));
+                        best = Some((band_i as u8, rep));
                     }
                 }
                 if let Some((band, rep)) = best {
-                    out.push(CandidateLink {
-                        a: ta.id,
-                        b: tb.id,
+                    self.out.push(CandidateLink {
+                        a: pa.transceivers[ai].id,
+                        b: pb.transceivers[bi].id,
                         kind,
                         band,
                         bitrate_bps: rep.bitrate_bps,
@@ -550,6 +616,95 @@ mod tests {
             assert!(l.range_m > 0.0);
             assert!(l.bitrate_bps > 0 || l.quality == LinkQuality::Marginal);
         }
+    }
+
+    /// The hoists against the naive reference on inputs the default
+    /// worlds never produce: three bands (one far off E band), a
+    /// platform whose antennas have different boresight gains, and a
+    /// gauges-over-forecast weather belief with a live gauge reading
+    /// and a storm on the B2G paths — on enough platforms that the
+    /// threaded sweep engages where cores allow.
+    #[test]
+    fn hoisted_sweep_matches_reference_on_unusual_inputs() {
+        use tssdn_rf::{AntennaPattern, ForecastView, RainCell, RainGauge, SyntheticWeather};
+        let site = GeoPoint::new(0.3, 37.0, 1_500.0);
+        let storm = SyntheticWeather::new().with_cell(RainCell {
+            center: GeoPoint::new(0.2, 37.3, 0.0),
+            vel_east_mps: 5.0,
+            vel_north_mps: 0.0,
+            radius_m: 30_000.0,
+            peak_rain_mm_h: 35.0,
+            start_ms: 0,
+            end_ms: 6 * 3_600_000,
+        });
+        let mut m = NetworkModel::new(WeatherSource::GaugesAndForecast {
+            gauges: vec![RainGauge {
+                site,
+                representative_radius_m: 25_000.0,
+            }],
+            forecast: ForecastView::new(storm, 10_000.0, 600_000, 0.8),
+            backstop: ItuSeasonal::tropical_wet(),
+        });
+        m.gauge_readings = vec![(site, 6.5, SimTime::from_hours(2))];
+        for i in 0..12u32 {
+            let id = PlatformId(i);
+            let mut xs = balloon_transceivers(id);
+            if i % 4 == 1 {
+                // One dish of a different class on the same bus.
+                xs[1].pattern = AntennaPattern::e_band_ground_station();
+            }
+            m.add_platform(id, tssdn_sim::PlatformKind::Balloon, xs);
+            let (row, col) = ((i / 4) as f64, (i % 4) as f64);
+            m.report_position(
+                id,
+                fix(-0.6 + 0.7 * row, 36.6 + 0.8 * col, 16_500.0 + 400.0 * col),
+            );
+            m.report_power(id, true);
+        }
+        let gs = PlatformId(12);
+        m.add_platform(
+            gs,
+            tssdn_sim::PlatformKind::GroundStation,
+            gs_transceivers(gs),
+        );
+        m.report_position(gs, fix(site.lat_deg, site.lon_deg, site.alt_m));
+        m.report_power(gs, true);
+
+        // Powers balanced so that every band is the best one somewhere:
+        // the high channel's extra 1.15 dB just covers its extra
+        // free-space loss on short stratospheric paths and not on long
+        // ones, and the weak 38 GHz channel wins only under the storm.
+        let evaluator = LinkEvaluator::new(EvaluatorConfig {
+            bands: vec![
+                RadioParams::e_band_low(),
+                RadioParams {
+                    tx_power_dbm: 26.15,
+                    ..RadioParams::e_band_high()
+                },
+                RadioParams {
+                    freq_ghz: 38.0,
+                    tx_power_dbm: 12.0,
+                    bandwidth_hz: 2.5e8,
+                    ..RadioParams::e_band_low()
+                },
+            ],
+            ..Default::default()
+        });
+        let at = SimTime::from_hours(2);
+        let graph = evaluator.evaluate(&m, at);
+        assert!(
+            graph == crate::reference::evaluate_reference(&evaluator, &m, at),
+            "optimized sweep diverged from the reference"
+        );
+        // The inputs did what they were chosen for: every band wins
+        // somewhere, and both link kinds are present.
+        for band in 0..3u8 {
+            assert!(
+                graph.links.iter().any(|l| l.band == band),
+                "band {band} never selected"
+            );
+        }
+        assert!(graph.num_b2b() > 0 && graph.num_b2g() > 0);
     }
 
     #[test]

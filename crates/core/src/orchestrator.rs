@@ -1460,10 +1460,8 @@ impl Orchestrator {
 
     /// The platforms a candidate graph's links touch.
     fn platforms_of(graph: &CandidateGraph) -> std::collections::BTreeSet<PlatformId> {
-        graph
-            .links
-            .iter()
-            .flat_map(|l| [l.a.platform, l.b.platform])
+        crate::evaluator::platform_runs(&graph.links)
+            .into_iter()
             .collect()
     }
 

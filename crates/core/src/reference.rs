@@ -11,14 +11,49 @@
 //! the speedup. They are deliberately simple — O(iterations × requests
 //! × Dijkstra) solver, O(P²·A²·B) evaluator — and should never be
 //! "improved"; that is the optimized path's job.
+//!
+//! An oracle is only worth what it does not share with the code it
+//! checks, so everything the production path restructures has a
+//! private copy here: the one-band 32-step path integral and the
+//! per-pairing link budget ([`path_attenuation_reference`],
+//! [`budget_reference`] — production walks the path once for all
+//! bands through `tssdn_rf::PathIntegrator` and takes gains and noise
+//! floor from hoisted constants), the `BTreeMap` adjacency and
+//! Dijkstra, the full-rescan invalidation, and the redundancy pass
+//! ([`add_redundancy_reference`] — production sorts precomputed keys
+//! over dense flag vectors). What the two sides still share, and why:
+//!
+//! * [`crate::solver::scale_cost`] — the fixed-point contract itself;
+//!   two copies could only ever disagree by one of them being wrong
+//!   about the contract.
+//! * [`Solver::conflicts`] — the definition of "cannot coexist". The
+//!   production index only narrows *which* pairs are tested (and
+//!   memoises the beam test on the direction's bits); it
+//!   `debug_assert`s its verdict against this function per pair.
+//! * [`Solver::edge_cost`] is production's alone — the oracle spells
+//!   the same cost arithmetic out inline in [`estimate_utilities`].
+//! * Leaf formulas the production path did not restructure, only
+//!   called less often: the per-step specific attenuations
+//!   (`tssdn_rf::atmosphere::{gaseous_db_per_km, cloud_db_per_km}`,
+//!   `tssdn_rf::rain::rain_db_per_km`), `free_space_path_loss_db`,
+//!   `RadioParams::noise_floor_dbm`, `AntennaPattern::gain_dbi`,
+//!   `GeoPoint::slant_range_m`, `line_of_sight_clear` and
+//!   `PointingSolution::between` (the frame-based pointing entry
+//!   production uses is pinned to `between` by `geo`'s own proptest).
+//!
+//! Nothing else belongs in this module: one naive specification per
+//! production algorithm, no intermediate generations.
 
 use crate::evaluator::{CandidateGraph, CandidateLink, LinkEvaluator};
 use crate::model::NetworkModel;
 use crate::solver::{scale_cost, Solver, TopologyPlan};
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use tssdn_dataplane::{BackhaulRequest, DrainRegistry};
+use tssdn_geo::GeoPoint;
 use tssdn_link::{LinkKind, TransceiverId};
-use tssdn_rf::LinkQuality;
+use tssdn_rf::{
+    AttenuationBreakdown, LinkBudgetReport, LinkQuality, RadioParams, WeatherField, BITRATE_TABLE,
+};
 use tssdn_sim::{PlatformId, SimTime};
 
 /// The naive solver: full utility re-estimation (one Dijkstra per
@@ -128,14 +163,13 @@ pub fn solve_reference(
     }
     plan.demand_links = selected.iter().map(|i| candidates.links[*i]).collect();
 
-    // Redundancy pass over idle transceivers — the optimized solver's
-    // pass takes a bitset; convert and reuse it (the pass itself was
-    // not an optimization target).
+    // Redundancy pass over idle transceivers.
     let mut is_selected = vec![false; candidates.links.len()];
     for i in &selected {
         is_selected[*i] = true;
     }
-    solver.add_redundancy(
+    add_redundancy_reference(
+        solver,
         candidates,
         &mut plan,
         &mut used_transceivers,
@@ -144,6 +178,110 @@ pub fn solve_reference(
         previous,
     );
     plan
+}
+
+/// Task idle transceivers with extra links for failover, up to the
+/// redundancy-target fraction (Figure 7's *intended* level): the
+/// set-and-map formulation the production pass was derived from.
+fn add_redundancy_reference(
+    solver: &Solver,
+    candidates: &CandidateGraph,
+    plan: &mut TopologyPlan,
+    used: &mut BTreeSet<TransceiverId>,
+    viable: &[bool],
+    is_selected: &[bool],
+    previous: &BTreeSet<(TransceiverId, TransceiverId)>,
+) {
+    // Idle transceivers anywhere in the candidate graph are fair
+    // game, but a redundant link must touch the demand topology on
+    // at least one end — a detached island adds no failover value.
+    let connected: BTreeSet<PlatformId> = plan
+        .demand_links
+        .iter()
+        .flat_map(|l| [l.a.platform, l.b.platform])
+        .collect();
+    let mut idle: BTreeSet<TransceiverId> = candidates
+        .links
+        .iter()
+        .flat_map(|l| [l.a, l.b])
+        .filter(|t| !used.contains(t))
+        .collect();
+    // Budget in *links*: each redundant link consumes two idle
+    // transceivers. Rounding works on links so small meshes can
+    // still task a pair (2 idle × 0.7 → 1 link).
+    let link_budget =
+        ((idle.len() as f64 * solver.config.redundancy_target) / 2.0).round() as usize;
+    let mut tasked_links = 0usize;
+
+    // Redundancy priorities: keep incumbents; protect singly-
+    // connected platforms (a second link turns a link failure from
+    // a disconnection into a reroute); prefer extra ground egress
+    // (a redundant B2G link protects the whole mesh's backhaul);
+    // then highest margin.
+    let mut degree: BTreeMap<PlatformId, usize> = BTreeMap::new();
+    for l in &plan.demand_links {
+        *degree.entry(l.a.platform).or_default() += 1;
+        *degree.entry(l.b.platform).or_default() += 1;
+    }
+    let mut order: Vec<usize> = (0..candidates.links.len())
+        .filter(|i| viable[*i] && !is_selected[*i])
+        .collect();
+    order.sort_by(|x, y| {
+        let lx = &candidates.links[*x];
+        let ly = &candidates.links[*y];
+        let kx = previous.contains(&lx.key());
+        let ky = previous.contains(&ly.key());
+        let dx = degree
+            .get(&lx.a.platform)
+            .copied()
+            .unwrap_or(9)
+            .min(degree.get(&lx.b.platform).copied().unwrap_or(9));
+        let dy = degree
+            .get(&ly.a.platform)
+            .copied()
+            .unwrap_or(9)
+            .min(degree.get(&ly.b.platform).copied().unwrap_or(9));
+        let gx = lx.kind == LinkKind::B2G;
+        let gy = ly.kind == LinkKind::B2G;
+        ky.cmp(&kx).then(dx.cmp(&dy)).then(gy.cmp(&gx)).then(
+            ly.margin_db
+                .partial_cmp(&lx.margin_db)
+                .expect("finite margins"),
+        )
+    });
+    let mut chosen_keys: Vec<CandidateLink> = Vec::new();
+    for i in order {
+        if tasked_links >= link_budget {
+            break;
+        }
+        let l = &candidates.links[i];
+        if !idle.contains(&l.a) || !idle.contains(&l.b) {
+            continue;
+        }
+        if !connected.contains(&l.a.platform) && !connected.contains(&l.b.platform) {
+            continue;
+        }
+        // Redundant links must not interfere with anything chosen.
+        if plan
+            .demand_links
+            .iter()
+            .chain(chosen_keys.iter())
+            .any(|s| solver.conflicts(s, l))
+        {
+            continue;
+        }
+        // Marginal links are not worth burning idle radios on.
+        if l.quality == LinkQuality::Marginal {
+            continue;
+        }
+        idle.remove(&l.a);
+        idle.remove(&l.b);
+        used.insert(l.a);
+        used.insert(l.b);
+        tasked_links += 1;
+        chosen_keys.push(*l);
+    }
+    plan.redundant_links = chosen_keys;
 }
 
 /// Route every demand over the viable+selected graph and credit
@@ -275,7 +413,6 @@ pub fn evaluate_reference(
 ) -> CandidateGraph {
     use crate::model::ModelWeather;
     use tssdn_geo::{line_of_sight_clear, PointingSolution};
-    use tssdn_rf::RadioParams;
     use tssdn_sim::PlatformKind;
 
     let weather = ModelWeather { model };
@@ -324,11 +461,9 @@ pub fn evaluate_reference(
                     ..*band
                 })
                 .collect();
-            let attenuations: Vec<tssdn_rf::AttenuationBreakdown> = bands
+            let attenuations: Vec<AttenuationBreakdown> = bands
                 .iter()
-                .map(|band| {
-                    tssdn_rf::path_attenuation_db(&pos_a, &pos_b, band, &weather, at.as_ms())
-                })
+                .map(|band| path_attenuation_reference(&pos_a, &pos_b, band, &weather, at.as_ms()))
                 .collect();
             for ta in &pa.transceivers {
                 if !ta.can_point_at(&point_ab.direction) {
@@ -339,9 +474,9 @@ pub fn evaluate_reference(
                         continue;
                     }
                     // Best band for this antenna pairing.
-                    let mut best: Option<(u8, tssdn_rf::LinkBudgetReport)> = None;
+                    let mut best: Option<(u8, LinkBudgetReport)> = None;
                     for (bi, band) in bands.iter().enumerate() {
-                        let rep = tssdn_rf::link_budget::evaluate_with_attenuation(
+                        let rep = budget_reference(
                             band,
                             ta.pattern.gain_dbi(0.0),
                             tb.pattern.gain_dbi(0.0),
@@ -377,4 +512,78 @@ pub fn evaluate_reference(
         }
     }
     CandidateGraph { at, links }
+}
+
+/// The one-band path integral as the evaluator ran it before the
+/// multi-band walk: every step re-derives the band's specific
+/// attenuations from the frequency.
+fn path_attenuation_reference<W: WeatherField>(
+    a: &GeoPoint,
+    b: &GeoPoint,
+    params: &RadioParams,
+    weather: &W,
+    t_ms: u64,
+) -> AttenuationBreakdown {
+    const PATH_STEPS: usize = 32;
+    let dist_m = a.slant_range_m(b);
+    let mut out = AttenuationBreakdown {
+        fspl_db: tssdn_rf::free_space_path_loss_db(dist_m, params.freq_ghz),
+        ..Default::default()
+    };
+    let step_km = dist_m / 1000.0 / PATH_STEPS as f64;
+    for i in 0..PATH_STEPS {
+        let f = (i as f64 + 0.5) / PATH_STEPS as f64;
+        // Linear blend in geodetic space is adequate at these spans.
+        let p = GeoPoint::new(
+            a.lat_deg + f * (b.lat_deg - a.lat_deg),
+            a.lon_deg + f * (b.lon_deg - a.lon_deg),
+            a.alt_m + f * (b.alt_m - a.alt_m),
+        );
+        out.gaseous_db +=
+            tssdn_rf::atmosphere::gaseous_db_per_km(params.freq_ghz, p.alt_m) * step_km;
+        let w = weather.sample(&p, t_ms);
+        out.rain_db += tssdn_rf::rain::rain_db_per_km(params.freq_ghz, w.rain_mm_h) * step_km;
+        out.cloud_db +=
+            tssdn_rf::atmosphere::cloud_db_per_km(params.freq_ghz, w.cloud_lwc_g_m3) * step_km;
+    }
+    out
+}
+
+/// The per-pairing link budget as the evaluator ran it before gains
+/// and the noise floor were hoisted.
+fn budget_reference(
+    params: &RadioParams,
+    tx_gain_dbi: f64,
+    rx_gain_dbi: f64,
+    attenuation: AttenuationBreakdown,
+) -> LinkBudgetReport {
+    let rx_power_dbm = params.tx_power_dbm + tx_gain_dbi + rx_gain_dbi
+        - attenuation.total_db()
+        - params.implementation_loss_db;
+    let snr_db = rx_power_dbm - params.noise_floor_dbm();
+    let margin_db = snr_db - tssdn_rf::link_budget::min_usable_snr_db();
+
+    // Highest bitrate whose threshold + required margin the SNR meets.
+    let bitrate_bps = BITRATE_TABLE
+        .iter()
+        .find(|(thr, _)| snr_db >= thr + params.required_margin_db)
+        .map(|&(_, b)| b)
+        .unwrap_or(0);
+
+    let quality = if margin_db >= params.required_margin_db {
+        LinkQuality::Acceptable
+    } else if margin_db >= params.required_margin_db - params.marginal_band_db {
+        LinkQuality::Marginal
+    } else {
+        LinkQuality::Infeasible
+    };
+
+    LinkBudgetReport {
+        rx_power_dbm,
+        snr_db,
+        bitrate_bps,
+        margin_db,
+        quality,
+        attenuation,
+    }
 }

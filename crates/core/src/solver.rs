@@ -18,9 +18,10 @@
 //! failover" (§3.2), targeting a configurable fraction of remaining
 //! transceivers (the paper intended ~70% at median, Figure 7).
 
-use crate::evaluator::{CandidateGraph, CandidateLink};
+use crate::evaluator::{platform_runs, CandidateGraph, CandidateLink};
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use tssdn_dataplane::{BackhaulRequest, DrainRegistry};
+use tssdn_geo::AzEl;
 use tssdn_link::TransceiverId;
 use tssdn_rf::LinkQuality;
 use tssdn_sim::{PlatformId, SimTime};
@@ -258,12 +259,21 @@ impl Solver {
     /// the same order, same redundant links, same routes — which is
     /// what the golden-equivalence gates in `tests/props.rs` and
     /// `tests/golden_determinism.rs` assert. The optimizations over
-    /// the naive O(iterations × requests × Dijkstra) loop:
+    /// the naive O(iterations × requests × Dijkstra) loop (DESIGN.md
+    /// §16):
     ///
-    /// * platforms interned to dense indices; Dijkstra runs over
-    ///   `Vec`-backed adjacency/distance arrays instead of `BTreeMap`s;
-    /// * a one-shot conflict index (by transceiver, by platform+band)
-    ///   replaces the O(n) full-graph conflict rescan per selection;
+    /// * platforms interned to dense slots by sort + dedup; Dijkstra,
+    ///   the conflict index and the redundancy pass all run over flat
+    ///   slot-indexed arrays ([`SolveIndex`], [`SlotLists`]) instead of
+    ///   `BTreeMap`s and `BTreeSet`s;
+    /// * the conflict index (by transceiver, by platform × band)
+    ///   replaces the O(n) full-graph conflict rescan per selection,
+    ///   and the beam-separation test inside it is memoised on the
+    ///   other beam's bit pattern;
+    /// * once the incumbents are placed, adjacency is compacted to the
+    ///   still-viable candidates — most of the graph is dead by then —
+    ///   so every later Dijkstra scans only live edges, in the same
+    ///   order;
     /// * utility estimation is incremental: each selection re-routes
     ///   only the demands whose cached path used a just-invalidated
     ///   candidate, plus those a cheap two-Dijkstra lower-bound test
@@ -282,85 +292,49 @@ impl Solver {
         drains: &DrainRegistry,
         now: SimTime,
     ) -> TopologyPlan {
-        let n = candidates.links.len();
+        let links = &candidates.links;
+        let n = links.len();
         let mut plan = TopologyPlan {
             at: candidates.at,
             ..Default::default()
         };
-        let mut viable: Vec<bool> = vec![true; n];
-        // Exclude candidates touching drained nodes outright.
-        for (i, l) in candidates.links.iter().enumerate() {
-            if drains.excludes_new_paths(l.a.platform, now)
-                || drains.excludes_new_paths(l.b.platform, now)
-            {
-                viable[i] = false;
-            }
-        }
 
         // ---- one-shot preprocessing ----------------------------------
+        let mut gateways: BTreeMap<PlatformId, Vec<PlatformId>> = BTreeMap::new();
+        for r in requests {
+            gateways.entry(r.ec).or_insert_with(|| gateways_to_ec(r.ec));
+        }
+        let index = SolveIndex::build(links, requests, &gateways);
+        let np = index.plats.len();
+
+        // Exclude candidates touching drained nodes outright.
+        let drained: Vec<bool> = index
+            .plats
+            .iter()
+            .map(|p| drains.excludes_new_paths(*p, now))
+            .collect();
+        let mut viable: Vec<bool> = index
+            .endpoints
+            .iter()
+            .map(|&(pa, pb)| !drained[pa as usize] && !drained[pb as usize])
+            .collect();
+
         // Loop-invariant per-candidate state: previous-topology
-        // membership and both fixed-point cost variants (edge costs
-        // only ever change when a candidate becomes selected).
-        let mut in_previous = vec![false; n];
-        let mut cost_unsel = vec![0u64; n];
-        let mut cost_sel = vec![0u64; n];
-        for (i, l) in candidates.links.iter().enumerate() {
-            in_previous[i] = previous.contains(&l.key());
-            cost_unsel[i] = scale_cost(self.edge_cost(l, in_previous[i], false));
-            cost_sel[i] = scale_cost(self.edge_cost(l, in_previous[i], true));
-        }
+        // membership and the current fixed-point cost (an edge's cost
+        // only ever changes at the moment it is selected).
+        let in_previous: Vec<bool> = links.iter().map(|l| previous.contains(&l.key())).collect();
+        let mut cost: Vec<u64> = links
+            .iter()
+            .zip(&in_previous)
+            .map(|(l, &kept)| scale_cost(self.edge_cost(l, kept, false)))
+            .collect();
 
-        // Platform interning: sorted ids → dense indices. Sorted order
-        // keeps Dijkstra's (cost, node) tie-breaks identical to the
-        // reference's (cost, PlatformId) ordering.
-        let mut gw_cache: BTreeMap<PlatformId, Vec<PlatformId>> = BTreeMap::new();
-        let plats: Vec<PlatformId> = {
-            let mut set: BTreeSet<PlatformId> = BTreeSet::new();
-            for l in &candidates.links {
-                set.insert(l.a.platform);
-                set.insert(l.b.platform);
-            }
-            for r in requests {
-                set.insert(r.node);
-                let gws = gw_cache.entry(r.ec).or_insert_with(|| gateways_to_ec(r.ec));
-                set.extend(gws.iter().copied());
-            }
-            set.into_iter().collect()
-        };
-        let idx_of = |p: PlatformId| -> u32 { plats.binary_search(&p).expect("interned") as u32 };
-        let np = plats.len();
-
-        // Dense adjacency (node → (neighbor, candidate)) plus the
-        // conflict index: candidates by transceiver (hard conflicts)
-        // and by (platform, band) (interference conflicts needing the
-        // angular check). Built once; per-selection invalidation walks
-        // only these lists instead of rescanning every candidate.
-        let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); np];
-        let mut endpoints = vec![(0u32, 0u32); n];
-        let mut by_tx: BTreeMap<TransceiverId, Vec<u32>> = BTreeMap::new();
-        let mut by_platform_band: BTreeMap<(PlatformId, u8), Vec<u32>> = BTreeMap::new();
-        for (i, l) in candidates.links.iter().enumerate() {
-            let (pa, pb) = (idx_of(l.a.platform), idx_of(l.b.platform));
-            endpoints[i] = (pa, pb);
-            adj[pa as usize].push((pb, i as u32));
-            adj[pb as usize].push((pa, i as u32));
-            by_tx.entry(l.a).or_default().push(i as u32);
-            by_tx.entry(l.b).or_default().push(i as u32);
-            by_platform_band
-                .entry((l.a.platform, l.band))
-                .or_default()
-                .push(i as u32);
-            if l.b.platform != l.a.platform {
-                by_platform_band
-                    .entry((l.b.platform, l.band))
-                    .or_default()
-                    .push(i as u32);
-            }
-        }
-        let conflict_index = ConflictIndex {
-            by_tx,
-            by_platform_band,
-        };
+        // Dense adjacency: node → (neighbor, candidate), in candidate
+        // order per node.
+        let mut adj: SlotLists<(u32, u32)> = SlotLists::build(np, n, |i| {
+            let (pa, pb) = index.endpoints[i];
+            [Some((pa, (pb, i as u32))), Some((pb, (pa, i as u32)))]
+        });
 
         let mut is_selected = vec![false; n];
         let mut selected_order: Vec<usize> = Vec::new();
@@ -376,9 +350,9 @@ impl Solver {
         // with an already-kept link.
         let mut incumbents: Vec<usize> = (0..n).filter(|i| viable[*i] && in_previous[*i]).collect();
         incumbents.sort_by(|x, y| {
-            candidates.links[*y]
+            links[*y]
                 .margin_db
-                .partial_cmp(&candidates.links[*x].margin_db)
+                .partial_cmp(&links[*x].margin_db)
                 .expect("finite margins")
         });
         let mut scratch_invalidated: Vec<u32> = Vec::new();
@@ -387,33 +361,35 @@ impl Solver {
                 continue;
             }
             is_selected[i] = true;
+            cost[i] = scale_cost(self.edge_cost(&links[i], in_previous[i], true));
             selected_order.push(i);
             plan.kept_links += 1;
             scratch_invalidated.clear();
-            self.invalidate_conflicting(
-                candidates,
-                &conflict_index,
-                i,
-                &mut viable,
-                &mut scratch_invalidated,
-            );
+            self.invalidate_conflicting(links, &index, i, &mut viable, &mut scratch_invalidated);
         }
+        // Viability only ever shrinks, and Dijkstra skips non-viable
+        // entries in list order, so dropping them now leaves every
+        // later traversal the same sequence of relaxations — over
+        // lists a small fraction of the length once incumbents hold
+        // most transceivers.
+        adj.retain(|&(_, e)| viable[e as usize]);
 
         // Per-request routing state: interned source node, sorted
         // interned gateway set, and the cached shortest path (nodes,
         // candidate edges, fixed-point cost).
         let nr = requests.len();
-        let req_endpoints: Vec<(u32, Vec<u32>)> = requests
+        let gateway_slots: BTreeMap<PlatformId, Vec<u32>> = gateways
             .iter()
-            .map(|r| {
-                let gw_set: BTreeSet<PlatformId> = gw_cache
-                    .get(&r.ec)
-                    .expect("cached")
-                    .iter()
-                    .copied()
-                    .collect();
-                (idx_of(r.node), gw_set.into_iter().map(idx_of).collect())
+            .map(|(ec, gws)| {
+                let mut slots: Vec<u32> = gws.iter().map(|g| index.slot_of(*g)).collect();
+                slots.sort_unstable();
+                slots.dedup();
+                (*ec, slots)
             })
+            .collect();
+        let req_endpoints: Vec<(u32, &[u32])> = requests
+            .iter()
+            .map(|r| (index.slot_of(r.node), gateway_slots[&r.ec].as_slice()))
             .collect();
         let mut route_nodes: Vec<Option<Vec<u32>>> = vec![None; nr];
         let mut route_edges: Vec<Vec<u32>> = vec![Vec::new(); nr];
@@ -425,6 +401,9 @@ impl Solver {
         // monotone decreasing.
         let mut dead: Vec<bool> = vec![false; nr];
         let mut edge_dirty: Vec<bool> = vec![false; n];
+        let mut utilities = vec![0.0f64; n];
+        let mut search = Search::new(np);
+        let (mut dist_u, mut dist_v) = (Vec::new(), Vec::new());
 
         // Greedy utility iteration (Appendix B).
         loop {
@@ -434,19 +413,11 @@ impl Solver {
                     continue;
                 }
                 needs_route[r] = false;
-                let (node, gws) = &req_endpoints[r];
+                let (node, gws) = req_endpoints[r];
                 let found = if gws.is_empty() {
                     None
                 } else {
-                    dijkstra_indexed(
-                        &adj,
-                        &viable,
-                        &is_selected,
-                        &cost_unsel,
-                        &cost_sel,
-                        *node,
-                        gws,
-                    )
+                    search.nearest(&adj, &viable, &cost, node, gws)
                 };
                 match found {
                     Some((nodes, edges, cost)) => {
@@ -467,7 +438,7 @@ impl Solver {
             // to each *unselected* candidate on a demand's path,
             // accumulated in request order (same f64 addend order as
             // the reference).
-            let mut utilities = vec![0.0f64; n];
+            utilities.fill(0.0);
             for (r, req) in requests.iter().enumerate() {
                 for &e in &route_edges[r] {
                     if !is_selected[e as usize] {
@@ -493,8 +464,8 @@ impl Solver {
                 best = match best {
                     None => Some(i),
                     Some(b) => {
-                        let keep_b = (utilities[b], candidates.links[b].margin_db)
-                            .partial_cmp(&(utilities[i], candidates.links[i].margin_db))
+                        let keep_b = (utilities[b], links[b].margin_db)
+                            .partial_cmp(&(utilities[i], links[i].margin_db))
                             .expect("finite")
                             == std::cmp::Ordering::Greater;
                         Some(if keep_b { b } else { i })
@@ -507,7 +478,7 @@ impl Solver {
                     if let Some(nodes) = &route_nodes[r] {
                         plan.routes.insert(
                             (req.node, req.ec),
-                            nodes.iter().map(|&x| plats[x as usize]).collect(),
+                            nodes.iter().map(|&x| index.plats[x as usize]).collect(),
                         );
                     }
                 }
@@ -519,19 +490,14 @@ impl Solver {
                 break;
             };
             is_selected[best] = true;
+            cost[best] = scale_cost(self.edge_cost(&links[best], in_previous[best], true));
             selected_order.push(best);
             if in_previous[best] {
                 plan.kept_links += 1;
             }
             // Invalidate incompatible candidates via the index.
             scratch_invalidated.clear();
-            self.invalidate_conflicting(
-                candidates,
-                &conflict_index,
-                best,
-                &mut viable,
-                &mut scratch_invalidated,
-            );
+            self.invalidate_conflicting(links, &index, best, &mut viable, &mut scratch_invalidated);
 
             // Incremental re-route planning. A cached path must be
             // recomputed when (a) it used a candidate that just became
@@ -560,26 +526,26 @@ impl Solver {
             for &e in &scratch_invalidated {
                 edge_dirty[e as usize] = false;
             }
-            let (u, v) = endpoints[best];
-            let dist_u = dijkstra_all(&adj, &viable, &is_selected, &cost_unsel, &cost_sel, u);
-            let dist_v = dijkstra_all(&adj, &viable, &is_selected, &cost_unsel, &cost_sel, v);
-            let edge_cost = cost_sel[best];
+            let (u, v) = index.endpoints[best];
+            search.all_distances(&adj, &viable, &cost, u, &mut dist_u);
+            search.all_distances(&adj, &viable, &cost, v, &mut dist_v);
+            let edge_cost = cost[best];
             for r in 0..nr {
                 if dead[r] || needs_route[r] || route_nodes[r].is_none() {
                     continue;
                 }
-                let (node, gws) = &req_endpoints[r];
+                let (node, gws) = req_endpoints[r];
                 let mut gw_u = u64::MAX;
                 let mut gw_v = u64::MAX;
                 for &g in gws {
                     gw_u = gw_u.min(dist_u[g as usize]);
                     gw_v = gw_v.min(dist_v[g as usize]);
                 }
-                let lb = (dist_u[*node as usize]
+                let lb = (dist_u[node as usize]
                     .saturating_add(edge_cost)
                     .saturating_add(gw_v))
                 .min(
-                    dist_v[*node as usize]
+                    dist_v[node as usize]
                         .saturating_add(edge_cost)
                         .saturating_add(gw_u),
                 );
@@ -588,31 +554,24 @@ impl Solver {
                 }
             }
         }
-        plan.demand_links = selected_order
-            .iter()
-            .map(|i| candidates.links[*i])
-            .collect();
-        let mut used_transceivers: BTreeSet<TransceiverId> = selected_order
-            .iter()
-            .flat_map(|&i| [candidates.links[i].a, candidates.links[i].b])
-            .collect();
+        plan.demand_links = selected_order.iter().map(|i| links[*i]).collect();
 
         // Redundancy pass over idle transceivers.
         self.add_redundancy(
-            candidates,
+            links,
+            &index,
             &mut plan,
-            &mut used_transceivers,
+            &selected_order,
             &viable,
             &is_selected,
-            previous,
+            &in_previous,
         );
         plan
     }
 
     /// The f64 cost of routing over one candidate — hysteresis,
     /// marginal penalty and enactment-feedback multiplier included.
-    /// Shared with the naive reference so both paths do the identical
-    /// float arithmetic in the identical order.
+    /// The naive reference spells the same arithmetic out inline.
     pub(crate) fn edge_cost(&self, l: &CandidateLink, in_previous: bool, is_selected: bool) -> f64 {
         let mut cost = if is_selected { 0.1 } else { 1.0 };
         if l.quality == LinkQuality::Marginal {
@@ -640,16 +599,17 @@ impl Solver {
     /// indices actually flipped to `invalidated`.
     fn invalidate_conflicting(
         &self,
-        candidates: &CandidateGraph,
-        index: &ConflictIndex,
+        links: &[CandidateLink],
+        index: &SolveIndex,
         chosen_i: usize,
         viable: &mut [bool],
         invalidated: &mut Vec<u32>,
     ) {
-        let chosen = &candidates.links[chosen_i];
+        let chosen = &links[chosen_i];
         // Shared-transceiver conflicts are unconditional.
-        for list in [index.by_tx.get(&chosen.a), index.by_tx.get(&chosen.b)] {
-            for &j in list.into_iter().flatten() {
+        let (tx_a, tx_b) = index.tx_slots[chosen_i];
+        for slot in [tx_a, tx_b] {
+            for &j in index.by_tx.list(slot) {
                 let j_us = j as usize;
                 if j_us != chosen_i && viable[j_us] {
                     viable[j_us] = false;
@@ -659,22 +619,62 @@ impl Solver {
         }
         // Same-band links sharing a platform need the angular check;
         // only candidates touching one of chosen's platforms on
-        // chosen's band can possibly interfere.
-        for p in [chosen.a.platform, chosen.b.platform] {
-            for &j in index
-                .by_platform_band
-                .get(&(p, chosen.band))
-                .into_iter()
-                .flatten()
-            {
+        // chosen's band can possibly interfere. Everything sharing a
+        // transceiver with `chosen` is already gone and the list fixes
+        // the band, so what is left of `conflicts` is the beam test —
+        // memoised per chosen end on the *bits of the other beam*
+        // (the antenna pairings of one platform pair share a
+        // direction and sit next to each other in the list; a
+        // candidate graph may still carry two different directions
+        // for one platform pair, so the pair is not a usable key).
+        let chosen_ends = [
+            (chosen.a.platform, chosen.pointing_a),
+            (chosen.b.platform, chosen.pointing_b),
+        ];
+        let mut memo: [Option<((u64, u64), bool)>; 2] = [None, None];
+        let (pa, pb) = index.endpoints[chosen_i];
+        for p in [pa, pb] {
+            for &j in index.by_platform_band.list(index.band_slot(p, chosen.band)) {
                 let j_us = j as usize;
-                if j_us != chosen_i
-                    && viable[j_us]
-                    && self.conflicts(chosen, &candidates.links[j_us])
-                {
+                if j_us == chosen_i || !viable[j_us] {
+                    continue;
+                }
+                let other = &links[j_us];
+                let other_ends = [
+                    (other.a.platform, other.pointing_a),
+                    (other.b.platform, other.pointing_b),
+                ];
+                let interferes = chosen_ends.iter().zip(memo.iter_mut()).any(
+                    |((p_chosen, dir_chosen), memo)| {
+                        other_ends.iter().any(|(p_other, dir_other)| {
+                            p_chosen == p_other && self.beams_too_close(memo, dir_chosen, dir_other)
+                        })
+                    },
+                );
+                debug_assert_eq!(interferes, self.conflicts(chosen, other));
+                if interferes {
                     viable[j_us] = false;
                     invalidated.push(j);
                 }
+            }
+        }
+    }
+
+    /// `dir.angular_distance_deg(other) < min_beam_separation_deg`,
+    /// remembered for the last `other` seen.
+    fn beams_too_close(
+        &self,
+        memo: &mut Option<((u64, u64), bool)>,
+        dir: &AzEl,
+        other: &AzEl,
+    ) -> bool {
+        let key = (other.az_deg.to_bits(), other.el_deg.to_bits());
+        match memo {
+            Some((k, verdict)) if *k == key => *verdict,
+            _ => {
+                let verdict = dir.angular_distance_deg(other) < self.config.min_beam_separation_deg;
+                *memo = Some((key, verdict));
+                verdict
             }
         }
     }
@@ -706,89 +706,117 @@ impl Solver {
 
     /// Task idle transceivers with extra links for failover, up to the
     /// redundancy-target fraction (Figure 7's *intended* level).
-    pub(crate) fn add_redundancy(
+    ///
+    /// Same decisions as the set-and-map formulation the reference
+    /// keeps, over flag vectors on the index's dense slots: a platform
+    /// is `connected` / has a `degree`, a transceiver is `idle`, and
+    /// the candidate order is a stable sort of keys computed once.
+    #[allow(clippy::too_many_arguments)]
+    fn add_redundancy(
         &self,
-        candidates: &CandidateGraph,
+        links: &[CandidateLink],
+        index: &SolveIndex,
         plan: &mut TopologyPlan,
-        used: &mut BTreeSet<TransceiverId>,
+        selected_order: &[usize],
         viable: &[bool],
         is_selected: &[bool],
-        previous: &BTreeSet<(TransceiverId, TransceiverId)>,
+        in_previous: &[bool],
     ) {
         // Idle transceivers anywhere in the candidate graph are fair
         // game, but a redundant link must touch the demand topology on
         // at least one end — a detached island adds no failover value.
-        let connected: BTreeSet<PlatformId> = plan
-            .demand_links
-            .iter()
-            .flat_map(|l| [l.a.platform, l.b.platform])
-            .collect();
-        let mut idle: BTreeSet<TransceiverId> = candidates
-            .links
-            .iter()
-            .flat_map(|l| [l.a, l.b])
-            .filter(|t| !used.contains(t))
-            .collect();
+        let np = index.plats.len();
+        let mut connected = vec![false; np];
+        let mut degree = vec![0usize; np];
+        let mut used = vec![false; np * index.tx_stride];
+        for &i in selected_order {
+            let (pa, pb) = index.endpoints[i];
+            let (tx_a, tx_b) = index.tx_slots[i];
+            connected[pa as usize] = true;
+            connected[pb as usize] = true;
+            degree[pa as usize] += 1;
+            degree[pb as usize] += 1;
+            used[tx_a as usize] = true;
+            used[tx_b as usize] = true;
+        }
+        let mut idle = vec![false; used.len()];
+        let mut idle_count = 0usize;
+        for &(tx_a, tx_b) in &index.tx_slots {
+            for tx in [tx_a as usize, tx_b as usize] {
+                if !used[tx] && !idle[tx] {
+                    idle[tx] = true;
+                    idle_count += 1;
+                }
+            }
+        }
         // Budget in *links*: each redundant link consumes two idle
         // transceivers. Rounding works on links so small meshes can
         // still task a pair (2 idle × 0.7 → 1 link).
         let link_budget =
-            ((idle.len() as f64 * self.config.redundancy_target) / 2.0).round() as usize;
+            ((idle_count as f64 * self.config.redundancy_target) / 2.0).round() as usize;
         let mut tasked_links = 0usize;
 
         // Redundancy priorities: keep incumbents; protect singly-
         // connected platforms (a second link turns a link failure from
         // a disconnection into a reroute); prefer extra ground egress
         // (a redundant B2G link protects the whole mesh's backhaul);
-        // then highest margin.
-        let mut degree: BTreeMap<PlatformId, usize> = BTreeMap::new();
-        for l in &plan.demand_links {
-            *degree.entry(l.a.platform).or_default() += 1;
-            *degree.entry(l.b.platform).or_default() += 1;
+        // then highest margin. A platform no demand link touches
+        // counts as degree 9.
+        struct Priority {
+            candidate: u32,
+            in_previous: bool,
+            min_degree: usize,
+            is_b2g: bool,
+            margin_db: f64,
         }
-        let mut order: Vec<usize> = (0..candidates.links.len())
+        let degree_of = |p: u32| match degree[p as usize] {
+            0 => 9,
+            d => d,
+        };
+        let mut order: Vec<Priority> = (0..links.len())
             .filter(|i| viable[*i] && !is_selected[*i])
+            .map(|i| {
+                let (pa, pb) = index.endpoints[i];
+                Priority {
+                    candidate: i as u32,
+                    in_previous: in_previous[i],
+                    min_degree: degree_of(pa).min(degree_of(pb)),
+                    is_b2g: links[i].kind == tssdn_link::LinkKind::B2G,
+                    margin_db: links[i].margin_db,
+                }
+            })
             .collect();
         order.sort_by(|x, y| {
-            let lx = &candidates.links[*x];
-            let ly = &candidates.links[*y];
-            let kx = previous.contains(&lx.key());
-            let ky = previous.contains(&ly.key());
-            let dx = degree
-                .get(&lx.a.platform)
-                .copied()
-                .unwrap_or(9)
-                .min(degree.get(&lx.b.platform).copied().unwrap_or(9));
-            let dy = degree
-                .get(&ly.a.platform)
-                .copied()
-                .unwrap_or(9)
-                .min(degree.get(&ly.b.platform).copied().unwrap_or(9));
-            let gx = lx.kind == tssdn_link::LinkKind::B2G;
-            let gy = ly.kind == tssdn_link::LinkKind::B2G;
-            ky.cmp(&kx).then(dx.cmp(&dy)).then(gy.cmp(&gx)).then(
-                ly.margin_db
-                    .partial_cmp(&lx.margin_db)
-                    .expect("finite margins"),
-            )
+            y.in_previous
+                .cmp(&x.in_previous)
+                .then(x.min_degree.cmp(&y.min_degree))
+                .then(y.is_b2g.cmp(&x.is_b2g))
+                .then(
+                    y.margin_db
+                        .partial_cmp(&x.margin_db)
+                        .expect("finite margins"),
+                )
         });
-        let mut chosen_keys: Vec<CandidateLink> = Vec::new();
-        for i in order {
+        let mut chosen: Vec<CandidateLink> = Vec::new();
+        for Priority { candidate, .. } in order {
             if tasked_links >= link_budget {
                 break;
             }
-            let l = &candidates.links[i];
-            if !idle.contains(&l.a) || !idle.contains(&l.b) {
+            let i = candidate as usize;
+            let l = &links[i];
+            let (tx_a, tx_b) = index.tx_slots[i];
+            if !idle[tx_a as usize] || !idle[tx_b as usize] {
                 continue;
             }
-            if !connected.contains(&l.a.platform) && !connected.contains(&l.b.platform) {
+            let (pa, pb) = index.endpoints[i];
+            if !connected[pa as usize] && !connected[pb as usize] {
                 continue;
             }
             // Redundant links must not interfere with anything chosen.
             if plan
                 .demand_links
                 .iter()
-                .chain(chosen_keys.iter())
+                .chain(chosen.iter())
                 .any(|s| self.conflicts(s, l))
             {
                 continue;
@@ -797,138 +825,301 @@ impl Solver {
             if l.quality == LinkQuality::Marginal {
                 continue;
             }
-            idle.remove(&l.a);
-            idle.remove(&l.b);
-            used.insert(l.a);
-            used.insert(l.b);
+            idle[tx_a as usize] = false;
+            idle[tx_b as usize] = false;
             tasked_links += 1;
-            chosen_keys.push(*l);
+            chosen.push(*l);
         }
-        plan.redundant_links = chosen_keys;
+        plan.redundant_links = chosen;
     }
 }
 
-/// The one-shot conflict lookup lists, built once per solve. A chosen
-/// candidate's conflicts are confined to (a) candidates sharing one of
-/// its transceivers and (b) same-band candidates touching one of its
-/// platforms — `Solver::conflicts` returns false for everything else —
-/// so invalidation after a selection walks only these short lists
-/// instead of rescanning the whole candidate set.
-struct ConflictIndex {
-    /// Candidate indices using a given transceiver.
-    by_tx: BTreeMap<TransceiverId, Vec<u32>>,
-    /// Candidate indices touching a given (platform, band).
-    by_platform_band: BTreeMap<(PlatformId, u8), Vec<u32>>,
+/// Lists keyed by a dense slot, stored back to back in one buffer:
+/// list `s` is `items[start[s]..end[s]]`, each in ascending candidate
+/// order (the order repeated `push`es per key would have produced).
+struct SlotLists<T> {
+    start: Vec<u32>,
+    end: Vec<u32>,
+    items: Vec<T>,
 }
 
-/// Current fixed-point cost of candidate `e` given selection state.
-#[inline]
-fn edge_cost_u64(e: usize, is_selected: &[bool], cost_unsel: &[u64], cost_sel: &[u64]) -> u64 {
-    if is_selected[e] {
-        cost_sel[e]
-    } else {
-        cost_unsel[e]
+impl<T: Copy + Default> SlotLists<T> {
+    /// Build `n_slots` lists from the up-to-two `(slot, item)` entries
+    /// each of `n` candidates contributes, in two counting-sort passes.
+    fn build(
+        n_slots: usize,
+        n: usize,
+        entries_of: impl Fn(usize) -> [Option<(u32, T)>; 2],
+    ) -> Self {
+        let mut start = vec![0u32; n_slots + 1];
+        for i in 0..n {
+            for (slot, _) in entries_of(i).into_iter().flatten() {
+                start[slot as usize + 1] += 1;
+            }
+        }
+        for s in 0..n_slots {
+            start[s + 1] += start[s];
+        }
+        let mut end = start[..n_slots].to_vec();
+        let mut items = vec![T::default(); start[n_slots] as usize];
+        for i in 0..n {
+            for (slot, item) in entries_of(i).into_iter().flatten() {
+                let at = &mut end[slot as usize];
+                items[*at as usize] = item;
+                *at += 1;
+            }
+        }
+        start.truncate(n_slots);
+        SlotLists { start, end, items }
+    }
+
+    fn list(&self, slot: u32) -> &[T] {
+        &self.items[self.start[slot as usize] as usize..self.end[slot as usize] as usize]
+    }
+
+    /// Drop the items `keep` rejects from every list, order preserved.
+    fn retain(&mut self, keep: impl Fn(&T) -> bool) {
+        for s in 0..self.start.len() {
+            let first = self.start[s] as usize;
+            let mut write = first;
+            for read in first..self.end[s] as usize {
+                let item = self.items[read];
+                if keep(&item) {
+                    self.items[write] = item;
+                    write += 1;
+                }
+            }
+            self.end[s] = write as u32;
+        }
     }
 }
 
-/// Vec-backed Dijkstra from `from` to the nearest member of `targets`
-/// (a sorted slice of interned indices), over the viable subgraph.
+/// The per-solve dense index over one candidate graph: interned
+/// platforms, each candidate's platform and transceiver slots, and the
+/// conflict lists. A chosen candidate's conflicts are confined to (a)
+/// candidates sharing one of its transceivers and (b) same-band
+/// candidates touching one of its platforms — `Solver::conflicts`
+/// returns false for everything else — so invalidation after a
+/// selection walks only those lists instead of rescanning the whole
+/// candidate set.
+struct SolveIndex {
+    /// Every platform a candidate, request or gateway names, sorted:
+    /// a platform's slot is its position here, so slot order is
+    /// `PlatformId` order and Dijkstra's `(cost, node)` tie-breaks
+    /// agree with the reference's `(cost, PlatformId)` ordering.
+    plats: Vec<PlatformId>,
+    /// Platform slots of each candidate's `(a, b)` ends.
+    endpoints: Vec<(u32, u32)>,
+    /// Transceiver slots (`platform slot · tx_stride + antenna index`)
+    /// of each candidate's `(a, b)` ends.
+    tx_slots: Vec<(u32, u32)>,
+    /// One more than the largest antenna index in the graph — an
+    /// outlandish index costs slots, not correctness.
+    tx_stride: usize,
+    /// One more than the largest band in the graph.
+    band_stride: usize,
+    /// Candidate indices using a given transceiver slot.
+    by_tx: SlotLists<u32>,
+    /// Candidate indices touching a given (platform slot, band).
+    by_platform_band: SlotLists<u32>,
+}
+
+impl SolveIndex {
+    fn build(
+        links: &[CandidateLink],
+        requests: &[BackhaulRequest],
+        gateways: &BTreeMap<PlatformId, Vec<PlatformId>>,
+    ) -> SolveIndex {
+        // Intern by sort + dedup.
+        let mut plats = platform_runs(links);
+        plats.extend(requests.iter().map(|r| r.node));
+        plats.extend(gateways.values().flatten());
+        plats.sort_unstable();
+        plats.dedup();
+
+        let tx_stride = links
+            .iter()
+            .map(|l| l.a.index.max(l.b.index) as usize + 1)
+            .max()
+            .unwrap_or(1);
+        let band_stride = links.iter().map(|l| l.band as usize + 1).max().unwrap_or(1);
+
+        // Slot look-ups remember the last id they resolved (keyed on
+        // the id itself, so an ungrouped graph only costs searches).
+        let slot = |memo: &mut Option<(PlatformId, u32)>, p: PlatformId| -> u32 {
+            match *memo {
+                Some((id, slot)) if id == p => slot,
+                _ => {
+                    let slot = plats.binary_search(&p).expect("interned") as u32;
+                    *memo = Some((p, slot));
+                    slot
+                }
+            }
+        };
+        let (mut memo_a, mut memo_b) = (None, None);
+        let mut endpoints = Vec::with_capacity(links.len());
+        let mut tx_slots = Vec::with_capacity(links.len());
+        for l in links {
+            let pa = slot(&mut memo_a, l.a.platform);
+            let pb = slot(&mut memo_b, l.b.platform);
+            endpoints.push((pa, pb));
+            tx_slots.push((
+                pa * tx_stride as u32 + l.a.index as u32,
+                pb * tx_stride as u32 + l.b.index as u32,
+            ));
+        }
+        let by_tx = SlotLists::build(plats.len() * tx_stride, links.len(), |i| {
+            let (tx_a, tx_b) = tx_slots[i];
+            [Some((tx_a, i as u32)), Some((tx_b, i as u32))]
+        });
+        let by_platform_band = SlotLists::build(plats.len() * band_stride, links.len(), |i| {
+            let (pa, pb) = endpoints[i];
+            let band = links[i].band as u32;
+            let stride = band_stride as u32;
+            [
+                Some((pa * stride + band, i as u32)),
+                (pb != pa).then_some((pb * stride + band, i as u32)),
+            ]
+        });
+        SolveIndex {
+            plats,
+            endpoints,
+            tx_slots,
+            tx_stride,
+            band_stride,
+            by_tx,
+            by_platform_band,
+        }
+    }
+
+    /// The slot of an interned platform.
+    fn slot_of(&self, p: PlatformId) -> u32 {
+        self.plats.binary_search(&p).expect("interned") as u32
+    }
+
+    /// The `by_platform_band` slot of (platform slot, band).
+    fn band_slot(&self, platform_slot: u32, band: u8) -> u32 {
+        platform_slot * self.band_stride as u32 + band as u32
+    }
+}
+
+/// Dijkstra over the dense adjacency, with the distance / predecessor
+/// / heap buffers kept between calls.
 ///
 /// Bit-identical to the reference's `BTreeMap` implementation
-/// ([`crate::reference`]): the heap orders by `(cost, node index)` and
-/// interned indices are assigned in sorted `PlatformId` order, so
-/// tie-breaks agree; relaxation uses the same strict `<` (first
-/// relaxation at the final distance wins, later equal-cost ones are
-/// ignored); and non-viable edges are skipped *during traversal* in
-/// candidate-index order, which visits viable edges in exactly the
-/// order the reference's per-iteration adjacency rebuild inserts them.
-///
-/// Returns `(platform-index path, candidate-index edges, total cost)`.
-#[allow(clippy::type_complexity)]
-fn dijkstra_indexed(
-    adj: &[Vec<(u32, u32)>],
-    viable: &[bool],
-    is_selected: &[bool],
-    cost_unsel: &[u64],
-    cost_sel: &[u64],
-    from: u32,
-    targets: &[u32],
-) -> Option<(Vec<u32>, Vec<u32>, u64)> {
-    if targets.binary_search(&from).is_ok() {
-        return Some((vec![from], vec![], 0));
-    }
-    const UNSET: u32 = u32::MAX;
-    let mut dist = vec![u64::MAX; adj.len()];
-    let mut prev: Vec<(u32, u32)> = vec![(UNSET, UNSET); adj.len()];
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = BinaryHeap::new();
-    dist[from as usize] = 0;
-    heap.push(std::cmp::Reverse((0, from)));
-    while let Some(std::cmp::Reverse((d, n))) = heap.pop() {
-        if d > dist[n as usize] {
-            continue;
-        }
-        if targets.binary_search(&n).is_ok() {
-            // Reconstruct.
-            let mut path = vec![n];
-            let mut edges = Vec::new();
-            let mut cur = n;
-            while prev[cur as usize].0 != UNSET {
-                let (p, e) = prev[cur as usize];
-                path.push(p);
-                edges.push(e);
-                cur = p;
-            }
-            path.reverse();
-            edges.reverse();
-            return Some((path, edges, d));
-        }
-        for &(m, e) in &adj[n as usize] {
-            if !viable[e as usize] {
-                continue;
-            }
-            let nd = d + edge_cost_u64(e as usize, is_selected, cost_unsel, cost_sel);
-            if nd < dist[m as usize] {
-                dist[m as usize] = nd;
-                prev[m as usize] = (n, e);
-                heap.push(std::cmp::Reverse((nd, m)));
-            }
-        }
-    }
-    None
+/// ([`crate::reference`]): the heap orders by `(cost, node slot)` and
+/// slots are assigned in sorted `PlatformId` order, so tie-breaks
+/// agree; relaxation uses the same strict `<` (first relaxation at the
+/// final distance wins, later equal-cost ones are ignored); and
+/// non-viable edges are skipped *during traversal* in candidate-index
+/// order, which visits viable edges in exactly the order the
+/// reference's per-iteration adjacency rebuild inserts them.
+struct Search {
+    dist: Vec<u64>,
+    prev: Vec<(u32, u32)>,
+    heap: BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
 }
 
-/// Full single-source Dijkstra sweep (no early exit, no path
-/// reconstruction): distances from `from` to every node over the
-/// viable subgraph, `u64::MAX` where unreachable. Powers the
-/// incremental solver's lower-bound test after each selection.
-fn dijkstra_all(
-    adj: &[Vec<(u32, u32)>],
-    viable: &[bool],
-    is_selected: &[bool],
-    cost_unsel: &[u64],
-    cost_sel: &[u64],
-    from: u32,
-) -> Vec<u64> {
-    let mut dist = vec![u64::MAX; adj.len()];
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = BinaryHeap::new();
-    dist[from as usize] = 0;
-    heap.push(std::cmp::Reverse((0, from)));
-    while let Some(std::cmp::Reverse((d, n))) = heap.pop() {
-        if d > dist[n as usize] {
-            continue;
+impl Search {
+    const UNSET: u32 = u32::MAX;
+
+    fn new(nodes: usize) -> Self {
+        Search {
+            dist: vec![u64::MAX; nodes],
+            prev: vec![(Self::UNSET, Self::UNSET); nodes],
+            heap: BinaryHeap::new(),
         }
-        for &(m, e) in &adj[n as usize] {
-            if !viable[e as usize] {
+    }
+
+    /// Shortest path from `from` to the nearest member of `targets`
+    /// (a sorted slice of slots), over the viable subgraph. Returns
+    /// `(platform-slot path, candidate-index edges, total cost)`.
+    #[allow(clippy::type_complexity)]
+    fn nearest(
+        &mut self,
+        adj: &SlotLists<(u32, u32)>,
+        viable: &[bool],
+        cost: &[u64],
+        from: u32,
+        targets: &[u32],
+    ) -> Option<(Vec<u32>, Vec<u32>, u64)> {
+        if targets.binary_search(&from).is_ok() {
+            return Some((vec![from], vec![], 0));
+        }
+        let Search { dist, prev, heap } = self;
+        dist.fill(u64::MAX);
+        prev.fill((Self::UNSET, Self::UNSET));
+        heap.clear();
+        dist[from as usize] = 0;
+        heap.push(std::cmp::Reverse((0, from)));
+        while let Some(std::cmp::Reverse((d, n))) = heap.pop() {
+            if d > dist[n as usize] {
                 continue;
             }
-            let nd = d + edge_cost_u64(e as usize, is_selected, cost_unsel, cost_sel);
-            if nd < dist[m as usize] {
-                dist[m as usize] = nd;
-                heap.push(std::cmp::Reverse((nd, m)));
+            if targets.binary_search(&n).is_ok() {
+                // Reconstruct.
+                let mut path = vec![n];
+                let mut edges = Vec::new();
+                let mut cur = n;
+                while prev[cur as usize].0 != Self::UNSET {
+                    let (p, e) = prev[cur as usize];
+                    path.push(p);
+                    edges.push(e);
+                    cur = p;
+                }
+                path.reverse();
+                edges.reverse();
+                return Some((path, edges, d));
+            }
+            for &(m, e) in adj.list(n) {
+                if !viable[e as usize] {
+                    continue;
+                }
+                let nd = d + cost[e as usize];
+                if nd < dist[m as usize] {
+                    dist[m as usize] = nd;
+                    prev[m as usize] = (n, e);
+                    heap.push(std::cmp::Reverse((nd, m)));
+                }
+            }
+        }
+        None
+    }
+
+    /// Full single-source sweep (no early exit, no path
+    /// reconstruction): `out[m]` becomes the distance from `from` to
+    /// `m` over the viable subgraph, `u64::MAX` where unreachable.
+    /// Powers the incremental solver's lower-bound test after each
+    /// selection.
+    fn all_distances(
+        &mut self,
+        adj: &SlotLists<(u32, u32)>,
+        viable: &[bool],
+        cost: &[u64],
+        from: u32,
+        out: &mut Vec<u64>,
+    ) {
+        out.clear();
+        out.resize(self.dist.len(), u64::MAX);
+        self.heap.clear();
+        out[from as usize] = 0;
+        self.heap.push(std::cmp::Reverse((0, from)));
+        while let Some(std::cmp::Reverse((d, n))) = self.heap.pop() {
+            if d > out[n as usize] {
+                continue;
+            }
+            for &(m, e) in adj.list(n) {
+                if !viable[e as usize] {
+                    continue;
+                }
+                let nd = d + cost[e as usize];
+                if nd < out[m as usize] {
+                    out[m as usize] = nd;
+                    self.heap.push(std::cmp::Reverse((nd, m)));
+                }
             }
         }
     }
-    dist
 }
 
 #[cfg(test)]

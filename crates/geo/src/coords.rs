@@ -39,15 +39,7 @@ impl GeoPoint {
 
     /// Convert to ECEF coordinates.
     pub fn to_ecef(&self) -> Ecef {
-        let lat = deg_to_rad(self.lat_deg);
-        let lon = deg_to_rad(self.lon_deg);
-        let e2 = WGS84_F * (2.0 - WGS84_F);
-        let sin_lat = lat.sin();
-        let n = WGS84_A / (1.0 - e2 * sin_lat * sin_lat).sqrt();
-        let x = (n + self.alt_m) * lat.cos() * lon.cos();
-        let y = (n + self.alt_m) * lat.cos() * lon.sin();
-        let z = (n * (1.0 - e2) + self.alt_m) * sin_lat;
-        Ecef { x, y, z }
+        LocalFrame::of(self).ecef
     }
 
     /// Great-circle surface distance to `other`, ignoring altitude,
@@ -142,6 +134,43 @@ impl Ecef {
     }
 }
 
+/// Everything about one geodetic point that a conversion into its
+/// local tangent frame needs: the ECEF image and the sines/cosines of
+/// latitude and longitude. A caller relating one point to many others
+/// (the Link Evaluator's platform snapshot) builds it once per point;
+/// [`Enu::from_frame`] is then a subtraction and a rotation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LocalFrame {
+    /// ECEF image of the point.
+    pub ecef: Ecef,
+    sin_lat: f64,
+    cos_lat: f64,
+    sin_lon: f64,
+    cos_lon: f64,
+}
+
+impl LocalFrame {
+    /// The frame at `p`.
+    pub fn of(p: &GeoPoint) -> LocalFrame {
+        let lat = deg_to_rad(p.lat_deg);
+        let lon = deg_to_rad(p.lon_deg);
+        let (sin_lat, cos_lat) = (lat.sin(), lat.cos());
+        let (sin_lon, cos_lon) = (lon.sin(), lon.cos());
+        let e2 = WGS84_F * (2.0 - WGS84_F);
+        let n = WGS84_A / (1.0 - e2 * sin_lat * sin_lat).sqrt();
+        let x = (n + p.alt_m) * cos_lat * cos_lon;
+        let y = (n + p.alt_m) * cos_lat * sin_lon;
+        let z = (n * (1.0 - e2) + p.alt_m) * sin_lat;
+        LocalFrame {
+            ecef: Ecef { x, y, z },
+            sin_lat,
+            cos_lat,
+            sin_lon,
+            cos_lon,
+        }
+    }
+}
+
 /// Local East-North-Up coordinates relative to a reference geodetic
 /// point, meters. Used for antenna pointing computations.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,13 +183,14 @@ pub struct Enu {
 impl Enu {
     /// ENU vector from `origin` to `target`.
     pub fn from_points(origin: &GeoPoint, target: &GeoPoint) -> Enu {
-        let o = origin.to_ecef();
-        let t = target.to_ecef();
-        let (dx, dy, dz) = o.vector_to(&t);
-        let lat = deg_to_rad(origin.lat_deg);
-        let lon = deg_to_rad(origin.lon_deg);
-        let (sl, cl) = (lat.sin(), lat.cos());
-        let (so, co) = (lon.sin(), lon.cos());
+        Enu::from_frame(&LocalFrame::of(origin), &target.to_ecef())
+    }
+
+    /// ENU vector from the point `origin` was built at to `target`.
+    pub fn from_frame(origin: &LocalFrame, target: &Ecef) -> Enu {
+        let (dx, dy, dz) = origin.ecef.vector_to(target);
+        let (sl, cl) = (origin.sin_lat, origin.cos_lat);
+        let (so, co) = (origin.sin_lon, origin.cos_lon);
         Enu {
             east: -so * dx + co * dy,
             north: -sl * co * dx - sl * so * dy + cl * dz,

@@ -27,7 +27,7 @@ pub mod occlusion;
 pub mod pointing;
 pub mod visibility;
 
-pub use coords::{Ecef, Enu, GeoPoint, EARTH_RADIUS_M, WGS84_A, WGS84_F};
+pub use coords::{Ecef, Enu, GeoPoint, LocalFrame, EARTH_RADIUS_M, WGS84_A, WGS84_F};
 pub use motion::{LinearMotion, Trajectory, TrajectorySample};
 pub use occlusion::{ObstructionMask, ObstructionSector};
 pub use pointing::{AzEl, FieldOfRegard, PointingSolution};

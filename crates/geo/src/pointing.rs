@@ -10,7 +10,7 @@
 //! occlusions from the bus itself; those are modelled with
 //! [`crate::ObstructionMask`] attached to a [`FieldOfRegard`].
 
-use crate::coords::{Enu, GeoPoint};
+use crate::coords::{Ecef, Enu, GeoPoint, LocalFrame};
 use crate::occlusion::ObstructionMask;
 
 /// An azimuth/elevation pointing direction in the local ENU frame of a
@@ -54,7 +54,13 @@ pub struct PointingSolution {
 impl PointingSolution {
     /// Compute the pointing solution from `from` toward `to`.
     pub fn between(from: &GeoPoint, to: &GeoPoint) -> PointingSolution {
-        let v = Enu::from_points(from, to);
+        PointingSolution::from_frame(&LocalFrame::of(from), &to.to_ecef())
+    }
+
+    /// [`Self::between`] for a caller that already holds the local
+    /// frame of `from` and the ECEF image of `to`.
+    pub fn from_frame(from: &LocalFrame, to: &Ecef) -> PointingSolution {
+        let v = Enu::from_frame(from, to);
         PointingSolution {
             direction: AzEl::new(v.azimuth_deg(), v.elevation_deg()),
             slant_range_m: v.norm_m(),

@@ -25,6 +25,19 @@ pub const OXYGEN_SCALE_HEIGHT_M: f64 = 3_000.0;
 /// liquid water relevant to E-band loss sits much lower).
 pub const CLOUD_TOP_M: f64 = 9_000.0;
 
+/// Sea-level oxygen-continuum coefficient at `freq_ghz`, dB/km — the
+/// frequency-only factor of the dry-air term (a constant of the band;
+/// [`crate::link_budget::BandConsts`] computes it once).
+pub fn oxygen_coefficient(freq_ghz: f64) -> f64 {
+    0.0065 + 0.000_045 * freq_ghz * freq_ghz
+}
+
+/// Sea-level water-vapor-continuum coefficient at `freq_ghz`, dB/km,
+/// rising roughly with f^1.6 toward the 183 GHz line.
+pub fn vapor_coefficient(freq_ghz: f64) -> f64 {
+    0.004 * (freq_ghz / 10.0).powf(1.6)
+}
+
 /// Sea-level specific gaseous attenuation at `freq_ghz`, dB/km, for a
 /// moderately humid (tropical) atmosphere.
 ///
@@ -32,24 +45,35 @@ pub const CLOUD_TOP_M: f64 = 9_000.0;
 /// ~0.45 dB/km at 86 GHz (away from the 60 GHz oxygen complex, which
 /// none of our bands touch).
 pub fn sea_level_gaseous_db_per_km(freq_ghz: f64) -> f64 {
-    // Oxygen continuum contribution plus the water-vapor continuum
-    // rising roughly with f^1.6 toward the 183 GHz line.
-    let oxygen = 0.0065 + 0.000_045 * freq_ghz * freq_ghz;
-    let vapor = 0.004 * (freq_ghz / 10.0).powf(1.6);
-    oxygen + vapor
+    oxygen_coefficient(freq_ghz) + vapor_coefficient(freq_ghz)
+}
+
+/// The two altitude decay factors `(oxygen, vapor)` at `alt_m` —
+/// functions of the altitude alone, so a multi-band path integral
+/// computes them once per step.
+pub fn altitude_decay(alt_m: f64) -> (f64, f64) {
+    let h = alt_m.max(0.0);
+    (
+        (-h / OXYGEN_SCALE_HEIGHT_M).exp(),
+        (-h / VAPOR_SCALE_HEIGHT_M).exp(),
+    )
 }
 
 /// Specific gaseous attenuation at altitude `alt_m`, dB/km.
 pub fn gaseous_db_per_km(freq_ghz: f64, alt_m: f64) -> f64 {
-    let h = alt_m.max(0.0);
-    let oxygen = (0.0065 + 0.000_045 * freq_ghz * freq_ghz) * (-h / OXYGEN_SCALE_HEIGHT_M).exp();
-    let vapor = 0.004 * (freq_ghz / 10.0).powf(1.6) * (-h / VAPOR_SCALE_HEIGHT_M).exp();
-    oxygen + vapor
+    let (oxygen_decay, vapor_decay) = altitude_decay(alt_m);
+    oxygen_coefficient(freq_ghz) * oxygen_decay + vapor_coefficient(freq_ghz) * vapor_decay
+}
+
+/// The P.840 cloud coefficient `K_l(f)`, (dB/km)/(g/m³), rising
+/// ~quadratically below 100 GHz.
+pub fn cloud_coefficient(freq_ghz: f64) -> f64 {
+    0.000_43 * freq_ghz * freq_ghz
 }
 
 /// Specific cloud attenuation, dB/km, for liquid-water density
 /// `lwc_g_m3` (g/m³) at `freq_ghz`, following the P.840 structure
-/// `γ = K_l(f) · M` with `K_l` rising ~quadratically below 100 GHz.
+/// `γ = K_l(f) · M`.
 ///
 /// At 73 GHz, `K_l ≈ 2.3 (dB/km)/(g/m³)`; a dense cumulus (0.5 g/m³)
 /// costs ≈1.2 dB/km, so a 5 km cloud transit costs ≈6 dB — enough to
@@ -59,8 +83,7 @@ pub fn cloud_db_per_km(freq_ghz: f64, lwc_g_m3: f64) -> f64 {
     if lwc_g_m3 <= 0.0 {
         return 0.0;
     }
-    let k_l = 0.000_43 * freq_ghz * freq_ghz;
-    k_l * lwc_g_m3
+    cloud_coefficient(freq_ghz) * lwc_g_m3
 }
 
 /// Whether an altitude can hold cloud liquid water at all.

@@ -7,8 +7,20 @@
 /// geometry (co-located test platforms) cannot produce negative loss
 /// at the frequencies we care about.
 pub fn free_space_path_loss_db(distance_m: f64, freq_ghz: f64) -> f64 {
+    frequency_term_db(freq_ghz) + range_term_db(distance_m)
+}
+
+/// The part of the loss that depends on the band alone:
+/// `92.45 + 20·log10(f_GHz)`.
+pub fn frequency_term_db(freq_ghz: f64) -> f64 {
+    92.45 + 20.0 * freq_ghz.log10()
+}
+
+/// The part of the loss that depends on the path alone:
+/// `20·log10(d_km)`, with the one-meter clamp.
+pub fn range_term_db(distance_m: f64) -> f64 {
     let d_km = (distance_m.max(1.0)) / 1000.0;
-    92.45 + 20.0 * freq_ghz.log10() + 20.0 * d_km.log10()
+    20.0 * d_km.log10()
 }
 
 #[cfg(test)]

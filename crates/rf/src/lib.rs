@@ -41,8 +41,8 @@ pub mod weather;
 pub use antenna::AntennaPattern;
 pub use fspl::free_space_path_loss_db;
 pub use link_budget::{
-    capacity_mbps, evaluate_link, path_attenuation_db, AttenuationBreakdown, LinkBudgetReport,
-    LinkQuality, RadioParams, BITRATE_TABLE, MCS_CAPACITY_TABLE,
+    capacity_mbps, evaluate_link, path_attenuation_db, AttenuationBreakdown, BandConsts,
+    LinkBudgetReport, LinkQuality, PathIntegrator, RadioParams, BITRATE_TABLE, MCS_CAPACITY_TABLE,
 };
 pub use weather::{
     ClearSky, ForecastView, ItuSeasonal, RainCell, RainGauge, SyntheticWeather, WeatherField,

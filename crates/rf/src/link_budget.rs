@@ -186,26 +186,178 @@ pub struct LinkBudgetReport {
     pub attenuation: AttenuationBreakdown,
 }
 
+/// Everything about one RF band that the Link Evaluator's inner loops
+/// would otherwise recompute: the frequency-only factors of the
+/// attenuation models and the receiver noise floor. Built once per
+/// band per evaluation ("caching or precomputing attenuation values",
+/// §3.1); every product the path integral forms with these is the
+/// same product the per-step formulas in [`atmosphere`] / [`rain`]
+/// form, with only the loop-invariant factor hoisted.
+#[derive(Debug, Clone, Copy)]
+pub struct BandConsts {
+    /// The band's radio parameters.
+    pub params: RadioParams,
+    /// `92.45 + 20·log10(f)`: the band's share of free-space loss.
+    fspl_frequency_db: f64,
+    /// Sea-level oxygen-continuum attenuation, dB/km.
+    oxygen_db_per_km: f64,
+    /// Sea-level water-vapor-continuum attenuation, dB/km.
+    vapor_db_per_km: f64,
+    /// P.838 `(k, α)` of `γ_rain = k · R^α`.
+    rain_k: f64,
+    rain_alpha: f64,
+    /// P.840 `K_l` of `γ_cloud = K_l · M`.
+    cloud_k_l: f64,
+    /// Receiver noise floor, dBm.
+    noise_floor_dbm: f64,
+}
+
+impl BandConsts {
+    /// Precompute the band's constants.
+    pub fn new(params: &RadioParams) -> Self {
+        let (rain_k, rain_alpha) = rain::rain_coefficients(params.freq_ghz);
+        BandConsts {
+            params: *params,
+            fspl_frequency_db: fspl::frequency_term_db(params.freq_ghz),
+            oxygen_db_per_km: atmosphere::oxygen_coefficient(params.freq_ghz),
+            vapor_db_per_km: atmosphere::vapor_coefficient(params.freq_ghz),
+            rain_k,
+            rain_alpha,
+            cloud_k_l: atmosphere::cloud_coefficient(params.freq_ghz),
+            noise_floor_dbm: params.noise_floor_dbm(),
+        }
+    }
+
+    /// Integrate this band's attenuation along `a → b`: the one-band
+    /// walk of the integral [`PathIntegrator`] runs for many.
+    fn path_attenuation<W: WeatherField>(
+        &self,
+        a: &GeoPoint,
+        b: &GeoPoint,
+        weather: &W,
+        t_ms: u64,
+    ) -> AttenuationBreakdown {
+        let mut out = [AttenuationBreakdown::default()];
+        integrate_path(
+            a,
+            b,
+            a.slant_range_m(b),
+            std::slice::from_ref(self),
+            weather,
+            t_ms,
+            &mut [RainPower::EMPTY],
+            &mut out,
+        );
+        out[0]
+    }
+
+    /// Finish a link budget on this band from a precomputed path
+    /// attenuation. The attenuation depends only on the endpoints and
+    /// the band, so a caller evaluating many antenna pairings of one
+    /// platform pair (the Link Evaluator's inner loop) computes it
+    /// once and calls this per pairing.
+    pub fn evaluate(
+        &self,
+        tx_gain_dbi: f64,
+        rx_gain_dbi: f64,
+        attenuation: AttenuationBreakdown,
+    ) -> LinkBudgetReport {
+        let params = &self.params;
+        let rx_power_dbm = params.tx_power_dbm + tx_gain_dbi + rx_gain_dbi
+            - attenuation.total_db()
+            - params.implementation_loss_db;
+        let snr_db = rx_power_dbm - self.noise_floor_dbm;
+        let margin_db = snr_db - min_usable_snr_db();
+
+        // Highest bitrate whose threshold + required margin the SNR meets.
+        let bitrate_bps = BITRATE_TABLE
+            .iter()
+            .find(|(thr, _)| snr_db >= thr + params.required_margin_db)
+            .map(|&(_, b)| b)
+            .unwrap_or(0);
+
+        let quality = if margin_db >= params.required_margin_db {
+            LinkQuality::Acceptable
+        } else if margin_db >= params.required_margin_db - params.marginal_band_db {
+            LinkQuality::Marginal
+        } else {
+            LinkQuality::Infeasible
+        };
+
+        LinkBudgetReport {
+            rx_power_dbm,
+            snr_db,
+            bitrate_bps,
+            margin_db,
+            quality,
+            attenuation,
+        }
+    }
+}
+
 /// Number of integration steps along the slant path. 32 samples over a
 /// ≤700 km path gives ≤22 km steps; attenuating structures (rain
 /// cells) are ≥10 km across so this resolves them while keeping the
 /// evaluator fast enough to run over the whole candidate set.
 const PATH_STEPS: usize = 32;
 
-/// Integrate weather + gaseous attenuation along the path `a → b` at
-/// time `t_ms` against `weather`.
-pub fn path_attenuation_db<W: WeatherField>(
+/// `R^α` for the last rain rate a band saw, keyed on the rate's bit
+/// pattern: climatological fields report the same ambient rate at
+/// every step below the rain height, so one `powf` serves a whole
+/// path (and the next).
+#[derive(Debug, Clone, Copy)]
+struct RainPower {
+    rate_bits: u64,
+    power: f64,
+}
+
+impl RainPower {
+    /// No rate seen yet: a rate of `+0.0` never reaches the memo (it
+    /// attenuates nothing), so its bit pattern is free to mean "empty".
+    const EMPTY: RainPower = RainPower {
+        rate_bits: 0,
+        power: 0.0,
+    };
+
+    fn of(&mut self, rain_mm_h: f64, alpha: f64) -> f64 {
+        if self.rate_bits != rain_mm_h.to_bits() {
+            *self = RainPower {
+                rate_bits: rain_mm_h.to_bits(),
+                power: rain_mm_h.powf(alpha),
+            };
+        }
+        self.power
+    }
+}
+
+/// The path integral proper, for every band of `bands` in one walk.
+///
+/// Per step, once: the sample point, the two altitude decay factors
+/// and the weather sample — none depends on the band. Per step per
+/// band: `(oxy·e₁ + vap·e₂)·step_km`, `k·R^α·step_km` and
+/// `K_l·M·step_km`, accumulated in step order — the same expression
+/// tree and addend order as integrating each band alone through
+/// [`atmosphere::gaseous_db_per_km`], [`rain::rain_db_per_km`] and
+/// [`atmosphere::cloud_db_per_km`], so every band's result is
+/// bit-identical to that.
+#[allow(clippy::too_many_arguments)]
+fn integrate_path<W: WeatherField>(
     a: &GeoPoint,
     b: &GeoPoint,
-    params: &RadioParams,
+    dist_m: f64,
+    bands: &[BandConsts],
     weather: &W,
     t_ms: u64,
-) -> AttenuationBreakdown {
-    let dist_m = a.slant_range_m(b);
-    let mut out = AttenuationBreakdown {
-        fspl_db: fspl::free_space_path_loss_db(dist_m, params.freq_ghz),
-        ..Default::default()
-    };
+    rain_power: &mut [RainPower],
+    out: &mut [AttenuationBreakdown],
+) {
+    let fspl_range_db = fspl::range_term_db(dist_m);
+    for (acc, band) in out.iter_mut().zip(bands) {
+        *acc = AttenuationBreakdown {
+            fspl_db: band.fspl_frequency_db + fspl_range_db,
+            ..Default::default()
+        };
+    }
     let step_km = dist_m / 1000.0 / PATH_STEPS as f64;
     for i in 0..PATH_STEPS {
         let f = (i as f64 + 0.5) / PATH_STEPS as f64;
@@ -215,12 +367,88 @@ pub fn path_attenuation_db<W: WeatherField>(
             a.lon_deg + f * (b.lon_deg - a.lon_deg),
             a.alt_m + f * (b.alt_m - a.alt_m),
         );
-        out.gaseous_db += atmosphere::gaseous_db_per_km(params.freq_ghz, p.alt_m) * step_km;
+        let (oxygen_decay, vapor_decay) = atmosphere::altitude_decay(p.alt_m);
         let w = weather.sample(&p, t_ms);
-        out.rain_db += rain::rain_db_per_km(params.freq_ghz, w.rain_mm_h) * step_km;
-        out.cloud_db += atmosphere::cloud_db_per_km(params.freq_ghz, w.cloud_lwc_g_m3) * step_km;
+        let raining = w.rain_mm_h > 0.0 || w.rain_mm_h.is_nan();
+        let cloudy = w.cloud_lwc_g_m3 > 0.0 || w.cloud_lwc_g_m3.is_nan();
+        for ((acc, band), memo) in out.iter_mut().zip(bands).zip(rain_power.iter_mut()) {
+            acc.gaseous_db += (band.oxygen_db_per_km * oxygen_decay
+                + band.vapor_db_per_km * vapor_decay)
+                * step_km;
+            let rain_db_per_km = if raining {
+                band.rain_k * memo.of(w.rain_mm_h, band.rain_alpha)
+            } else {
+                0.0
+            };
+            acc.rain_db += rain_db_per_km * step_km;
+            let cloud_db_per_km = if cloudy {
+                band.cloud_k_l * w.cloud_lwc_g_m3
+            } else {
+                0.0
+            };
+            acc.cloud_db += cloud_db_per_km * step_km;
+        }
     }
-    out
+}
+
+/// A reusable multi-band path integrator: the bands' constants plus
+/// the scratch the integral needs, sized from `bands.len()`. The Link
+/// Evaluator keeps one per worker and calls [`Self::integrate`] once
+/// per platform pair.
+#[derive(Debug, Clone)]
+pub struct PathIntegrator<'b> {
+    bands: &'b [BandConsts],
+    rain_power: Vec<RainPower>,
+    out: Vec<AttenuationBreakdown>,
+}
+
+impl<'b> PathIntegrator<'b> {
+    /// An integrator over `bands`.
+    pub fn new(bands: &'b [BandConsts]) -> Self {
+        PathIntegrator {
+            bands,
+            rain_power: vec![RainPower::EMPTY; bands.len()],
+            out: vec![AttenuationBreakdown::default(); bands.len()],
+        }
+    }
+
+    /// Integrate weather + gaseous attenuation along `a → b` at time
+    /// `t_ms` for every band at once; element `i` of the result is
+    /// band `i`'s breakdown. `dist_m` is the slant range `a → b`,
+    /// which the caller already has.
+    pub fn integrate<W: WeatherField>(
+        &mut self,
+        a: &GeoPoint,
+        b: &GeoPoint,
+        dist_m: f64,
+        weather: &W,
+        t_ms: u64,
+    ) -> &[AttenuationBreakdown] {
+        integrate_path(
+            a,
+            b,
+            dist_m,
+            self.bands,
+            weather,
+            t_ms,
+            &mut self.rain_power,
+            &mut self.out,
+        );
+        &self.out
+    }
+}
+
+/// Integrate weather + gaseous attenuation along the path `a → b` at
+/// time `t_ms` against `weather`: the one-band entry into the same
+/// integral [`PathIntegrator`] runs for many.
+pub fn path_attenuation_db<W: WeatherField>(
+    a: &GeoPoint,
+    b: &GeoPoint,
+    params: &RadioParams,
+    weather: &W,
+    t_ms: u64,
+) -> AttenuationBreakdown {
+    BandConsts::new(params).path_attenuation(a, b, weather, t_ms)
 }
 
 /// Evaluate the full link budget for a transceiver pair.
@@ -240,55 +468,12 @@ pub fn evaluate_link<W: WeatherField>(
     weather: &W,
     t_ms: u64,
 ) -> LinkBudgetReport {
-    let attenuation = path_attenuation_db(tx_pos, rx_pos, params, weather, t_ms);
-    evaluate_with_attenuation(
-        params,
+    let band = BandConsts::new(params);
+    band.evaluate(
         tx_pattern.gain_dbi(tx_offset_deg),
         rx_pattern.gain_dbi(rx_offset_deg),
-        attenuation,
+        band.path_attenuation(tx_pos, rx_pos, weather, t_ms),
     )
-}
-
-/// Finish a link budget from a precomputed path attenuation. The
-/// attenuation depends only on the endpoints and band, so callers
-/// evaluating many antenna pairings of the same platform pair (the
-/// Link Evaluator's inner loop) compute it once and call this per
-/// pairing.
-pub fn evaluate_with_attenuation(
-    params: &RadioParams,
-    tx_gain_dbi: f64,
-    rx_gain_dbi: f64,
-    attenuation: AttenuationBreakdown,
-) -> LinkBudgetReport {
-    let rx_power_dbm = params.tx_power_dbm + tx_gain_dbi + rx_gain_dbi
-        - attenuation.total_db()
-        - params.implementation_loss_db;
-    let snr_db = rx_power_dbm - params.noise_floor_dbm();
-    let margin_db = snr_db - min_usable_snr_db();
-
-    // Highest bitrate whose threshold + required margin the SNR meets.
-    let bitrate_bps = BITRATE_TABLE
-        .iter()
-        .find(|(thr, _)| snr_db >= thr + params.required_margin_db)
-        .map(|&(_, b)| b)
-        .unwrap_or(0);
-
-    let quality = if margin_db >= params.required_margin_db {
-        LinkQuality::Acceptable
-    } else if margin_db >= params.required_margin_db - params.marginal_band_db {
-        LinkQuality::Marginal
-    } else {
-        LinkQuality::Infeasible
-    };
-
-    LinkBudgetReport {
-        rx_power_dbm,
-        snr_db,
-        bitrate_bps,
-        margin_db,
-        quality,
-        attenuation,
-    }
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 //! are errors, never silently ignored).
 
 use crate::json::{parse, Json};
+use tssdn_link::Transceiver;
+use tssdn_sim::PlatformKind;
 
 /// Where the fleet flies. Only the paper's Kenya-like deployment
 /// exists today; the field is explicit so future geographies extend
@@ -24,6 +26,14 @@ impl Geography {
     fn tag(&self) -> &'static str {
         match self {
             Geography::Kenya => "kenya",
+        }
+    }
+
+    /// How many ground stations the geography places. They take the
+    /// platform ids right after the balloons'.
+    pub fn ground_stations(&self) -> u32 {
+        match self {
+            Geography::Kenya => 3,
         }
     }
 
@@ -398,6 +408,9 @@ impl ScenarioSpec {
                             if nodes.is_empty() {
                                 return Err(format!("{ctx}.nodes: must be non-empty"));
                             }
+                            for (j, node) in nodes.iter().enumerate() {
+                                self.platform_kind(*node, &format!("{ctx}.nodes[{j}]"))?;
+                            }
                         }
                         KindSpec::CommandChaos {
                             corrupt,
@@ -408,10 +421,42 @@ impl ScenarioSpec {
                             prob(*duplicate, &format!("{ctx}.duplicate"))?;
                             prob(*reorder, &format!("{ctx}.reorder"))?;
                         }
-                        KindSpec::GsOutage { .. }
-                        | KindSpec::TransceiverFault { .. }
-                        | KindSpec::BalloonLoss { .. }
-                        | KindSpec::BalloonLossWarned { .. } => {}
+                        KindSpec::GsOutage { site } => {
+                            // Only the lower bound. The committed
+                            // `smoke_blackout` scenario (4 balloons,
+                            // sites 4..7) darkens sites 6, 7 and 8, and
+                            // its baseline scorecard embeds that spec:
+                            // a site past the fleet is a no-op window
+                            // there, and refusing it would change a
+                            // frozen baseline (ROADMAP, hostile input).
+                            if *site < self.fleet.n_balloons {
+                                return Err(format!(
+                                    "{ctx}.site: {site} is a balloon; ground stations are {}..{}",
+                                    self.fleet.n_balloons,
+                                    self.n_platforms()
+                                ));
+                            }
+                        }
+                        KindSpec::TransceiverFault {
+                            platform, index, ..
+                        } => {
+                            let kind = self.platform_kind(*platform, &format!("{ctx}.platform"))?;
+                            let count = Transceiver::count_for(kind);
+                            if *index >= count {
+                                return Err(format!(
+                                    "{ctx}.index: platform {platform} has transceivers 0..{count}, got {index}"
+                                ));
+                            }
+                        }
+                        KindSpec::BalloonLoss { balloon }
+                        | KindSpec::BalloonLossWarned { balloon, .. } => {
+                            if *balloon >= self.fleet.n_balloons {
+                                return Err(format!(
+                                    "{ctx}.balloon: must be < fleet.n_balloons ({}), got {balloon}",
+                                    self.fleet.n_balloons
+                                ));
+                            }
+                        }
                     }
                 }
             }
@@ -439,6 +484,27 @@ impl ScenarioSpec {
             return Err("sharding.hysteresis_km: must be ≥ 0".into());
         }
         Ok(())
+    }
+
+    /// Platforms in the fleet: balloons, then the geography's ground
+    /// stations. `u64`, since `n_balloons` may sit at the top of `u32`.
+    fn n_platforms(&self) -> u64 {
+        self.fleet.n_balloons as u64 + self.fleet.geography.ground_stations() as u64
+    }
+
+    /// What kind of platform `id` is, or an error naming `field` when
+    /// the fleet has no such platform.
+    fn platform_kind(&self, id: u32, field: &str) -> Result<PlatformKind, String> {
+        if id < self.fleet.n_balloons {
+            Ok(PlatformKind::Balloon)
+        } else if (id as u64) < self.n_platforms() {
+            Ok(PlatformKind::GroundStation)
+        } else {
+            Err(format!(
+                "{field}: the fleet has platforms 0..{}, got {id}",
+                self.n_platforms()
+            ))
+        }
     }
 
     /// Serialize to pretty JSON. [`ScenarioSpec::from_json`] reads it
@@ -900,4 +966,113 @@ fn window_from_value(v: Json, i: usize) -> Result<WindowSpec, String> {
         duration_mins,
         kind,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The chaos-soak spec with `kind` as its only fault window.
+    fn with_directed(kind: KindSpec) -> ScenarioSpec {
+        let mut spec = crate::chaos_soak_spec("directed", 7);
+        spec.faults = FaultsSpec::Directed(vec![WindowSpec {
+            start_min: 600,
+            duration_mins: Some(10),
+            kind,
+        }]);
+        spec
+    }
+
+    fn rejected(kind: KindSpec, field: &str) {
+        let spec = with_directed(kind);
+        let err = spec.validate().expect_err(field);
+        assert!(
+            err.starts_with(&format!("faults.directed[0].{field}:")),
+            "error names the field path: {err}"
+        );
+        // The JSON path refuses it too.
+        assert!(ScenarioSpec::from_json(&spec.to_json()).is_err());
+    }
+
+    #[test]
+    fn directed_faults_that_name_nothing_are_rejected() {
+        let n = crate::chaos_soak_spec("directed", 7).fleet.n_balloons;
+        let total = n + Geography::Kenya.ground_stations();
+        rejected(KindSpec::BalloonLoss { balloon: n }, "balloon");
+        rejected(
+            KindSpec::BalloonLossWarned {
+                balloon: u32::MAX,
+                lead_mins: 5,
+            },
+            "balloon",
+        );
+        // A ground-station outage must not name a balloon. (A site
+        // past the fleet still validates — see `validate`.)
+        rejected(KindSpec::GsOutage { site: n - 1 }, "site");
+        assert_eq!(
+            with_directed(KindSpec::GsOutage { site: total }).validate(),
+            Ok(())
+        );
+        rejected(
+            KindSpec::TransceiverFault {
+                platform: total,
+                index: 0,
+                mode: FaultModeSpec::GimbalStuck,
+            },
+            "platform",
+        );
+        // Balloons carry three transceivers, ground stations two.
+        rejected(
+            KindSpec::TransceiverFault {
+                platform: 0,
+                index: 3,
+                mode: FaultModeSpec::RadioReboot,
+            },
+            "index",
+        );
+        rejected(
+            KindSpec::TransceiverFault {
+                platform: n,
+                index: 2,
+                mode: FaultModeSpec::RadioReboot,
+            },
+            "index",
+        );
+        rejected(
+            KindSpec::InbandPartition {
+                nodes: vec![0, total],
+            },
+            "nodes[1]",
+        );
+    }
+
+    #[test]
+    fn directed_faults_on_the_last_platforms_are_accepted() {
+        let n = crate::chaos_soak_spec("directed", 7).fleet.n_balloons;
+        let last_gs = n + Geography::Kenya.ground_stations() - 1;
+        for kind in [
+            KindSpec::BalloonLoss { balloon: n - 1 },
+            KindSpec::BalloonLossWarned {
+                balloon: n - 1,
+                lead_mins: 5,
+            },
+            KindSpec::GsOutage { site: last_gs },
+            KindSpec::TransceiverFault {
+                platform: n - 1,
+                index: 2,
+                mode: FaultModeSpec::GimbalStuck,
+            },
+            KindSpec::TransceiverFault {
+                platform: last_gs,
+                index: 1,
+                mode: FaultModeSpec::GimbalStuck,
+            },
+            KindSpec::InbandPartition {
+                nodes: vec![n - 1, last_gs],
+            },
+        ] {
+            let spec = with_directed(kind);
+            assert_eq!(spec.validate(), Ok(()), "{:?}", spec.faults);
+        }
+    }
 }

@@ -107,9 +107,9 @@ fn kind_to_fault(k: &KindSpec) -> FaultKind {
 
 impl ScenarioSpec {
     /// Ground-station platform ids for this fleet (balloons first,
-    /// then three GS sites — the `kenya(n)` id layout).
+    /// then the geography's GS sites — the `kenya(n)` id layout).
     pub fn gs_ids(&self) -> Vec<PlatformId> {
-        (self.fleet.n_balloons..self.fleet.n_balloons + 3)
+        (self.fleet.n_balloons..self.fleet.n_balloons + self.fleet.geography.ground_stations())
             .map(PlatformId)
             .collect()
     }

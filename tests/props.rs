@@ -274,65 +274,46 @@ proptest! {
     /// reference: same demand links *in the same selection order*,
     /// same redundant links, same routes, same unsatisfied list, same
     /// kept-link count.
+    ///
+    /// The inputs reach for what a dense slot index could get wrong:
+    /// antenna indices far apart (a stride of 256 slots per platform),
+    /// four bands, previous-topology keys that name transceivers and
+    /// platforms the graph does not contain, and requests from a node
+    /// no candidate touches, from a gateway itself, and to an EC no
+    /// gateway serves.
     #[test]
     fn optimized_solver_matches_naive_reference(
         raw in prop::collection::vec(
-            ((0u32..10, 0u8..3, 0u32..10, 0u8..3), (0u8..4, 0u8..2, prop::bool::ANY, 0u8..24)),
+            ((0u32..10, 0usize..5, 0u32..10, 0usize..5), (0u8..4, 0u8..4, prop::bool::ANY, 0u8..24)),
             1..40,
         ),
         prev_mask in prop::collection::vec(prop::bool::ANY, 40..41),
+        ghost_prev in prop::collection::vec((0u32..12, 0usize..5, 0u32..12, 0usize..5), 0..4),
         req_mask in prop::collection::vec(prop::bool::ANY, 7..8),
         drain in prop::option::of(0u32..10),
         penalty_pair in prop::option::of((0u32..10, 0u32..10)),
     ) {
-        let mut links = Vec::new();
-        for ((pa, aa, pb, ab), (margin_i, band, marginal, az)) in raw {
-            let (ida, gsa) = plat(pa);
-            let (idb, gsb) = plat(pb);
-            if ida == idb || (gsa && gsb) {
-                continue;
-            }
-            let ta = TransceiverId::new(ida, aa);
-            let tb = TransceiverId::new(idb, ab);
-            // Coarse az/margin grids maximize ties so the test
-            // exercises every tie-break path.
-            let point_ta = AzEl::new(az as f64 * 15.0, 0.0);
-            let point_tb = AzEl::new((az as f64 * 15.0 + 180.0) % 360.0, 0.0);
-            let (a, b, pointing_a, pointing_b) = if ta < tb {
-                (ta, tb, point_ta, point_tb)
-            } else {
-                (tb, ta, point_tb, point_ta)
-            };
-            links.push(CandidateLink {
-                a,
-                b,
-                kind: if gsa || gsb { LinkKind::B2G } else { LinkKind::B2B },
-                band,
-                bitrate_bps: 400_000_000,
-                margin_db: [0.0, 5.0, 10.0, -1.0][margin_i as usize],
-                quality: if marginal { LinkQuality::Marginal } else { LinkQuality::Acceptable },
-                pointing_a,
-                pointing_b,
-                range_m: 250_000.0,
-            });
-        }
+        let links: Vec<CandidateLink> = raw.into_iter().filter_map(raw_candidate).collect();
         let graph = CandidateGraph { at: SimTime::ZERO, links };
-        let previous: BTreeSet<(TransceiverId, TransceiverId)> = graph
+        let mut previous: BTreeSet<(TransceiverId, TransceiverId)> = graph
             .links
             .iter()
             .enumerate()
             .filter(|(i, _)| prev_mask.get(*i).copied().unwrap_or(false))
             .map(|(_, l)| l.key())
             .collect();
-        let requests: Vec<BackhaulRequest> = (0..7u32)
+        for (pa, aa, pb, ab) in ghost_prev {
+            let ta = TransceiverId::new(plat(pa).0, ANTENNAS[aa]);
+            let tb = TransceiverId::new(plat(pb).0, ANTENNAS[ab]);
+            previous.insert((ta.min(tb), ta.max(tb)));
+        }
+        let mut requests: Vec<BackhaulRequest> = (0..7u32)
             .filter(|i| req_mask[*i as usize])
-            .map(|i| BackhaulRequest {
-                node: PlatformId(i),
-                ec: PlatformId(200),
-                min_bitrate_bps: 50_000_000,
-                redundancy_group: None,
-            })
+            .map(|i| request(PlatformId(i), PlatformId(200)))
             .collect();
+        requests.push(request(PlatformId(50), PlatformId(200))); // touches no candidate
+        requests.push(request(PlatformId(100), PlatformId(200))); // is a gateway
+        requests.push(request(PlatformId(3), PlatformId(201))); // EC without gateways
         let mut drains = DrainRegistry::new();
         if let Some(d) = drain {
             drains.request(plat(d).0, DrainMode::Opportunistic, SimTime::ZERO, None);
@@ -345,15 +326,145 @@ proptest! {
                 solver.pair_penalties.insert((px.min(py), px.max(py)), 1.5);
             }
         }
-        let gw = |ec: PlatformId| -> Vec<PlatformId> {
-            if ec == PlatformId(200) {
-                vec![PlatformId(100), PlatformId(101), PlatformId(102)]
-            } else {
-                vec![]
-            }
-        };
-        let fast = solver.solve(&graph, &requests, &gw, &previous, &drains, SimTime::ZERO);
-        let slow = solve_reference(&solver, &graph, &requests, &gw, &previous, &drains, SimTime::ZERO);
+        let fast = solver.solve(&graph, &requests, &gateways, &previous, &drains, SimTime::ZERO);
+        let slow =
+            solve_reference(&solver, &graph, &requests, &gateways, &previous, &drains, SimTime::ZERO);
         prop_assert_eq!(fast, slow);
+    }
+
+    /// The same gate where the incumbent phase does most of the work:
+    /// a 64-balloon chain installed as the previous topology (63
+    /// incumbents, all kept) under a cloud of random candidates, most
+    /// of which die to those incumbents — so the solver's adjacency
+    /// compaction runs on a graph that is mostly dead, and the greedy
+    /// loop routes over what is left.
+    #[test]
+    fn optimized_solver_matches_naive_reference_after_many_incumbents(
+        raw in prop::collection::vec(
+            ((0u32..67, 0usize..3, 0u32..67, 0usize..3), (0u8..4, 0u8..4, prop::bool::ANY, 0u8..24)),
+            120..220,
+        ),
+        prev_mask in prop::collection::vec(prop::bool::ANY, 220..221),
+        req_mask in prop::collection::vec(prop::bool::ANY, 64..65),
+    ) {
+        const CHAIN: u32 = 64;
+        // 0..64 are balloons, 64..67 the ground stations 100..103.
+        let wide = |x: u32| if x < CHAIN { x } else { 100 + (x - CHAIN) };
+        let mut links: Vec<CandidateLink> = (0..CHAIN - 1)
+            .map(|i| CandidateLink {
+                a: TransceiverId::new(PlatformId(i), 0),
+                b: TransceiverId::new(PlatformId(i + 1), 1),
+                kind: LinkKind::B2B,
+                band: (i % 4) as u8,
+                bitrate_bps: 400_000_000,
+                margin_db: 20.0,
+                quality: LinkQuality::Acceptable,
+                pointing_a: AzEl::new(90.0, 0.0),
+                pointing_b: AzEl::new(270.0, 0.0),
+                range_m: 250_000.0,
+            })
+            .collect();
+        let mut previous: BTreeSet<_> = links.iter().map(|l| l.key()).collect();
+        for (i, ((pa, aa, pb, ab), rest)) in raw.into_iter().enumerate() {
+            let Some(l) = raw_candidate_of(wide(pa), aa, wide(pb), ab, rest) else {
+                continue;
+            };
+            if prev_mask[i] {
+                previous.insert(l.key());
+            }
+            links.push(l);
+        }
+        let graph = CandidateGraph { at: SimTime::ZERO, links };
+        let requests: Vec<BackhaulRequest> = (0..CHAIN)
+            .filter(|i| req_mask[*i as usize])
+            .map(|i| request(PlatformId(i), PlatformId(200)))
+            .collect();
+        let drains = DrainRegistry::new();
+        let solver = Solver::default();
+        let fast = solver.solve(&graph, &requests, &gateways, &previous, &drains, SimTime::ZERO);
+        prop_assert!(fast.kept_links >= 60, "kept {}", fast.kept_links);
+        let slow =
+            solve_reference(&solver, &graph, &requests, &gateways, &previous, &drains, SimTime::ZERO);
+        prop_assert_eq!(fast, slow);
+    }
+}
+
+/// Antenna indices the solver gates draw from: the usual three, then
+/// two that stretch a per-platform stride.
+const ANTENNAS: [u8; 5] = [0, 1, 2, 7, 255];
+
+/// The generated link attributes: margin selector, band, marginal
+/// quality, azimuth step.
+type RawAttrs = (u8, u8, bool, u8);
+
+/// One generated candidate between raw platforms `pa`/`pb` (see
+/// [`plat`]), or `None` for a self-pair or a GS–GS pair.
+fn raw_candidate(
+    ((pa, aa, pb, ab), rest): ((u32, usize, u32, usize), RawAttrs),
+) -> Option<CandidateLink> {
+    let ((ida, _), (idb, _)) = (plat(pa), plat(pb));
+    raw_candidate_of(ida.0, aa, idb.0, ab, rest)
+}
+
+/// As [`raw_candidate`], over platform ids (≥ 100 is a ground station).
+fn raw_candidate_of(
+    ida: u32,
+    aa: usize,
+    idb: u32,
+    ab: usize,
+    (margin_i, band, marginal, az): RawAttrs,
+) -> Option<CandidateLink> {
+    let (gsa, gsb) = (ida >= 100, idb >= 100);
+    if ida == idb || (gsa && gsb) {
+        return None;
+    }
+    let ta = TransceiverId::new(PlatformId(ida), ANTENNAS[aa]);
+    let tb = TransceiverId::new(PlatformId(idb), ANTENNAS[ab]);
+    // Coarse az/margin grids maximize ties so the test exercises
+    // every tie-break path.
+    let point_ta = AzEl::new(az as f64 * 15.0, 0.0);
+    let point_tb = AzEl::new((az as f64 * 15.0 + 180.0) % 360.0, 0.0);
+    let (a, b, pointing_a, pointing_b) = if ta < tb {
+        (ta, tb, point_ta, point_tb)
+    } else {
+        (tb, ta, point_tb, point_ta)
+    };
+    Some(CandidateLink {
+        a,
+        b,
+        kind: if gsa || gsb {
+            LinkKind::B2G
+        } else {
+            LinkKind::B2B
+        },
+        band,
+        bitrate_bps: 400_000_000,
+        margin_db: [0.0, 5.0, 10.0, -1.0][margin_i as usize],
+        quality: if marginal {
+            LinkQuality::Marginal
+        } else {
+            LinkQuality::Acceptable
+        },
+        pointing_a,
+        pointing_b,
+        range_m: 250_000.0,
+    })
+}
+
+fn request(node: PlatformId, ec: PlatformId) -> BackhaulRequest {
+    BackhaulRequest {
+        node,
+        ec,
+        min_bitrate_bps: 50_000_000,
+        redundancy_group: None,
+    }
+}
+
+/// EC 200 is served by three ground stations; no other EC by any.
+fn gateways(ec: PlatformId) -> Vec<PlatformId> {
+    if ec == PlatformId(200) {
+        vec![PlatformId(100), PlatformId(101), PlatformId(102)]
+    } else {
+        vec![]
     }
 }

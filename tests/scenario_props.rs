@@ -14,32 +14,41 @@ use tssdn_scenario::{
 // Lossless serde round trip                                        //
 // ---------------------------------------------------------------- //
 
-/// Build one directed-fault window from raw generated parts.
+/// Build one directed-fault window from raw generated parts. `id` is
+/// folded onto the fleet (`n_balloons` balloons, then the ground
+/// stations), since `validate` refuses a fault that names nothing.
 fn window_from_parts(
+    n_balloons: u32,
     (start_min, duration, kind_sel, id, lead): (u64, Option<u64>, u8, u32, u64),
     (p, q, r): (f64, f64, f64),
 ) -> WindowSpec {
+    let n_gs = Geography::Kenya.ground_stations();
+    let platform = id % (n_balloons + n_gs);
     let kind = match kind_sel {
-        0 => KindSpec::GsOutage { site: id },
+        0 => KindSpec::GsOutage {
+            site: n_balloons + id % n_gs,
+        },
         1 => KindSpec::SatcomBrownout {
             latency_scale: 1.0 + q,
             max_drop_prob: p,
         },
         2 => KindSpec::InbandPartition {
-            nodes: vec![id, id + 1],
+            nodes: vec![platform, (id + 1) % (n_balloons + n_gs)],
         },
         3 => KindSpec::TransceiverFault {
-            platform: id,
-            index: (id % 3) as u8,
+            platform,
+            index: (id % if platform < n_balloons { 3 } else { 2 }) as u8,
             mode: if lead % 2 == 0 {
                 tssdn_scenario::FaultModeSpec::GimbalStuck
             } else {
                 tssdn_scenario::FaultModeSpec::RadioReboot
             },
         },
-        4 => KindSpec::BalloonLoss { balloon: id },
+        4 => KindSpec::BalloonLoss {
+            balloon: id % n_balloons,
+        },
         5 => KindSpec::BalloonLossWarned {
-            balloon: id,
+            balloon: id % n_balloons,
             lead_mins: 1 + lead,
         },
         _ => KindSpec::CommandChaos {
@@ -136,7 +145,10 @@ proptest! {
                     warned_loss: warned,
                 },
                 _ => FaultsSpec::Directed(
-                    windows.into_iter().map(|(a, b)| window_from_parts(a, b)).collect(),
+                    windows
+                        .into_iter()
+                        .map(|(a, b)| window_from_parts(n_balloons, a, b))
+                        .collect(),
                 ),
             },
             traffic: TrafficSpec {
