@@ -1,5 +1,7 @@
 //! Criterion bench: per-simulated-second cost of each MANET protocol
-//! on a Loon-sized mesh (15 nodes, ~20 links).
+//! on a Loon-sized mesh (15 nodes, ~20 links), and of the BATMAN flood
+//! on a mesh the size of the e2e `dense50_morning` world (53 nodes,
+//! 67 links), where the flood is the largest stage of the loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tssdn_manet::{Aodv, Batman, Dsdv, Harness, ManetProtocol, Olsr};
@@ -24,10 +26,24 @@ fn mesh_edges() -> Vec<(u32, u32)> {
     e
 }
 
-fn run_one<P: ManetProtocol>(mut proto_fn: impl FnMut() -> P, on_demand: bool) -> impl FnMut() {
+/// 50 balloons (0..50) and 3 gateways (50..53): a binary tree over
+/// the balloons, one gateway at the root and one at each of two
+/// leaves, and 15 cross links — 67 links in all.
+fn dense53_edges() -> Vec<(u32, u32)> {
+    let mut e: Vec<(u32, u32)> = (1..50u32).map(|i| ((i - 1) / 2, i)).collect();
+    e.extend([(0, 50), (30, 51), (45, 52)]);
+    e.extend((25..40u32).map(|i| (i, i + 7)));
+    e
+}
+
+fn run_one<P: ManetProtocol>(
+    mut proto_fn: impl FnMut() -> P,
+    edges: Vec<(u32, u32)>,
+    on_demand: bool,
+) -> impl FnMut() {
     move || {
         let mut h = Harness::new(proto_fn(), &RngStreams::new(7));
-        for (a, b) in mesh_edges() {
+        for &(a, b) in &edges {
             h.set_link(PlatformId(a), PlatformId(b), 0.95);
         }
         if on_demand {
@@ -42,31 +58,37 @@ fn run_one<P: ManetProtocol>(mut proto_fn: impl FnMut() -> P, on_demand: bool) -
     }
 }
 
+/// A BATMAN instance with `gateways` configured as gateways.
+fn batman_with(gateways: std::ops::Range<u32>) -> impl FnMut() -> Batman {
+    move || {
+        let mut p = Batman::new();
+        for g in gateways.clone() {
+            p.set_gateway(PlatformId(g), true);
+        }
+        p
+    }
+}
+
 fn bench_manet(c: &mut Criterion) {
     let mut group = c.benchmark_group("manet_60s_sim");
     group.bench_function("batman", |b| {
-        let mut f = run_one(
-            || {
-                let mut p = Batman::new();
-                for g in 12..15u32 {
-                    p.set_gateway(PlatformId(g), true);
-                }
-                p
-            },
-            false,
-        );
+        let mut f = run_one(batman_with(12..15), mesh_edges(), false);
+        b.iter(&mut f)
+    });
+    group.bench_function("batman_dense53", |b| {
+        let mut f = run_one(batman_with(50..53), dense53_edges(), false);
         b.iter(&mut f)
     });
     group.bench_function("aodv", |b| {
-        let mut f = run_one(Aodv::new, true);
+        let mut f = run_one(Aodv::new, mesh_edges(), true);
         b.iter(&mut f)
     });
     group.bench_function("dsdv", |b| {
-        let mut f = run_one(Dsdv::new, false);
+        let mut f = run_one(Dsdv::new, mesh_edges(), false);
         b.iter(&mut f)
     });
     group.bench_function("olsr", |b| {
-        let mut f = run_one(Olsr::new, false);
+        let mut f = run_one(Olsr::new, mesh_edges(), false);
         b.iter(&mut f)
     });
     group.finish();

@@ -36,7 +36,7 @@ use tssdn_dataplane::{
     BackhaulRequest, DrainRegistry, PrefixAllocator, RouteEntry, RouteTable, RoutingFabric,
     TunnelRegistry,
 };
-use tssdn_fault::{ChaosEngine, FaultKind, FaultPlan};
+use tssdn_fault::{ChaosEngine, FaultPlan};
 use tssdn_geo::{
     line_of_sight_clear, GeoPoint, ObstructionMask, PointingSolution, TrajectorySample,
 };
@@ -247,6 +247,10 @@ struct ActiveMachine {
     a: TransceiverId,
     b: TransceiverId,
     band: u8,
+    /// The link's true margin as `poll_links` last measured it — this
+    /// tick's, for every machine that can be established, since a
+    /// machine is polled every tick from the one after it was spawned.
+    margin: Option<f64>,
 }
 
 /// Diagnostic classification of a balloon's data-plane state.
@@ -274,6 +278,29 @@ struct RecentTermination {
     platforms: (PlatformId, PlatformId),
 }
 
+/// Platform pairs, as `(min, max)`, whose radio link is established.
+type UpLinks = BTreeSet<(PlatformId, PlatformId)>;
+
+/// An undirected platform graph as `route_over` searches it: per
+/// platform id, its neighbors in the order the sorted edge set lists
+/// them. Platform ids are the fleet's dense indices, so the table is
+/// as long as the largest id in the set.
+struct RouteGraph {
+    adj: Vec<Vec<PlatformId>>,
+}
+
+impl RouteGraph {
+    fn new(edges: &BTreeSet<(PlatformId, PlatformId)>) -> Self {
+        let len = edges.iter().map(|&(a, b)| a.max(b).0 as usize + 1).max();
+        let mut adj = vec![Vec::new(); len.unwrap_or(0)];
+        for &(a, b) in edges {
+            adj[a.0 as usize].push(b);
+            adj[b.0 as usize].push(a);
+        }
+        RouteGraph { adj }
+    }
+}
+
 /// The orchestrator. See module docs.
 pub struct Orchestrator {
     /// Configuration (immutable after construction).
@@ -285,10 +312,9 @@ pub struct Orchestrator {
     /// loss, unknown to the controller's model (E13).
     soft_obstructions: BTreeMap<PlatformId, Vec<(ObstructionMask, f64)>>,
     /// Unified fault-injection engine: scheduled fault windows plus
-    /// forced faults from the legacy `set_gs_outage` shim. All
-    /// injected failure modes — site outages, balloon loss, satcom
-    /// brownouts, partitions, transceiver faults, command chaos —
-    /// route through here.
+    /// faults forced by directed tests. All injected failure modes —
+    /// site outages, balloon loss, satcom brownouts, partitions,
+    /// transceiver faults, command chaos — route through here.
     pub chaos: ChaosEngine,
     // --- controller ---
     /// The controller's model (public for experiment introspection).
@@ -613,27 +639,6 @@ impl Orchestrator {
             .push((mask, loss_db));
     }
 
-    /// Inject or clear a ground-station outage (site power/backhaul
-    /// failure). A dark site drops its radio links, stops acting as a
-    /// MANET gateway, and stops reporting as powered.
-    ///
-    /// Thin shim over the chaos engine, kept for the existing failure
-    /// tests and experiment binaries; scheduled outages should go in
-    /// the [`FaultPlan`] instead.
-    pub fn set_gs_outage(&mut self, gs: PlatformId, down: bool) {
-        if down {
-            if !self.chaos.gs_dark(gs) {
-                self.chaos
-                    .force_start(FaultKind::GsOutage { site: gs }, self.now);
-            }
-        } else {
-            self.chaos.force_clear(
-                self.now,
-                |k| matches!(k, FaultKind::GsOutage { site } if *site == gs),
-            );
-        }
-    }
-
     /// Whether a platform's payload is effectively powered (balloon
     /// solar state, or GS site power, minus injected outages and
     /// balloon-loss faults).
@@ -741,11 +746,14 @@ impl Orchestrator {
                 self.next_solve = self.now + self.config.solve_interval;
             }
             if self.now >= self.next_probe {
-                self.probe();
+                // Both read the same radios at the same instant: one
+                // up-link set serves the probe and the traffic view.
+                let established = self.physical_up_links();
+                self.probe(&established);
                 // Traffic rides the probe cadence: the fluid step
                 // integrates offered/delivered bits since the last
                 // probe over the just-observed forwarding state.
-                self.tick_traffic();
+                self.tick_traffic(&established);
                 self.next_probe = self.now + self.config.probe_interval;
             }
             // Trim termination memory to the correlation window.
@@ -1209,6 +1217,7 @@ impl Orchestrator {
             a: link.a,
             b: link.b,
             band: link.band,
+            margin: None,
         });
     }
 
@@ -1261,6 +1270,7 @@ impl Orchestrator {
             let mut rng = self
                 .streams
                 .indexed_stream("link-machine", m.ledger_id ^ (self.now.as_ms() << 8));
+            m.margin = margins[i];
             if let Some(tr) = m.machine.poll(self.now, margins[i], &mut rng) {
                 transitions.push((i, tr));
             }
@@ -1645,33 +1655,34 @@ impl Orchestrator {
                 (x.min(y), x.max(y))
             })
             .collect();
-        let requests = self.requests.clone();
-        for req in &requests {
-            let flow = (req.node, req.ec);
-            let gws: std::collections::BTreeSet<PlatformId> =
-                self.tunnels.gateways_to(req.ec).into_iter().collect();
-            let Some(path) = Self::route_over(&durable, req.node, &gws) else {
+        // One adjacency for the whole program: every request's
+        // primary and alternate search it.
+        let graph = RouteGraph::new(&durable);
+        for i in 0..self.requests.len() {
+            let (node, ec) = (self.requests[i].node, self.requests[i].ec);
+            let flow = (node, ec);
+            let gws = self.tunnels.gateways_to(ec);
+            let Some(path) = Self::route_over(&graph, node, &gws, &[]) else {
                 continue;
             };
             let mut full = path.clone();
-            full.push(req.ec);
+            full.push(ec);
 
-            // Edge-disjoint alternate: drop the primary's radio edges
-            // from the believed-durable set and search again. When
-            // the redundancy pass gave the site a second established
-            // route, this finds it; the traffic engine then splits
-            // the site's bulk load across both planes. `None` means
-            // the plan carries no alternate — the program will then
-            // withdraw whatever the alt plane still holds.
+            // Edge-disjoint alternate: search the same adjacency with
+            // the primary's radio edges left out. When the redundancy
+            // pass gave the site a second established route, this
+            // finds it; the traffic engine then splits the site's bulk
+            // load across both planes. `None` means the plan carries
+            // no alternate — the program will then withdraw whatever
+            // the alt plane still holds.
             let desired_alt: Option<Vec<PlatformId>> = if self.config.multipath_routes {
-                let mut reduced = durable.clone();
-                for w in path.windows(2) {
-                    let (x, y) = (w[0], w[1]);
-                    reduced.remove(&(x.min(y), x.max(y)));
-                }
-                Self::route_over(&reduced, req.node, &gws)
+                let primary_edges: Vec<(PlatformId, PlatformId)> = path
+                    .windows(2)
+                    .map(|w| (w[0].min(w[1]), w[0].max(w[1])))
+                    .collect();
+                Self::route_over(&graph, node, &gws, &primary_edges)
                     .map(|mut alt| {
-                        alt.push(req.ec);
+                        alt.push(ec);
                         alt
                     })
                     .filter(|alt| *alt != full)
@@ -1879,9 +1890,7 @@ impl Orchestrator {
         }
     }
 
-    fn probe(&mut self) {
-        let ec = self.ec_ids[0];
-        let established = self.physical_up_links();
+    fn probe(&mut self, established: &UpLinks) {
         debug_assert_eq!(
             self.reachable,
             self.last_graph
@@ -1901,20 +1910,7 @@ impl Orchestrator {
             let control_up = self.cdpi.inband.is_reachable(b, self.now);
             // Data plane: programmed route traces to the EC over up
             // links/tunnels.
-            let src = self.prefixes.get(b).expect("allocated");
-            let dst = self.prefixes.get(ec).expect("allocated");
-            let tunnels = &self.tunnels;
-            let ecs = &self.ec_ids;
-            let data_up = self
-                .fabric
-                .trace_flow(src, dst, b, ec, |x, y| {
-                    if ecs.contains(&y) {
-                        tunnels.connected(x, y)
-                    } else {
-                        established.contains(&(x.min(y), x.max(y)))
-                    }
-                })
-                .is_some();
+            let data_up = self.active_path_over(b, established).is_some();
             self.availability
                 .record(b, Layer::Link, eligible, link_up, self.now);
             self.availability
@@ -1969,7 +1965,7 @@ impl Orchestrator {
     /// capacities from the ACM table at each established machine's
     /// true link margin (weather fade degrades capacity continuously,
     /// not just at the controller's solve cadence).
-    fn tick_traffic(&mut self) {
+    fn tick_traffic(&mut self, established: &UpLinks) {
         if self.traffic.is_none() {
             return;
         }
@@ -1990,8 +1986,8 @@ impl Orchestrator {
             if self.chaos.balloon_lost(b) {
                 view.dead.insert(b);
             }
-            let primary = self.active_path(b);
-            let alt = self.active_alt_path(b);
+            let primary = self.active_path_over(b, established);
+            let alt = self.active_alt_path_over(b, established);
             match (primary, alt) {
                 (Some(p), Some(a)) => {
                     view.paths.insert(b, p.clone());
@@ -2018,7 +2014,10 @@ impl Orchestrator {
             if !m.machine.is_established() {
                 continue;
             }
-            let Some(margin) = self.true_margin(m.a, m.b, m.band) else {
+            // Same instant, fleet, faults and weather as when
+            // `poll_links` measured it a few stages ago.
+            debug_assert_eq!(m.margin, self.true_margin(m.a, m.b, m.band));
+            let Some(margin) = m.margin else {
                 continue;
             };
             let cap = (tssdn_rf::capacity_mbps(margin) * 1e6) as u64;
@@ -2108,7 +2107,7 @@ impl Orchestrator {
 
     /// Physically-up links right now (the radios' view, regardless of
     /// whether the controller has requested withdrawal).
-    fn physical_up_links(&self) -> std::collections::BTreeSet<(PlatformId, PlatformId)> {
+    fn physical_up_links(&self) -> UpLinks {
         self.machines
             .iter()
             .filter(|m| m.machine.is_established())
@@ -2119,41 +2118,43 @@ impl Orchestrator {
             .collect()
     }
 
-    /// Shortest path from `from` to any node in `targets` over a set
-    /// of undirected platform edges (BFS; links are unweighted here).
+    /// Shortest path from `from` to any node in `targets` over
+    /// `graph`, never crossing an edge listed in `without` (as
+    /// `(min, max)` pairs). BFS — links are unweighted here — visiting
+    /// neighbors in `graph`'s order, so the answer is the one a search
+    /// over an adjacency rebuilt from the edge set minus `without`
+    /// would give.
     fn route_over(
-        edges: &std::collections::BTreeSet<(PlatformId, PlatformId)>,
+        graph: &RouteGraph,
         from: PlatformId,
-        targets: &std::collections::BTreeSet<PlatformId>,
+        targets: &[PlatformId],
+        without: &[(PlatformId, PlatformId)],
     ) -> Option<Vec<PlatformId>> {
-        use std::collections::{BTreeMap, VecDeque};
         if targets.contains(&from) {
             return Some(vec![from]);
         }
-        let mut adj: BTreeMap<PlatformId, Vec<PlatformId>> = BTreeMap::new();
-        for (a, b) in edges {
-            adj.entry(*a).or_default().push(*b);
-            adj.entry(*b).or_default().push(*a);
-        }
-        let mut prev: BTreeMap<PlatformId, PlatformId> = BTreeMap::new();
-        let mut q = VecDeque::new();
+        // Per platform id: the node it was reached from.
+        const UNSEEN: u32 = u32::MAX;
+        let mut prev = vec![UNSEEN; graph.adj.len()];
+        let mut q = std::collections::VecDeque::new();
+        // A source outside the graph has no edge to leave by.
+        *prev.get_mut(from.0 as usize)? = from.0;
         q.push_back(from);
-        prev.insert(from, from);
         while let Some(n) = q.pop_front() {
             if targets.contains(&n) {
                 let mut path = vec![n];
                 let mut cur = n;
-                while prev[&cur] != cur {
-                    cur = prev[&cur];
+                while prev[cur.0 as usize] != cur.0 {
+                    cur = PlatformId(prev[cur.0 as usize]);
                     path.push(cur);
                 }
                 path.reverse();
                 return Some(path);
             }
-            for m in adj.get(&n).into_iter().flatten() {
-                if !prev.contains_key(m) {
-                    prev.insert(*m, n);
-                    q.push_back(*m);
+            for &m in &graph.adj[n.0 as usize] {
+                if prev[m.0 as usize] == UNSEEN && !without.contains(&(n.min(m), n.max(m))) {
+                    prev[m.0 as usize] = n.0;
+                    q.push_back(m);
                 }
             }
         }
@@ -2161,36 +2162,52 @@ impl Orchestrator {
     }
 
     /// The currently-working data-plane path for a balloon's flow, if
-    /// its programmed route traces end-to-end over up links.
+    /// its programmed route traces end-to-end over up links. Builds
+    /// the up-link set for this one question; the probe cadence asks
+    /// it of every balloon and uses `active_path_over`.
     pub fn active_path(&self, b: PlatformId) -> Option<Vec<PlatformId>> {
-        let ec = self.ec_ids[0];
-        let src = self.prefixes.get(b)?;
-        let dst = self.prefixes.get(ec)?;
-        let established = self.physical_up_links();
-        self.fabric.trace_flow(src, dst, b, ec, |x, y| {
-            if self.ec_ids.contains(&y) {
-                self.tunnels.connected(x, y)
-            } else {
-                established.contains(&(x.min(y), x.max(y)))
-            }
-        })
+        self.active_path_over(b, &self.physical_up_links())
     }
 
     /// The currently-working *alternate* data-plane path for a
     /// balloon's flow, if an alt route was programmed and traces
     /// end-to-end over up links.
     pub fn active_alt_path(&self, b: PlatformId) -> Option<Vec<PlatformId>> {
+        self.active_alt_path_over(b, &self.physical_up_links())
+    }
+
+    /// [`Self::active_path`] against an up-link set the caller built.
+    fn active_path_over(&self, b: PlatformId, established: &UpLinks) -> Option<Vec<PlatformId>> {
         let ec = self.ec_ids[0];
         let src = self.prefixes.get(b)?;
         let dst = self.prefixes.get(ec)?;
-        let established = self.physical_up_links();
-        self.fabric.trace_flow_alt(src, dst, b, ec, |x, y| {
-            if self.ec_ids.contains(&y) {
-                self.tunnels.connected(x, y)
-            } else {
-                established.contains(&(x.min(y), x.max(y)))
-            }
-        })
+        self.fabric
+            .trace_flow(src, dst, b, ec, |x, y| self.hop_up(established, x, y))
+    }
+
+    /// [`Self::active_alt_path`] against an up-link set the caller
+    /// built.
+    fn active_alt_path_over(
+        &self,
+        b: PlatformId,
+        established: &UpLinks,
+    ) -> Option<Vec<PlatformId>> {
+        let ec = self.ec_ids[0];
+        let src = self.prefixes.get(b)?;
+        let dst = self.prefixes.get(ec)?;
+        self.fabric
+            .trace_flow_alt(src, dst, b, ec, |x, y| self.hop_up(established, x, y))
+    }
+
+    /// Whether a packet at `x` can take the hop to `y`: a tunnel that
+    /// is connected when `y` is an EC, an established radio link
+    /// otherwise.
+    fn hop_up(&self, established: &UpLinks, x: PlatformId, y: PlatformId) -> bool {
+        if self.ec_ids.contains(&y) {
+            self.tunnels.connected(x, y)
+        } else {
+            established.contains(&(x.min(y), x.max(y)))
+        }
     }
 
     /// Flows whose alt plane still holds fabric entries even though
@@ -2231,19 +2248,11 @@ impl Orchestrator {
         let ec = self.ec_ids[0];
         let src = self.prefixes.get(b).expect("allocated");
         let dst = self.prefixes.get(ec).expect("allocated");
-        let established = self.physical_up_links();
         if !self.was_programmed(b) {
             return DataPlaneStatus::NeverProgrammed;
         }
         let mut missing_entry = false;
-        let trace = self.fabric.trace_flow(src, dst, b, ec, |x, y| {
-            if self.ec_ids.contains(&y) {
-                self.tunnels.connected(x, y)
-            } else {
-                established.contains(&(x.min(y), x.max(y)))
-            }
-        });
-        if trace.is_some() {
+        if self.active_path(b).is_some() {
             // Forwarding works; distinguish live control from
             // fail-static (stale routes, controller unreachable).
             return if self.cdpi.inband.is_reachable(b, self.now) {
@@ -2718,7 +2727,7 @@ mod tests {
         // Before any evaluation there is no graph and nobody is
         // potentially operable; a probe must cope.
         assert!(o.last_graph.is_none() && o.reachable.is_empty());
-        o.probe();
+        o.probe(&o.physical_up_links());
         // Step tick by tick through the morning: scheduled cycles
         // replace the graph, event-driven re-solves lend it out and put
         // it back, and the set must describe it after every one (the
@@ -2793,5 +2802,130 @@ mod tests {
         let g = o.evaluate_candidates(o.now());
         assert!(!g.is_empty(), "candidates exist mid-morning");
         assert!(g.num_b2b() + g.num_b2g() == g.len());
+    }
+
+    /// `route_over` as it was before `program_routes` shared one
+    /// adjacency: a BFS over an id-ordered adjacency rebuilt from
+    /// whatever edge set it is handed.
+    fn route_over_rebuilding(
+        edges: &BTreeSet<(PlatformId, PlatformId)>,
+        from: PlatformId,
+        targets: &[PlatformId],
+    ) -> Option<Vec<PlatformId>> {
+        use std::collections::VecDeque;
+        if targets.contains(&from) {
+            return Some(vec![from]);
+        }
+        let mut adj: BTreeMap<PlatformId, Vec<PlatformId>> = BTreeMap::new();
+        for (a, b) in edges {
+            adj.entry(*a).or_default().push(*b);
+            adj.entry(*b).or_default().push(*a);
+        }
+        let mut prev: BTreeMap<PlatformId, PlatformId> = BTreeMap::new();
+        let mut q = VecDeque::new();
+        q.push_back(from);
+        prev.insert(from, from);
+        while let Some(n) = q.pop_front() {
+            if targets.contains(&n) {
+                let mut path = vec![n];
+                let mut cur = n;
+                while prev[&cur] != cur {
+                    cur = prev[&cur];
+                    path.push(cur);
+                }
+                path.reverse();
+                return Some(path);
+            }
+            for m in adj.get(&n).into_iter().flatten() {
+                if !prev.contains_key(m) {
+                    prev.insert(*m, n);
+                    q.push_back(*m);
+                }
+            }
+        }
+        None
+    }
+
+    /// For every source on `0..platforms`, all searching one shared
+    /// graph as the requests of a route program do: the primary is the
+    /// one a rebuild from `edges` finds, and the alternate the one a
+    /// rebuild from `edges` minus the primary's finds.
+    fn same_routes_as_rebuilding(
+        edges: &BTreeSet<(PlatformId, PlatformId)>,
+        gateways: &[PlatformId],
+        platforms: u32,
+    ) -> Result<(), String> {
+        let graph = RouteGraph::new(edges);
+        for from in (0..platforms).map(PlatformId) {
+            let primary = Orchestrator::route_over(&graph, from, gateways, &[]);
+            if primary != route_over_rebuilding(edges, from, gateways) {
+                return Err(format!("primary from {from:?}: {primary:?}"));
+            }
+            let Some(path) = primary else { continue };
+            let used: Vec<(PlatformId, PlatformId)> = path
+                .windows(2)
+                .map(|w| (w[0].min(w[1]), w[0].max(w[1])))
+                .collect();
+            let mut reduced = edges.clone();
+            for e in &used {
+                reduced.remove(e);
+            }
+            let alt = Orchestrator::route_over(&graph, from, gateways, &used);
+            if alt != route_over_rebuilding(&reduced, from, gateways) {
+                return Err(format!("alternate from {from:?} around {path:?}: {alt:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    fn edge_set(pairs: &[(u32, u32)]) -> BTreeSet<(PlatformId, PlatformId)> {
+        pairs
+            .iter()
+            .filter(|(a, b)| a != b)
+            .map(|&(a, b)| (PlatformId(a.min(b)), PlatformId(a.max(b))))
+            .collect()
+    }
+
+    #[test]
+    fn filtered_search_handles_cuts_gateway_sources_and_strays() {
+        // A ring 0-1-2-3 hung off gateway 5 by the bridge 3-4-5: every
+        // primary crosses the cut, so no alternate exists; 5 is its
+        // own route; 6 has no edge; 9 is beyond the graph's last id.
+        let edges = edge_set(&[(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5)]);
+        let gateways = [PlatformId(5)];
+        same_routes_as_rebuilding(&edges, &gateways, 10).expect("same routes");
+        let graph = RouteGraph::new(&edges);
+        let route = |from, without: &[_]| {
+            Orchestrator::route_over(&graph, PlatformId(from), &gateways, without)
+        };
+        let ids = |path: &[u32]| Some(path.iter().copied().map(PlatformId).collect::<Vec<_>>());
+        assert_eq!(route(0, &[]), ids(&[0, 3, 4, 5]));
+        let cut = [(PlatformId(3), PlatformId(4))];
+        assert_eq!(route(0, &cut), None, "the bridge is the only way out");
+        let side = [(PlatformId(0), PlatformId(3))];
+        assert_eq!(
+            route(0, &side),
+            ids(&[0, 1, 2, 3, 4, 5]),
+            "the long way round"
+        );
+        assert_eq!(route(5, &cut), ids(&[5]));
+        assert_eq!(route(6, &[]), None);
+        assert_eq!(route(9, &[]), None);
+        // Two gateways: the alternate may end at the other one.
+        let edges = edge_set(&[(0, 1), (1, 2), (0, 3), (3, 4)]);
+        same_routes_as_rebuilding(&edges, &[PlatformId(2), PlatformId(4)], 5).expect("same routes");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_adjacency_finds_the_routes_a_rebuild_would(
+            pairs in proptest::collection::vec((0u32..20, 0u32..20), 0..45),
+            gateways in proptest::collection::vec(0u32..20, 1..4),
+        ) {
+            let gateways: Vec<PlatformId> = gateways.into_iter().map(PlatformId).collect();
+            if let Err(why) = same_routes_as_rebuilding(&edge_set(&pairs), &gateways, 20) {
+                return Err(proptest::TestCaseError::Fail(why));
+            }
+        }
     }
 }

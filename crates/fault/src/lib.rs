@@ -415,7 +415,7 @@ impl ChaosEngine {
     }
 
     /// Force a fault active now (outside the plan). Used by directed
-    /// tests and the orchestrator's legacy `set_gs_outage` shim.
+    /// tests.
     pub fn force_start(&mut self, kind: FaultKind, now: SimTime) {
         self.windows.push(FaultWindow {
             start: now,

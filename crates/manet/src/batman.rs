@@ -29,6 +29,12 @@ pub struct Ogm {
     pub tq: f64,
     /// Whether the originator is a gateway.
     pub gateway: bool,
+    /// The originator's slot in the sending [`Batman`]'s tables,
+    /// stamped when the OGM is first emitted and carried unchanged by
+    /// every rebroadcast, so receivers index their tables without
+    /// looking the originator up. Bookkeeping of the simulation, not
+    /// part of the wire format: `OGM_BYTES` does not count it.
+    slot: u32,
 }
 
 /// Wire size of an OGM, bytes (batman-adv OGMv1 is 24 bytes).
@@ -188,10 +194,12 @@ impl ManetProtocol for Batman {
             seq: st.seq,
             tq: 1.0,
             gateway: st.gateway,
+            slot: slot as u32,
         };
         ctx.broadcast(node, ogm, OGM_BYTES);
     }
 
+    #[inline]
     fn on_message(
         &mut self,
         now: SimTime,
@@ -208,7 +216,8 @@ impl ManetProtocol for Batman {
         if tq < 0.05 {
             return; // below usable quality; stop propagation
         }
-        let originator = self.slot(msg.originator);
+        let originator = msg.slot as usize;
+        debug_assert_eq!(self.index.get(msg.originator), Some(originator));
         let slot = self.index.get(node).expect("known node");
         let table = &mut self.nodes[slot].table;
         if table.len() <= originator {

@@ -9,12 +9,17 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::VecDeque;
 use tssdn_sim::{RngStreams, SimDuration, SimTime};
 
-/// One in-flight control message.
+/// One in-flight control message, with the link it flies over as it
+/// stood when the copy was sent.
 #[derive(Debug, Clone)]
 struct Delivery<M> {
     due: SimTime,
     to: NodeId,
     from: NodeId,
+    /// [`Topology::revision`] at transmission.
+    rev: u64,
+    /// Quality of `from`–`to` at that revision.
+    q: f64,
     msg: M,
 }
 
@@ -53,7 +58,10 @@ struct Medium<M> {
 
 impl<M: Clone> Medium<M> {
     /// Turn the outbox into in-flight copies due at `due`, applying
-    /// per-link loss.
+    /// per-link loss. Each copy is stamped with the topology revision
+    /// and the link quality its loss draw used, so delivery can tell
+    /// whether that quality still stands. Callers skip the call when
+    /// the outbox is empty — most deliveries emit nothing.
     ///
     /// Ordering contract (the `manet-loss` stream and every table
     /// downstream depend on it): outbox entries go out in emission
@@ -67,7 +75,21 @@ impl<M: Clone> Medium<M> {
             in_flight,
             overhead,
         } = self;
+        let rev = topo.revision();
         for (from, target, msg, bytes) in outbox.drain() {
+            let mut send = |to: NodeId, q: f64, msg: M| {
+                if rng.gen_bool(q) {
+                    let copy = Delivery {
+                        due,
+                        to,
+                        from,
+                        rev,
+                        q,
+                        msg,
+                    };
+                    enqueue(in_flight, copy);
+                }
+            };
             match target {
                 Some(to) => {
                     let Some(q) = topo.quality(from, to) else {
@@ -75,23 +97,18 @@ impl<M: Clone> Medium<M> {
                     };
                     overhead.messages += 1;
                     overhead.bytes += bytes as u64;
-                    if rng.gen_bool(q) {
-                        enqueue(in_flight, Delivery { due, to, from, msg });
-                    }
+                    send(to, q, msg);
                 }
                 None => {
-                    let mut neighbors = topo.neighbors(from).peekable();
+                    let neighbors = topo.neighbor_slice(from);
                     // A broadcast is one transmission regardless of the
                     // neighbor count (shared medium).
-                    if neighbors.peek().is_some() {
+                    if !neighbors.is_empty() {
                         overhead.messages += 1;
                         overhead.bytes += bytes as u64;
                     }
-                    for (to, q) in neighbors {
-                        if rng.gen_bool(q) {
-                            let msg = msg.clone();
-                            enqueue(in_flight, Delivery { due, to, from, msg });
-                        }
+                    for &(to, q) in neighbors {
+                        send(to, q, msg.clone());
                     }
                 }
             }
@@ -203,6 +220,12 @@ impl<P: ManetProtocol> Harness<P> {
     /// schedules for the same instant — and then, on a tick instant,
     /// nodes tick in ascending `NodeId`. This holds for any sequence
     /// of `hop_latency` / `tick_interval` values set between calls.
+    ///
+    /// `on_message` gets the link's quality *when the copy lands*: a
+    /// copy over a link that vanished in flight is dropped, one over a
+    /// re-rated or removed-and-restored link is delivered at the new
+    /// quality. A copy whose topology revision still stands skips the
+    /// look-up — the quality it carries is that quality.
     pub fn run_until(&mut self, until: SimTime) {
         let Harness {
             proto,
@@ -225,21 +248,30 @@ impl<P: ManetProtocol> Harness<P> {
 
             // Deliver any messages due now.
             while medium.in_flight.front().is_some_and(|d| d.due <= now) {
-                let Delivery { to, from, msg, .. } =
-                    medium.in_flight.pop_front().expect("front is due");
-                // The link may have vanished while the message flew.
-                let Some(q) = topo.quality(from, to) else {
+                let d = medium.in_flight.pop_front().expect("front is due");
+                let q = if d.rev == topo.revision() {
+                    Some(d.q)
+                } else {
+                    // Some link changed while the copy flew; this one
+                    // may have been re-rated, or have vanished.
+                    topo.quality(d.from, d.to)
+                };
+                let Some(q) = q else {
                     continue;
                 };
-                proto.on_message(now, to, from, q, msg, &mut medium.outbox);
-                medium.transmit(topo, now + self.hop_latency);
+                proto.on_message(now, d.to, d.from, q, d.msg, &mut medium.outbox);
+                if !medium.outbox.is_empty() {
+                    medium.transmit(topo, now + self.hop_latency);
+                }
             }
 
             // Tick every node when the tick instant arrives.
             if now >= self.next_tick {
                 for n in topo.nodes() {
                     proto.on_tick(now, n, &mut medium.outbox);
-                    medium.transmit(topo, now + self.hop_latency);
+                    if !medium.outbox.is_empty() {
+                        medium.transmit(topo, now + self.hop_latency);
+                    }
                 }
                 self.next_tick += self.tick_interval;
             }
@@ -317,10 +349,11 @@ mod tests {
     }
 
     /// A trivially static protocol for exercising the harness: floods
-    /// a single counter message and answers next_hop from a fixed map.
+    /// a single counter message, logs every arrival as `(node, from,
+    /// link_q)`, and answers next_hop from a fixed map.
     #[derive(Default)]
     struct Dummy {
-        pub received: std::cell::RefCell<Vec<(NodeId, NodeId)>>,
+        pub received: std::cell::RefCell<Vec<(NodeId, NodeId, f64)>>,
         pub hops: std::collections::BTreeMap<(NodeId, NodeId), NodeId>,
         sent: std::cell::Cell<bool>,
     }
@@ -342,11 +375,11 @@ mod tests {
             _now: SimTime,
             node: NodeId,
             from: NodeId,
-            _q: f64,
+            q: f64,
             _msg: u32,
             _ctx: &mut Ctx<u32>,
         ) {
-            self.received.borrow_mut().push((node, from));
+            self.received.borrow_mut().push((node, from, q));
         }
         fn next_hop(&self, node: NodeId, dest: NodeId) -> Option<NodeId> {
             self.hops.get(&(node, dest)).copied()
@@ -361,8 +394,57 @@ mod tests {
         h.run_until(SimTime::from_secs(2));
         let got = h.protocol().received.borrow().clone();
         assert_eq!(got.len(), 2);
-        assert!(got.contains(&(n(1), n(0))));
-        assert!(got.contains(&(n(2), n(0))));
+        assert!(got.contains(&(n(1), n(0), 1.0)));
+        assert!(got.contains(&(n(2), n(0), 1.0)));
+    }
+
+    /// Node 0's broadcast to nodes 1 and 2 is 10 ms into a 40 ms
+    /// flight; `change` then edits the topology and the copies land.
+    fn landed_after(change: impl FnOnce(&mut Harness<Dummy>)) -> Vec<(NodeId, NodeId, f64)> {
+        let mut h = Harness::new(Dummy::default(), &RngStreams::new(1));
+        h.hop_latency = SimDuration(40);
+        h.set_link(n(0), n(1), 1.0);
+        h.set_link(n(0), n(2), 1.0);
+        h.set_link(n(3), n(4), 1.0);
+        h.run_until(SimTime(10));
+        assert!(h.protocol().received.borrow().is_empty(), "still in flight");
+        change(&mut h);
+        h.run_until(SimTime(40));
+        h.protocol().received.take()
+    }
+
+    #[test]
+    fn link_rerated_in_flight_delivers_at_the_new_quality() {
+        let got = landed_after(|h| h.set_link(n(0), n(1), 0.5));
+        assert_eq!(got, vec![(n(1), n(0), 0.5), (n(2), n(0), 1.0)]);
+    }
+
+    #[test]
+    fn link_removed_in_flight_drops_the_copy() {
+        let got = landed_after(|h| h.remove_link(n(0), n(1)));
+        assert_eq!(got, vec![(n(2), n(0), 1.0)]);
+    }
+
+    #[test]
+    fn link_removed_and_restored_in_flight_delivers_at_the_restored_quality() {
+        let got = landed_after(|h| {
+            h.remove_link(n(1), n(0));
+            h.run_until(SimTime(25));
+            h.set_link(n(1), n(0), 0.25);
+        });
+        assert_eq!(got, vec![(n(1), n(0), 0.25), (n(2), n(0), 1.0)]);
+    }
+
+    #[test]
+    fn unrelated_link_changes_leave_a_copy_in_flight_alone() {
+        let untouched = landed_after(|_| {});
+        assert_eq!(untouched, vec![(n(1), n(0), 1.0), (n(2), n(0), 1.0)]);
+        let got = landed_after(|h| {
+            h.set_link(n(3), n(4), 0.5);
+            h.remove_link(n(3), n(4));
+            h.set_link(n(2), n(4), 0.5);
+        });
+        assert_eq!(got, untouched);
     }
 
     #[test]

@@ -35,6 +35,7 @@ impl Default for NodeIndex {
 impl NodeIndex {
     /// First bucket to probe for `id`: a multiplicative hash folded
     /// onto the low bits, so dense and strided ids both spread.
+    #[inline]
     fn home(&self, id: NodeId) -> usize {
         let h = id.0.wrapping_mul(0x9E37_79B9);
         (h ^ (h >> 16)) as usize & (self.buckets.len() - 1)
@@ -46,6 +47,7 @@ impl NodeIndex {
     }
 
     /// The slot of `id`, if interned.
+    #[inline]
     pub(crate) fn get(&self, id: NodeId) -> Option<usize> {
         let mask = self.buckets.len() - 1;
         let mut i = self.home(id);
@@ -105,6 +107,9 @@ pub struct Topology {
     /// Per slot of `index`: `(neighbor, quality)`, ascending by
     /// neighbor id.
     adj: Vec<Vec<(NodeId, f64)>>,
+    /// Bumped by every `set_link` / `remove_link`: while it stands
+    /// still, a quality read off this topology is still the link's.
+    revision: u64,
 }
 
 impl Topology {
@@ -134,6 +139,7 @@ impl Topology {
     pub fn set_link(&mut self, a: NodeId, b: NodeId, q: f64) {
         assert!(a != b, "no self links");
         let q = q.clamp(0.0, 1.0);
+        self.revision += 1;
         let (sa, sb) = (self.slot(a), self.slot(b));
         for (list, peer) in [(sa, b), (sb, a)] {
             let list = &mut self.adj[list];
@@ -146,6 +152,7 @@ impl Topology {
 
     /// Remove a link if present.
     pub fn remove_link(&mut self, a: NodeId, b: NodeId) {
+        self.revision += 1;
         for (n, peer) in [(a, b), (b, a)] {
             if let Some(s) = self.index.get(n) {
                 self.adj[s].retain(|e| e.0 != peer);
@@ -163,13 +170,26 @@ impl Topology {
         self.sorted.len()
     }
 
+    /// How many link changes this topology has seen. Equal revisions
+    /// mean every link has the quality it had.
+    #[inline]
+    pub(crate) fn revision(&self) -> u64 {
+        self.revision
+    }
+
     /// Neighbors of `n` with link qualities, ascending by id.
     pub fn neighbors(&self, n: NodeId) -> impl Iterator<Item = (NodeId, f64)> + '_ {
-        let list = self.index.get(n).map_or(&[][..], |s| &self.adj[s]);
-        list.iter().copied()
+        self.neighbor_slice(n).iter().copied()
+    }
+
+    /// [`Topology::neighbors`] as the stored slice.
+    #[inline]
+    pub(crate) fn neighbor_slice(&self, n: NodeId) -> &[(NodeId, f64)] {
+        self.index.get(n).map_or(&[][..], |s| &self.adj[s])
     }
 
     /// Quality of the `a`–`b` link, if linked.
+    #[inline]
     pub fn quality(&self, a: NodeId, b: NodeId) -> Option<f64> {
         self.neighbors(a).find(|e| e.0 == b).map(|e| e.1)
     }
@@ -235,6 +255,11 @@ impl<M> Ctx<M> {
     /// Unicast `msg` to a specific neighbor.
     pub fn unicast(&mut self, from: NodeId, to: NodeId, msg: M, bytes: usize) {
         self.outbox.push((from, Some(to), msg, bytes));
+    }
+
+    /// Whether nothing is queued.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.outbox.is_empty()
     }
 
     /// Take everything queued so far, in emission order, as

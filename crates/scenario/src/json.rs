@@ -14,6 +14,9 @@
 //!   [`ObjReader`] consumption helper makes *unknown* keys an error at
 //!   decode time: a typo'd spec field fails loudly instead of being
 //!   silently ignored (the classic config-file foot-gun).
+//! * **Bounded nesting** — arrays and objects nest at most
+//!   [`MAX_DEPTH`] deep; a hostile `[[[[…` is a parse error, not a
+//!   stack overflow.
 
 use std::fmt::Write as _;
 
@@ -46,6 +49,13 @@ impl Json {
             Json::U64(v) => Ok(*v),
             other => Err(format!("{ctx}: expected unsigned integer, got {other:?}")),
         }
+    }
+
+    /// Read as an unsigned integer narrower than `u64`, rejecting a
+    /// value the field cannot hold rather than truncating it.
+    pub fn as_uint<T: TryFrom<u64>>(&self, ctx: &str) -> Result<T, String> {
+        let v = self.as_u64(ctx)?;
+        T::try_from(v).map_err(|_| format!("{ctx}: {v} is out of range"))
     }
 
     /// Read as `f64`; integers widen (a hand-written `3` is a fine
@@ -213,11 +223,16 @@ impl ObjReader {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. A spec
+/// nests five deep, a scorecard less.
+pub const MAX_DEPTH: usize = 32;
+
 /// Parse JSON text.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -231,6 +246,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -272,8 +289,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nested deeper than {MAX_DEPTH}")))
+            }
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected byte '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -554,5 +582,16 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nested deeper"), "{err}");
+        // Depth is what is open at once, not what was ever opened.
+        let wide = format!("[{}[]]", "[],".repeat(10 * MAX_DEPTH));
+        assert!(parse(&wide).is_ok());
     }
 }

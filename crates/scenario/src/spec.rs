@@ -661,7 +661,7 @@ impl ScenarioSpec {
         let mut f = o.take("fleet")?.into_obj("fleet")?;
         let fleet = FleetSpec {
             geography: Geography::from_tag(f.take("geography")?.as_str("fleet.geography")?)?,
-            n_balloons: f.take("n_balloons")?.as_u64("fleet.n_balloons")? as u32,
+            n_balloons: f.take("n_balloons")?.as_uint("fleet.n_balloons")?,
             spawn_radius_km: f.take("spawn_radius_km")?.as_f64("fleet.spawn_radius_km")?,
         };
         f.finish()?;
@@ -684,7 +684,7 @@ impl ScenarioSpec {
         };
         let demand = DemandSpec {
             users_per_site: d.take("users_per_site")?.as_u64("demand.users_per_site")?,
-            flows_per_site: d.take("flows_per_site")?.as_u64("demand.flows_per_site")? as u32,
+            flows_per_site: d.take("flows_per_site")?.as_uint("demand.flows_per_site")?,
             busy_hour_bps_per_user: d
                 .take("busy_hour_bps_per_user")?
                 .as_f64("demand.busy_hour_bps_per_user")?,
@@ -725,7 +725,7 @@ impl ScenarioSpec {
                 if let Some(seeded) = m.take_opt("seeded") {
                     let mut s = seeded.into_obj("faults.seeded")?;
                     let out = FaultsSpec::Seeded {
-                        expected: s.take("expected")?.as_u64("faults.seeded.expected")? as u32,
+                        expected: s.take("expected")?.as_uint("faults.seeded.expected")?,
                         earliest_hour: s
                             .take("earliest_hour")?
                             .as_u64("faults.seeded.earliest_hour")?,
@@ -773,7 +773,7 @@ impl ScenarioSpec {
 
         let mut sh = o.take("sharding")?.into_obj("sharding")?;
         let sharding = ShardingSpec {
-            regions: sh.take("regions")?.as_u64("sharding.regions")? as u32,
+            regions: sh.take("regions")?.as_uint("sharding.regions")?,
             origin_lon_deg: sh
                 .take("origin_lon_deg")?
                 .as_f64("sharding.origin_lon_deg")?,
@@ -892,7 +892,7 @@ fn window_from_value(v: Json, i: usize) -> Result<WindowSpec, String> {
     let kind = if let Some(v) = k.take_opt("gs_outage") {
         let mut g = v.into_obj(&format!("{ctx}.gs_outage"))?;
         let kind = KindSpec::GsOutage {
-            site: g.take("site")?.as_u64(&format!("{ctx}.site"))? as u32,
+            site: g.take("site")?.as_uint(&format!("{ctx}.site"))?,
         };
         g.finish()?;
         kind
@@ -914,7 +914,7 @@ fn window_from_value(v: Json, i: usize) -> Result<WindowSpec, String> {
             .take("nodes")?
             .as_arr(&format!("{ctx}.nodes"))?
             .iter()
-            .map(|n| n.as_u64(&format!("{ctx}.nodes[]")).map(|v| v as u32))
+            .map(|n| n.as_uint(&format!("{ctx}.nodes[]")))
             .collect::<Result<Vec<_>, _>>()?;
         p.finish()?;
         KindSpec::InbandPartition { nodes }
@@ -926,8 +926,8 @@ fn window_from_value(v: Json, i: usize) -> Result<WindowSpec, String> {
             other => return Err(format!("{ctx}.mode: unknown mode \"{other}\"")),
         };
         let kind = KindSpec::TransceiverFault {
-            platform: t.take("platform")?.as_u64(&format!("{ctx}.platform"))? as u32,
-            index: t.take("index")?.as_u64(&format!("{ctx}.index"))? as u8,
+            platform: t.take("platform")?.as_uint(&format!("{ctx}.platform"))?,
+            index: t.take("index")?.as_uint(&format!("{ctx}.index"))?,
             mode,
         };
         t.finish()?;
@@ -935,14 +935,14 @@ fn window_from_value(v: Json, i: usize) -> Result<WindowSpec, String> {
     } else if let Some(v) = k.take_opt("balloon_loss") {
         let mut b = v.into_obj(&format!("{ctx}.balloon_loss"))?;
         let kind = KindSpec::BalloonLoss {
-            balloon: b.take("balloon")?.as_u64(&format!("{ctx}.balloon"))? as u32,
+            balloon: b.take("balloon")?.as_uint(&format!("{ctx}.balloon"))?,
         };
         b.finish()?;
         kind
     } else if let Some(v) = k.take_opt("balloon_loss_warned") {
         let mut b = v.into_obj(&format!("{ctx}.balloon_loss_warned"))?;
         let kind = KindSpec::BalloonLossWarned {
-            balloon: b.take("balloon")?.as_u64(&format!("{ctx}.balloon"))? as u32,
+            balloon: b.take("balloon")?.as_uint(&format!("{ctx}.balloon"))?,
             lead_mins: b.take("lead_mins")?.as_u64(&format!("{ctx}.lead_mins"))?,
         };
         b.finish()?;

@@ -472,17 +472,23 @@ fn warned_balloon_loss_hands_custody_of_its_backlog() {
     assert_eq!(soak(31), (t, intents, summary), "soak diverged on rerun");
 }
 
-/// The legacy outage shim routes through the chaos engine: flipping a
-/// site dark and back again leaves a start + clear pair in the log.
+/// A directed (unplanned) outage goes through the chaos engine like a
+/// planned one: flipping a site dark and back again leaves a start +
+/// clear pair in the log.
 #[test]
-fn gs_outage_shim_is_logged_by_the_engine() {
+fn forced_gs_outage_is_logged_by_the_engine() {
     let mut o = quiet_world(77);
     let gs = base_spec(77).gs_ids()[0];
     o.run_until(SimTime::from_hours(9));
-    o.set_gs_outage(gs, true);
+    let now = o.now();
+    o.chaos.force_start(FaultKind::GsOutage { site: gs }, now);
     assert!(o.chaos.gs_dark(gs));
     o.run_until(o.now() + SimDuration::from_mins(5));
-    o.set_gs_outage(gs, false);
+    let now = o.now();
+    o.chaos.force_clear(
+        now,
+        |k| matches!(k, FaultKind::GsOutage { site } if *site == gs),
+    );
     assert!(!o.chaos.gs_dark(gs));
     let starts = o
         .chaos
@@ -503,7 +509,7 @@ fn gs_outage_shim_is_logged_by_the_engine() {
     assert_eq!(
         (starts, clears),
         (1, 1),
-        "shim start/clear logged: {:?}",
+        "forced start/clear logged: {:?}",
         o.chaos.log
     );
 }

@@ -8,6 +8,7 @@
 //! TS-SDN reroutes around it using the surviving sites.
 
 use tssdn_core::{Orchestrator, OrchestratorConfig};
+use tssdn_fault::FaultKind;
 use tssdn_sim::{PlatformId, SimDuration, SimTime};
 use tssdn_telemetry::Layer;
 
@@ -15,6 +16,21 @@ fn world(seed: u64, n: usize) -> Orchestrator {
     let mut cfg = OrchestratorConfig::kenya(n, seed);
     cfg.fleet.spawn_radius_m = 220_000.0;
     Orchestrator::new(cfg)
+}
+
+/// Take site `gs` dark (power and backhaul) from now on.
+fn outage(o: &mut Orchestrator, gs: PlatformId) {
+    let now = o.now();
+    o.chaos.force_start(FaultKind::GsOutage { site: gs }, now);
+}
+
+/// End the outage at `gs`.
+fn restore(o: &mut Orchestrator, gs: PlatformId) {
+    let now = o.now();
+    o.chaos.force_clear(
+        now,
+        |k| matches!(k, FaultKind::GsOutage { site } if *site == gs),
+    );
 }
 
 /// Links touching `gs` must die within the fade tolerance of the
@@ -45,7 +61,7 @@ fn gs_outage_kills_only_its_links() {
             .established()
             .filter(|i| i.link.a.platform != gs0 && i.link.b.platform != gs0)
             .count();
-        o.set_gs_outage(gs0, true);
+        outage(&mut o, gs0);
         o.run_until(o.now() + SimDuration::from_mins(2));
         let touching_after = o
             .intents
@@ -77,7 +93,7 @@ fn controller_reroutes_around_a_dark_site() {
     let mut o = world(302, 12);
     o.run_until(SimTime::from_hours(11));
     let gs0 = PlatformId(12);
-    o.set_gs_outage(gs0, true);
+    outage(&mut o, gs0);
     // Give the controller time to react (detection, re-solve,
     // re-establishment through the surviving sites).
     o.run_until(o.now() + SimDuration::from_hours(1));
@@ -104,9 +120,9 @@ fn site_restoration_rejoins_the_mesh() {
     let mut o = world(303, 10);
     o.run_until(SimTime::from_hours(10));
     let gs0 = PlatformId(10);
-    o.set_gs_outage(gs0, true);
+    outage(&mut o, gs0);
     o.run_until(o.now() + SimDuration::from_mins(30));
-    o.set_gs_outage(gs0, false);
+    restore(&mut o, gs0);
     o.run_until(o.now() + SimDuration::from_hours(2));
     let touching = o
         .intents
@@ -129,7 +145,7 @@ fn total_gateway_blackout_and_recovery() {
     let mut o = world(304, 8);
     o.run_until(SimTime::from_hours(11));
     for g in 8..11u32 {
-        o.set_gs_outage(PlatformId(g), true);
+        outage(&mut o, PlatformId(g));
     }
     o.run_until(o.now() + SimDuration::from_mins(20));
     for b in 0..8u32 {
@@ -145,7 +161,7 @@ fn total_gateway_blackout_and_recovery() {
     }
     // Power restored: the day's mesh rebuilds.
     for g in 8..11u32 {
-        o.set_gs_outage(PlatformId(g), false);
+        restore(&mut o, PlatformId(g));
     }
     let before = o.availability.overall(Layer::DataPlane);
     o.run_until(o.now() + SimDuration::from_hours(2));

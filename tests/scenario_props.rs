@@ -272,6 +272,117 @@ fn unknown_enum_tags_are_rejected() {
 }
 
 // ---------------------------------------------------------------- //
+// Hostile input: the decoder never panics                          //
+// ---------------------------------------------------------------- //
+
+/// Decode `text`. Nothing may panic; a spec that does come out must
+/// have been validated and must re-encode to text that decodes to
+/// itself.
+fn survives(text: &str) -> TestCaseResult {
+    if let Ok(spec) = ScenarioSpec::from_json(text) {
+        prop_assert!(spec.validate().is_ok(), "decoded but invalid: {:?}", spec);
+        prop_assert_eq!(ScenarioSpec::from_json(&spec.to_json()), Ok(spec));
+    }
+    Ok(())
+}
+
+/// Two valid documents to damage: a seeded-fault spec and one with a
+/// directed window of every integer-carrying kind.
+fn victims() -> [String; 2] {
+    let mut directed = tssdn_scenario::chaos_soak_spec("victim", 7);
+    directed.faults = FaultsSpec::Directed(
+        (0..7u8)
+            .map(|k| window_from_parts(10, (30, Some(9), k, 3, 4), (0.5, 1.5, 0.25)))
+            .collect(),
+    );
+    assert!(directed.validate().is_ok());
+    [baseline_json(), directed.to_json()]
+}
+
+/// Byte ranges of the number tokens of `text` (a valid document, so
+/// every digit run outside a string is one).
+fn number_tokens(text: &str) -> Vec<std::ops::Range<usize>> {
+    let bytes = text.as_bytes();
+    let (mut out, mut i, mut in_string) = (Vec::new(), 0, false);
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\\' if in_string => i += 1,
+            b'"' => in_string = !in_string,
+            b'-' | b'0'..=b'9' if !in_string => {
+                let start = i;
+                while i < bytes.len()
+                    && matches!(bytes[i], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
+                {
+                    i += 1;
+                }
+                out.push(start..i);
+                continue;
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    out
+}
+
+/// The alphabet of JSON structure, so that random text gets past the
+/// first byte of the parser.
+const JSONISH: &[u8] = b"{}[]\",:\\u-+.eE0123456789 \ntruefalsn\xf0\x9f";
+
+proptest! {
+    #[test]
+    fn arbitrary_bytes_never_panic_the_decoder(
+        raw in prop::collection::vec(0u8..=255, 0..200),
+        jsonish in prop::collection::vec(0usize..JSONISH.len(), 0..200),
+    ) {
+        survives(&String::from_utf8_lossy(&raw))?;
+        let jsonish: Vec<u8> = jsonish.into_iter().map(|i| JSONISH[i]).collect();
+        survives(&String::from_utf8_lossy(&jsonish))?;
+    }
+
+    #[test]
+    fn damaged_specs_never_panic_the_decoder(
+        which in 0usize..2,
+        at in 0usize..100_000,
+        byte in 0u8..=255,
+        hostile in 0usize..4,
+    ) {
+        let good = &victims()[which];
+        survives(good)?;
+        let at_byte = at % good.len();
+
+        let mut flipped = good.clone().into_bytes();
+        flipped[at_byte] = byte;
+        survives(&String::from_utf8_lossy(&flipped))?;
+
+        survives(&String::from_utf8_lossy(&good.as_bytes()[..at_byte]))?;
+
+        let numbers = number_tokens(good);
+        let token = numbers[at % numbers.len()].clone();
+        // 2^32 + 5: a field too narrow for it must refuse it, not
+        // keep the 5.
+        const WIDE: &str = "4294967301";
+        let hostile = ["1e400", "-0", "1234567890123456789012345678901234567890", WIDE][hostile];
+        let swapped = format!("{}{hostile}{}", &good[..token.start], &good[token.end..]);
+        survives(&swapped)?;
+        if hostile == WIDE {
+            if let Ok(spec) = ScenarioSpec::from_json(&swapped) {
+                prop_assert!(spec.to_json().contains(WIDE), "truncated: {}", swapped);
+            }
+        }
+    }
+}
+
+/// Nesting far deeper than any spec is refused, not recursed into.
+#[test]
+fn absurd_nesting_is_an_error_not_a_stack_overflow() {
+    for open in ["[", "{\"a\":"] {
+        let deep = open.repeat(200_000);
+        assert!(ScenarioSpec::from_json(&deep).is_err());
+    }
+}
+
+// ---------------------------------------------------------------- //
 // Build + run determinism: scorecard JSON verbatim                 //
 // ---------------------------------------------------------------- //
 
