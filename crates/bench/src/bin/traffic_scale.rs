@@ -8,8 +8,6 @@
 //! 1000-flows/site hierarchical tier. Before timing anything it
 //! asserts the gates:
 //!
-//! * worker identity — `workers = 1` and auto produce bit-identical
-//!   allocations at every size (same contract as `planning_hot_path`);
 //! * rerun identity — a reused allocator (recycled scratch buffers)
 //!   reproduces its own first answer byte-for-byte;
 //! * lossless-collapse identity — on the flat ladder, the
@@ -191,19 +189,13 @@ fn run_mesh_flat(n: usize, iters: usize) -> MeshResult {
     );
 
     // ---- identity gates first: never time a divergent allocator ----
-    let mut serial = FairShareAllocator::new(1);
-    serial.set_flows(mesh.specs.clone(), mesh.n_links);
-    let base = serial.allocate(&mesh.demands, &mesh.capacities);
-    let mut auto = FairShareAllocator::new(0);
-    auto.set_flows(mesh.specs.clone(), mesh.n_links);
-    assert!(
-        auto.allocate(&mesh.demands, &mesh.capacities) == base,
-        "{n}-balloon mesh: auto-worker allocation diverged from serial"
-    );
+    let mut reused = FairShareAllocator::new();
+    reused.set_flows(mesh.specs.clone(), mesh.n_links);
+    let base = reused.allocate(&mesh.demands, &mesh.capacities);
     // Rerun identity: the reused allocator (recycled scratch) must
     // reproduce its own answer bit-for-bit.
     assert!(
-        auto.allocate(&mesh.demands, &mesh.capacities) == base,
+        reused.allocate(&mesh.demands, &mesh.capacities) == base,
         "{n}-balloon mesh: re-allocation on reused scratch diverged"
     );
     // Lossless-collapse identity: singleton aggregates make the
@@ -223,7 +215,7 @@ fn run_mesh_flat(n: usize, iters: usize) -> MeshResult {
             }],
         })
         .collect();
-    let mut hier = HierarchicalAllocator::new(0);
+    let mut hier = HierarchicalAllocator::new();
     hier.set_aggregates(singleton_groups, mesh.n_links, mesh.specs.len());
     assert!(
         hier.allocate(&mesh.demands, &mesh.capacities) == base,
@@ -243,12 +235,12 @@ fn run_mesh_flat(n: usize, iters: usize) -> MeshResult {
     // ---- timings ----
     // Cold: topology changed (replan) — rebuild incidence + allocate.
     let cold = time_ns(iters, || {
-        let mut a = FairShareAllocator::new(0);
+        let mut a = FairShareAllocator::new();
         a.set_flows(mesh.specs.clone(), mesh.n_links);
         a.allocate(&mesh.demands, &mesh.capacities)
     });
     // Warm: capacity-only tick (weather fade) — cached incidence.
-    let warm = time_ns(iters, || auto.allocate(&mesh.demands, &mesh.capacities));
+    let warm = time_ns(iters, || reused.allocate(&mesh.demands, &mesh.capacities));
     assert!(
         warm.1 <= cold.1 * WARM_COLD_SLACK,
         "{n}-balloon mesh: warm p95 {:.2}ms exceeds cold p95 {:.2}ms × {WARM_COLD_SLACK}",
@@ -281,17 +273,11 @@ fn run_mesh_hierarchical(iters: usize) -> MeshResult {
     let n_aggs = mesh.groups.len();
 
     // ---- identity gates first ----
-    let mut serial = HierarchicalAllocator::new(1);
-    serial.set_aggregates(mesh.groups.clone(), mesh.n_links, n_flows);
-    let base = serial.allocate(&mesh.demands, &mesh.capacities);
-    let mut auto = HierarchicalAllocator::new(0);
-    auto.set_aggregates(mesh.groups.clone(), mesh.n_links, n_flows);
+    let mut reused = HierarchicalAllocator::new();
+    reused.set_aggregates(mesh.groups.clone(), mesh.n_links, n_flows);
+    let base = reused.allocate(&mesh.demands, &mesh.capacities);
     assert!(
-        auto.allocate(&mesh.demands, &mesh.capacities) == base,
-        "million-flow tier: auto-worker allocation diverged from serial"
-    );
-    assert!(
-        auto.allocate(&mesh.demands, &mesh.capacities) == base,
+        reused.allocate(&mesh.demands, &mesh.capacities) == base,
         "million-flow tier: re-allocation on reused scratch diverged"
     );
 
@@ -306,12 +292,12 @@ fn run_mesh_hierarchical(iters: usize) -> MeshResult {
     // ---- timings ----
     // Cold: topology changed — rebuild the aggregate tree + allocate.
     let cold = time_ns(iters, || {
-        let mut a = HierarchicalAllocator::new(0);
+        let mut a = HierarchicalAllocator::new();
         a.set_aggregates(mesh.groups.clone(), mesh.n_links, n_flows);
         a.allocate(&mesh.demands, &mesh.capacities)
     });
     // Warm: capacity-only tick — cached tree, recycled scratch.
-    let warm = time_ns(iters, || auto.allocate(&mesh.demands, &mesh.capacities));
+    let warm = time_ns(iters, || reused.allocate(&mesh.demands, &mesh.capacities));
     assert!(
         cold.0 <= MILLION_FLOW_BUDGET_NS,
         "million-flow cold p50 {:.2}ms blows the {:.0}ms tick budget",

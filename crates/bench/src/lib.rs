@@ -6,9 +6,8 @@
 //! for the experiment index and EXPERIMENTS.md for paper-vs-measured
 //! results.
 
-use tssdn_core::{Orchestrator, OrchestratorConfig};
-use tssdn_sim::SimTime;
-use tssdn_telemetry::{percentile, Summary};
+use tssdn_core::OrchestratorConfig;
+use tssdn_telemetry::percentile;
 
 // The wet-season weather truth lives with the scenario builder now;
 // re-exported so existing figure binaries keep compiling unchanged.
@@ -51,18 +50,6 @@ pub fn standard_config(n: usize, num_days: u64, seed: u64) -> OrchestratorConfig
     cfg
 }
 
-/// Run an orchestrator to `days` simulated days, printing progress.
-pub fn run_days(o: &mut Orchestrator, num_days: u64) {
-    for d in 1..=num_days {
-        o.run_until(SimTime::from_days(d));
-        eprintln!(
-            "  [day {d}/{num_days}] intents={} links_up={}",
-            o.intents.all().count(),
-            o.intents.established().count()
-        );
-    }
-}
-
 /// Print a CDF as `value fraction` rows for a fixed quantile ladder.
 pub fn print_cdf(label: &str, xs: &[f64]) {
     println!("# CDF: {label} (n={})", xs.len());
@@ -73,14 +60,6 @@ pub fn print_cdf(label: &str, xs: &[f64]) {
     for p in [1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0] {
         let v = percentile(xs, p).expect("non-empty");
         println!("  p{p:<4} {v:>10.2}");
-    }
-}
-
-/// Print a summary line.
-pub fn print_summary(label: &str, xs: &[f64]) {
-    match Summary::of(xs) {
-        Some(s) => println!("{label}: {s}"),
-        None => println!("{label}: (no samples)"),
     }
 }
 

@@ -150,11 +150,6 @@ impl SatcomGateway {
         }
     }
 
-    /// Number of configured providers.
-    pub fn num_providers(&self) -> usize {
-        self.providers.len()
-    }
-
     /// Provider config (for TTE estimation by the frontend).
     pub fn provider(&self, i: u8) -> &SatcomConfig {
         &self.providers[i as usize]

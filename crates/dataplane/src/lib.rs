@@ -24,5 +24,5 @@ pub mod tunnel;
 pub use addressing::{NodePrefix, PrefixAllocator};
 pub use buffer::{BufferedChunk, DrainedChunk, StoreForwardBuffer};
 pub use provision::{BackhaulRequest, DrainMode, DrainRegistry, DrainState};
-pub use routing::{RouteEntry, RouteTable, RoutingFabric};
+pub use routing::{Plane, RouteEntry, RouteTable, RoutingFabric};
 pub use tunnel::{TunnelId, TunnelRegistry};

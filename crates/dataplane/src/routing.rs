@@ -25,93 +25,89 @@ pub struct RouteEntry {
     pub next_hop: PlatformId,
 }
 
-/// A single node's forwarding table: the primary source-destination
-/// entries plus a separate alternate-path plane for multipath flows
-/// (kept apart so primary reprogramming/cleanup never collides with
-/// the redundant route).
+/// One of a node's two forwarding planes. The alternate plane holds
+/// the redundant route of a multipath flow, kept apart so primary
+/// reprogramming and cleanup never collide with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Plane {
+    /// The flow's assigned path.
+    Primary,
+    /// The edge-disjoint alternate, when the flow has one.
+    Alt,
+}
+
+impl Plane {
+    /// Both planes, primary first.
+    pub const ALL: [Plane; 2] = [Plane::Primary, Plane::Alt];
+}
+
+/// A single node's forwarding table: per [`Plane`], the
+/// source-destination entries and the version of the last route
+/// program applied to that plane. The watermarks are separate because
+/// commands for the two planes may arrive in either order: an
+/// alternate install must never make a later-arriving primary install
+/// look stale, or vice versa.
 #[derive(Debug, Clone, Default)]
 pub struct RouteTable {
-    entries: BTreeMap<(NodePrefix, NodePrefix), PlatformId>,
-    alt_entries: BTreeMap<(NodePrefix, NodePrefix), PlatformId>,
-    /// Version of the last applied primary route program.
-    pub version: u64,
-    /// Version of the last applied alternate-plane program. Tracked
-    /// separately from `version`: primary and alternate programs for
-    /// the same flow are distinct control-plane intents whose commands
-    /// may arrive in either order, so an alternate install must never
-    /// make a later-arriving primary install look stale (or vice
-    /// versa).
-    pub alt_version: u64,
+    entries: [BTreeMap<(NodePrefix, NodePrefix), PlatformId>; 2],
+    versions: [u64; 2],
 }
 
 impl RouteTable {
-    /// Install or replace a primary entry.
-    pub fn install(&mut self, e: RouteEntry) {
-        self.entries.insert((e.src, e.dst), e.next_hop);
+    /// Install or replace an entry on `plane`.
+    pub fn install(&mut self, plane: Plane, e: RouteEntry) {
+        self.entries[plane as usize].insert((e.src, e.dst), e.next_hop);
     }
 
-    /// Install or replace an alternate-path entry.
-    pub fn install_alt(&mut self, e: RouteEntry) {
-        self.alt_entries.insert((e.src, e.dst), e.next_hop);
+    /// Remove a flow's entry from `plane`, if present.
+    pub fn remove(&mut self, plane: Plane, src: NodePrefix, dst: NodePrefix) {
+        self.entries[plane as usize].remove(&(src, dst));
     }
 
-    /// Remove the primary entry for a flow, if present.
-    pub fn remove(&mut self, src: NodePrefix, dst: NodePrefix) {
-        self.entries.remove(&(src, dst));
+    /// Exact source-destination lookup on `plane` — no fallback.
+    pub fn lookup(&self, plane: Plane, src: NodePrefix, dst: NodePrefix) -> Option<PlatformId> {
+        self.entries[plane as usize].get(&(src, dst)).copied()
     }
 
-    /// Remove the alternate-path entry for a flow, if present.
-    pub fn remove_alt(&mut self, src: NodePrefix, dst: NodePrefix) {
-        self.alt_entries.remove(&(src, dst));
+    /// Version of the last route program applied to `plane`.
+    pub fn version(&self, plane: Plane) -> u64 {
+        self.versions[plane as usize]
     }
 
-    /// Exact source-destination lookup — no fallback.
-    pub fn lookup(&self, src: NodePrefix, dst: NodePrefix) -> Option<PlatformId> {
-        self.entries.get(&(src, dst)).copied()
-    }
-
-    /// Exact lookup in the alternate plane — no fallback.
-    pub fn lookup_alt(&self, src: NodePrefix, dst: NodePrefix) -> Option<PlatformId> {
-        self.alt_entries.get(&(src, dst)).copied()
+    /// Stamp `plane` with the version of the program just applied.
+    pub fn set_version(&mut self, plane: Plane, version: u64) {
+        self.versions[plane as usize] = version;
     }
 
     /// Number of installed primary entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries[Plane::Primary as usize].len()
     }
 
     /// Number of installed alternate-path entries.
     pub fn alt_len(&self) -> usize {
-        self.alt_entries.len()
+        self.entries[Plane::Alt as usize].len()
     }
 
     /// True when the table is empty (both planes).
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.alt_entries.is_empty()
+        self.entries.iter().all(BTreeMap::is_empty)
     }
 
     /// Drop every entry in both planes (node reset / power cycle).
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.alt_entries.clear();
+        self.entries.iter_mut().for_each(BTreeMap::clear);
     }
 
-    /// Iterate primary entries.
-    pub fn entries(&self) -> impl Iterator<Item = RouteEntry> + '_ {
-        self.entries.iter().map(|((src, dst), nh)| RouteEntry {
-            src: *src,
-            dst: *dst,
-            next_hop: *nh,
-        })
-    }
-
-    /// Iterate alternate-path entries.
-    pub fn entries_alt(&self) -> impl Iterator<Item = RouteEntry> + '_ {
-        self.alt_entries.iter().map(|((src, dst), nh)| RouteEntry {
-            src: *src,
-            dst: *dst,
-            next_hop: *nh,
-        })
+    /// Iterate the entries of `plane`.
+    pub fn entries(&self, plane: Plane) -> impl Iterator<Item = RouteEntry> + '_ {
+        self.entries[plane as usize]
+            .iter()
+            .map(|((src, dst), nh)| RouteEntry {
+                src: *src,
+                dst: *dst,
+                next_hop: *nh,
+            })
     }
 }
 
@@ -138,11 +134,12 @@ impl RoutingFabric {
     }
 
     /// Program a bidirectional flow along `path` (node sequence from
-    /// the flow's source node to its destination node). Each hop gets
-    /// a forward entry; each reverse hop a reverse entry. `version`
-    /// stamps every touched table.
+    /// the flow's source node to its destination node) on `plane`.
+    /// Each hop gets a forward entry; each reverse hop a reverse
+    /// entry. `version` stamps that plane of every touched table.
     pub fn program_path(
         &mut self,
+        plane: Plane,
         src: NodePrefix,
         dst: NodePrefix,
         path: &[PlatformId],
@@ -150,118 +147,63 @@ impl RoutingFabric {
     ) {
         assert!(path.len() >= 2, "a path needs at least two nodes");
         for w in path.windows(2) {
-            let t = self.table_mut(w[0]);
-            t.install(RouteEntry {
+            let forward = RouteEntry {
                 src,
                 dst,
                 next_hop: w[1],
-            });
-            t.version = version;
-            let t = self.table_mut(w[1]);
-            t.install(RouteEntry {
+            };
+            let reverse = RouteEntry {
                 src: dst,
                 dst: src,
                 next_hop: w[0],
-            });
-            t.version = version;
-        }
-    }
-
-    /// Program a bidirectional flow's *alternate* path: same entry
-    /// shape as [`Self::program_path`], written into the separate
-    /// alternate plane.
-    pub fn program_path_alt(
-        &mut self,
-        src: NodePrefix,
-        dst: NodePrefix,
-        path: &[PlatformId],
-        version: u64,
-    ) {
-        assert!(path.len() >= 2, "a path needs at least two nodes");
-        for w in path.windows(2) {
-            let t = self.table_mut(w[0]);
-            t.install_alt(RouteEntry {
-                src,
-                dst,
-                next_hop: w[1],
-            });
-            t.alt_version = version;
-            let t = self.table_mut(w[1]);
-            t.install_alt(RouteEntry {
-                src: dst,
-                dst: src,
-                next_hop: w[0],
-            });
-            t.alt_version = version;
+            };
+            for (node, entry) in [(w[0], forward), (w[1], reverse)] {
+                let t = self.table_mut(node);
+                t.install(plane, entry);
+                t.set_version(plane, version);
+            }
         }
     }
 
     /// Remove a flow's entries everywhere (both planes).
     pub fn withdraw_flow(&mut self, src: NodePrefix, dst: NodePrefix) {
-        for t in self.tables.values_mut() {
-            t.remove(src, dst);
-            t.remove(dst, src);
-            t.remove_alt(src, dst);
-            t.remove_alt(dst, src);
+        for plane in Plane::ALL {
+            self.withdraw_flow_on(plane, src, dst);
         }
     }
 
-    /// Remove a flow's *alternate-plane* entries everywhere, leaving
-    /// the primary plane untouched. This is the withdrawal pass for
-    /// redundancy loss: the plan kept the flow but dropped its
-    /// alternate, so only the alt plane must be torn down — otherwise
-    /// `lookup_alt` keeps forwarding onto links the planner no longer
+    /// Remove a flow's entries everywhere on one plane, leaving the
+    /// other untouched. On [`Plane::Alt`] this is the withdrawal pass
+    /// for redundancy loss: the plan kept the flow but dropped its
+    /// alternate, so only the alternate plane must be torn down —
+    /// otherwise it keeps forwarding onto links the planner no longer
     /// believes in.
-    pub fn withdraw_flow_alt(&mut self, src: NodePrefix, dst: NodePrefix) {
+    pub fn withdraw_flow_on(&mut self, plane: Plane, src: NodePrefix, dst: NodePrefix) {
         for t in self.tables.values_mut() {
-            t.remove_alt(src, dst);
-            t.remove_alt(dst, src);
+            t.remove(plane, src, dst);
+            t.remove(plane, dst, src);
         }
     }
 
     /// Drop all state on one node (power loss).
     pub fn reset_node(&mut self, node: PlatformId) {
         if let Some(t) = self.tables.get_mut(&node) {
-            t.clear();
-            t.version = 0;
-            t.alt_version = 0;
+            *t = RouteTable::default();
         }
     }
 
-    /// Walk the programmed path for a flow starting at `from`; returns
-    /// the node sequence if it reaches the node owning `dst_owner`
-    /// without loops, checking each hop against `link_up(a, b)`.
+    /// Walk the path programmed on `plane` for a flow starting at
+    /// `from`; returns the node sequence if it reaches the node owning
+    /// `dst_owner` without loops, checking each hop against
+    /// `link_up(a, b)`.
     pub fn trace_flow(
         &self,
-        src: NodePrefix,
-        dst: NodePrefix,
-        from: PlatformId,
-        dst_owner: PlatformId,
-        link_up: impl FnMut(PlatformId, PlatformId) -> bool,
-    ) -> Option<Vec<PlatformId>> {
-        self.trace_plane(src, dst, from, dst_owner, link_up, false)
-    }
-
-    /// [`Self::trace_flow`] over the alternate-path plane.
-    pub fn trace_flow_alt(
-        &self,
-        src: NodePrefix,
-        dst: NodePrefix,
-        from: PlatformId,
-        dst_owner: PlatformId,
-        link_up: impl FnMut(PlatformId, PlatformId) -> bool,
-    ) -> Option<Vec<PlatformId>> {
-        self.trace_plane(src, dst, from, dst_owner, link_up, true)
-    }
-
-    fn trace_plane(
-        &self,
+        plane: Plane,
         src: NodePrefix,
         dst: NodePrefix,
         from: PlatformId,
         dst_owner: PlatformId,
         mut link_up: impl FnMut(PlatformId, PlatformId) -> bool,
-        alt: bool,
     ) -> Option<Vec<PlatformId>> {
         let mut at = from;
         let mut path = vec![at];
@@ -271,12 +213,7 @@ impl RoutingFabric {
             if hops > self.tables.len() + 2 {
                 return None; // loop guard
             }
-            let t = self.tables.get(&at)?;
-            let nh = if alt {
-                t.lookup_alt(src, dst)
-            } else {
-                t.lookup(src, dst)
-            }?;
+            let nh = self.tables.get(&at)?.lookup(plane, src, dst)?;
             if !link_up(at, nh) {
                 return None;
             }
@@ -294,7 +231,7 @@ impl RoutingFabric {
         self.tables
             .iter()
             .filter(|(n, _)| **n != node)
-            .flat_map(|(_, t)| t.entries().chain(t.entries_alt()))
+            .flat_map(|(_, t)| Plane::ALL.into_iter().flat_map(|p| t.entries(p)))
             .filter(|e| e.next_hop == node)
             .count()
     }
@@ -302,6 +239,7 @@ impl RoutingFabric {
 
 #[cfg(test)]
 mod tests {
+    use super::Plane::{Alt, Primary};
     use super::*;
     use crate::addressing::PrefixAllocator;
 
@@ -319,11 +257,19 @@ mod tests {
         let b0 = a.prefix_for(pid(0));
         let ec = a.prefix_for(pid(9));
         let other = a.prefix_for(pid(1));
-        f.program_path(b0, ec, &[pid(0), pid(5), pid(9)], 1);
+        f.program_path(Primary, b0, ec, &[pid(0), pid(5), pid(9)], 1);
         let t = f.table(pid(5)).expect("programmed");
-        assert_eq!(t.lookup(b0, ec), Some(pid(9)));
-        assert_eq!(t.lookup(other, ec), None, "different source: no route");
-        assert_eq!(t.lookup(ec, b0), Some(pid(0)), "reverse programmed");
+        assert_eq!(t.lookup(Primary, b0, ec), Some(pid(9)));
+        assert_eq!(
+            t.lookup(Primary, other, ec),
+            None,
+            "different source: no route"
+        );
+        assert_eq!(
+            t.lookup(Primary, ec, b0),
+            Some(pid(0)),
+            "reverse programmed"
+        );
     }
 
     #[test]
@@ -331,10 +277,10 @@ mod tests {
         let (mut a, mut f) = setup();
         let b0 = a.prefix_for(pid(0));
         let ec = a.prefix_for(pid(9));
-        f.program_path(b0, ec, &[pid(0), pid(5), pid(6), pid(9)], 1);
-        let path = f.trace_flow(b0, ec, pid(0), pid(9), |_, _| true);
+        f.program_path(Primary, b0, ec, &[pid(0), pid(5), pid(6), pid(9)], 1);
+        let path = f.trace_flow(Primary, b0, ec, pid(0), pid(9), |_, _| true);
         assert_eq!(path, Some(vec![pid(0), pid(5), pid(6), pid(9)]));
-        let rev = f.trace_flow(ec, b0, pid(9), pid(0), |_, _| true);
+        let rev = f.trace_flow(Primary, ec, b0, pid(9), pid(0), |_, _| true);
         assert_eq!(rev, Some(vec![pid(9), pid(6), pid(5), pid(0)]));
     }
 
@@ -343,8 +289,10 @@ mod tests {
         let (mut a, mut f) = setup();
         let b0 = a.prefix_for(pid(0));
         let ec = a.prefix_for(pid(9));
-        f.program_path(b0, ec, &[pid(0), pid(5), pid(9)], 1);
-        let path = f.trace_flow(b0, ec, pid(0), pid(9), |x, y| !(x == pid(5) && y == pid(9)));
+        f.program_path(Primary, b0, ec, &[pid(0), pid(5), pid(9)], 1);
+        let path = f.trace_flow(Primary, b0, ec, pid(0), pid(9), |x, y| {
+            !(x == pid(5) && y == pid(9))
+        });
         assert_eq!(path, None);
     }
 
@@ -353,9 +301,11 @@ mod tests {
         let (mut a, mut f) = setup();
         let b0 = a.prefix_for(pid(0));
         let ec = a.prefix_for(pid(9));
-        f.program_path(b0, ec, &[pid(0), pid(5), pid(9)], 1);
+        f.program_path(Primary, b0, ec, &[pid(0), pid(5), pid(9)], 1);
         f.withdraw_flow(b0, ec);
-        assert!(f.trace_flow(b0, ec, pid(0), pid(9), |_, _| true).is_none());
+        assert!(f
+            .trace_flow(Primary, b0, ec, pid(0), pid(9), |_, _| true)
+            .is_none());
         assert_eq!(f.table(pid(5)).expect("exists").len(), 0);
     }
 
@@ -364,16 +314,18 @@ mod tests {
         let (mut a, mut f) = setup();
         let b0 = a.prefix_for(pid(0));
         let ec = a.prefix_for(pid(9));
-        f.program_path(b0, ec, &[pid(0), pid(5), pid(9)], 3);
+        f.program_path(Primary, b0, ec, &[pid(0), pid(5), pid(9)], 3);
         f.reset_node(pid(5));
-        assert!(f.trace_flow(b0, ec, pid(0), pid(9), |_, _| true).is_none());
+        assert!(f
+            .trace_flow(Primary, b0, ec, pid(0), pid(9), |_, _| true)
+            .is_none());
         assert_eq!(
-            f.table(pid(5)).expect("exists").version,
+            f.table(pid(5)).expect("exists").version(Primary),
             0,
             "version reset too"
         );
         assert_eq!(
-            f.table(pid(0)).expect("exists").version,
+            f.table(pid(0)).expect("exists").version(Primary),
             3,
             "others keep state"
         );
@@ -385,8 +337,8 @@ mod tests {
         let b0 = a.prefix_for(pid(0));
         let b1 = a.prefix_for(pid(1));
         let ec = a.prefix_for(pid(9));
-        f.program_path(b0, ec, &[pid(0), pid(5), pid(9)], 1);
-        f.program_path(b1, ec, &[pid(1), pid(5), pid(9)], 1);
+        f.program_path(Primary, b0, ec, &[pid(0), pid(5), pid(9)], 1);
+        f.program_path(Primary, b1, ec, &[pid(1), pid(5), pid(9)], 1);
         // Entries pointing *to* node 5: 0→5 and 1→5 (forward) plus
         // 9→5 reverse ×2 flows = 4.
         assert_eq!(f.routes_via(pid(5)), 4);
@@ -399,20 +351,22 @@ mod tests {
         let (mut a, mut f) = setup();
         let b0 = a.prefix_for(pid(0));
         let ec = a.prefix_for(pid(9));
-        f.program_path(b0, ec, &[pid(0), pid(5), pid(9)], 1);
-        f.program_path_alt(b0, ec, &[pid(0), pid(6), pid(9)], 1);
+        f.program_path(Primary, b0, ec, &[pid(0), pid(5), pid(9)], 1);
+        f.program_path(Alt, b0, ec, &[pid(0), pid(6), pid(9)], 1);
         // Both planes trace, along different paths.
-        let p = f.trace_flow(b0, ec, pid(0), pid(9), |_, _| true);
-        let alt = f.trace_flow_alt(b0, ec, pid(0), pid(9), |_, _| true);
+        let p = f.trace_flow(Primary, b0, ec, pid(0), pid(9), |_, _| true);
+        let alt = f.trace_flow(Alt, b0, ec, pid(0), pid(9), |_, _| true);
         assert_eq!(p, Some(vec![pid(0), pid(5), pid(9)]));
         assert_eq!(alt, Some(vec![pid(0), pid(6), pid(9)]));
-        let rev = f.trace_flow_alt(ec, b0, pid(9), pid(0), |_, _| true);
+        let rev = f.trace_flow(Alt, ec, b0, pid(9), pid(0), |_, _| true);
         assert_eq!(rev, Some(vec![pid(9), pid(6), pid(0)]));
         // Removing the primary leaves the alternate (and vice versa).
-        f.table_mut(pid(0)).remove(b0, ec);
-        assert!(f.trace_flow(b0, ec, pid(0), pid(9), |_, _| true).is_none());
+        f.table_mut(pid(0)).remove(Primary, b0, ec);
         assert!(f
-            .trace_flow_alt(b0, ec, pid(0), pid(9), |_, _| true)
+            .trace_flow(Primary, b0, ec, pid(0), pid(9), |_, _| true)
+            .is_none());
+        assert!(f
+            .trace_flow(Alt, b0, ec, pid(0), pid(9), |_, _| true)
             .is_some());
         assert_eq!(f.table(pid(0)).expect("exists").alt_len(), 1);
     }
@@ -422,12 +376,16 @@ mod tests {
         let (mut a, mut f) = setup();
         let b0 = a.prefix_for(pid(0));
         let ec = a.prefix_for(pid(9));
-        f.program_path(b0, ec, &[pid(0), pid(5), pid(9)], 1);
-        f.program_path_alt(b0, ec, &[pid(0), pid(6), pid(9)], 1);
+        f.program_path(Primary, b0, ec, &[pid(0), pid(5), pid(9)], 1);
+        f.program_path(Alt, b0, ec, &[pid(0), pid(6), pid(9)], 1);
         // Alt trace fails over a down alt link; primary is unaffected.
-        let alt = f.trace_flow_alt(b0, ec, pid(0), pid(9), |x, y| !(x == pid(6) && y == pid(9)));
+        let alt = f.trace_flow(Alt, b0, ec, pid(0), pid(9), |x, y| {
+            !(x == pid(6) && y == pid(9))
+        });
         assert_eq!(alt, None);
-        assert!(f.trace_flow(b0, ec, pid(0), pid(9), |_, _| true).is_some());
+        assert!(f
+            .trace_flow(Primary, b0, ec, pid(0), pid(9), |_, _| true)
+            .is_some());
         // Withdrawal clears both planes; transit counts include alt.
         assert_eq!(
             f.routes_via(pid(6)),
@@ -436,10 +394,57 @@ mod tests {
         );
         f.withdraw_flow(b0, ec);
         assert!(f
-            .trace_flow_alt(b0, ec, pid(0), pid(9), |_, _| true)
+            .trace_flow(Alt, b0, ec, pid(0), pid(9), |_, _| true)
             .is_none());
         assert_eq!(f.routes_via(pid(6)), 0);
         assert!(f.table(pid(6)).expect("exists").is_empty());
+    }
+
+    #[test]
+    fn planes_do_not_alias() {
+        // Whatever is done to one plane — install, remove, version
+        // stamp, fleet-wide withdrawal — the other plane's entries and
+        // watermark stay exactly as they were.
+        let (mut a, mut f) = setup();
+        let b0 = a.prefix_for(pid(0));
+        let ec = a.prefix_for(pid(9));
+        for (plane, other) in [(Primary, Alt), (Alt, Primary)] {
+            f.program_path(other, b0, ec, &[pid(0), pid(6), pid(9)], 7);
+            let snapshot = |f: &RoutingFabric| {
+                let t = f.table(pid(0)).expect("exists");
+                (t.entries(other).collect::<Vec<_>>(), t.version(other))
+            };
+            let before = snapshot(&f);
+            assert_eq!(before.0.len(), 1);
+
+            let e = RouteEntry {
+                src: b0,
+                dst: ec,
+                next_hop: pid(5),
+            };
+            f.table_mut(pid(0)).install(plane, e);
+            assert_eq!(
+                f.table(pid(0)).expect("exists").lookup(plane, b0, ec),
+                Some(pid(5))
+            );
+            assert_eq!(snapshot(&f), before, "install on {plane:?}");
+            f.table_mut(pid(0)).set_version(plane, 9);
+            assert_eq!(snapshot(&f), before, "version stamp on {plane:?}");
+            f.table_mut(pid(0)).remove(plane, b0, ec);
+            assert_eq!(f.table(pid(0)).expect("exists").lookup(plane, b0, ec), None);
+            assert_eq!(snapshot(&f), before, "remove on {plane:?}");
+            f.program_path(plane, b0, ec, &[pid(0), pid(5), pid(9)], 11);
+            f.withdraw_flow_on(plane, b0, ec);
+            assert!(f
+                .trace_flow(plane, b0, ec, pid(0), pid(9), |_, _| true)
+                .is_none());
+            assert_eq!(snapshot(&f), before, "withdrawal on {plane:?}");
+            assert_eq!(
+                f.trace_flow(other, b0, ec, pid(0), pid(9), |_, _| true),
+                Some(vec![pid(0), pid(6), pid(9)])
+            );
+            f.withdraw_flow(b0, ec);
+        }
     }
 
     #[test]
@@ -448,16 +453,25 @@ mod tests {
         let b0 = a.prefix_for(pid(0));
         let ec = a.prefix_for(pid(9));
         // Manually create a loop 0→5→0.
-        f.table_mut(pid(0)).install(RouteEntry {
-            src: b0,
-            dst: ec,
-            next_hop: pid(5),
-        });
-        f.table_mut(pid(5)).install(RouteEntry {
-            src: b0,
-            dst: ec,
-            next_hop: pid(0),
-        });
-        assert_eq!(f.trace_flow(b0, ec, pid(0), pid(9), |_, _| true), None);
+        f.table_mut(pid(0)).install(
+            Primary,
+            RouteEntry {
+                src: b0,
+                dst: ec,
+                next_hop: pid(5),
+            },
+        );
+        f.table_mut(pid(5)).install(
+            Primary,
+            RouteEntry {
+                src: b0,
+                dst: ec,
+                next_hop: pid(0),
+            },
+        );
+        assert_eq!(
+            f.trace_flow(Primary, b0, ec, pid(0), pid(9), |_, _| true),
+            None
+        );
     }
 }

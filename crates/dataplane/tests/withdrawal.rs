@@ -9,6 +9,7 @@
 //! tests pin that contract at the data-plane layer; the traffic
 //! engine's disruption accounting builds on it.
 
+use tssdn_dataplane::Plane::{Alt, Primary};
 use tssdn_dataplane::{PrefixAllocator, RoutingFabric, TunnelRegistry};
 use tssdn_sim::{PlatformId, SimTime};
 
@@ -39,10 +40,10 @@ fn withdrawal_while_assigned_stops_forwarding_not_silently_continues() {
     tunnels.establish(GS, EC, SimTime::ZERO);
 
     // Traffic is assigned: the flow traces end-to-end over the tunnel.
-    fabric.program_path(src, dst, &[B0, RELAY, GS, EC], 1);
+    fabric.program_path(Primary, src, dst, &[B0, RELAY, GS, EC], 1);
     let up = link_up(&tunnels);
     assert_eq!(
-        fabric.trace_flow(src, dst, B0, EC, &up),
+        fabric.trace_flow(Primary, src, dst, B0, EC, &up),
         Some(vec![B0, RELAY, GS, EC]),
         "flow carries traffic before withdrawal"
     );
@@ -52,13 +53,16 @@ fn withdrawal_while_assigned_stops_forwarding_not_silently_continues() {
     fabric.withdraw_flow(src, dst);
     assert!(tunnels.connected(GS, EC), "tunnel itself is still up");
     assert_eq!(
-        fabric.trace_flow(src, dst, B0, EC, &up),
+        fabric.trace_flow(Primary, src, dst, B0, EC, &up),
         None,
         "withdrawn flow must stop forwarding, tunnel or not"
     );
     // Both directions die together: the EC-side return path cannot
     // keep delivering into a half-torn flow either.
-    assert_eq!(fabric.trace_flow(dst, src, EC, B0, |_, _| true), None);
+    assert_eq!(
+        fabric.trace_flow(Primary, dst, src, EC, B0, |_, _| true),
+        None
+    );
 }
 
 #[test]
@@ -71,20 +75,26 @@ fn partial_withdrawal_breaks_the_trace_at_the_gap() {
     let src = prefixes.prefix_for(B0);
     let dst = prefixes.prefix_for(EC);
     let mut fabric = RoutingFabric::new();
-    fabric.program_path(src, dst, &[B0, RELAY, GS, EC], 1);
+    fabric.program_path(Primary, src, dst, &[B0, RELAY, GS, EC], 1);
 
     // Withdraw reached only the relay.
     let t = fabric.table_mut(RELAY);
-    t.remove(src, dst);
-    t.remove(dst, src);
+    t.remove(Primary, src, dst);
+    t.remove(Primary, dst, src);
 
     // Source still owns a (stale) entry toward the relay...
     assert_eq!(
-        fabric.table(B0).expect("programmed").lookup(src, dst),
+        fabric
+            .table(B0)
+            .expect("programmed")
+            .lookup(Primary, src, dst),
         Some(RELAY)
     );
     // ...but the end-to-end trace reports the disruption.
-    assert_eq!(fabric.trace_flow(src, dst, B0, EC, |_, _| true), None);
+    assert_eq!(
+        fabric.trace_flow(Primary, src, dst, B0, EC, |_, _| true),
+        None
+    );
 }
 
 #[test]
@@ -98,14 +108,14 @@ fn tunnel_teardown_disrupts_an_intact_route_program() {
     let mut fabric = RoutingFabric::new();
     let mut tunnels = TunnelRegistry::new();
     let tid = tunnels.establish(GS, EC, SimTime::ZERO);
-    fabric.program_path(src, dst, &[B0, GS, EC], 1);
+    fabric.program_path(Primary, src, dst, &[B0, GS, EC], 1);
 
     assert!(fabric
-        .trace_flow(src, dst, B0, EC, link_up(&tunnels))
+        .trace_flow(Primary, src, dst, B0, EC, link_up(&tunnels))
         .is_some());
     tunnels.set_down(tid);
     assert_eq!(
-        fabric.trace_flow(src, dst, B0, EC, link_up(&tunnels)),
+        fabric.trace_flow(Primary, src, dst, B0, EC, link_up(&tunnels)),
         None,
         "down tunnel must disrupt the flow despite intact routes"
     );
@@ -115,23 +125,23 @@ fn tunnel_teardown_disrupts_an_intact_route_program() {
 fn alt_plane_withdrawal_spares_the_primary() {
     // Regression: when a plan drops a flow's alternate (redundancy
     // loss) but keeps the flow, only the alt plane may be torn down.
-    // Before `withdraw_flow_alt` existed the orchestrator had no
-    // alt-only pass at all, so `lookup_alt` kept forwarding onto
-    // links the planner no longer believed in.
+    // Without a one-plane withdrawal the orchestrator had no alt-only
+    // pass at all, so the alt plane kept forwarding onto links the
+    // planner no longer believed in.
     let mut prefixes = PrefixAllocator::loon_default();
     let src = prefixes.prefix_for(B0);
     let dst = prefixes.prefix_for(EC);
     let alt_relay = PlatformId(6);
     let mut fabric = RoutingFabric::new();
-    fabric.program_path(src, dst, &[B0, RELAY, GS, EC], 1);
-    fabric.program_path_alt(src, dst, &[B0, alt_relay, GS, EC], 1);
+    fabric.program_path(Primary, src, dst, &[B0, RELAY, GS, EC], 1);
+    fabric.program_path(Alt, src, dst, &[B0, alt_relay, GS, EC], 1);
     assert_eq!(fabric.routes_via(alt_relay), 2, "alt transit in place");
 
-    fabric.withdraw_flow_alt(src, dst);
+    fabric.withdraw_flow_on(Alt, src, dst);
 
     // The alt plane is gone in both directions, fleet-wide.
-    assert_eq!(fabric.trace_flow_alt(src, dst, B0, EC, |_, _| true), None);
-    assert_eq!(fabric.trace_flow_alt(dst, src, EC, B0, |_, _| true), None);
+    assert_eq!(fabric.trace_flow(Alt, src, dst, B0, EC, |_, _| true), None);
+    assert_eq!(fabric.trace_flow(Alt, dst, src, EC, B0, |_, _| true), None);
     assert_eq!(
         fabric.routes_via(alt_relay),
         0,
@@ -139,10 +149,12 @@ fn alt_plane_withdrawal_spares_the_primary() {
     );
     // The primary still forwards untouched.
     assert_eq!(
-        fabric.trace_flow(src, dst, B0, EC, |_, _| true),
+        fabric.trace_flow(Primary, src, dst, B0, EC, |_, _| true),
         Some(vec![B0, RELAY, GS, EC])
     );
-    assert!(fabric.trace_flow(dst, src, EC, B0, |_, _| true).is_some());
+    assert!(fabric
+        .trace_flow(Primary, dst, src, EC, B0, |_, _| true)
+        .is_some());
 }
 
 #[test]
@@ -153,15 +165,21 @@ fn reprogram_after_withdrawal_restores_forwarding_on_the_new_path() {
     let src = prefixes.prefix_for(B0);
     let dst = prefixes.prefix_for(EC);
     let mut fabric = RoutingFabric::new();
-    fabric.program_path(src, dst, &[B0, RELAY, GS, EC], 1);
+    fabric.program_path(Primary, src, dst, &[B0, RELAY, GS, EC], 1);
     fabric.withdraw_flow(src, dst);
-    assert_eq!(fabric.trace_flow(src, dst, B0, EC, |_, _| true), None);
+    assert_eq!(
+        fabric.trace_flow(Primary, src, dst, B0, EC, |_, _| true),
+        None
+    );
 
     let relay2 = PlatformId(6);
-    fabric.program_path(src, dst, &[B0, relay2, GS, EC], 2);
+    fabric.program_path(Primary, src, dst, &[B0, relay2, GS, EC], 2);
     assert_eq!(
-        fabric.trace_flow(src, dst, B0, EC, |_, _| true),
+        fabric.trace_flow(Primary, src, dst, B0, EC, |_, _| true),
         Some(vec![B0, relay2, GS, EC])
     );
-    assert_eq!(fabric.table(relay2).expect("programmed").version, 2);
+    assert_eq!(
+        fabric.table(relay2).expect("programmed").version(Primary),
+        2
+    );
 }

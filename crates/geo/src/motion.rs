@@ -154,17 +154,6 @@ impl LinearMotion {
             self.vel_up_mps * dt,
         )
     }
-
-    /// Sample this motion into a [`TrajectorySample`].
-    pub fn sample_at(&self, t_ms: u64) -> TrajectorySample {
-        TrajectorySample {
-            t_ms,
-            pos: self.position_at(t_ms),
-            vel_east_mps: self.vel_east_mps,
-            vel_north_mps: self.vel_north_mps,
-            vel_up_mps: self.vel_up_mps,
-        }
-    }
 }
 
 #[cfg(test)]

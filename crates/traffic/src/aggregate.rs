@@ -56,11 +56,10 @@
 //! traffic.
 //!
 //! Determinism contract: unchanged from the flat allocator. The
-//! aggregate run is bit-identical across worker counts (it *is* a
-//! [`FairShareAllocator`]), and distribution is serial exact integer
-//! arithmetic over a deterministic group order, so the whole pipeline
-//! is bit-identical across worker counts and reruns — enforced at
-//! scale by `traffic_scale`'s identity gates.
+//! aggregate run *is* a [`FairShareAllocator`], and distribution is
+//! exact integer arithmetic over a deterministic group order, so the
+//! whole pipeline is bit-identical across reruns — enforced at scale
+//! by `traffic_scale`'s identity gates.
 
 use crate::allocator::{FairShareAllocator, TrafficClass, DEMAND_CAP_BPS};
 
@@ -95,7 +94,7 @@ pub struct AggregateSpec {
 /// Hierarchical two-level allocator: an exact [`FairShareAllocator`]
 /// over aggregate nodes, plus an exact per-aggregate distribution back
 /// to member flows. See the module docs for the semantics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HierarchicalAllocator {
     /// The aggregate-tree water-fill (one flow per aggregate).
     inner: FairShareAllocator,
@@ -109,34 +108,10 @@ pub struct HierarchicalAllocator {
     dist_active: Vec<u32>,
 }
 
-impl Default for HierarchicalAllocator {
-    fn default() -> Self {
-        HierarchicalAllocator::new(0)
-    }
-}
-
 impl HierarchicalAllocator {
-    /// A fresh allocator with `workers` (0 = auto) for the aggregate
-    /// run and no topology.
-    pub fn new(workers: usize) -> Self {
-        HierarchicalAllocator {
-            inner: FairShareAllocator::new(workers),
-            members: Vec::new(),
-            n_flows: 0,
-            agg_demands: Vec::new(),
-            agg_rates: Vec::new(),
-            dist_active: Vec::new(),
-        }
-    }
-
-    /// Worker cap of the aggregate-tree run (0 = auto).
-    pub fn workers(&self) -> usize {
-        self.inner.workers
-    }
-
-    /// Set the worker cap of the aggregate-tree run.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.inner.workers = workers;
+    /// A fresh allocator with no topology.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Install the aggregate tree for the current forwarding graph:
@@ -188,11 +163,6 @@ impl HierarchicalAllocator {
     /// `allocate` expects of `demands`).
     pub fn n_flows(&self) -> usize {
         self.n_flows
-    }
-
-    /// Number of aggregate nodes in the cached tree.
-    pub fn n_aggregates(&self) -> usize {
-        self.members.len()
     }
 
     /// Compute the hierarchical allocation: per-member `demands[f]`
@@ -350,9 +320,9 @@ mod tests {
         ];
         let demands = [40u64, 500, 123, 9, 77];
         let caps = [200u64, 90];
-        let mut flat = FairShareAllocator::new(1);
+        let mut flat = FairShareAllocator::new();
         flat.set_flows(specs.clone(), 2);
-        let mut hier = HierarchicalAllocator::new(1);
+        let mut hier = HierarchicalAllocator::new();
         hier.set_aggregates(singleton_groups(&specs), 2, specs.len());
         assert_eq!(
             hier.allocate(&demands, &caps),
@@ -409,9 +379,9 @@ mod tests {
         ];
 
         let caps = [10_000u64, 6_000];
-        let mut flat = FairShareAllocator::new(1);
+        let mut flat = FairShareAllocator::new();
         flat.set_flows(specs, 2);
-        let mut hier = HierarchicalAllocator::new(1);
+        let mut hier = HierarchicalAllocator::new();
         hier.set_aggregates(groups, 2, demands.len());
         let rates = hier.allocate(&demands, &caps);
         assert_eq!(rates, flat.allocate(&demands, &caps));
@@ -423,7 +393,7 @@ mod tests {
         // A congested aggregate: members get weight-shares of the
         // grant, the grant is fully distributed, and no member
         // exceeds its demand.
-        let mut hier = HierarchicalAllocator::new(1);
+        let mut hier = HierarchicalAllocator::new();
         hier.set_aggregates(
             vec![AggregateSpec {
                 links: vec![0],
@@ -451,7 +421,7 @@ mod tests {
 
     #[test]
     fn control_aggregates_drain_before_bulk() {
-        let mut hier = HierarchicalAllocator::new(1);
+        let mut hier = HierarchicalAllocator::new();
         hier.set_aggregates(
             vec![
                 AggregateSpec {
@@ -477,7 +447,7 @@ mod tests {
 
     #[test]
     fn ungrouped_flows_get_zero() {
-        let mut hier = HierarchicalAllocator::new(1);
+        let mut hier = HierarchicalAllocator::new();
         hier.set_aggregates(
             vec![AggregateSpec {
                 links: vec![],
@@ -492,7 +462,7 @@ mod tests {
 
     #[test]
     fn capacity_only_reallocation_is_stable_and_signature_fixed() {
-        let mut hier = HierarchicalAllocator::new(1);
+        let mut hier = HierarchicalAllocator::new();
         hier.set_aggregates(
             vec![AggregateSpec {
                 links: vec![0],

@@ -13,16 +13,14 @@
 //! a weight-1 flow gets — freezing a flow when it reaches its demand
 //! or when some link it crosses saturates.
 //!
-//! Three deliberate engineering choices, mirroring the evaluator's
-//! contract (`tssdn-core::evaluator`):
+//! Two deliberate engineering choices:
 //!
 //! * **Integer arithmetic.** Rates, demands, capacities, and weights
 //!   are exact integers (u64 bps, u32 weights). The per-round fill
 //!   level is `min(min_l floor(residual_l / W_l), max_f
 //!   ceil(gap_f / w_f))` level units, where `W_l` sums the weights of
 //!   the active flows crossing link `l` — every operation is exact,
-//!   so the result cannot depend on summation order and is
-//!   bit-identical across worker counts.
+//!   so the result cannot depend on summation order.
 //! * **Batch freezing.** The fill level per round is capped by the
 //!   *largest* remaining demand gap (in level units), not the
 //!   smallest, and each flow's increment is clamped to its own gap.
@@ -34,11 +32,6 @@
 //!   byte-identical to the one-freeze-per-round filler — enforced
 //!   against [`crate::reference::allocate_weighted_unbatched`] by
 //!   proptest.
-//! * **Chunk-ordered scoped workers.** The per-round scan over active
-//!   flows fans out across `std::thread::scope` workers in contiguous
-//!   chunks whose partial maxima are merged in chunk order; small
-//!   inputs take a serial path. Worker count changes wall-clock, not
-//!   results.
 //!
 //! Topology (which links each flow crosses, plus per-flow weight and
 //! class) is set once per forwarding graph via
@@ -53,18 +46,6 @@
 /// A flow's rate is capped by `u64::MAX / 2` to keep `rate + inc`
 /// overflow-free without checked arithmetic in the hot loop.
 pub(crate) const DEMAND_CAP_BPS: u64 = u64::MAX / 2;
-
-/// Default serial-path threshold for the per-round scan fan-out. A
-/// round's work per flow is one subtraction and one `div_ceil`, so
-/// spawning scoped workers only pays once the active set is genuinely
-/// large; below this the serial scan finishes long before a thread
-/// even starts. Worker count — and therefore this threshold — is
-/// bit-invisible to results (`max` is exact), so the cutoff is purely
-/// a wall-clock knob. The old cutoff of 64 made every 5k-flow bench
-/// round spawn (and join) a full worker set, which is where the
-/// 50-balloon warm-path p95 jitter in BENCH_traffic.json came from on
-/// multi-core hosts.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 65_536;
 
 /// Service class of an aggregate flow. `Control` is strict-priority:
 /// the allocator drains all control flows to saturation before bulk
@@ -114,15 +95,8 @@ impl FlowSpec {
 
 /// Weighted, classed max-min fair-share fluid allocator over a cached
 /// flow→link incidence.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FairShareAllocator {
-    /// Worker cap for the scan fan-out; `0` means auto
-    /// (`available_parallelism().clamp(1, 8)`), `1` forces serial.
-    pub workers: usize,
-    /// Active-set size below which the per-round gap scan stays
-    /// serial ([`DEFAULT_PARALLEL_THRESHOLD`]). Bit-invisible to
-    /// results; tests lower it to force the parallel merge path.
-    pub parallel_threshold: usize,
     flow_links: Vec<Vec<u32>>,
     weights: Vec<u64>,
     classes: Vec<TrafficClass>,
@@ -131,21 +105,6 @@ pub struct FairShareAllocator {
     /// Reusable hot-loop buffers: a capacity-only tick (same topology,
     /// new capacities) performs no heap allocation beyond first use.
     scratch: Scratch,
-}
-
-impl Default for FairShareAllocator {
-    fn default() -> Self {
-        FairShareAllocator {
-            workers: 0,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            flow_links: Vec::new(),
-            weights: Vec::new(),
-            classes: Vec::new(),
-            n_links: 0,
-            signature: 0,
-            scratch: Scratch::default(),
-        }
-    }
 }
 
 /// Reusable per-call buffers for [`FairShareAllocator::allocate_into`].
@@ -201,12 +160,9 @@ pub fn flows_signature(specs: &[FlowSpec], n_links: usize) -> u64 {
 }
 
 impl FairShareAllocator {
-    /// A fresh allocator with `workers` (0 = auto) and no topology.
-    pub fn new(workers: usize) -> Self {
-        FairShareAllocator {
-            workers,
-            ..Default::default()
-        }
+    /// A fresh allocator with no topology.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Install a weight-1, bulk-only flow→link incidence — the
@@ -289,16 +245,6 @@ impl FairShareAllocator {
         self.flow_links.len()
     }
 
-    fn resolve_workers(&self) -> usize {
-        if self.workers != 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 8)
-    }
-
     /// Compute the tiered max-min fair allocation: `demands[f]` and
     /// `capacities[l]` in bps, returning the granted rate per flow.
     /// Control flows fill first against the full capacities; bulk
@@ -331,7 +277,6 @@ impl FairShareAllocator {
 
         rates.clear();
         rates.resize(demands.len(), 0);
-        let workers = self.resolve_workers();
         let Scratch {
             residual,
             weight_active,
@@ -346,8 +291,6 @@ impl FairShareAllocator {
             weights: &self.weights,
             classes: &self.classes,
             demands,
-            workers,
-            parallel_threshold: self.parallel_threshold,
         };
         pass.fill_class(
             TrafficClass::Control,
@@ -368,8 +311,6 @@ struct FillPass<'a> {
     weights: &'a [u64],
     classes: &'a [TrafficClass],
     demands: &'a [u64],
-    workers: usize,
-    parallel_threshold: usize,
 }
 
 impl FillPass<'_> {
@@ -426,17 +367,15 @@ impl FillPass<'_> {
             // Batch-freeze window: raise the level far enough to
             // cover the *largest* remaining gap the links allow, so
             // every demand-bound flow inside the window freezes this
-            // round instead of one per round. Chunk-ordered scoped
-            // scan; max is exact, so the merge is worker-count
-            // independent by construction.
-            let gap_units = max_gap_units(
-                active,
-                demands,
-                rates,
-                self.weights,
-                self.workers,
-                self.parallel_threshold,
-            );
+            // round instead of one per round.
+            let gap_units = active
+                .iter()
+                .map(|&f| {
+                    let fi = f as usize;
+                    (demands[fi].min(DEMAND_CAP_BPS) - rates[fi]).div_ceil(self.weights[fi])
+                })
+                .max()
+                .unwrap_or(0);
 
             let delta = link_share.min(gap_units);
             if delta > 0 {
@@ -479,46 +418,12 @@ impl FillPass<'_> {
     }
 }
 
-/// Maximum `ceil((demand - rate) / weight)` over the active flows,
-/// fanned across scoped workers in contiguous chunks (serial below
-/// `parallel_threshold`).
-fn max_gap_units(
-    active: &[u32],
-    demands: &[u64],
-    rates: &[u64],
-    weights: &[u64],
-    workers: usize,
-    parallel_threshold: usize,
-) -> u64 {
-    let gap_units = |f: u32| {
-        let fi = f as usize;
-        (demands[fi].min(DEMAND_CAP_BPS) - rates[fi]).div_ceil(weights[fi])
-    };
-    if active.len() < parallel_threshold || workers == 1 {
-        return active.iter().map(|&f| gap_units(f)).max().unwrap_or(0);
-    }
-    let chunk_len = active.len().div_ceil(workers);
-    let chunks: Vec<&[u32]> = active.chunks(chunk_len).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| s.spawn(move || chunk.iter().map(|&f| gap_units(f)).max().unwrap_or(0)))
-            .collect();
-        // Merge partial maxima in chunk order (order is immaterial for
-        // `max`, but keeping it mirrors the evaluator's contract).
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("allocator worker panicked"))
-            .fold(0, u64::max)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn alloc(flow_links: Vec<Vec<u32>>, n_links: usize, workers: usize) -> FairShareAllocator {
-        let mut a = FairShareAllocator::new(workers);
+    fn alloc(flow_links: Vec<Vec<u32>>, n_links: usize) -> FairShareAllocator {
+        let mut a = FairShareAllocator::new();
         a.set_topology(flow_links, n_links);
         a
     }
@@ -528,7 +433,7 @@ mod tests {
         // Link 0: 100 Mbps shared by flows 0,1,2; link 1: 40 Mbps
         // shared by flows 1,2. Max-min: flows 1,2 bottleneck at 20
         // each on link 1; flow 0 takes the rest of link 0 → 60.
-        let mut a = alloc(vec![vec![0], vec![0, 1], vec![0, 1]], 2, 1);
+        let mut a = alloc(vec![vec![0], vec![0, 1], vec![0, 1]], 2);
         let rates = a.allocate(&[1_000_000_000; 3], &[100_000_000, 40_000_000]);
         assert_eq!(rates, vec![60_000_000, 20_000_000, 20_000_000]);
     }
@@ -536,21 +441,21 @@ mod tests {
     #[test]
     fn demand_caps_bind_before_links() {
         // Flow 0 only wants 10; flows 1,2 split the rest of link 0.
-        let mut a = alloc(vec![vec![0], vec![0], vec![0]], 1, 1);
+        let mut a = alloc(vec![vec![0], vec![0], vec![0]], 1);
         let rates = a.allocate(&[10, 1_000, 1_000], &[100]);
         assert_eq!(rates, vec![10, 45, 45]);
     }
 
     #[test]
     fn linkless_and_zero_demand_flows() {
-        let mut a = alloc(vec![vec![], vec![0], vec![0]], 1, 1);
+        let mut a = alloc(vec![vec![], vec![0], vec![0]], 1);
         let rates = a.allocate(&[500, 0, 80], &[100]);
         assert_eq!(rates, vec![500, 0, 80]);
     }
 
     #[test]
     fn zero_capacity_link_starves_its_flows() {
-        let mut a = alloc(vec![vec![0], vec![1]], 2, 1);
+        let mut a = alloc(vec![vec![0], vec![1]], 2);
         let rates = a.allocate(&[100, 100], &[0, 100]);
         assert_eq!(rates, vec![0, 100]);
     }
@@ -559,7 +464,7 @@ mod tests {
     fn weights_scale_shares_within_a_class() {
         // One 90-bps link, weights 1:2 — the weight-2 flow gets twice
         // the rate, exactly.
-        let mut a = FairShareAllocator::new(1);
+        let mut a = FairShareAllocator::new();
         a.set_flows(
             vec![
                 FlowSpec::new(vec![0], 1, TrafficClass::Bulk),
@@ -575,7 +480,7 @@ mod tests {
     fn weighted_demand_cap_releases_share_to_peers() {
         // The weight-3 flow only wants 10; the rest of the 100-bps
         // link splits 1:1 between the others.
-        let mut a = FairShareAllocator::new(1);
+        let mut a = FairShareAllocator::new();
         a.set_flows(
             vec![
                 FlowSpec::new(vec![0], 3, TrafficClass::Bulk),
@@ -592,7 +497,7 @@ mod tests {
     fn control_class_drains_first() {
         // Control wants 30 of the 100-bps link; bulk splits the 70
         // that's left. Under saturation by control alone, bulk gets 0.
-        let mut a = FairShareAllocator::new(1);
+        let mut a = FairShareAllocator::new();
         a.set_flows(
             vec![
                 FlowSpec::new(vec![0], 1, TrafficClass::Control),
@@ -614,7 +519,7 @@ mod tests {
         let fl: Vec<Vec<u32>> = (0..n).map(|_| vec![0]).collect();
         let demands: Vec<u64> = (0..n).map(|f| 1_000 + f * 7).collect();
         let total: u64 = demands.iter().sum();
-        let mut a = alloc(fl, 1, 1);
+        let mut a = alloc(fl, 1);
         let rates = a.allocate(&demands, &[total + 1]);
         assert_eq!(rates, demands);
     }
@@ -632,7 +537,7 @@ mod tests {
         ];
         let demands = [37, 91, 13, 70, 55, 28];
         let caps = [90u64, 60, 50];
-        let mut a = alloc(fl.clone(), 3, 1);
+        let mut a = alloc(fl.clone(), 3);
         let rates = a.allocate(&demands, &caps);
         for (f, &r) in rates.iter().enumerate() {
             assert!(r <= demands[f], "flow {f} over demand");
@@ -656,7 +561,7 @@ mod tests {
         let fl = vec![vec![0, 1], vec![1], vec![0], vec![0, 1], vec![1]];
         let demands = [200u64, 35, 90, 10, 500];
         let caps = [120u64, 100];
-        let mut a = alloc(fl.clone(), 2, 1);
+        let mut a = alloc(fl.clone(), 2);
         let rates = a.allocate(&demands, &caps);
         for f in 0..fl.len() {
             if rates[f] >= demands[f] {
@@ -681,48 +586,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_is_bit_invisible_at_scale() {
-        // 5000 flows over a 400-link line topology with ragged paths,
-        // demands, weights, and classes; every worker count must agree
-        // bit-for-bit.
-        let n_links = 400usize;
-        let mut specs = Vec::with_capacity(5000);
-        for f in 0u64..5000 {
-            let start = (f * 7 % n_links as u64) as u32;
-            let len = 1 + (f % 5) as u32;
-            let links: Vec<u32> = (start..(start + len).min(n_links as u32)).collect();
-            let class = if f % 17 == 0 {
-                TrafficClass::Control
-            } else {
-                TrafficClass::Bulk
-            };
-            specs.push(FlowSpec::new(links, 1 + (f % 4) as u32, class));
-        }
-        let demands: Vec<u64> = (0..5000u64)
-            .map(|f| 1_000_000 + f * 9_973 % 40_000_000)
-            .collect();
-        let caps: Vec<u64> = (0..n_links as u64)
-            .map(|l| 200_000_000 + l * 1_000_003 % 800_000_000)
-            .collect();
-
-        let mut base_alloc = FairShareAllocator::new(1);
-        base_alloc.set_flows(specs.clone(), n_links);
-        let base = base_alloc.allocate(&demands, &caps);
-        for workers in [2, 3, 8, 0] {
-            let mut a = FairShareAllocator::new(workers);
-            // Force the chunked fan-out (5000 < the default serial
-            // cutoff) so the parallel merge path stays under test.
-            a.parallel_threshold = 64;
-            a.set_flows(specs.clone(), n_links);
-            assert_eq!(
-                a.allocate(&demands, &caps),
-                base,
-                "workers={workers} diverged"
-            );
-        }
-    }
-
-    #[test]
     fn scratch_reuse_is_byte_identical_to_fresh() {
         // Repeated capacity-only calls on one allocator (recycled
         // scratch + rates buffers) must match a fresh allocator per
@@ -741,7 +604,7 @@ mod tests {
             })
             .collect();
         let demands: Vec<u64> = (0..200u64).map(|f| 1_000 + f * 37).collect();
-        let mut reused = FairShareAllocator::new(1);
+        let mut reused = FairShareAllocator::new();
         reused.set_flows(specs.clone(), 7);
         let mut rates = Vec::new();
         for step in 0..4u64 {
@@ -749,7 +612,7 @@ mod tests {
                 .map(|l| 40_000 + l * 1_000 + step * 13_000)
                 .collect();
             reused.allocate_into(&demands, &caps, &mut rates);
-            let mut fresh = FairShareAllocator::new(1);
+            let mut fresh = FairShareAllocator::new();
             fresh.set_flows(specs.clone(), 7);
             assert_eq!(
                 rates,
@@ -761,7 +624,7 @@ mod tests {
 
     #[test]
     fn capacity_only_change_reuses_topology() {
-        let mut a = alloc(vec![vec![0], vec![0]], 1, 1);
+        let mut a = alloc(vec![vec![0], vec![0]], 1);
         let sig = a.topology_signature();
         let r1 = a.allocate(&[100, 100], &[100]);
         let r2 = a.allocate(&[100, 100], &[60]);

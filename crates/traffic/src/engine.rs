@@ -70,8 +70,6 @@ pub struct TrafficConfig {
     /// Capacity assumed for path edges not present in the view's
     /// radio-edge capacity map — the wired GS→EC segments.
     pub tunnel_capacity_bps: u64,
-    /// Allocator worker cap; 0 = auto.
-    pub workers: usize,
     /// Feed measured demand back into the planner's request weights.
     pub feedback: bool,
     /// EWMA smoothing factor for the demand digest (0..1].
@@ -96,7 +94,6 @@ impl Default for TrafficConfig {
         TrafficConfig {
             demand: DemandConfig::default(),
             tunnel_capacity_bps: 10_000_000_000,
-            workers: 0,
             feedback: true,
             feedback_alpha: 0.2,
             window_ms: 24 * 3600 * 1000,
@@ -349,8 +346,8 @@ impl TrafficEngine {
         TrafficEngine {
             config,
             demand,
-            allocator: FairShareAllocator::new(config.workers),
-            hier: HierarchicalAllocator::new(config.workers),
+            allocator: FairShareAllocator::new(),
+            hier: HierarchicalAllocator::new(),
             rates: Vec::new(),
             series: GoodputSeries::new(config.window_ms),
             flow_stats: vec![FlowStats::default(); n_flows],
@@ -607,10 +604,7 @@ mod tests {
     const EC: PlatformId = PlatformId(101);
 
     fn engine(sites: &[PlatformId]) -> TrafficEngine {
-        let config = TrafficConfig {
-            workers: 1,
-            ..TrafficConfig::default()
-        };
+        let config = TrafficConfig::default();
         TrafficEngine::new(config, sites, &RngStreams::new(11))
     }
 
@@ -790,7 +784,6 @@ mod tests {
     fn multipath_disabled_sticks_to_primary() {
         let sites = [PlatformId(0)];
         let config = TrafficConfig {
-            workers: 1,
             multipath: false,
             ..TrafficConfig::default()
         };
@@ -881,10 +874,7 @@ mod tests {
     #[test]
     fn buffering_off_restores_drop_on_miss() {
         let sites = [PlatformId(0)];
-        let mut config = TrafficConfig {
-            workers: 1,
-            ..TrafficConfig::default()
-        };
+        let mut config = TrafficConfig::default();
         config.store_forward.enabled = false;
         let mut e = TrafficEngine::new(config, &sites, &RngStreams::new(11));
         let mut dark = view_for(&sites, 1_000_000_000);
@@ -898,10 +888,7 @@ mod tests {
     #[test]
     fn buffered_bits_age_out_and_never_deliver() {
         let sites = [PlatformId(0)];
-        let mut config = TrafficConfig {
-            workers: 1,
-            ..TrafficConfig::default()
-        };
+        let mut config = TrafficConfig::default();
         config.store_forward.max_age_ms = 5 * 60 * 1000; // 5 min
         let mut e = TrafficEngine::new(config, &sites, &RngStreams::new(11));
         let view = view_for(&sites, 1_000_000_000);
@@ -1068,10 +1055,7 @@ mod tests {
     #[test]
     fn without_custody_the_backlog_dies_with_the_balloon() {
         let sites = [PlatformId(0)];
-        let mut config = TrafficConfig {
-            workers: 1,
-            ..TrafficConfig::default()
-        };
+        let mut config = TrafficConfig::default();
         config.store_forward.custody = false;
         let mut e = TrafficEngine::new(config, &sites, &RngStreams::new(11));
         let mut dark = view_for(&sites, 1_000_000_000);
@@ -1114,10 +1098,7 @@ mod tests {
     #[test]
     fn custodian_refuses_what_it_cannot_hold() {
         let sites = [PlatformId(0)];
-        let mut config = TrafficConfig {
-            workers: 1,
-            ..TrafficConfig::default()
-        };
+        let mut config = TrafficConfig::default();
         // Tiny buffers: the custodian can only hold 1 KB = 8 kbit.
         config.store_forward.max_bytes = 1_000;
         let mut e = TrafficEngine::new(config, &sites, &RngStreams::new(11));
@@ -1302,12 +1283,8 @@ mod tests {
     #[test]
     fn ticks_are_deterministic_for_a_seed() {
         let sites = [PlatformId(0), PlatformId(1), PlatformId(2)];
-        let run = |workers: usize| {
-            let config = TrafficConfig {
-                workers,
-                ..TrafficConfig::default()
-            };
-            let mut e = TrafficEngine::new(config, &sites, &RngStreams::new(42));
+        let run = || {
+            let mut e = TrafficEngine::new(TrafficConfig::default(), &sites, &RngStreams::new(42));
             let mut out = Vec::new();
             for h in 0..48u64 {
                 let cap = if h % 7 == 0 { 20_000_000 } else { 400_000_000 };
@@ -1316,6 +1293,6 @@ mod tests {
             }
             (out, e.series().offered_bits(), e.series().delivered_bits())
         };
-        assert_eq!(run(1), run(8), "worker count must be bit-invisible");
+        assert_eq!(run(), run());
     }
 }

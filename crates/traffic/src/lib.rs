@@ -13,10 +13,9 @@
 //!   progressive-filling allocator over the currently-programmed
 //!   forwarding graph ([`FairShareAllocator`]): per-flow weights, a
 //!   strict-priority [`TrafficClass::Control`] class drained before
-//!   bulk, and a batch-freeze round structure; integer bps arithmetic
-//!   and chunk-ordered scoped workers make the result bit-identical
-//!   across worker counts; capacity-only changes reuse the cached
-//!   flow→link incidence. [`reference`] keeps the pre-tiering filler,
+//!   bulk, and a batch-freeze round structure in exact integer bps
+//!   arithmetic; capacity-only changes reuse the cached flow→link
+//!   incidence. [`reference`] keeps the pre-tiering filler,
 //!   an unbatched weighted filler, and a naive hierarchical filler as
 //!   proptest oracles.
 //! * [`aggregate`] — the million-flow path
@@ -38,8 +37,8 @@
 //! Determinism contract: all randomness is drawn from the dedicated
 //! `"traffic-demand"` stream at construction; ticking never consumes
 //! RNG, and allocation is exact integer arithmetic — identical seeds
-//! and inputs produce bit-identical goodput regardless of worker
-//! count (enforced by `tests/traffic_determinism.rs`).
+//! and inputs produce bit-identical goodput (enforced by
+//! `tests/traffic_determinism.rs`).
 
 pub mod aggregate;
 pub mod allocator;

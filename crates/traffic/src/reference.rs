@@ -361,7 +361,7 @@ mod tests {
         ];
         let demands = [37u64, 91, 13, 70, 55, 28];
         let caps = [90u64, 60, 50];
-        let mut a = FairShareAllocator::new(1);
+        let mut a = FairShareAllocator::new();
         a.set_topology(fl.clone(), 3);
         assert_eq!(
             a.allocate(&demands, &caps),
@@ -398,7 +398,7 @@ mod tests {
         ];
         let demands = [40u64, 500, 13, 120, 77, 9_001];
         let caps = [200u64, 90];
-        let mut hier = HierarchicalAllocator::new(1);
+        let mut hier = HierarchicalAllocator::new();
         hier.set_aggregates(groups.clone(), 2, 6);
         assert_eq!(
             hier.allocate(&demands, &caps),
@@ -416,7 +416,7 @@ mod tests {
         ];
         let demands = [40u64, 500, 120, 9];
         let caps = [200u64, 90];
-        let mut a = FairShareAllocator::new(1);
+        let mut a = FairShareAllocator::new();
         a.set_flows(specs.clone(), 2);
         assert_eq!(
             a.allocate(&demands, &caps),

@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# A/B the whole-loop benchmark (BENCHMARK.json) against another revision.
+#
+#   ./scripts/ab.sh BASE_REV [--pairs N] [--seed S]     # defaults: 10 pairs, seed 20220822
+#
+# Exports BASE_REV (git archive) into the ignored .bench_build/ab-base, builds
+# `tssdn-e2e` there and here, and for each workload runs
+# `tssdn-e2e --workload W --trace 0` N times on each side, alternating which
+# side goes first. Exits non-zero if any pair's `scorecard` objects differ byte
+# for byte. Prints, per workload x end-to-end metric, both medians, the base's
+# inter-quartile range and how many pairs the tree won. Every run's result line
+# is kept in artifact_out/e2e/ab_runs.txt. Not part of verify.sh or CI.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+usage() { echo "usage: ab.sh BASE_REV [--pairs N] [--seed S]" >&2; exit 2; }
+[ $# -ge 1 ] || usage
+base_rev="$1"; shift
+pairs=10; seed=20220822
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --pairs) pairs="${2:?}"; shift 2 ;;
+    --seed) seed="${2:?}"; shift 2 ;;
+    *) usage ;;
+  esac
+done
+tree="$PWD"; base="$tree/.bench_build/ab-base"; runs="$tree/artifact_out/e2e/ab_runs.txt"
+mkdir -p "$base" "$(dirname "$runs")"; : > "$runs"
+# A fresh export of BASE_REV; its target/ is kept so a rerun builds incrementally.
+find "$base" -mindepth 1 -maxdepth 1 ! -name target -exec rm -rf {} +
+git archive "$base_rev" | tar -x -C "$base"
+(cd "$base" && cargo build --release -q -p tssdn-e2e)
+cargo build --release -q -p tssdn-e2e
+
+# run SIDE DIR WORKLOAD: one untraced run; its result line goes to $runs.
+run() {
+  local line
+  line=$(cd "$2" && ./target/release/tssdn-e2e --workload "$3" --seed "$seed" --trace 0 2>/dev/null | tail -n 1)
+  echo "$1 $3 $line" >> "$runs"
+  sed -n '/"scorecard"/,$p' "$2/artifact_out/e2e/$3.untraced.json" > "$tree/.bench_build/ab-$1.scorecard"
+}
+for w in dense50_morning flows24k_day kenya12_3day satdark100_day; do
+  for i in $(seq 1 "$pairs"); do
+    if [ $((i % 2)) -eq 1 ]; then run base "$base" "$w"; run tree "$tree" "$w"
+    else run tree "$tree" "$w"; run base "$base" "$w"; fi
+    cmp -s "$tree/.bench_build/ab-base.scorecard" "$tree/.bench_build/ab-tree.scorecard" ||
+      { echo "ab.sh: $w pair $i: scorecards differ" >&2; exit 1; }
+    echo "  $w pair $i/$pairs: scorecards identical" >&2
+  done
+done
+
+# Per (workload, metric): medians, base IQR, pairs the tree won.
+printf '%-16s %-16s %12s %12s %12s %6s\n' workload metric base_median tree_median base_iqr wins
+awk '
+function sort(a, n,   i, j, x) { for (i = 2; i <= n; i++) { x = a[i]; for (j = i - 1; j >= 1 && a[j] > x; j--) a[j + 1] = a[j]; a[j + 1] = x } }
+function q(a, n, p,   h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
+{
+  side = $1; w = $2
+  if (!(w in seen)) { seen[w] = 1; order[++nw] = w }
+  for (m = 1; m <= 5; m++) {
+    name = metric[m]
+    if (match($0, "\"" name "\": \\{\"value\": [^,]+")) {
+      v = substr($0, RSTART, RLENGTH); sub(/.*: /, "", v)
+      val[side, w, name, ++cnt[side, w, name]] = v + 0
+    }
+  }
+}
+BEGIN { split("setup_s realtime_factor step_p50_ms step_p95_ms peak_rss_mb", metric, " ") }
+END {
+  for (k = 1; k <= nw; k++) for (m = 1; m <= 5; m++) {
+    w = order[k]; name = metric[m]; n = cnt["base", w, name]; wins = 0
+    for (i = 1; i <= n; i++) {
+      b[i] = val["base", w, name, i]; t[i] = val["tree", w, name, i]
+      if (name == "realtime_factor" ? t[i] > b[i] : t[i] < b[i]) wins++
+    }
+    sort(b, n); sort(t, n)
+    printf "%-16s %-16s %12.4f %12.4f %12.4f %3d/%d\n", w, name, q(b, n, 0.5), q(t, n, 0.5), q(b, n, 0.75) - q(b, n, 0.25), wins, n
+  }
+}' "$runs"

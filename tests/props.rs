@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use tssdn_core::reference::solve_reference;
 use tssdn_core::{CandidateGraph, CandidateLink, Solver};
 use tssdn_dataplane::{
-    BackhaulRequest, DrainMode, DrainRegistry, PrefixAllocator, RouteEntry, RoutingFabric,
+    BackhaulRequest, DrainMode, DrainRegistry, Plane, PrefixAllocator, RouteEntry, RoutingFabric,
 };
 use tssdn_geo::{AzEl, GeoPoint, ObstructionMask};
 use tssdn_link::{LinkKind, TransceiverId};
@@ -183,13 +183,13 @@ proptest! {
         let nodes: Vec<PlatformId> = (0..path_len as u32).map(PlatformId).collect();
         let src = alloc.prefix_for(nodes[0]);
         let dst = alloc.prefix_for(*nodes.last().expect("non-empty"));
-        fabric.program_path(src, dst, &nodes, version);
-        let forward = fabric.trace_flow(src, dst, nodes[0], *nodes.last().expect("non-empty"), |_, _| true);
+        fabric.program_path(Plane::Primary, src, dst, &nodes, version);
+        let forward = fabric.trace_flow(Plane::Primary, src, dst, nodes[0], *nodes.last().expect("non-empty"), |_, _| true);
         prop_assert_eq!(forward, Some(nodes.clone()));
         let mut rev = nodes.clone();
         rev.reverse();
         let backward =
-            fabric.trace_flow(dst, src, rev[0], *rev.last().expect("non-empty"), |_, _| true);
+            fabric.trace_flow(Plane::Primary, dst, src, rev[0], *rev.last().expect("non-empty"), |_, _| true);
         prop_assert_eq!(backward, Some(rev));
     }
 
@@ -201,11 +201,11 @@ proptest! {
         let prefixes: Vec<_> = (1..=n as u32).map(|i| alloc.prefix_for(PlatformId(i))).collect();
         let base = alloc.prefix_for(PlatformId(99));
         for p in &prefixes {
-            fabric.table_mut(node).install(RouteEntry { src: base, dst: *p, next_hop: PlatformId(1) });
+            fabric.table_mut(node).install(Plane::Primary, RouteEntry { src: base, dst: *p, next_hop: PlatformId(1) });
         }
         prop_assert_eq!(fabric.table(node).expect("exists").len(), n);
         for p in &prefixes {
-            fabric.table_mut(node).remove(base, *p);
+            fabric.table_mut(node).remove(Plane::Primary, base, *p);
         }
         prop_assert!(fabric.table(node).expect("exists").is_empty());
     }

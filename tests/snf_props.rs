@@ -367,10 +367,7 @@ fn flap_run(
     cap_bps: u64,
     flaps: &[bool],
 ) -> (u64, u64, (u64, u64, u64, u64), Vec<(u64, u64, u128)>) {
-    let config = TrafficConfig {
-        workers: 1,
-        ..TrafficConfig::default()
-    };
+    let config = TrafficConfig::default();
     let sites = [PlatformId(0), PlatformId(1)];
     let mut e = TrafficEngine::new(config, &sites, &RngStreams::new(seed));
     let up = view_for(&sites, cap_bps);
@@ -416,10 +413,7 @@ fn custody_flap_run(
     kill_at: usize,
     custody_on: bool,
 ) -> (u64, u64, (u64, u64, u64, u64, u64), u64) {
-    let mut config = TrafficConfig {
-        workers: 1,
-        ..TrafficConfig::default()
-    };
+    let mut config = TrafficConfig::default();
     config.store_forward.custody = custody_on;
     let sites = [PlatformId(0), PlatformId(1)];
     let custodian = PlatformId(9);

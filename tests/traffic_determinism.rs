@@ -1,17 +1,12 @@
 //! Traffic-engine determinism: seeded goodput runs are bit-identical
-//! across allocator worker counts and across reruns — the same
-//! contract style as `golden_determinism`, extended to the E17
-//! subsystem.
+//! across reruns — the same contract style as `golden_determinism`,
+//! extended to the E17 subsystem.
 //!
-//! Four contracts:
+//! Three contracts:
 //!
 //! * **Arm parity** — both allocator arms (hierarchical site×class
 //!   aggregation, the default, and the flat per-flow fill) honor the
 //!   contracts below independently.
-//! * **Worker invisibility** — the max-min allocator fans its scans
-//!   across scoped workers; integer arithmetic plus chunk-ordered
-//!   merges mean `workers = 1` and `workers = 8` (and auto) produce
-//!   byte-identical goodput digests over a full orchestrator run.
 //! * **Repeatability** — two identical seeded chaos-off runs produce
 //!   byte-identical traffic digests.
 //! * **Inertness** — enabling the traffic engine does not perturb the
@@ -23,18 +18,15 @@ use tssdn_sim::{PlatformId, SimDuration, SimTime};
 
 const N_BALLOONS: usize = 5;
 
-fn world(seed: u64, traffic_workers: Option<usize>) -> Orchestrator {
-    world_with(seed, traffic_workers, true)
-}
-
-fn world_with(seed: u64, traffic_workers: Option<usize>, hierarchical: bool) -> Orchestrator {
+/// A five-balloon world; `traffic` is `Some(hierarchical)` to run the
+/// engine on that allocator arm, `None` for no engine at all.
+fn world(seed: u64, traffic: Option<bool>) -> Orchestrator {
     let mut cfg = OrchestratorConfig::kenya(N_BALLOONS, seed);
     cfg.fleet.spawn_radius_m = 150_000.0;
     cfg.tick = SimDuration::from_secs(10);
     cfg.solve_interval = SimDuration::from_mins(5);
     cfg.probe_interval = SimDuration::from_secs(30);
-    cfg.traffic = traffic_workers.map(|workers| TrafficConfig {
-        workers,
+    cfg.traffic = traffic.map(|hierarchical| TrafficConfig {
         hierarchical,
         ..TrafficConfig::default()
     });
@@ -43,14 +35,9 @@ fn world_with(seed: u64, traffic_workers: Option<usize>, hierarchical: bool) -> 
 
 /// Run one simulated day, appending an hourly traffic checkpoint: the
 /// exact bit totals, per-site events, and demand-digest weights.
-/// `traffic_digest` runs the default (hierarchical, aggregation-on)
-/// engine; `traffic_digest_with` picks the arm.
-fn traffic_digest(seed: u64, workers: usize) -> String {
-    traffic_digest_with(seed, workers, true)
-}
-
-fn traffic_digest_with(seed: u64, workers: usize, hierarchical: bool) -> String {
-    let mut o = world_with(seed, Some(workers), hierarchical);
+/// `hierarchical` picks the allocator arm (on is the default engine).
+fn traffic_digest(seed: u64, hierarchical: bool) -> String {
+    let mut o = world(seed, Some(hierarchical));
     let end = SimTime::from_hours(24);
     let mut digest = String::new();
     while o.now() < end {
@@ -79,7 +66,7 @@ fn traffic_digest_with(seed: u64, workers: usize, hierarchical: bool) -> String 
 /// Hourly plan digest (the golden_determinism checkpoint format) for a
 /// one-day run with traffic on or off.
 fn plan_digest(seed: u64, traffic: bool) -> String {
-    let mut o = world(seed, if traffic { Some(1) } else { None });
+    let mut o = world(seed, traffic.then_some(true));
     let end = SimTime::from_hours(24);
     let mut digest = String::new();
     while o.now() < end {
@@ -89,48 +76,32 @@ fn plan_digest(seed: u64, traffic: bool) -> String {
     digest
 }
 
-/// Allocator worker count must be bit-invisible in end-to-end goodput.
+/// Identical seeded runs produce byte-identical traffic digests.
 #[test]
-fn goodput_is_identical_across_worker_counts() {
-    let serial = traffic_digest(20220822, 1);
-    assert!(serial.contains("offered="), "digest has checkpoints");
+fn goodput_is_identical_across_reruns() {
+    let a = traffic_digest(20220822, true);
+    assert!(a.contains("offered="), "digest has checkpoints");
     // Traffic flowed at some point (otherwise the contract is vacuous).
-    let last = serial
+    let last = a
         .lines()
         .rev()
         .find(|l| l.contains("offered="))
         .expect("checkpoints");
     assert!(!last.contains("offered=0 "), "run carried traffic: {last}");
-    for workers in [2, 8, 0] {
-        let got = traffic_digest(20220822, workers);
-        assert!(
-            got == serial,
-            "workers={workers} diverged from serial goodput"
-        );
-    }
-}
-
-/// Identical seeded runs produce byte-identical traffic digests.
-#[test]
-fn goodput_is_identical_across_reruns() {
-    let a = traffic_digest(20220822, 1);
-    let b = traffic_digest(20220822, 1);
+    let b = traffic_digest(20220822, true);
     assert!(a == b, "traffic digests diverged between identical runs");
 }
 
-/// The flat (aggregation-off) arm carries the same determinism
-/// contracts: byte-identical across reruns and worker counts. The two
+/// The flat (aggregation-off) arm carries the same contract. The two
 /// arms legitimately differ from each other under congestion (the
 /// flat fill's sequential freeze cascade is flow-granular), so this
 /// gates each arm against itself, not against the other.
 #[test]
-fn flat_arm_is_deterministic_across_workers_and_reruns() {
-    let serial = traffic_digest_with(20220822, 1, false);
-    assert!(serial.contains("offered="), "digest has checkpoints");
-    let rerun = traffic_digest_with(20220822, 1, false);
-    assert!(rerun == serial, "flat-arm digests diverged between reruns");
-    let auto = traffic_digest_with(20220822, 0, false);
-    assert!(auto == serial, "flat-arm auto workers diverged from serial");
+fn flat_arm_is_deterministic_across_reruns() {
+    let first = traffic_digest(20220822, false);
+    assert!(first.contains("offered="), "digest has checkpoints");
+    let rerun = traffic_digest(20220822, false);
+    assert!(rerun == first, "flat-arm digests diverged between reruns");
 }
 
 /// With demand feedback active the solver sees different request
@@ -146,7 +117,6 @@ fn traffic_without_feedback_is_invisible_to_planning() {
     cfg.solve_interval = SimDuration::from_mins(5);
     cfg.probe_interval = SimDuration::from_secs(30);
     cfg.traffic = Some(TrafficConfig {
-        workers: 1,
         feedback: false,
         ..TrafficConfig::default()
     });

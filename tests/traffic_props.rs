@@ -63,7 +63,7 @@ fn demands_of(flows: &[RawFlow]) -> Vec<u64> {
 }
 
 fn allocate(specs: &[FlowSpec], demands: &[u64], caps: &[u64]) -> Vec<u64> {
-    let mut a = FairShareAllocator::new(1);
+    let mut a = FairShareAllocator::new();
     a.set_flows(specs.to_vec(), N_LINKS);
     a.allocate(demands, caps)
 }
@@ -107,7 +107,7 @@ fn allocate_hier(
     demands: &[u64],
     caps: &[u64],
 ) -> Vec<u64> {
-    let mut h = HierarchicalAllocator::new(1);
+    let mut h = HierarchicalAllocator::new();
     h.set_aggregates(groups.to_vec(), N_LINKS, n_flows);
     h.allocate(demands, caps)
 }

@@ -132,8 +132,8 @@ impl ReferenceEngine {
         ReferenceEngine {
             config,
             demand,
-            allocator: FairShareAllocator::new(config.workers),
-            hier: HierarchicalAllocator::new(config.workers),
+            allocator: FairShareAllocator::new(),
+            hier: HierarchicalAllocator::new(),
             n_alloc: 0,
             rates_buf: Vec::new(),
             series: GoodputSeries::new(config.window_ms),

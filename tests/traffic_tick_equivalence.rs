@@ -181,7 +181,6 @@ proptest! {
                 surge,
                 ..DemandConfig::default()
             },
-            workers: 1,
             multipath,
             hierarchical,
             store_forward: StoreForwardConfig {
