@@ -17,6 +17,7 @@
 
 use crate::model::{ModelWeather, NetworkModel, PlatformInfo};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::OnceLock;
 use tssdn_geo::{line_of_sight_clear, AzEl, Ecef, GeoPoint, LocalFrame, PointingSolution};
 use tssdn_link::{LinkKind, TransceiverId};
 use tssdn_rf::{BandConsts, LinkQuality, PathIntegrator, RadioParams};
@@ -297,11 +298,9 @@ impl LinkEvaluator {
 
         // Fan the pair sweep across scoped workers in contiguous
         // chunks; merge preserves chunk order, so the result is
-        // independent of how many workers run.
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 8);
+        // independent of how many workers run. A sweep too small to be
+        // worth a thread does not ask how many there are.
+        let workers = if pairs.len() < 64 { 1 } else { host_workers() };
         let sweep = |chunk: &[(u32, u32)]| -> Vec<CandidateLink> {
             let mut sweep = PairSweep::new(&self.config, &bands, &weather, at);
             for &(i, j) in chunk {
@@ -309,7 +308,7 @@ impl LinkEvaluator {
             }
             sweep.out
         };
-        let links: Vec<CandidateLink> = if pairs.len() < 64 || workers == 1 {
+        let links: Vec<CandidateLink> = if workers == 1 {
             sweep(&pairs)
         } else {
             let chunk_len = pairs.len().div_ceil(workers);
@@ -330,6 +329,19 @@ impl LinkEvaluator {
         };
         CandidateGraph { at, links }
     }
+}
+
+/// Worker threads a scoped fan-out may use when nothing overrides it:
+/// the host's available parallelism, clamped to 1..=8. Asked once per
+/// process: the answer reads cgroup files (≈ 14 µs a call), which a
+/// powered-down night would otherwise pay every epoch for no pairs.
+pub(crate) fn host_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .clamp(1, 8)
+    })
 }
 
 /// One linkable platform as the pair sweep sees it: everything that

@@ -45,7 +45,7 @@
 //!   every keyed entry untouched. Routes survive because the next
 //!   owner's solve sees the same hysteresis `previous` set.
 
-use crate::evaluator::CandidateGraph;
+use crate::evaluator::{host_workers, CandidateGraph};
 use crate::solver::{Solver, TopologyPlan};
 use std::collections::{BTreeMap, BTreeSet};
 use tssdn_dataplane::{BackhaulRequest, DrainRegistry};
@@ -344,15 +344,20 @@ pub fn solve_sharded(
     };
 
     // Chunk-ordered scoped threads, exactly the evaluator's pattern:
-    // output order is region order no matter how many workers run.
-    let workers = match map.cfg.workers {
-        Some(w) => (w as usize).max(1),
-        None => std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .clamp(1, 8),
+    // output order is region order no matter how many workers run. A
+    // region with no candidate links solves to an empty plan at once,
+    // so only an epoch with two or more busy regions is worth a thread
+    // (or the question of how many the host has): a powered-down night
+    // maps serially.
+    let busy = subproblems.iter().filter(|sub| !sub.1.links.is_empty());
+    let workers = if busy.count() < 2 {
+        1
+    } else {
+        map.cfg
+            .workers
+            .map_or_else(host_workers, |w| (w as usize).max(1))
     };
-    let plans: Vec<TopologyPlan> = if workers == 1 || subproblems.len() <= 1 {
+    let plans: Vec<TopologyPlan> = if workers == 1 {
         subproblems.iter().map(solve_one).collect()
     } else {
         let chunk_len = subproblems.len().div_ceil(workers);

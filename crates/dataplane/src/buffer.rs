@@ -156,18 +156,37 @@ impl<K: Copy> StoreForwardBuffer<K> {
     /// Callers must enqueue in nondecreasing `now_ms` order (the FIFO
     /// doubles as the age order).
     pub fn enqueue(&mut self, flow: K, now_ms: u64, bits: u64) -> u64 {
-        if bits == 0 || self.max_bits == 0 {
-            self.queued_bits += bits;
-            self.evicted_bits += bits;
-            return bits;
+        self.enqueue_batch(now_ms, std::iter::once((flow, bits))).1
+    }
+
+    /// [`Self::enqueue`] for a run of `(flow, bits)` chunks that share
+    /// the stamp `now_ms`, queued in iteration order with one eviction
+    /// pass at the end; zero-bit chunks are skipped. Returns `(queued,
+    /// evicted)` bits.
+    ///
+    /// The buffer ends exactly as after one `enqueue` per chunk:
+    /// byte-bound eviction removes a prefix of the FIFO's bit stream
+    /// and the buffer is within its bound on entry, so the per-chunk
+    /// overflows add up to the batch's one overflow and the same prefix
+    /// goes — even when it ends inside one of the new chunks.
+    pub fn enqueue_batch(
+        &mut self,
+        now_ms: u64,
+        chunks: impl IntoIterator<Item = (K, u64)>,
+    ) -> (u64, u64) {
+        let chunks = chunks.into_iter();
+        self.chunks.reserve(chunks.size_hint().0);
+        let mut queued = 0u64;
+        for (flow, bits) in chunks.filter(|&(_, bits)| bits > 0) {
+            self.chunks.push_back(BufferedChunk {
+                flow,
+                enqueued_ms: now_ms,
+                bits,
+            });
+            queued += bits;
         }
-        self.queued_bits += bits;
-        self.chunks.push_back(BufferedChunk {
-            flow,
-            enqueued_ms: now_ms,
-            bits,
-        });
-        self.total_bits += bits;
+        self.queued_bits += queued;
+        self.total_bits += queued;
         let mut evicted = 0u64;
         while self.total_bits > self.max_bits {
             let over = self.total_bits - self.max_bits;
@@ -183,7 +202,7 @@ impl<K: Copy> StoreForwardBuffer<K> {
             }
         }
         self.evicted_bits += evicted;
-        evicted
+        (queued, evicted)
     }
 
     /// Drop every chunk at or past the age bound at `now_ms` — a
@@ -374,6 +393,27 @@ mod tests {
         assert_eq!(b.enqueue(7, 0, 200), 120);
         assert_eq!(b.total_bits(), 80);
         assert_eq!(b.drain(0, u64::MAX)[0].bits, 80);
+    }
+
+    #[test]
+    fn batch_enqueue_equals_chunk_by_chunk() {
+        // An empty chunk, one larger than the whole buffer mid-batch,
+        // and a resident chunk the batch pushes out.
+        let batch = [(1u32, 30u64), (2, 0), (3, 200), (4, 25), (5, 10)];
+        for max_bytes in [0, 3, 10, 40] {
+            let mut one_by_one = buf(max_bytes, 1_000);
+            one_by_one.enqueue(0, 5, 60);
+            let mut batched = one_by_one.clone();
+            let evicted: u64 = batch
+                .iter()
+                .map(|&(f, bits)| one_by_one.enqueue(f, 9, bits))
+                .sum();
+            assert_eq!(batched.enqueue_batch(9, batch), (265, evicted));
+            assert_eq!(batched.chunks, one_by_one.chunks);
+            assert_eq!(batched.total_bits(), one_by_one.total_bits());
+            assert_eq!(batched.queued_bits(), one_by_one.queued_bits());
+            assert_eq!(batched.evicted_bits(), one_by_one.evicted_bits());
+        }
     }
 
     #[test]

@@ -77,18 +77,13 @@ impl<M: Clone> Medium<M> {
         } = self;
         let rev = topo.revision();
         for (from, target, msg, bytes) in outbox.drain() {
-            let mut send = |to: NodeId, q: f64, msg: M| {
-                if rng.gen_bool(q) {
-                    let copy = Delivery {
-                        due,
-                        to,
-                        from,
-                        rev,
-                        q,
-                        msg,
-                    };
-                    enqueue(in_flight, copy);
-                }
+            let copy = |to: NodeId, q: f64, msg: M| Delivery {
+                due,
+                to,
+                from,
+                rev,
+                q,
+                msg,
             };
             match target {
                 Some(to) => {
@@ -97,7 +92,7 @@ impl<M: Clone> Medium<M> {
                     };
                     overhead.messages += 1;
                     overhead.bytes += bytes as u64;
-                    send(to, q, msg);
+                    send(rng, in_flight, copy(to, q, msg));
                 }
                 None => {
                     let neighbors = topo.neighbor_slice(from);
@@ -108,11 +103,26 @@ impl<M: Clone> Medium<M> {
                         overhead.bytes += bytes as u64;
                     }
                     for &(to, q) in neighbors {
-                        send(to, q, msg.clone());
+                        send(rng, in_flight, copy(to, q, msg.clone()));
                     }
                 }
             }
         }
+    }
+}
+
+/// Put `copy` in flight if its link's loss draw lets it through.
+///
+/// `inline(always)` here and on [`enqueue`], not a closure in
+/// `transmit`: `Medium<M>` is instantiated in the crate that owns the
+/// harness, and whether LLVM inlined the per-copy path there turned on
+/// how that crate's other code fell into codegen units — an unrelated
+/// edit to `tssdn-core` left it out of line and cost `dense50_morning`
+/// 5 % (EXPERIMENTS.md, "e2e: traffic tick, second pass").
+#[inline(always)]
+fn send<M>(rng: &mut ChaCha8Rng, in_flight: &mut VecDeque<Delivery<M>>, copy: Delivery<M>) {
+    if rng.gen_bool(copy.q) {
+        enqueue(in_flight, copy);
     }
 }
 
@@ -121,6 +131,7 @@ impl<M: Clone> Medium<M> {
 /// always the back; a copy scheduled with a shorter latency than ones
 /// already in flight lands ahead of them, behind its own instant's
 /// earlier copies.
+#[inline(always)]
 fn enqueue<M>(in_flight: &mut VecDeque<Delivery<M>>, d: Delivery<M>) {
     if in_flight.back().is_none_or(|last| last.due <= d.due) {
         in_flight.push_back(d);

@@ -25,6 +25,11 @@
 //! an aggregate granted `A ≤ D` receive exactly `A` in total — no
 //! bits are lost to integer floors inside the tree, which is what
 //! keeps singleton aggregates bit-identical to the flat allocator.
+//! Exactness also settles the two common grants without a round: an
+//! aggregate granted 0 leaves every member at 0, and one granted its
+//! whole member sum `Σ min(d_f, cap)` has every member at its capped
+//! demand (the total is `A` and no member may exceed its cap, so there
+//! is no other solution). Only a strictly partial grant water-fills.
 //!
 //! **When aggregation is lossless.** The hierarchical result
 //! collapses bit-for-bit to the flat weighted max-min when
@@ -101,8 +106,9 @@ pub struct HierarchicalAllocator {
     /// Per-aggregate member lists, weight-promoted to u64.
     members: Vec<Vec<(u32, u64)>>,
     n_flows: usize,
-    /// Scratch: aggregate demands / rates and the per-group active
-    /// set, reused so capacity-only ticks allocate nothing.
+    /// Scratch: aggregate demands (uncapped member sums) / rates and
+    /// the per-group active set, reused so capacity-only ticks
+    /// allocate nothing.
     agg_demands: Vec<u64>,
     agg_rates: Vec<u64>,
     dist_active: Vec<u32>,
@@ -180,17 +186,16 @@ impl HierarchicalAllocator {
     pub fn allocate_into(&mut self, demands: &[u64], capacities: &[u64], rates: &mut Vec<u64>) {
         assert_eq!(demands.len(), self.n_flows, "demands ≠ tree flows");
 
-        // Roll member demands up into their aggregate nodes, capped
-        // like any flat demand so the aggregate run stays
-        // overflow-free. (A sum that hits the cap makes the collapse
-        // lossy; the engine's per-site demands are nowhere near it.)
+        // Roll member demands up into their aggregate nodes: the
+        // saturating sum of the capped member demands. The aggregate
+        // run caps it like any flat demand, so it stays overflow-free.
+        // (A sum that hits the cap makes the collapse lossy; the
+        // engine's per-site demands are nowhere near it.)
         self.agg_demands.clear();
         self.agg_demands.extend(self.members.iter().map(|mem| {
-            let mut d = 0u64;
-            for &(f, _) in mem {
-                d = d.saturating_add(demands[f as usize].min(DEMAND_CAP_BPS));
-            }
-            d.min(DEMAND_CAP_BPS)
+            mem.iter().fold(0u64, |sum, &(f, _)| {
+                sum.saturating_add(demands[f as usize].min(DEMAND_CAP_BPS))
+            })
         }));
 
         // The exact water-fill over the aggregate tree...
@@ -199,11 +204,26 @@ impl HierarchicalAllocator {
             .allocate_into(&self.agg_demands, capacities, &mut agg_rates);
 
         // ...then exact distribution of each aggregate's grant to its
-        // members, in group order.
+        // members, in group order. `distribute` hands out exactly the
+        // grant and never lifts a member above its capped demand, so a
+        // grant of nothing leaves every member at 0 and a grant of the
+        // whole member sum puts every member at its capped demand:
+        // neither needs the rounds. (A sum above the cap is granted
+        // at most the cap, so it takes them.)
         rates.clear();
         rates.resize(self.n_flows, 0);
-        for (g, mem) in self.members.iter().enumerate() {
-            distribute(agg_rates[g], mem, demands, rates, &mut self.dist_active);
+        let grants = agg_rates.iter().zip(&self.agg_demands);
+        for (mem, (&grant, &sum)) in self.members.iter().zip(grants) {
+            if grant == 0 {
+                continue;
+            }
+            if grant == sum {
+                for &(f, _) in mem {
+                    rates[f as usize] = demands[f as usize].min(DEMAND_CAP_BPS);
+                }
+            } else {
+                distribute(grant, mem, demands, rates, &mut self.dist_active);
+            }
         }
         self.agg_rates = agg_rates;
     }
@@ -293,6 +313,7 @@ fn distribute(
 mod tests {
     use super::*;
     use crate::allocator::{FlowSpec, TrafficClass};
+    use crate::reference::allocate_hierarchical_reference;
 
     fn singleton_groups(specs: &[FlowSpec]) -> Vec<AggregateSpec> {
         specs
@@ -417,6 +438,72 @@ mod tests {
         // siblings at 1:4.
         assert_eq!(rates[1], 50);
         assert_eq!(rates[2], rates[0] * 4);
+    }
+
+    /// One Bulk aggregate over `links` with the given member weights,
+    /// allocated by the production allocator after checking it against
+    /// the naive hierarchical oracle.
+    fn one_aggregate(links: Vec<u32>, weights: &[u32], demands: &[u64], caps: &[u64]) -> Vec<u64> {
+        let members = weights
+            .iter()
+            .enumerate()
+            .map(|(f, &weight)| AggregateMember {
+                flow: f as u32,
+                weight,
+            });
+        let groups = vec![AggregateSpec {
+            links,
+            class: TrafficClass::Bulk,
+            members: members.collect(),
+        }];
+        let mut hier = HierarchicalAllocator::new();
+        hier.set_aggregates(groups.clone(), caps.len(), demands.len());
+        let rates = hier.allocate(demands, caps);
+        let slow =
+            allocate_hierarchical_reference(&groups, caps.len(), demands.len(), demands, caps);
+        assert_eq!(rates, slow, "production ≠ oracle");
+        rates
+    }
+
+    #[test]
+    fn full_grant_gives_the_capped_demand_not_the_demand() {
+        // An over-cap member beside a silent one: Σ capped demand is
+        // exactly CAP, and the linkless aggregate is granted all of it.
+        let rates = one_aggregate(vec![], &[1, 1], &[u64::MAX, 0], &[]);
+        assert_eq!(rates, vec![DEMAND_CAP_BPS, 0]);
+    }
+
+    #[test]
+    fn member_sum_above_the_cap_takes_the_rounds() {
+        // Σ capped demand = 2·CAP was clamped to CAP on the way in, so
+        // the grant (CAP, the aggregate is linkless) is partial: the
+        // two equal members split it, the odd bit to the first.
+        let rates = one_aggregate(vec![], &[1, 1], &[u64::MAX, DEMAND_CAP_BPS], &[]);
+        assert_eq!(rates, vec![DEMAND_CAP_BPS / 2 + 1, DEMAND_CAP_BPS / 2]);
+    }
+
+    #[test]
+    fn zero_demand_members_of_a_full_aggregate_stay_zero() {
+        let rates = one_aggregate(vec![0], &[3, 1, 2, 1], &[0, 40, 0, 2], &[42]);
+        assert_eq!(rates, vec![0, 40, 0, 2]);
+    }
+
+    #[test]
+    fn empty_links_aggregate_is_granted_in_full() {
+        let demands = [5u64, 0, 1 << 40, 77];
+        assert_eq!(
+            one_aggregate(vec![], &[1, 2, 3, 4], &demands, &[9]),
+            demands
+        );
+    }
+
+    #[test]
+    fn weight_zero_members_count_as_weight_one() {
+        // Full, none and partial grants, the partial one shared 1:1:2.
+        let (w, d) = ([0u32, 1, 2], [100u64, 100, 100]);
+        assert_eq!(one_aggregate(vec![0], &w, &d, &[300]), vec![100, 100, 100]);
+        assert_eq!(one_aggregate(vec![0], &w, &d, &[0]), vec![0, 0, 0]);
+        assert_eq!(one_aggregate(vec![0], &w, &d, &[200]), vec![50, 50, 100]);
     }
 
     #[test]

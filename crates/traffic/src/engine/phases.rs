@@ -339,20 +339,16 @@ impl TrafficEngine {
     fn buffer_routeless(&mut self, k: usize, now_ms: u64, dt_ms: u64, s: &mut TickSummary) {
         let run = self.sites[k].run;
         let bulk = run.first as usize..run.bulk_end as usize;
-        let offered = &self.scratch.offered;
-        let bits_of = |f: usize| offered[f] * dt_ms / 1000;
-        if !bulk.clone().any(|f| bits_of(f) > 0) {
+        let offered = &self.scratch.offered[bulk.clone()];
+        let bits_of = |o: u64| o * dt_ms / 1000;
+        if !offered.iter().any(|&o| bits_of(o) > 0) {
             return;
         }
         let buf = buffer_of(&mut self.snf, self.config.store_forward, run.site);
-        let (mut queued, mut evicted) = (0u64, 0u64);
-        for f in bulk {
-            let bits = bits_of(f);
-            if bits > 0 {
-                evicted += buf.enqueue(f as u32, now_ms, bits);
-                queued += bits;
-                self.flow_stats[f].buffered_bits += bits;
-            }
+        let chunks = (run.first..run.bulk_end).zip(offered.iter().map(|&o| bits_of(o)));
+        let (queued, evicted) = buf.enqueue_batch(now_ms, chunks);
+        for (fs, &o) in self.flow_stats[bulk].iter_mut().zip(offered) {
+            fs.buffered_bits += bits_of(o);
         }
         self.series.record_buffered(run.site, queued);
         if evicted > 0 {

@@ -1,28 +1,37 @@
 #!/usr/bin/env bash
 # A/B the whole-loop benchmark (BENCHMARK.json) against another revision.
 #
-#   ./scripts/ab.sh BASE_REV [--pairs N] [--seed S]     # defaults: 10 pairs, seed 20220822
+#   ./scripts/ab.sh BASE_REV [--pairs N] [--seed S] [--workload W]...
+#                            # defaults: 10 pairs, seed 20220822, all four workloads
 #
 # Exports BASE_REV (git archive) into the ignored .bench_build/ab-base, builds
 # `tssdn-e2e` there and here, and for each workload runs
 # `tssdn-e2e --workload W --trace 0` N times on each side, alternating which
 # side goes first. Exits non-zero if any pair's `scorecard` objects differ byte
 # for byte. Prints, per workload x end-to-end metric, both medians, the base's
-# inter-quartile range and how many pairs the tree won. Every run's result line
-# is kept in artifact_out/e2e/ab_runs.txt. Not part of verify.sh or CI.
+# inter-quartile range, how many pairs the tree won and a verdict by
+# BENCHMARK.json's own `better` / `bound` (read, never edited):
+#   worse>bound  the tree's median is worse than the base's by more than the bound
+#   unresolved   the base's IQR alone is wider than the bound (and the tree's
+#                runs are not all better than all of the base's)
+#   ok           otherwise
+# and exits non-zero on any `worse>bound`. Every run's result line is kept in
+# artifact_out/e2e/ab_runs.txt. Not part of verify.sh or CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-usage() { echo "usage: ab.sh BASE_REV [--pairs N] [--seed S]" >&2; exit 2; }
+usage() { echo "usage: ab.sh BASE_REV [--pairs N] [--seed S] [--workload W]..." >&2; exit 2; }
 [ $# -ge 1 ] || usage
 base_rev="$1"; shift
-pairs=10; seed=20220822
+pairs=10; seed=20220822; workloads=()
 while [ $# -gt 0 ]; do
   case "$1" in
     --pairs) pairs="${2:?}"; shift 2 ;;
     --seed) seed="${2:?}"; shift 2 ;;
+    --workload) workloads+=("${2:?}"); shift 2 ;;
     *) usage ;;
   esac
 done
+[ ${#workloads[@]} -gt 0 ] || workloads=(dense50_morning flows24k_day kenya12_3day satdark100_day)
 tree="$PWD"; base="$tree/.bench_build/ab-base"; runs="$tree/artifact_out/e2e/ab_runs.txt"
 mkdir -p "$base" "$(dirname "$runs")"; : > "$runs"
 # A fresh export of BASE_REV; its target/ is kept so a rerun builds incrementally.
@@ -38,7 +47,7 @@ run() {
   echo "$1 $3 $line" >> "$runs"
   sed -n '/"scorecard"/,$p' "$2/artifact_out/e2e/$3.untraced.json" > "$tree/.bench_build/ab-$1.scorecard"
 }
-for w in dense50_morning flows24k_day kenya12_3day satdark100_day; do
+for w in "${workloads[@]}"; do
   for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then run base "$base" "$w"; run tree "$tree" "$w"
     else run tree "$tree" "$w"; run base "$base" "$w"; fi
@@ -48,15 +57,25 @@ for w in dense50_morning flows24k_day kenya12_3day satdark100_day; do
   done
 done
 
-# Per (workload, metric): medians, base IQR, pairs the tree won.
-printf '%-16s %-16s %12s %12s %12s %6s\n' workload metric base_median tree_median base_iqr wins
+# Per (workload, metric): medians, base IQR, pairs the tree won, verdict. The
+# first file gives each end-to-end metric's direction and bound.
+printf '%-16s %-16s %12s %12s %12s %6s  %s\n' workload metric base_median tree_median base_iqr wins verdict
 awk '
 function sort(a, n,   i, j, x) { for (i = 2; i <= n; i++) { x = a[i]; for (j = i - 1; j >= 1 && a[j] > x; j--) a[j + 1] = a[j]; a[j + 1] = x } }
 function q(a, n, p,   h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
+function str(line) { sub(/^[^:]*: *"/, "", line); sub(/".*/, "", line); return line }
+FNR == NR {
+  if (/"end_to_end"/) in_e2e = 1
+  else if (in_e2e && /^  \]/) in_e2e = 0
+  else if (in_e2e && /"name"/) metric[++nm] = str($0)
+  else if (in_e2e && /"better"/) higher[metric[nm]] = (str($0) == "higher")
+  else if (in_e2e && /"bound"/) { v = $0; sub(/^[^:]*: */, "", v); bound[metric[nm]] = v + 0 }
+  next
+}
 {
   side = $1; w = $2
   if (!(w in seen)) { seen[w] = 1; order[++nw] = w }
-  for (m = 1; m <= 5; m++) {
+  for (m = 1; m <= nm; m++) {
     name = metric[m]
     if (match($0, "\"" name "\": \\{\"value\": [^,]+")) {
       v = substr($0, RSTART, RLENGTH); sub(/.*: /, "", v)
@@ -64,15 +83,20 @@ function q(a, n, p,   h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n 
     }
   }
 }
-BEGIN { split("setup_s realtime_factor step_p50_ms step_p95_ms peak_rss_mb", metric, " ") }
 END {
-  for (k = 1; k <= nw; k++) for (m = 1; m <= 5; m++) {
-    w = order[k]; name = metric[m]; n = cnt["base", w, name]; wins = 0
+  for (k = 1; k <= nw; k++) for (m = 1; m <= nm; m++) {
+    w = order[k]; name = metric[m]; n = cnt["base", w, name]; wins = 0; up = higher[name] ? 1 : -1
     for (i = 1; i <= n; i++) {
       b[i] = val["base", w, name, i]; t[i] = val["tree", w, name, i]
-      if (name == "realtime_factor" ? t[i] > b[i] : t[i] < b[i]) wins++
+      if ((t[i] - b[i]) * up > 0) wins++
     }
     sort(b, n); sort(t, n)
-    printf "%-16s %-16s %12.4f %12.4f %12.4f %3d/%d\n", w, name, q(b, n, 0.5), q(t, n, 0.5), q(b, n, 0.75) - q(b, n, 0.25), wins, n
+    bm = q(b, n, 0.5); tm = q(t, n, 0.5); iqr = q(b, n, 0.75) - q(b, n, 0.25)
+    clear = up > 0 ? t[1] > b[n] : t[n] < b[1]   # every tree run better than every base run
+    verdict = "ok"
+    if ((bm - tm) * up > bound[name] * bm) { verdict = "worse>bound"; bad = 1 }
+    else if (iqr > bound[name] * bm && !clear) verdict = "unresolved"
+    printf "%-16s %-16s %12.4f %12.4f %12.4f %3d/%d  %s\n", w, name, bm, tm, iqr, wins, n, verdict
   }
-}' "$runs"
+  exit bad
+}' BENCHMARK.json "$runs"

@@ -17,8 +17,8 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use tssdn_core::{
-    solve_sharded, CandidateGraph, CandidateLink, Orchestrator, RegionMap, ShardingConfig, Solver,
-    SolverConfig,
+    solve_sharded, CandidateGraph, CandidateLink, Orchestrator, RegionId, RegionMap,
+    ShardingConfig, Solver, SolverConfig, TopologyPlan,
 };
 use tssdn_dataplane::{BackhaulRequest, DrainRegistry};
 use tssdn_geo::AzEl;
@@ -249,6 +249,92 @@ proptest! {
         prop_assert_eq!(&solve(4), &sequential);
         prop_assert_eq!(&solve(8), &sequential);
     }
+}
+
+/// Three one-degree regions with no halo over a nine-balloon chain
+/// (three balloons each), under the given worker setting.
+fn three_regions(problem: &Problem, workers: Option<u32>) -> RegionMap {
+    let cfg = ShardingConfig {
+        num_regions: 3,
+        origin_lon_deg: 30.0 + 4.5 * 0.33,
+        band_deg: 1.0,
+        halo_km: 0.0,
+        hysteresis_km: 10.0,
+        workers,
+    };
+    map_for(problem, cfg)
+}
+
+/// Regions of `map` whose scope holds at least one candidate link.
+fn busy_regions(map: &RegionMap, graph: &CandidateGraph) -> usize {
+    (0..map.num_regions())
+        .filter(|&r| {
+            let scope = map.scope_of(RegionId(r));
+            let inside = |p: PlatformId| scope.contains(&p);
+            graph
+                .links
+                .iter()
+                .any(|l| inside(l.a.platform) && inside(l.b.platform))
+        })
+        .count()
+}
+
+/// The plan under the host's worker count, one worker and four.
+fn plans_per_worker_setting(problem: &Problem) -> [TopologyPlan; 3] {
+    let solver = Solver::new(SolverConfig::default());
+    let drains = DrainRegistry::new();
+    [None, Some(1), Some(4)].map(|workers| {
+        solve_sharded(
+            &solver,
+            &three_regions(problem, workers),
+            &problem.graph,
+            &problem.requests,
+            &gw,
+            &BTreeSet::new(),
+            &drains,
+            SimTime::ZERO,
+        )
+    })
+}
+
+/// A powered-down night: three regions, requests, no candidate link
+/// anywhere. No region is worth a thread, and whatever the worker
+/// setting the plan is the serial one: nothing selected, every request
+/// unsatisfied, in request order.
+#[test]
+fn night_epoch_spawns_nothing_and_plans_the_same() {
+    let mut problem = chain_problem(9, 0.33, 0b1_0101_0101, &[6.0, 3.0]);
+    problem.graph.links.clear();
+    assert_eq!(
+        busy_regions(&three_regions(&problem, None), &problem.graph),
+        0
+    );
+    let [host, one, four] = plans_per_worker_setting(&problem);
+    assert_eq!(host, one);
+    assert_eq!(four, one);
+    assert!(one.demand_links.is_empty() && one.redundant_links.is_empty());
+    assert!(one.routes.is_empty());
+    assert_eq!(one.unsatisfied.len(), problem.requests.len());
+}
+
+/// One busy region among three (dawn reaches the west first): still
+/// the serial map, and still the plan any worker count gives — with
+/// the busy region's requests actually routed.
+#[test]
+fn one_busy_region_plans_the_same_for_any_worker_count() {
+    let mut problem = chain_problem(9, 0.33, 0b1_0101_0101, &[6.0, 3.0]);
+    let map = three_regions(&problem, None);
+    let west = map.scope_of(RegionId(0));
+    problem
+        .graph
+        .links
+        .retain(|l| west.contains(&l.a.platform) && west.contains(&l.b.platform));
+    assert_eq!(busy_regions(&map, &problem.graph), 1);
+    let [host, one, four] = plans_per_worker_setting(&problem);
+    assert_eq!(host, one);
+    assert_eq!(four, one);
+    assert!(!one.routes.is_empty(), "the busy region routed nothing");
+    assert!(!one.unsatisfied.is_empty(), "the dark regions routed");
 }
 
 // ---------------------------------------------------------------- //

@@ -15,13 +15,21 @@ use tssdn_traffic::{TopologyView, TrafficClass, TrafficConfig, TrafficEngine};
 // ---------------------------------------------------------------- //
 
 /// One buffer operation: `kind` 0–1 enqueues (biased — buffers spend
-/// most of their life absorbing), 2 expires, 3 drains. `dt` advances
-/// the clock before the operation; `amount` is bits (enqueue) or a
-/// drain budget.
-type RawOp = (u8, u32, u64, u64);
+/// most of their life absorbing), 2 expires, 3 drains, 4 enqueues
+/// `batch` at one stamp. `dt` advances the clock before the
+/// operation; `amount` is bits (enqueue) or a drain budget. A batch
+/// chunk is `(flow, dial)` carrying [`batch_bits`] bits.
+type RawOp = (u8, u32, u64, u64, Vec<(u32, u64)>);
 
 fn ops() -> impl Strategy<Value = Vec<RawOp>> {
-    prop::collection::vec((0u8..4, 0u32..5, 0u64..300, 0u64..200), 1..60)
+    let batch = prop::collection::vec((0u32..5, 0u64..640), 0..8);
+    prop::collection::vec((0u8..5, 0u32..5, 0u64..300, 0u64..200, batch), 1..60)
+}
+
+/// Bits of a batch chunk: about one in six is empty, and the largest
+/// (599 bits) overflow every buffer the properties build (≤ 504 bits).
+fn batch_bits(dial: u64) -> u64 {
+    dial.saturating_sub(40)
 }
 
 /// The obviously-correct model: a flat chunk list plus the same
@@ -182,7 +190,7 @@ proptest! {
             StoreForwardBuffer::new(max_bytes, max_age);
         let mut model = ModelBuffer::new(max_bytes, max_age);
         let mut now = 0u64;
-        for (kind, flow, dt, amount) in raw {
+        for (kind, flow, dt, amount, batch) in raw {
             now += dt;
             match kind {
                 0 | 1 => {
@@ -197,6 +205,29 @@ proptest! {
                     if let Some(age) = real.oldest_age_ms(now) {
                         prop_assert!(age < max_age, "over-age chunk kept: {age}");
                     }
+                }
+                4 => {
+                    // One batch call is the model's one enqueue per
+                    // chunk: what it returns, the ledgers, and every
+                    // resident chunk in FIFO order.
+                    let chunks = batch.iter().map(|&(f, dial)| (f, batch_bits(dial)));
+                    let (queued0, evicted0) = (model.queued, model.evicted);
+                    for (f, bits) in chunks.clone() {
+                        model.enqueue(f, now, bits);
+                    }
+                    prop_assert_eq!(
+                        real.enqueue_batch(now, chunks),
+                        (model.queued - queued0, model.evicted - evicted0)
+                    );
+                    prop_assert_eq!(real.queued_bits(), model.queued);
+                    prop_assert_eq!(real.evicted_bits(), model.evicted);
+                    let resident: Vec<(u32, u64, u64)> = real
+                        .clone()
+                        .drain(now, u64::MAX)
+                        .into_iter()
+                        .map(|d| (d.flow, now - d.age_ms, d.bits))
+                        .collect();
+                    prop_assert_eq!(&resident, &model.chunks);
                 }
                 _ => {
                     let drained: Vec<(u32, u64, u64)> = real
@@ -214,6 +245,8 @@ proptest! {
         prop_assert_eq!(real.queued_bits(), model.queued);
         prop_assert_eq!(real.drained_bits(), model.drained);
         prop_assert_eq!(real.evicted_bits(), model.evicted);
+        prop_assert_eq!(real.transferred_in_bits(), model.transferred_in);
+        prop_assert_eq!(real.transferred_out_bits(), model.transferred_out);
         // Conservation: every queued bit is drained, evicted, or
         // still resident — none leak.
         prop_assert_eq!(
@@ -322,7 +355,8 @@ proptest! {
             let mut b: StoreForwardBuffer<u32> = StoreForwardBuffer::new(32, 500);
             let mut now = 0u64;
             let mut drains: Vec<(u32, u64, u64)> = Vec::new();
-            for &(kind, flow, dt, amount) in raw {
+            for (kind, flow, dt, amount, batch) in raw {
+                let (flow, amount) = (*flow, *amount);
                 now += dt;
                 match kind {
                     0 | 1 => {
@@ -330,6 +364,9 @@ proptest! {
                     }
                     2 => {
                         b.expire(now);
+                    }
+                    4 => {
+                        b.enqueue_batch(now, batch.iter().map(|&(f, dial)| (f, batch_bits(dial))));
                     }
                     _ => drains.extend(
                         b.drain(now, amount).iter().map(|d| (d.flow, d.bits, d.age_ms)),

@@ -43,6 +43,52 @@ fn raw_case() -> (
     )
 }
 
+/// One aggregate whose grant is forced: its members' `(weight,
+/// demand)` — weight 0 is promoted to 1 by the allocator — the
+/// outcome its own link is sized for (0 nothing, 1 everything, 2
+/// strictly in between) and a per-mille dial for where in between.
+type ForcedGroup = (Vec<(u32, u64)>, u8, u64);
+
+/// Strategy for up to `N_LINKS` multi-member aggregates, one link
+/// each.
+fn forced_grants() -> impl Strategy<Value = Vec<ForcedGroup>> {
+    let members = prop::collection::vec((0u32..5, 0u64..50_000), 2..6);
+    prop::collection::vec((members, 0u8..3, 0u64..1000), 1..N_LINKS + 1)
+}
+
+/// Aggregate `g` of the forced groups is Bulk on link `g` alone, so
+/// its grant is `min(Σ demand, capacity of g)`: capacity 0 grants
+/// nothing, Σ demand or more grants everything, and anything in
+/// `1..Σ demand` is a partial grant.
+fn forced_case(forced: &[ForcedGroup]) -> (Vec<AggregateSpec>, Vec<u64>, Vec<u64>) {
+    let mut groups = Vec::new();
+    let mut demands = Vec::new();
+    let mut caps = vec![0u64; N_LINKS];
+    for (g, (members, outcome, dial)) in forced.iter().enumerate() {
+        let wanted: u64 = members.iter().map(|m| m.1).sum();
+        caps[g] = match outcome {
+            0 => 0,
+            1 => wanted + dial,
+            _ => 1 + dial * wanted.saturating_sub(2) / 1000,
+        };
+        groups.push(AggregateSpec {
+            links: vec![g as u32],
+            class: TrafficClass::Bulk,
+            members: members
+                .iter()
+                .map(|&(weight, demand)| {
+                    demands.push(demand);
+                    AggregateMember {
+                        flow: demands.len() as u32 - 1,
+                        weight,
+                    }
+                })
+                .collect(),
+        });
+    }
+    (groups, demands, caps)
+}
+
 fn specs_of(flows: &[RawFlow]) -> Vec<FlowSpec> {
     flows
         .iter()
@@ -311,17 +357,35 @@ proptest! {
     }
 
     /// The optimized hierarchical allocator (batch-freeze fill,
-    /// recycled scratch) is byte-identical to the naive
-    /// one-freeze-per-round hierarchical oracle on arbitrary grouped
-    /// inputs.
+    /// recycled scratch, no rounds for an aggregate granted nothing or
+    /// everything) is byte-identical to the naive one-freeze-per-round
+    /// hierarchical oracle — on arbitrary grouped inputs, and on
+    /// multi-member aggregates whose link is sized so that each is
+    /// granted nothing, everything, or strictly in between.
     #[test]
-    fn hierarchical_matches_naive_reference(case in raw_case()) {
+    fn hierarchical_matches_naive_reference(case in raw_case(), forced in forced_grants()) {
         let (flows, caps) = case;
         let demands = demands_of(&flows);
         let groups = groups_of(&flows);
         let fast = allocate_hier(&groups, flows.len(), &demands, &caps);
         let slow = allocate_hierarchical_reference(&groups, N_LINKS, flows.len(), &demands, &caps);
         prop_assert_eq!(fast, slow);
+
+        let (groups, demands, caps) = forced_case(&forced);
+        let fast = allocate_hier(&groups, demands.len(), &demands, &caps);
+        let slow = allocate_hierarchical_reference(&groups, N_LINKS, demands.len(), &demands, &caps);
+        prop_assert_eq!(&fast, &slow);
+        // The forcing worked: each aggregate got what its link was
+        // sized for.
+        for (g, &(_, outcome, _)) in groups.iter().zip(&forced) {
+            let of = |v: &[u64]| g.members.iter().map(|m| v[m.flow as usize]).sum::<u64>();
+            let (granted, wanted) = (of(&fast), of(&demands));
+            match outcome {
+                0 => prop_assert_eq!(granted, 0),
+                1 => prop_assert_eq!(granted, wanted),
+                _ => prop_assert!(wanted < 2 || (0 < granted && granted < wanted)),
+            }
+        }
     }
 
     /// Feasibility through the aggregate tree: no member exceeds its
