@@ -42,8 +42,28 @@
 //! the acceptor's FIFO in age order, so FIFO-equals-age-order (the
 //! invariant `enqueue`, `expire` and `drain` all rely on) survives
 //! the handoff.
+//!
+//! The FIFO is stored run-length: the chunks one enqueue adds for
+//! consecutive flow keys are one [`BufferedSegment`] — a stamp, the
+//! first key, and a `u64` of bits per flow — so a resident chunk costs
+//! eight bytes, and a routeless site's tick is one allocation, freed
+//! whole when its last chunk leaves. Every operation still reads and
+//! returns chunk for chunk what a FIFO of single chunks would.
 
 use std::collections::VecDeque;
+
+/// A flow key whose successor is known, so a run of consecutive keys
+/// can be stored as its first key and a length.
+pub trait FlowKey: Copy + Eq {
+    /// The key `n` places after `self`, wrapping at the type's end.
+    fn offset(self, n: usize) -> Self;
+}
+
+impl FlowKey for u32 {
+    fn offset(self, n: usize) -> Self {
+        self.wrapping_add(n as u32)
+    }
+}
 
 /// One buffered batch of bits for a flow, tagged with its enqueue
 /// time (sim-time milliseconds).
@@ -68,17 +88,104 @@ pub struct DrainedChunk<K> {
     pub age_ms: u64,
 }
 
+/// A run of chunks that share one enqueue stamp and have consecutive
+/// flow keys: slot `i` holds the bits of flow `first.offset(i)`, so a
+/// resident chunk costs its eight bytes of bits and nothing else. A
+/// zero slot is a *hole* — a flow of the run that queued nothing — and
+/// is no chunk. The first `head` slots are already consumed; the slot
+/// at `head` and the last slot are never holes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BufferedSegment<K> {
+    enqueued_ms: u64,
+    first: K,
+    head: usize,
+    bits: Box<[u64]>,
+}
+
+impl<K: FlowKey> BufferedSegment<K> {
+    /// The segment of `bits` for consecutive flows from `first`, at
+    /// exactly the length between its outermost non-zero slots; `None`
+    /// when every slot is a hole.
+    fn new(enqueued_ms: u64, first: K, mut bits: Vec<u64>) -> Option<Self> {
+        let lead = bits.iter().position(|&b| b > 0)?;
+        let end = bits.iter().rposition(|&b| b > 0)? + 1;
+        bits.truncate(end);
+        bits.drain(..lead);
+        Some(BufferedSegment {
+            enqueued_ms,
+            first: first.offset(lead),
+            head: 0,
+            bits: bits.into_boxed_slice(),
+        })
+    }
+
+    /// The slots not yet consumed.
+    fn live(&self) -> &[u64] {
+        &self.bits[self.head..]
+    }
+
+    /// Bits in the segment.
+    pub fn bits(&self) -> u64 {
+        self.live().iter().sum()
+    }
+
+    /// The segment's chunks, in flow-key order.
+    pub fn chunks(&self) -> impl Iterator<Item = BufferedChunk<K>> + '_ {
+        let slots = self.bits.iter().enumerate().skip(self.head);
+        slots
+            .filter(|&(_, &bits)| bits > 0)
+            .map(|(i, &bits)| BufferedChunk {
+                flow: self.first.offset(i),
+                enqueued_ms: self.enqueued_ms,
+                bits,
+            })
+    }
+}
+
+/// Group `chunks`, in order, into segments: a chunk extends the open
+/// segment when it carries the same stamp and the next consecutive
+/// key — with zero bits it is a hole there, never a reason to split —
+/// and opens a new one otherwise.
+fn segments_of<K: FlowKey>(
+    chunks: impl IntoIterator<Item = BufferedChunk<K>>,
+    mut sink: impl FnMut(BufferedSegment<K>),
+) {
+    let mut open: Option<(u64, K, Vec<u64>)> = None;
+    let mut close = |run: Option<(u64, K, Vec<u64>)>| {
+        if let Some(segment) =
+            run.and_then(|(stamp, first, run)| BufferedSegment::new(stamp, first, run))
+        {
+            sink(segment);
+        }
+    };
+    for c in chunks {
+        match &mut open {
+            Some((stamp, first, run))
+                if *stamp == c.enqueued_ms && first.offset(run.len()) == c.flow =>
+            {
+                run.push(c.bits)
+            }
+            _ => close(open.replace((c.enqueued_ms, c.flow, vec![c.bits]))),
+        }
+    }
+    close(open);
+}
+
 /// A per-node bounded, age-evicted FIFO store-and-forward buffer.
 ///
 /// `K` identifies the flow a chunk belongs to (the traffic engine
 /// uses its dense flow index). Chunks from different flows share one
 /// FIFO per node, so eviction and drain order is global arrival
 /// order — deterministic and starvation-free.
+///
+/// The FIFO is stored as [`BufferedSegment`]s, each allocated at its
+/// exact length, consumed in place from its front and freed whole.
+/// No segment is empty, so the front of the FIFO is always a chunk.
 #[derive(Debug, Clone)]
 pub struct StoreForwardBuffer<K> {
     max_bits: u64,
     max_age_ms: u64,
-    chunks: VecDeque<BufferedChunk<K>>,
+    segments: VecDeque<BufferedSegment<K>>,
     total_bits: u64,
     queued_bits: u64,
     drained_bits: u64,
@@ -87,14 +194,14 @@ pub struct StoreForwardBuffer<K> {
     transferred_out_bits: u64,
 }
 
-impl<K: Copy> StoreForwardBuffer<K> {
+impl<K: FlowKey> StoreForwardBuffer<K> {
     /// An empty buffer bounded at `max_bytes` of payload and
     /// `max_age_ms` of residency.
     pub fn new(max_bytes: u64, max_age_ms: u64) -> Self {
         StoreForwardBuffer {
             max_bits: max_bytes.saturating_mul(8),
             max_age_ms,
-            chunks: VecDeque::new(),
+            segments: VecDeque::new(),
             total_bits: 0,
             queued_bits: 0,
             drained_bits: 0,
@@ -141,14 +248,22 @@ impl<K: Copy> StoreForwardBuffer<K> {
 
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
+        self.segments.is_empty()
     }
 
     /// Age of the oldest resident chunk at `now_ms`, if any.
     pub fn oldest_age_ms(&self, now_ms: u64) -> Option<u64> {
-        self.chunks
+        self.segments
             .front()
-            .map(|c| now_ms.saturating_sub(c.enqueued_ms))
+            .map(|s| now_ms.saturating_sub(s.enqueued_ms))
+    }
+
+    /// `(segments, slots)` resident: what the buffer costs in memory
+    /// beyond its payload is eight bytes a slot, which the byte bound
+    /// does not limit — only the age bound and the enqueue cadence do.
+    pub fn census(&self) -> (usize, usize) {
+        let slots = self.segments.iter().map(|s| s.bits.len()).sum();
+        (self.segments.len(), slots)
     }
 
     /// Queue `bits` for `flow` at `now_ms`, evicting the oldest bits
@@ -174,35 +289,83 @@ impl<K: Copy> StoreForwardBuffer<K> {
         now_ms: u64,
         chunks: impl IntoIterator<Item = (K, u64)>,
     ) -> (u64, u64) {
-        let chunks = chunks.into_iter();
-        self.chunks.reserve(chunks.size_hint().0);
         let mut queued = 0u64;
-        for (flow, bits) in chunks.filter(|&(_, bits)| bits > 0) {
-            self.chunks.push_back(BufferedChunk {
-                flow,
-                enqueued_ms: now_ms,
-                bits,
-            });
-            queued += bits;
-        }
+        let chunks = chunks.into_iter().map(|(flow, bits)| BufferedChunk {
+            flow,
+            enqueued_ms: now_ms,
+            bits,
+        });
+        segments_of(chunks, |s| {
+            queued += s.bits();
+            self.segments.push_back(s);
+        });
+        self.enqueued(queued)
+    }
+
+    /// [`Self::enqueue_batch`] for the chunks of consecutive flows from
+    /// `first`, one item of `bits` each: one segment, however many of
+    /// the flows queue nothing.
+    pub fn enqueue_run(
+        &mut self,
+        now_ms: u64,
+        first: K,
+        bits: impl IntoIterator<Item = u64>,
+    ) -> (u64, u64) {
+        let segment = BufferedSegment::new(now_ms, first, bits.into_iter().collect());
+        let queued = segment.as_ref().map_or(0, BufferedSegment::bits);
+        self.segments.extend(segment);
+        self.enqueued(queued)
+    }
+
+    /// Account `queued` bits just pushed and evict back to the byte
+    /// bound. Returns `(queued, evicted)`.
+    fn enqueued(&mut self, queued: u64) -> (u64, u64) {
         self.queued_bits += queued;
         self.total_bits += queued;
-        let mut evicted = 0u64;
-        while self.total_bits > self.max_bits {
-            let over = self.total_bits - self.max_bits;
-            let front = self.chunks.front_mut().expect("total > 0 implies chunks");
-            if front.bits <= over {
-                evicted += front.bits;
-                self.total_bits -= front.bits;
-                self.chunks.pop_front();
-            } else {
-                front.bits -= over;
-                self.total_bits -= over;
-                evicted += over;
-            }
-        }
+        let over = self.total_bits.saturating_sub(self.max_bits);
+        let evicted = self.consume(over, |_, _, _| {});
         self.evicted_bits += evicted;
         (queued, evicted)
+    }
+
+    /// Take up to `budget` bits off the front of the FIFO, handing
+    /// `sink` what goes as `(enqueued_ms, first flow, bits)` runs — a
+    /// segment's slots for consecutive flows from `first`, holes
+    /// included; the part taken of a chunk that only partially fits is
+    /// a run of its own, and the remainder stays at the front. Returns
+    /// the bits taken.
+    fn consume(&mut self, budget: u64, mut sink: impl FnMut(u64, K, &[u64])) -> u64 {
+        let mut left = budget;
+        while left > 0 {
+            let Some(front) = self.segments.front_mut() else {
+                break;
+            };
+            let (stamp, first) = (front.enqueued_ms, front.first.offset(front.head));
+            let live = &mut front.bits[front.head..];
+            // Whole chunks that fit, and the holes behind them: the
+            // scan stops on a chunk, so the front never rests on a hole.
+            let mut whole = 0;
+            while whole < live.len() && live[whole] <= left {
+                left -= live[whole];
+                whole += 1;
+            }
+            if whole > 0 {
+                sink(stamp, first, &live[..whole]);
+            }
+            if whole == live.len() {
+                self.segments.pop_front();
+                continue;
+            }
+            if left > 0 {
+                live[whole] -= left;
+                sink(stamp, first.offset(whole), &[left]);
+                left = 0;
+            }
+            front.head += whole;
+        }
+        let taken = budget - left;
+        self.total_bits -= taken;
+        taken
     }
 
     /// Drop every chunk at or past the age bound at `now_ms` — a
@@ -210,14 +373,14 @@ impl<K: Copy> StoreForwardBuffer<K> {
     /// Returns the bits aged out.
     pub fn expire(&mut self, now_ms: u64) -> u64 {
         let mut evicted = 0u64;
-        while let Some(front) = self.chunks.front() {
+        while let Some(front) = self.segments.front() {
             if now_ms.saturating_sub(front.enqueued_ms) < self.max_age_ms {
                 break;
             }
-            evicted += front.bits;
-            self.total_bits -= front.bits;
-            self.chunks.pop_front();
+            evicted += front.bits();
+            self.segments.pop_front();
         }
+        self.total_bits -= evicted;
         self.evicted_bits += evicted;
         evicted
     }
@@ -228,27 +391,36 @@ impl<K: Copy> StoreForwardBuffer<K> {
     /// enqueue time) at the front.
     pub fn drain(&mut self, now_ms: u64, budget_bits: u64) -> Vec<DrainedChunk<K>> {
         let mut out = Vec::new();
-        let mut budget = budget_bits;
-        while budget > 0 {
-            let Some(front) = self.chunks.front_mut() else {
-                break;
-            };
-            let take = front.bits.min(budget);
-            out.push(DrainedChunk {
-                flow: front.flow,
-                bits: take,
-                age_ms: now_ms.saturating_sub(front.enqueued_ms),
-            });
-            budget -= take;
-            self.total_bits -= take;
-            self.drained_bits += take;
-            if take == front.bits {
-                self.chunks.pop_front();
-            } else {
-                front.bits -= take;
-            }
-        }
+        self.drain_runs(now_ms, budget_bits, |first, age_ms, run| {
+            let slots = run.iter().enumerate();
+            out.extend(
+                slots
+                    .filter(|&(_, &bits)| bits > 0)
+                    .map(|(i, &bits)| DrainedChunk {
+                        flow: first.offset(i),
+                        bits,
+                        age_ms,
+                    }),
+            );
+        });
         out
+    }
+
+    /// [`Self::drain`] without the chunk list: `sink` is handed what
+    /// drains as `(first flow, age_ms, bits)` runs — the bits of
+    /// consecutive flows from `first` that waited `age_ms`, a zero
+    /// being a flow with nothing in the run. Returns the bits drained.
+    pub fn drain_runs(
+        &mut self,
+        now_ms: u64,
+        budget_bits: u64,
+        mut sink: impl FnMut(K, u64, &[u64]),
+    ) -> u64 {
+        let drained = self.consume(budget_bits, |stamp, first, run| {
+            sink(first, now_ms.saturating_sub(stamp), run)
+        });
+        self.drained_bits += drained;
+        drained
     }
 
     /// Remove up to `budget_bits` of the oldest resident bits for
@@ -258,27 +430,18 @@ impl<K: Copy> StoreForwardBuffer<K> {
     /// partially fits is split; both halves keep the original
     /// enqueue stamp, so age accounting survives the handoff.
     pub fn extract_custody(&mut self, budget_bits: u64) -> Vec<BufferedChunk<K>> {
+        let segments = self.extract_segments(budget_bits);
+        segments.iter().flat_map(|s| s.chunks()).collect()
+    }
+
+    /// [`Self::extract_custody`] with the chunks still in segments,
+    /// oldest first — what [`Self::accept_segments`] takes.
+    pub fn extract_segments(&mut self, budget_bits: u64) -> Vec<BufferedSegment<K>> {
         let mut out = Vec::new();
-        let mut budget = budget_bits;
-        while budget > 0 {
-            let Some(front) = self.chunks.front_mut() else {
-                break;
-            };
-            let take = front.bits.min(budget);
-            out.push(BufferedChunk {
-                flow: front.flow,
-                enqueued_ms: front.enqueued_ms,
-                bits: take,
-            });
-            budget -= take;
-            self.total_bits -= take;
-            self.transferred_out_bits += take;
-            if take == front.bits {
-                self.chunks.pop_front();
-            } else {
-                front.bits -= take;
-            }
-        }
+        let taken = self.consume(budget_bits, |stamp, first, run| {
+            out.extend(BufferedSegment::new(stamp, first, run.to_vec()));
+        });
+        self.transferred_out_bits += taken;
         out
     }
 
@@ -297,42 +460,56 @@ impl<K: Copy> StoreForwardBuffer<K> {
     /// Accepted chunks keep their original enqueue stamps and merge
     /// into the FIFO in age order (resident bits first on ties), so
     /// FIFO order remains age order.
-    pub fn accept_custody(
+    pub fn accept_custody(&mut self, incoming: Vec<BufferedChunk<K>>, now_ms: u64) -> (u64, u64) {
+        let mut segments = Vec::new();
+        segments_of(incoming, |s| segments.push(s));
+        self.accept_segments(segments, now_ms)
+    }
+
+    /// [`Self::accept_custody`] for chunks that arrive in segments. A
+    /// segment has one stamp, so sorting, refusing and merging by
+    /// segment gives the chunk sequence the chunk-by-chunk rules give.
+    pub fn accept_segments(
         &mut self,
-        mut incoming: Vec<BufferedChunk<K>>,
+        mut incoming: Vec<BufferedSegment<K>>,
         now_ms: u64,
     ) -> (u64, u64) {
-        incoming.sort_by_key(|c| c.enqueued_ms);
+        incoming.sort_by_key(|s| s.enqueued_ms);
         let mut accepted = 0u64;
         let mut refused = 0u64;
-        let mut fresh: Vec<BufferedChunk<K>> = Vec::new();
-        for c in incoming {
-            if c.bits == 0 {
-                continue;
-            }
-            if now_ms.saturating_sub(c.enqueued_ms) >= self.max_age_ms {
-                refused += c.bits;
-            } else {
-                fresh.push(c);
-            }
-        }
         let mut room = self.max_bits - self.total_bits;
-        let mut take: VecDeque<BufferedChunk<K>> = VecDeque::new();
-        for mut c in fresh.into_iter().rev() {
-            if room == 0 {
-                refused += c.bits;
-                continue;
+        let mut take: Vec<BufferedSegment<K>> = Vec::new();
+        for s in incoming.into_iter().rev() {
+            let bits = s.bits();
+            if room == 0 || now_ms.saturating_sub(s.enqueued_ms) >= self.max_age_ms {
+                refused += bits;
+            } else if bits <= room {
+                room -= bits;
+                accepted += bits;
+                take.push(s);
+            } else {
+                // The boundary segment: its newest chunks fill the
+                // room, the chunk that only partially fits is trimmed
+                // to what is left of it, and the older ones are refused.
+                let mut kept = s.bits.into_vec();
+                let mut cut = kept.len() - 1;
+                while kept[cut] <= room {
+                    room -= kept[cut];
+                    cut -= 1;
+                }
+                kept[cut] = std::mem::take(&mut room);
+                kept.drain(..cut);
+                let part = BufferedSegment::new(s.enqueued_ms, s.first.offset(cut), kept)
+                    .expect("room for a bit");
+                accepted += part.bits();
+                refused += bits - part.bits();
+                take.push(part);
             }
-            if c.bits > room {
-                refused += c.bits - room;
-                c.bits = room;
-            }
-            room -= c.bits;
-            accepted += c.bits;
-            take.push_front(c);
         }
+        take.reverse();
         if !take.is_empty() {
-            let mut resident = std::mem::take(&mut self.chunks);
+            let mut resident = std::mem::take(&mut self.segments);
+            let mut take = VecDeque::from(take);
             let mut merged = VecDeque::with_capacity(resident.len() + take.len());
             while let (Some(r), Some(t)) = (resident.front(), take.front()) {
                 if r.enqueued_ms <= t.enqueued_ms {
@@ -343,7 +520,7 @@ impl<K: Copy> StoreForwardBuffer<K> {
             }
             merged.extend(resident);
             merged.extend(take);
-            self.chunks = merged;
+            self.segments = merged;
             self.total_bits += accepted;
         }
         self.transferred_in_bits += accepted;
@@ -354,7 +531,7 @@ impl<K: Copy> StoreForwardBuffer<K> {
     /// backlog. Returns the bits lost; they count as evicted.
     pub fn wipe(&mut self) -> u64 {
         let lost = self.total_bits;
-        self.chunks.clear();
+        self.segments.clear();
         self.total_bits = 0;
         self.evicted_bits += lost;
         lost
@@ -367,6 +544,11 @@ mod tests {
 
     fn buf(max_bytes: u64, max_age_ms: u64) -> StoreForwardBuffer<u32> {
         StoreForwardBuffer::new(max_bytes, max_age_ms)
+    }
+
+    /// Every resident chunk, oldest first.
+    fn resident(b: &StoreForwardBuffer<u32>) -> Vec<BufferedChunk<u32>> {
+        b.clone().extract_custody(u64::MAX)
     }
 
     #[test]
@@ -409,7 +591,7 @@ mod tests {
                 .map(|&(f, bits)| one_by_one.enqueue(f, 9, bits))
                 .sum();
             assert_eq!(batched.enqueue_batch(9, batch), (265, evicted));
-            assert_eq!(batched.chunks, one_by_one.chunks);
+            assert_eq!(resident(&batched), resident(&one_by_one));
             assert_eq!(batched.total_bits(), one_by_one.total_bits());
             assert_eq!(batched.queued_bits(), one_by_one.queued_bits());
             assert_eq!(batched.evicted_bits(), one_by_one.evicted_bits());
@@ -608,5 +790,107 @@ mod tests {
             b.queued_bits() + b.transferred_in_bits(),
             b.drained_bits() + b.evicted_bits() + b.total_bits() + b.transferred_out_bits()
         );
+    }
+
+    #[test]
+    fn a_batch_costs_one_segment_and_a_slot_per_flow() {
+        let (flows, ticks) = (40u32, 7u64);
+        let mut b = buf(1 << 20, 10_000);
+        for _ in 0..ticks {
+            // Same stamp every time: a stamp shared across batches
+            // merges nothing, the keys start over.
+            b.enqueue_batch(5, (0..flows).map(|f| (f, 3)));
+        }
+        assert_eq!(
+            b.census(),
+            (ticks as usize, (flows as u64 * ticks) as usize)
+        );
+        assert_eq!(b.total_bits(), 3 * flows as u64 * ticks);
+        // Consumed slots are freed a segment at a time.
+        b.drain(5, 3 * flows as u64 + 1);
+        assert_eq!(b.census().0, ticks as usize - 1);
+        b.drain(5, u64::MAX);
+        assert_eq!(b.census(), (0, 0));
+    }
+
+    #[test]
+    fn holes_cost_no_segment_and_are_no_chunks() {
+        let mut b = buf(1_000, 10_000);
+        let batch = [(3u32, 0u64), (4, 7), (5, 0), (6, 0), (7, 9), (8, 0)];
+        assert_eq!(b.enqueue_batch(1, batch), (16, 0));
+        // One segment from the first chunk to the last, holes inside.
+        assert_eq!(b.census(), (1, 4));
+        assert_eq!(b.enqueue_run(2, 10, [0, 0]), (0, 0));
+        assert_eq!(b.census(), (1, 4), "a run of holes is nothing");
+        // A budget that ends on a chunk boundary leaves the front on
+        // the next chunk, not on the holes between.
+        assert_eq!(b.drain(3, 7).len(), 1);
+        assert_eq!(b.oldest_age_ms(3), Some(2));
+        assert_eq!(
+            b.drain(3, u64::MAX),
+            vec![DrainedChunk {
+                flow: 7,
+                bits: 9,
+                age_ms: 2
+            }]
+        );
+        assert!(b.is_empty());
+    }
+
+    #[test]
+    fn scattered_keys_cost_segments_not_correctness() {
+        let batch = [(9u32, 1u64), (8, 2), (7, 3), (7, 4), (20, 5), (21, 6)];
+        let mut b = buf(1_000, 10_000);
+        b.enqueue_batch(4, batch);
+        // Descending and repeated keys are a segment each; 20, 21 one.
+        assert_eq!(b.census(), (5, 6));
+        let order: Vec<(u32, u64)> = resident(&b).iter().map(|c| (c.flow, c.bits)).collect();
+        assert_eq!(order, batch);
+    }
+
+    #[test]
+    fn a_key_run_across_the_end_of_the_key_space_round_trips() {
+        let mut b = buf(1_000, 10_000);
+        let keys = [u32::MAX - 1, u32::MAX, 0, 1];
+        b.enqueue_batch(0, keys.map(|k| (k, 5)));
+        assert_eq!(b.census(), (1, 4));
+        // Through a custody handoff with a split chunk and back out.
+        let mut c = buf(1_000, 10_000);
+        assert_eq!(c.accept_segments(b.extract_segments(12), 1), (12, 0));
+        assert_eq!(c.accept_custody(b.extract_custody(u64::MAX), 1), (8, 0));
+        let flows: Vec<(u32, u64)> = c
+            .drain(1, u64::MAX)
+            .iter()
+            .map(|d| (d.flow, d.bits))
+            .collect();
+        assert_eq!(
+            flows,
+            vec![(u32::MAX - 1, 5), (u32::MAX, 5), (0, 2), (0, 3), (1, 5)]
+        );
+    }
+
+    #[test]
+    fn segment_handoff_equals_chunk_handoff() {
+        // A partly drained front, an arrival older than the residents,
+        // stamps equal to a resident's, an over-age segment and a
+        // boundary segment that only partly fits.
+        let mut from = buf(1_000, 10_000);
+        from.enqueue_batch(10, (0..4u32).map(|f| (f, 20)));
+        from.enqueue_batch(50, (0..4u32).map(|f| (f, if f == 2 { 0 } else { 30 })));
+        from.enqueue_batch(90, (0..4u32).map(|f| (f, 10)));
+        from.drain(90, 25);
+        let mut to = buf(20, 84); // 160 bits
+        to.enqueue_batch(50, [(100u32, 40u64), (101, 40)]);
+        to.drain(60, 10);
+        let (mut from_c, mut to_c) = (from.clone(), to.clone());
+        let by_segment = to.accept_segments(from.extract_segments(170), 94);
+        let by_chunk = to_c.accept_custody(from_c.extract_custody(170), 94);
+        assert_eq!(by_segment, by_chunk);
+        // 55 bits over-age; of the 115 fresh ones the newest 90 fit,
+        // the last 5 of them a trimmed chunk.
+        assert_eq!(by_segment, (90, 80));
+        assert_eq!(resident(&to), resident(&to_c));
+        assert_eq!(resident(&from), resident(&from_c));
+        assert_eq!(to.total_bits(), 160);
     }
 }

@@ -312,6 +312,18 @@ fn finite(v: f64, ctx: &str) -> Result<f64, String> {
     }
 }
 
+/// `units` spans of `unit_ms` each must come to a `u64` of
+/// milliseconds: the builder multiplies them out unchecked.
+fn fits_ms(units: Option<u64>, unit_ms: u64, ctx: &str) -> Result<(), String> {
+    match units.and_then(|u| u.checked_mul(unit_ms)) {
+        Some(_) => Ok(()),
+        None => Err(format!("{ctx}: does not fit in u64 milliseconds")),
+    }
+}
+
+const MIN_MS: u64 = 60 * 1000;
+const HOUR_MS: u64 = 60 * MIN_MS;
+
 fn prob(v: f64, ctx: &str) -> Result<f64, String> {
     finite(v, ctx)?;
     if (0.0..=1.0).contains(&v) {
@@ -332,6 +344,7 @@ impl ScenarioSpec {
         if self.duration_hours == 0 {
             return Err("duration_hours: must be ≥ 1".into());
         }
+        fits_ms(Some(self.duration_hours), HOUR_MS, "duration_hours")?;
         if self.fleet.n_balloons == 0 {
             return Err("fleet.n_balloons: must be ≥ 1".into());
         }
@@ -360,6 +373,11 @@ impl ScenarioSpec {
             if s.duration_hours == 0 {
                 return Err("demand.surge.duration_hours: must be ≥ 1".into());
             }
+            fits_ms(
+                s.start_hour.checked_add(s.duration_hours),
+                HOUR_MS,
+                "demand.surge.start_hour + duration_hours",
+            )?;
         }
         if let WeatherRegime::Stormy { intensity, days } = self.weather.regime {
             finite(intensity, "weather.stormy.intensity")?;
@@ -386,12 +404,27 @@ impl ScenarioSpec {
                         "faults.seeded: latest_hour {latest_hour} must exceed earliest_hour {earliest_hour}"
                     ));
                 }
+                // A window drawn just before `latest_hour` ends up to
+                // an hour after it.
+                fits_ms(
+                    latest_hour.checked_add(1),
+                    HOUR_MS,
+                    "faults.seeded.latest_hour",
+                )?;
             }
             FaultsSpec::Directed(windows) => {
                 for (i, w) in windows.iter().enumerate() {
                     let ctx = format!("faults.directed[{i}]");
                     if w.duration_mins == Some(0) {
                         return Err(format!("{ctx}: duration_mins must be ≥ 1 or null"));
+                    }
+                    fits_ms(
+                        w.start_min.checked_add(w.duration_mins.unwrap_or(0)),
+                        MIN_MS,
+                        &format!("{ctx}: start_min + duration_mins"),
+                    )?;
+                    if let KindSpec::BalloonLossWarned { lead_mins, .. } = &w.kind {
+                        fits_ms(Some(*lead_mins), MIN_MS, &format!("{ctx}.lead_mins"))?;
                     }
                     match &w.kind {
                         KindSpec::SatcomBrownout {
@@ -461,6 +494,11 @@ impl ScenarioSpec {
                 }
             }
         }
+        fits_ms(
+            Some(self.traffic.buffer_max_age_mins),
+            MIN_MS,
+            "traffic.buffer_max_age_mins",
+        )?;
         if self.traffic.buffer_max_bytes == 0 && self.traffic.store_forward {
             return Err("traffic.buffer_max_bytes: must be ≥ 1 when store_forward is on".into());
         }
@@ -1073,6 +1111,77 @@ mod tests {
         ] {
             let spec = with_directed(kind);
             assert_eq!(spec.validate(), Ok(()), "{:?}", spec.faults);
+        }
+    }
+
+    #[test]
+    fn times_past_u64_milliseconds_are_rejected_by_field() {
+        // 4e14 minutes is 2.4e19 ms: a wrong age bound in release, a
+        // panic in debug, if the builder were ever handed it.
+        let base = || {
+            let mut spec = crate::chaos_soak_spec("overflow", 7);
+            spec.traffic.enabled = true;
+            spec
+        };
+        fn surge(start_hour: u64, duration_hours: u64) -> Option<SurgeSpec> {
+            Some(SurgeSpec {
+                start_hour,
+                duration_hours,
+                multiplier: 2.0,
+            })
+        }
+        fn warned_loss(start_min: u64, duration_mins: Option<u64>, lead_mins: u64) -> FaultsSpec {
+            let kind = KindSpec::BalloonLossWarned {
+                balloon: 0,
+                lead_mins,
+            };
+            FaultsSpec::Directed(vec![WindowSpec {
+                start_min,
+                duration_mins,
+                kind,
+            }])
+        }
+        type Edit = fn(&mut ScenarioSpec, u64);
+        let edits: [(&str, Edit); 8] = [
+            ("duration_hours", |s, v| s.duration_hours = v),
+            ("traffic.buffer_max_age_mins", |s, v| {
+                s.traffic.buffer_max_age_mins = v
+            }),
+            ("demand.surge.start_hour + duration_hours", |s, v| {
+                s.demand.surge = surge(v, 1)
+            }),
+            ("demand.surge.start_hour + duration_hours", |s, v| {
+                s.demand.surge = surge(1, v)
+            }),
+            ("faults.seeded.latest_hour", |s, v| {
+                s.faults = FaultsSpec::Seeded {
+                    expected: 1,
+                    earliest_hour: 0,
+                    latest_hour: v,
+                    warned_loss: false,
+                }
+            }),
+            ("faults.directed[0]: start_min + duration_mins", |s, v| {
+                s.faults = warned_loss(v, None, 5)
+            }),
+            ("faults.directed[0]: start_min + duration_mins", |s, v| {
+                s.faults = warned_loss(1, Some(v), 5)
+            }),
+            ("faults.directed[0].lead_mins", |s, v| {
+                s.faults = warned_loss(1, None, v)
+            }),
+        ];
+        for (field, edit) in edits {
+            for bad in [u64::MAX, 400_000_000_000_000] {
+                let mut spec = base();
+                edit(&mut spec, bad);
+                let err = spec.validate().expect_err(field);
+                assert_eq!(err, format!("{field}: does not fit in u64 milliseconds"));
+                assert_eq!(ScenarioSpec::from_json(&spec.to_json()), Err(err));
+            }
+            let mut spec = base();
+            edit(&mut spec, 30);
+            assert_eq!(spec.validate(), Ok(()), "{field}");
         }
     }
 }

@@ -151,8 +151,19 @@ impl LoadFactor {
     /// `users · busy_hour · weight` is `base_bps`: the product
     /// continues left to right, so hoisting the factors changes no bit.
     fn bulk_bps(self, base_bps: f64) -> u64 {
-        (base_bps * self.diurnal * self.surge).round() as u64
+        round_to_u64(base_bps * self.diurnal * self.surge)
     }
+}
+
+/// `x.round() as u64` — half away from zero, negatives and NaN to 0,
+/// saturating at `u64::MAX` — without `f64::round`, which is a call
+/// into libm on this target: truncate, then compare the fraction,
+/// which is exact wherever an `f64` has one (below 2⁵³). The add
+/// saturates because `u64::MAX as f64` is 2⁶⁴, and +∞ and 2⁶⁵ are
+/// more than a half above it.
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
 }
 
 /// Deterministic demand generator over a fixed site set.
@@ -440,6 +451,86 @@ mod tests {
             a.offered_bps(i, SimTime::from_hours(19)) == c.offered_bps(i, SimTime::from_hours(19))
         });
         assert!(!same, "weights must depend on the seed");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn round_to_u64_is_round_then_cast(bits in 0u64..=u64::MAX, int in 0u64..=u64::MAX) {
+            // Raw bit patterns reach NaNs, infinities, subnormals and
+            // both signs; `int + ½` at every magnitude below 2⁵² the
+            // ties and, one ulp either side, their neighbours.
+            let x = f64::from_bits(bits);
+            let tie = (int >> (12 + bits % 52)) as f64 + 0.5;
+            let (below, above) = (tie.to_bits() - 1, tie.to_bits() + 1);
+            for x in [x, x.abs(), tie, -tie, f64::from_bits(below), f64::from_bits(above)] {
+                proptest::prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {:e}", x);
+            }
+        }
+    }
+
+    #[test]
+    fn round_to_u64_matches_at_the_edges() {
+        let two64 = u64::MAX as f64;
+        for x in [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            0.49999999999999994,
+            1.5,
+            2.5,
+            4503599627370495.5, // 2^52 - 0.5, the largest tie
+            9007199254740991.0, // 2^53 - 1
+            9007199254740992.0,
+            9007199254740994.0,
+            two64 / 2.0,
+            f64::from_bits(two64.to_bits() - 1),
+            two64,
+            two64 * 2.0,
+            -1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+        ] {
+            assert_eq!(round_to_u64(x), x.round() as u64, "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn offer_run_is_the_per_flow_rounded_product() {
+        let surge = DemandSurge {
+            start_ms: SimTime::from_hours(10).as_ms(),
+            end_ms: SimTime::from_hours(12).as_ms(),
+            multiplier: 4.0,
+        };
+        let cfg = DemandConfig {
+            surge: Some(surge),
+            ..DemandConfig::default()
+        };
+        let sites: Vec<PlatformId> = (0..3).map(PlatformId).collect();
+        let g = DemandGenerator::new(cfg, &sites, &RngStreams::new(7));
+        for h in [0, 8, 11, 20] {
+            let now = SimTime::from_hours(h);
+            let factor = g.load_factor(now);
+            for run in g.runs() {
+                let mut out = vec![0u64; (run.end - run.first) as usize];
+                let sum = g.offer_run(run, factor, &mut out);
+                assert_eq!(sum, out.iter().sum::<u64>());
+                for (i, &o) in (run.first as usize..).zip(&out) {
+                    assert_eq!(o, g.offered_bps(i, now));
+                    if g.flows()[i].class == TrafficClass::Bulk {
+                        let f = &g.flows()[i];
+                        let x = f.users as f64
+                            * cfg.busy_hour_bps_per_user
+                            * f.weight
+                            * factor.diurnal
+                            * factor.surge;
+                        assert_eq!(o, x.round() as u64);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

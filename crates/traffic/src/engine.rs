@@ -17,7 +17,7 @@
 //! the paper assigns to the network digest (§3.1).
 
 use std::collections::{BTreeMap, BTreeSet};
-use tssdn_dataplane::{BufferedChunk, StoreForwardBuffer};
+use tssdn_dataplane::{BufferedSegment, StoreForwardBuffer};
 use tssdn_sim::{PlatformId, RngStreams, SimDuration, SimTime};
 use tssdn_telemetry::GoodputSeries;
 
@@ -311,9 +311,9 @@ pub struct TrafficEngine {
     /// that originated elsewhere — drains always credit the chunk's
     /// *origin* site via its flow id.
     snf: BTreeMap<PlatformId, StoreForwardBuffer<u32>>,
-    /// Chunks extracted for custody last tick, arriving at their
-    /// custodian this tick: `(destination holder, chunk)`.
-    custody_transit: Vec<(PlatformId, BufferedChunk<u32>)>,
+    /// Segments extracted for custody last tick, arriving at their
+    /// custodian this tick: `(destination holder, segment)`.
+    custody_transit: Vec<(PlatformId, BufferedSegment<u32>)>,
     /// Lifetime custody ledger (fleet-wide).
     custody_initiated_total: u64,
     custody_accepted_total: u64,
@@ -423,7 +423,7 @@ impl TrafficEngine {
     }
 
     fn in_transit_bits(&self) -> u64 {
-        self.custody_transit.iter().map(|(_, c)| c.bits).sum()
+        self.custody_transit.iter().map(|(_, s)| s.bits()).sum()
     }
 
     fn rebuild_topology(&mut self, view: &TopologyView) {
@@ -1262,6 +1262,44 @@ mod tests {
                 .collect();
             let bulk: Vec<u32> = (run.first..run.bulk_end).collect();
             assert_eq!(queued, bulk, "site {}", run.site);
+        }
+    }
+
+    #[test]
+    fn a_routeless_window_costs_a_slot_per_flow_per_tick_under_the_age_bound() {
+        // The byte bound does not limit what a buffer costs in
+        // metadata; the age bound and the tick do. Lift the byte bound
+        // out of the way and pin the other.
+        let sites = [PlatformId(0), PlatformId(1)];
+        let mut config = TrafficConfig::default();
+        config.demand.flows_per_site = 2_000;
+        config.store_forward.max_bytes = u64::MAX;
+        config.tunnel_capacity_bps = 1_000_000_000_000;
+        let mut e = TrafficEngine::new(config, &sites, &RngStreams::new(11));
+        let view = view_for(&sites, config.tunnel_capacity_bps);
+        let mut dark = view.clone();
+        dark.paths.clear();
+        let tick = SimDuration::from_secs(10);
+        let max_age_ticks = config.store_forward.max_age_ms.div_ceil(tick.as_ms()) as usize;
+        let bound = 2_000 * max_age_ticks;
+        let mut now = SimTime::from_hours(20);
+        for _ in 0..max_age_ticks + 30 {
+            e.tick(now, tick, &dark);
+            now += tick;
+            for buf in e.snf.values() {
+                let (segments, slots) = buf.census();
+                assert!(segments <= max_age_ticks && slots <= bound);
+            }
+        }
+        for site in sites {
+            assert_eq!(e.snf[&site].census(), (max_age_ticks, bound));
+        }
+        // The route comes back with room for the whole backlog.
+        let s = e.tick(now, tick, &view);
+        assert!(s.snf_drained_bits > 0);
+        assert_eq!(s.snf_buffered_bits, 0);
+        for site in sites {
+            assert_eq!(e.snf[&site].census(), (0, 0));
         }
     }
 

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::iter;
 
-use tssdn_dataplane::{BufferedChunk, StoreForwardBuffer};
+use tssdn_dataplane::{BufferedSegment, StoreForwardBuffer};
 use tssdn_sim::{PlatformId, SimTime};
 use tssdn_telemetry::ServiceClass;
 
@@ -208,8 +208,8 @@ impl TrafficEngine {
         rebuilt
     }
 
-    /// Custody arrivals: chunks extracted last tick spent one tick in
-    /// transit and are now offered to their custodian, which accepts
+    /// Custody arrivals: segments extracted last tick spent one tick
+    /// in transit and are now offered to their custodian, which accepts
     /// what fits (and is not over-age) and refuses the rest. Bits
     /// addressed to a custodian that died in the meantime are lost in
     /// transit.
@@ -222,17 +222,17 @@ impl TrafficEngine {
         if self.custody_transit.is_empty() {
             return;
         }
-        let mut by_dest: BTreeMap<PlatformId, Vec<BufferedChunk<u32>>> = BTreeMap::new();
-        for (to, chunk) in self.custody_transit.drain(..) {
+        let mut by_dest: BTreeMap<PlatformId, Vec<BufferedSegment<u32>>> = BTreeMap::new();
+        for (to, segment) in self.custody_transit.drain(..) {
             if view.dead.contains(&to) {
-                s.custody_lost_bits += chunk.bits;
+                s.custody_lost_bits += segment.bits();
             } else {
-                by_dest.entry(to).or_default().push(chunk);
+                by_dest.entry(to).or_default().push(segment);
             }
         }
-        for (to, chunks) in by_dest {
+        for (to, segments) in by_dest {
             let buf = buffer_of(&mut self.snf, self.config.store_forward, to);
-            let (accepted, refused) = buf.accept_custody(chunks, now_ms);
+            let (accepted, refused) = buf.accept_segments(segments, now_ms);
             s.custody_accepted_bits += accepted;
             s.custody_refused_bits += refused;
         }
@@ -333,9 +333,9 @@ impl TrafficEngine {
     /// Routeless but eligible: the run's Bulk bits wait in the site's
     /// store-and-forward buffer instead of counting dropped — one
     /// chunk per flow, in ascending flow index, which is the order a
-    /// later drain or handoff takes them in. Control is never
-    /// buffered: it stays fail-fast so the control-latency story is
-    /// untouched.
+    /// later drain or handoff takes them in, and one segment for the
+    /// run. Control is never buffered: it stays fail-fast so the
+    /// control-latency story is untouched.
     fn buffer_routeless(&mut self, k: usize, now_ms: u64, dt_ms: u64, s: &mut TickSummary) {
         let run = self.sites[k].run;
         let bulk = run.first as usize..run.bulk_end as usize;
@@ -345,11 +345,12 @@ impl TrafficEngine {
             return;
         }
         let buf = buffer_of(&mut self.snf, self.config.store_forward, run.site);
-        let chunks = (run.first..run.bulk_end).zip(offered.iter().map(|&o| bits_of(o)));
-        let (queued, evicted) = buf.enqueue_batch(now_ms, chunks);
-        for (fs, &o) in self.flow_stats[bulk].iter_mut().zip(offered) {
+        let stats = self.flow_stats[bulk].iter_mut();
+        let bits = stats.zip(offered).map(|(fs, &o)| {
             fs.buffered_bits += bits_of(o);
-        }
+            bits_of(o)
+        });
+        let (queued, evicted) = buf.enqueue_run(now_ms, run.first, bits);
         self.series.record_buffered(run.site, queued);
         if evicted > 0 {
             self.series.record_buffer_evicted(run.site, evicted);
@@ -602,23 +603,27 @@ impl TrafficEngine {
             if budget == 0 {
                 continue;
             }
-            let chunks = buf.drain(now.as_ms(), budget);
-            let mut bits = 0u64;
             // Drains credit each chunk's *origin* site (via its flow
             // id) — after a custody handoff the holder and the origin
-            // differ.
+            // differ. A drained run is part of one segment, which one
+            // site's routeless tick queued: one origin, one age.
             let mut by_origin: BTreeMap<PlatformId, (u64, u128)> = BTreeMap::new();
-            for c in &chunks {
-                bits += c.bits;
-                let origin = self.demand.flows()[c.flow as usize].site;
+            let flows = self.demand.flows();
+            let bits = buf.drain_runs(now.as_ms(), budget, |first, age_ms, run| {
+                let first = first as usize;
+                let origin = flows[first].site;
+                debug_assert_eq!(flows[first + run.len() - 1].site, origin);
+                let mut run_bits = 0u64;
+                for (fs, &b) in self.flow_stats[first..].iter_mut().zip(run) {
+                    run_bits += b;
+                    fs.delivered_bits += b;
+                    fs.drained_bits += b;
+                    fs.age_bits_ms += b as u128 * age_ms as u128;
+                }
                 let o = by_origin.entry(origin).or_default();
-                o.0 += c.bits;
-                o.1 += c.bits as u128 * c.age_ms as u128;
-                let fs = &mut self.flow_stats[c.flow as usize];
-                fs.delivered_bits += c.bits;
-                fs.drained_bits += c.bits;
-                fs.age_bits_ms += c.bits as u128 * c.age_ms as u128;
-            }
+                o.0 += run_bits;
+                o.1 += run_bits as u128 * age_ms as u128;
+            });
             if bits == 0 {
                 continue;
             }
@@ -671,8 +676,8 @@ impl TrafficEngine {
             if buf.is_empty() {
                 continue;
             }
-            let chunks = buf.extract_custody(budget);
-            let bits: u64 = chunks.iter().map(|c| c.bits).sum();
+            let segments = buf.extract_segments(budget);
+            let bits: u64 = segments.iter().map(BufferedSegment::bits).sum();
             if bits == 0 {
                 continue;
             }
@@ -681,7 +686,7 @@ impl TrafficEngine {
                 residual_bits[l] = residual_bits[l].saturating_sub(bits as u128);
             }
             self.custody_transit
-                .extend(chunks.into_iter().map(|c| (to, c)));
+                .extend(segments.into_iter().map(|s| (to, s)));
         }
         self.custody_initiated_total += s.custody_initiated_bits;
         if s.custody_initiated_bits > 0 {

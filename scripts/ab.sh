@@ -8,9 +8,9 @@
 # `tssdn-e2e` there and here, and for each workload runs
 # `tssdn-e2e --workload W --trace 0` N times on each side, alternating which
 # side goes first. Exits non-zero if any pair's `scorecard` objects differ byte
-# for byte. Prints, per workload x end-to-end metric, both medians, the base's
-# inter-quartile range, how many pairs the tree won and a verdict by
-# BENCHMARK.json's own `better` / `bound` (read, never edited):
+# for byte. Prints, per workload x end-to-end metric, both medians, their ratio
+# tree/base, the base's inter-quartile range, how many pairs the tree won and a
+# verdict by BENCHMARK.json's own `better` / `bound` (read, never edited):
 #   worse>bound  the tree's median is worse than the base's by more than the bound
 #   unresolved   the base's IQR alone is wider than the bound (and the tree's
 #                runs are not all better than all of the base's)
@@ -57,9 +57,9 @@ for w in "${workloads[@]}"; do
   done
 done
 
-# Per (workload, metric): medians, base IQR, pairs the tree won, verdict. The
-# first file gives each end-to-end metric's direction and bound.
-printf '%-16s %-16s %12s %12s %12s %6s  %s\n' workload metric base_median tree_median base_iqr wins verdict
+# Per (workload, metric): medians, tree/base, base IQR, pairs the tree won,
+# verdict. The first file gives each end-to-end metric's direction and bound.
+printf '%-16s %-16s %12s %12s %9s %12s %6s  %s\n' workload metric base_median tree_median tree/base base_iqr wins verdict
 awk '
 function sort(a, n,   i, j, x) { for (i = 2; i <= n; i++) { x = a[i]; for (j = i - 1; j >= 1 && a[j] > x; j--) a[j + 1] = a[j]; a[j + 1] = x } }
 function q(a, n, p,   h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
@@ -96,7 +96,7 @@ END {
     verdict = "ok"
     if ((bm - tm) * up > bound[name] * bm) { verdict = "worse>bound"; bad = 1 }
     else if (iqr > bound[name] * bm && !clear) verdict = "unresolved"
-    printf "%-16s %-16s %12.4f %12.4f %12.4f %3d/%d  %s\n", w, name, bm, tm, iqr, wins, n, verdict
+    printf "%-16s %-16s %12.4f %12.4f %9.3f %12.4f %3d/%d  %s\n", w, name, bm, tm, bm ? tm / bm : 0, iqr, wins, n, verdict
   }
   exit bad
 }' BENCHMARK.json "$runs"

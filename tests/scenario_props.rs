@@ -272,23 +272,27 @@ fn unknown_enum_tags_are_rejected() {
 }
 
 // ---------------------------------------------------------------- //
-// Hostile input: the decoder never panics                          //
+// Hostile input: the decoder and the builder never panic           //
 // ---------------------------------------------------------------- //
 
 /// Decode `text`. Nothing may panic; a spec that does come out must
-/// have been validated and must re-encode to text that decodes to
-/// itself.
+/// have been validated, must re-encode to text that decodes to
+/// itself, and must turn into an orchestrator configuration — where
+/// its hours and minutes are multiplied out to milliseconds.
 fn survives(text: &str) -> TestCaseResult {
     if let Ok(spec) = ScenarioSpec::from_json(text) {
         prop_assert!(spec.validate().is_ok(), "decoded but invalid: {:?}", spec);
+        spec.orchestrator_config();
         prop_assert_eq!(ScenarioSpec::from_json(&spec.to_json()), Ok(spec));
     }
     Ok(())
 }
 
-/// Two valid documents to damage: a seeded-fault spec and one with a
-/// directed window of every integer-carrying kind.
-fn victims() -> [String; 2] {
+/// Three valid documents to damage: a seeded-fault spec, one with a
+/// directed window of every integer-carrying kind, and one whose
+/// traffic engine is on with a surge, so its time fields reach the
+/// builder.
+fn victims() -> [String; 3] {
     let mut directed = tssdn_scenario::chaos_soak_spec("victim", 7);
     directed.faults = FaultsSpec::Directed(
         (0..7u8)
@@ -296,7 +300,15 @@ fn victims() -> [String; 2] {
             .collect(),
     );
     assert!(directed.validate().is_ok());
-    [baseline_json(), directed.to_json()]
+    let mut surging = tssdn_scenario::chaos_soak_spec("victim", 7);
+    surging.traffic.enabled = true;
+    surging.demand.surge = Some(SurgeSpec {
+        start_hour: 10,
+        duration_hours: 2,
+        multiplier: 4.0,
+    });
+    assert!(surging.validate().is_ok());
+    [baseline_json(), directed.to_json(), surging.to_json()]
 }
 
 /// Byte ranges of the number tokens of `text` (a valid document, so
@@ -342,10 +354,10 @@ proptest! {
 
     #[test]
     fn damaged_specs_never_panic_the_decoder(
-        which in 0usize..2,
+        which in 0usize..3,
         at in 0usize..100_000,
         byte in 0u8..=255,
-        hostile in 0usize..4,
+        hostile in 0usize..5,
     ) {
         let good = &victims()[which];
         survives(good)?;
@@ -362,7 +374,9 @@ proptest! {
         // 2^32 + 5: a field too narrow for it must refuse it, not
         // keep the 5.
         const WIDE: &str = "4294967301";
-        let hostile = ["1e400", "-0", "1234567890123456789012345678901234567890", WIDE][hostile];
+        // u64::MAX: every u64 field holds it, no multiplication does.
+        const HUGE: &str = "18446744073709551615";
+        let hostile = ["1e400", "-0", "1234567890123456789012345678901234567890", WIDE, HUGE][hostile];
         let swapped = format!("{}{hostile}{}", &good[..token.start], &good[token.end..]);
         survives(&swapped)?;
         if hostile == WIDE {

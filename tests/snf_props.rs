@@ -14,22 +14,62 @@ use tssdn_traffic::{TopologyView, TrafficClass, TrafficConfig, TrafficEngine};
 // Buffer vs reference model                                        //
 // ---------------------------------------------------------------- //
 
-/// One buffer operation: `kind` 0–1 enqueues (biased — buffers spend
-/// most of their life absorbing), 2 expires, 3 drains, 4 enqueues
-/// `batch` at one stamp. `dt` advances the clock before the
-/// operation; `amount` is bits (enqueue) or a drain budget. A batch
-/// chunk is `(flow, dial)` carrying [`batch_bits`] bits.
+/// One buffer operation: a `kind`, a flow, a clock dial ([`dt_of`]),
+/// an `amount` — bits to enqueue, or a drain / handoff budget — and a
+/// batch ([`batch_chunks`]). What a kind means is each property's own.
 type RawOp = (u8, u32, u64, u64, Vec<(u32, u64)>);
 
 fn ops() -> impl Strategy<Value = Vec<RawOp>> {
-    let batch = prop::collection::vec((0u32..5, 0u64..640), 0..8);
-    prop::collection::vec((0u8..5, 0u32..5, 0u64..300, 0u64..200, batch), 1..60)
+    let batch = prop::collection::vec((0u32..8, 0u64..640), 0..8);
+    prop::collection::vec((0u8..8, 0u32..5, 0u64..400, 0u64..200, batch), 1..60)
 }
 
-/// Bits of a batch chunk: about one in six is empty, and the largest
-/// (599 bits) overflow every buffer the properties build (≤ 504 bits).
+/// How far an op advances the clock: one in four not at all, so
+/// stamps repeat across batches and across the two ends of a handoff.
+fn dt_of(dial: u64) -> u64 {
+    dial.saturating_sub(100)
+}
+
+/// Bits of a batch chunk: one in three is empty — a hole, when its
+/// neighbours in a run are not — and the largest (598 bits) overflow
+/// every buffer the properties build (≤ 504 bits).
 fn batch_bits(dial: u64) -> u64 {
-    dial.saturating_sub(40)
+    if dial.is_multiple_of(3) {
+        0
+    } else {
+        dial.saturating_sub(40)
+    }
+}
+
+/// The `(flow, bits)` chunks of a batch. The first key sits just
+/// below or above the wrap of the key space; each later one is mostly
+/// the next key (a run of consecutive keys), else the same key again,
+/// a jump ahead, or a step back.
+fn batch_chunks(raw: &[(u32, u64)]) -> Vec<(u32, u64)> {
+    let mut key = 0u32;
+    raw.iter()
+        .enumerate()
+        .map(|(i, &(step, dial))| {
+            key = match (i, step) {
+                (0, _) => step.wrapping_sub(3),
+                (_, 0..=4) => key.wrapping_add(1),
+                (_, 5) => key,
+                (_, 6) => key.wrapping_add(3),
+                _ => key.wrapping_sub(1),
+            };
+            (key, batch_bits(dial))
+        })
+        .collect()
+}
+
+/// Every resident chunk of `real`, oldest first, as the model keeps
+/// them.
+fn resident_of(real: &StoreForwardBuffer<u32>) -> Vec<(u32, u64, u64)> {
+    let chunks = real.clone().extract_custody(u64::MAX);
+    chunks
+        .iter()
+        .map(|c| (c.flow, c.enqueued_ms, c.bits))
+        .collect()
 }
 
 /// The obviously-correct model: a flat chunk list plus the same
@@ -190,8 +230,8 @@ proptest! {
             StoreForwardBuffer::new(max_bytes, max_age);
         let mut model = ModelBuffer::new(max_bytes, max_age);
         let mut now = 0u64;
-        for (kind, flow, dt, amount, batch) in raw {
-            now += dt;
+        for (kind, flow, dial, amount, batch) in raw {
+            now += dt_of(dial);
             match kind {
                 0 | 1 => {
                     real.enqueue(flow, now, amount);
@@ -206,13 +246,20 @@ proptest! {
                         prop_assert!(age < max_age, "over-age chunk kept: {age}");
                     }
                 }
-                4 => {
+                3 | 5 => {
+                    let drained: Vec<(u32, u64, u64)> = real
+                        .drain(now, amount)
+                        .into_iter()
+                        .map(|d| (d.flow, d.bits, d.age_ms))
+                        .collect();
+                    prop_assert_eq!(drained, model.drain(now, amount));
+                }
+                _ => {
                     // One batch call is the model's one enqueue per
-                    // chunk: what it returns, the ledgers, and every
-                    // resident chunk in FIFO order.
-                    let chunks = batch.iter().map(|&(f, dial)| (f, batch_bits(dial)));
+                    // chunk: what it returns and the ledgers.
+                    let chunks = batch_chunks(&batch);
                     let (queued0, evicted0) = (model.queued, model.evicted);
-                    for (f, bits) in chunks.clone() {
+                    for &(f, bits) in &chunks {
                         model.enqueue(f, now, bits);
                     }
                     prop_assert_eq!(
@@ -221,26 +268,19 @@ proptest! {
                     );
                     prop_assert_eq!(real.queued_bits(), model.queued);
                     prop_assert_eq!(real.evicted_bits(), model.evicted);
-                    let resident: Vec<(u32, u64, u64)> = real
-                        .clone()
-                        .drain(now, u64::MAX)
-                        .into_iter()
-                        .map(|d| (d.flow, now - d.age_ms, d.bits))
-                        .collect();
-                    prop_assert_eq!(&resident, &model.chunks);
-                }
-                _ => {
-                    let drained: Vec<(u32, u64, u64)> = real
-                        .drain(now, amount)
-                        .into_iter()
-                        .map(|d| (d.flow, d.bits, d.age_ms))
-                        .collect();
-                    prop_assert_eq!(drained, model.drain(now, amount));
                 }
             }
-            // Byte bound holds after every single operation.
+            // Byte bound holds after every single operation, and so
+            // does every resident chunk, in FIFO order — with the front
+            // of the FIFO where the model has it.
             prop_assert!(real.total_bits() <= real.max_bits());
             prop_assert_eq!(real.total_bits(), model.resident());
+            prop_assert_eq!(&resident_of(&real), &model.chunks);
+            prop_assert_eq!(real.is_empty(), model.chunks.is_empty());
+            prop_assert_eq!(
+                real.oldest_age_ms(now),
+                model.chunks.first().map(|c| now - c.1)
+            );
         }
         prop_assert_eq!(real.queued_bits(), model.queued);
         prop_assert_eq!(real.drained_bits(), model.drained);
@@ -267,7 +307,7 @@ proptest! {
         max_bytes_a in 0u64..64,
         max_bytes_b in 0u64..64,
         max_age in 0u64..2_000,
-        raw in prop::collection::vec((0u8..6, 0u32..5, 0u64..300, 0u64..200), 1..60),
+        raw in ops(),
     ) {
         let mut real_a: StoreForwardBuffer<u32> =
             StoreForwardBuffer::new(max_bytes_a, max_age);
@@ -277,12 +317,19 @@ proptest! {
         let mut model_b = ModelBuffer::new(max_bytes_b, max_age);
         let mut now = 0u64;
         let mut refused_total = 0u64;
-        for (kind, flow, dt, amount) in raw {
-            now += dt;
+        for (kind, flow, dial, amount, batch) in raw {
+            now += dt_of(dial);
             match kind {
-                0 | 1 => {
+                0 => {
                     real_a.enqueue(flow, now, amount);
                     model_a.enqueue(flow, now, amount);
+                }
+                1 | 6 => {
+                    let chunks = batch_chunks(&batch);
+                    for &(f, bits) in &chunks {
+                        model_a.enqueue(f, now, bits);
+                    }
+                    real_a.enqueue_batch(now, chunks);
                 }
                 2 => {
                     real_a.expire(now);
@@ -299,19 +346,32 @@ proptest! {
                     prop_assert_eq!(drained, model_b.drain(now, amount));
                 }
                 4 => {
-                    let chunks = real_a.extract_custody(amount);
+                    // By chunk or by segment, by turns: the same
+                    // chunks leave A and the same ones settle in B.
                     let model_chunks = model_a.extract(amount);
-                    let as_tuples: Vec<(u32, u64, u64)> = chunks
-                        .iter()
-                        .map(|c| (c.flow, c.enqueued_ms, c.bits))
-                        .collect();
-                    prop_assert_eq!(&as_tuples, &model_chunks, "extract diverged");
-                    let (acc, refu) = real_b.accept_custody(chunks, now);
+                    let (acc, refu) = if amount.is_multiple_of(2) {
+                        let chunks = real_a.extract_custody(amount);
+                        let as_tuples: Vec<(u32, u64, u64)> = chunks
+                            .iter()
+                            .map(|c| (c.flow, c.enqueued_ms, c.bits))
+                            .collect();
+                        prop_assert_eq!(&as_tuples, &model_chunks, "extract diverged");
+                        real_b.accept_custody(chunks, now)
+                    } else {
+                        let segments = real_a.extract_segments(amount);
+                        let as_tuples: Vec<(u32, u64, u64)> = segments
+                            .iter()
+                            .flat_map(|s| s.chunks())
+                            .map(|c| (c.flow, c.enqueued_ms, c.bits))
+                            .collect();
+                        prop_assert_eq!(&as_tuples, &model_chunks, "extract diverged");
+                        real_b.accept_segments(segments, now)
+                    };
                     let (m_acc, m_refu) = model_b.accept(model_chunks, now);
                     prop_assert_eq!((acc, refu), (m_acc, m_refu), "accept diverged");
                     refused_total += refu;
                 }
-                _ => {
+                5 => {
                     let drained: Vec<(u32, u64, u64)> = real_a
                         .drain(now, amount)
                         .into_iter()
@@ -319,11 +379,27 @@ proptest! {
                         .collect();
                     prop_assert_eq!(drained, model_a.drain(now, amount));
                 }
+                _ => {
+                    // The custodian's own traffic, so arrivals find
+                    // residents — a partly drained front among them —
+                    // whose stamps they share.
+                    let chunks = batch_chunks(&batch);
+                    for &(f, bits) in &chunks {
+                        model_b.enqueue(f, now, bits);
+                    }
+                    real_b.enqueue_batch(now, chunks);
+                }
             }
             prop_assert!(real_a.total_bits() <= real_a.max_bits());
             prop_assert!(real_b.total_bits() <= real_b.max_bits());
             prop_assert_eq!(real_a.total_bits(), model_a.resident());
             prop_assert_eq!(real_b.total_bits(), model_b.resident());
+            prop_assert_eq!(&resident_of(&real_a), &model_a.chunks);
+            prop_assert_eq!(&resident_of(&real_b), &model_b.chunks);
+            prop_assert_eq!(
+                real_b.oldest_age_ms(now),
+                model_b.chunks.first().map(|c| now.saturating_sub(c.1))
+            );
         }
         prop_assert_eq!(real_a.transferred_out_bits(), model_a.transferred_out);
         prop_assert_eq!(real_b.transferred_in_bits(), model_b.transferred_in);
@@ -336,7 +412,7 @@ proptest! {
                 + real_a.transferred_out_bits()
         );
         prop_assert_eq!(
-            real_b.transferred_in_bits(),
+            real_b.queued_bits() + real_b.transferred_in_bits(),
             real_b.drained_bits() + real_b.evicted_bits() + real_b.total_bits()
         );
         // The pipe itself conserves: A's outflow lands in B or is
@@ -355,9 +431,9 @@ proptest! {
             let mut b: StoreForwardBuffer<u32> = StoreForwardBuffer::new(32, 500);
             let mut now = 0u64;
             let mut drains: Vec<(u32, u64, u64)> = Vec::new();
-            for (kind, flow, dt, amount, batch) in raw {
+            for (kind, flow, dial, amount, batch) in raw {
                 let (flow, amount) = (*flow, *amount);
-                now += dt;
+                now += dt_of(*dial);
                 match kind {
                     0 | 1 => {
                         b.enqueue(flow, now, amount);
@@ -365,8 +441,8 @@ proptest! {
                     2 => {
                         b.expire(now);
                     }
-                    4 => {
-                        b.enqueue_batch(now, batch.iter().map(|&(f, dial)| (f, batch_bits(dial))));
+                    4 | 6 | 7 => {
+                        b.enqueue_batch(now, batch_chunks(batch));
                     }
                     _ => drains.extend(
                         b.drain(now, amount).iter().map(|d| (d.flow, d.bits, d.age_ms)),
