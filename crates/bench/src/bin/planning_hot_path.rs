@@ -5,11 +5,15 @@
 //! trajectory — with a provenance `manifest` (revision, rustc, nproc,
 //! mode) and p50/p95 wall times for the optimized
 //! `LinkEvaluator::evaluate` / `Solver::solve` and their naive
-//! references at 25/50/100-balloon fleets, plus the speedups. The
-//! references keep the pre-hoisting arithmetic (one path walk per
-//! band, per-pairing gains and noise floor, set-and-map solver
-//! bookkeeping), so both speedups measure the production kernels
-//! against them, not just the sweep structure around them. Before
+//! references at 25/50/100-balloon fleets, plus the speedups. `solve`
+//! is the cold solve (nothing installed: a world pays it once per
+//! dawn); `solve_warm` is the one it pays every epoch after — the
+//! same graph and requests with the cold plan installed as the
+//! previous topology. The references keep the pre-hoisting arithmetic
+//! (one path walk per band, per-pairing gains and noise floor,
+//! set-and-map solver bookkeeping), so both speedups measure the
+//! production kernels against them, not just the sweep structure
+//! around them. Before
 //! timing anything it asserts the optimized outputs are bit-identical
 //! to the references at every size (the same golden-equivalence
 //! contract the proptest enforces, here at production scale where the
@@ -93,6 +97,7 @@ struct FleetResult {
     evaluate: (f64, f64),
     evaluate_ref: (f64, f64),
     solve: (f64, f64),
+    solve_warm: (f64, f64),
     solve_ref: (f64, f64),
 }
 
@@ -174,6 +179,9 @@ fn run_fleet(spec: &FleetSpec, iters: usize) -> FleetResult {
     let solve = time_ns(iters, || {
         solver.solve(&graph, &requests, &gw, &previous, &drains, at)
     });
+    let solve_warm = time_ns(iters, || {
+        solver.solve(&graph, &requests, &gw, &warm_prev, &drains, at)
+    });
     let solve_ref = time_ns(iters, || {
         solve_reference(&solver, &graph, &requests, &gw, &previous, &drains, at)
     });
@@ -186,6 +194,7 @@ fn run_fleet(spec: &FleetSpec, iters: usize) -> FleetResult {
         evaluate,
         evaluate_ref,
         solve,
+        solve_warm,
         solve_ref,
     }
 }
@@ -241,12 +250,20 @@ fn main() {
 
     println!();
     println!(
-        "{:>14} {:>10} {:>12} {:>12} {:>8} {:>12} {:>12} {:>8}",
-        "fleet", "cands", "eval p50", "ref p50", "speedup", "solve p50", "ref p50", "speedup"
+        "{:>14} {:>10} {:>12} {:>12} {:>8} {:>12} {:>12} {:>8} {:>12}",
+        "fleet",
+        "cands",
+        "eval p50",
+        "ref p50",
+        "speedup",
+        "solve p50",
+        "ref p50",
+        "speedup",
+        "warm p50"
     );
     for r in &results {
         println!(
-            "{:>14} {:>10} {:>11.2}ms {:>11.2}ms {:>7.1}x {:>11.2}ms {:>11.2}ms {:>7.1}x",
+            "{:>14} {:>10} {:>11.2}ms {:>11.2}ms {:>7.1}x {:>11.2}ms {:>11.2}ms {:>7.1}x {:>11.2}ms",
             r.label,
             r.candidates,
             r.evaluate.0 / 1e6,
@@ -255,6 +272,7 @@ fn main() {
             r.solve.0 / 1e6,
             r.solve_ref.0 / 1e6,
             r.solve_ref.0 / r.solve.0,
+            r.solve_warm.0 / 1e6,
         );
     }
 
@@ -273,6 +291,7 @@ fn main() {
                  \"evaluate\": {{\"p50_ns\": {:.0}, \"p95_ns\": {:.0}}},\n      \
                  \"evaluate_reference\": {{\"p50_ns\": {:.0}, \"p95_ns\": {:.0}}},\n      \
                  \"solve\": {{\"p50_ns\": {:.0}, \"p95_ns\": {:.0}}},\n      \
+                 \"solve_warm\": {{\"p50_ns\": {:.0}, \"p95_ns\": {:.0}}},\n      \
                  \"solve_reference\": {{\"p50_ns\": {:.0}, \"p95_ns\": {:.0}}},\n      \
                  \"evaluate_speedup_p50\": {:.2},\n      \"solve_speedup_p50\": {:.2}\n    }}",
                 r.label,
@@ -285,6 +304,8 @@ fn main() {
                 r.evaluate_ref.1,
                 r.solve.0,
                 r.solve.1,
+                r.solve_warm.0,
+                r.solve_warm.1,
                 r.solve_ref.0,
                 r.solve_ref.1,
                 r.evaluate_ref.0 / r.evaluate.0,

@@ -196,7 +196,7 @@ impl LinkEvaluator {
     /// This is the optimized sweep; it must produce a graph
     /// **bit-identical** to the naive all-pairs reference
     /// ([`crate::reference::evaluate_reference`]). What is computed
-    /// where (DESIGN.md §16):
+    /// where (DESIGN.md §7):
     ///
     /// * *per evaluate* — the pessimism-adjusted bands and each band's
     ///   [`BandConsts`] (attenuation coefficients, noise floor);

@@ -259,21 +259,25 @@ impl Solver {
     /// the same order, same redundant links, same routes — which is
     /// what the golden-equivalence gates in `tests/props.rs` and
     /// `tests/golden_determinism.rs` assert. The optimizations over
-    /// the naive O(iterations × requests × Dijkstra) loop (DESIGN.md
-    /// §16):
+    /// the naive O(iterations × requests × Dijkstra) loop, in the order
+    /// the phases run (DESIGN.md §7):
     ///
-    /// * platforms interned to dense slots by sort + dedup; Dijkstra,
-    ///   the conflict index and the redundancy pass all run over flat
-    ///   slot-indexed arrays ([`SolveIndex`], [`SlotLists`]) instead of
-    ///   `BTreeMap`s and `BTreeSet`s;
-    /// * the conflict index (by transceiver, by platform × band)
-    ///   replaces the O(n) full-graph conflict rescan per selection,
-    ///   and the beam-separation test inside it is memoised on the
-    ///   other beam's bit pattern;
-    /// * once the incumbents are placed, adjacency is compacted to the
-    ///   still-viable candidates — most of the graph is dead by then —
-    ///   so every later Dijkstra scans only live edges, in the same
-    ///   order;
+    /// * platforms interned to dense slots by sort + dedup
+    ///   ([`SolveIndex`]); everything after runs over flat slot-indexed
+    ///   arrays instead of `BTreeMap`s and `BTreeSet`s;
+    /// * incumbents first ([`Self::place_incumbents`]): previous-
+    ///   topology membership is answered from the previous keys
+    ///   outward, the incumbents are placed against each other in
+    ///   margin order, and one pass settles every other candidate
+    ///   against the kept set — transceiver flag first, beam test only
+    ///   between two idle transceivers. No list exists yet;
+    /// * only then is anything indexed, over the survivors
+    ///   ([`LiveLists`]) — a few per cent of the graph on a warm solve,
+    ///   all of it on a cold one: the conflict lists (by transceiver,
+    ///   by platform × band) that replace the O(n) conflict rescan per
+    ///   selection, with the beam test inside them memoised on the
+    ///   other beam's bit pattern, and the adjacency every Dijkstra
+    ///   scans, each in ascending candidate order;
     /// * utility estimation is incremental: each selection re-routes
     ///   only the demands whose cached path used a just-invalidated
     ///   candidate, plus those a cheap two-Dijkstra lower-bound test
@@ -307,72 +311,34 @@ impl Solver {
         let index = SolveIndex::build(links, requests, &gateways);
         let np = index.plats.len();
 
-        // Exclude candidates touching drained nodes outright.
-        let drained: Vec<bool> = index
-            .plats
-            .iter()
-            .map(|p| drains.excludes_new_paths(*p, now))
-            .collect();
-        let mut viable: Vec<bool> = index
-            .endpoints
-            .iter()
-            .map(|&(pa, pb)| !drained[pa as usize] && !drained[pb as usize])
-            .collect();
+        // Incumbents first: the previous topology is placed, and every
+        // other candidate settled against it, before anything is
+        // indexed — what gets indexed is the few per cent still alive.
+        let Placement {
+            in_previous,
+            mut viable,
+            mut is_selected,
+            kept: mut selected_order,
+        } = self.place_incumbents(links, &index, previous, drains, now);
+        plan.kept_links = selected_order.len();
+        // Ascending, so every list below is in candidate order and a
+        // walk of one sees the live entries a walk of the full list
+        // would have seen, in the same sequence.
+        let survivors: Vec<u32> = (0..n as u32).filter(|&i| viable[i as usize]).collect();
+        let live = LiveLists::build(&index, links, &survivors);
+        debug_assert!(
+            live.adj.items.iter().all(|&(_, e)| viable[e as usize]),
+            "indexed before the incumbents were placed"
+        );
 
-        // Loop-invariant per-candidate state: previous-topology
-        // membership and the current fixed-point cost (an edge's cost
-        // only ever changes at the moment it is selected).
-        let in_previous: Vec<bool> = links.iter().map(|l| previous.contains(&l.key())).collect();
-        let mut cost: Vec<u64> = links
-            .iter()
-            .zip(&in_previous)
-            .map(|(l, &kept)| scale_cost(self.edge_cost(l, kept, false)))
-            .collect();
-
-        // Dense adjacency: node → (neighbor, candidate), in candidate
-        // order per node.
-        let mut adj: SlotLists<(u32, u32)> = SlotLists::build(np, n, |i| {
-            let (pa, pb) = index.endpoints[i];
-            [Some((pa, (pb, i as u32))), Some((pb, (pa, i as u32)))]
-        });
-
-        let mut is_selected = vec![false; n];
-        let mut selected_order: Vec<usize> = Vec::new();
-
-        // Structural hysteresis first: keep every incumbent link that
-        // is still a viable candidate. "Link reconfigurations were
-        // risky as they failed often and had high recovery costs. We
-        // biased toward the selection of high utility links and
-        // dampened the rate of change by biasing toward topologies
-        // that kept established links" (§3.2). An incumbent is only
-        // dropped when the evaluator no longer offers it at all (the
-        // predictive withdrawal of a degrading link) or it conflicts
-        // with an already-kept link.
-        let mut incumbents: Vec<usize> = (0..n).filter(|i| viable[*i] && in_previous[*i]).collect();
-        incumbents.sort_by(|x, y| {
-            links[*y]
-                .margin_db
-                .partial_cmp(&links[*x].margin_db)
-                .expect("finite margins")
-        });
-        let mut scratch_invalidated: Vec<u32> = Vec::new();
-        for i in incumbents {
-            if !viable[i] {
-                continue;
-            }
-            is_selected[i] = true;
-            cost[i] = scale_cost(self.edge_cost(&links[i], in_previous[i], true));
-            selected_order.push(i);
-            plan.kept_links += 1;
-            scratch_invalidated.clear();
-            self.invalidate_conflicting(links, &index, i, &mut viable, &mut scratch_invalidated);
+        // The current fixed-point cost of each live candidate (an
+        // edge's cost only ever changes at the moment it is selected;
+        // a dead candidate's is never read).
+        let mut cost = vec![0u64; n];
+        for &i in &survivors {
+            let i = i as usize;
+            cost[i] = scale_cost(self.edge_cost(&links[i], in_previous[i], is_selected[i]));
         }
-        // Viability only ever shrinks, and Dijkstra skips non-viable
-        // entries in list order, so dropping them now leaves every
-        // later traversal the same sequence of relaxations — over
-        // lists a small fraction of the length once incumbents hold
-        // most transceivers.
-        adj.retain(|&(_, e)| viable[e as usize]);
 
         // Per-request routing state: interned source node, sorted
         // interned gateway set, and the cached shortest path (nodes,
@@ -402,6 +368,7 @@ impl Solver {
         let mut dead: Vec<bool> = vec![false; nr];
         let mut edge_dirty: Vec<bool> = vec![false; n];
         let mut utilities = vec![0.0f64; n];
+        let mut scratch_invalidated: Vec<u32> = Vec::new();
         let mut search = Search::new(np);
         let (mut dist_u, mut dist_v) = (Vec::new(), Vec::new());
 
@@ -417,7 +384,7 @@ impl Solver {
                 let found = if gws.is_empty() {
                     None
                 } else {
-                    search.nearest(&adj, &viable, &cost, node, gws)
+                    search.nearest(&live.adj, &viable, &cost, node, gws)
                 };
                 match found {
                     Some((nodes, edges, cost)) => {
@@ -451,7 +418,7 @@ impl Solver {
             // toward higher link margin (more robust choice), then —
             // matching `Iterator::max_by` — toward the later index.
             let mut best: Option<usize> = None;
-            for i in 0..n {
+            for i in survivors.iter().map(|&i| i as usize) {
                 // NB `partial_cmp`, not `<= 0.0`: a NaN utility must be
                 // skipped here exactly as the reference's `u > 0.0`
                 // filter skips it.
@@ -497,7 +464,14 @@ impl Solver {
             }
             // Invalidate incompatible candidates via the index.
             scratch_invalidated.clear();
-            self.invalidate_conflicting(links, &index, best, &mut viable, &mut scratch_invalidated);
+            self.invalidate_conflicting(
+                links,
+                &index,
+                &live,
+                best,
+                &mut viable,
+                &mut scratch_invalidated,
+            );
 
             // Incremental re-route planning. A cached path must be
             // recomputed when (a) it used a candidate that just became
@@ -527,8 +501,8 @@ impl Solver {
                 edge_dirty[e as usize] = false;
             }
             let (u, v) = index.endpoints[best];
-            search.all_distances(&adj, &viable, &cost, u, &mut dist_u);
-            search.all_distances(&adj, &viable, &cost, v, &mut dist_v);
+            search.all_distances(&live.adj, &viable, &cost, u, &mut dist_u);
+            search.all_distances(&live.adj, &viable, &cost, v, &mut dist_v);
             let edge_cost = cost[best];
             for r in 0..nr {
                 if dead[r] || needs_route[r] || route_nodes[r].is_none() {
@@ -562,11 +536,114 @@ impl Solver {
             &index,
             &mut plan,
             &selected_order,
+            &survivors,
             &viable,
             &is_selected,
             &in_previous,
         );
         plan
+    }
+
+    /// Structural hysteresis, before anything is indexed: keep every
+    /// incumbent link that is still a viable candidate, then settle
+    /// every other candidate against the kept set. "Link
+    /// reconfigurations were risky as they failed often and had high
+    /// recovery costs. We biased toward the selection of high utility
+    /// links and dampened the rate of change by biasing toward
+    /// topologies that kept established links" (§3.2). An incumbent is
+    /// only dropped when the evaluator no longer offers it at all (the
+    /// predictive withdrawal of a degrading link), it touches a
+    /// drained platform, or it conflicts with an already-kept link.
+    ///
+    /// The reference keeps an incumbent and at once rescans the graph
+    /// for what it kills; here nothing is killed until all are placed.
+    /// Same result: a candidate is dead after the incumbents iff some
+    /// kept link `conflicts` with it, `conflicts` is symmetric to the
+    /// bit, and two conflicting links share a platform — so an
+    /// incumbent's turn finds it viable iff no link kept *before* it
+    /// at its two platforms conflicts with it, and afterwards every
+    /// other candidate's fate depends on the kept set alone, whatever
+    /// order the pass visits them in.
+    fn place_incumbents(
+        &self,
+        links: &[CandidateLink],
+        index: &SolveIndex,
+        previous: &BTreeSet<(TransceiverId, TransceiverId)>,
+        drains: &DrainRegistry,
+        now: SimTime,
+    ) -> Placement {
+        // Exclude candidates touching drained nodes outright.
+        let drained: Vec<bool> = index
+            .plats
+            .iter()
+            .map(|p| drains.excludes_new_paths(*p, now))
+            .collect();
+        let mut viable: Vec<bool> = index
+            .endpoints
+            .iter()
+            .map(|&(pa, pb)| !drained[pa as usize] && !drained[pb as usize])
+            .collect();
+        let in_previous = index.previous_members(previous);
+
+        let mut incumbents: Vec<usize> = (0..links.len())
+            .filter(|i| viable[*i] && in_previous[*i])
+            .collect();
+        incumbents.sort_by(|x, y| {
+            links[*y]
+                .margin_db
+                .partial_cmp(&links[*x].margin_db)
+                .expect("finite margins")
+        });
+        let mut kept_on_tx = vec![NO_LINK; index.plats.len() * index.tx_stride];
+        let mut is_selected = vec![false; links.len()];
+        let mut kept = Vec::new();
+        for i in incumbents {
+            if self.conflicts_with_kept(links, index, &kept_on_tx, i) {
+                viable[i] = false;
+                continue;
+            }
+            let (tx_a, tx_b) = index.tx_slots[i];
+            kept_on_tx[tx_a as usize] = i as u32;
+            kept_on_tx[tx_b as usize] = i as u32;
+            is_selected[i] = true;
+            kept.push(i);
+        }
+        for i in 0..links.len() {
+            if viable[i] && !is_selected[i] {
+                viable[i] = !self.conflicts_with_kept(links, index, &kept_on_tx, i);
+            }
+        }
+        Placement {
+            in_previous,
+            viable,
+            is_selected,
+            kept,
+        }
+    }
+
+    /// Whether candidate `i` [`conflicts`](Self::conflicts) with a kept
+    /// link, `kept_on_tx` naming the kept link on each transceiver
+    /// slot. Cheapest test first: a taken transceiver is two loads;
+    /// only a candidate between two idle transceivers reaches the beam
+    /// test, against the at most `tx_stride` links kept at each end.
+    fn conflicts_with_kept(
+        &self,
+        links: &[CandidateLink],
+        index: &SolveIndex,
+        kept_on_tx: &[u32],
+        i: usize,
+    ) -> bool {
+        let (tx_a, tx_b) = index.tx_slots[i];
+        if kept_on_tx[tx_a as usize] != NO_LINK || kept_on_tx[tx_b as usize] != NO_LINK {
+            return true;
+        }
+        let (pa, pb) = index.endpoints[i];
+        [pa, pb].into_iter().any(|p| {
+            let first = p as usize * index.tx_stride;
+            kept_on_tx[first..first + index.tx_stride]
+                .iter()
+                .any(|&k| k != NO_LINK && self.conflicts(&links[k as usize], &links[i]))
+        })
     }
 
     /// The f64 cost of routing over one candidate — hysteresis,
@@ -601,6 +678,7 @@ impl Solver {
         &self,
         links: &[CandidateLink],
         index: &SolveIndex,
+        live: &LiveLists,
         chosen_i: usize,
         viable: &mut [bool],
         invalidated: &mut Vec<u32>,
@@ -609,7 +687,7 @@ impl Solver {
         // Shared-transceiver conflicts are unconditional.
         let (tx_a, tx_b) = index.tx_slots[chosen_i];
         for slot in [tx_a, tx_b] {
-            for &j in index.by_tx.list(slot) {
+            for &j in live.by_tx.list(slot) {
                 let j_us = j as usize;
                 if j_us != chosen_i && viable[j_us] {
                     viable[j_us] = false;
@@ -634,7 +712,7 @@ impl Solver {
         let mut memo: [Option<((u64, u64), bool)>; 2] = [None, None];
         let (pa, pb) = index.endpoints[chosen_i];
         for p in [pa, pb] {
-            for &j in index.by_platform_band.list(index.band_slot(p, chosen.band)) {
+            for &j in live.by_platform_band.list(index.band_slot(p, chosen.band)) {
                 let j_us = j as usize;
                 if j_us == chosen_i || !viable[j_us] {
                     continue;
@@ -718,6 +796,7 @@ impl Solver {
         index: &SolveIndex,
         plan: &mut TopologyPlan,
         selected_order: &[usize],
+        survivors: &[u32],
         viable: &[bool],
         is_selected: &[bool],
         in_previous: &[bool],
@@ -773,7 +852,9 @@ impl Solver {
             0 => 9,
             d => d,
         };
-        let mut order: Vec<Priority> = (0..links.len())
+        let mut order: Vec<Priority> = survivors
+            .iter()
+            .map(|&i| i as usize)
             .filter(|i| viable[*i] && !is_selected[*i])
             .map(|i| {
                 let (pa, pb) = index.endpoints[i];
@@ -835,8 +916,9 @@ impl Solver {
 }
 
 /// Lists keyed by a dense slot, stored back to back in one buffer:
-/// list `s` is `items[start[s]..end[s]]`, each in ascending candidate
-/// order (the order repeated `push`es per key would have produced).
+/// list `s` is `items[start[s]..end[s]]`, each in the order its ids
+/// were given (the order repeated `push`es per key would have
+/// produced).
 struct SlotLists<T> {
     start: Vec<u32>,
     end: Vec<u32>,
@@ -845,15 +927,15 @@ struct SlotLists<T> {
 
 impl<T: Copy + Default> SlotLists<T> {
     /// Build `n_slots` lists from the up-to-two `(slot, item)` entries
-    /// each of `n` candidates contributes, in two counting-sort passes.
+    /// each of `ids` contributes, in two counting-sort passes.
     fn build(
         n_slots: usize,
-        n: usize,
+        ids: impl Iterator<Item = u32> + Clone,
         entries_of: impl Fn(usize) -> [Option<(u32, T)>; 2],
     ) -> Self {
         let mut start = vec![0u32; n_slots + 1];
-        for i in 0..n {
-            for (slot, _) in entries_of(i).into_iter().flatten() {
+        for i in ids.clone() {
+            for (slot, _) in entries_of(i as usize).into_iter().flatten() {
                 start[slot as usize + 1] += 1;
             }
         }
@@ -862,8 +944,8 @@ impl<T: Copy + Default> SlotLists<T> {
         }
         let mut end = start[..n_slots].to_vec();
         let mut items = vec![T::default(); start[n_slots] as usize];
-        for i in 0..n {
-            for (slot, item) in entries_of(i).into_iter().flatten() {
+        for i in ids {
+            for (slot, item) in entries_of(i as usize).into_iter().flatten() {
                 let at = &mut end[slot as usize];
                 items[*at as usize] = item;
                 *at += 1;
@@ -876,32 +958,25 @@ impl<T: Copy + Default> SlotLists<T> {
     fn list(&self, slot: u32) -> &[T] {
         &self.items[self.start[slot as usize] as usize..self.end[slot as usize] as usize]
     }
+}
 
-    /// Drop the items `keep` rejects from every list, order preserved.
-    fn retain(&mut self, keep: impl Fn(&T) -> bool) {
-        for s in 0..self.start.len() {
-            let first = self.start[s] as usize;
-            let mut write = first;
-            for read in first..self.end[s] as usize {
-                let item = self.items[read];
-                if keep(&item) {
-                    self.items[write] = item;
-                    write += 1;
-                }
-            }
-            self.end[s] = write as u32;
-        }
-    }
+/// "No kept link on this transceiver slot."
+const NO_LINK: u32 = u32::MAX;
+
+/// What [`Solver::place_incumbents`] hands the greedy loop.
+struct Placement {
+    /// Per candidate: its pairing key is in the previous topology.
+    in_previous: Vec<bool>,
+    /// Per candidate: not drained and in conflict with no kept link.
+    viable: Vec<bool>,
+    /// Per candidate: kept.
+    is_selected: Vec<bool>,
+    /// The kept incumbents, in the order they were placed.
+    kept: Vec<usize>,
 }
 
 /// The per-solve dense index over one candidate graph: interned
-/// platforms, each candidate's platform and transceiver slots, and the
-/// conflict lists. A chosen candidate's conflicts are confined to (a)
-/// candidates sharing one of its transceivers and (b) same-band
-/// candidates touching one of its platforms — `Solver::conflicts`
-/// returns false for everything else — so invalidation after a
-/// selection walks only those lists instead of rescanning the whole
-/// candidate set.
+/// platforms and each candidate's platform and transceiver slots.
 struct SolveIndex {
     /// Every platform a candidate, request or gateway names, sorted:
     /// a platform's slot is its position here, so slot order is
@@ -918,10 +993,6 @@ struct SolveIndex {
     tx_stride: usize,
     /// One more than the largest band in the graph.
     band_stride: usize,
-    /// Candidate indices using a given transceiver slot.
-    by_tx: SlotLists<u32>,
-    /// Candidate indices touching a given (platform slot, band).
-    by_platform_band: SlotLists<u32>,
 }
 
 impl SolveIndex {
@@ -968,27 +1039,12 @@ impl SolveIndex {
                 pb * tx_stride as u32 + l.b.index as u32,
             ));
         }
-        let by_tx = SlotLists::build(plats.len() * tx_stride, links.len(), |i| {
-            let (tx_a, tx_b) = tx_slots[i];
-            [Some((tx_a, i as u32)), Some((tx_b, i as u32))]
-        });
-        let by_platform_band = SlotLists::build(plats.len() * band_stride, links.len(), |i| {
-            let (pa, pb) = endpoints[i];
-            let band = links[i].band as u32;
-            let stride = band_stride as u32;
-            [
-                Some((pa * stride + band, i as u32)),
-                (pb != pa).then_some((pb * stride + band, i as u32)),
-            ]
-        });
         SolveIndex {
             plats,
             endpoints,
             tx_slots,
             tx_stride,
             band_stride,
-            by_tx,
-            by_platform_band,
         }
     }
 
@@ -997,9 +1053,80 @@ impl SolveIndex {
         self.plats.binary_search(&p).expect("interned") as u32
     }
 
+    /// The slot of a transceiver some candidate could name: `None` for
+    /// a platform that is not interned or an antenna index past
+    /// `tx_stride`.
+    fn tx_slot_of(&self, t: TransceiverId) -> Option<u32> {
+        let p = self.plats.binary_search(&t.platform).ok()?;
+        ((t.index as usize) < self.tx_stride).then(|| (p * self.tx_stride) as u32 + t.index as u32)
+    }
+
+    /// Per candidate, whether its pairing key is in `previous` —
+    /// answered from the previous keys outward: the few of them become
+    /// `(tx_a, tx_b)` slot pairs listed by `tx_a`, and each candidate
+    /// asks with its own slots, instead of one tree look-up per
+    /// candidate. A key naming a transceiver no candidate could name
+    /// matches nothing.
+    fn previous_members(&self, previous: &BTreeSet<(TransceiverId, TransceiverId)>) -> Vec<bool> {
+        let pairs: Vec<(u32, u32)> = previous
+            .iter()
+            .filter_map(|&(a, b)| Some((self.tx_slot_of(a)?, self.tx_slot_of(b)?)))
+            .collect();
+        let partners = SlotLists::build(
+            self.plats.len() * self.tx_stride,
+            0..pairs.len() as u32,
+            |k| [Some(pairs[k]), None],
+        );
+        self.tx_slots
+            .iter()
+            .map(|&(tx_a, tx_b)| partners.list(tx_a).contains(&tx_b))
+            .collect()
+    }
+
     /// The `by_platform_band` slot of (platform slot, band).
     fn band_slot(&self, platform_slot: u32, band: u8) -> u32 {
         platform_slot * self.band_stride as u32 + band as u32
+    }
+}
+
+/// The lists the greedy loop walks, built over the candidates still
+/// viable once the incumbents are placed. A chosen candidate's
+/// conflicts are confined to (a) candidates sharing one of its
+/// transceivers and (b) same-band candidates touching one of its
+/// platforms — `Solver::conflicts` returns false for everything else —
+/// so invalidation after a selection walks only those lists instead
+/// of rescanning the whole candidate set.
+struct LiveLists {
+    /// Candidate indices using a given transceiver slot.
+    by_tx: SlotLists<u32>,
+    /// Candidate indices touching a given (platform slot, band).
+    by_platform_band: SlotLists<u32>,
+    /// Dense adjacency: node → (neighbor, candidate).
+    adj: SlotLists<(u32, u32)>,
+}
+
+impl LiveLists {
+    /// `survivors` ascending, so each list is in candidate order.
+    fn build(index: &SolveIndex, links: &[CandidateLink], survivors: &[u32]) -> LiveLists {
+        let np = index.plats.len();
+        let ids = survivors.iter().copied();
+        LiveLists {
+            by_tx: SlotLists::build(np * index.tx_stride, ids.clone(), |i| {
+                let (tx_a, tx_b) = index.tx_slots[i];
+                [Some((tx_a, i as u32)), Some((tx_b, i as u32))]
+            }),
+            by_platform_band: SlotLists::build(np * index.band_stride, ids.clone(), |i| {
+                let (pa, pb) = index.endpoints[i];
+                [
+                    Some((index.band_slot(pa, links[i].band), i as u32)),
+                    (pb != pa).then_some((index.band_slot(pb, links[i].band), i as u32)),
+                ]
+            }),
+            adj: SlotLists::build(np, ids, |i| {
+                let (pa, pb) = index.endpoints[i];
+                [Some((pa, (pb, i as u32))), Some((pb, (pa, i as u32)))]
+            }),
+        }
     }
 }
 
@@ -1392,6 +1519,170 @@ mod tests {
             SimTime::ZERO,
         );
         assert!(plan.redundant_links.is_empty());
+    }
+
+    /// `place_incumbents` over a bare graph: no requests, no gateways.
+    fn placed(
+        links: &[CandidateLink],
+        previous: &[(TransceiverId, TransceiverId)],
+        drains: &DrainRegistry,
+    ) -> Placement {
+        let index = SolveIndex::build(links, &[], &BTreeMap::new());
+        let previous = previous.iter().copied().collect();
+        Solver::default().place_incumbents(links, &index, &previous, drains, SimTime::ZERO)
+    }
+
+    #[test]
+    fn incumbents_sharing_a_transceiver_keep_the_higher_margin_then_the_earlier() {
+        // Both use (0, antenna 0); the later candidate has the margin.
+        let mut links = vec![
+            cand(0, 0, 1, 0, 8.0, LinkQuality::Acceptable),
+            cand(0, 0, 2, 0, 12.0, LinkQuality::Acceptable),
+        ];
+        let previous = [links[0].key(), links[1].key()];
+        let p = placed(&links, &previous, &DrainRegistry::new());
+        assert_eq!(p.kept, vec![1], "higher margin wins the transceiver");
+        assert_eq!(p.viable, vec![false, true]);
+        assert_eq!(p.is_selected, vec![false, true]);
+        // On an exact tie the sort is stable: candidate order decides.
+        links[0].margin_db = 12.0;
+        let p = placed(&links, &previous, &DrainRegistry::new());
+        assert_eq!(p.kept, vec![0]);
+        assert_eq!(p.viable, vec![true, false]);
+    }
+
+    #[test]
+    fn close_same_band_incumbents_at_one_platform_keep_only_the_first() {
+        // Distinct transceivers throughout; platform 0's two beams are
+        // 2° apart on one band.
+        let mut links = vec![
+            cand(0, 0, 1, 0, 12.0, LinkQuality::Acceptable),
+            cand(0, 1, 2, 0, 10.0, LinkQuality::Acceptable),
+        ];
+        links[0].pointing_a = AzEl::new(100.0, 0.0);
+        links[1].pointing_a = AzEl::new(102.0, 0.0);
+        let previous = [links[0].key(), links[1].key()];
+        let p = placed(&links, &previous, &DrainRegistry::new());
+        assert_eq!(p.kept, vec![0]);
+        assert_eq!(p.viable, vec![true, false], "second dropped and dead");
+        // On another band both stay.
+        links[1].band = 1;
+        let p = placed(&links, &previous, &DrainRegistry::new());
+        assert_eq!(p.kept, vec![0, 1]);
+    }
+
+    #[test]
+    fn candidate_too_close_to_a_kept_beam_dies_in_the_pass() {
+        // Only the first is an incumbent. The second shares no
+        // transceiver with it but points 2° from it at platform 0; the
+        // third shares its transceiver at platform 1; the fourth is
+        // clear of both.
+        let mut links = vec![
+            cand(0, 0, 1, 0, 12.0, LinkQuality::Acceptable),
+            cand(0, 1, 2, 0, 10.0, LinkQuality::Acceptable),
+            cand(1, 0, 3, 0, 10.0, LinkQuality::Acceptable),
+            cand(2, 1, 3, 1, 10.0, LinkQuality::Acceptable),
+        ];
+        links[0].pointing_a = AzEl::new(100.0, 0.0);
+        links[1].pointing_a = AzEl::new(102.0, 0.0);
+        let p = placed(&links, &[links[0].key()], &DrainRegistry::new());
+        assert_eq!(p.kept, vec![0]);
+        assert_eq!(p.in_previous, vec![true, false, false, false]);
+        assert_eq!(p.viable, vec![true, false, false, true]);
+    }
+
+    #[test]
+    fn incumbent_on_a_drained_platform_is_not_kept() {
+        use tssdn_dataplane::DrainMode;
+        let links = vec![
+            cand(0, 0, 1, 0, 12.0, LinkQuality::Acceptable),
+            cand(2, 0, 3, 0, 10.0, LinkQuality::Acceptable),
+        ];
+        let mut drains = DrainRegistry::new();
+        drains.request(PlatformId(1), DrainMode::Opportunistic, SimTime::ZERO, None);
+        let p = placed(&links, &[links[0].key(), links[1].key()], &drains);
+        assert_eq!(p.kept, vec![1]);
+        assert_eq!(p.viable, vec![false, true]);
+    }
+
+    #[test]
+    fn previous_key_outside_the_graph_matches_nothing() {
+        // Antenna indices 0..=1, platforms 0..=2: `tx_stride` is 2.
+        let links = vec![
+            cand(0, 0, 1, 0, 12.0, LinkQuality::Acceptable),
+            cand(1, 1, 2, 0, 10.0, LinkQuality::Acceptable),
+        ];
+        let previous = [
+            (tid(77, 0), tid(1, 0)),  // platform not interned
+            (tid(0, 0), tid(78, 0)),  // … on the other side
+            (tid(0, 2), tid(1, 0)),   // antenna index == tx_stride
+            (tid(0, 0), tid(1, 255)), // … far past it
+            (tid(1, 0), tid(0, 0)),   // a real link, ends swapped
+        ];
+        let p = placed(&links, &previous, &DrainRegistry::new());
+        assert_eq!(p.in_previous, vec![false, false]);
+        assert!(p.kept.is_empty());
+        assert_eq!(p.viable, vec![true, true]);
+    }
+
+    /// Every antenna pairing of a six-balloon ring with chords and two
+    /// ground stations — 144 candidates, grouped by platform pair as
+    /// the evaluator emits them.
+    fn ring_graph() -> Vec<CandidateLink> {
+        let mut links = Vec::new();
+        let pairs = (0..6u32)
+            .flat_map(|i| [(i, (i + 1) % 6), (i, (i + 2) % 6)])
+            .chain([(0, 100), (1, 100), (3, 101), (4, 101)]);
+        for (k, (a, b)) in pairs.enumerate() {
+            for ai in 0..3u8 {
+                for bi in 0..3u8 {
+                    let mut l = cand(a, ai, b, bi, (k % 5) as f64 * 2.0, LinkQuality::Acceptable);
+                    l.band = (k % 2) as u8;
+                    // One direction per platform pair, 20° apart
+                    // around each platform: some pairs interfere.
+                    l.pointing_a = AzEl::new(k as f64 * 20.0, 0.0);
+                    l.pointing_b = AzEl::new(k as f64 * 20.0 + 183.0, 0.0);
+                    links.push(l);
+                }
+            }
+        }
+        links
+    }
+
+    #[test]
+    fn ungrouped_graph_still_equals_the_reference() {
+        let grouped = ring_graph();
+        // A fixed permutation that leaves no two pairings of one
+        // platform pair adjacent.
+        let n = grouped.len();
+        let shuffled: Vec<CandidateLink> = (0..n).map(|i| grouped[(i * 37 + 11) % n]).collect();
+        assert_ne!(grouped, shuffled);
+        let requests: Vec<BackhaulRequest> = (0..6).map(|i| req(i, 200)).collect();
+        let gateways = |ec: PlatformId| match ec {
+            PlatformId(200) => vec![PlatformId(100), PlatformId(101)],
+            _ => vec![],
+        };
+        let solver = Solver::default();
+        let drains = DrainRegistry::new();
+        let mut previous = BTreeSet::new();
+        // Cold, then warm on the plan just made, twice over.
+        for _ in 0..3 {
+            let g = graph(shuffled.clone());
+            let fast = solver.solve(&g, &requests, &gateways, &previous, &drains, SimTime::ZERO);
+            let slow = crate::reference::solve_reference(
+                &solver,
+                &g,
+                &requests,
+                &gateways,
+                &previous,
+                &drains,
+                SimTime::ZERO,
+            );
+            assert_eq!(fast, slow);
+            assert!(!fast.demand_links.is_empty());
+            previous = fast.key_set();
+        }
+        assert!(!previous.is_empty());
     }
 
     #[test]

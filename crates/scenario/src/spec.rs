@@ -387,6 +387,14 @@ impl ScenarioSpec {
             if days == 0 {
                 return Err("weather.stormy.days: must be ≥ 1".into());
             }
+            // The builder lays down cells day by day: a count past the
+            // horizon is a hang, not a storm.
+            if days > self.duration_hours.div_ceil(24) {
+                return Err(format!(
+                    "weather.stormy.days: {days} days exceed the {}-hour horizon",
+                    self.duration_hours
+                ));
+            }
         }
         match &self.faults {
             FaultsSpec::Quiet => {}
@@ -398,6 +406,13 @@ impl ScenarioSpec {
             } => {
                 if *expected == 0 {
                     return Err("faults.seeded.expected: must be ≥ 1".into());
+                }
+                // Likewise drawn one by one.
+                if u64::from(*expected) > self.duration_hours.saturating_mul(60) {
+                    return Err(format!(
+                        "faults.seeded.expected: {expected} exceeds one per minute of the {}-hour horizon",
+                        self.duration_hours
+                    ));
                 }
                 if latest_hour <= earliest_hour {
                     return Err(format!(
@@ -1182,6 +1197,47 @@ mod tests {
             let mut spec = base();
             edit(&mut spec, 30);
             assert_eq!(spec.validate(), Ok(()), "{field}");
+        }
+    }
+
+    #[test]
+    fn loop_counts_are_bounded_by_the_horizon() {
+        let stormy = |duration_hours, days| {
+            let mut spec = crate::chaos_soak_spec("bounded", 7);
+            spec.duration_hours = duration_hours;
+            spec.weather.regime = WeatherRegime::Stormy {
+                intensity: 1.0,
+                days,
+            };
+            spec
+        };
+        // A day begun counts: 78 hours see a fourth afternoon.
+        assert_eq!(stormy(78, 4).validate(), Ok(()));
+        assert_eq!(stormy(1, 1).validate(), Ok(()));
+        for (hours, days) in [(78, 5), (24, 2), (14, u64::MAX)] {
+            let spec = stormy(hours, days);
+            let err = spec.validate().expect_err("days past the horizon");
+            assert!(err.starts_with("weather.stormy.days: "), "{err}");
+            assert_eq!(ScenarioSpec::from_json(&spec.to_json()), Err(err));
+        }
+
+        let seeded = |duration_hours, expected| {
+            let mut spec = crate::chaos_soak_spec("bounded", 7);
+            spec.duration_hours = duration_hours;
+            spec.faults = FaultsSpec::Seeded {
+                expected,
+                earliest_hour: 0,
+                latest_hour: 1,
+                warned_loss: false,
+            };
+            spec
+        };
+        assert_eq!(seeded(1, 60).validate(), Ok(()));
+        for (hours, expected) in [(1, 61), (14, u32::MAX)] {
+            let spec = seeded(hours, expected);
+            let err = spec.validate().expect_err("more faults than minutes");
+            assert!(err.starts_with("faults.seeded.expected: "), "{err}");
+            assert_eq!(ScenarioSpec::from_json(&spec.to_json()), Err(err));
         }
     }
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # A/B the whole-loop benchmark (BENCHMARK.json) against another revision.
 #
-#   ./scripts/ab.sh BASE_REV [--pairs N] [--seed S] [--workload W]...
-#                            # defaults: 10 pairs, seed 20220822, all four workloads
+#   ./scripts/ab.sh BASE_REV [--pairs N] [--seed S] [--workload W]... [--layer METRIC]...
+#                            # defaults: 10 pairs, seed 20220822, all four workloads, no layer rows
 #
 # Exports BASE_REV (git archive) into the ignored .bench_build/ab-base, builds
 # `tssdn-e2e` there and here, and for each workload runs
@@ -16,22 +16,30 @@
 #                runs are not all better than all of the base's)
 #   ok           otherwise
 # and exits non-zero on any `worse>bound`. Every run's result line is kept in
-# artifact_out/e2e/ab_runs.txt. Not part of verify.sh or CI.
+# artifact_out/e2e/ab_runs.txt. With `--layer METRIC` (repeatable; a name from
+# BENCHMARK.json's `per_layer`, e.g. core.solver.solve_ms), one traced run per
+# side and workload follows the untraced pairs and the named metrics are printed
+# side by side — where the saving appears, or that a count repeats exactly. One
+# traced run is a reading, not a distribution. Not part of verify.sh or CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-usage() { echo "usage: ab.sh BASE_REV [--pairs N] [--seed S] [--workload W]..." >&2; exit 2; }
+usage() { echo "usage: ab.sh BASE_REV [--pairs N] [--seed S] [--workload W]... [--layer METRIC]..." >&2; exit 2; }
 [ $# -ge 1 ] || usage
 base_rev="$1"; shift
-pairs=10; seed=20220822; workloads=()
+pairs=10; seed=20220822; workloads=(); layers=()
 while [ $# -gt 0 ]; do
   case "$1" in
     --pairs) pairs="${2:?}"; shift 2 ;;
     --seed) seed="${2:?}"; shift 2 ;;
     --workload) workloads+=("${2:?}"); shift 2 ;;
+    --layer) layers+=("${2:?}"); shift 2 ;;
     *) usage ;;
   esac
 done
 [ ${#workloads[@]} -gt 0 ] || workloads=(dense50_morning flows24k_day kenya12_3day satdark100_day)
+for m in "${layers[@]}"; do
+  grep -qF "\"name\": \"$m\"" BENCHMARK.json || { echo "ab.sh: --layer $m: not a metric in BENCHMARK.json" >&2; exit 2; }
+done
 tree="$PWD"; base="$tree/.bench_build/ab-base"; runs="$tree/artifact_out/e2e/ab_runs.txt"
 mkdir -p "$base" "$(dirname "$runs")"; : > "$runs"
 # A fresh export of BASE_REV; its target/ is kept so a rerun builds incrementally.
@@ -99,4 +107,21 @@ END {
     printf "%-16s %-16s %12.4f %12.4f %9.3f %12.4f %3d/%d  %s\n", w, name, bm, tm, bm ? tm / bm : 0, iqr, wins, n, verdict
   }
   exit bad
-}' BENCHMARK.json "$runs"
+}' BENCHMARK.json "$runs" || status=$?
+
+# One traced run per side and workload; the named per-layer metrics side by side.
+if [ ${#layers[@]} -gt 0 ]; then
+  # traced DIR WORKLOAD: the run's one-line JSON result.
+  traced() { (cd "$1" && ./target/release/tssdn-e2e --workload "$2" --seed "$seed" --trace 1 2>/dev/null | tail -n 1); }
+  # value LINE METRIC
+  value() { grep -o "\"${2//./\\.}\": {\"value\": [^,]*" <<< "$1" | sed 's/.*: //'; }
+  printf '\n%-16s %-40s %14s %14s %9s\n' workload layer_metric base tree tree/base
+  for w in "${workloads[@]}"; do
+    b_line=$(traced "$base" "$w"); t_line=$(traced "$tree" "$w")
+    for m in "${layers[@]}"; do
+      awk -v w="$w" -v m="$m" -v b="$(value "$b_line" "$m")" -v t="$(value "$t_line" "$m")" \
+        'BEGIN { printf "%-16s %-40s %14.4f %14.4f %9.3f\n", w, m, b, t, b ? t / b : 0 }'
+    done
+  done
+fi
+exit "${status:-0}"

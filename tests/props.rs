@@ -280,7 +280,11 @@ proptest! {
     /// four bands, previous-topology keys that name transceivers and
     /// platforms the graph does not contain, and requests from a node
     /// no candidate touches, from a gateway itself, and to an EC no
-    /// gateway serves.
+    /// gateway serves. Three arms per case: the links as generated, the
+    /// same links in a generated shuffle (no grouping by platform pair
+    /// survives it), and the generated order with *every* candidate an
+    /// incumbent, so the previous topology is full of conflicts with
+    /// itself.
     #[test]
     fn optimized_solver_matches_naive_reference(
         raw in prop::collection::vec(
@@ -288,25 +292,30 @@ proptest! {
             1..40,
         ),
         prev_mask in prop::collection::vec(prop::bool::ANY, 40..41),
+        shuffle_keys in prop::collection::vec(0u32..1000, 40..41),
         ghost_prev in prop::collection::vec((0u32..12, 0usize..5, 0u32..12, 0usize..5), 0..4),
         req_mask in prop::collection::vec(prop::bool::ANY, 7..8),
         drain in prop::option::of(0u32..10),
         penalty_pair in prop::option::of((0u32..10, 0u32..10)),
     ) {
         let links: Vec<CandidateLink> = raw.into_iter().filter_map(raw_candidate).collect();
-        let graph = CandidateGraph { at: SimTime::ZERO, links };
-        let mut previous: BTreeSet<(TransceiverId, TransceiverId)> = graph
-            .links
+        let mut previous: BTreeSet<(TransceiverId, TransceiverId)> = links
             .iter()
             .enumerate()
             .filter(|(i, _)| prev_mask.get(*i).copied().unwrap_or(false))
             .map(|(_, l)| l.key())
             .collect();
+        let mut all_previous: BTreeSet<_> = links.iter().map(|l| l.key()).collect();
         for (pa, aa, pb, ab) in ghost_prev {
             let ta = TransceiverId::new(plat(pa).0, ANTENNAS[aa]);
             let tb = TransceiverId::new(plat(pb).0, ANTENNAS[ab]);
             previous.insert((ta.min(tb), ta.max(tb)));
+            all_previous.insert((ta.min(tb), ta.max(tb)));
         }
+        let mut shuffled: Vec<(u32, CandidateLink)> =
+            shuffle_keys.iter().copied().zip(links.iter().copied()).collect();
+        shuffled.sort_by_key(|(k, _)| *k);
+        let shuffled = shuffled.into_iter().map(|(_, l)| l).collect();
         let mut requests: Vec<BackhaulRequest> = (0..7u32)
             .filter(|i| req_mask[*i as usize])
             .map(|i| request(PlatformId(i), PlatformId(200)))
@@ -326,18 +335,25 @@ proptest! {
                 solver.pair_penalties.insert((px.min(py), px.max(py)), 1.5);
             }
         }
-        let fast = solver.solve(&graph, &requests, &gateways, &previous, &drains, SimTime::ZERO);
-        let slow =
-            solve_reference(&solver, &graph, &requests, &gateways, &previous, &drains, SimTime::ZERO);
-        prop_assert_eq!(fast, slow);
+        for (links, previous) in [
+            (links.clone(), &previous),
+            (shuffled, &previous),
+            (links, &all_previous),
+        ] {
+            let graph = CandidateGraph { at: SimTime::ZERO, links };
+            let fast = solver.solve(&graph, &requests, &gateways, previous, &drains, SimTime::ZERO);
+            let slow =
+                solve_reference(&solver, &graph, &requests, &gateways, previous, &drains, SimTime::ZERO);
+            prop_assert_eq!(fast, slow);
+        }
     }
 
     /// The same gate where the incumbent phase does most of the work:
     /// a 64-balloon chain installed as the previous topology (63
     /// incumbents, all kept) under a cloud of random candidates, most
-    /// of which die to those incumbents — so the solver's adjacency
-    /// compaction runs on a graph that is mostly dead, and the greedy
-    /// loop routes over what is left.
+    /// of which die to those incumbents — so the solver indexes a
+    /// small live remainder of the graph, and the greedy loop routes
+    /// over that.
     #[test]
     fn optimized_solver_matches_naive_reference_after_many_incumbents(
         raw in prop::collection::vec(

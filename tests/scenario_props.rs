@@ -130,7 +130,8 @@ proptest! {
             },
             weather: WeatherSpec {
                 regime: if stormy {
-                    WeatherRegime::Stormy { intensity, days }
+                    // No more storm days than the horizon has.
+                    WeatherRegime::Stormy { intensity, days: days.min(duration_hours.div_ceil(24)) }
                 } else {
                     WeatherRegime::Clear
                 },
@@ -277,22 +278,24 @@ fn unknown_enum_tags_are_rejected() {
 
 /// Decode `text`. Nothing may panic; a spec that does come out must
 /// have been validated, must re-encode to text that decodes to
-/// itself, and must turn into an orchestrator configuration — where
-/// its hours and minutes are multiplied out to milliseconds.
+/// itself, and must turn into an orchestrator configuration and a
+/// fault plan — where its hours and minutes are multiplied out to
+/// milliseconds and its storm days and fault count are looped over.
 fn survives(text: &str) -> TestCaseResult {
     if let Ok(spec) = ScenarioSpec::from_json(text) {
         prop_assert!(spec.validate().is_ok(), "decoded but invalid: {:?}", spec);
         spec.orchestrator_config();
+        spec.fault_plan();
         prop_assert_eq!(ScenarioSpec::from_json(&spec.to_json()), Ok(spec));
     }
     Ok(())
 }
 
-/// Three valid documents to damage: a seeded-fault spec, one with a
-/// directed window of every integer-carrying kind, and one whose
-/// traffic engine is on with a surge, so its time fields reach the
-/// builder.
-fn victims() -> [String; 3] {
+/// Four valid documents to damage: a seeded-fault spec, one with a
+/// directed window of every integer-carrying kind, one whose traffic
+/// engine is on with a surge, so its time fields reach the builder,
+/// and a stormy one, whose day count the builder loops over.
+fn victims() -> [String; 4] {
     let mut directed = tssdn_scenario::chaos_soak_spec("victim", 7);
     directed.faults = FaultsSpec::Directed(
         (0..7u8)
@@ -308,7 +311,18 @@ fn victims() -> [String; 3] {
         multiplier: 4.0,
     });
     assert!(surging.validate().is_ok());
-    [baseline_json(), directed.to_json(), surging.to_json()]
+    let mut stormy = tssdn_scenario::chaos_soak_spec("victim", 7);
+    stormy.weather.regime = WeatherRegime::Stormy {
+        intensity: 1.5,
+        days: 1,
+    };
+    assert!(stormy.validate().is_ok());
+    [
+        baseline_json(),
+        directed.to_json(),
+        surging.to_json(),
+        stormy.to_json(),
+    ]
 }
 
 /// Byte ranges of the number tokens of `text` (a valid document, so
@@ -354,7 +368,7 @@ proptest! {
 
     #[test]
     fn damaged_specs_never_panic_the_decoder(
-        which in 0usize..3,
+        which in 0usize..4,
         at in 0usize..100_000,
         byte in 0u8..=255,
         hostile in 0usize..5,
