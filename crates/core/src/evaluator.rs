@@ -15,6 +15,7 @@
 //! [`CandidateGraph::churn`] computes the set-delta statistic behind
 //! Figure 4.
 
+use crate::explain::PairAbsence;
 use crate::model::{ModelWeather, NetworkModel, PlatformInfo};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::OnceLock;
@@ -38,6 +39,21 @@ pub struct EvaluatorConfig {
     /// forming the selected links. This is clearly visible in the
     /// 4.3 dB right-shift" (§5, Figure 10).
     pub model_pessimism_db: f64,
+}
+
+impl EvaluatorConfig {
+    /// Each band's hoisted constants, the model's deliberate pessimism
+    /// riding in as extra assumed implementation loss.
+    pub(crate) fn band_consts(&self) -> Vec<BandConsts> {
+        let pessimistic = |band: &RadioParams| RadioParams {
+            implementation_loss_db: band.implementation_loss_db + self.model_pessimism_db,
+            ..*band
+        };
+        self.bands
+            .iter()
+            .map(|band| BandConsts::new(&pessimistic(band)))
+            .collect()
+    }
 }
 
 impl Default for EvaluatorConfig {
@@ -221,39 +237,14 @@ impl LinkEvaluator {
     /// never affects output).
     pub fn evaluate(&self, model: &NetworkModel, at: SimTime) -> CandidateGraph {
         let weather = ModelWeather { model };
-        // The model's deliberate pessimism rides in as extra assumed
-        // implementation loss.
-        let bands: Vec<BandConsts> = self
-            .config
-            .bands
-            .iter()
-            .map(|band| {
-                BandConsts::new(&RadioParams {
-                    implementation_loss_db: band.implementation_loss_db
-                        + self.config.model_pessimism_db,
-                    ..*band
-                })
-            })
-            .collect();
+        let bands = self.config.band_consts();
 
         // Snapshot the platforms that can form links at all, in
         // ascending-id order.
         let snaps: Vec<PlatformSnap<'_>> = model
             .platforms()
             .filter(|p| p.powered)
-            .filter_map(|p| {
-                let pos = model.predicted_position(p.id, at)?;
-                Some(PlatformSnap {
-                    info: p,
-                    pos,
-                    frame: LocalFrame::of(&pos),
-                    boresight_gain_dbi: p
-                        .transceivers
-                        .iter()
-                        .map(|t| t.pattern.gain_dbi(0.0))
-                        .collect(),
-                })
-            })
+            .filter_map(|p| PlatformSnap::of(model, p, at))
             .collect();
 
         // Coarse spatial grid, cell edge = max_range_m: two points
@@ -346,7 +337,7 @@ pub(crate) fn host_workers() -> usize {
 
 /// One linkable platform as the pair sweep sees it: everything that
 /// depends on the platform alone, computed once per evaluation.
-struct PlatformSnap<'m> {
+pub(crate) struct PlatformSnap<'m> {
     info: &'m PlatformInfo,
     /// Predicted position at the evaluation instant.
     pos: GeoPoint,
@@ -356,9 +347,23 @@ struct PlatformSnap<'m> {
     boresight_gain_dbi: Vec<f64>,
 }
 
+impl<'m> PlatformSnap<'m> {
+    /// `None` when the model has no position for the platform.
+    pub(crate) fn of(model: &NetworkModel, info: &'m PlatformInfo, at: SimTime) -> Option<Self> {
+        let pos = model.predicted_position(info.id, at)?;
+        let gain = |t: &tssdn_link::Transceiver| t.pattern.gain_dbi(0.0);
+        Some(PlatformSnap {
+            info,
+            pos,
+            frame: LocalFrame::of(&pos),
+            boresight_gain_dbi: info.transceivers.iter().map(gain).collect(),
+        })
+    }
+}
+
 /// One worker's share of the pair sweep: the shared inputs plus the
 /// scratch a pair needs, reused from pair to pair.
-struct PairSweep<'a> {
+pub(crate) struct PairSweep<'a> {
     config: &'a EvaluatorConfig,
     bands: &'a [BandConsts],
     weather: &'a ModelWeather<'a>,
@@ -372,7 +377,7 @@ struct PairSweep<'a> {
 }
 
 impl<'a> PairSweep<'a> {
-    fn new(
+    pub(crate) fn new(
         config: &'a EvaluatorConfig,
         bands: &'a [BandConsts],
         weather: &'a ModelWeather<'a>,
@@ -390,24 +395,33 @@ impl<'a> PairSweep<'a> {
         }
     }
 
-    /// Evaluate one platform pair and append its candidates. The naive
-    /// reference keeps its own verbatim copy of the pre-hoisting logic
-    /// (per-pair band rebuild, per-band path walk, per-pairing gains).
-    fn evaluate_pair(&mut self, a: &PlatformSnap<'_>, b: &PlatformSnap<'_>) {
+    /// Evaluate one platform pair and append its candidates; the
+    /// answer is how many, or why none (what `core::explain` reports —
+    /// the sweep itself ignores it). The naive reference keeps its own
+    /// verbatim copy of the pre-hoisting logic (per-pair band rebuild,
+    /// per-band path walk, per-pairing gains).
+    pub(crate) fn evaluate_pair(
+        &mut self,
+        a: &PlatformSnap<'_>,
+        b: &PlatformSnap<'_>,
+    ) -> PairAbsence {
         let (pa, pb) = (a.info, b.info);
         // Ground stations never pair with each other (they're wired).
         if pa.kind == PlatformKind::GroundStation && pb.kind == PlatformKind::GroundStation {
-            return;
+            return PairAbsence::GroundToGround;
         }
         // Geometric pruning common to all antenna combos. Slant range
         // is exactly the ECEF chord, so reusing the snapshot's
         // conversion is bit-identical to `GeoPoint::slant_range_m`.
         let range = a.frame.ecef.distance_m(&b.frame.ecef);
         if range > self.config.max_range_m {
-            return;
+            return PairAbsence::OutOfRange {
+                range_m: range,
+                limit_m: self.config.max_range_m,
+            };
         }
         if !line_of_sight_clear(&a.pos, &b.pos, self.config.los_clearance_m) {
-            return;
+            return PairAbsence::NoLineOfSight;
         }
         let point_ab = PointingSolution::from_frame(&a.frame, &b.frame.ecef);
         let point_ba = PointingSolution::from_frame(&b.frame, &a.frame.ecef);
@@ -423,8 +437,10 @@ impl<'a> PairSweep<'a> {
         };
         pointable(pa, &point_ab.direction, &mut self.pointable_a);
         pointable(pb, &point_ba.direction, &mut self.pointable_b);
-        if self.pointable_a.is_empty() || self.pointable_b.is_empty() {
-            return;
+        for (info, pointable) in [(pa, &self.pointable_a), (pb, &self.pointable_b)] {
+            if pointable.is_empty() {
+                return PairAbsence::NoUsableAntenna(info.id);
+            }
         }
         let kind = if pa.kind == PlatformKind::Balloon && pb.kind == PlatformKind::Balloon {
             LinkKind::B2B
@@ -438,6 +454,8 @@ impl<'a> PairSweep<'a> {
         let attenuations =
             self.integrator
                 .integrate(&a.pos, &b.pos, range, self.weather, self.at.as_ms());
+        let first = self.out.len();
+        let mut best_margin_db = f64::NEG_INFINITY;
         for &ai in &self.pointable_a {
             for &bi in &self.pointable_b {
                 // Best band for this antenna pairing.
@@ -448,6 +466,7 @@ impl<'a> PairSweep<'a> {
                         b.boresight_gain_dbi[bi],
                         attenuations[band_i],
                     );
+                    best_margin_db = best_margin_db.max(rep.margin_db);
                     if rep.quality == LinkQuality::Infeasible {
                         continue;
                     }
@@ -474,6 +493,10 @@ impl<'a> PairSweep<'a> {
                     });
                 }
             }
+        }
+        match self.out.len() - first {
+            0 => PairAbsence::RfInfeasible { best_margin_db },
+            count => PairAbsence::HasCandidates { count },
         }
     }
 }

@@ -17,14 +17,12 @@
 //!   by the solver (drains, transceiver already tasked, interference,
 //!   no demand utility, feedback penalty).
 
-use crate::evaluator::{CandidateGraph, EvaluatorConfig};
+use crate::evaluator::{CandidateGraph, EvaluatorConfig, PairSweep, PlatformSnap};
 use crate::model::{ModelWeather, NetworkModel};
-use crate::solver::{Solver, TopologyPlan};
+use crate::solver::{Conflict, Solver, TopologyPlan};
 use tssdn_dataplane::DrainRegistry;
-use tssdn_geo::{line_of_sight_clear, PointingSolution};
 use tssdn_link::TransceiverId;
-use tssdn_rf::{LinkQuality, RadioParams};
-use tssdn_sim::{PlatformId, PlatformKind, SimTime};
+use tssdn_sim::{PlatformId, SimTime};
 
 /// Why a platform pair has no candidate link at an instant.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,9 +89,9 @@ pub enum SelectionAbsence {
     },
 }
 
-/// Why a platform pair produced no candidate at `at` — evaluated
-/// against the controller's model exactly as the Link Evaluator sees
-/// it.
+/// Why a platform pair produced no candidate at `at`: the model-level
+/// preamble (known, powered, positioned) and then the Link Evaluator's
+/// own answer for the pair.
 pub fn explain_pair(
     model: &NetworkModel,
     config: &EvaluatorConfig,
@@ -101,102 +99,24 @@ pub fn explain_pair(
     b: PlatformId,
     at: SimTime,
 ) -> PairAbsence {
-    let (Some(pa), Some(pb)) = (model.platform(a), model.platform(b)) else {
-        return PairAbsence::NoPosition(if model.platform(a).is_none() { a } else { b });
+    let answer = || -> Result<PairAbsence, PairAbsence> {
+        // Ascending ids, the orientation the evaluator sweeps pairs in.
+        let [pa, pb] =
+            [a.min(b), a.max(b)].map(|id| model.platform(id).ok_or(PairAbsence::NoPosition(id)));
+        let infos = [pa?, pb?];
+        if let Some(p) = infos.iter().find(|p| !p.powered) {
+            return Err(PairAbsence::Unpowered(p.id));
+        }
+        let [lo, hi] =
+            infos.map(|p| PlatformSnap::of(model, p, at).ok_or(PairAbsence::NoPosition(p.id)));
+        let (bands, weather) = (config.band_consts(), ModelWeather { model });
+        Ok(PairSweep::new(config, &bands, &weather, at).evaluate_pair(&lo?, &hi?))
     };
-    if pa.kind == PlatformKind::GroundStation && pb.kind == PlatformKind::GroundStation {
-        return PairAbsence::GroundToGround;
-    }
-    for p in [pa, pb] {
-        if !p.powered {
-            return PairAbsence::Unpowered(p.id);
-        }
-    }
-    let (Some(pos_a), Some(pos_b)) = (
-        model.predicted_position(a, at),
-        model.predicted_position(b, at),
-    ) else {
-        return PairAbsence::NoPosition(if model.predicted_position(a, at).is_none() {
-            a
-        } else {
-            b
-        });
-    };
-    let range = pos_a.slant_range_m(&pos_b);
-    if range > config.max_range_m {
-        return PairAbsence::OutOfRange {
-            range_m: range,
-            limit_m: config.max_range_m,
-        };
-    }
-    if !line_of_sight_clear(&pos_a, &pos_b, config.los_clearance_m) {
-        return PairAbsence::NoLineOfSight;
-    }
-    let to_b = PointingSolution::between(&pos_a, &pos_b);
-    let to_a = PointingSolution::between(&pos_b, &pos_a);
-    if !pa
-        .transceivers
-        .iter()
-        .any(|t| t.can_point_at(&to_b.direction))
-    {
-        return PairAbsence::NoUsableAntenna(a);
-    }
-    if !pb
-        .transceivers
-        .iter()
-        .any(|t| t.can_point_at(&to_a.direction))
-    {
-        return PairAbsence::NoUsableAntenna(b);
-    }
-    // RF: best margin across bands/antenna pairings.
-    let weather = ModelWeather { model };
-    let mut best = f64::NEG_INFINITY;
-    let mut count = 0usize;
-    for ta in pa
-        .transceivers
-        .iter()
-        .filter(|t| t.can_point_at(&to_b.direction))
-    {
-        for tb in pb
-            .transceivers
-            .iter()
-            .filter(|t| t.can_point_at(&to_a.direction))
-        {
-            for band in &config.bands {
-                let band = RadioParams {
-                    implementation_loss_db: band.implementation_loss_db + config.model_pessimism_db,
-                    ..*band
-                };
-                let rep = tssdn_rf::evaluate_link(
-                    &pos_a,
-                    &pos_b,
-                    &band,
-                    &ta.pattern,
-                    &tb.pattern,
-                    0.0,
-                    0.0,
-                    &weather,
-                    at.as_ms(),
-                );
-                best = best.max(rep.margin_db);
-                if rep.quality != LinkQuality::Infeasible {
-                    count += 1;
-                }
-            }
-        }
-    }
-    if count == 0 {
-        PairAbsence::RfInfeasible {
-            best_margin_db: best,
-        }
-    } else {
-        PairAbsence::HasCandidates { count }
-    }
+    answer().unwrap_or_else(|why| why)
 }
 
 /// Why a candidate (identified by its pairing key) is absent from a
 /// plan.
-#[allow(clippy::too_many_arguments)]
 pub fn explain_absence(
     solver: &Solver,
     graph: &CandidateGraph,
@@ -216,59 +136,36 @@ pub fn explain_absence(
             return SelectionAbsence::Drained(p);
         }
     }
-    // Transceiver conflicts with selected links.
-    for sel in plan.all_links() {
-        let shares = sel.a == cand.a || sel.a == cand.b || sel.b == cand.a || sel.b == cand.b;
-        if shares {
-            return SelectionAbsence::TransceiverBusy { holder: sel.key() };
-        }
+    // The first plan link holding one of its radios, else the first
+    // interfering with it (`min_by_key` keeps the first of equals).
+    let blocker = plan
+        .all_links()
+        .filter_map(|sel| Some((sel.key(), solver.conflict(sel, cand)?)))
+        .min_by_key(|(_, why)| *why != Conflict::SharedTransceiver);
+    if let Some((other, why)) = blocker {
+        return match why {
+            Conflict::SharedTransceiver => SelectionAbsence::TransceiverBusy { holder: other },
+            Conflict::BeamsTooClose { separation_deg } => SelectionAbsence::Interference {
+                with: other,
+                separation_deg,
+            },
+        };
     }
-    // Interference with selected links.
-    for sel in plan.all_links() {
-        if sel.band != cand.band {
-            continue;
-        }
-        for (ps, ds) in [
-            (sel.a.platform, sel.pointing_a),
-            (sel.b.platform, sel.pointing_b),
-        ] {
-            for (pc, dc) in [
-                (cand.a.platform, cand.pointing_a),
-                (cand.b.platform, cand.pointing_b),
-            ] {
-                if ps == pc {
-                    let sep = ds.angular_distance_deg(&dc);
-                    if sep < solver.config.min_beam_separation_deg {
-                        return SelectionAbsence::Interference {
-                            with: sel.key(),
-                            separation_deg: sep,
-                        };
-                    }
-                }
-            }
-        }
+    match solver.pair_penalty(cand) {
+        Some(multiplier) if multiplier > 1.5 => SelectionAbsence::FeedbackPenalized { multiplier },
+        _ => SelectionAbsence::NoUtility,
     }
-    let pk = (
-        cand.a.platform.min(cand.b.platform),
-        cand.a.platform.max(cand.b.platform),
-    );
-    if let Some(m) = solver.pair_penalties.get(&pk) {
-        if *m > 1.5 {
-            return SelectionAbsence::FeedbackPenalized { multiplier: *m };
-        }
-    }
-    SelectionAbsence::NoUtility
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::LinkEvaluator;
+    use crate::evaluator::{CandidateLink, LinkEvaluator};
     use crate::model::WeatherSource;
     use tssdn_dataplane::{BackhaulRequest, DrainMode};
     use tssdn_geo::{GeoPoint, TrajectorySample};
     use tssdn_link::Transceiver;
-    use tssdn_sim::PlatformId;
+    use tssdn_sim::{PlatformId, PlatformKind};
 
     fn fix(lat: f64, lon: f64, alt: f64) -> TrajectorySample {
         TrajectorySample {
@@ -498,5 +395,118 @@ mod tests {
             SelectionAbsence::TransceiverBusy { .. } => {} // redundancy pass may have tasked it
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    /// A seeded 8-balloon Kenya world at 10:00 with the graph its
+    /// evaluator holds for that instant.
+    fn kenya_morning() -> (crate::Orchestrator, CandidateGraph) {
+        let mut config = crate::OrchestratorConfig::kenya(8, 31);
+        config.fleet.spawn_radius_m = 260_000.0;
+        let mut o = crate::Orchestrator::new(config);
+        o.run_until(SimTime::from_hours(10));
+        let graph = o.evaluate_candidates(o.now());
+        (o, graph)
+    }
+
+    #[test]
+    fn explain_pair_counts_what_the_evaluator_emits() {
+        let (o, graph) = kenya_morning();
+        let ids: Vec<PlatformId> = o.model.platforms().map(|p| p.id).collect();
+        let mut pairs_with_candidates = 0;
+        for (i, &a) in ids.iter().enumerate() {
+            for &b in &ids[i + 1..] {
+                let in_graph = graph
+                    .links
+                    .iter()
+                    .filter(|l| (l.a.platform, l.b.platform) == (a, b))
+                    .count();
+                let said = explain_pair(&o.model, &o.config.evaluator, a, b, o.now());
+                match &said {
+                    PairAbsence::HasCandidates { count } => {
+                        assert_eq!(*count, in_graph, "{a} – {b}");
+                        pairs_with_candidates += 1;
+                    }
+                    why => assert_eq!(in_graph, 0, "{a} – {b}: {why:?}"),
+                }
+                // Asked the other way round, the same answer.
+                assert_eq!(
+                    explain_pair(&o.model, &o.config.evaluator, b, a, o.now()),
+                    said
+                );
+            }
+        }
+        assert!(pairs_with_candidates > 8, "the world has a mesh to explain");
+    }
+
+    /// The §3.2 rule spelled out for the test alone: `Some(None)` for a
+    /// shared transceiver, `Some(Some(deg))` for two same-band beams at
+    /// one platform under `min_sep_deg` apart.
+    fn blocks(sel: &CandidateLink, cand: &CandidateLink, min_sep_deg: f64) -> Option<Option<f64>> {
+        if [sel.a, sel.b].iter().any(|t| *t == cand.a || *t == cand.b) {
+            return Some(None);
+        }
+        let ends = |l: &CandidateLink| [(l.a.platform, l.pointing_a), (l.b.platform, l.pointing_b)];
+        for (ps, ds) in ends(sel) {
+            for (pc, dc) in ends(cand) {
+                let apart = ds.angular_distance_deg(&dc);
+                if sel.band == cand.band && ps == pc && apart < min_sep_deg {
+                    return Some(Some(apart));
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn explain_absence_names_a_plan_link_that_conflicts() {
+        let (o, graph) = kenya_morning();
+        let full = o.last_plan.clone().expect("solved by 10:00");
+        // The world's plan, and a plan of its first link alone: most
+        // radios idle, so the other antenna pairings of that link's
+        // platform pair are blocked by its beam and nothing else.
+        let sparse = TopologyPlan {
+            demand_links: full.demand_links[..1].to_vec(),
+            ..Default::default()
+        };
+        let (solver, now) = (o.solver(), o.now());
+        let min_sep = solver.config.min_beam_separation_deg;
+        let (mut busy, mut interfered, mut free) = (0, 0, 0);
+        for plan in [&full, &sparse] {
+            let keys = plan.key_set();
+            for cand in graph.links.iter().filter(|l| !keys.contains(&l.key())) {
+                let named = |key| plan.all_links().find(|l| l.key() == key).expect("in plan");
+                match explain_absence(solver, &graph, plan, &o.drains, cand.key(), now) {
+                    SelectionAbsence::TransceiverBusy { holder } => {
+                        assert_eq!(blocks(named(holder), cand, min_sep), Some(None));
+                        busy += 1;
+                    }
+                    SelectionAbsence::Interference {
+                        with,
+                        separation_deg,
+                    } => {
+                        let with = named(with);
+                        assert_eq!(blocks(with, cand, min_sep), Some(Some(separation_deg)));
+                        assert!(solver.conflicts(with, cand));
+                        // A held radio is reported before a close beam.
+                        assert!(plan
+                            .all_links()
+                            .all(|l| blocks(l, cand, min_sep) != Some(None)));
+                        interfered += 1;
+                    }
+                    why => {
+                        assert!(
+                            plan.all_links().all(|l| blocks(l, cand, min_sep).is_none()),
+                            "{:?} is blocked, yet: {why:?}",
+                            cand.key()
+                        );
+                        free += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            busy > 0 && interfered > 0 && free > 0,
+            "{busy} {interfered} {free}"
+        );
     }
 }

@@ -58,11 +58,12 @@ pub fn chaos_soak_spec(name: &str, seed: u64) -> ScenarioSpec {
     }
 }
 
-/// The E19-style directed blackout: every ground site dark for 25
-/// minutes from `t0`, one balloon lost abruptly mid-blackout, another
-/// lost *warned* so custody can move its backlog out first.
-fn blackout_windows(t0_min: u64) -> Vec<WindowSpec> {
-    let mut w: Vec<WindowSpec> = (6..9)
+/// The E19-style directed blackout: every ground site of an
+/// `n_balloons` Kenya fleet dark for 25 minutes from `t0`, one balloon
+/// lost abruptly mid-blackout, another lost *warned* so custody can
+/// move its backlog out first.
+fn blackout_windows(n_balloons: u32, t0_min: u64) -> Vec<WindowSpec> {
+    let mut w: Vec<WindowSpec> = (n_balloons..n_balloons + Geography::Kenya.ground_stations())
         .map(|site| WindowSpec {
             start_min: t0_min,
             duration_mins: Some(25),
@@ -282,7 +283,7 @@ pub fn catalog() -> Vec<CatalogEntry> {
                 regime: WeatherRegime::Clear,
                 gauges: false,
             },
-            faults: FaultsSpec::Directed(blackout_windows(10 * 60)),
+            faults: FaultsSpec::Directed(blackout_windows(6, 10 * 60)),
             traffic: TrafficSpec::default(),
             sharding: ShardingSpec::default(),
         },
@@ -427,7 +428,7 @@ pub fn smoke_catalog() -> Vec<CatalogEntry> {
                     regime: WeatherRegime::Clear,
                     gauges: false,
                 },
-                faults: FaultsSpec::Directed(blackout_windows(10 * 60)),
+                faults: FaultsSpec::Directed(blackout_windows(4, 10 * 60)),
                 traffic: TrafficSpec::default(),
                 sharding: ShardingSpec::default(),
             },

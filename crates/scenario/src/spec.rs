@@ -470,16 +470,10 @@ impl ScenarioSpec {
                             prob(*reorder, &format!("{ctx}.reorder"))?;
                         }
                         KindSpec::GsOutage { site } => {
-                            // Only the lower bound. The committed
-                            // `smoke_blackout` scenario (4 balloons,
-                            // sites 4..7) darkens sites 6, 7 and 8, and
-                            // its baseline scorecard embeds that spec:
-                            // a site past the fleet is a no-op window
-                            // there, and refusing it would change a
-                            // frozen baseline (ROADMAP, hostile input).
-                            if *site < self.fleet.n_balloons {
+                            let field = format!("{ctx}.site");
+                            if self.platform_kind(*site, &field)? == PlatformKind::Balloon {
                                 return Err(format!(
-                                    "{ctx}.site: {site} is a balloon; ground stations are {}..{}",
+                                    "{field}: {site} is a balloon; ground stations are {}..{}",
                                     self.fleet.n_balloons,
                                     self.n_platforms()
                                 ));
@@ -1059,13 +1053,10 @@ mod tests {
             },
             "balloon",
         );
-        // A ground-station outage must not name a balloon. (A site
-        // past the fleet still validates — see `validate`.)
+        // A ground-station outage names a ground station: not a
+        // balloon, not a site past the fleet.
         rejected(KindSpec::GsOutage { site: n - 1 }, "site");
-        assert_eq!(
-            with_directed(KindSpec::GsOutage { site: total }).validate(),
-            Ok(())
-        );
+        rejected(KindSpec::GsOutage { site: total }, "site");
         rejected(
             KindSpec::TransceiverFault {
                 platform: total,

@@ -36,8 +36,10 @@ fn main() {
     println!("{}", plan.render_goal_state(&current, 8));
 
     // Recommendation 5: "why not?" across every balloon pair.
+    // The solver the world runs — its config and its current feedback
+    // penalties — not a default one.
     let graph = o.evaluate_candidates(o.now());
-    let solver = tssdn_core::Solver::default();
+    let solver = o.solver();
     println!("# pairwise \"why not\" (balloon–balloon):");
     let mut counts: std::collections::BTreeMap<&'static str, usize> = Default::default();
     for a in 0..8u32 {
@@ -66,8 +68,7 @@ fn main() {
                         })
                         .max_by(|x, y| x.margin_db.partial_cmp(&y.margin_db).expect("finite"))
                         .map(|l| l.key());
-                    match key
-                        .map(|k| explain_absence(&solver, &graph, &plan, &o.drains, k, o.now()))
+                    match key.map(|k| explain_absence(solver, &graph, &plan, &o.drains, k, o.now()))
                     {
                         Some(SelectionAbsence::TransceiverBusy { .. }) => "radios busy",
                         Some(SelectionAbsence::Interference { .. }) => "beam interference",
@@ -87,13 +88,16 @@ fn main() {
                 PairAbsence::GroundToGround => "gs-gs",
             };
             *counts.entry(label).or_default() += 1;
-            // Print a few concrete explanations.
-            if matches!(
-                why,
-                PairAbsence::OutOfRange { .. } | PairAbsence::NoLineOfSight
-            ) && counts[label] <= 2
-            {
-                println!("  p{a} – p{b}: {why:?}");
+            // Print a few concrete explanations: physical reasons as
+            // they are, solver-level ones with how many candidates the
+            // graph holds for the pair.
+            if counts[label] <= 2 {
+                match why {
+                    PairAbsence::HasCandidates { count } => {
+                        println!("  p{a} – p{b}: {count} candidates, {label}")
+                    }
+                    why => println!("  p{a} – p{b}: {why:?}"),
+                }
             }
         }
     }

@@ -4,7 +4,9 @@
 #   ./scripts/verify.sh          # everything: lint + build + tests +
 #                                # smoke benches
 #   ./scripts/verify.sh --lint   # fast-fail subset: fmt + clippy
-#   ./scripts/verify.sh --build  # build + tests + smoke benches
+#   ./scripts/verify.sh --build  # build + tests + smoke benches +
+#                                # scorecard diff and byte-identity
+#                                # against baselines/scorecards/
 #
 # The test pass includes the chaos soak (tests/chaos_soak.rs), so a
 # green run certifies the robustness contract too: no stuck intents,
@@ -41,6 +43,25 @@ if [ "$mode" != "lint" ]; then
 
   echo "==> scripts/bench.sh --smoke (scenario matrix + planning + sharding + traffic gates + e2e suite)"
   ./scripts/bench.sh --smoke
+
+  # The smoke matrix just wrote artifact_out/scorecards/. The tolerant
+  # diff (2 % on ratio metrics, exact on invariants) catches
+  # service-metric slips the ~20 %-margin floors cannot; a PR that means
+  # to move a metric or a spec regenerates the baselines in the same
+  # change (`scenario_matrix --smoke --out tmp && cp
+  # tmp/scorecards/*.json baselines/scorecards/`) and passes both.
+  echo "==> scorecard diff vs baselines/scorecards"
+  cargo run --release -q -p tssdn-bench --bin scenario_matrix -- \
+    --diff baselines/scorecards artifact_out/scorecards
+
+  # The exact gate: every other PR — refactors, performance work —
+  # leaves the smoke scorecards byte for byte what is committed.
+  echo "==> smoke scorecards byte-identical to baselines/scorecards"
+  status=0
+  for got in artifact_out/scorecards/smoke_*.json; do
+    cmp "baselines/scorecards/$(basename "$got")" "$got" || status=1
+  done
+  [ "$status" -eq 0 ]
 fi
 
 echo "verify ($mode): OK"

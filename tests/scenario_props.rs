@@ -297,9 +297,10 @@ fn survives(text: &str) -> TestCaseResult {
 /// and a stormy one, whose day count the builder loops over.
 fn victims() -> [String; 4] {
     let mut directed = tssdn_scenario::chaos_soak_spec("victim", 7);
+    let n = directed.fleet.n_balloons;
     directed.faults = FaultsSpec::Directed(
         (0..7u8)
-            .map(|k| window_from_parts(10, (30, Some(9), k, 3, 4), (0.5, 1.5, 0.25)))
+            .map(|k| window_from_parts(n, (30, Some(9), k, 3, 4), (0.5, 1.5, 0.25)))
             .collect(),
     );
     assert!(directed.validate().is_ok());
