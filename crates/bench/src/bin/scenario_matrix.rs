@@ -17,7 +17,8 @@
 //!
 //! Artifacts: `<out>/scorecards/<name>.json` (spec + floors +
 //! scorecard per scenario) and `<out>/scorecards/summary.csv` (one row
-//! per scenario).
+//! per scenario). Each scenario's share of wall-clock per orchestrator
+//! stage (`Orchestrator::stage_wall`) goes to stderr only.
 //!
 //! Flags: `--smoke` runs the small 4-scenario CI subset; `--only NAME`
 //! runs a single scenario by catalog name; `--out DIR` overrides the
@@ -38,8 +39,9 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+use tssdn_core::Orchestrator;
 use tssdn_scenario::json::{parse, Json};
-use tssdn_scenario::{catalog, run_scenario, smoke_catalog, CatalogEntry, ScenarioSpec};
+use tssdn_scenario::{catalog, run_scenario, scorecard, smoke_catalog, CatalogEntry, ScenarioSpec};
 
 // ---------------------------------------------------------------- //
 // Diff mode                                                        //
@@ -207,6 +209,18 @@ fn diff_dirs(old_dir: &Path, new_dir: &Path) -> usize {
     regressions
 }
 
+/// Each stage's share of the wall-clock a run spent in its stages, in
+/// stage order.
+fn stage_shares(world: &Orchestrator) -> String {
+    let stages = world.stage_wall();
+    let total: f64 = stages.iter().map(|(_, t)| t.as_secs_f64()).sum();
+    stages
+        .iter()
+        .map(|(name, t)| format!("{name} {:.1}%", 100.0 * t.as_secs_f64() / total))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
 /// Re-indent a pretty JSON blob for embedding inside an object.
 fn indent(text: &str, pad: &str) -> String {
     text.lines()
@@ -329,8 +343,14 @@ fn main() {
         }
 
         // Identity gate: two from-scratch runs render byte-identical
-        // scorecard JSON.
-        let card = run_scenario(&entry.spec);
+        // scorecard JSON. The first is stepped here so its stage
+        // timers can be reported (stderr: wall-clock stays out of
+        // every artifact).
+        let mut world = entry.spec.build();
+        world.run_until(entry.spec.end_time());
+        let card = scorecard(&entry.spec, &world);
+        eprintln!("  stages {name}: {}", stage_shares(&world));
+        drop(world);
         let card_json = card.to_json();
         let rerun_json = run_scenario(&entry.spec).to_json();
         let identical = card_json == rerun_json;

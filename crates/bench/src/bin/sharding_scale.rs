@@ -259,7 +259,10 @@ fn main() {
         );
         println!("smoke: identity gates held (no timing assertions)");
         if let Some(p) = out_path {
-            let json = "{\n  \"bench\": \"sharding_scale\",\n  \"mode\": \"smoke\",\n  \"seed\": 42,\n  \"gates\": {\"identity\": true, \"workers\": true}\n}\n".to_string();
+            let json = format!(
+                "{{\n  \"bench\": \"sharding_scale\",\n  \"manifest\": {},\n  \"seed\": 42,\n  \"gates\": {{\"identity\": true, \"workers\": true}}\n}}\n",
+                tssdn_bench::manifest_json("smoke")
+            );
             std::fs::write(&p, json).expect("write bench json");
             println!("wrote {p}");
         }
@@ -346,12 +349,13 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"sharding_scale\",\n  \"mode\": \"full\",\n  \"seed\": 42,\n  \"iters\": {iters},\n  \
+        "{{\n  \"bench\": \"sharding_scale\",\n  \"manifest\": {},\n  \"seed\": 42,\n  \"iters\": {iters},\n  \
          \"baseline\": {{\"balloons\": 100, \"candidates\": {base_cands}, \"epoch\": {{\"p50_ns\": {base_p50:.0}, \"p95_ns\": {base_p95:.0}}}}},\n  \
          \"sharded\": {{\"balloons\": 1000, \"regions\": 16, \"candidates\": {sharded_cands}, \"epoch\": {{\"p50_ns\": {sharded_p50:.0}, \"p95_ns\": {sharded_p95:.0}}}}},\n  \
          \"unsharded_reference\": {{\"balloons\": 1000, \"epoch_p50_ns\": {global_p50:.0}}},\n  \
          \"speedup_vs_unsharded_p50\": {:.2},\n  \
          \"gates\": {{\"identity\": true, \"workers\": true, \"epoch_within_100_balloon_budget\": {gate_ok}}}\n}}\n",
+        tssdn_bench::manifest_json("full"),
         global_p50 / sharded_p50,
     );
     match out_path {

@@ -16,9 +16,9 @@
 //! Figure 4.
 
 use crate::explain::PairAbsence;
+use crate::fan_out::{fan_out, host_workers};
 use crate::model::{ModelWeather, NetworkModel, PlatformInfo};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::OnceLock;
 use tssdn_geo::{line_of_sight_clear, AzEl, Ecef, GeoPoint, LocalFrame, PointingSolution};
 use tssdn_link::{LinkKind, TransceiverId};
 use tssdn_rf::{BandConsts, LinkQuality, PathIntegrator, RadioParams};
@@ -287,52 +287,20 @@ impl LinkEvaluator {
         // first preserves relative order).
         pairs.sort_unstable();
 
-        // Fan the pair sweep across scoped workers in contiguous
-        // chunks; merge preserves chunk order, so the result is
-        // independent of how many workers run. A sweep too small to be
-        // worth a thread does not ask how many there are.
+        // Fan the pair sweep out in contiguous chunks, merged in chunk
+        // order, so the result is independent of how many workers run.
+        // A sweep too small to be worth a thread does not ask how many
+        // there are.
         let workers = if pairs.len() < 64 { 1 } else { host_workers() };
-        let sweep = |chunk: &[(u32, u32)]| -> Vec<CandidateLink> {
+        let links = fan_out(&pairs, workers, |chunk| {
             let mut sweep = PairSweep::new(&self.config, &bands, &weather, at);
             for &(i, j) in chunk {
                 sweep.evaluate_pair(&snaps[i as usize], &snaps[j as usize]);
             }
             sweep.out
-        };
-        let links: Vec<CandidateLink> = if workers == 1 {
-            sweep(&pairs)
-        } else {
-            let chunk_len = pairs.len().div_ceil(workers);
-            let mut chunks = pairs.chunks(chunk_len);
-            let first = chunks.next().expect("pairs is non-empty");
-            std::thread::scope(|s| {
-                let handles: Vec<_> = chunks.map(|chunk| s.spawn(|| sweep(chunk))).collect();
-                // The calling thread takes the first chunk itself — it
-                // is already running, a spawned worker has yet to be
-                // scheduled — and its output becomes the graph; the
-                // workers' outputs are appended in chunk order.
-                let mut links = sweep(first);
-                for h in handles {
-                    links.extend_from_slice(&h.join().expect("evaluator worker panicked"));
-                }
-                links
-            })
-        };
+        });
         CandidateGraph { at, links }
     }
-}
-
-/// Worker threads a scoped fan-out may use when nothing overrides it:
-/// the host's available parallelism, clamped to 1..=8. Asked once per
-/// process: the answer reads cgroup files (≈ 14 µs a call), which a
-/// powered-down night would otherwise pay every epoch for no pairs.
-pub(crate) fn host_workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .clamp(1, 8)
-    })
 }
 
 /// One linkable platform as the pair sweep sees it: everything that
@@ -657,8 +625,9 @@ mod tests {
     /// worlds never produce: three bands (one far off E band), a
     /// platform whose antennas have different boresight gains, and a
     /// gauges-over-forecast weather belief with a live gauge reading
-    /// and a storm on the B2G paths — on enough platforms that the
-    /// threaded sweep engages where cores allow.
+    /// and a storm on the B2G paths, then with a NaN gauge reading and
+    /// a negative forecast — on enough platforms that the threaded
+    /// sweep engages where cores allow.
     #[test]
     fn hoisted_sweep_matches_reference_on_unusual_inputs() {
         use tssdn_rf::{AntennaPattern, ForecastView, RainCell, RainGauge, SyntheticWeather};
@@ -672,14 +641,15 @@ mod tests {
             start_ms: 0,
             end_ms: 6 * 3_600_000,
         });
-        let mut m = NetworkModel::new(WeatherSource::GaugesAndForecast {
+        let belief = |intensity_scale| WeatherSource::GaugesAndForecast {
             gauges: vec![RainGauge {
                 site,
                 representative_radius_m: 25_000.0,
             }],
-            forecast: ForecastView::new(storm, 10_000.0, 600_000, 0.8),
+            forecast: ForecastView::new(storm.clone(), 10_000.0, 600_000, intensity_scale),
             backstop: ItuSeasonal::tropical_wet(),
-        });
+        };
+        let mut m = NetworkModel::new(belief(0.8));
         m.gauge_readings = vec![(site, 6.5, SimTime::from_hours(2))];
         for i in 0..12u32 {
             let id = PlatformId(i);
@@ -740,6 +710,19 @@ mod tests {
             );
         }
         assert!(graph.num_b2b() > 0 && graph.num_b2g() > 0);
+
+        // Hostile readings: a NaN gauge, which every B2G path crosses
+        // below the rain height inside the gauge's circle (NaN margin,
+        // pruned), and a forecast scaled by −1, whose storm is negative
+        // rain and cloud the integral must treat as dry.
+        m.weather = belief(-1.0);
+        m.gauge_readings = vec![(site, f64::NAN, at)];
+        let graph = evaluator.evaluate(&m, at);
+        assert!(
+            graph == crate::reference::evaluate_reference(&evaluator, &m, at),
+            "optimized sweep diverged from the reference on a NaN gauge"
+        );
+        assert!(graph.num_b2b() > 0 && graph.num_b2g() == 0);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 pub mod evaluator;
 pub mod explain;
+mod fan_out;
 pub mod feedback;
 pub mod intent;
 pub mod model;

@@ -210,6 +210,22 @@ impl WeatherField for ModelWeather<'_> {
     fn sample(&self, pos: &GeoPoint, t_ms: u64) -> WeatherSample {
         self.model.modelled_weather(pos, SimTime(t_ms))
     }
+
+    /// The highest of the stack's sources: a sample is one source's or
+    /// the `max` of two, and a gauge reading stands only below the
+    /// rain height.
+    fn clear_above_m(&self) -> f64 {
+        match &self.model.weather {
+            WeatherSource::Itu(itu) => itu.clear_above_m(),
+            WeatherSource::Forecast(fc, itu) => fc.clear_above_m().max(itu.clear_above_m()),
+            WeatherSource::GaugesAndForecast {
+                forecast, backstop, ..
+            } => forecast
+                .clear_above_m()
+                .max(backstop.clear_above_m())
+                .max(tssdn_rf::rain::RAIN_HEIGHT_M),
+        }
+    }
 }
 
 /// A truth-weather wrapper the orchestrator uses: plain re-export of
@@ -222,6 +238,10 @@ pub struct TruthWeather {
 impl WeatherField for TruthWeather {
     fn sample(&self, pos: &GeoPoint, t_ms: u64) -> WeatherSample {
         self.truth.sample(pos, t_ms)
+    }
+
+    fn clear_above_m(&self) -> f64 {
+        self.truth.clear_above_m()
     }
 }
 

@@ -5,24 +5,22 @@
 //! with a tunnel.
 
 use super::Orchestrator;
-use tssdn_manet::{Batman, Harness as ManetHarness};
+use tssdn_manet::BatmanMesh;
 use tssdn_sim::{Fleet, PlatformId, RngStreams};
 
 pub(super) struct Mesh {
-    manet: ManetHarness<Batman>,
+    /// Compiled in `tssdn-manet`, not here: edits to this crate cannot
+    /// change how the flood is optimised.
+    manet: BatmanMesh,
 }
 
 impl Mesh {
     pub(super) fn new(fleet: &Fleet, streams: &RngStreams) -> Self {
-        let mut batman = Batman::new();
-        for gs in &fleet.ground_stations {
-            batman.set_gateway(gs.id, true);
+        let gateways: Vec<PlatformId> = fleet.ground_stations.iter().map(|g| g.id).collect();
+        let nodes: Vec<PlatformId> = fleet.platform_ids().map(|(id, _)| id).collect();
+        Mesh {
+            manet: BatmanMesh::new(streams, &gateways, &nodes),
         }
-        let mut manet = ManetHarness::new(batman, streams);
-        for (id, _) in fleet.platform_ids() {
-            manet.add_node(id);
-        }
-        Mesh { manet }
     }
 
     /// A radio link established: the mesh edge appears.
@@ -81,7 +79,6 @@ impl Orchestrator {
             let session_up = self.effectively_powered(b) && !self.chaos.inband_partitioned(b);
             let manet = &self.mesh.manet;
             let hops = manet
-                .protocol()
                 .selected_gateway(b)
                 .filter(|g| session_up && !self.tunnels.ecs_of(*g).is_empty())
                 .and_then(|g| manet.route_path(b, g))

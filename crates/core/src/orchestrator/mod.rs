@@ -32,9 +32,11 @@
 //!    (probe cadence)
 //! 10. `trim` — forget terminations older than the correlation window
 //!
-//! Each cadence test lives inside its own stage. Telemetry collectors
-//! for Figures 6, 8, 10 and 11 fill as the run progresses; experiment
-//! binaries read them afterwards.
+//! Each cadence test lives inside its own stage, and
+//! [`Orchestrator::stage_wall`] reports the wall-clock each stage took
+//! (host time, out of band: no summary or scorecard reads it).
+//! Telemetry collectors for Figures 6, 8, 10 and 11 fill as the run
+//! progresses; experiment binaries read them afterwards.
 
 mod enactment;
 mod mesh;
@@ -53,6 +55,7 @@ use crate::model::{NetworkModel, WeatherSource};
 use crate::solver::SolverConfig;
 use crate::validation::ModelValidator;
 use std::collections::BTreeSet;
+use std::time::{Duration, Instant};
 use tssdn_cpl::{CdpiConfig, CdpiEvent, CdpiFrontend, CommandBody};
 use tssdn_dataplane::{DrainRegistry, RoutingFabric, TunnelRegistry};
 use tssdn_fault::{ChaosEngine, FaultPlan};
@@ -292,13 +295,15 @@ pub struct Orchestrator {
     now: SimTime,
     next_report: SimTime,
     next_probe: SimTime,
+    /// Wall-clock spent in each stage of `STAGES`, summed over every
+    /// `run_until` so far. Host time, never simulation state: nothing
+    /// deterministic reads it ([`Orchestrator::stage_wall`]).
+    stage_wall: [Duration; STAGES.len()],
 }
 
 /// One step of a tick: a name for docs, tests and timers, and the
 /// function that runs it.
 struct Stage {
-    /// Read only by tests until a stage timer reports by it.
-    #[cfg_attr(not(test), allow(dead_code))]
     name: &'static str,
     run: fn(&mut Orchestrator),
 }
@@ -429,6 +434,7 @@ impl Orchestrator {
             now: SimTime::ZERO,
             next_report: SimTime::ZERO,
             next_probe: SimTime::ZERO,
+            stage_wall: [Duration::ZERO; STAGES.len()],
             config,
         }
     }
@@ -444,14 +450,29 @@ impl Orchestrator {
     }
 
     /// Advance the whole world to `to`, one tick at a time: the clock
-    /// moves, then every stage of `STAGES` runs in order.
+    /// moves, then every stage of `STAGES` runs in order. Each stage's
+    /// wall-clock time is added to [`Self::stage_wall`] (one
+    /// `Instant::now` per stage, plus one per call; moving the clock
+    /// counts towards the first stage).
     pub fn run_until(&mut self, to: SimTime) {
+        let mut start = Instant::now();
         while self.now < to {
             self.now = (self.now + self.config.tick).min(to);
-            for stage in &STAGES {
+            for (i, stage) in STAGES.iter().enumerate() {
                 (stage.run)(self);
+                let end = Instant::now();
+                self.stage_wall[i] += end - start;
+                start = end;
             }
         }
+    }
+
+    /// Wall-clock time spent in each stage so far, by stage name in
+    /// `STAGES` order — where the host's time went, for profiles and
+    /// reports. Out of band: it never enters a summary, a scorecard or
+    /// anything else a rerun must reproduce.
+    pub fn stage_wall(&self) -> [(&'static str, Duration); STAGES.len()] {
+        std::array::from_fn(|i| (STAGES[i].name, self.stage_wall[i]))
     }
 
     /// Stage `poll_control_plane`: whatever the control plane
@@ -656,6 +677,22 @@ mod tests {
         );
         let design = include_str!("../../../../DESIGN.md");
         assert_eq!(documented_stages(design, "### Stage order"), names);
+    }
+
+    #[test]
+    fn stage_timers_follow_the_stage_list_within_the_call() {
+        let mut o = small();
+        assert!(o.stage_wall().iter().all(|(_, t)| t.is_zero()));
+        let start = Instant::now();
+        o.run_until(SimTime::from_hours(9));
+        let call = start.elapsed();
+        let timers = o.stage_wall();
+        let names: Vec<&str> = timers.iter().map(|(name, _)| *name).collect();
+        let stages: Vec<&str> = STAGES.iter().map(|s| s.name).collect();
+        assert_eq!(names, stages);
+        let timed: Duration = timers.iter().map(|(_, t)| *t).sum();
+        assert!(timed <= call, "stages {timed:?} > run_until {call:?}");
+        assert!(!timers[7].1.is_zero(), "controller_cycle ran: {timers:?}");
     }
 
     /// Twelve balloons, a morning storm over the first site, seeded

@@ -13,11 +13,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use tssdn_cpl::CommandBody;
 use tssdn_dataplane::BackhaulRequest;
 use tssdn_link::TransceiverId;
-use tssdn_rf::evaluate_link as rf_evaluate;
+use tssdn_rf::BandConsts;
 use tssdn_sim::{Fleet, PlatformId, PlatformKind, SimTime};
 
 pub(super) struct Planner {
     evaluator: LinkEvaluator,
+    /// The evaluator's pessimism-adjusted bands, built once for the
+    /// per-link margins `believed_margin_now` asks for.
+    bands: Vec<BandConsts>,
     solver: Solver,
     requests: Vec<BackhaulRequest>,
     /// The most recent candidate graph (reused by event-driven
@@ -49,6 +52,7 @@ impl Planner {
             .collect();
         Planner {
             evaluator: LinkEvaluator::new(config.evaluator.clone()),
+            bands: config.evaluator.band_consts(),
             solver: Solver::new(config.solver),
             requests,
             last_graph: None,
@@ -314,23 +318,14 @@ impl Orchestrator {
         let pos_b = self.model.predicted_position(link.b.platform, self.now)?;
         let xa = self.model.transceiver(link.a)?;
         let xb = self.model.transceiver(link.b)?;
-        let band = self.config.evaluator.bands.get(link.band as usize)?;
-        let band = tssdn_rf::RadioParams {
-            implementation_loss_db: band.implementation_loss_db
-                + self.config.evaluator.model_pessimism_db,
-            ..*band
-        };
+        // Built from `config.evaluator` in `Planner::new`; `config` is
+        // `pub`, but nothing writes it after construction.
+        let band = self.planner.bands.get(link.band as usize)?;
         let weather = crate::model::ModelWeather { model: &self.model };
-        let rep = rf_evaluate(
-            &pos_a,
-            &pos_b,
-            &band,
-            &xa.pattern,
-            &xb.pattern,
-            0.0,
-            0.0,
-            &weather,
-            self.now.as_ms(),
+        let rep = band.evaluate(
+            xa.pattern.gain_dbi(0.0),
+            xb.pattern.gain_dbi(0.0),
+            band.path_attenuation(&pos_a, &pos_b, &weather, self.now.as_ms()),
         );
         Some(rep.margin_db)
     }

@@ -15,7 +15,7 @@ use tssdn_geo::{
     TrajectorySample,
 };
 use tssdn_link::TransceiverId;
-use tssdn_rf::evaluate_link as rf_evaluate;
+use tssdn_rf::BandConsts;
 use tssdn_sim::{Fleet, PlatformId, PlatformKind, RngStreams, SimTime};
 
 /// The field of regard every ground-station transceiver was surveyed
@@ -27,6 +27,10 @@ pub(super) fn surveyed_ground_station() -> FieldOfRegard {
 
 pub(super) struct Truth {
     fleet: Fleet,
+    /// The configured bands as the air treats them (no pessimism),
+    /// built once: `true_margin` runs for every link machine every
+    /// tick.
+    bands: Vec<BandConsts>,
     true_masks: BTreeMap<PlatformId, ObstructionMask>,
     /// Post-survey construction: sectors that attenuate by a fixed
     /// loss, unknown to the controller's model (E13).
@@ -45,6 +49,7 @@ impl Truth {
             .collect();
         Truth {
             fleet,
+            bands: config.evaluator.bands.iter().map(BandConsts::new).collect(),
             true_masks,
             soft_obstructions: BTreeMap::new(),
             rng_truth: streams.stream("orch-truth"),
@@ -149,17 +154,13 @@ impl Orchestrator {
         }
         let xa = self.model.transceiver(a)?;
         let xb = self.model.transceiver(b)?;
-        let params = &self.config.evaluator.bands[band as usize];
-        let rep = rf_evaluate(
-            &pos_a,
-            &pos_b,
-            params,
-            &xa.pattern,
-            &xb.pattern,
-            0.0,
-            0.0,
-            &self.config.weather_truth,
-            self.now.as_ms(),
+        // Built from `config.evaluator.bands` in `Truth::new`; `config`
+        // is `pub`, but nothing writes it after construction.
+        let band = &self.truth.bands[band as usize];
+        let rep = band.evaluate(
+            xa.pattern.gain_dbi(0.0),
+            xb.pattern.gain_dbi(0.0),
+            band.path_attenuation(&pos_a, &pos_b, &self.config.weather_truth, self.now.as_ms()),
         );
         // Soft obstructions (post-survey construction) attenuate rays
         // through them without fully blocking.

@@ -27,11 +27,11 @@
 //!   offered to several regions, but the region-ordered merge grants
 //!   each transceiver to at most one region, so no link or route is
 //!   ever double-programmed.
-//! * **Bit-identical across worker counts** — region solves run under
-//!   the same chunk-ordered `std::thread::scope` pattern as the
-//!   evaluator: regions are chunked in id order, each chunk solved on
-//!   one worker, results concatenated in chunk order. The merged plan
-//!   is a pure fold over that region-ordered sequence.
+//! * **Bit-identical across worker counts** — region solves go through
+//!   the evaluator's fan-out (`fan_out`): regions are chunked in id
+//!   order, each chunk solved on one thread, results concatenated in
+//!   chunk order. The merged plan is a pure fold over that
+//!   region-ordered sequence.
 //! * **Single-region collapse** — with `num_regions <= 1` every
 //!   platform is in scope and every request is owned by region 0, so
 //!   the sub-problem *is* the global problem and the merge is the
@@ -45,7 +45,8 @@
 //!   every keyed entry untouched. Routes survive because the next
 //!   owner's solve sees the same hysteresis `previous` set.
 
-use crate::evaluator::{host_workers, CandidateGraph};
+use crate::evaluator::CandidateGraph;
+use crate::fan_out::{fan_out, host_workers};
 use crate::solver::{Solver, TopologyPlan};
 use std::collections::{BTreeMap, BTreeSet};
 use tssdn_dataplane::{BackhaulRequest, DrainRegistry};
@@ -83,7 +84,8 @@ pub struct ShardingConfig {
     /// border jitter does not thrash handoffs.
     pub hysteresis_km: f64,
     /// Worker-thread override for region solves (`None` = available
-    /// parallelism, clamped to 8 like the evaluator). Output is
+    /// parallelism, clamped to 8 like the evaluator, for epochs with
+    /// enough candidate links to be worth a thread). Output is
     /// bit-identical for any value.
     pub workers: Option<u32>,
 }
@@ -343,38 +345,41 @@ pub fn solve_sharded(
         solver.solve(&sub.1, &sub.2, &gw, previous, drains, now)
     };
 
-    // Chunk-ordered scoped threads, exactly the evaluator's pattern:
-    // output order is region order no matter how many workers run. A
-    // region with no candidate links solves to an empty plan at once,
-    // so only an epoch with two or more busy regions is worth a thread
-    // (or the question of how many the host has): a powered-down night
-    // maps serially.
-    let busy = subproblems.iter().filter(|sub| !sub.1.links.is_empty());
-    let workers = if busy.count() < 2 {
-        1
-    } else {
-        map.cfg
-            .workers
-            .map_or_else(host_workers, |w| (w as usize).max(1))
+    // The evaluator's fan-out: regions in id order, chunk outputs in
+    // chunk order, so the plans are the serial map's for any worker
+    // count. A region with no candidate links solves to an empty plan
+    // at once, so only an epoch with two or more busy regions can use
+    // a thread (a powered-down night maps serially); left to the host,
+    // it also needs enough links to pay for one.
+    let busy: Vec<usize> = subproblems
+        .iter()
+        .map(|sub| sub.1.links.len())
+        .filter(|&links| links > 0)
+        .collect();
+    let workers = match map.cfg.workers {
+        _ if busy.len() < 2 => 1,
+        Some(w) => (w as usize).max(1),
+        None if busy.iter().sum::<usize>() < MIN_LINKS_TO_FAN_OUT => 1,
+        None => host_workers(),
     };
-    let plans: Vec<TopologyPlan> = if workers == 1 {
-        subproblems.iter().map(solve_one).collect()
-    } else {
-        let chunk_len = subproblems.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = subproblems
-                .chunks(chunk_len)
-                .map(|chunk| scope.spawn(|| chunk.iter().map(solve_one).collect::<Vec<_>>()))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("region solver thread"))
-                .collect()
-        })
-    };
+    let plans = fan_out(&subproblems, workers, |chunk| {
+        chunk.iter().map(solve_one).collect()
+    });
 
     merge_plans(graph.at, &plans)
 }
+
+/// Candidate links an epoch's busy regions must hold between them
+/// before `solve_sharded` hands regions to threads on its own (an
+/// explicit `ShardingConfig::workers` always does). A second thread
+/// costs 20–45 µs to start and join whatever the epoch's size. Five
+/// serial vs two-thread sweeps on a 2-core container (EXPERIMENTS.md,
+/// "Fan-out threshold"), 94 to 22 490 links: with the second core free
+/// threads win from ≈ 1 200 links; with it contended (four sweeps of
+/// five) that fixed cost is still ≥ 5 % of a warm solve at ≈ 5 000.
+/// A 12-balloon, 3-region epoch holds ≈ 200 links; the 1 000-balloon,
+/// 16-region one of `sharding_scale` 17 314.
+const MIN_LINKS_TO_FAN_OUT: usize = 5_000;
 
 /// Fold region plans (already in region-id order) into one global
 /// plan, resolving cross-region transceiver conflicts in favor of the

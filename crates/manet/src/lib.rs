@@ -15,7 +15,9 @@
 //! use the BATMAN implementation for in-band route availability:
 //!
 //! * [`batman`] — B.A.T.M.A.N.-style originator messages (OGMs) with
-//!   a transmit-quality (TQ) metric and gateway selection.
+//!   a transmit-quality (TQ) metric and gateway selection;
+//!   [`BatmanMesh`] is it on the harness as one concrete type, the
+//!   mesh the orchestrator runs.
 //! * [`aodv`] — on-demand route discovery (RREQ flood / RREP unicast)
 //!   with sequence numbers and route invalidation.
 //! * [`dsdv`] — proactive distance-vector with destination sequence
@@ -29,6 +31,7 @@
 
 pub mod aodv;
 pub mod batman;
+pub mod batman_mesh;
 pub mod dsdv;
 pub mod harness;
 pub mod olsr;
@@ -36,6 +39,7 @@ pub mod types;
 
 pub use aodv::Aodv;
 pub use batman::Batman;
+pub use batman_mesh::BatmanMesh;
 pub use dsdv::Dsdv;
 pub use harness::{ConvergenceProbe, Harness, OverheadStats};
 pub use olsr::Olsr;

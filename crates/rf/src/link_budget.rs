@@ -13,7 +13,7 @@
 //! no acceptable links were available" (per §3.1 of the paper).
 
 use crate::antenna::AntennaPattern;
-use crate::weather::WeatherField;
+use crate::weather::{WeatherField, WeatherSample};
 use crate::{atmosphere, fspl, rain};
 use tssdn_geo::GeoPoint;
 
@@ -229,8 +229,10 @@ impl BandConsts {
     }
 
     /// Integrate this band's attenuation along `a → b`: the one-band
-    /// walk of the integral [`PathIntegrator`] runs for many.
-    fn path_attenuation<W: WeatherField>(
+    /// walk of the integral [`PathIntegrator`] runs for many. A caller
+    /// that evaluates one link at a time against long-lived bands
+    /// keeps the `BandConsts` and pairs this with [`Self::evaluate`].
+    pub fn path_attenuation<W: WeatherField>(
         &self,
         a: &GeoPoint,
         b: &GeoPoint,
@@ -340,6 +342,10 @@ impl RainPower {
 /// [`atmosphere::gaseous_db_per_km`], [`rain::rain_db_per_km`] and
 /// [`atmosphere::cloud_db_per_km`], so every band's result is
 /// bit-identical to that.
+///
+/// A step at or above the field's [`WeatherField::clear_above_m`] is
+/// not sampled: it is the dry sample the field promises there, so rain
+/// and cloud still receive the `0.0·step_km` a dry step adds.
 #[allow(clippy::too_many_arguments)]
 fn integrate_path<W: WeatherField>(
     a: &GeoPoint,
@@ -359,16 +365,22 @@ fn integrate_path<W: WeatherField>(
         };
     }
     let step_km = dist_m / 1000.0 / PATH_STEPS as f64;
+    let clear_above_m = weather.clear_above_m();
     for i in 0..PATH_STEPS {
         let f = (i as f64 + 0.5) / PATH_STEPS as f64;
-        // Linear blend in geodetic space is adequate at these spans.
-        let p = GeoPoint::new(
-            a.lat_deg + f * (b.lat_deg - a.lat_deg),
-            a.lon_deg + f * (b.lon_deg - a.lon_deg),
-            a.alt_m + f * (b.alt_m - a.alt_m),
-        );
-        let (oxygen_decay, vapor_decay) = atmosphere::altitude_decay(p.alt_m);
-        let w = weather.sample(&p, t_ms);
+        let alt_m = a.alt_m + f * (b.alt_m - a.alt_m);
+        let (oxygen_decay, vapor_decay) = atmosphere::altitude_decay(alt_m);
+        let w = if alt_m >= clear_above_m {
+            WeatherSample::default()
+        } else {
+            // Linear blend in geodetic space is adequate at these spans.
+            let p = GeoPoint::new(
+                a.lat_deg + f * (b.lat_deg - a.lat_deg),
+                a.lon_deg + f * (b.lon_deg - a.lon_deg),
+                alt_m,
+            );
+            weather.sample(&p, t_ms)
+        };
         let raining = w.rain_mm_h > 0.0 || w.rain_mm_h.is_nan();
         let cloudy = w.cloud_lwc_g_m3 > 0.0 || w.cloud_lwc_g_m3.is_nan();
         for ((acc, band), memo) in out.iter_mut().zip(bands).zip(rain_power.iter_mut()) {
@@ -451,7 +463,8 @@ pub fn path_attenuation_db<W: WeatherField>(
     BandConsts::new(params).path_attenuation(a, b, weather, t_ms)
 }
 
-/// Evaluate the full link budget for a transceiver pair.
+/// Evaluate the full link budget for a transceiver pair, building the
+/// band's constants for this one call.
 ///
 /// `tx_offset_deg` / `rx_offset_deg` are each antenna's pointing error
 /// from boresight-on-target; 0 for a perfectly tracked link, the

@@ -42,6 +42,22 @@ impl WeatherSample {
 pub trait WeatherField {
     /// Weather at `pos` at time `t_ms`.
     fn sample(&self, pos: &GeoPoint, t_ms: u64) -> WeatherSample;
+
+    /// An altitude at and above which the field is dry: every sample
+    /// whose `alt_m >= clear_above_m()` has rain and cloud `<= 0`, and
+    /// neither is NaN, whatever its latitude, longitude and time. The
+    /// path integral does not sample such a step (DESIGN.md §7). The
+    /// default, `+∞`, claims nothing.
+    fn clear_above_m(&self) -> f64 {
+        f64::INFINITY
+    }
+}
+
+/// The ceiling of a field that holds rain only below
+/// [`crate::rain::RAIN_HEIGHT_M`] and cloud only inside
+/// [`crate::atmosphere::in_cloud_layer`].
+fn troposphere_top_m() -> f64 {
+    crate::rain::RAIN_HEIGHT_M.max(crate::atmosphere::CLOUD_TOP_M)
 }
 
 /// No weather at all — clear, dry sky.
@@ -51,6 +67,10 @@ pub struct ClearSky;
 impl WeatherField for ClearSky {
     fn sample(&self, _pos: &GeoPoint, _t_ms: u64) -> WeatherSample {
         WeatherSample::default()
+    }
+
+    fn clear_above_m(&self) -> f64 {
+        f64::NEG_INFINITY
     }
 }
 
@@ -96,6 +116,10 @@ impl WeatherField for ItuSeasonal {
                 0.0
             },
         }
+    }
+
+    fn clear_above_m(&self) -> f64 {
+        troposphere_top_m()
     }
 }
 
@@ -200,6 +224,12 @@ impl WeatherField for SyntheticWeather {
         }
         s
     }
+
+    /// Every cell answers `0.0` above the rain height (rain) and
+    /// outside the cloud layer (cloud) before it reads anything else.
+    fn clear_above_m(&self) -> f64 {
+        troposphere_top_m()
+    }
 }
 
 /// A degraded view of truth, standing in for an ECMWF forecast.
@@ -255,6 +285,17 @@ impl WeatherField for ForecastView {
         WeatherSample {
             rain_mm_h: s.rain_mm_h * self.intensity_scale,
             cloud_lwc_g_m3: s.cloud_lwc_g_m3 * self.intensity_scale,
+        }
+    }
+
+    /// The displacement is horizontal, so the truth is read at the
+    /// sample's own altitude; its zeros stay `<= 0` and not NaN under
+    /// the scale only while the scale is finite (`0 · ∞` is NaN).
+    fn clear_above_m(&self) -> f64 {
+        if self.intensity_scale.is_finite() {
+            self.truth.clear_above_m()
+        } else {
+            f64::INFINITY
         }
     }
 }

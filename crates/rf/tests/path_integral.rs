@@ -9,13 +9,17 @@
 //! nothing in `tssdn_rf::atmosphere` / `fspl` / `link_budget`, so it
 //! also pins the coefficient helpers those modules were re-expressed
 //! over; only `rain::rain_coefficients`, which did not change, is
-//! shared.
+//! shared. It also samples the weather at every step, so it is the
+//! oracle for the production walk's skip of steps at or above a
+//! field's `clear_above_m`: the fields below include ceilings of −∞,
+//! 9 km and +∞ (a forecast whose intensity scale is not finite), and
+//! paths that sit exactly on a ceiling or one float beside it.
 
 use proptest::prelude::*;
 use tssdn_geo::GeoPoint;
 use tssdn_rf::{
-    path_attenuation_db, AttenuationBreakdown, BandConsts, ClearSky, ItuSeasonal, PathIntegrator,
-    RadioParams, RainCell, SyntheticWeather, WeatherField, WeatherGrid,
+    path_attenuation_db, AttenuationBreakdown, BandConsts, ClearSky, ForecastView, ItuSeasonal,
+    PathIntegrator, RadioParams, RainCell, SyntheticWeather, WeatherField, WeatherGrid,
 };
 
 fn one_band_frozen<W: WeatherField>(
@@ -63,13 +67,17 @@ fn one_band_frozen<W: WeatherField>(
     out
 }
 
+/// The bits of all four fields, every NaN as the one canonical NaN: a
+/// field that must be NaN must be NaN on both sides, whichever payload
+/// the arithmetic carried.
 fn bits(x: &AttenuationBreakdown) -> [u64; 4] {
-    [
-        x.fspl_db.to_bits(),
-        x.gaseous_db.to_bits(),
-        x.rain_db.to_bits(),
-        x.cloud_db.to_bits(),
-    ]
+    [x.fspl_db, x.gaseous_db, x.rain_db, x.cloud_db].map(|v| {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    })
 }
 
 /// The band palette: both E-band presets, then frequencies on other
@@ -95,9 +103,18 @@ fn band(sel: u8) -> RadioParams {
     }
 }
 
+/// The rain height (5 km) and the cloud top (9 km), each with the
+/// float just below and just above it: where a field's ceiling sits.
+fn on_a_ceiling(sel: u8) -> f64 {
+    let h: f64 = if sel < 3 { 5_000.0 } else { 9_000.0 };
+    [h.next_down(), h, h.next_up()][sel as usize % 3]
+}
+
 /// Endpoint pairs by kind: balloon-to-balloon in the stratosphere,
 /// ground-to-balloon, a path that crosses both the rain height
-/// (5 km) and the cloud top (9 km) mid-way, and a zero-length path.
+/// (5 km) and the cloud top (9 km) mid-way, a zero-length path, six
+/// level paths with every step on or one float beside a ceiling
+/// (kinds 4–9, [`on_a_ceiling`]) and one from a NaN altitude.
 fn endpoints(
     kind: u8,
     (lat, lon, dlat, dlon): (f64, f64, f64, f64),
@@ -107,10 +124,12 @@ fn endpoints(
         0 => (15_000.0 + 5_000.0 * u, 15_000.0 + 5_000.0 * v),
         1 => (3_000.0 * u, 15_000.0 + 5_000.0 * v),
         2 => (2_000.0 + 4_000.0 * u, 8_000.0 + 4_000.0 * v),
-        _ => (20_000.0 * u, 20_000.0 * u),
+        3 => (20_000.0 * u, 20_000.0 * u),
+        4..=9 => (on_a_ceiling(kind - 4), on_a_ceiling(kind - 4)),
+        _ => (f64::NAN, 15_000.0 + 5_000.0 * v),
     };
     let a = GeoPoint::new(lat, lon, alt_a);
-    let b = if kind >= 3 {
+    let b = if kind == 3 {
         a
     } else {
         GeoPoint::new(lat + dlat, lon + dlon, alt_b)
@@ -132,6 +151,13 @@ fn storms() -> SyntheticWeather {
     SyntheticWeather::new()
         .with_cell(cell(0.2, 37.2, 8.0, -3.0, 45.0))
         .with_cell(cell(-0.6, 38.1, -5.0, 6.0, 12.0))
+}
+
+/// A forecast of [`storms`] 12 km and 15 minutes off, at intensity
+/// scale 0.8, 0, −1, +∞ or NaN: the last two make its dry zeros NaN.
+fn forecast(sel: u8) -> ForecastView {
+    let scale = [0.8, 0.0, -1.0, f64::INFINITY, f64::NAN][sel as usize];
+    ForecastView::new(storms(), 12_000.0, 900_000, scale)
 }
 
 /// One integrator, three walks (`a→b`, `b→a`, `a→b` again, so the
@@ -174,11 +200,11 @@ fn check<W: WeatherField>(
 proptest! {
     #[test]
     fn multi_band_integral_matches_the_frozen_one_band_formula(
-        kind in 0u8..4,
+        kind in 0u8..11,
         place in (-1.5f64..1.5, 36.0f64..39.0, -1.5f64..1.5, -2.0f64..2.0),
         alts in (0.0f64..1.0, 0.0f64..1.0),
         band_sel in prop::collection::vec(0u8..5, 1..5),
-        field in 0u8..4,
+        field in 0u8..9,
         t_ms in 0u64..6 * 3_600_000,
     ) {
         let (a, b) = endpoints(kind, place, alts);
@@ -187,7 +213,7 @@ proptest! {
             0 => check(&bands, &a, &b, &ClearSky, t_ms)?,
             1 => check(&bands, &a, &b, &ItuSeasonal::tropical_wet(), t_ms)?,
             2 => check(&bands, &a, &b, &storms(), t_ms)?,
-            _ => {
+            3 => {
                 let grid = WeatherGrid::build(
                     &storms(),
                     -3.0, 0.5, 13,
@@ -197,6 +223,7 @@ proptest! {
                 );
                 check(&bands, &a, &b, &grid, t_ms)?
             }
+            _ => check(&bands, &a, &b, &forecast(field - 4), t_ms)?,
         }
     }
 }
