@@ -226,8 +226,8 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"custody_ab\",\n  \"mode\": \"{}\",\n  \"seed\": {},\n  \"balloons\": {},\n  \"arms\": {{\n{},\n{}\n  }}\n}}\n",
-        if smoke { "smoke" } else { "full" },
+        "{{\n  \"bench\": \"custody_ab\",\n  \"manifest\": {},\n  \"seed\": {},\n  \"balloons\": {},\n  \"arms\": {{\n{},\n{}\n  }}\n}}\n",
+        tssdn_bench::manifest_json(if smoke { "smoke" } else { "full" }),
         world_seed,
         n,
         arm_json("custody_off", &off),

@@ -176,10 +176,10 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"snf_ab\",\n  \"mode\": \"{}\",\n  \"seed\": {},\n  \"balloons\": {},\n  \
+        "{{\n  \"bench\": \"snf_ab\",\n  \"manifest\": {},\n  \"seed\": {},\n  \"balloons\": {},\n  \
          \"plans\": {},\n  \"bulk_delivered_on\": {},\n  \"bulk_delivered_off\": {},\n  \
          \"drained_on\": {},\n  \"mean_age_s\": {:.3}\n}}\n",
-        if smoke { "smoke" } else { "full" },
+        tssdn_bench::manifest_json(if smoke { "smoke" } else { "full" }),
         base,
         n,
         n_plans,

@@ -12,8 +12,9 @@
 //! The buffer is strictly bounded in **bytes** and **age**, with a
 //! deterministic eviction order, because determinism is the repo-wide
 //! contract: every operation is exact integer arithmetic over a FIFO
-//! of chunks, so identical call sequences produce identical buffers,
-//! evictions, and drains — bit-for-bit, regardless of worker count.
+//! of chunks — a flow's bits with their enqueue stamp — so identical
+//! call sequences produce identical buffers, evictions, and drains —
+//! bit-for-bit, regardless of worker count.
 //!
 //! Policy (enforced by callers, pinned by proptests):
 //! * only Bulk-class traffic may enter — Control stays fail-fast;
@@ -28,8 +29,8 @@
 //!
 //! Custody transfer extends the state machine: resident bits can be
 //! **extracted** for handoff to another node's buffer
-//! ([`StoreForwardBuffer::extract_custody`]) and **accepted** there
-//! ([`StoreForwardBuffer::accept_custody`]) — or refused, when they
+//! ([`StoreForwardBuffer::extract_segments`]) and **accepted** there
+//! ([`StoreForwardBuffer::accept_segments`]) — or refused, when they
 //! arrive over-age or past the acceptor's free space. Transfers are
 //! a third ledger besides drains and evictions, so per-buffer
 //! conservation becomes:
@@ -40,8 +41,8 @@
 //!
 //! Accepted chunks keep their original enqueue stamps and merge into
 //! the acceptor's FIFO in age order, so FIFO-equals-age-order (the
-//! invariant `enqueue`, `expire` and `drain` all rely on) survives
-//! the handoff.
+//! invariant `enqueue_run`, `expire` and `drain_runs` all rely on)
+//! survives the handoff.
 //!
 //! The FIFO is stored run-length: the chunks one enqueue adds for
 //! consecutive flow keys are one [`BufferedSegment`] — a stamp, the
@@ -63,29 +64,6 @@ impl FlowKey for u32 {
     fn offset(self, n: usize) -> Self {
         self.wrapping_add(n as u32)
     }
-}
-
-/// One buffered batch of bits for a flow, tagged with its enqueue
-/// time (sim-time milliseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BufferedChunk<K> {
-    /// The flow the bits belong to.
-    pub flow: K,
-    /// Simulation time the bits entered the buffer, ms.
-    pub enqueued_ms: u64,
-    /// Bits in the chunk.
-    pub bits: u64,
-}
-
-/// Bits drained from the buffer toward delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrainedChunk<K> {
-    /// The flow the bits belong to.
-    pub flow: K,
-    /// Bits delivered from the buffer.
-    pub bits: u64,
-    /// How long the bits waited, ms.
-    pub age_ms: u64,
 }
 
 /// A run of chunks that share one enqueue stamp and have consecutive
@@ -129,46 +107,14 @@ impl<K: FlowKey> BufferedSegment<K> {
         self.live().iter().sum()
     }
 
-    /// The segment's chunks, in flow-key order.
-    pub fn chunks(&self) -> impl Iterator<Item = BufferedChunk<K>> + '_ {
+    /// The segment's chunks as `(flow, enqueued_ms, bits)`, in
+    /// flow-key order.
+    pub fn chunks(&self) -> impl Iterator<Item = (K, u64, u64)> + '_ {
         let slots = self.bits.iter().enumerate().skip(self.head);
         slots
             .filter(|&(_, &bits)| bits > 0)
-            .map(|(i, &bits)| BufferedChunk {
-                flow: self.first.offset(i),
-                enqueued_ms: self.enqueued_ms,
-                bits,
-            })
+            .map(|(i, &bits)| (self.first.offset(i), self.enqueued_ms, bits))
     }
-}
-
-/// Group `chunks`, in order, into segments: a chunk extends the open
-/// segment when it carries the same stamp and the next consecutive
-/// key — with zero bits it is a hole there, never a reason to split —
-/// and opens a new one otherwise.
-fn segments_of<K: FlowKey>(
-    chunks: impl IntoIterator<Item = BufferedChunk<K>>,
-    mut sink: impl FnMut(BufferedSegment<K>),
-) {
-    let mut open: Option<(u64, K, Vec<u64>)> = None;
-    let mut close = |run: Option<(u64, K, Vec<u64>)>| {
-        if let Some(segment) =
-            run.and_then(|(stamp, first, run)| BufferedSegment::new(stamp, first, run))
-        {
-            sink(segment);
-        }
-    };
-    for c in chunks {
-        match &mut open {
-            Some((stamp, first, run))
-                if *stamp == c.enqueued_ms && first.offset(run.len()) == c.flow =>
-            {
-                run.push(c.bits)
-            }
-            _ => close(open.replace((c.enqueued_ms, c.flow, vec![c.bits]))),
-        }
-    }
-    close(open);
 }
 
 /// A per-node bounded, age-evicted FIFO store-and-forward buffer.
@@ -266,45 +212,18 @@ impl<K: FlowKey> StoreForwardBuffer<K> {
         (self.segments.len(), slots)
     }
 
-    /// Queue `bits` for `flow` at `now_ms`, evicting the oldest bits
-    /// as needed to respect the byte bound. Returns the bits evicted.
-    /// Callers must enqueue in nondecreasing `now_ms` order (the FIFO
-    /// doubles as the age order).
-    pub fn enqueue(&mut self, flow: K, now_ms: u64, bits: u64) -> u64 {
-        self.enqueue_batch(now_ms, std::iter::once((flow, bits))).1
-    }
-
-    /// [`Self::enqueue`] for a run of `(flow, bits)` chunks that share
-    /// the stamp `now_ms`, queued in iteration order with one eviction
-    /// pass at the end; zero-bit chunks are skipped. Returns `(queued,
-    /// evicted)` bits.
+    /// Queue the chunks of consecutive flows from `first`, one item of
+    /// `bits` each, stamped `now_ms`: one segment, however many of the
+    /// flows queue nothing (a zero is a hole, not a chunk). Then evict
+    /// the oldest bits as needed to respect the byte bound. Returns
+    /// `(queued, evicted)` bits. Callers must enqueue in nondecreasing
+    /// `now_ms` order (the FIFO doubles as the age order).
     ///
-    /// The buffer ends exactly as after one `enqueue` per chunk:
+    /// The buffer ends exactly as after one single-chunk run per flow:
     /// byte-bound eviction removes a prefix of the FIFO's bit stream
     /// and the buffer is within its bound on entry, so the per-chunk
-    /// overflows add up to the batch's one overflow and the same prefix
+    /// overflows add up to the run's one overflow and the same prefix
     /// goes — even when it ends inside one of the new chunks.
-    pub fn enqueue_batch(
-        &mut self,
-        now_ms: u64,
-        chunks: impl IntoIterator<Item = (K, u64)>,
-    ) -> (u64, u64) {
-        let mut queued = 0u64;
-        let chunks = chunks.into_iter().map(|(flow, bits)| BufferedChunk {
-            flow,
-            enqueued_ms: now_ms,
-            bits,
-        });
-        segments_of(chunks, |s| {
-            queued += s.bits();
-            self.segments.push_back(s);
-        });
-        self.enqueued(queued)
-    }
-
-    /// [`Self::enqueue_batch`] for the chunks of consecutive flows from
-    /// `first`, one item of `bits` each: one segment, however many of
-    /// the flows queue nothing.
     pub fn enqueue_run(
         &mut self,
         now_ms: u64,
@@ -314,12 +233,6 @@ impl<K: FlowKey> StoreForwardBuffer<K> {
         let segment = BufferedSegment::new(now_ms, first, bits.into_iter().collect());
         let queued = segment.as_ref().map_or(0, BufferedSegment::bits);
         self.segments.extend(segment);
-        self.enqueued(queued)
-    }
-
-    /// Account `queued` bits just pushed and evict back to the byte
-    /// bound. Returns `(queued, evicted)`.
-    fn enqueued(&mut self, queued: u64) -> (u64, u64) {
         self.queued_bits += queued;
         self.total_bits += queued;
         let over = self.total_bits.saturating_sub(self.max_bits);
@@ -385,31 +298,12 @@ impl<K: FlowKey> StoreForwardBuffer<K> {
         evicted
     }
 
-    /// Drain up to `budget_bits` toward delivery, FIFO. Returns the
-    /// drained chunks with their delivery ages at `now_ms`; a chunk
+    /// Drain up to `budget_bits` toward delivery, FIFO. `sink` is
+    /// handed what drains as `(first flow, age_ms, bits)` runs — the
+    /// bits of consecutive flows from `first` that waited `age_ms` at
+    /// `now_ms`, a zero being a flow with nothing in the run. A chunk
     /// that only partially fits keeps its remainder (and its original
-    /// enqueue time) at the front.
-    pub fn drain(&mut self, now_ms: u64, budget_bits: u64) -> Vec<DrainedChunk<K>> {
-        let mut out = Vec::new();
-        self.drain_runs(now_ms, budget_bits, |first, age_ms, run| {
-            let slots = run.iter().enumerate();
-            out.extend(
-                slots
-                    .filter(|&(_, &bits)| bits > 0)
-                    .map(|(i, &bits)| DrainedChunk {
-                        flow: first.offset(i),
-                        bits,
-                        age_ms,
-                    }),
-            );
-        });
-        out
-    }
-
-    /// [`Self::drain`] without the chunk list: `sink` is handed what
-    /// drains as `(first flow, age_ms, bits)` runs — the bits of
-    /// consecutive flows from `first` that waited `age_ms`, a zero
-    /// being a flow with nothing in the run. Returns the bits drained.
+    /// enqueue stamp) at the front. Returns the bits drained.
     pub fn drain_runs(
         &mut self,
         now_ms: u64,
@@ -424,18 +318,12 @@ impl<K: FlowKey> StoreForwardBuffer<K> {
     }
 
     /// Remove up to `budget_bits` of the oldest resident bits for
-    /// handoff to another buffer's custody. FIFO like a drain, but
+    /// handoff to another buffer's custody, as segments oldest first —
+    /// what [`Self::accept_segments`] takes. FIFO like a drain, but
     /// accounted as a transfer: the bits leave the resident state
     /// without counting as drained or evicted. A chunk that only
-    /// partially fits is split; both halves keep the original
-    /// enqueue stamp, so age accounting survives the handoff.
-    pub fn extract_custody(&mut self, budget_bits: u64) -> Vec<BufferedChunk<K>> {
-        let segments = self.extract_segments(budget_bits);
-        segments.iter().flat_map(|s| s.chunks()).collect()
-    }
-
-    /// [`Self::extract_custody`] with the chunks still in segments,
-    /// oldest first — what [`Self::accept_segments`] takes.
+    /// partially fits is split; both halves keep the original enqueue
+    /// stamp, so age accounting survives the handoff.
     pub fn extract_segments(&mut self, budget_bits: u64) -> Vec<BufferedSegment<K>> {
         let mut out = Vec::new();
         let taken = self.consume(budget_bits, |stamp, first, run| {
@@ -445,7 +333,7 @@ impl<K: FlowKey> StoreForwardBuffer<K> {
         out
     }
 
-    /// Assume custody of `incoming` chunks at `now_ms`. Returns
+    /// Assume custody of `incoming` segments at `now_ms`. Returns
     /// `(accepted_bits, refused_bits)`.
     ///
     /// Refusal rules, in order:
@@ -459,16 +347,9 @@ impl<K: FlowKey> StoreForwardBuffer<K> {
     ///
     /// Accepted chunks keep their original enqueue stamps and merge
     /// into the FIFO in age order (resident bits first on ties), so
-    /// FIFO order remains age order.
-    pub fn accept_custody(&mut self, incoming: Vec<BufferedChunk<K>>, now_ms: u64) -> (u64, u64) {
-        let mut segments = Vec::new();
-        segments_of(incoming, |s| segments.push(s));
-        self.accept_segments(segments, now_ms)
-    }
-
-    /// [`Self::accept_custody`] for chunks that arrive in segments. A
-    /// segment has one stamp, so sorting, refusing and merging by
-    /// segment gives the chunk sequence the chunk-by-chunk rules give.
+    /// FIFO order remains age order. A segment has one stamp, so
+    /// sorting, refusing and merging by segment gives the chunk
+    /// sequence these rules give chunk by chunk.
     pub fn accept_segments(
         &mut self,
         mut incoming: Vec<BufferedSegment<K>>,
@@ -546,51 +427,75 @@ mod tests {
         StoreForwardBuffer::new(max_bytes, max_age_ms)
     }
 
+    /// Queue one chunk; returns the bits evicted.
+    fn enqueue(b: &mut StoreForwardBuffer<u32>, flow: u32, now_ms: u64, bits: u64) -> u64 {
+        b.enqueue_run(now_ms, flow, [bits]).1
+    }
+
+    /// Drain as `(flow, bits, age_ms)` chunks, holes skipped.
+    fn drain(b: &mut StoreForwardBuffer<u32>, now_ms: u64, budget: u64) -> Vec<(u32, u64, u64)> {
+        let mut out = Vec::new();
+        b.drain_runs(now_ms, budget, |first, age_ms, run| {
+            let slots = run.iter().enumerate().filter(|&(_, &bits)| bits > 0);
+            out.extend(slots.map(|(i, &bits)| (first.offset(i), bits, age_ms)));
+        });
+        out
+    }
+
+    /// The `(flow, enqueued_ms, bits)` chunks of `segments`, in order.
+    fn chunks(segments: &[BufferedSegment<u32>]) -> Vec<(u32, u64, u64)> {
+        segments.iter().flat_map(BufferedSegment::chunks).collect()
+    }
+
     /// Every resident chunk, oldest first.
-    fn resident(b: &StoreForwardBuffer<u32>) -> Vec<BufferedChunk<u32>> {
-        b.clone().extract_custody(u64::MAX)
+    fn resident(b: &StoreForwardBuffer<u32>) -> Vec<(u32, u64, u64)> {
+        chunks(&b.clone().extract_segments(u64::MAX))
+    }
+
+    /// A segment of one chunk.
+    fn chunk(flow: u32, enqueued_ms: u64, bits: u64) -> BufferedSegment<u32> {
+        BufferedSegment::new(enqueued_ms, flow, vec![bits]).expect("bits")
     }
 
     #[test]
     fn enqueue_accumulates_until_the_byte_bound() {
         let mut b = buf(10, 1_000); // 80 bits
-        assert_eq!(b.enqueue(0, 0, 50), 0);
-        assert_eq!(b.enqueue(1, 1, 30), 0);
+        assert_eq!(enqueue(&mut b, 0, 0, 50), 0);
+        assert_eq!(enqueue(&mut b, 1, 1, 30), 0);
         assert_eq!(b.total_bits(), 80);
         // 10 more bits push the oldest 10 out (partial front chunk).
-        assert_eq!(b.enqueue(2, 2, 10), 10);
+        assert_eq!(enqueue(&mut b, 2, 2, 10), 10);
         assert_eq!(b.total_bits(), 80);
         assert_eq!(b.evicted_bits(), 10);
         // Oldest-first: the front chunk shrank, newer ones intact.
-        let drained = b.drain(2, u64::MAX);
         assert_eq!(
-            drained.iter().map(|d| (d.flow, d.bits)).collect::<Vec<_>>(),
-            vec![(0, 40), (1, 30), (2, 10)]
+            drain(&mut b, 2, u64::MAX),
+            vec![(0, 40, 2), (1, 30, 1), (2, 10, 0)]
         );
     }
 
     #[test]
     fn oversized_chunk_trims_itself() {
         let mut b = buf(10, 1_000);
-        assert_eq!(b.enqueue(7, 0, 200), 120);
+        assert_eq!(enqueue(&mut b, 7, 0, 200), 120);
         assert_eq!(b.total_bits(), 80);
-        assert_eq!(b.drain(0, u64::MAX)[0].bits, 80);
+        assert_eq!(drain(&mut b, 0, u64::MAX), vec![(7, 80, 0)]);
     }
 
     #[test]
     fn batch_enqueue_equals_chunk_by_chunk() {
-        // An empty chunk, one larger than the whole buffer mid-batch,
-        // and a resident chunk the batch pushes out.
-        let batch = [(1u32, 30u64), (2, 0), (3, 200), (4, 25), (5, 10)];
+        // A hole, a chunk larger than the whole buffer mid-run, and a
+        // resident chunk the run pushes out.
+        let run = [30u64, 0, 200, 25, 10];
         for max_bytes in [0, 3, 10, 40] {
             let mut one_by_one = buf(max_bytes, 1_000);
-            one_by_one.enqueue(0, 5, 60);
+            enqueue(&mut one_by_one, 0, 5, 60);
             let mut batched = one_by_one.clone();
-            let evicted: u64 = batch
-                .iter()
-                .map(|&(f, bits)| one_by_one.enqueue(f, 9, bits))
+            let evicted: u64 = (1..)
+                .zip(run)
+                .map(|(f, bits)| enqueue(&mut one_by_one, f, 9, bits))
                 .sum();
-            assert_eq!(batched.enqueue_batch(9, batch), (265, evicted));
+            assert_eq!(batched.enqueue_run(9, 1, run), (265, evicted));
             assert_eq!(resident(&batched), resident(&one_by_one));
             assert_eq!(batched.total_bits(), one_by_one.total_bits());
             assert_eq!(batched.queued_bits(), one_by_one.queued_bits());
@@ -601,7 +506,7 @@ mod tests {
     #[test]
     fn zero_capacity_buffer_evicts_everything() {
         let mut b = buf(0, 1_000);
-        assert_eq!(b.enqueue(0, 0, 42), 42);
+        assert_eq!(enqueue(&mut b, 0, 0, 42), 42);
         assert!(b.is_empty());
         assert_eq!(b.queued_bits(), 42);
         assert_eq!(b.evicted_bits(), 42);
@@ -610,8 +515,8 @@ mod tests {
     #[test]
     fn expire_drops_chunks_at_or_past_the_age_bound() {
         let mut b = buf(1_000, 100);
-        b.enqueue(0, 0, 10);
-        b.enqueue(1, 60, 20);
+        enqueue(&mut b, 0, 0, 10);
+        enqueue(&mut b, 1, 60, 20);
         // At t=99 the first chunk is still under the bound: kept.
         assert_eq!(b.expire(99), 0);
         // At t=100 it is exactly at the bound: evicted, not drained.
@@ -626,12 +531,12 @@ mod tests {
     #[test]
     fn chunk_exactly_at_max_age_is_evicted_not_drained() {
         let mut b = buf(1_000, 100);
-        b.enqueue(0, 50, 40);
+        enqueue(&mut b, 0, 50, 40);
         // The engine always expires before draining within a tick:
         // at t=150 the chunk is exactly max_age old, so the expire
         // pass removes it and the drain sees an empty buffer.
         assert_eq!(b.expire(150), 40);
-        assert!(b.drain(150, u64::MAX).is_empty());
+        assert!(drain(&mut b, 150, u64::MAX).is_empty());
         assert_eq!(b.drained_bits(), 0);
         assert_eq!(b.evicted_bits(), 40);
     }
@@ -639,33 +544,13 @@ mod tests {
     #[test]
     fn drain_is_fifo_with_partial_front_and_age_stamps() {
         let mut b = buf(1_000, 10_000);
-        b.enqueue(0, 100, 50);
-        b.enqueue(1, 200, 30);
-        let first = b.drain(500, 40);
-        assert_eq!(
-            first,
-            vec![DrainedChunk {
-                flow: 0,
-                bits: 40,
-                age_ms: 400
-            }]
-        );
+        enqueue(&mut b, 0, 100, 50);
+        enqueue(&mut b, 1, 200, 30);
+        assert_eq!(drain(&mut b, 500, 40), vec![(0, 40, 400)]);
         // Remainder keeps its original enqueue time.
-        let rest = b.drain(700, u64::MAX);
         assert_eq!(
-            rest,
-            vec![
-                DrainedChunk {
-                    flow: 0,
-                    bits: 10,
-                    age_ms: 600
-                },
-                DrainedChunk {
-                    flow: 1,
-                    bits: 30,
-                    age_ms: 500
-                },
-            ]
+            drain(&mut b, 700, u64::MAX),
+            vec![(0, 10, 600), (1, 30, 500)]
         );
         assert!(b.is_empty());
     }
@@ -674,12 +559,12 @@ mod tests {
     fn conservation_holds_across_operations() {
         let mut b = buf(12, 50); // 96 bits
         for t in 0..40u64 {
-            b.enqueue((t % 5) as u32, t * 10, 7 + t % 13);
+            enqueue(&mut b, (t % 5) as u32, t * 10, 7 + t % 13);
             if t % 3 == 0 {
                 b.expire(t * 10);
             }
             if t % 7 == 0 {
-                b.drain(t * 10, 11);
+                drain(&mut b, t * 10, 11);
             }
         }
         assert_eq!(
@@ -693,23 +578,11 @@ mod tests {
     #[test]
     fn extract_custody_is_fifo_and_counts_as_transfer() {
         let mut b = buf(1_000, 10_000);
-        b.enqueue(0, 100, 50);
-        b.enqueue(1, 200, 30);
-        let out = b.extract_custody(60);
+        enqueue(&mut b, 0, 100, 50);
+        enqueue(&mut b, 1, 200, 30);
         assert_eq!(
-            out,
-            vec![
-                BufferedChunk {
-                    flow: 0,
-                    enqueued_ms: 100,
-                    bits: 50
-                },
-                BufferedChunk {
-                    flow: 1,
-                    enqueued_ms: 200,
-                    bits: 10
-                },
-            ],
+            chunks(&b.extract_segments(60)),
+            vec![(0, 100, 50), (1, 200, 10)],
             "oldest-first, split keeps the stamp"
         );
         assert_eq!(b.total_bits(), 20);
@@ -726,53 +599,27 @@ mod tests {
     #[test]
     fn accept_custody_refuses_overage_and_overflow() {
         let mut b = buf(10, 100); // 80 bits capacity
-        b.enqueue(9, 150, 30);
-        let incoming = vec![
-            // Exactly max_age old at t=160: refused on arrival.
-            BufferedChunk {
-                flow: 0,
-                enqueued_ms: 60,
-                bits: 10,
-            },
-            BufferedChunk {
-                flow: 1,
-                enqueued_ms: 100,
-                bits: 40,
-            },
-            BufferedChunk {
-                flow: 2,
-                enqueued_ms: 160,
-                bits: 40,
-            },
-        ];
-        let (accepted, refused) = b.accept_custody(incoming, 160);
+        enqueue(&mut b, 9, 150, 30);
+        // The first arrival is exactly max_age old at t=160: refused.
+        let incoming = vec![chunk(0, 60, 10), chunk(1, 100, 40), chunk(2, 160, 40)];
+        let (accepted, refused) = b.accept_segments(incoming, 160);
         // 50 bits free; the newest 40 fit whole, then 10 of flow 1's
         // 40 — the rest (30) plus the over-age 10 are refused.
         assert_eq!((accepted, refused), (50, 40));
         assert_eq!(b.total_bits(), 80);
         assert_eq!(b.transferred_in_bits(), 50);
         // Merge preserves age order across resident and accepted.
-        let order: Vec<(u32, u64, u64)> = b
-            .drain(160, u64::MAX)
-            .iter()
-            .map(|d| (d.flow, d.bits, d.age_ms))
-            .collect();
-        assert_eq!(order, vec![(1, 10, 60), (9, 30, 10), (2, 40, 0)]);
+        assert_eq!(
+            drain(&mut b, 160, u64::MAX),
+            vec![(1, 10, 60), (9, 30, 10), (2, 40, 0)]
+        );
     }
 
     #[test]
     fn accept_custody_never_evicts_resident_bits() {
         let mut b = buf(10, 1_000);
-        b.enqueue(0, 0, 80); // full
-        let (accepted, refused) = b.accept_custody(
-            vec![BufferedChunk {
-                flow: 1,
-                enqueued_ms: 5,
-                bits: 25,
-            }],
-            10,
-        );
-        assert_eq!((accepted, refused), (0, 25));
+        enqueue(&mut b, 0, 0, 80); // full
+        assert_eq!(b.accept_segments(vec![chunk(1, 5, 25)], 10), (0, 25));
         assert_eq!(b.total_bits(), 80);
         assert_eq!(b.evicted_bits(), 0);
     }
@@ -780,8 +627,8 @@ mod tests {
     #[test]
     fn wipe_loses_the_whole_backlog_as_evictions() {
         let mut b = buf(1_000, 10_000);
-        b.enqueue(0, 0, 50);
-        b.enqueue(1, 10, 30);
+        enqueue(&mut b, 0, 0, 50);
+        enqueue(&mut b, 1, 10, 30);
         assert_eq!(b.wipe(), 80);
         assert!(b.is_empty());
         assert_eq!(b.evicted_bits(), 80);
@@ -797,9 +644,9 @@ mod tests {
         let (flows, ticks) = (40u32, 7u64);
         let mut b = buf(1 << 20, 10_000);
         for _ in 0..ticks {
-            // Same stamp every time: a stamp shared across batches
-            // merges nothing, the keys start over.
-            b.enqueue_batch(5, (0..flows).map(|f| (f, 3)));
+            // Same stamp every time: runs that share a stamp stay a
+            // segment each, the keys start over.
+            b.enqueue_run(5, 0, vec![3; flows as usize]);
         }
         assert_eq!(
             b.census(),
@@ -807,66 +654,64 @@ mod tests {
         );
         assert_eq!(b.total_bits(), 3 * flows as u64 * ticks);
         // Consumed slots are freed a segment at a time.
-        b.drain(5, 3 * flows as u64 + 1);
+        drain(&mut b, 5, 3 * flows as u64 + 1);
         assert_eq!(b.census().0, ticks as usize - 1);
-        b.drain(5, u64::MAX);
+        drain(&mut b, 5, u64::MAX);
         assert_eq!(b.census(), (0, 0));
     }
 
     #[test]
     fn holes_cost_no_segment_and_are_no_chunks() {
         let mut b = buf(1_000, 10_000);
-        let batch = [(3u32, 0u64), (4, 7), (5, 0), (6, 0), (7, 9), (8, 0)];
-        assert_eq!(b.enqueue_batch(1, batch), (16, 0));
+        assert_eq!(b.enqueue_run(1, 3, [0, 7, 0, 0, 9, 0]), (16, 0));
         // One segment from the first chunk to the last, holes inside.
         assert_eq!(b.census(), (1, 4));
         assert_eq!(b.enqueue_run(2, 10, [0, 0]), (0, 0));
         assert_eq!(b.census(), (1, 4), "a run of holes is nothing");
         // A budget that ends on a chunk boundary leaves the front on
         // the next chunk, not on the holes between.
-        assert_eq!(b.drain(3, 7).len(), 1);
+        assert_eq!(drain(&mut b, 3, 7).len(), 1);
         assert_eq!(b.oldest_age_ms(3), Some(2));
-        assert_eq!(
-            b.drain(3, u64::MAX),
-            vec![DrainedChunk {
-                flow: 7,
-                bits: 9,
-                age_ms: 2
-            }]
-        );
+        assert_eq!(drain(&mut b, 3, u64::MAX), vec![(7, 9, 2)]);
         assert!(b.is_empty());
     }
 
     #[test]
     fn scattered_keys_cost_segments_not_correctness() {
-        let batch = [(9u32, 1u64), (8, 2), (7, 3), (7, 4), (20, 5), (21, 6)];
+        // Runs at one stamp whose keys step back, repeat, continue the
+        // last run or jump stay a segment each, in call order.
+        let runs: [(u32, &[u64]); 6] = [
+            (9, &[1]),
+            (8, &[2]),
+            (7, &[3]),
+            (7, &[4]),
+            (8, &[5, 6]),
+            (20, &[7]),
+        ];
         let mut b = buf(1_000, 10_000);
-        b.enqueue_batch(4, batch);
-        // Descending and repeated keys are a segment each; 20, 21 one.
-        assert_eq!(b.census(), (5, 6));
-        let order: Vec<(u32, u64)> = resident(&b).iter().map(|c| (c.flow, c.bits)).collect();
-        assert_eq!(order, batch);
+        for (first, bits) in runs {
+            b.enqueue_run(4, first, bits.iter().copied());
+        }
+        assert_eq!(b.census(), (6, 7));
+        let order: Vec<(u32, u64)> = resident(&b).iter().map(|c| (c.0, c.2)).collect();
+        assert_eq!(
+            order,
+            [(9, 1), (8, 2), (7, 3), (7, 4), (8, 5), (9, 6), (20, 7)]
+        );
     }
 
     #[test]
     fn a_key_run_across_the_end_of_the_key_space_round_trips() {
         let mut b = buf(1_000, 10_000);
-        let keys = [u32::MAX - 1, u32::MAX, 0, 1];
-        b.enqueue_batch(0, keys.map(|k| (k, 5)));
+        b.enqueue_run(0, u32::MAX - 1, [5; 4]);
         assert_eq!(b.census(), (1, 4));
         // Through a custody handoff with a split chunk and back out.
         let mut c = buf(1_000, 10_000);
         assert_eq!(c.accept_segments(b.extract_segments(12), 1), (12, 0));
-        assert_eq!(c.accept_custody(b.extract_custody(u64::MAX), 1), (8, 0));
-        let flows: Vec<(u32, u64)> = c
-            .drain(1, u64::MAX)
-            .iter()
-            .map(|d| (d.flow, d.bits))
-            .collect();
-        assert_eq!(
-            flows,
-            vec![(u32::MAX - 1, 5), (u32::MAX, 5), (0, 2), (0, 3), (1, 5)]
-        );
+        assert_eq!(c.accept_segments(b.extract_segments(u64::MAX), 1), (8, 0));
+        let m = u32::MAX;
+        let want = [(m - 1, 5, 1), (m, 5, 1), (0, 2, 1), (0, 3, 1), (1, 5, 1)];
+        assert_eq!(drain(&mut c, 1, u64::MAX), want);
     }
 
     #[test]
@@ -875,22 +720,26 @@ mod tests {
         // stamps equal to a resident's, an over-age segment and a
         // boundary segment that only partly fits.
         let mut from = buf(1_000, 10_000);
-        from.enqueue_batch(10, (0..4u32).map(|f| (f, 20)));
-        from.enqueue_batch(50, (0..4u32).map(|f| (f, if f == 2 { 0 } else { 30 })));
-        from.enqueue_batch(90, (0..4u32).map(|f| (f, 10)));
-        from.drain(90, 25);
+        from.enqueue_run(10, 0, [20; 4]);
+        from.enqueue_run(50, 0, [30, 30, 0, 30]);
+        from.enqueue_run(90, 0, [10; 4]);
+        drain(&mut from, 90, 25);
         let mut to = buf(20, 84); // 160 bits
-        to.enqueue_batch(50, [(100u32, 40u64), (101, 40)]);
-        to.drain(60, 10);
-        let (mut from_c, mut to_c) = (from.clone(), to.clone());
-        let by_segment = to.accept_segments(from.extract_segments(170), 94);
-        let by_chunk = to_c.accept_custody(from_c.extract_custody(170), 94);
+        to.enqueue_run(50, 100, [40, 40]);
+        drain(&mut to, 60, 10);
+        let mut to_c = to.clone();
+        let segments = from.extract_segments(170);
+        let one_slot = chunks(&segments)
+            .into_iter()
+            .map(|(flow, stamp, bits)| chunk(flow, stamp, bits))
+            .collect();
+        let by_segment = to.accept_segments(segments, 94);
+        let by_chunk = to_c.accept_segments(one_slot, 94);
         assert_eq!(by_segment, by_chunk);
         // 55 bits over-age; of the 115 fresh ones the newest 90 fit,
         // the last 5 of them a trimmed chunk.
         assert_eq!(by_segment, (90, 80));
         assert_eq!(resident(&to), resident(&to_c));
-        assert_eq!(resident(&from), resident(&from_c));
         assert_eq!(to.total_bits(), 160);
     }
 }

@@ -22,7 +22,7 @@ pub mod routing;
 pub mod tunnel;
 
 pub use addressing::{NodePrefix, PrefixAllocator};
-pub use buffer::{BufferedChunk, BufferedSegment, DrainedChunk, FlowKey, StoreForwardBuffer};
+pub use buffer::{BufferedSegment, FlowKey, StoreForwardBuffer};
 pub use provision::{BackhaulRequest, DrainMode, DrainRegistry, DrainState};
 pub use routing::{Plane, RouteEntry, RouteTable, RoutingFabric};
 pub use tunnel::{TunnelId, TunnelRegistry};

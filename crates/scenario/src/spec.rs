@@ -232,8 +232,6 @@ pub struct TrafficSpec {
     pub buffer_max_bytes: u64,
     /// Per-site buffer age bound, minutes.
     pub buffer_max_age_mins: u64,
-    /// Allocate over site×class aggregates (the million-flow path).
-    pub hierarchical: bool,
 }
 
 impl Default for TrafficSpec {
@@ -245,7 +243,6 @@ impl Default for TrafficSpec {
             custody: true,
             buffer_max_bytes: 2_000_000_000,
             buffer_max_age_mins: 30,
-            hierarchical: true,
         }
     }
 }
@@ -666,7 +663,7 @@ impl ScenarioSpec {
                         "buffer_max_age_mins".into(),
                         Json::U64(self.traffic.buffer_max_age_mins),
                     ),
-                    ("hierarchical".into(), Json::Bool(self.traffic.hierarchical)),
+                    ("hierarchical".into(), Json::Bool(true)),
                 ]),
             ),
             (
@@ -814,8 +811,13 @@ impl ScenarioSpec {
             buffer_max_age_mins: t
                 .take("buffer_max_age_mins")?
                 .as_u64("traffic.buffer_max_age_mins")?,
-            hierarchical: t.take("hierarchical")?.as_bool("traffic.hierarchical")?,
         };
+        // Single-valued: the allocator is always the site×class tree.
+        if !t.take("hierarchical")?.as_bool("traffic.hierarchical")? {
+            return Err(
+                "traffic.hierarchical: must be true (the flat allocation arm was removed)".into(),
+            );
+        }
         t.finish()?;
 
         let mut sh = o.take("sharding")?.into_obj("sharding")?;

@@ -201,7 +201,6 @@ impl ScenarioSpec {
                     ..DemandConfig::default()
                 },
                 multipath: self.multipath,
-                hierarchical: self.traffic.hierarchical,
                 store_forward: StoreForwardConfig {
                     enabled: self.traffic.store_forward,
                     max_bytes: self.traffic.buffer_max_bytes,

@@ -165,12 +165,6 @@ impl HierarchicalAllocator {
         self.inner.topology_signature()
     }
 
-    /// Number of member flows the cached tree spans (the length
-    /// `allocate` expects of `demands`).
-    pub fn n_flows(&self) -> usize {
-        self.n_flows
-    }
-
     /// Compute the hierarchical allocation: per-member `demands[f]`
     /// and per-link `capacities[l]` in bps, returning the granted
     /// rate per member flow. See [`allocate_into`](Self::allocate_into).

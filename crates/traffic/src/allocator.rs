@@ -240,11 +240,6 @@ impl FairShareAllocator {
         self.signature
     }
 
-    /// Number of flows in the cached topology.
-    pub fn n_flows(&self) -> usize {
-        self.flow_links.len()
-    }
-
     /// Compute the tiered max-min fair allocation: `demands[f]` and
     /// `capacities[l]` in bps, returning the granted rate per flow.
     /// Control flows fill first against the full capacities; bulk

@@ -22,7 +22,7 @@ use tssdn_sim::{PlatformId, RngStreams, SimDuration, SimTime};
 use tssdn_telemetry::GoodputSeries;
 
 use crate::aggregate::{AggregateMember, AggregateSpec, HierarchicalAllocator};
-use crate::allocator::{FairShareAllocator, FlowSpec, TrafficClass};
+use crate::allocator::TrafficClass;
 use crate::demand::{DemandConfig, DemandGenerator, SiteRun};
 
 mod phases;
@@ -80,11 +80,6 @@ pub struct TrafficConfig {
     /// path (when the view carries one), weighted by bottleneck
     /// headroom. Control flows always ride the primary path.
     pub multipath: bool,
-    /// Allocate over per-site × service-class aggregates instead of
-    /// individual flows (the million-flow path; see
-    /// [`crate::aggregate`]). Off restores the flat per-flow
-    /// water-fill.
-    pub hierarchical: bool,
     /// Delay-tolerant buffering for routeless Bulk traffic.
     pub store_forward: StoreForwardConfig,
 }
@@ -98,7 +93,6 @@ impl Default for TrafficConfig {
             feedback_alpha: 0.2,
             window_ms: 24 * 3600 * 1000,
             multipath: true,
-            hierarchical: true,
             store_forward: StoreForwardConfig::default(),
         }
     }
@@ -272,11 +266,8 @@ struct SiteSlot {
 pub struct TrafficEngine {
     config: TrafficConfig,
     demand: DemandGenerator,
-    /// The flat per-flow allocator (used when
-    /// [`TrafficConfig::hierarchical`] is off).
-    allocator: FairShareAllocator,
-    /// The aggregate-tree allocator (used when
-    /// [`TrafficConfig::hierarchical`] is on).
+    /// The site×class aggregate-tree allocator (see
+    /// [`crate::aggregate`]).
     hier: HierarchicalAllocator,
     /// Reused per-tick rate vector. Valid only on ticks where some
     /// run demanded, and then only read for those runs.
@@ -346,7 +337,6 @@ impl TrafficEngine {
         TrafficEngine {
             config,
             demand,
-            allocator: FairShareAllocator::new(),
             hier: HierarchicalAllocator::new(),
             rates: Vec::new(),
             series: GoodputSeries::new(config.window_ms),
@@ -484,91 +474,67 @@ impl TrafficEngine {
         let n_alloc = next_alt as usize;
         self.scratch.reset_demands(n_alloc);
 
-        let primary_of = |site: PlatformId| match self.path_ids.get(&site) {
-            Some((p, _)) => p.clone(),
-            None => Vec::new(),
+        // Site×class aggregate tree: the flows of one (site, class,
+        // path) triple cross identical links, so each becomes one
+        // aggregate node. A run is bulk flows then control, so a
+        // key-change walk over the runs' class ranges yields the groups
+        // deterministically (and merges neighbouring runs of one site
+        // exactly as a walk over the flows would); alt subflows form
+        // their own per-site Bulk aggregates over the alternate path.
+        let member = |flow: u32, of: u32| AggregateMember {
+            flow,
+            weight: flows[of as usize].tier_weight,
         };
-        if self.config.hierarchical {
-            // Site×class aggregate tree: the flows of one (site,
-            // class, path) triple cross identical links, so each
-            // becomes one aggregate node. A run is bulk flows then
-            // control, so a key-change walk over the runs' class
-            // ranges yields the groups deterministically (and merges
-            // neighbouring runs of one site exactly as a walk over the
-            // flows would); alt subflows form their own per-site Bulk
-            // aggregates over the alternate path.
-            let member = |flow: u32, of: u32| AggregateMember {
-                flow,
-                weight: flows[of as usize].tier_weight,
-            };
-            let mut groups: Vec<AggregateSpec> = Vec::new();
-            let mut last: Option<(PlatformId, TrafficClass)> = None;
-            for slot in &self.sites {
-                let r = slot.run;
-                for (class, range) in [
-                    (TrafficClass::Bulk, r.first..r.bulk_end),
-                    (TrafficClass::Control, r.bulk_end..r.end),
-                ] {
-                    if range.is_empty() {
-                        continue;
-                    }
-                    if last != Some((r.site, class)) {
-                        groups.push(AggregateSpec {
-                            links: primary_of(r.site),
-                            class,
-                            members: Vec::new(),
-                        });
-                        last = Some((r.site, class));
-                    }
-                    let group = groups.last_mut().expect("group pushed");
-                    group.members.extend(range.map(|f| member(f, f)));
-                }
-            }
-            let mut last_site: Option<PlatformId> = None;
-            for slot in &self.sites {
-                let (Some(alt_first), r) = (slot.alt_first, slot.run) else {
+        let mut groups: Vec<AggregateSpec> = Vec::new();
+        let mut last: Option<(PlatformId, TrafficClass)> = None;
+        for slot in &self.sites {
+            let r = slot.run;
+            for (class, range) in [
+                (TrafficClass::Bulk, r.first..r.bulk_end),
+                (TrafficClass::Control, r.bulk_end..r.end),
+            ] {
+                if range.is_empty() {
                     continue;
-                };
-                if last_site != Some(r.site) {
+                }
+                if last != Some((r.site, class)) {
+                    let links = self.path_ids.get(&r.site).map(|(p, _)| p.clone());
                     groups.push(AggregateSpec {
-                        links: self.path_ids[&r.site].1.clone(),
-                        class: TrafficClass::Bulk,
+                        links: links.unwrap_or_default(),
+                        class,
                         members: Vec::new(),
                     });
-                    last_site = Some(r.site);
+                    last = Some((r.site, class));
                 }
                 let group = groups.last_mut().expect("group pushed");
-                group
-                    .members
-                    .extend((r.first..r.bulk_end).map(|f| member(alt_first + f - r.first, f)));
+                group.members.extend(range.map(|f| member(f, f)));
             }
-            self.hier.set_aggregates(groups, n_links, n_alloc);
-        } else {
-            let mut specs: Vec<FlowSpec> = flows
-                .iter()
-                .map(|f| FlowSpec::new(primary_of(f.site), f.tier_weight, f.class))
-                .collect();
-            for slot in &self.sites {
-                let (Some(alt_first), r) = (slot.alt_first, slot.run) else {
-                    continue;
-                };
-                debug_assert_eq!(alt_first as usize, specs.len());
-                let alt = &self.path_ids[&r.site].1;
-                specs.extend(
-                    flows[r.first as usize..r.bulk_end as usize]
-                        .iter()
-                        .map(|f| FlowSpec::new(alt.clone(), f.tier_weight, f.class)),
-                );
-            }
-            self.allocator.set_flows(specs, n_links);
         }
+        let mut last_site: Option<PlatformId> = None;
+        for slot in &self.sites {
+            let (Some(alt_first), r) = (slot.alt_first, slot.run) else {
+                continue;
+            };
+            if last_site != Some(r.site) {
+                groups.push(AggregateSpec {
+                    links: self.path_ids[&r.site].1.clone(),
+                    class: TrafficClass::Bulk,
+                    members: Vec::new(),
+                });
+                last_site = Some(r.site);
+            }
+            let group = groups.last_mut().expect("group pushed");
+            group
+                .members
+                .extend((r.first..r.bulk_end).map(|f| member(alt_first + f - r.first, f)));
+        }
+        self.hier.set_aggregates(groups, n_links, n_alloc);
     }
 
     /// Advance one tick of length `dt` ending at `now`: offer demand,
     /// allocate over the forwarding graph, and account the outcome.
     ///
     /// The tick is this ordered list of phases and nothing else
-    /// (DESIGN.md §15 says what each may read and write). From `offer`
+    /// (DESIGN.md §8 says what each may read and write). From `offer`
     /// on, the flow population is walked as per-site runs, and a run
     /// that offers nothing is skipped by every phase.
     pub fn tick(&mut self, now: SimTime, dt: SimDuration, view: &TopologyView) -> TickSummary {
@@ -1120,7 +1086,7 @@ mod tests {
         assert!(s1.custody_initiated_bits > 0);
         // Seed the custodian with its own full backlog so nothing fits.
         let mut seeded = StoreForwardBuffer::new(1_000, config.store_forward.max_age_ms);
-        seeded.enqueue(999, t0.as_ms(), 8_000);
+        seeded.enqueue_run(t0.as_ms(), 999, [8_000]);
         e.snf.insert(PlatformId(9), seeded);
         let s2 = e.tick(
             t0 + SimDuration::from_mins(2),
@@ -1255,10 +1221,11 @@ mod tests {
         e.tick(SimTime::from_hours(20), SimDuration::from_mins(1), &dark);
         for run in e.demand().runs().to_vec() {
             let buf = e.snf.get_mut(&run.site).expect("site buffered");
-            let queued: Vec<u32> = buf
-                .extract_custody(u64::MAX)
+            let segments = buf.extract_segments(u64::MAX);
+            let queued: Vec<u32> = segments
                 .iter()
-                .map(|c| c.flow)
+                .flat_map(|s| s.chunks())
+                .map(|c| c.0)
                 .collect();
             let bulk: Vec<u32> = (run.first..run.bulk_end).collect();
             assert_eq!(queued, bulk, "site {}", run.site);

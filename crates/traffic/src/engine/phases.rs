@@ -6,7 +6,7 @@
 //! dead, routed, the cached link ids, both bottlenecks, the diurnal
 //! factor — is resolved once per run, per-flow work is slice
 //! arithmetic, and each series map is touched once per site. A run
-//! that offers nothing is skipped by every phase (DESIGN.md §15).
+//! that offers nothing is skipped by every phase (DESIGN.md §8).
 
 use std::collections::BTreeMap;
 use std::iter;
@@ -409,13 +409,8 @@ impl TrafficEngine {
         if !demanded {
             return;
         }
-        if self.config.hierarchical {
-            self.hier
-                .allocate_into(demands, capacities, &mut self.rates);
-        } else {
-            self.allocator
-                .allocate_into(demands, capacities, &mut self.rates);
-        }
+        self.hier
+            .allocate_into(demands, capacities, &mut self.rates);
         // What skipping a non-offering run rests on: zero demand,
         // zero rate.
         debug_assert!(self.rates.iter().zip(demands).all(|(r, d)| r <= d));
@@ -468,9 +463,8 @@ impl TrafficEngine {
                 // bit was delivered. Bulk stays inclusive: its
                 // routeless bits either buffer or drop, and both
                 // belong in the bulk goodput story. The site×class
-                // rows (the hierarchical allocator's aggregate nodes)
-                // follow the same rule, aggregation on or off, so the
-                // two modes export comparable tables.
+                // rows (the allocator's aggregate nodes) follow the
+                // same rule.
                 if t.nonzero > 0 && (class != TrafficClass::Control || rt.routed) {
                     fleet[class as usize].add(&t);
                     site.class[class as usize].add(&t);

@@ -32,7 +32,7 @@
 //!   EWMA demand digest the planner feeds back into its request
 //!   weights. The tick is an ordered list of phases that walk the
 //!   flows as per-site runs and skip a site that offers nothing
-//!   (`engine/phases.rs`, DESIGN.md §15).
+//!   (`engine/phases.rs`, DESIGN.md §8).
 //!
 //! Determinism contract: all randomness is drawn from the dedicated
 //! `"traffic-demand"` stream at construction; ticking never consumes

@@ -30,6 +30,19 @@ if [ "$mode" != "build" ]; then
   echo "==> cargo fmt --check"
   cargo fmt --check
 
+  # A section number cited in code goes stale silently when DESIGN.md
+  # is renumbered: every `DESIGN.md §N` in a tracked Rust or shell
+  # file must name an existing `## N.` heading.
+  echo "==> DESIGN.md § citations name existing sections"
+  stale=$(git grep -n -o -E 'DESIGN\.md §[0-9]+' -- '*.rs' '*.sh' | awk -F: '
+    NR == FNR { if (sub(/^## /, "") && sub(/\..*/, "")) ok[$0] = 1; next }
+    { n = $3; sub(/.*§/, "", n); if (!(n in ok)) print $1 ":" $2 ": DESIGN.md has no section " n }
+  ' DESIGN.md -)
+  if [ -n "$stale" ]; then
+    echo "$stale" >&2
+    exit 1
+  fi
+
   echo "==> cargo clippy --workspace --all-targets -- -D warnings"
   cargo clippy --workspace --all-targets -- -D warnings
 fi

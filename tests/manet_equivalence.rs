@@ -2,7 +2,7 @@
 //!
 //! `tssdn-manet`'s `Topology` / `Harness` / `Batman` were rewritten
 //! for speed under one rule: same callbacks in the same order, same
-//! draws from the `manet-loss` stream (DESIGN.md §14). The structures
+//! draws from the `manet-loss` stream (DESIGN.md §2). The structures
 //! they replaced live on in `manet_reference` as the oracle. Each
 //! property drives both with one random script — sparse, out-of-order
 //! node ids; links set, re-rated and removed; nodes added mid-run;

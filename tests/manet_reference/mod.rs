@@ -2,7 +2,7 @@
 //!
 //! `Topology`, `Harness` and `Batman` below are the nested-`BTreeMap`
 //! / `BinaryHeap` structures `tssdn-manet` shipped before its hot path
-//! was rewritten (DESIGN.md §14), bodies unchanged. Only the seams
+//! was rewritten (DESIGN.md §2), bodies unchanged. Only the seams
 //! differ: the protocol trait, `Ctx` and `OverheadStats` come from the
 //! library so the library's own `Aodv` / `Dsdv` / `Olsr` can run under
 //! this harness, and the outbox is read through `Ctx::drain`. It is

@@ -94,7 +94,6 @@ proptest! {
             prop::bool::ANY,
             1u64..u64::MAX,
             1u64..240,
-            prop::bool::ANY,
         ),
         sharding in (1u32..9, 0.5f64..20.0, 0.0f64..500.0, 0.0f64..100.0),
     ) {
@@ -158,7 +157,6 @@ proptest! {
                 custody: traffic.2,
                 buffer_max_bytes: traffic.3,
                 buffer_max_age_mins: traffic.4,
-                hierarchical: traffic.5,
             },
             sharding: ShardingSpec {
                 regions: sharding.0,
@@ -270,6 +268,11 @@ fn unknown_enum_tags_are_rejected() {
     let bad_regime = baseline_json().replacen("\"regime\": \"clear\"", "\"regime\": \"hail\"", 1);
     let err = ScenarioSpec::from_json(&bad_regime).expect_err("unknown regime");
     assert!(err.contains("hail"), "{err}");
+
+    // A single-valued key: the flat allocation arm is gone.
+    let flat = baseline_json().replacen("\"hierarchical\": true", "\"hierarchical\": false", 1);
+    let err = ScenarioSpec::from_json(&flat).expect_err("flat allocation arm");
+    assert!(err.starts_with("traffic.hierarchical:"), "{err}");
 }
 
 // ---------------------------------------------------------------- //

@@ -6,7 +6,7 @@
 //! bit-identical reruns).
 
 use proptest::prelude::*;
-use tssdn_dataplane::StoreForwardBuffer;
+use tssdn_dataplane::{BufferedSegment, StoreForwardBuffer};
 use tssdn_sim::{PlatformId, RngStreams, SimDuration, SimTime};
 use tssdn_traffic::{TopologyView, TrafficClass, TrafficConfig, TrafficEngine};
 
@@ -16,11 +16,12 @@ use tssdn_traffic::{TopologyView, TrafficClass, TrafficConfig, TrafficEngine};
 
 /// One buffer operation: a `kind`, a flow, a clock dial ([`dt_of`]),
 /// an `amount` — bits to enqueue, or a drain / handoff budget — and a
-/// batch ([`batch_chunks`]). What a kind means is each property's own.
-type RawOp = (u8, u32, u64, u64, Vec<(u32, u64)>);
+/// batch ([`batch_runs`]). What a kind means is each property's own.
+type RawOp = (u8, u32, u64, u64, Vec<(u32, Vec<u64>)>);
 
 fn ops() -> impl Strategy<Value = Vec<RawOp>> {
-    let batch = prop::collection::vec((0u32..8, 0u64..640), 0..8);
+    let run = (0u32..8, prop::collection::vec(0u64..640, 0..6));
+    let batch = prop::collection::vec(run, 1..4);
     prop::collection::vec((0u8..8, 0u32..5, 0u64..400, 0u64..200, batch), 1..60)
 }
 
@@ -30,8 +31,8 @@ fn dt_of(dial: u64) -> u64 {
     dial.saturating_sub(100)
 }
 
-/// Bits of a batch chunk: one in three is empty — a hole, when its
-/// neighbours in a run are not — and the largest (598 bits) overflow
+/// Bits of a run's chunk: one in three is empty — a hole, when its
+/// neighbours in the run are not — and the largest (598 bits) overflow
 /// every buffer the properties build (≤ 504 bits).
 fn batch_bits(dial: u64) -> u64 {
     if dial.is_multiple_of(3) {
@@ -41,35 +42,56 @@ fn batch_bits(dial: u64) -> u64 {
     }
 }
 
-/// The `(flow, bits)` chunks of a batch. The first key sits just
-/// below or above the wrap of the key space; each later one is mostly
-/// the next key (a run of consecutive keys), else the same key again,
-/// a jump ahead, or a step back.
-fn batch_chunks(raw: &[(u32, u64)]) -> Vec<(u32, u64)> {
-    let mut key = 0u32;
+/// The `(first key, bits per consecutive key)` runs of a batch, all
+/// enqueued at one stamp. The first run starts just below or above the
+/// wrap of the key space; each later one mostly starts on the key after
+/// the last run's end, else on the last run's first key again, a jump
+/// ahead of its end, or a step back from its start.
+fn batch_runs(raw: &[(u32, Vec<u64>)]) -> Vec<(u32, Vec<u64>)> {
+    let (mut first, mut next) = (0u32, 0u32);
     raw.iter()
         .enumerate()
-        .map(|(i, &(step, dial))| {
-            key = match (i, step) {
+        .map(|(i, (step, dials))| {
+            first = match (i, step) {
                 (0, _) => step.wrapping_sub(3),
-                (_, 0..=4) => key.wrapping_add(1),
-                (_, 5) => key,
-                (_, 6) => key.wrapping_add(3),
-                _ => key.wrapping_sub(1),
+                (_, 0..=4) => next,
+                (_, 5) => first,
+                (_, 6) => next.wrapping_add(3),
+                _ => first.wrapping_sub(1),
             };
-            (key, batch_bits(dial))
+            next = first.wrapping_add(dials.len() as u32);
+            (first, dials.iter().map(|&d| batch_bits(d)).collect())
         })
         .collect()
+}
+
+/// The model's one enqueue per chunk of `run`, holes included.
+fn model_enqueue_run(model: &mut ModelBuffer, now: u64, (first, bits): &(u32, Vec<u64>)) {
+    for (i, &b) in bits.iter().enumerate() {
+        model.enqueue(first.wrapping_add(i as u32), now, b);
+    }
+}
+
+/// A drain of `real` as the model reports one: `(flow, bits, age)`
+/// per chunk, holes skipped.
+fn drain_of(real: &mut StoreForwardBuffer<u32>, now: u64, budget: u64) -> Vec<(u32, u64, u64)> {
+    let mut out = Vec::new();
+    real.drain_runs(now, budget, |first, age, run| {
+        let slots = run.iter().enumerate().filter(|&(_, &bits)| bits > 0);
+        out.extend(slots.map(|(i, &bits)| (first.wrapping_add(i as u32), bits, age)));
+    });
+    out
+}
+
+/// The chunks of `segments`, in order, as the model keeps them.
+fn chunks_of(segments: &[BufferedSegment<u32>]) -> Vec<(u32, u64, u64)> {
+    segments.iter().flat_map(BufferedSegment::chunks).collect()
 }
 
 /// Every resident chunk of `real`, oldest first, as the model keeps
 /// them.
 fn resident_of(real: &StoreForwardBuffer<u32>) -> Vec<(u32, u64, u64)> {
-    let chunks = real.clone().extract_custody(u64::MAX);
-    chunks
-        .iter()
-        .map(|c| (c.flow, c.enqueued_ms, c.bits))
-        .collect()
+    chunks_of(&real.clone().extract_segments(u64::MAX))
 }
 
 /// The obviously-correct model: a flat chunk list plus the same
@@ -234,7 +256,7 @@ proptest! {
             now += dt_of(dial);
             match kind {
                 0 | 1 => {
-                    real.enqueue(flow, now, amount);
+                    real.enqueue_run(now, flow, [amount]);
                     model.enqueue(flow, now, amount);
                 }
                 2 => {
@@ -247,27 +269,21 @@ proptest! {
                     }
                 }
                 3 | 5 => {
-                    let drained: Vec<(u32, u64, u64)> = real
-                        .drain(now, amount)
-                        .into_iter()
-                        .map(|d| (d.flow, d.bits, d.age_ms))
-                        .collect();
-                    prop_assert_eq!(drained, model.drain(now, amount));
+                    prop_assert_eq!(drain_of(&mut real, now, amount), model.drain(now, amount));
                 }
                 _ => {
-                    // One batch call is the model's one enqueue per
-                    // chunk: what it returns and the ledgers.
-                    let chunks = batch_chunks(&batch);
-                    let (queued0, evicted0) = (model.queued, model.evicted);
-                    for &(f, bits) in &chunks {
-                        model.enqueue(f, now, bits);
+                    // One run is the model's one enqueue per chunk:
+                    // what it returns and the ledgers.
+                    for run in batch_runs(&batch) {
+                        let (queued0, evicted0) = (model.queued, model.evicted);
+                        model_enqueue_run(&mut model, now, &run);
+                        prop_assert_eq!(
+                            real.enqueue_run(now, run.0, run.1),
+                            (model.queued - queued0, model.evicted - evicted0)
+                        );
+                        prop_assert_eq!(real.queued_bits(), model.queued);
+                        prop_assert_eq!(real.evicted_bits(), model.evicted);
                     }
-                    prop_assert_eq!(
-                        real.enqueue_batch(now, chunks),
-                        (model.queued - queued0, model.evicted - evicted0)
-                    );
-                    prop_assert_eq!(real.queued_bits(), model.queued);
-                    prop_assert_eq!(real.evicted_bits(), model.evicted);
                 }
             }
             // Byte bound holds after every single operation, and so
@@ -321,15 +337,14 @@ proptest! {
             now += dt_of(dial);
             match kind {
                 0 => {
-                    real_a.enqueue(flow, now, amount);
+                    real_a.enqueue_run(now, flow, [amount]);
                     model_a.enqueue(flow, now, amount);
                 }
                 1 | 6 => {
-                    let chunks = batch_chunks(&batch);
-                    for &(f, bits) in &chunks {
-                        model_a.enqueue(f, now, bits);
+                    for run in batch_runs(&batch) {
+                        model_enqueue_run(&mut model_a, now, &run);
+                        real_a.enqueue_run(now, run.0, run.1);
                     }
-                    real_a.enqueue_batch(now, chunks);
                 }
                 2 => {
                     real_a.expire(now);
@@ -338,56 +353,30 @@ proptest! {
                     model_b.expire(now);
                 }
                 3 => {
-                    let drained: Vec<(u32, u64, u64)> = real_b
-                        .drain(now, amount)
-                        .into_iter()
-                        .map(|d| (d.flow, d.bits, d.age_ms))
-                        .collect();
-                    prop_assert_eq!(drained, model_b.drain(now, amount));
+                    prop_assert_eq!(drain_of(&mut real_b, now, amount), model_b.drain(now, amount));
                 }
                 4 => {
-                    // By chunk or by segment, by turns: the same
-                    // chunks leave A and the same ones settle in B.
+                    // The same chunks leave A and the same ones settle
+                    // in B.
                     let model_chunks = model_a.extract(amount);
-                    let (acc, refu) = if amount.is_multiple_of(2) {
-                        let chunks = real_a.extract_custody(amount);
-                        let as_tuples: Vec<(u32, u64, u64)> = chunks
-                            .iter()
-                            .map(|c| (c.flow, c.enqueued_ms, c.bits))
-                            .collect();
-                        prop_assert_eq!(&as_tuples, &model_chunks, "extract diverged");
-                        real_b.accept_custody(chunks, now)
-                    } else {
-                        let segments = real_a.extract_segments(amount);
-                        let as_tuples: Vec<(u32, u64, u64)> = segments
-                            .iter()
-                            .flat_map(|s| s.chunks())
-                            .map(|c| (c.flow, c.enqueued_ms, c.bits))
-                            .collect();
-                        prop_assert_eq!(&as_tuples, &model_chunks, "extract diverged");
-                        real_b.accept_segments(segments, now)
-                    };
+                    let segments = real_a.extract_segments(amount);
+                    prop_assert_eq!(&chunks_of(&segments), &model_chunks, "extract diverged");
+                    let (acc, refu) = real_b.accept_segments(segments, now);
                     let (m_acc, m_refu) = model_b.accept(model_chunks, now);
                     prop_assert_eq!((acc, refu), (m_acc, m_refu), "accept diverged");
                     refused_total += refu;
                 }
                 5 => {
-                    let drained: Vec<(u32, u64, u64)> = real_a
-                        .drain(now, amount)
-                        .into_iter()
-                        .map(|d| (d.flow, d.bits, d.age_ms))
-                        .collect();
-                    prop_assert_eq!(drained, model_a.drain(now, amount));
+                    prop_assert_eq!(drain_of(&mut real_a, now, amount), model_a.drain(now, amount));
                 }
                 _ => {
                     // The custodian's own traffic, so arrivals find
                     // residents — a partly drained front among them —
                     // whose stamps they share.
-                    let chunks = batch_chunks(&batch);
-                    for &(f, bits) in &chunks {
-                        model_b.enqueue(f, now, bits);
+                    for run in batch_runs(&batch) {
+                        model_enqueue_run(&mut model_b, now, &run);
+                        real_b.enqueue_run(now, run.0, run.1);
                     }
-                    real_b.enqueue_batch(now, chunks);
                 }
             }
             prop_assert!(real_a.total_bits() <= real_a.max_bits());
@@ -436,17 +425,17 @@ proptest! {
                 now += dt_of(*dial);
                 match kind {
                     0 | 1 => {
-                        b.enqueue(flow, now, amount);
+                        b.enqueue_run(now, flow, [amount]);
                     }
                     2 => {
                         b.expire(now);
                     }
                     4 | 6 | 7 => {
-                        b.enqueue_batch(now, batch_chunks(batch));
+                        for (first, bits) in batch_runs(batch) {
+                            b.enqueue_run(now, first, bits);
+                        }
                     }
-                    _ => drains.extend(
-                        b.drain(now, amount).iter().map(|d| (d.flow, d.bits, d.age_ms)),
-                    ),
+                    _ => drains.extend(drain_of(&mut b, now, amount)),
                 }
             }
             (b.total_bits(), b.queued_bits(), b.drained_bits(), b.evicted_bits(), drains)

@@ -2,11 +2,8 @@
 //! across reruns — the same contract style as `golden_determinism`,
 //! extended to the E17 subsystem.
 //!
-//! Three contracts:
+//! Two contracts:
 //!
-//! * **Arm parity** — both allocator arms (hierarchical site×class
-//!   aggregation, the default, and the flat per-flow fill) honor the
-//!   contracts below independently.
 //! * **Repeatability** — two identical seeded chaos-off runs produce
 //!   byte-identical traffic digests.
 //! * **Inertness** — enabling the traffic engine does not perturb the
@@ -18,26 +15,27 @@ use tssdn_sim::{PlatformId, SimDuration, SimTime};
 
 const N_BALLOONS: usize = 5;
 
-/// A five-balloon world; `traffic` is `Some(hierarchical)` to run the
-/// engine on that allocator arm, `None` for no engine at all.
-fn world(seed: u64, traffic: Option<bool>) -> Orchestrator {
+/// The five-balloon world's configuration, without a traffic engine.
+fn config(seed: u64) -> OrchestratorConfig {
     let mut cfg = OrchestratorConfig::kenya(N_BALLOONS, seed);
     cfg.fleet.spawn_radius_m = 150_000.0;
     cfg.tick = SimDuration::from_secs(10);
     cfg.solve_interval = SimDuration::from_mins(5);
     cfg.probe_interval = SimDuration::from_secs(30);
-    cfg.traffic = traffic.map(|hierarchical| TrafficConfig {
-        hierarchical,
-        ..TrafficConfig::default()
-    });
+    cfg
+}
+
+/// A five-balloon world, with or without the traffic engine.
+fn world(seed: u64, traffic: bool) -> Orchestrator {
+    let mut cfg = config(seed);
+    cfg.traffic = traffic.then(TrafficConfig::default);
     Orchestrator::new(cfg)
 }
 
 /// Run one simulated day, appending an hourly traffic checkpoint: the
 /// exact bit totals, per-site events, and demand-digest weights.
-/// `hierarchical` picks the allocator arm (on is the default engine).
-fn traffic_digest(seed: u64, hierarchical: bool) -> String {
-    let mut o = world(seed, Some(hierarchical));
+fn traffic_digest(seed: u64) -> String {
+    let mut o = world(seed, true);
     let end = SimTime::from_hours(24);
     let mut digest = String::new();
     while o.now() < end {
@@ -63,10 +61,9 @@ fn traffic_digest(seed: u64, hierarchical: bool) -> String {
     digest
 }
 
-/// Hourly plan digest (the golden_determinism checkpoint format) for a
-/// one-day run with traffic on or off.
-fn plan_digest(seed: u64, traffic: bool) -> String {
-    let mut o = world(seed, traffic.then_some(true));
+/// Run `o` for one simulated day; its hourly plan digest (the
+/// golden_determinism checkpoint format).
+fn plan_digest(o: &mut Orchestrator) -> String {
     let end = SimTime::from_hours(24);
     let mut digest = String::new();
     while o.now() < end {
@@ -79,7 +76,7 @@ fn plan_digest(seed: u64, traffic: bool) -> String {
 /// Identical seeded runs produce byte-identical traffic digests.
 #[test]
 fn goodput_is_identical_across_reruns() {
-    let a = traffic_digest(20220822, true);
+    let a = traffic_digest(20220822);
     assert!(a.contains("offered="), "digest has checkpoints");
     // Traffic flowed at some point (otherwise the contract is vacuous).
     let last = a
@@ -88,20 +85,8 @@ fn goodput_is_identical_across_reruns() {
         .find(|l| l.contains("offered="))
         .expect("checkpoints");
     assert!(!last.contains("offered=0 "), "run carried traffic: {last}");
-    let b = traffic_digest(20220822, true);
+    let b = traffic_digest(20220822);
     assert!(a == b, "traffic digests diverged between identical runs");
-}
-
-/// The flat (aggregation-off) arm carries the same contract. The two
-/// arms legitimately differ from each other under congestion (the
-/// flat fill's sequential freeze cascade is flow-granular), so this
-/// gates each arm against itself, not against the other.
-#[test]
-fn flat_arm_is_deterministic_across_reruns() {
-    let first = traffic_digest(20220822, false);
-    assert!(first.contains("offered="), "digest has checkpoints");
-    let rerun = traffic_digest(20220822, false);
-    assert!(rerun == first, "flat-arm digests diverged between reruns");
 }
 
 /// With demand feedback active the solver sees different request
@@ -111,25 +96,15 @@ fn flat_arm_is_deterministic_across_reruns() {
 /// to a traffic-off run's.
 #[test]
 fn traffic_without_feedback_is_invisible_to_planning() {
-    let mut cfg = OrchestratorConfig::kenya(N_BALLOONS, 20220822);
-    cfg.fleet.spawn_radius_m = 150_000.0;
-    cfg.tick = SimDuration::from_secs(10);
-    cfg.solve_interval = SimDuration::from_mins(5);
-    cfg.probe_interval = SimDuration::from_secs(30);
+    let mut cfg = config(20220822);
     cfg.traffic = Some(TrafficConfig {
         feedback: false,
         ..TrafficConfig::default()
     });
     let mut on = Orchestrator::new(cfg);
-    let end = SimTime::from_hours(24);
-    let mut digest_on = String::new();
-    while on.now() < end {
-        on.run_until((on.now() + SimDuration::from_hours(1)).min(end));
-        digest_on.push_str(&format!("{} {:?}\n", on.now(), on.last_plan));
-    }
-    let digest_off = plan_digest(20220822, false);
+    let digest_on = plan_digest(&mut on);
     assert!(
-        digest_on == digest_off,
+        digest_on == plan_digest(&mut world(20220822, false)),
         "a feedback-off traffic engine must not perturb seeded planning"
     );
     // And the engine still measured the run.

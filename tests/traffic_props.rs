@@ -419,7 +419,7 @@ proptest! {
     /// other flows want and even through a linkless or shared
     /// aggregate. The traffic engine's tick rests on this: a site that
     /// offers nothing is skipped outright, its flows' rates taken to
-    /// be 0 without being read (DESIGN.md §15).
+    /// be 0 without being read (DESIGN.md §8).
     #[test]
     fn zero_demand_gets_zero_rate(
         case in raw_case(),

@@ -1,5 +1,5 @@
 //! The traffic engine as it stood before the probe-cadence fast path
-//! (DESIGN.md §15), kept verbatim as a test-only oracle: one 445-line
+//! (DESIGN.md §8), kept verbatim as a test-only oracle: one 445-line
 //! `tick` that walks every flow three times and looks every flow's
 //! site up in the view's maps. `tests/traffic_tick_equivalence.rs`
 //! drives it and `tssdn_traffic::TrafficEngine` with one random
@@ -14,12 +14,12 @@
 #![allow(dead_code)]
 
 use std::collections::{BTreeMap, BTreeSet};
-use tssdn_dataplane::{BufferedChunk, StoreForwardBuffer};
+use tssdn_dataplane::{BufferedSegment, StoreForwardBuffer};
 use tssdn_sim::{PlatformId, RngStreams, SimDuration, SimTime};
 use tssdn_telemetry::GoodputSeries;
 use tssdn_traffic::{
-    AggregateMember, AggregateSpec, DemandGenerator, FairShareAllocator, FlowSpec, FlowStats,
-    HierarchicalAllocator, SnfTotals, TickSummary, TopologyView, TrafficClass, TrafficConfig,
+    AggregateMember, AggregateSpec, DemandGenerator, FlowStats, HierarchicalAllocator, SnfTotals,
+    TickSummary, TopologyView, TrafficClass, TrafficConfig,
 };
 
 /// `DemandGenerator::offered_bps` as it was: the diurnal cosine and
@@ -74,11 +74,7 @@ fn paths_signature(view: &TopologyView) -> u64 {
 pub struct ReferenceEngine {
     config: TrafficConfig,
     demand: DemandGenerator,
-    /// The flat per-flow allocator (used when
-    /// [`TrafficConfig::hierarchical`] is off).
-    allocator: FairShareAllocator,
-    /// The aggregate-tree allocator (used when
-    /// [`TrafficConfig::hierarchical`] is on).
+    /// The site×class aggregate-tree allocator.
     hier: HierarchicalAllocator,
     /// Allocator flow count of the cached topology (demand flows plus
     /// appended alt subflows).
@@ -111,9 +107,9 @@ pub struct ReferenceEngine {
     /// that originated elsewhere — drains always credit the chunk's
     /// *origin* site via its flow id.
     snf: BTreeMap<PlatformId, StoreForwardBuffer<u32>>,
-    /// Chunks extracted for custody last tick, arriving at their
-    /// custodian this tick: `(destination holder, chunk)`.
-    custody_transit: Vec<(PlatformId, BufferedChunk<u32>)>,
+    /// Segments extracted for custody last tick, arriving at their
+    /// custodian this tick: `(destination holder, segment)`.
+    custody_transit: Vec<(PlatformId, BufferedSegment<u32>)>,
     /// Lifetime custody ledger (fleet-wide).
     custody_initiated_total: u64,
     custody_accepted_total: u64,
@@ -132,7 +128,6 @@ impl ReferenceEngine {
         ReferenceEngine {
             config,
             demand,
-            allocator: FairShareAllocator::new(),
             hier: HierarchicalAllocator::new(),
             n_alloc: 0,
             rates_buf: Vec::new(),
@@ -198,7 +193,7 @@ impl ReferenceEngine {
                 ..acc
             });
         t.evicted_bits += self.custody_refused_total + self.custody_lost_total;
-        t.in_transit_bits = self.custody_transit.iter().map(|(_, c)| c.bits).sum();
+        t.in_transit_bits = self.custody_transit.iter().map(|(_, s)| s.bits()).sum();
         t.custody_initiated_bits = self.custody_initiated_total;
         t.custody_accepted_bits = self.custody_accepted_total;
         t.custody_refused_bits = self.custody_refused_total;
@@ -268,86 +263,62 @@ impl ReferenceEngine {
         }
         self.n_alloc = next_alt as usize;
 
-        if self.config.hierarchical {
-            // Site×class aggregate tree: the flows of one (site,
-            // class, path) triple cross identical links, so each
-            // becomes one aggregate node. Demand flows are site-major
-            // (DemandGenerator order), so a linear key-change walk
-            // yields the groups deterministically; alt subflows form
-            // their own per-site Bulk aggregates over the alternate
-            // path.
-            let mut groups: Vec<AggregateSpec> = Vec::new();
-            let mut last: Option<(PlatformId, TrafficClass)> = None;
-            for (fi, f) in self.demand.flows().iter().enumerate() {
-                if last != Some((f.site, f.class)) {
-                    let links = self
-                        .site_path_ids
-                        .get(&f.site)
-                        .map(|(p, _)| p.clone())
-                        .unwrap_or_default();
-                    groups.push(AggregateSpec {
-                        links,
-                        class: f.class,
-                        members: Vec::new(),
-                    });
-                    last = Some((f.site, f.class));
-                }
-                groups
-                    .last_mut()
-                    .expect("group pushed")
-                    .members
-                    .push(AggregateMember {
-                        flow: fi as u32,
-                        weight: f.tier_weight,
-                    });
+        // Site×class aggregate tree: the flows of one (site,
+        // class, path) triple cross identical links, so each
+        // becomes one aggregate node. Demand flows are site-major
+        // (DemandGenerator order), so a linear key-change walk
+        // yields the groups deterministically; alt subflows form
+        // their own per-site Bulk aggregates over the alternate
+        // path.
+        let mut groups: Vec<AggregateSpec> = Vec::new();
+        let mut last: Option<(PlatformId, TrafficClass)> = None;
+        for (fi, f) in self.demand.flows().iter().enumerate() {
+            if last != Some((f.site, f.class)) {
+                let links = self
+                    .site_path_ids
+                    .get(&f.site)
+                    .map(|(p, _)| p.clone())
+                    .unwrap_or_default();
+                groups.push(AggregateSpec {
+                    links,
+                    class: f.class,
+                    members: Vec::new(),
+                });
+                last = Some((f.site, f.class));
             }
-            let mut last_site: Option<PlatformId> = None;
-            for (fi, f) in self.demand.flows().iter().enumerate() {
-                let Some(ai) = self.alt_subflow[fi] else {
-                    continue;
-                };
-                if last_site != Some(f.site) {
-                    let (_, alt) = &self.site_path_ids[&f.site];
-                    groups.push(AggregateSpec {
-                        links: alt.clone(),
-                        class: TrafficClass::Bulk,
-                        members: Vec::new(),
-                    });
-                    last_site = Some(f.site);
-                }
-                groups
-                    .last_mut()
-                    .expect("group pushed")
-                    .members
-                    .push(AggregateMember {
-                        flow: ai,
-                        weight: f.tier_weight,
-                    });
-            }
-            self.hier.set_aggregates(groups, n_links, self.n_alloc);
-        } else {
-            let mut specs: Vec<FlowSpec> = self
-                .demand
-                .flows()
-                .iter()
-                .map(|f| {
-                    let links = self
-                        .site_path_ids
-                        .get(&f.site)
-                        .map(|(p, _)| p.clone())
-                        .unwrap_or_default();
-                    FlowSpec::new(links, f.tier_weight, f.class)
-                })
-                .collect();
-            for (fi, f) in self.demand.flows().iter().enumerate() {
-                if let Some(ai) = self.alt_subflow[fi] {
-                    debug_assert_eq!(ai as usize, specs.len());
-                    let (_, alt) = &self.site_path_ids[&f.site];
-                    specs.push(FlowSpec::new(alt.clone(), f.tier_weight, f.class));
-                }
-            }
-            self.allocator.set_flows(specs, n_links);
+            groups
+                .last_mut()
+                .expect("group pushed")
+                .members
+                .push(AggregateMember {
+                    flow: fi as u32,
+                    weight: f.tier_weight,
+                });
         }
+        let mut last_site: Option<PlatformId> = None;
+        for (fi, f) in self.demand.flows().iter().enumerate() {
+            let Some(ai) = self.alt_subflow[fi] else {
+                continue;
+            };
+            if last_site != Some(f.site) {
+                let (_, alt) = &self.site_path_ids[&f.site];
+                groups.push(AggregateSpec {
+                    links: alt.clone(),
+                    class: TrafficClass::Bulk,
+                    members: Vec::new(),
+                });
+                last_site = Some(f.site);
+            }
+            groups
+                .last_mut()
+                .expect("group pushed")
+                .members
+                .push(AggregateMember {
+                    flow: ai,
+                    weight: f.tier_weight,
+                });
+        }
+        self.hier.set_aggregates(groups, n_links, self.n_alloc);
     }
 
     /// Bottleneck capacity of a cached path (min over its link ids).
@@ -410,19 +381,19 @@ impl ReferenceEngine {
         let mut custody_lost = 0u64;
         if !self.custody_transit.is_empty() {
             let transit = std::mem::take(&mut self.custody_transit);
-            let mut by_dest: BTreeMap<PlatformId, Vec<BufferedChunk<u32>>> = BTreeMap::new();
-            for (to, chunk) in transit {
+            let mut by_dest: BTreeMap<PlatformId, Vec<BufferedSegment<u32>>> = BTreeMap::new();
+            for (to, segment) in transit {
                 if view.dead.contains(&to) {
-                    custody_lost += chunk.bits;
+                    custody_lost += segment.bits();
                 } else {
-                    by_dest.entry(to).or_default().push(chunk);
+                    by_dest.entry(to).or_default().push(segment);
                 }
             }
-            for (to, chunks) in by_dest {
+            for (to, segments) in by_dest {
                 let buf = self.snf.entry(to).or_insert_with(|| {
                     StoreForwardBuffer::new(snf_cfg.max_bytes, snf_cfg.max_age_ms)
                 });
-                let (acc, refu) = buf.accept_custody(chunks, now_ms);
+                let (acc, refu) = buf.accept_segments(segments, now_ms);
                 custody_accepted += acc;
                 custody_refused += refu;
             }
@@ -490,7 +461,7 @@ impl ReferenceEngine {
                         let buf = self.snf.entry(site).or_insert_with(|| {
                             StoreForwardBuffer::new(snf_cfg.max_bytes, snf_cfg.max_age_ms)
                         });
-                        let ev = buf.enqueue(f as u32, now_ms, bits);
+                        let ev = buf.enqueue_run(now_ms, f as u32, [bits]).1;
                         snf_queued += bits;
                         snf_evicted += ev;
                         self.flow_stats[f].buffered_bits += bits;
@@ -527,12 +498,7 @@ impl ReferenceEngine {
         }
 
         let mut rates = std::mem::take(&mut self.rates_buf);
-        if self.config.hierarchical {
-            self.hier.allocate_into(&demands, &capacities, &mut rates);
-        } else {
-            self.allocator
-                .allocate_into(&demands, &capacities, &mut rates);
-        }
+        self.hier.allocate_into(&demands, &capacities, &mut rates);
         let rates = rates;
 
         // Account bits per flow, per site, and per class (an alt
@@ -656,22 +622,26 @@ impl ReferenceEngine {
                 if budget == 0 {
                     continue;
                 }
-                let chunks = buf.drain(now_ms, budget);
+                let mut chunks: Vec<(u32, u64, u64)> = Vec::new();
+                buf.drain_runs(now_ms, budget, |first, age_ms, run| {
+                    let slots = run.iter().enumerate().filter(|&(_, &bits)| bits > 0);
+                    chunks.extend(slots.map(|(i, &bits)| (first + i as u32, bits, age_ms)));
+                });
                 let mut bits = 0u64;
                 // Drains credit each chunk's *origin* site (via its
                 // flow id) — after a custody handoff the holder and
                 // the origin differ.
                 let mut by_origin: BTreeMap<PlatformId, (u64, u128)> = BTreeMap::new();
-                for c in &chunks {
-                    bits += c.bits;
-                    let origin = self.demand.flows()[c.flow as usize].site;
+                for &(flow, c_bits, age_ms) in &chunks {
+                    bits += c_bits;
+                    let origin = self.demand.flows()[flow as usize].site;
                     let o = by_origin.entry(origin).or_default();
-                    o.0 += c.bits;
-                    o.1 += c.bits as u128 * c.age_ms as u128;
-                    let fs = &mut self.flow_stats[c.flow as usize];
-                    fs.delivered_bits += c.bits;
-                    fs.drained_bits += c.bits;
-                    fs.age_bits_ms += c.bits as u128 * c.age_ms as u128;
+                    o.0 += c_bits;
+                    o.1 += c_bits as u128 * age_ms as u128;
+                    let fs = &mut self.flow_stats[flow as usize];
+                    fs.delivered_bits += c_bits;
+                    fs.drained_bits += c_bits;
+                    fs.age_bits_ms += c_bits as u128 * age_ms as u128;
                 }
                 if bits == 0 {
                     continue;
@@ -732,8 +702,8 @@ impl ReferenceEngine {
                     if buf.is_empty() {
                         continue;
                     }
-                    let chunks = buf.extract_custody(budget);
-                    let bits: u64 = chunks.iter().map(|c| c.bits).sum();
+                    let segments = buf.extract_segments(budget);
+                    let bits: u64 = segments.iter().map(BufferedSegment::bits).sum();
                     if bits == 0 {
                         continue;
                     }
@@ -742,7 +712,7 @@ impl ReferenceEngine {
                         residual_bits[l] = residual_bits[l].saturating_sub(bits as u128);
                     }
                     self.custody_transit
-                        .extend(chunks.into_iter().map(|c| (to, c)));
+                        .extend(segments.into_iter().map(|s| (to, s)));
                 }
                 self.custody_initiated_total += custody_initiated;
                 if custody_initiated > 0 {
@@ -798,7 +768,7 @@ impl ReferenceEngine {
             custody_accepted_bits: custody_accepted,
             custody_refused_bits: custody_refused,
             custody_lost_bits: custody_lost,
-            snf_in_transit_bits: self.custody_transit.iter().map(|(_, c)| c.bits).sum(),
+            snf_in_transit_bits: self.custody_transit.iter().map(|(_, s)| s.bits()).sum(),
         }
     }
 }

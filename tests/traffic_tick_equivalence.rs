@@ -2,7 +2,7 @@
 //!
 //! `TrafficEngine::tick` was rewritten as a list of phases that walk
 //! the flow population as per-site runs and skip a site that offers
-//! nothing (DESIGN.md §15), under one rule: the same numbers. The tick
+//! nothing (DESIGN.md §8), under one rule: the same numbers. The tick
 //! it replaced lives on in `traffic_reference` as the oracle. Each case
 //! hands both engines the same sites — in random order, sometimes with
 //! one listed twice — and one random schedule of views, and demands
@@ -138,9 +138,9 @@ proptest! {
     #[test]
     fn fast_tick_matches_the_frozen_reference(
         seed in 0u64..u64::MAX,
-        arms in (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
+        arms in (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
     ) {
-        let (hierarchical, multipath, snf, custody, control) = arms;
+        let (multipath, snf, custody, control) = arms;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
         // 2–6 sparse site ids, shuffled; one case in four lists a site
@@ -182,7 +182,6 @@ proptest! {
                 ..DemandConfig::default()
             },
             multipath,
-            hierarchical,
             store_forward: StoreForwardConfig {
                 enabled: snf,
                 custody,
