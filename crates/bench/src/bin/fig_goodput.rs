@@ -22,10 +22,7 @@
 
 use tssdn_bench::{days, seed};
 use tssdn_core::Orchestrator;
-use tssdn_scenario::{
-    DemandSpec, FaultsSpec, FleetSpec, Geography, ScenarioSpec, ShardingSpec, TrafficSpec,
-    WeatherRegime, WeatherSpec,
-};
+use tssdn_scenario::{chaos_soak_spec, FaultsSpec, ScenarioSpec, WeatherRegime, WeatherSpec};
 use tssdn_sim::{PlatformId, SimTime};
 use tssdn_telemetry::export::{
     goodput_windows_table, push_goodput_window, push_traffic_class, push_traffic_site,
@@ -35,33 +32,24 @@ use tssdn_telemetry::Layer;
 
 /// The E17 world as a spec: 12 balloons spread over 220 km, stormy
 /// wet-season afternoons with the production-like gauge belief, the
-/// default diurnal demand model. `multipath` toggles both the
-/// controller's alternate-route programming and the engine's load
-/// splitting (the spec's one flag drives both, as the old hand-built
-/// config did).
+/// default diurnal demand model. `multipath` toggles the controller's
+/// alternate-route programming; the engine splits load over whatever
+/// alternates are programmed.
 fn spec_for(num_days: u64, multipath: bool) -> ScenarioSpec {
-    ScenarioSpec {
-        name: format!("fig_goodput_{}", if multipath { "multi" } else { "single" }),
-        seed: seed(),
-        duration_hours: num_days * 24,
-        multipath,
-        fleet: FleetSpec {
-            geography: Geography::Kenya,
-            n_balloons: 12,
-            spawn_radius_km: 220.0,
+    let name = format!("fig_goodput_{}", if multipath { "multi" } else { "single" });
+    let mut spec = chaos_soak_spec(&name, seed());
+    (spec.duration_hours, spec.multipath, spec.faults) =
+        (num_days * 24, multipath, FaultsSpec::Quiet);
+    (spec.fleet.n_balloons, spec.fleet.spawn_radius_km) = (12, 220.0);
+    spec.weather = WeatherSpec {
+        regime: WeatherRegime::Stormy {
+            intensity: 1.0,
+            days: num_days,
         },
-        demand: DemandSpec::default(),
-        weather: WeatherSpec {
-            regime: WeatherRegime::Stormy {
-                intensity: 1.0,
-                days: num_days,
-            },
-            gauges: true,
-        },
-        faults: FaultsSpec::Quiet,
-        traffic: TrafficSpec::default(),
-        sharding: ShardingSpec::default(),
-    }
+        gauges: true,
+    };
+    spec.traffic.enabled = true;
+    spec
 }
 
 /// One full scenario run.

@@ -64,9 +64,11 @@ pub fn print_cdf(label: &str, xs: &[f64]) {
 }
 
 /// The provenance object a committed `BENCH_*.json` carries, as a JSON
-/// object literal: git revision (`-dirty` when tracked files differ),
-/// `rustc -V`, the worker threads available, and the bench mode —
-/// without these a number cannot be compared across commits or hosts.
+/// object literal: git revision (`-dirty` when tracked files differ,
+/// with `diff` the `git hash-object` of `git diff HEAD`, so the exact
+/// uncommitted change is named), `rustc -V`, the worker threads
+/// available, and the bench mode — without these a number cannot be
+/// compared across commits or hosts.
 pub fn manifest_json(mode: &str) -> String {
     let first_line = |cmd: &str, args: &[&str]| {
         let out = std::process::Command::new(cmd).args(args).output().ok()?;
@@ -79,21 +81,23 @@ pub fn manifest_json(mode: &str) -> String {
         (out.status.success() && !line.is_empty()).then_some(line)
     };
     let unknown = || "unknown".to_string();
+    let mut diff = String::new();
     let revision = first_line("git", &["rev-parse", "HEAD"]).map_or_else(unknown, |rev| {
         let clean = std::process::Command::new("git")
             .args(["diff", "--quiet", "HEAD"])
             .status()
             .is_ok_and(|s| s.success());
         if clean {
-            rev
-        } else {
-            format!("{rev}-dirty")
+            return rev;
         }
+        let id = first_line("sh", &["-c", "git diff HEAD | git hash-object --stdin"]);
+        diff = format!(", \"diff\": \"{}\"", id.unwrap_or_else(unknown));
+        format!("{rev}-dirty")
     });
     let rustc = first_line("rustc", &["-V"]).unwrap_or_else(unknown);
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     format!(
-        "{{\"revision\": \"{revision}\", \"rustc\": \"{rustc}\", \"nproc\": {nproc}, \"mode\": \"{mode}\"}}"
+        "{{\"revision\": \"{revision}\"{diff}, \"rustc\": \"{rustc}\", \"nproc\": {nproc}, \"mode\": \"{mode}\"}}"
     )
 }
 
@@ -130,6 +134,31 @@ pub fn fmt_secs(s: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn manifest_is_strict_json_with_its_provenance_keys() {
+        let manifest = manifest_json("smoke");
+        let mut o = tssdn_scenario::json::parse(&manifest)
+            .expect("parses")
+            .into_obj("manifest")
+            .expect("an object");
+        assert!(
+            o.take("revision").is_ok() && o.take("rustc").is_ok(),
+            "{manifest}"
+        );
+        assert!(
+            o.take("nproc").and_then(|n| n.as_u64("nproc")).is_ok(),
+            "{manifest}"
+        );
+        assert_eq!(
+            o.take("mode").map(|m| m.as_str("mode").map(String::from)),
+            Ok(Ok("smoke".into()))
+        );
+        // `diff` sits beside a dirty revision, and only there.
+        let dirty = manifest.contains("-dirty");
+        assert_eq!(o.take_opt("diff").is_some(), dirty, "{manifest}");
+        o.finish().expect("no other keys");
+    }
 
     #[test]
     fn fmt_secs_matches_paper_style() {

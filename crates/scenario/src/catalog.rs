@@ -8,6 +8,8 @@
 //! regressions without flaking on small timing shifts; the invariant
 //! rows (SNF conservation, custody balance, no stale alternates,
 //! Control ≥ 0.99 whenever offered) are exact.
+//!
+//! Every entry is one base world plus the differences it names.
 
 use tssdn_telemetry::ScorecardFloors;
 
@@ -25,15 +27,16 @@ pub struct CatalogEntry {
     pub floors: ScorecardFloors,
 }
 
-/// The chaos soak's base world as a spec: `n` balloons at 150 km over
-/// Kenya, the `kenya_daytime` seeded fault family, traffic and
-/// multipath off. The soak tests flip the switches they exercise.
-pub fn chaos_soak_spec(name: &str, seed: u64) -> ScenarioSpec {
+/// The world every catalog entry starts from: six balloons at 150 km
+/// over Kenya for 14 hours, clear skies under the ITU-only belief, no
+/// faults, the default demand, traffic engine and (unsharded)
+/// planner, multipath on.
+pub(crate) fn base(name: &str, seed: u64) -> ScenarioSpec {
     ScenarioSpec {
         name: name.into(),
         seed,
         duration_hours: 14,
-        multipath: false,
+        multipath: true,
         fleet: FleetSpec {
             geography: Geography::Kenya,
             n_balloons: 6,
@@ -44,18 +47,40 @@ pub fn chaos_soak_spec(name: &str, seed: u64) -> ScenarioSpec {
             regime: WeatherRegime::Clear,
             gauges: false,
         },
-        faults: FaultsSpec::Seeded {
-            expected: 6,
-            earliest_hour: 9,
-            latest_hour: 13,
-            warned_loss: false,
-        },
-        traffic: TrafficSpec {
-            enabled: false,
-            ..TrafficSpec::default()
-        },
+        faults: FaultsSpec::Quiet,
+        traffic: TrafficSpec::default(),
         sharding: ShardingSpec::default(),
     }
+}
+
+/// The chaos soak's base world as a spec: the catalog base with the
+/// `kenya_daytime` seeded fault family, traffic and multipath off. The
+/// soak tests flip the switches they exercise.
+pub fn chaos_soak_spec(name: &str, seed: u64) -> ScenarioSpec {
+    let mut spec = base(name, seed);
+    spec.multipath = false;
+    spec.faults = seeded(6);
+    spec.traffic.enabled = false;
+    spec
+}
+
+/// `expected` seeded faults between 09:00 and 13:00.
+fn seeded(expected: u32) -> FaultsSpec {
+    FaultsSpec::Seeded {
+        expected,
+        earliest_hour: 9,
+        latest_hour: 13,
+        warned_loss: false,
+    }
+}
+
+/// A surge of bulk load ×4 from `start_hour` for `duration_hours`.
+fn surge(start_hour: u64, duration_hours: u64) -> Option<SurgeSpec> {
+    Some(SurgeSpec {
+        start_hour,
+        duration_hours,
+        multiplier: 4.0,
+    })
 }
 
 /// The E19-style directed blackout: every ground site of an
@@ -86,264 +111,153 @@ fn blackout_windows(n_balloons: u32, t0_min: u64) -> Vec<WindowSpec> {
     w
 }
 
-/// The full matrix: six named scenarios spanning the failure surface
+/// The service floors every full-catalog entry states: goodput and
+/// data availability at least these, Control ≥ 0.99, some bits
+/// delivered.
+fn floors(goodput: f64, availability: f64) -> ScorecardFloors {
+    ScorecardFloors {
+        min_goodput: Some(goodput),
+        min_data_availability: Some(availability),
+        min_control_goodput: Some(0.99),
+        min_delivered_bits: Some(1),
+        ..ScorecardFloors::default()
+    }
+}
+
+/// The full matrix: seven named scenarios spanning the failure surface
 /// the paper describes operationally (EXPERIMENTS.md E21).
 pub fn catalog() -> Vec<CatalogEntry> {
-    let mut entries = Vec::new();
+    let entry = |spec, floors| CatalogEntry { spec, floors };
 
     // 1. The reference deployment: the soak's world with traffic and
     // multipath on — seeded daytime faults over a 6-balloon mesh.
-    let mut baseline = chaos_soak_spec("baseline_kenya", 9001);
-    baseline.multipath = true;
-    baseline.traffic = TrafficSpec::default();
-    entries.push(CatalogEntry {
-        spec: baseline,
-        // Seed catalog measures goodput 0.76, data availability 0.66,
-        // recovery p95 ≈ 4.9 ks.
-        floors: ScorecardFloors {
-            min_goodput: Some(0.60),
-            min_data_availability: Some(0.50),
-            min_control_goodput: Some(0.99),
-            min_delivered_bits: Some(1),
+    let mut baseline = base("baseline_kenya", 9001);
+    baseline.faults = seeded(6);
+    // Seed catalog measures goodput 0.76, data availability 0.66,
+    // recovery p95 ≈ 4.9 ks.
+    let baseline = entry(
+        baseline,
+        ScorecardFloors {
             min_disruptions: Some(1),
             max_recovery_p95_s: Some(10_800.0),
-            ..ScorecardFloors::default()
+            ..floors(0.60, 0.50)
         },
-    });
+    );
 
     // 2. A bigger, thinner fleet: 10 balloons spread over 400 km, no
     // injected faults — geometry itself is the stressor.
-    entries.push(CatalogEntry {
-        spec: ScenarioSpec {
-            name: "dispersed_fleet".into(),
-            seed: 9002,
-            duration_hours: 14,
-            multipath: true,
-            fleet: FleetSpec {
-                geography: Geography::Kenya,
-                n_balloons: 10,
-                spawn_radius_km: 400.0,
-            },
-            demand: DemandSpec::default(),
-            weather: WeatherSpec {
-                regime: WeatherRegime::Clear,
-                gauges: false,
-            },
-            faults: FaultsSpec::Quiet,
-            traffic: TrafficSpec::default(),
-            sharding: ShardingSpec::default(),
-        },
-        // Measured: goodput 0.74, availability 0.68, p95 ≈ 11.4 ks.
-        floors: ScorecardFloors {
-            min_goodput: Some(0.55),
-            min_data_availability: Some(0.50),
-            min_control_goodput: Some(0.99),
-            min_delivered_bits: Some(1),
+    let mut dispersed = base("dispersed_fleet", 9002);
+    (dispersed.fleet.n_balloons, dispersed.fleet.spawn_radius_km) = (10, 400.0);
+    // Measured: goodput 0.74, availability 0.68, p95 ≈ 11.4 ks.
+    let dispersed = entry(
+        dispersed,
+        ScorecardFloors {
             max_recovery_p95_s: Some(21_600.0),
-            ..ScorecardFloors::default()
+            ..floors(0.55, 0.50)
         },
-    });
+    );
 
     // 3. A demand surge: bulk offered load ×4 over the core of the
     // day. Strict priority must hold Control at 0.99 regardless.
-    entries.push(CatalogEntry {
-        spec: ScenarioSpec {
-            name: "demand_surge".into(),
-            seed: 9003,
-            duration_hours: 14,
-            multipath: true,
-            fleet: FleetSpec {
-                geography: Geography::Kenya,
-                n_balloons: 6,
-                spawn_radius_km: 150.0,
-            },
-            demand: DemandSpec {
-                surge: Some(SurgeSpec {
-                    start_hour: 10,
-                    duration_hours: 4,
-                    multiplier: 4.0,
-                }),
-                ..DemandSpec::default()
-            },
-            weather: WeatherSpec {
-                regime: WeatherRegime::Clear,
-                gauges: false,
-            },
-            faults: FaultsSpec::Quiet,
-            traffic: TrafficSpec::default(),
-            sharding: ShardingSpec::default(),
-        },
-        // Measured: goodput 0.60, availability 0.49, p95 ≈ 3.5 ks.
-        floors: ScorecardFloors {
-            min_goodput: Some(0.45),
-            min_data_availability: Some(0.35),
-            min_control_goodput: Some(0.99),
-            min_delivered_bits: Some(1),
+    let mut surging = base("demand_surge", 9003);
+    surging.demand.surge = surge(10, 4);
+    // Measured: goodput 0.60, availability 0.49, p95 ≈ 3.5 ks.
+    let surging = entry(
+        surging,
+        ScorecardFloors {
             max_recovery_p95_s: Some(10_800.0),
-            ..ScorecardFloors::default()
+            ..floors(0.45, 0.35)
         },
-    });
+    );
 
     // 4. Wet-season afternoons at 1.5× intensity, with the controller
     // running the production-like belief (gauges + forecast).
-    entries.push(CatalogEntry {
-        spec: ScenarioSpec {
-            name: "weather_degraded".into(),
-            seed: 9004,
-            duration_hours: 18,
-            multipath: true,
-            fleet: FleetSpec {
-                geography: Geography::Kenya,
-                n_balloons: 6,
-                spawn_radius_km: 150.0,
-            },
-            demand: DemandSpec::default(),
-            weather: WeatherSpec {
-                regime: WeatherRegime::Stormy {
-                    intensity: 1.5,
-                    days: 1,
-                },
-                gauges: true,
-            },
-            faults: FaultsSpec::Quiet,
-            traffic: TrafficSpec::default(),
-            sharding: ShardingSpec::default(),
+    let mut stormy = base("weather_degraded", 9004);
+    stormy.duration_hours = 18;
+    stormy.weather = WeatherSpec {
+        regime: WeatherRegime::Stormy {
+            intensity: 1.5,
+            days: 1,
         },
-        // The hardest scenario: goodput 0.31, availability 0.44,
-        // p95 ≈ 6.3 ks at seed. Storms are supposed to hurt.
-        floors: ScorecardFloors {
-            min_goodput: Some(0.25),
-            min_data_availability: Some(0.30),
-            min_control_goodput: Some(0.99),
-            min_delivered_bits: Some(1),
+        gauges: true,
+    };
+    // The hardest scenario: goodput 0.31, availability 0.44,
+    // p95 ≈ 6.3 ks at seed. Storms are supposed to hurt.
+    let stormy = entry(
+        stormy,
+        ScorecardFloors {
             max_recovery_p95_s: Some(14_400.0),
-            ..ScorecardFloors::default()
+            ..floors(0.25, 0.30)
         },
-    });
+    );
 
     // 5. A satcom-provider outage day: the out-of-band command path
     // browns out from mid-morning — latencies ×6, drops ramping to
     // 95% — while the mesh itself stays healthy.
-    entries.push(CatalogEntry {
-        spec: ScenarioSpec {
-            name: "satcom_outage_day".into(),
-            seed: 9005,
-            duration_hours: 14,
-            multipath: true,
-            fleet: FleetSpec {
-                geography: Geography::Kenya,
-                n_balloons: 6,
-                spawn_radius_km: 150.0,
-            },
-            demand: DemandSpec::default(),
-            weather: WeatherSpec {
-                regime: WeatherRegime::Clear,
-                gauges: false,
-            },
-            faults: FaultsSpec::Directed(vec![WindowSpec {
-                start_min: 9 * 60,
-                duration_mins: Some(4 * 60),
-                kind: KindSpec::SatcomBrownout {
-                    latency_scale: 6.0,
-                    max_drop_prob: 0.95,
-                },
-            }]),
-            traffic: TrafficSpec::default(),
-            sharding: ShardingSpec::default(),
+    let mut satcom = base("satcom_outage_day", 9005);
+    satcom.faults = FaultsSpec::Directed(vec![WindowSpec {
+        start_min: 9 * 60,
+        duration_mins: Some(4 * 60),
+        kind: KindSpec::SatcomBrownout {
+            latency_scale: 6.0,
+            max_drop_prob: 0.95,
         },
-        // Measured: goodput 0.66, availability 0.64, p95 ≈ 0.8 ks —
-        // the mesh barely notices a command-path brownout.
-        floors: ScorecardFloors {
-            min_goodput: Some(0.50),
-            min_data_availability: Some(0.45),
-            min_control_goodput: Some(0.99),
-            min_delivered_bits: Some(1),
+    }]);
+    // Measured: goodput 0.66, availability 0.64, p95 ≈ 0.8 ks —
+    // the mesh barely notices a command-path brownout.
+    let satcom = entry(
+        satcom,
+        ScorecardFloors {
             max_recovery_p95_s: Some(3_600.0),
-            ..ScorecardFloors::default()
+            ..floors(0.50, 0.45)
         },
-    });
+    );
 
     // 6. The directed blackout + balloon-loss chaos day: a total
     // ground outage builds backlog everywhere, one balloon dies
     // abruptly (its backlog with it), one dies warned (custody moves
     // the bits out first).
-    entries.push(CatalogEntry {
-        spec: ScenarioSpec {
-            name: "chaos_blackout".into(),
-            seed: 31,
-            duration_hours: 12,
-            multipath: true,
-            fleet: FleetSpec {
-                geography: Geography::Kenya,
-                n_balloons: 6,
-                spawn_radius_km: 150.0,
-            },
-            demand: DemandSpec::default(),
-            weather: WeatherSpec {
-                regime: WeatherRegime::Clear,
-                gauges: false,
-            },
-            faults: FaultsSpec::Directed(blackout_windows(6, 10 * 60)),
-            traffic: TrafficSpec::default(),
-            sharding: ShardingSpec::default(),
-        },
-        // Measured: goodput 0.55, availability 0.47, custody moved
-        // ~9.7 Gbit at seed.
-        floors: ScorecardFloors {
-            min_goodput: Some(0.40),
-            min_data_availability: Some(0.35),
-            min_control_goodput: Some(0.99),
-            min_delivered_bits: Some(1),
+    let mut blackout = base("chaos_blackout", 31);
+    blackout.duration_hours = 12;
+    blackout.faults = FaultsSpec::Directed(blackout_windows(6, 10 * 60));
+    // Measured: goodput 0.55, availability 0.47, custody moved
+    // ~9.7 Gbit at seed.
+    let blackout = entry(
+        blackout,
+        ScorecardFloors {
             min_disruptions: Some(1),
             min_custody_initiated_bits: Some(1),
-            ..ScorecardFloors::default()
+            ..floors(0.40, 0.35)
         },
-    });
+    );
 
     // 7. Regional sharding under wind drift: the dispersed fleet
     // planned by three longitude-band regions with borders threading
     // the fleet, so zonal drift produces real planner handoffs while
     // service floors hold (PR 9).
-    entries.push(CatalogEntry {
-        spec: ScenarioSpec {
-            name: "sharded_fleet".into(),
-            seed: 9006,
-            duration_hours: 14,
-            multipath: true,
-            fleet: FleetSpec {
-                geography: Geography::Kenya,
-                n_balloons: 12,
-                spawn_radius_km: 400.0,
-            },
-            demand: DemandSpec::default(),
-            weather: WeatherSpec {
-                regime: WeatherRegime::Clear,
-                gauges: false,
-            },
-            faults: FaultsSpec::Quiet,
-            traffic: TrafficSpec::default(),
-            sharding: ShardingSpec {
-                regions: 3,
-                origin_lon_deg: 37.5,
-                band_deg: 1.5,
-                halo_km: 150.0,
-                hysteresis_km: 10.0,
-            },
-        },
-        // Measured: goodput 0.53, availability 0.40 (the 400 km
-        // dispersal is deliberately sparse), p95 ≈ 16.6 ks, six
-        // handoffs across the two borders at seed.
-        floors: ScorecardFloors {
-            min_goodput: Some(0.42),
-            min_data_availability: Some(0.31),
-            min_control_goodput: Some(0.99),
-            min_delivered_bits: Some(1),
+    let mut sharded = base("sharded_fleet", 9006);
+    (sharded.fleet.n_balloons, sharded.fleet.spawn_radius_km) = (12, 400.0);
+    sharded.sharding = ShardingSpec {
+        regions: 3,
+        band_deg: 1.5,
+        halo_km: 150.0,
+        hysteresis_km: 10.0,
+        ..ShardingSpec::default()
+    };
+    // Measured: goodput 0.53, availability 0.40 (the 400 km
+    // dispersal is deliberately sparse), p95 ≈ 16.6 ks, six
+    // handoffs across the two borders at seed.
+    let sharded = entry(
+        sharded,
+        ScorecardFloors {
             max_recovery_p95_s: Some(21_600.0),
-            ..ScorecardFloors::default()
+            ..floors(0.42, 0.31)
         },
-    });
+    );
 
-    entries
+    vec![
+        baseline, dispersed, surging, stormy, satcom, blackout, sharded,
+    ]
 }
 
 /// The CI smoke subset: four small, short scenarios (4 balloons)
@@ -354,116 +268,36 @@ pub fn catalog() -> Vec<CatalogEntry> {
 /// exists to exercise the matrix path and the rerun-identity gate
 /// quickly, not to pin service levels.
 pub fn smoke_catalog() -> Vec<CatalogEntry> {
-    let small_fleet = FleetSpec {
-        geography: Geography::Kenya,
-        n_balloons: 4,
-        spawn_radius_km: 150.0,
+    let small = |name, seed, duration_hours| {
+        let mut spec = base(name, seed);
+        (spec.duration_hours, spec.fleet.n_balloons) = (duration_hours, 4);
+        spec
+    };
+    let mut baseline = small("smoke_baseline", 9001, 14);
+    baseline.faults = seeded(4);
+    let mut surging = small("smoke_surge", 9003, 12);
+    surging.demand.surge = surge(10, 2);
+    let mut blackout = small("smoke_blackout", 31, 12);
+    blackout.faults = FaultsSpec::Directed(blackout_windows(4, 10 * 60));
+    let mut sharded = small("smoke_sharded", 9006, 12);
+    // Two regions with the border at 37.95°E — inside the seed-9006
+    // fleet's longitude span (37.68–38.5°E), so even the tiny smoke
+    // fleet straddles the border, westward drift produces real
+    // handoffs, and the sharded solve + merge path runs in CI.
+    sharded.sharding = ShardingSpec {
+        regions: 2,
+        origin_lon_deg: 37.95,
+        band_deg: 0.5,
+        halo_km: 100.0,
+        hysteresis_km: 5.0,
     };
     let floors = ScorecardFloors {
         min_control_goodput: Some(0.99),
         min_delivered_bits: Some(1),
         ..ScorecardFloors::default()
     };
-    vec![
-        CatalogEntry {
-            spec: ScenarioSpec {
-                name: "smoke_baseline".into(),
-                seed: 9001,
-                duration_hours: 14,
-                multipath: true,
-                fleet: small_fleet.clone(),
-                demand: DemandSpec::default(),
-                weather: WeatherSpec {
-                    regime: WeatherRegime::Clear,
-                    gauges: false,
-                },
-                faults: FaultsSpec::Seeded {
-                    expected: 4,
-                    earliest_hour: 9,
-                    latest_hour: 13,
-                    warned_loss: false,
-                },
-                traffic: TrafficSpec::default(),
-                sharding: ShardingSpec::default(),
-            },
-            floors,
-        },
-        CatalogEntry {
-            spec: ScenarioSpec {
-                name: "smoke_surge".into(),
-                seed: 9003,
-                duration_hours: 12,
-                multipath: true,
-                fleet: small_fleet.clone(),
-                demand: DemandSpec {
-                    surge: Some(SurgeSpec {
-                        start_hour: 10,
-                        duration_hours: 2,
-                        multiplier: 4.0,
-                    }),
-                    ..DemandSpec::default()
-                },
-                weather: WeatherSpec {
-                    regime: WeatherRegime::Clear,
-                    gauges: false,
-                },
-                faults: FaultsSpec::Quiet,
-                traffic: TrafficSpec::default(),
-                sharding: ShardingSpec::default(),
-            },
-            floors,
-        },
-        CatalogEntry {
-            spec: ScenarioSpec {
-                name: "smoke_blackout".into(),
-                seed: 31,
-                duration_hours: 12,
-                multipath: true,
-                fleet: FleetSpec {
-                    n_balloons: 4,
-                    ..small_fleet.clone()
-                },
-                demand: DemandSpec::default(),
-                weather: WeatherSpec {
-                    regime: WeatherRegime::Clear,
-                    gauges: false,
-                },
-                faults: FaultsSpec::Directed(blackout_windows(4, 10 * 60)),
-                traffic: TrafficSpec::default(),
-                sharding: ShardingSpec::default(),
-            },
-            floors,
-        },
-        CatalogEntry {
-            spec: ScenarioSpec {
-                name: "smoke_sharded".into(),
-                seed: 9006,
-                duration_hours: 12,
-                multipath: true,
-                fleet: small_fleet,
-                demand: DemandSpec::default(),
-                weather: WeatherSpec {
-                    regime: WeatherRegime::Clear,
-                    gauges: false,
-                },
-                faults: FaultsSpec::Quiet,
-                // Two regions with the border at 37.95°E — inside the
-                // seed-9006 fleet's longitude span (37.68–38.5°E), so
-                // even the tiny smoke fleet straddles the border,
-                // westward drift produces real handoffs, and the
-                // sharded solve + merge path runs in CI.
-                sharding: ShardingSpec {
-                    regions: 2,
-                    origin_lon_deg: 37.95,
-                    band_deg: 0.5,
-                    halo_km: 100.0,
-                    hysteresis_km: 5.0,
-                },
-                traffic: TrafficSpec::default(),
-            },
-            floors,
-        },
-    ]
+    let specs = [baseline, surging, blackout, sharded];
+    specs.map(|spec| CatalogEntry { spec, floors }).into()
 }
 
 #[cfg(test)]

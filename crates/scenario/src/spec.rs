@@ -8,27 +8,31 @@
 //! worlds, bit for bit; the JSON form round-trips losslessly (strict
 //! parsing: unknown fields, duplicate keys and out-of-range values
 //! are errors, never silently ignored).
+//!
+//! Each spec type states its fields once, in a `declare` method that
+//! destructures it: key, type and the [`Rule`]s on the value alone.
+//! Reading is one pass over those declarations, listing
+//! ([`ScenarioSpec::fields`]) the other; writing, checking and the
+//! DESIGN.md §12 table read the listing. Only the rules relating two
+//! values are code of their own.
 
-use crate::json::{parse, Json};
+use crate::json::{fits_ms, flat, parse, Cx, Field, Json, Res, Rule, HOUR_MS, MIN_MS};
+use tssdn_core::ShardingConfig;
 use tssdn_link::Transceiver;
 use tssdn_sim::PlatformKind;
+use tssdn_traffic::{DemandConfig, StoreForwardConfig};
 
 /// Where the fleet flies. Only the paper's Kenya-like deployment
 /// exists today; the field is explicit so future geographies extend
 /// the catalog instead of forking it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Geography {
     /// Three ground stations around (0°, 37.5°E), §2.2.
+    #[default]
     Kenya,
 }
 
 impl Geography {
-    fn tag(&self) -> &'static str {
-        match self {
-            Geography::Kenya => "kenya",
-        }
-    }
-
     /// How many ground stations the geography places. They take the
     /// platform ids right after the balloons'.
     pub fn ground_stations(&self) -> u32 {
@@ -36,17 +40,10 @@ impl Geography {
             Geography::Kenya => 3,
         }
     }
-
-    fn from_tag(s: &str) -> Result<Self, String> {
-        match s {
-            "kenya" => Ok(Geography::Kenya),
-            other => Err(format!("fleet.geography: unknown geography \"{other}\"")),
-        }
-    }
 }
 
 /// Fleet size and dispersion.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetSpec {
     /// Deployment geography.
     pub geography: Geography,
@@ -58,7 +55,7 @@ pub struct FleetSpec {
 
 /// A demand-surge event: bulk offered load × `multiplier` over the
 /// window.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SurgeSpec {
     /// Surge onset, hours since sim start.
     pub start_hour: u64,
@@ -85,22 +82,23 @@ pub struct DemandSpec {
 }
 
 impl Default for DemandSpec {
-    /// Mirrors the traffic engine's `DemandConfig::default`.
     fn default() -> Self {
+        let d = DemandConfig::default();
         DemandSpec {
-            users_per_site: 20_000,
-            flows_per_site: 8,
-            busy_hour_bps_per_user: 2_500.0,
-            control_bps_per_site: 256_000,
+            users_per_site: d.users_per_site,
+            flows_per_site: d.flows_per_site as u32,
+            busy_hour_bps_per_user: d.busy_hour_bps_per_user,
+            control_bps_per_site: d.control_bps_per_site,
             surge: None,
         }
     }
 }
 
 /// Weather regimes a scenario can run under.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum WeatherRegime {
     /// No rain anywhere, ever.
+    #[default]
     Clear,
     /// The wet-season truth: convective afternoon cells around the
     /// ground stations (`stormy_truth`), scaled by `intensity`, for
@@ -114,7 +112,7 @@ pub enum WeatherRegime {
 }
 
 /// Weather truth + the controller's belief about it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WeatherSpec {
     /// The truth.
     pub regime: WeatherRegime,
@@ -199,9 +197,10 @@ pub struct WindowSpec {
 }
 
 /// How the scenario's faults are produced.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum FaultsSpec {
     /// No injected faults.
+    #[default]
     Quiet,
     /// A stochastic plan generated from the scenario seed (the chaos
     /// soak's plan family, parameters exposed).
@@ -235,20 +234,21 @@ pub struct TrafficSpec {
 }
 
 impl Default for TrafficSpec {
-    /// Mirrors `TrafficConfig::default` + `StoreForwardConfig::default`.
     fn default() -> Self {
+        let sf = StoreForwardConfig::default();
         TrafficSpec {
             enabled: true,
-            store_forward: true,
-            custody: true,
-            buffer_max_bytes: 2_000_000_000,
-            buffer_max_age_mins: 30,
+            store_forward: sf.enabled,
+            custody: sf.custody,
+            buffer_max_bytes: sf.max_bytes,
+            buffer_max_age_mins: sf.max_age_ms / MIN_MS,
         }
     }
 }
 
-/// Regional controller-sharding knobs (mirrors the core crate's
-/// `ShardingConfig`; `regions = 1` is the unsharded global loop).
+/// Regional controller-sharding knobs (the core crate's
+/// `ShardingConfig` without its host-side worker count; `regions = 1`
+/// is the unsharded global loop).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardingSpec {
     /// Planner regions (longitude bands). 1 disables sharding.
@@ -264,20 +264,22 @@ pub struct ShardingSpec {
 }
 
 impl Default for ShardingSpec {
-    /// Mirrors the core crate's `ShardingConfig::default`.
     fn default() -> Self {
+        let s = ShardingConfig::default();
         ShardingSpec {
-            regions: 1,
-            origin_lon_deg: 37.5,
-            band_deg: 5.0,
-            halo_km: 250.0,
-            hysteresis_km: 25.0,
+            regions: s.num_regions,
+            origin_lon_deg: s.origin_lon_deg,
+            band_deg: s.band_deg,
+            halo_km: s.halo_km,
+            hysteresis_km: s.hysteresis_km,
         }
     }
 }
 
 /// A complete scenario: seed + world + horizon. See the module docs.
-#[derive(Debug, Clone, PartialEq)]
+/// The default is blank (no name, no balloons): what decoding fills
+/// in, not a valid spec.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioSpec {
     /// Catalog key (also the scorecard filename stem).
     pub name: String,
@@ -285,7 +287,8 @@ pub struct ScenarioSpec {
     pub seed: u64,
     /// Simulated horizon, hours.
     pub duration_hours: u64,
-    /// Program edge-disjoint alternates + engine load splitting.
+    /// Program edge-disjoint alternate routes; the traffic engine
+    /// splits bulk load over whatever alternates are programmed.
     pub multipath: bool,
     /// Fleet size/dispersion/geography.
     pub fleet: FleetSpec,
@@ -301,116 +304,250 @@ pub struct ScenarioSpec {
     pub sharding: ShardingSpec,
 }
 
-fn finite(v: f64, ctx: &str) -> Result<f64, String> {
-    if v.is_finite() {
-        Ok(v)
-    } else {
-        Err(format!("{ctx}: must be finite, got {v}"))
+// The declarations: each spec type's fields, once, in the order the
+// format writes them. Each destructures its type, so a field added
+// without a declaration does not compile.
+
+/// Keys two objects of the format share.
+const DURATION_HOURS: &str = "duration_hours";
+const BALLOON: &str = "balloon";
+
+#[rustfmt::skip]
+impl ScenarioSpec {
+    fn declare(&mut self, cx: &mut Cx) -> Res {
+        let ScenarioSpec {
+            name, seed, duration_hours, multipath, fleet, demand, weather, faults, traffic, sharding,
+        } = self;
+        cx.field("name", name, &[Rule::NonEmpty])?;
+        cx.field("seed", seed, &[])?;
+        cx.field(DURATION_HOURS, duration_hours, &[Rule::Min(1), Rule::Hours])?;
+        cx.field("multipath", multipath, &[])?;
+        cx.object("fleet", |cx| fleet.declare(cx))?;
+        cx.object("demand", |cx| demand.declare(cx))?;
+        cx.object("weather", |cx| weather.declare(cx))?;
+        let seeded = FaultsSpec::Seeded {
+            expected: 0, earliest_hour: 0, latest_hour: 0, warned_loss: false,
+        };
+        let arms = [FaultsSpec::Quiet, seeded, FaultsSpec::Directed(Vec::new())];
+        cx.union("faults", faults, &arms, FaultsSpec::declare)?;
+        cx.object("traffic", |cx| traffic.declare(cx))?;
+        cx.object("sharding", |cx| sharding.declare(cx))
     }
 }
 
-/// `units` spans of `unit_ms` each must come to a `u64` of
-/// milliseconds: the builder multiplies them out unchecked.
-fn fits_ms(units: Option<u64>, unit_ms: u64, ctx: &str) -> Result<(), String> {
-    match units.and_then(|u| u.checked_mul(unit_ms)) {
-        Some(_) => Ok(()),
-        None => Err(format!("{ctx}: does not fit in u64 milliseconds")),
+#[rustfmt::skip]
+impl FleetSpec {
+    fn declare(&mut self, cx: &mut Cx) -> Res {
+        let FleetSpec { geography, n_balloons, spawn_radius_km } = self;
+        cx.union("geography", geography, &[Geography::Kenya], |g, cx| match g {
+            Geography::Kenya => cx.tag("kenya"),
+        })?;
+        cx.field("n_balloons", n_balloons, &[Rule::Min(1)])?;
+        cx.field("spawn_radius_km", spawn_radius_km, &[Rule::Above(0.0)])
     }
 }
 
-const MIN_MS: u64 = 60 * 1000;
-const HOUR_MS: u64 = 60 * MIN_MS;
+#[rustfmt::skip]
+impl DemandSpec {
+    fn declare(&mut self, cx: &mut Cx) -> Res {
+        let DemandSpec {
+            users_per_site, flows_per_site, busy_hour_bps_per_user, control_bps_per_site, surge,
+        } = self;
+        cx.field("users_per_site", users_per_site, &[])?;
+        cx.field("flows_per_site", flows_per_site, &[Rule::Min(1)])?;
+        cx.field("busy_hour_bps_per_user", busy_hour_bps_per_user, &[Rule::AtLeast(0.0)])?;
+        cx.field("control_bps_per_site", control_bps_per_site, &[])?;
+        cx.option("surge", surge, SurgeSpec::default, |s, cx| {
+            let SurgeSpec { start_hour, duration_hours, multiplier } = s;
+            cx.field("start_hour", start_hour, &[])?;
+            cx.field(DURATION_HOURS, duration_hours, &[Rule::Min(1)])?;
+            cx.field("multiplier", multiplier, &[Rule::AtLeast(0.0)])
+        })
+    }
+}
 
-fn prob(v: f64, ctx: &str) -> Result<f64, String> {
-    finite(v, ctx)?;
-    if (0.0..=1.0).contains(&v) {
-        Ok(v)
-    } else {
-        Err(format!("{ctx}: probability out of [0, 1]: {v}"))
+#[rustfmt::skip]
+impl WeatherSpec {
+    fn declare(&mut self, cx: &mut Cx) -> Res {
+        let WeatherSpec { regime, gauges } = self;
+        let arms = [WeatherRegime::Clear, WeatherRegime::Stormy { intensity: 0.0, days: 0 }];
+        cx.union(flat("regime"), regime, &arms, |r, cx| match r {
+            WeatherRegime::Clear => cx.tag("clear"),
+            WeatherRegime::Stormy { intensity, days } => cx.object("stormy", |cx| {
+                cx.field("intensity", intensity, &[Rule::AtLeast(0.0)])?;
+                cx.field("days", days, &[Rule::Min(1)])
+            }),
+        })?;
+        cx.field("gauges", gauges, &[])
+    }
+}
+
+#[rustfmt::skip]
+impl FaultsSpec {
+    fn declare(&mut self, cx: &mut Cx) -> Res {
+        match self {
+            FaultsSpec::Quiet => cx.tag("quiet"),
+            FaultsSpec::Seeded { expected, earliest_hour, latest_hour, warned_loss } => {
+                cx.object("seeded", |cx| {
+                    cx.field("expected", expected, &[Rule::Min(1)])?;
+                    cx.field("earliest_hour", earliest_hour, &[])?;
+                    cx.field("latest_hour", latest_hour, &[])?;
+                    cx.field("warned_loss", warned_loss, &[])
+                })
+            }
+            FaultsSpec::Directed(windows) => {
+                cx.list("directed", windows, WindowSpec::blank, |w, cx| {
+                    let WindowSpec { start_min, duration_mins, kind } = w;
+                    cx.field("start_min", start_min, &[])?;
+                    cx.field("duration_mins", duration_mins, &[Rule::Min(1)])?;
+                    cx.union(flat("kind"), kind, &KINDS, KindSpec::declare)
+                })
+            }
+        }
+    }
+}
+
+/// A blank value of every fault kind, in the order decoding tries them.
+#[rustfmt::skip]
+const KINDS: [KindSpec; 7] = [
+    KindSpec::GsOutage { site: 0 },
+    KindSpec::SatcomBrownout { latency_scale: 0.0, max_drop_prob: 0.0 },
+    KindSpec::InbandPartition { nodes: Vec::new() },
+    KindSpec::TransceiverFault { platform: 0, index: 0, mode: FaultModeSpec::GimbalStuck },
+    KindSpec::BalloonLoss { balloon: 0 },
+    KindSpec::BalloonLossWarned { balloon: 0, lead_mins: 0 },
+    KindSpec::CommandChaos { corrupt: 0.0, duplicate: 0.0, reorder: 0.0 },
+];
+
+impl WindowSpec {
+    fn blank() -> Self {
+        WindowSpec {
+            start_min: 0,
+            duration_mins: None,
+            kind: KINDS[0].clone(),
+        }
+    }
+}
+
+#[rustfmt::skip]
+impl KindSpec {
+    fn declare(&mut self, cx: &mut Cx) -> Res {
+        const P: &[Rule] = &[Rule::Probability];
+        match self {
+            KindSpec::GsOutage { site } => {
+                cx.object(flat("gs_outage"), |cx| cx.field("site", site, &[]))
+            }
+            KindSpec::SatcomBrownout { latency_scale, max_drop_prob } => {
+                cx.object(flat("satcom_brownout"), |cx| {
+                    cx.field("latency_scale", latency_scale, &[Rule::AtLeast(1.0)])?;
+                    cx.field("max_drop_prob", max_drop_prob, P)
+                })
+            }
+            KindSpec::InbandPartition { nodes } => {
+                cx.object(flat("inband_partition"), |cx| cx.field("nodes", nodes, &[]))
+            }
+            KindSpec::TransceiverFault { platform, index, mode } => {
+                cx.object(flat("transceiver_fault"), |cx| {
+                    cx.field("platform", platform, &[])?;
+                    cx.field("index", index, &[])?;
+                    let arms = [FaultModeSpec::GimbalStuck, FaultModeSpec::RadioReboot];
+                    cx.union("mode", mode, &arms, |m, cx| match m {
+                        FaultModeSpec::GimbalStuck => cx.tag("gimbal_stuck"),
+                        FaultModeSpec::RadioReboot => cx.tag("radio_reboot"),
+                    })
+                })
+            }
+            KindSpec::BalloonLoss { balloon } => {
+                cx.object(flat("balloon_loss"), |cx| cx.field(BALLOON, balloon, &[]))
+            }
+            KindSpec::BalloonLossWarned { balloon, lead_mins } => {
+                cx.object(flat("balloon_loss_warned"), |cx| {
+                    cx.field(BALLOON, balloon, &[])?;
+                    cx.field("lead_mins", lead_mins, &[Rule::Minutes])
+                })
+            }
+            KindSpec::CommandChaos { corrupt, duplicate, reorder } => {
+                cx.object(flat("command_chaos"), |cx| {
+                    cx.field("corrupt", corrupt, P)?;
+                    cx.field("duplicate", duplicate, P)?;
+                    cx.field("reorder", reorder, P)
+                })
+            }
+        }
+    }
+}
+
+#[rustfmt::skip]
+impl TrafficSpec {
+    fn declare(&mut self, cx: &mut Cx) -> Res {
+        let TrafficSpec { enabled, store_forward, custody, buffer_max_bytes, buffer_max_age_mins } = self;
+        cx.field("enabled", enabled, &[])?;
+        cx.field("store_forward", store_forward, &[])?;
+        cx.field("custody", custody, &[])?;
+        cx.field("buffer_max_bytes", buffer_max_bytes, &[])?;
+        cx.field("buffer_max_age_mins", buffer_max_age_mins, &[Rule::Minutes])?;
+        // The allocator is always the site×class tree.
+        cx.constant("hierarchical", true, "the flat allocation arm was removed")
+    }
+}
+
+#[rustfmt::skip]
+impl ShardingSpec {
+    fn declare(&mut self, cx: &mut Cx) -> Res {
+        let ShardingSpec { regions, origin_lon_deg, band_deg, halo_km, hysteresis_km } = self;
+        cx.field("regions", regions, &[Rule::Min(1)])?;
+        cx.field("origin_lon_deg", origin_lon_deg, &[Rule::Finite])?;
+        cx.field("band_deg", band_deg, &[Rule::Above(0.0)])?;
+        cx.field("halo_km", halo_km, &[Rule::AtLeast(0.0)])?;
+        cx.field("hysteresis_km", hysteresis_km, &[Rule::AtLeast(0.0)])
     }
 }
 
 impl ScenarioSpec {
-    /// Check every value constraint the builder relies on. Called by
+    /// Check every value constraint the builder relies on: each
+    /// declared rule, then the relations between values. Called by
     /// [`ScenarioSpec::from_json`]; call directly on hand-constructed
     /// specs.
     pub fn validate(&self) -> Result<(), String> {
-        if self.name.is_empty() {
-            return Err("name: must be non-empty".into());
+        for f in self.fields() {
+            let Some(v) = &f.value else { continue };
+            f.rules.iter().try_for_each(|r| r.check(v, &f.path))?;
         }
-        if self.duration_hours == 0 {
-            return Err("duration_hours: must be ≥ 1".into());
-        }
-        fits_ms(Some(self.duration_hours), HOUR_MS, "duration_hours")?;
-        if self.fleet.n_balloons == 0 {
-            return Err("fleet.n_balloons: must be ≥ 1".into());
-        }
-        finite(self.fleet.spawn_radius_km, "fleet.spawn_radius_km")?;
-        if self.fleet.spawn_radius_km <= 0.0 {
-            return Err(format!(
-                "fleet.spawn_radius_km: must be > 0, got {}",
-                self.fleet.spawn_radius_km
-            ));
-        }
-        if self.demand.flows_per_site == 0 {
-            return Err("demand.flows_per_site: must be ≥ 1".into());
-        }
-        finite(
-            self.demand.busy_hour_bps_per_user,
-            "demand.busy_hour_bps_per_user",
-        )?;
-        if self.demand.busy_hour_bps_per_user < 0.0 {
-            return Err("demand.busy_hour_bps_per_user: must be ≥ 0".into());
-        }
+        self.relations()
+    }
+
+    /// The rules that relate two or more values.
+    fn relations(&self) -> Result<(), String> {
+        let hours = self.duration_hours;
         if let Some(s) = &self.demand.surge {
-            finite(s.multiplier, "demand.surge.multiplier")?;
-            if s.multiplier < 0.0 {
-                return Err("demand.surge.multiplier: must be ≥ 0".into());
-            }
-            if s.duration_hours == 0 {
-                return Err("demand.surge.duration_hours: must be ≥ 1".into());
-            }
-            fits_ms(
-                s.start_hour.checked_add(s.duration_hours),
-                HOUR_MS,
-                "demand.surge.start_hour + duration_hours",
-            )?;
+            let end = s.start_hour.checked_add(s.duration_hours);
+            fits_ms(end, HOUR_MS, "demand.surge.start_hour + duration_hours")?;
         }
-        if let WeatherRegime::Stormy { intensity, days } = self.weather.regime {
-            finite(intensity, "weather.stormy.intensity")?;
-            if intensity < 0.0 {
-                return Err("weather.stormy.intensity: must be ≥ 0".into());
-            }
-            if days == 0 {
-                return Err("weather.stormy.days: must be ≥ 1".into());
-            }
-            // The builder lays down cells day by day: a count past the
-            // horizon is a hang, not a storm.
-            if days > self.duration_hours.div_ceil(24) {
+        // The builder lays down cells day by day: a count past the
+        // horizon is a hang, not a storm.
+        match self.weather.regime {
+            WeatherRegime::Stormy { days, .. } if days > hours.div_ceil(24) => {
                 return Err(format!(
-                    "weather.stormy.days: {days} days exceed the {}-hour horizon",
-                    self.duration_hours
+                    "weather.stormy.days: {days} days exceed the {hours}-hour horizon"
                 ));
             }
+            _ => {}
         }
         match &self.faults {
             FaultsSpec::Quiet => {}
+            // Likewise drawn one by one.
+            FaultsSpec::Seeded { expected, .. }
+                if u64::from(*expected) > hours.saturating_mul(60) =>
+            {
+                return Err(format!(
+                    "faults.seeded.expected: {expected} exceeds one per minute of the {hours}-hour horizon"
+                ));
+            }
             FaultsSpec::Seeded {
-                expected,
                 earliest_hour,
                 latest_hour,
                 ..
             } => {
-                if *expected == 0 {
-                    return Err("faults.seeded.expected: must be ≥ 1".into());
-                }
-                // Likewise drawn one by one.
-                if u64::from(*expected) > self.duration_hours.saturating_mul(60) {
-                    return Err(format!(
-                        "faults.seeded.expected: {expected} exceeds one per minute of the {}-hour horizon",
-                        self.duration_hours
-                    ));
-                }
                 if latest_hour <= earliest_hour {
                     return Err(format!(
                         "faults.seeded: latest_hour {latest_hour} must exceed earliest_hour {earliest_hour}"
@@ -427,107 +564,63 @@ impl ScenarioSpec {
             FaultsSpec::Directed(windows) => {
                 for (i, w) in windows.iter().enumerate() {
                     let ctx = format!("faults.directed[{i}]");
-                    if w.duration_mins == Some(0) {
-                        return Err(format!("{ctx}: duration_mins must be ≥ 1 or null"));
-                    }
-                    fits_ms(
-                        w.start_min.checked_add(w.duration_mins.unwrap_or(0)),
-                        MIN_MS,
-                        &format!("{ctx}: start_min + duration_mins"),
-                    )?;
-                    if let KindSpec::BalloonLossWarned { lead_mins, .. } = &w.kind {
-                        fits_ms(Some(*lead_mins), MIN_MS, &format!("{ctx}.lead_mins"))?;
-                    }
-                    match &w.kind {
-                        KindSpec::SatcomBrownout {
-                            latency_scale,
-                            max_drop_prob,
-                        } => {
-                            finite(*latency_scale, &format!("{ctx}.latency_scale"))?;
-                            if *latency_scale < 1.0 {
-                                return Err(format!("{ctx}.latency_scale: must be ≥ 1"));
-                            }
-                            prob(*max_drop_prob, &format!("{ctx}.max_drop_prob"))?;
-                        }
-                        KindSpec::InbandPartition { nodes } => {
-                            if nodes.is_empty() {
-                                return Err(format!("{ctx}.nodes: must be non-empty"));
-                            }
-                            for (j, node) in nodes.iter().enumerate() {
-                                self.platform_kind(*node, &format!("{ctx}.nodes[{j}]"))?;
-                            }
-                        }
-                        KindSpec::CommandChaos {
-                            corrupt,
-                            duplicate,
-                            reorder,
-                        } => {
-                            prob(*corrupt, &format!("{ctx}.corrupt"))?;
-                            prob(*duplicate, &format!("{ctx}.duplicate"))?;
-                            prob(*reorder, &format!("{ctx}.reorder"))?;
-                        }
-                        KindSpec::GsOutage { site } => {
-                            let field = format!("{ctx}.site");
-                            if self.platform_kind(*site, &field)? == PlatformKind::Balloon {
-                                return Err(format!(
-                                    "{field}: {site} is a balloon; ground stations are {}..{}",
-                                    self.fleet.n_balloons,
-                                    self.n_platforms()
-                                ));
-                            }
-                        }
-                        KindSpec::TransceiverFault {
-                            platform, index, ..
-                        } => {
-                            let kind = self.platform_kind(*platform, &format!("{ctx}.platform"))?;
-                            let count = Transceiver::count_for(kind);
-                            if *index >= count {
-                                return Err(format!(
-                                    "{ctx}.index: platform {platform} has transceivers 0..{count}, got {index}"
-                                ));
-                            }
-                        }
-                        KindSpec::BalloonLoss { balloon }
-                        | KindSpec::BalloonLossWarned { balloon, .. } => {
-                            if *balloon >= self.fleet.n_balloons {
-                                return Err(format!(
-                                    "{ctx}.balloon: must be < fleet.n_balloons ({}), got {balloon}",
-                                    self.fleet.n_balloons
-                                ));
-                            }
-                        }
-                    }
+                    let end = w.start_min.checked_add(w.duration_mins.unwrap_or(0));
+                    fits_ms(end, MIN_MS, &format!("{ctx}: start_min + duration_mins"))?;
+                    self.references(&w.kind, &ctx)?;
                 }
             }
         }
-        fits_ms(
-            Some(self.traffic.buffer_max_age_mins),
-            MIN_MS,
-            "traffic.buffer_max_age_mins",
-        )?;
         if self.traffic.buffer_max_bytes == 0 && self.traffic.store_forward {
             return Err("traffic.buffer_max_bytes: must be ≥ 1 when store_forward is on".into());
         }
-        if self.sharding.regions == 0 {
-            return Err("sharding.regions: must be ≥ 1".into());
-        }
-        finite(self.sharding.origin_lon_deg, "sharding.origin_lon_deg")?;
-        finite(self.sharding.band_deg, "sharding.band_deg")?;
-        if self.sharding.band_deg <= 0.0 {
-            return Err(format!(
-                "sharding.band_deg: must be > 0, got {}",
-                self.sharding.band_deg
-            ));
-        }
-        finite(self.sharding.halo_km, "sharding.halo_km")?;
-        if self.sharding.halo_km < 0.0 {
-            return Err("sharding.halo_km: must be ≥ 0".into());
-        }
-        finite(self.sharding.hysteresis_km, "sharding.hysteresis_km")?;
-        if self.sharding.hysteresis_km < 0.0 {
-            return Err("sharding.hysteresis_km: must be ≥ 0".into());
-        }
         Ok(())
+    }
+
+    /// A fault names platforms of the fleet, of the kind it acts on.
+    fn references(&self, kind: &KindSpec, ctx: &str) -> Result<(), String> {
+        match kind {
+            KindSpec::InbandPartition { nodes } if nodes.is_empty() => {
+                Err(format!("{ctx}.nodes: must be non-empty"))
+            }
+            KindSpec::InbandPartition { nodes } => {
+                let mut nodes = nodes.iter().enumerate();
+                nodes.try_for_each(|(j, n)| {
+                    self.platform_kind(*n, &format!("{ctx}.nodes[{j}]"))
+                        .map(drop)
+                })
+            }
+            KindSpec::GsOutage { site } => {
+                match self.platform_kind(*site, &format!("{ctx}.site"))? {
+                    PlatformKind::Balloon => Err(format!(
+                        "{ctx}.site: {site} is a balloon; ground stations are {}..{}",
+                        self.fleet.n_balloons,
+                        self.n_platforms()
+                    )),
+                    _ => Ok(()),
+                }
+            }
+            KindSpec::TransceiverFault {
+                platform, index, ..
+            } => {
+                let kind = self.platform_kind(*platform, &format!("{ctx}.platform"))?;
+                let count = Transceiver::count_for(kind);
+                if *index >= count {
+                    return Err(format!(
+                        "{ctx}.index: platform {platform} has transceivers 0..{count}, got {index}"
+                    ));
+                }
+                Ok(())
+            }
+            KindSpec::BalloonLoss { balloon } | KindSpec::BalloonLossWarned { balloon, .. }
+                if *balloon >= self.fleet.n_balloons =>
+            {
+                Err(format!(
+                    "{ctx}.balloon: must be < fleet.n_balloons ({}), got {balloon}",
+                    self.fleet.n_balloons
+                ))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Platforms in the fleet: balloons, then the geography's ground
@@ -551,475 +644,87 @@ impl ScenarioSpec {
         }
     }
 
+    /// The fields, this spec's or (`every_arm`) the format's.
+    fn list(&self, every_arm: bool) -> Vec<Field> {
+        let mut cx = Cx::new(None, every_arm, String::new(), Vec::new());
+        let listed = self.clone().declare(&mut cx).and_then(|()| cx.finish());
+        listed.expect("listing reads nothing")
+    }
+
+    /// The fields this spec carries, in the order the format writes
+    /// them: path, place, type, rules and value.
+    pub fn fields(&self) -> Vec<Field> {
+        self.list(false)
+    }
+
     /// Serialize to pretty JSON. [`ScenarioSpec::from_json`] reads it
     /// back to an equal spec (lossless round trip).
     pub fn to_json(&self) -> String {
-        self.to_value().to_text()
-    }
-
-    fn to_value(&self) -> Json {
-        let surge = match &self.demand.surge {
-            None => Json::Null,
-            Some(s) => Json::Obj(vec![
-                ("start_hour".into(), Json::U64(s.start_hour)),
-                ("duration_hours".into(), Json::U64(s.duration_hours)),
-                ("multiplier".into(), Json::F64(s.multiplier)),
-            ]),
-        };
-        let regime = match self.weather.regime {
-            WeatherRegime::Clear => Json::Str("clear".into()),
-            WeatherRegime::Stormy { intensity, days } => Json::Obj(vec![(
-                "stormy".into(),
-                Json::Obj(vec![
-                    ("intensity".into(), Json::F64(intensity)),
-                    ("days".into(), Json::U64(days)),
-                ]),
-            )]),
-        };
-        let faults = match &self.faults {
-            FaultsSpec::Quiet => Json::Str("quiet".into()),
-            FaultsSpec::Seeded {
-                expected,
-                earliest_hour,
-                latest_hour,
-                warned_loss,
-            } => Json::Obj(vec![(
-                "seeded".into(),
-                Json::Obj(vec![
-                    ("expected".into(), Json::U64(*expected as u64)),
-                    ("earliest_hour".into(), Json::U64(*earliest_hour)),
-                    ("latest_hour".into(), Json::U64(*latest_hour)),
-                    ("warned_loss".into(), Json::Bool(*warned_loss)),
-                ]),
-            )]),
-            FaultsSpec::Directed(windows) => Json::Obj(vec![(
-                "directed".into(),
-                Json::Arr(windows.iter().map(window_to_value).collect()),
-            )]),
-        };
-        Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            ("seed".into(), Json::U64(self.seed)),
-            ("duration_hours".into(), Json::U64(self.duration_hours)),
-            ("multipath".into(), Json::Bool(self.multipath)),
-            (
-                "fleet".into(),
-                Json::Obj(vec![
-                    (
-                        "geography".into(),
-                        Json::Str(self.fleet.geography.tag().into()),
-                    ),
-                    ("n_balloons".into(), Json::U64(self.fleet.n_balloons as u64)),
-                    (
-                        "spawn_radius_km".into(),
-                        Json::F64(self.fleet.spawn_radius_km),
-                    ),
-                ]),
-            ),
-            (
-                "demand".into(),
-                Json::Obj(vec![
-                    (
-                        "users_per_site".into(),
-                        Json::U64(self.demand.users_per_site),
-                    ),
-                    (
-                        "flows_per_site".into(),
-                        Json::U64(self.demand.flows_per_site as u64),
-                    ),
-                    (
-                        "busy_hour_bps_per_user".into(),
-                        Json::F64(self.demand.busy_hour_bps_per_user),
-                    ),
-                    (
-                        "control_bps_per_site".into(),
-                        Json::U64(self.demand.control_bps_per_site),
-                    ),
-                    ("surge".into(), surge),
-                ]),
-            ),
-            (
-                "weather".into(),
-                Json::Obj(vec![
-                    ("regime".into(), regime),
-                    ("gauges".into(), Json::Bool(self.weather.gauges)),
-                ]),
-            ),
-            ("faults".into(), faults),
-            (
-                "traffic".into(),
-                Json::Obj(vec![
-                    ("enabled".into(), Json::Bool(self.traffic.enabled)),
-                    (
-                        "store_forward".into(),
-                        Json::Bool(self.traffic.store_forward),
-                    ),
-                    ("custody".into(), Json::Bool(self.traffic.custody)),
-                    (
-                        "buffer_max_bytes".into(),
-                        Json::U64(self.traffic.buffer_max_bytes),
-                    ),
-                    (
-                        "buffer_max_age_mins".into(),
-                        Json::U64(self.traffic.buffer_max_age_mins),
-                    ),
-                    ("hierarchical".into(), Json::Bool(true)),
-                ]),
-            ),
-            (
-                "sharding".into(),
-                Json::Obj(vec![
-                    ("regions".into(), Json::U64(self.sharding.regions as u64)),
-                    (
-                        "origin_lon_deg".into(),
-                        Json::F64(self.sharding.origin_lon_deg),
-                    ),
-                    ("band_deg".into(), Json::F64(self.sharding.band_deg)),
-                    ("halo_km".into(), Json::F64(self.sharding.halo_km)),
-                    (
-                        "hysteresis_km".into(),
-                        Json::F64(self.sharding.hysteresis_km),
-                    ),
-                ]),
-            ),
-        ])
+        let mut doc = Json::Obj(Vec::new());
+        for f in self.fields() {
+            if let Some(v) = f.value {
+                doc.set(&f.at, v);
+            }
+        }
+        doc.to_text()
     }
 
     /// Parse and validate a spec from JSON text. Strict: unknown
     /// fields, duplicate keys, wrong types and out-of-range values
     /// are all errors.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let spec = Self::from_value(parse(text)?)?;
+        let spec = Self::decode(text)?;
         spec.validate()?;
         Ok(spec)
     }
 
-    fn from_value(v: Json) -> Result<Self, String> {
-        let mut o = v.into_obj("spec")?;
-
-        let name = o.take("name")?.as_str("name")?.to_string();
-        let seed = o.take("seed")?.as_u64("seed")?;
-        let duration_hours = o.take("duration_hours")?.as_u64("duration_hours")?;
-        let multipath = o.take("multipath")?.as_bool("multipath")?;
-
-        let mut f = o.take("fleet")?.into_obj("fleet")?;
-        let fleet = FleetSpec {
-            geography: Geography::from_tag(f.take("geography")?.as_str("fleet.geography")?)?,
-            n_balloons: f.take("n_balloons")?.as_uint("fleet.n_balloons")?,
-            spawn_radius_km: f.take("spawn_radius_km")?.as_f64("fleet.spawn_radius_km")?,
-        };
-        f.finish()?;
-
-        let mut d = o.take("demand")?.into_obj("demand")?;
-        let surge = match d.take("surge")? {
-            Json::Null => None,
-            v => {
-                let mut s = v.into_obj("demand.surge")?;
-                let surge = SurgeSpec {
-                    start_hour: s.take("start_hour")?.as_u64("demand.surge.start_hour")?,
-                    duration_hours: s
-                        .take("duration_hours")?
-                        .as_u64("demand.surge.duration_hours")?,
-                    multiplier: s.take("multiplier")?.as_f64("demand.surge.multiplier")?,
-                };
-                s.finish()?;
-                Some(surge)
-            }
-        };
-        let demand = DemandSpec {
-            users_per_site: d.take("users_per_site")?.as_u64("demand.users_per_site")?,
-            flows_per_site: d.take("flows_per_site")?.as_uint("demand.flows_per_site")?,
-            busy_hour_bps_per_user: d
-                .take("busy_hour_bps_per_user")?
-                .as_f64("demand.busy_hour_bps_per_user")?,
-            control_bps_per_site: d
-                .take("control_bps_per_site")?
-                .as_u64("demand.control_bps_per_site")?,
-            surge,
-        };
-        d.finish()?;
-
-        let mut w = o.take("weather")?.into_obj("weather")?;
-        let regime = match w.take("regime")? {
-            Json::Str(s) if s == "clear" => WeatherRegime::Clear,
-            Json::Str(s) => return Err(format!("weather.regime: unknown regime \"{s}\"")),
-            v => {
-                let mut r = v.into_obj("weather.regime")?;
-                let mut s = r.take("stormy")?.into_obj("weather.regime.stormy")?;
-                r.finish()?;
-                let regime = WeatherRegime::Stormy {
-                    intensity: s.take("intensity")?.as_f64("weather.stormy.intensity")?,
-                    days: s.take("days")?.as_u64("weather.stormy.days")?,
-                };
-                s.finish()?;
-                regime
-            }
-        };
-        let weather = WeatherSpec {
-            regime,
-            gauges: w.take("gauges")?.as_bool("weather.gauges")?,
-        };
-        w.finish()?;
-
-        let faults = match o.take("faults")? {
-            Json::Str(s) if s == "quiet" => FaultsSpec::Quiet,
-            Json::Str(s) => return Err(format!("faults: unknown mode \"{s}\"")),
-            v => {
-                let mut m = v.into_obj("faults")?;
-                if let Some(seeded) = m.take_opt("seeded") {
-                    let mut s = seeded.into_obj("faults.seeded")?;
-                    let out = FaultsSpec::Seeded {
-                        expected: s.take("expected")?.as_uint("faults.seeded.expected")?,
-                        earliest_hour: s
-                            .take("earliest_hour")?
-                            .as_u64("faults.seeded.earliest_hour")?,
-                        latest_hour: s.take("latest_hour")?.as_u64("faults.seeded.latest_hour")?,
-                        warned_loss: s
-                            .take("warned_loss")?
-                            .as_bool("faults.seeded.warned_loss")?,
-                    };
-                    s.finish()?;
-                    m.finish()?;
-                    out
-                } else if let Some(directed) = m.take_opt("directed") {
-                    let windows = directed
-                        .as_arr("faults.directed")?
-                        .iter()
-                        .enumerate()
-                        .map(|(i, w)| window_from_value(w.clone(), i))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    m.finish()?;
-                    FaultsSpec::Directed(windows)
-                } else {
-                    m.finish()?;
-                    return Err(
-                        "faults: expected \"quiet\", {\"seeded\": …} or {\"directed\": …}"
-                            .to_string(),
-                    );
-                }
-            }
-        };
-
-        let mut t = o.take("traffic")?.into_obj("traffic")?;
-        let traffic = TrafficSpec {
-            enabled: t.take("enabled")?.as_bool("traffic.enabled")?,
-            store_forward: t.take("store_forward")?.as_bool("traffic.store_forward")?,
-            custody: t.take("custody")?.as_bool("traffic.custody")?,
-            buffer_max_bytes: t
-                .take("buffer_max_bytes")?
-                .as_u64("traffic.buffer_max_bytes")?,
-            buffer_max_age_mins: t
-                .take("buffer_max_age_mins")?
-                .as_u64("traffic.buffer_max_age_mins")?,
-        };
-        // Single-valued: the allocator is always the site×class tree.
-        if !t.take("hierarchical")?.as_bool("traffic.hierarchical")? {
-            return Err(
-                "traffic.hierarchical: must be true (the flat allocation arm was removed)".into(),
-            );
-        }
-        t.finish()?;
-
-        let mut sh = o.take("sharding")?.into_obj("sharding")?;
-        let sharding = ShardingSpec {
-            regions: sh.take("regions")?.as_uint("sharding.regions")?,
-            origin_lon_deg: sh
-                .take("origin_lon_deg")?
-                .as_f64("sharding.origin_lon_deg")?,
-            band_deg: sh.take("band_deg")?.as_f64("sharding.band_deg")?,
-            halo_km: sh.take("halo_km")?.as_f64("sharding.halo_km")?,
-            hysteresis_km: sh.take("hysteresis_km")?.as_f64("sharding.hysteresis_km")?,
-        };
-        sh.finish()?;
-
-        o.finish()?;
-        Ok(ScenarioSpec {
-            name,
-            seed,
-            duration_hours,
-            multipath,
-            fleet,
-            demand,
-            weather,
-            faults,
-            traffic,
-            sharding,
-        })
+    /// Read a spec's structure — keys, types, union tags — without
+    /// checking its values: [`ScenarioSpec::from_json`] is this, then
+    /// [`ScenarioSpec::validate`].
+    pub fn decode(text: &str) -> Result<Self, String> {
+        let top = parse(text)?.into_obj("spec")?;
+        let mut cx = Cx::new(Some(top), false, String::new(), Vec::new());
+        let mut spec = ScenarioSpec::default();
+        spec.declare(&mut cx)?;
+        cx.finish()?;
+        Ok(spec)
     }
-}
 
-fn window_to_value(w: &WindowSpec) -> Json {
-    let kind = match &w.kind {
-        KindSpec::GsOutage { site } => Json::Obj(vec![(
-            "gs_outage".into(),
-            Json::Obj(vec![("site".into(), Json::U64(*site as u64))]),
-        )]),
-        KindSpec::SatcomBrownout {
-            latency_scale,
-            max_drop_prob,
-        } => Json::Obj(vec![(
-            "satcom_brownout".into(),
-            Json::Obj(vec![
-                ("latency_scale".into(), Json::F64(*latency_scale)),
-                ("max_drop_prob".into(), Json::F64(*max_drop_prob)),
-            ]),
-        )]),
-        KindSpec::InbandPartition { nodes } => Json::Obj(vec![(
-            "inband_partition".into(),
-            Json::Obj(vec![(
-                "nodes".into(),
-                Json::Arr(nodes.iter().map(|n| Json::U64(*n as u64)).collect()),
-            )]),
-        )]),
-        KindSpec::TransceiverFault {
-            platform,
-            index,
-            mode,
-        } => Json::Obj(vec![(
-            "transceiver_fault".into(),
-            Json::Obj(vec![
-                ("platform".into(), Json::U64(*platform as u64)),
-                ("index".into(), Json::U64(*index as u64)),
-                (
-                    "mode".into(),
-                    Json::Str(
-                        match mode {
-                            FaultModeSpec::GimbalStuck => "gimbal_stuck",
-                            FaultModeSpec::RadioReboot => "radio_reboot",
-                        }
-                        .into(),
-                    ),
-                ),
-            ]),
-        )]),
-        KindSpec::BalloonLoss { balloon } => Json::Obj(vec![(
-            "balloon_loss".into(),
-            Json::Obj(vec![("balloon".into(), Json::U64(*balloon as u64))]),
-        )]),
-        KindSpec::BalloonLossWarned { balloon, lead_mins } => Json::Obj(vec![(
-            "balloon_loss_warned".into(),
-            Json::Obj(vec![
-                ("balloon".into(), Json::U64(*balloon as u64)),
-                ("lead_mins".into(), Json::U64(*lead_mins)),
-            ]),
-        )]),
-        KindSpec::CommandChaos {
-            corrupt,
-            duplicate,
-            reorder,
-        } => Json::Obj(vec![(
-            "command_chaos".into(),
-            Json::Obj(vec![
-                ("corrupt".into(), Json::F64(*corrupt)),
-                ("duplicate".into(), Json::F64(*duplicate)),
-                ("reorder".into(), Json::F64(*reorder)),
-            ]),
-        )]),
-    };
-    Json::Obj(vec![
-        ("start_min".into(), Json::U64(w.start_min)),
-        (
-            "duration_mins".into(),
-            match w.duration_mins {
-                Some(d) => Json::U64(d),
-                None => Json::Null,
-            },
-        ),
-        ("kind".into(), kind),
-    ])
-}
-
-fn window_from_value(v: Json, i: usize) -> Result<WindowSpec, String> {
-    let ctx = format!("faults.directed[{i}]");
-    let mut o = v.into_obj(&ctx)?;
-    let start_min = o.take("start_min")?.as_u64(&format!("{ctx}.start_min"))?;
-    let duration_mins = match o.take("duration_mins")? {
-        Json::Null => None,
-        v => Some(v.as_u64(&format!("{ctx}.duration_mins"))?),
-    };
-    let mut k = o.take("kind")?.into_obj(&format!("{ctx}.kind"))?;
-    let kind = if let Some(v) = k.take_opt("gs_outage") {
-        let mut g = v.into_obj(&format!("{ctx}.gs_outage"))?;
-        let kind = KindSpec::GsOutage {
-            site: g.take("site")?.as_uint(&format!("{ctx}.site"))?,
-        };
-        g.finish()?;
-        kind
-    } else if let Some(v) = k.take_opt("satcom_brownout") {
-        let mut b = v.into_obj(&format!("{ctx}.satcom_brownout"))?;
-        let kind = KindSpec::SatcomBrownout {
-            latency_scale: b
-                .take("latency_scale")?
-                .as_f64(&format!("{ctx}.latency_scale"))?,
-            max_drop_prob: b
-                .take("max_drop_prob")?
-                .as_f64(&format!("{ctx}.max_drop_prob"))?,
-        };
-        b.finish()?;
-        kind
-    } else if let Some(v) = k.take_opt("inband_partition") {
-        let mut p = v.into_obj(&format!("{ctx}.inband_partition"))?;
-        let nodes = p
-            .take("nodes")?
-            .as_arr(&format!("{ctx}.nodes"))?
-            .iter()
-            .map(|n| n.as_uint(&format!("{ctx}.nodes[]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        p.finish()?;
-        KindSpec::InbandPartition { nodes }
-    } else if let Some(v) = k.take_opt("transceiver_fault") {
-        let mut t = v.into_obj(&format!("{ctx}.transceiver_fault"))?;
-        let mode = match t.take("mode")?.as_str(&format!("{ctx}.mode"))? {
-            "gimbal_stuck" => FaultModeSpec::GimbalStuck,
-            "radio_reboot" => FaultModeSpec::RadioReboot,
-            other => return Err(format!("{ctx}.mode: unknown mode \"{other}\"")),
-        };
-        let kind = KindSpec::TransceiverFault {
-            platform: t.take("platform")?.as_uint(&format!("{ctx}.platform"))?,
-            index: t.take("index")?.as_uint(&format!("{ctx}.index"))?,
-            mode,
-        };
-        t.finish()?;
-        kind
-    } else if let Some(v) = k.take_opt("balloon_loss") {
-        let mut b = v.into_obj(&format!("{ctx}.balloon_loss"))?;
-        let kind = KindSpec::BalloonLoss {
-            balloon: b.take("balloon")?.as_uint(&format!("{ctx}.balloon"))?,
-        };
-        b.finish()?;
-        kind
-    } else if let Some(v) = k.take_opt("balloon_loss_warned") {
-        let mut b = v.into_obj(&format!("{ctx}.balloon_loss_warned"))?;
-        let kind = KindSpec::BalloonLossWarned {
-            balloon: b.take("balloon")?.as_uint(&format!("{ctx}.balloon"))?,
-            lead_mins: b.take("lead_mins")?.as_u64(&format!("{ctx}.lead_mins"))?,
-        };
-        b.finish()?;
-        kind
-    } else if let Some(v) = k.take_opt("command_chaos") {
-        let mut c = v.into_obj(&format!("{ctx}.command_chaos"))?;
-        let kind = KindSpec::CommandChaos {
-            corrupt: c.take("corrupt")?.as_f64(&format!("{ctx}.corrupt"))?,
-            duplicate: c.take("duplicate")?.as_f64(&format!("{ctx}.duplicate"))?,
-            reorder: c.take("reorder")?.as_f64(&format!("{ctx}.reorder"))?,
-        };
-        c.finish()?;
-        kind
-    } else {
-        return Err(format!("{ctx}.kind: no recognized fault tag"));
-    };
-    k.finish()?;
-    o.finish()?;
-    Ok(WindowSpec {
-        start_min,
-        duration_mins,
-        kind,
-    })
+    /// Every field of the format, over every union arm, as the
+    /// Markdown table DESIGN.md §12 carries.
+    pub fn field_table() -> String {
+        let mut rows: Vec<String> = (ScenarioSpec::default().list(true).into_iter())
+            .map(|f| {
+                let rules: Vec<String> = f.rules.iter().map(|r| r.describe()).collect();
+                let rules = if rules.is_empty() {
+                    "—".into()
+                } else {
+                    rules.join("; ")
+                };
+                format!("| `{}` | {} | {rules} |", f.path, f.ty)
+            })
+            .collect();
+        rows.dedup();
+        format!(
+            "| path | type | rule |\n|---|---|---|\n{}\n",
+            rows.join("\n")
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_field_table_is_the_documented_one() {
+        let design = include_str!("../../../DESIGN.md");
+        let table = ScenarioSpec::field_table();
+        assert!(
+            design.contains(&table),
+            "DESIGN.md §12's field table differs from the declarations; it should read:\n{table}"
+        );
+    }
 
     /// The chaos-soak spec with `kind` as its only fault window.
     fn with_directed(kind: KindSpec) -> ScenarioSpec {

@@ -200,7 +200,6 @@ impl ScenarioSpec {
                     }),
                     ..DemandConfig::default()
                 },
-                multipath: self.multipath,
                 store_forward: StoreForwardConfig {
                     enabled: self.traffic.store_forward,
                     max_bytes: self.traffic.buffer_max_bytes,
@@ -222,31 +221,11 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{
-        DemandSpec, FleetSpec, Geography, ShardingSpec, TrafficSpec, WeatherSpec, WindowSpec,
-    };
+    use crate::spec::WindowSpec;
     use tssdn_rf::WeatherField;
 
     fn quiet_spec() -> ScenarioSpec {
-        ScenarioSpec {
-            name: "unit".into(),
-            seed: 9001,
-            duration_hours: 14,
-            multipath: true,
-            fleet: FleetSpec {
-                geography: Geography::Kenya,
-                n_balloons: 6,
-                spawn_radius_km: 150.0,
-            },
-            demand: DemandSpec::default(),
-            weather: WeatherSpec {
-                regime: WeatherRegime::Clear,
-                gauges: false,
-            },
-            faults: FaultsSpec::Quiet,
-            traffic: TrafficSpec::default(),
-            sharding: ShardingSpec::default(),
-        }
+        crate::catalog::base("unit", 9001)
     }
 
     #[test]
@@ -340,5 +319,17 @@ mod tests {
 
         spec.traffic.enabled = false;
         assert!(spec.orchestrator_config().traffic.is_none());
+    }
+
+    #[test]
+    fn default_spec_blocks_build_the_subsystem_defaults() {
+        let cfg = quiet_spec().orchestrator_config();
+        let traffic = cfg.traffic.expect("traffic enabled");
+        assert_eq!(
+            format!("{traffic:?}"),
+            format!("{:?}", TrafficConfig::default())
+        );
+        let sharding = format!("{:?}", cfg.sharding);
+        assert_eq!(sharding, format!("{:?}", ShardingConfig::default()));
     }
 }

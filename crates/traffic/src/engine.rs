@@ -76,10 +76,6 @@ pub struct TrafficConfig {
     pub feedback_alpha: f64,
     /// Goodput-series bucket width, ms.
     pub window_ms: u64,
-    /// Split each site's bulk traffic across its alternate forwarding
-    /// path (when the view carries one), weighted by bottleneck
-    /// headroom. Control flows always ride the primary path.
-    pub multipath: bool,
     /// Delay-tolerant buffering for routeless Bulk traffic.
     pub store_forward: StoreForwardConfig,
 }
@@ -92,7 +88,6 @@ impl Default for TrafficConfig {
             feedback: true,
             feedback_alpha: 0.2,
             window_ms: 24 * 3600 * 1000,
-            multipath: true,
             store_forward: StoreForwardConfig::default(),
         }
     }
@@ -106,8 +101,9 @@ pub struct TopologyView {
     pub paths: BTreeMap<PlatformId, Vec<PlatformId>>,
     /// Site → an alternate (edge-disjoint) forwarding path, when the
     /// redundancy pass gave the site two established routes. Only
-    /// consulted when [`TrafficConfig::multipath`] is on, and only
-    /// for sites that also have a primary path.
+    /// consulted for sites that also have a primary path; each site's
+    /// bulk traffic splits across both, weighted by bottleneck
+    /// headroom, while control flows ride the primary.
     pub alt_paths: BTreeMap<PlatformId, Vec<PlatformId>>,
     /// Instantaneous capacity of each radio edge, keyed by the
     /// normalized `(min, max)` platform pair. Path edges missing here
@@ -441,18 +437,16 @@ impl TrafficEngine {
             let ids = path_ids(&mut self.links, path);
             self.path_ids.insert(*site, (ids, Vec::new()));
         }
-        if self.config.multipath {
-            for (site, path) in &view.alt_paths {
-                // Alt paths only count for sites that also have a
-                // primary, and only when genuinely distinct.
-                let Some(entry) = self.path_ids.get_mut(site) else {
-                    continue;
-                };
-                if view.paths.get(site) == Some(path) {
-                    continue;
-                }
-                entry.1 = path_ids(&mut self.links, path);
+        for (site, path) in &view.alt_paths {
+            // Alt paths only count for sites that also have a primary,
+            // and only when genuinely distinct.
+            let Some(entry) = self.path_ids.get_mut(site) else {
+                continue;
+            };
+            if view.paths.get(site) == Some(path) {
+                continue;
             }
+            entry.1 = path_ids(&mut self.links, path);
         }
         let n_links = self.links.len();
 
@@ -742,29 +736,6 @@ mod tests {
         assert!(
             s.delivered_bps > 19_000_000 && s.delivered_bps <= 20_000_000,
             "two 10 Mbps paths should carry ~20 Mbps, got {}",
-            s.delivered_bps
-        );
-    }
-
-    #[test]
-    fn multipath_disabled_sticks_to_primary() {
-        let sites = [PlatformId(0)];
-        let config = TrafficConfig {
-            multipath: false,
-            ..TrafficConfig::default()
-        };
-        let mut e = TrafficEngine::new(config, &sites, &RngStreams::new(11));
-        let gs2 = PlatformId(102);
-        let mut view = view_for(&sites, 10_000_000);
-        view.alt_paths
-            .insert(PlatformId(0), vec![PlatformId(0), gs2, EC]);
-        view.link_capacity_bps
-            .insert(edge_key(PlatformId(0), gs2), 10_000_000);
-        let s = e.tick(SimTime::from_hours(20), SimDuration::from_mins(1), &view);
-        assert_eq!(s.multipath_sites, 0);
-        assert!(
-            s.delivered_bps <= 10_000_000,
-            "alt path must be ignored: {}",
             s.delivered_bps
         );
     }

@@ -227,18 +227,16 @@ impl ReferenceEngine {
             let ids = path_ids(&mut self.links, path);
             self.site_path_ids.insert(*site, (ids, Vec::new()));
         }
-        if self.config.multipath {
-            for (site, path) in &view.alt_paths {
-                // Alt paths only count for sites that also have a
-                // primary, and only when genuinely distinct.
-                let Some(entry) = self.site_path_ids.get_mut(site) else {
-                    continue;
-                };
-                if view.paths.get(site) == Some(path) {
-                    continue;
-                }
-                entry.1 = path_ids(&mut self.links, path);
+        for (site, path) in &view.alt_paths {
+            // Alt paths only count for sites that also have a
+            // primary, and only when genuinely distinct.
+            let Some(entry) = self.site_path_ids.get_mut(site) else {
+                continue;
+            };
+            if view.paths.get(site) == Some(path) {
+                continue;
             }
+            entry.1 = path_ids(&mut self.links, path);
         }
         let n_links = self.links.len();
 

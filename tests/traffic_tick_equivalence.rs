@@ -138,9 +138,9 @@ proptest! {
     #[test]
     fn fast_tick_matches_the_frozen_reference(
         seed in 0u64..u64::MAX,
-        arms in (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
+        arms in (proptest::bool::ANY, proptest::bool::ANY, proptest::bool::ANY),
     ) {
-        let (multipath, snf, custody, control) = arms;
+        let (snf, custody, control) = arms;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
         // 2–6 sparse site ids, shuffled; one case in four lists a site
@@ -181,7 +181,6 @@ proptest! {
                 surge,
                 ..DemandConfig::default()
             },
-            multipath,
             store_forward: StoreForwardConfig {
                 enabled: snf,
                 custody,
