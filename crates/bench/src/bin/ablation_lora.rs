@@ -27,7 +27,7 @@ struct Outcome {
 fn run(label: &'static str, lora: bool) -> Outcome {
     let mut cfg = standard_config(12, 1, seed());
     cfg.fleet.spawn_radius_m = 260_000.0;
-    cfg.lora_bootstrap = lora;
+    cfg.cdpi.lora_enabled = lora;
     let mut o = Orchestrator::new(cfg);
 
     // Track per-balloon power-on and first-link times through the

@@ -21,8 +21,8 @@
 //!   than the OFF arm, and loses strictly fewer to the wipe;
 //! * **control** — the Control class's (offered, delivered) volumes
 //!   are identical across arms: custody moves only buffered Bulk;
-//! * **conservation** — in both arms every queued bit is accounted:
-//!   `queued == drained + evicted + buffered + in_transit`.
+//! * **conservation** — in both arms every queued bit is accounted
+//!   for (`SnfTotals::conserved`).
 //!
 //! `TSSDN_SEED` shifts the world seed; `--smoke` shrinks the fleet
 //! for the verify.sh gate; `--out PATH` overrides the JSON artifact
@@ -47,12 +47,12 @@ struct Outcome {
     drained: u64,
     evicted: u64,
     buffered: u64,
-    in_transit: u64,
     custody_initiated: u64,
     custody_accepted: u64,
     custody_refused: u64,
     custody_lost: u64,
     backlog_lost: u64,
+    conserved: bool,
 }
 
 /// The directed plan: all ground stations dark 10:00–10:25 (every
@@ -111,12 +111,12 @@ fn run(world_seed: u64, n: usize, custody: bool) -> Outcome {
         drained: t.drained_bits,
         evicted: t.evicted_bits,
         buffered: t.buffered_bits,
-        in_transit: t.in_transit_bits,
         custody_initiated: t.custody_initiated_bits,
         custody_accepted: t.custody_accepted_bits,
         custody_refused: t.custody_refused_bits,
         custody_lost: t.custody_lost_bits,
         backlog_lost: t.backlog_lost_bits,
+        conserved: t.conserved(),
     }
 }
 
@@ -171,7 +171,7 @@ fn main() {
             identity_ok = false;
             eprintln!("IDENTITY VIOLATION custody {custody}:\n  {a:?}\n  {b:?}");
         }
-        if a.queued != a.drained + a.evicted + a.buffered + a.in_transit {
+        if !a.conserved {
             conservation_ok = false;
             eprintln!("CONSERVATION VIOLATION custody {custody}: {a:?}");
         }

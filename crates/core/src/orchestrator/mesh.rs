@@ -42,7 +42,7 @@ impl Orchestrator {
         let n_balloons = self.truth.fleet().balloons.len() as u32;
         // LoRa coverage: a balloon within 350 km ground range of any
         // GS site can hear the one-hop bootstrap channel.
-        if self.config.lora_bootstrap {
+        if self.config.cdpi.lora_enabled {
             for id in (0..n_balloons).map(PlatformId) {
                 let fleet = self.truth.fleet();
                 let pos = fleet.position(id);
@@ -98,5 +98,22 @@ impl Orchestrator {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::OrchestratorConfig;
+    use super::*;
+    use tssdn_sim::SimTime;
+
+    #[test]
+    fn the_cdpi_lora_switch_alone_brings_balloons_under_coverage() {
+        let mut cfg = OrchestratorConfig::kenya(6, 42);
+        cfg.fleet.spawn_radius_m = 150_000.0;
+        cfg.cdpi.lora_enabled = true;
+        let mut o = Orchestrator::new(cfg);
+        o.run_until(SimTime::from_hours(10));
+        assert!(o.cdpi.lora.is_covered(PlatformId(0)));
     }
 }

@@ -122,8 +122,6 @@ pub struct OrchestratorConfig {
     /// commands (telemetry ingestion, incremental solve, actuation
     /// compilation — "tens of seconds" end to end in production).
     pub controller_pipeline: SimDuration,
-    /// Number of EC pods (each gets tunnels from every GS).
-    pub num_ec: usize,
     /// Per-balloon backhaul demand, bps.
     pub demand_bps: u64,
     /// Antennas per balloon (3 in production; Appendix A sweeps it).
@@ -138,11 +136,6 @@ pub struct OrchestratorConfig {
     pub b2b_infant_hazard_per_s: f64,
     /// Which weather belief the controller runs with (E11 sweeps it).
     pub weather_model: WeatherModelKind,
-    /// Enable the §2.2 LoRaWAN bootstrap prototype: a one-hop 350 km
-    /// broadcast channel from GS sites that carries (small) link
-    /// commands far faster than satcom. Off by default — Loon never
-    /// deployed it; E15 measures the bootstrap speedup it forfeited.
-    pub lora_bootstrap: bool,
     /// Scheduled fault windows driven by the chaos engine. Empty by
     /// default; the soak harness generates seeded plans.
     pub fault_plan: FaultPlan,
@@ -214,13 +207,11 @@ impl OrchestratorConfig {
             report_interval: SimDuration::from_secs(60),
             probe_interval: SimDuration::from_secs(10),
             controller_pipeline: SimDuration::from_secs(20),
-            num_ec: 1,
             demand_bps: 50_000_000,
             transceivers_per_balloon: 3,
             weather_model: WeatherModelKind::ItuOnly,
             b2g_infant_hazard_per_s: 0.010,
             b2b_infant_hazard_per_s: 0.0027,
-            lora_bootstrap: false,
             fault_plan: FaultPlan::new(),
             traffic: None,
             multipath_routes: false,
@@ -395,19 +386,15 @@ impl Orchestrator {
         let streams = RngStreams::new(config.seed);
         let truth = truth::Truth::new(&config, &streams);
         let fleet = truth.fleet();
-        let routes = routes::Routes::new(fleet.num_platforms() as u32, config.num_ec);
-        // Every EC pod gets a tunnel from every ground station.
+        let routes = routes::Routes::new(fleet.num_platforms() as u32);
+        // The EC pod gets a tunnel from every ground station.
         let mut tunnels = TunnelRegistry::new();
-        for ec in routes.ec_ids() {
-            for gs in &fleet.ground_stations {
-                tunnels.establish(gs.id, *ec, SimTime::ZERO);
-            }
+        for gs in &fleet.ground_stations {
+            tunnels.establish(gs.id, routes.ec(), SimTime::ZERO);
         }
-        let mut cdpi_config = config.cdpi;
-        cdpi_config.lora_enabled = config.lora_bootstrap;
         Orchestrator {
             model: build_model(&config, fleet),
-            planner: planner::Planner::new(&config, fleet, routes.ec_ids()[0]),
+            planner: planner::Planner::new(&config, fleet, routes.ec()),
             mesh: mesh::Mesh::new(fleet, &streams),
             traffic: traffic_view::TrafficView::new(&config, fleet, &streams),
             truth,
@@ -416,7 +403,7 @@ impl Orchestrator {
             enactment: enactment::Enactment::default(),
             chaos: ChaosEngine::new(config.fault_plan.clone()),
             intents: IntentStore::new(),
-            cdpi: CdpiFrontend::new(cdpi_config, &streams),
+            cdpi: CdpiFrontend::new(config.cdpi, &streams),
             fabric: RoutingFabric::new(),
             drains: DrainRegistry::new(),
             ledger: LinkLedger::new(),

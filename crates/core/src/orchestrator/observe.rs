@@ -178,7 +178,7 @@ impl Orchestrator {
     /// Why (or whether) a balloon's data plane is reachable right now —
     /// diagnostic surface for experiments and examples.
     pub fn data_plane_status(&self, b: PlatformId) -> DataPlaneStatus {
-        let ec = self.routes.ec_ids()[0];
+        let ec = self.routes.ec();
         let (true, Some((src, dst))) = (
             self.routes.was_programmed(b),
             self.routes.prefix_pair((b, ec)),

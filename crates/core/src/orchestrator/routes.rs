@@ -31,7 +31,8 @@ pub(super) struct Routes {
     /// Platform ids are dense: `0..n_platforms`, balloons first.
     n_platforms: u32,
     prefixes: PrefixAllocator,
-    ec_ids: Vec<PlatformId>,
+    /// The one EC pod every backhaul flow terminates at.
+    ec: PlatformId,
     /// Programs submitted and not yet confirmed or expired, by cpl
     /// intent id.
     pending: BTreeMap<u64, RouteProgram>,
@@ -41,32 +42,26 @@ pub(super) struct Routes {
 }
 
 impl Routes {
-    /// EC pods take the ids after the fleet's; every EC and platform
-    /// gets its prefix here, ECs first.
-    pub(super) fn new(n_platforms: u32, num_ec: usize) -> Self {
+    /// The EC pod takes the id after the fleet's; it and every platform
+    /// get their prefix here, the EC first.
+    pub(super) fn new(n_platforms: u32) -> Self {
         let mut prefixes = PrefixAllocator::loon_default();
-        let ec_ids: Vec<PlatformId> = (0..num_ec as u32)
-            .map(|i| PlatformId(n_platforms + i))
-            .collect();
-        for id in ec_ids
-            .iter()
-            .copied()
-            .chain((0..n_platforms).map(PlatformId))
-        {
+        let ec = PlatformId(n_platforms);
+        for id in [ec].into_iter().chain((0..n_platforms).map(PlatformId)) {
             prefixes.prefix_for(id);
         }
         Routes {
             n_platforms,
             prefixes,
-            ec_ids,
+            ec,
             pending: BTreeMap::new(),
             version: 0,
             programmed: Default::default(),
         }
     }
 
-    pub(super) fn ec_ids(&self) -> &[PlatformId] {
-        &self.ec_ids
+    pub(super) fn ec(&self) -> PlatformId {
+        self.ec
     }
 
     fn platforms(&self) -> impl Iterator<Item = PlatformId> {
@@ -185,13 +180,10 @@ impl Routes {
     fn submit(&mut self, cdpi: &mut CdpiFrontend, now: SimTime, program: RouteProgram) {
         let (_, full, alt) = &program;
         self.version += 1;
-        let mut targets: Vec<PlatformId> = full
-            .iter()
-            .filter(|n| !self.ec_ids.contains(n))
-            .copied()
-            .collect();
+        let mut targets: Vec<PlatformId> =
+            full.iter().filter(|&&n| n != self.ec).copied().collect();
         for n in alt.iter().flatten() {
-            if !self.ec_ids.contains(n) && !targets.contains(n) {
+            if *n != self.ec && !targets.contains(n) {
                 targets.push(*n);
             }
         }
@@ -356,13 +348,13 @@ impl Routes {
         up: &UpLinks,
         b: PlatformId,
     ) -> Option<Vec<PlatformId>> {
-        let ec = self.ec_ids[0];
+        let ec = self.ec;
         let (src, dst) = self.prefix_pair((b, ec))?;
         // A packet at `x` can take the hop to `y` over a connected
         // tunnel when `y` is an EC, over an established radio link
         // otherwise.
         fabric.trace_flow(plane, src, dst, b, ec, |x, y| {
-            if self.ec_ids.contains(&y) {
+            if y == ec {
                 tunnels.connected(x, y)
             } else {
                 up.contains(&(x.min(y), x.max(y)))
@@ -398,9 +390,9 @@ impl Routes {
 }
 
 impl Orchestrator {
-    /// EC pod ids.
+    /// EC pod ids: the one pod every backhaul flow terminates at.
     pub fn ec_ids(&self) -> &[PlatformId] {
-        &self.routes.ec_ids
+        std::slice::from_ref(&self.routes.ec)
     }
 
     /// (Re)program routes over the topology the controller believes
@@ -522,8 +514,8 @@ pub(super) mod tests {
     /// Nine platforms and one EC, as `small()` has them, and the flow
     /// of balloon 0 over relay 1 (primary) or relay 2 (alternate).
     fn flow_over_two_relays() -> (Routes, Flow, Vec<PlatformId>, Vec<PlatformId>) {
-        let routes = Routes::new(9, 1);
-        let ec = routes.ec_ids[0];
+        let routes = Routes::new(9);
+        let ec = routes.ec;
         let (b, mid, other) = (PlatformId(0), PlatformId(1), PlatformId(2));
         (routes, (b, ec), vec![b, mid, ec], vec![b, other, ec])
     }
@@ -597,7 +589,7 @@ pub(super) mod tests {
         // believes in that path, so the alt plane must stop forwarding
         // onto it.
         let mut o = small();
-        let ec = o.routes.ec_ids[0];
+        let ec = o.routes.ec;
         let (b, mid, other) = (PlatformId(0), PlatformId(1), PlatformId(2));
         let flow = (b, ec);
         let (src, dst) = o.routes.prefix_pair(flow).unwrap();

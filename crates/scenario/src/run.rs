@@ -62,8 +62,7 @@ pub fn scorecard(spec: &ScenarioSpec, o: &Orchestrator) -> Scorecard {
                     evicted_bits: t.evicted_bits,
                     resident_bits: t.buffered_bits,
                     in_transit_bits: t.in_transit_bits,
-                    conserved: t.queued_bits
-                        == t.drained_bits + t.evicted_bits + t.buffered_bits + t.in_transit_bits,
+                    conserved: t.conserved(),
                 },
                 CustodyScore {
                     initiated_bits: t.custody_initiated_bits,
@@ -72,11 +71,7 @@ pub fn scorecard(spec: &ScenarioSpec, o: &Orchestrator) -> Scorecard {
                     lost_bits: t.custody_lost_bits,
                     in_transit_bits: t.in_transit_bits,
                     backlog_lost_bits: t.backlog_lost_bits,
-                    balanced: t.custody_initiated_bits
-                        == t.custody_accepted_bits
-                            + t.custody_refused_bits
-                            + t.custody_lost_bits
-                            + t.in_transit_bits,
+                    balanced: t.custody_balanced(),
                 },
             )
         }

@@ -31,7 +31,7 @@ pub struct SnfScore {
     pub resident_bits: u64,
     /// Bits in custody transit at end of run.
     pub in_transit_bits: u64,
-    /// `queued == drained + evicted + resident + in_transit`.
+    /// Every queued bit is drained, evicted, resident or in transit.
     pub conserved: bool,
 }
 
@@ -50,7 +50,7 @@ pub struct CustodyScore {
     pub in_transit_bits: u64,
     /// Backlog wiped with abruptly lost balloons.
     pub backlog_lost_bits: u64,
-    /// `initiated == accepted + refused + lost + in_transit`.
+    /// Every handed-off bit is accepted, refused, lost or in transit.
     pub balanced: bool,
 }
 

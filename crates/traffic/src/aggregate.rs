@@ -159,12 +159,6 @@ impl HierarchicalAllocator {
         self.n_flows = n_flows;
     }
 
-    /// Signature of the cached aggregate tree (changes whenever the
-    /// link sets, classes, or summed weights change).
-    pub fn topology_signature(&self) -> u64 {
-        self.inner.topology_signature()
-    }
-
     /// Compute the hierarchical allocation: per-member `demands[f]`
     /// and per-link `capacities[l]` in bps, returning the granted
     /// rate per member flow. See [`allocate_into`](Self::allocate_into).
@@ -556,12 +550,10 @@ mod tests {
             1,
             2,
         );
-        let sig = hier.topology_signature();
         let mut rates = Vec::new();
         hier.allocate_into(&[100, 100], &[100], &mut rates);
         assert_eq!(rates, vec![50, 50]);
         hier.allocate_into(&[100, 100], &[60], &mut rates);
         assert_eq!(rates, vec![30, 30]);
-        assert_eq!(hier.topology_signature(), sig);
     }
 }

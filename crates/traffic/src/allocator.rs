@@ -35,11 +35,9 @@
 //!
 //! Topology (which links each flow crosses, plus per-flow weight and
 //! class) is set once per forwarding graph via
-//! [`FairShareAllocator::set_flows`] (or the weight-1 bulk-only
-//! shorthand [`FairShareAllocator::set_topology`]); capacity-only
-//! changes (weather fade moving the MCS operating point) reuse the
-//! cached incidence, which is what makes the per-tick recompute
-//! incremental. With every flow at weight 1, class Bulk, the output
+//! [`FairShareAllocator::set_flows`]; capacity-only changes (weather
+//! fade moving the MCS operating point) reuse the cached incidence,
+//! which is what makes the per-tick recompute incremental. With every flow at weight 1, class Bulk, the output
 //! is bit-identical to the pre-tiering allocator
 //! ([`crate::reference::allocate_reference`], enforced by proptest).
 
@@ -101,7 +99,6 @@ pub struct FairShareAllocator {
     weights: Vec<u64>,
     classes: Vec<TrafficClass>,
     n_links: usize,
-    signature: u64,
     /// Reusable hot-loop buffers: a capacity-only tick (same topology,
     /// new capacities) performs no heap allocation beyond first use.
     scratch: Scratch,
@@ -117,89 +114,27 @@ struct Scratch {
     active: Vec<u32>,
 }
 
-/// Deterministic FNV-1a signature of a flow→link incidence, so callers
-/// can detect "topology actually changed" without a deep compare.
-pub fn incidence_signature(flow_links: &[Vec<u32>], n_links: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(n_links as u64);
-    for links in flow_links {
-        mix(0xffff_ffff_ffff_fffe);
-        for &l in links {
-            mix(l as u64);
-        }
-    }
-    h
-}
-
-/// Deterministic FNV-1a signature of a full flow-spec set (incidence,
-/// weights, classes) — the tiered analogue of [`incidence_signature`].
-pub fn flows_signature(specs: &[FlowSpec], n_links: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(n_links as u64);
-    for spec in specs {
-        mix(0xffff_ffff_ffff_fffe);
-        for &l in &spec.links {
-            mix(l as u64);
-        }
-        mix(0xffff_ffff_ffff_fffd);
-        mix(spec.weight as u64);
-        mix(match spec.class {
-            TrafficClass::Control => 0,
-            TrafficClass::Bulk => 1,
-        });
-    }
-    h
-}
-
 impl FairShareAllocator {
     /// A fresh allocator with no topology.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Install a weight-1, bulk-only flow→link incidence — the
-    /// pre-tiering interface, kept for callers that don't speak
-    /// weights. `flow_links[f]` lists the link ids flow `f` crosses
-    /// (empty ⇒ the flow is uncongested and gets its full demand);
-    /// link ids must be `< n_links`.
-    pub fn set_topology(&mut self, flow_links: Vec<Vec<u32>>, n_links: usize) {
-        let specs: Vec<FlowSpec> = flow_links.into_iter().map(FlowSpec::bulk).collect();
-        self.set_flows(specs, n_links);
-    }
-
     /// Install the full flow-spec set (incidence + weights + classes)
     /// for the current forwarding graph. Weights of 0 are promoted to
     /// 1 so the fill level is always well defined.
     pub fn set_flows(&mut self, specs: Vec<FlowSpec>, n_links: usize) {
-        debug_assert!(specs
-            .iter()
-            .flat_map(|s| &s.links)
-            .all(|&l| (l as usize) < n_links));
-        self.signature = flows_signature(&specs, n_links);
-        self.flow_links = Vec::with_capacity(specs.len());
-        self.weights = Vec::with_capacity(specs.len());
-        self.classes = Vec::with_capacity(specs.len());
-        for spec in specs {
-            self.flow_links.push(spec.links);
-            self.weights.push(spec.weight.max(1) as u64);
-            self.classes.push(spec.class);
-        }
-        self.n_links = n_links;
+        let weights = specs.iter().map(|s| s.weight as u64).collect();
+        let classes = specs.iter().map(|s| s.class).collect();
+        let links = specs.into_iter().map(|s| s.links).collect();
+        self.set_flows_raw(links, weights, classes, n_links);
     }
 
-    /// Install a raw incidence with pre-summed `u64` weights — the
+    /// [`Self::set_flows`] with pre-summed `u64` weights — the
     /// aggregate-tree entry point used by
     /// [`crate::aggregate::HierarchicalAllocator`], where a node's
     /// weight is the sum of its members' weights and can exceed the
-    /// `u32` of a single [`FlowSpec`]. Weights of 0 are promoted to 1.
+    /// `u32` of a single [`FlowSpec`].
     pub(crate) fn set_flows_raw(
         &mut self,
         flow_links: Vec<Vec<u32>>,
@@ -210,34 +145,10 @@ impl FairShareAllocator {
         assert_eq!(flow_links.len(), weights.len());
         assert_eq!(flow_links.len(), classes.len());
         debug_assert!(flow_links.iter().flatten().all(|&l| (l as usize) < n_links));
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        mix(n_links as u64);
-        for (i, links) in flow_links.iter().enumerate() {
-            mix(0xffff_ffff_ffff_fffe);
-            for &l in links {
-                mix(l as u64);
-            }
-            mix(0xffff_ffff_ffff_fffd);
-            mix(weights[i]);
-            mix(match classes[i] {
-                TrafficClass::Control => 0,
-                TrafficClass::Bulk => 1,
-            });
-        }
-        self.signature = h;
         self.flow_links = flow_links;
         self.weights = weights.into_iter().map(|w| w.max(1)).collect();
         self.classes = classes;
         self.n_links = n_links;
-    }
-
-    /// Signature of the cached flow-spec set ([`flows_signature`]).
-    pub fn topology_signature(&self) -> u64 {
-        self.signature
     }
 
     /// Compute the tiered max-min fair allocation: `demands[f]` and
@@ -419,7 +330,10 @@ mod tests {
 
     fn alloc(flow_links: Vec<Vec<u32>>, n_links: usize) -> FairShareAllocator {
         let mut a = FairShareAllocator::new();
-        a.set_topology(flow_links, n_links);
+        a.set_flows(
+            flow_links.into_iter().map(FlowSpec::bulk).collect(),
+            n_links,
+        );
         a
     }
 
@@ -620,39 +534,11 @@ mod tests {
     #[test]
     fn capacity_only_change_reuses_topology() {
         let mut a = alloc(vec![vec![0], vec![0]], 1);
-        let sig = a.topology_signature();
         let r1 = a.allocate(&[100, 100], &[100]);
         let r2 = a.allocate(&[100, 100], &[60]);
-        assert_eq!(
-            a.topology_signature(),
-            sig,
-            "allocate must not disturb topology"
-        );
         assert_eq!(r1, vec![50, 50]);
         assert_eq!(r2, vec![30, 30]);
-        a.set_topology(vec![vec![0], vec![]], 1);
-        assert_ne!(a.topology_signature(), sig);
-    }
-
-    #[test]
-    fn signature_distinguishes_incidence_shapes() {
-        // [0],[1] vs [0,1],[] must hash differently (flow boundaries
-        // are mixed in, not just the flattened link list).
-        let s1 = incidence_signature(&[vec![0], vec![1]], 2);
-        let s2 = incidence_signature(&[vec![0, 1], vec![]], 2);
-        assert_ne!(s1, s2);
-    }
-
-    #[test]
-    fn signature_distinguishes_weights_and_classes() {
-        let links = [vec![0u32], vec![1]];
-        let base: Vec<FlowSpec> = links.iter().cloned().map(FlowSpec::bulk).collect();
-        let mut heavier = base.clone();
-        heavier[0].weight = 2;
-        let mut control = base.clone();
-        control[1].class = TrafficClass::Control;
-        let s0 = flows_signature(&base, 2);
-        assert_ne!(s0, flows_signature(&heavier, 2));
-        assert_ne!(s0, flows_signature(&control, 2));
+        a.set_flows(vec![FlowSpec::bulk(vec![0]), FlowSpec::bulk(vec![])], 1);
+        assert_eq!(a.allocate(&[100, 100], &[60]), vec![60, 100]);
     }
 }

@@ -14,7 +14,7 @@
 //!   forwarding graph ([`FairShareAllocator`]): per-flow weights, a
 //!   strict-priority [`TrafficClass::Control`] class drained before
 //!   bulk, and a batch-freeze round structure in exact integer bps
-//!   arithmetic; capacity-only changes reuse the cached flow→link
+//!   arithmetic; capacity-only changes reuse the installed flow→link
 //!   incidence. [`reference`] keeps the pre-tiering filler,
 //!   an unbatched weighted filler, and a naive hierarchical filler as
 //!   proptest oracles.
@@ -30,9 +30,10 @@
 //!   (via `tssdn_rf::capacity_mbps`), account goodput/disruptions
 //!   into a `tssdn_telemetry::GoodputSeries`, and export the
 //!   EWMA demand digest the planner feeds back into its request
-//!   weights. The tick is an ordered list of phases that walk the
-//!   flows as per-site runs and skip a site that offers nothing
-//!   (`engine/phases.rs`, DESIGN.md §8).
+//!   weights. The engine is three parts — the routing view and
+//!   allocation, the store-and-forward backlog, the accounting — and
+//!   the tick walks the flows as per-site runs, skipping a site that
+//!   offers nothing (DESIGN.md §8).
 //!
 //! Determinism contract: all randomness is drawn from the dedicated
 //! `"traffic-demand"` stream at construction; ticking never consumes
@@ -47,9 +48,7 @@ pub mod engine;
 pub mod reference;
 
 pub use aggregate::{AggregateMember, AggregateSpec, HierarchicalAllocator};
-pub use allocator::{
-    flows_signature, incidence_signature, FairShareAllocator, FlowSpec, TrafficClass,
-};
+pub use allocator::{FairShareAllocator, FlowSpec, TrafficClass};
 pub use demand::{
     AggregateFlow, DemandConfig, DemandGenerator, DemandSurge, FlowId, LoadFactor, SiteRun,
 };

@@ -362,7 +362,7 @@ mod tests {
         let demands = [37u64, 91, 13, 70, 55, 28];
         let caps = [90u64, 60, 50];
         let mut a = FairShareAllocator::new();
-        a.set_topology(fl.clone(), 3);
+        a.set_flows(fl.iter().cloned().map(FlowSpec::bulk).collect(), 3);
         assert_eq!(
             a.allocate(&demands, &caps),
             allocate_reference(&fl, 3, &demands, &caps)

@@ -43,6 +43,54 @@ if [ "$mode" != "build" ]; then
     exit 1
   fi
 
+  # A member cited in the docs goes stale silently when the code moves:
+  # every backticked `Type::member` in DESIGN.md or README.md whose Type
+  # the workspace defines must name a fn, field, const or variant in a
+  # file that defines or implements that Type (a derived trait method
+  # such as `::default` counts when the file derives the trait).
+  # EXPERIMENTS.md is a history and is not checked.
+  echo "==> DESIGN.md / README.md cite only members that exist"
+  refs=$(awk '
+    /^```/ { fence = !fence; next }
+    !fence { text = text " " $0 }
+    END {
+      n = split(text, part, "`")
+      for (i = 2; i <= n; i += 2) {
+        s = part[i]
+        while (match(s, /[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*/)) {
+          ref = substr(s, RSTART, RLENGTH)
+          pre = RSTART > 1 ? substr(s, RSTART - 1, 1) : ""
+          if (pre !~ /[A-Za-z0-9_]/) { sub(/::/, " ", ref); print ref }
+          s = substr(s, RSTART + RLENGTH)
+        }
+      }
+    }' DESIGN.md README.md | sort -u)
+  src=(-- 'crates/*.rs' 'tests/*.rs' 'examples/*.rs')
+  stale=""
+  while read -r ty member; do
+    [ -n "$ty" ] || continue
+    defs=$(git grep -l -E "\b(struct|enum|trait|type|union) $ty\b" "${src[@]}" || true)
+    [ -n "$defs" ] || continue # not a workspace type
+    impls=$(git grep -l -E "^\s*impl\b[^{]*\b$ty\b" "${src[@]}" || true)
+    files=$(printf '%s\n%s\n' "$defs" "$impls" | sort -u | grep -v '^$')
+    pat="\bfn $member\b|\b$member\s*:([^:]|$)|\bconst $member\b|^\s*$member\s*([,({=]|$)"
+    # shellcheck disable=SC2086
+    grep -q -E "$pat" $files && continue
+    case "$member" in
+      default) derived=Default ;; clone) derived=Clone ;; eq | ne) derived=PartialEq ;;
+      cmp) derived=Ord ;; partial_cmp) derived=PartialOrd ;; hash) derived=Hash ;;
+      *) derived="" ;;
+    esac
+    # shellcheck disable=SC2086
+    [ -n "$derived" ] && grep -q -E "derive\([^)]*\b$derived\b" $defs && continue
+    stale="$stale  $ty::$member"$'\n'
+  done <<<"$refs"
+  if [ -n "$stale" ]; then
+    echo "documentation cites members the workspace does not have:" >&2
+    printf '%s' "$stale" >&2
+    exit 1
+  fi
+
   echo "==> cargo clippy --workspace --all-targets -- -D warnings"
   cargo clippy --workspace --all-targets -- -D warnings
 fi
