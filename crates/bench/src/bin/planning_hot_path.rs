@@ -5,7 +5,11 @@
 //! trajectory — with a provenance `manifest` (revision, rustc, nproc,
 //! mode) and p50/p95 wall times for the optimized
 //! `LinkEvaluator::evaluate` / `Solver::solve` and their naive
-//! references at 25/50/100-balloon fleets, plus the speedups. `solve`
+//! references at 25/50/100-balloon fleets, plus the speedups. Every
+//! fleet but `100-flown` has a different altitude on each balloon (no
+//! two platform pairs share a path decay profile: the evaluator's
+//! decay memo never hits); `100-flown` has flown six hours first, so
+//! its balloons share a few float altitudes as in a live world. `solve`
 //! is the cold solve (nothing installed: a world pays it once per
 //! dawn); `solve_warm` is the one it pays every epoch after — the
 //! same graph and requests with the cold plan installed as the
@@ -38,11 +42,12 @@ use tssdn_link::Transceiver;
 use tssdn_sim::{Fleet, FleetConfig, PlatformId, PlatformKind, RngStreams, SimTime};
 use tssdn_telemetry::percentile;
 
-fn build_model(n: usize, spawn_radius_m: f64) -> (NetworkModel, Vec<PlatformId>) {
+fn build_model(spec: &FleetSpec) -> (NetworkModel, Vec<PlatformId>) {
     let streams = RngStreams::new(42);
-    let mut cfg = FleetConfig::kenya(n);
-    cfg.spawn_radius_m = spawn_radius_m;
-    let fleet = Fleet::generate(cfg, &streams);
+    let mut cfg = FleetConfig::kenya(spec.n);
+    cfg.spawn_radius_m = spec.spawn_radius_m;
+    let mut fleet = Fleet::generate(cfg, &streams);
+    fleet.advance_to(SimTime::from_hours(spec.flown_hours));
     let mut model = NetworkModel::new(WeatherSource::Itu(tssdn_rf::ItuSeasonal::tropical_wet()));
     for (id, kind) in fleet.platform_ids() {
         let xs: Vec<Transceiver> = match kind {
@@ -104,20 +109,21 @@ struct FleetResult {
 /// A benched fleet shape. `spawn_radius_m` controls dispersion: 300 km
 /// packs every pair inside radio range (the grid prefilter is a
 /// no-op); a multi-thousand-km spread is where the grid actually
-/// prunes pair candidates before any slant-range math.
+/// prunes pair candidates before any slant-range math. A fleet fresh
+/// from spawn has a different random altitude on every balloon;
+/// `flown_hours` of flight sends them to the wind layers their flight
+/// controllers choose, so — as in a live world — many share one float
+/// altitude and the evaluator's per-altitude-pair memo hits.
 struct FleetSpec {
     n: usize,
     spawn_radius_m: f64,
+    flown_hours: u64,
     label: &'static str,
 }
 
 fn run_fleet(spec: &FleetSpec, iters: usize) -> FleetResult {
-    let FleetSpec {
-        n,
-        spawn_radius_m,
-        label,
-    } = *spec;
-    let (model, gs) = build_model(n, spawn_radius_m);
+    let FleetSpec { n, label, .. } = *spec;
+    let (model, gs) = build_model(spec);
     let at = SimTime::ZERO;
     let evaluator = LinkEvaluator::new(EvaluatorConfig::default());
     let solver = Solver::default();
@@ -165,9 +171,17 @@ fn run_fleet(spec: &FleetSpec, iters: usize) -> FleetResult {
         "{n}-balloon fleet: warm solve diverged from reference"
     );
 
+    let mut altitudes: Vec<u64> = model
+        .platforms()
+        .filter_map(|p| model.predicted_position(p.id, at))
+        .map(|pos| pos.alt_m.to_bits())
+        .collect();
+    altitudes.sort_unstable();
+    altitudes.dedup();
     eprintln!(
-        "  [{label}] {} platforms, {} candidates, plan: {} demand + {} redundant — equivalence OK",
+        "  [{label}] {} platforms at {} altitudes, {} candidates, plan: {} demand + {} redundant — equivalence OK",
         n + gs.len(),
+        altitudes.len(),
         graph.len(),
         plan.demand_links.len(),
         plan.redundant_links.len()
@@ -209,33 +223,45 @@ fn main() {
         .cloned();
 
     // Dense fleets (300 km spread: every pair in range) at three sizes,
-    // plus a dispersed 100-balloon fleet (3000 km spread) where the
-    // spatial grid prefilter actually discards out-of-range pairs.
+    // a dispersed 100-balloon fleet (3000 km spread) where the spatial
+    // grid prefilter actually discards out-of-range pairs, and a dense
+    // one at shared altitudes.
     const SMOKE: &[FleetSpec] = &[FleetSpec {
         n: 8,
         spawn_radius_m: 300_000.0,
+        flown_hours: 0,
         label: "8",
     }];
     const FULL: &[FleetSpec] = &[
         FleetSpec {
             n: 25,
             spawn_radius_m: 300_000.0,
+            flown_hours: 0,
             label: "25",
         },
         FleetSpec {
             n: 50,
             spawn_radius_m: 300_000.0,
+            flown_hours: 0,
             label: "50",
         },
         FleetSpec {
             n: 100,
             spawn_radius_m: 300_000.0,
+            flown_hours: 0,
             label: "100",
         },
         FleetSpec {
             n: 100,
             spawn_radius_m: 3_000_000.0,
+            flown_hours: 0,
             label: "100-dispersed",
+        },
+        FleetSpec {
+            n: 100,
+            spawn_radius_m: 300_000.0,
+            flown_hours: 6,
+            label: "100-flown",
         },
     ];
     let (specs, iters): (&[FleetSpec], usize) = if smoke { (SMOKE, 3) } else { (FULL, 12) };

@@ -24,6 +24,12 @@
 //! runs a single scenario by catalog name; `--out DIR` overrides the
 //! artifact directory (default `artifact_out`).
 //!
+//! **Profile mode** (`scenario_matrix --spec FILE`) runs one spec file
+//! — a catalog artifact's `spec`, or an e2e workload such as
+//! `crates/e2e/workloads/satdark100_day.json` — once to its horizon and
+//! prints each stage's share of the loop's wall-clock on stdout. No
+//! gate, no artifact.
+//!
 //! **Diff mode** (`scenario_matrix --diff OLD_DIR NEW_DIR`) compares
 //! two scorecard directories (as written by a matrix run) and exits
 //! nonzero on regressions *finer than floor granularity*: floors sit
@@ -221,6 +227,27 @@ fn stage_shares(world: &Orchestrator) -> String {
         .join(", ")
 }
 
+/// `--spec FILE`: run the spec in `path` to its horizon and print where
+/// the loop's wall-clock went.
+fn profile_spec(path: &Path) {
+    let fail = |msg: String| -> ! {
+        eprintln!("--spec {}: {msg}", path.display());
+        std::process::exit(2);
+    };
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| fail(e.to_string()));
+    let spec = ScenarioSpec::from_json(&text).unwrap_or_else(|e| fail(e.to_string()));
+    let mut world = spec.build();
+    let started = std::time::Instant::now();
+    world.run_until(spec.end_time());
+    println!(
+        "{}: {:.2} s wall for {} sim-h",
+        spec.name,
+        started.elapsed().as_secs_f64(),
+        spec.duration_hours
+    );
+    println!("stages {}: {}", spec.name, stage_shares(&world));
+}
+
 /// Re-indent a pretty JSON blob for embedding inside an object.
 fn indent(text: &str, pad: &str) -> String {
     text.lines()
@@ -259,6 +286,14 @@ fn main() {
                     std::process::exit(1);
                 }
                 println!("scorecard diff: no regressions");
+                return;
+            }
+            "--spec" => {
+                let Some(path) = args.get(i + 1) else {
+                    eprintln!("--spec needs a spec file");
+                    std::process::exit(2);
+                };
+                profile_spec(Path::new(path));
                 return;
             }
             "--smoke" => smoke = true,

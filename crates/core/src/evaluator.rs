@@ -21,7 +21,7 @@ use crate::model::{ModelWeather, NetworkModel, PlatformInfo};
 use std::collections::{BTreeSet, HashMap};
 use tssdn_geo::{line_of_sight_clear, AzEl, Ecef, GeoPoint, LocalFrame, PointingSolution};
 use tssdn_link::{LinkKind, TransceiverId};
-use tssdn_rf::{BandConsts, LinkQuality, PathIntegrator, RadioParams};
+use tssdn_rf::{BandConsts, LinkBudgetReport, LinkQuality, PathIntegrator, RadioParams};
 use tssdn_sim::{PlatformId, PlatformKind, SimTime};
 
 /// Evaluator configuration.
@@ -219,10 +219,17 @@ impl LinkEvaluator {
     /// * *per platform* — a [`PlatformSnap`]: predicted position, its
     ///   [`LocalFrame`] (ECEF image plus the sines and cosines pointing
     ///   needs) and every transceiver's boresight gain;
+    /// * *per distinct altitude pair, per worker* — the path's decay
+    ///   profile (the two altitude decay factors of every path step:
+    ///   64 `exp`s), kept in the worker's [`PathIntegrator`] in a fixed
+    ///   table keyed by the two altitudes' bits;
     /// * *per pair* — range, line of sight, the two pointing
     ///   directions, which antennas on each side can point, and one
     ///   walk of the path that yields every band's attenuation;
-    /// * *per antenna pairing × band* — only the link-budget sum.
+    /// * *per run of equal gain pairs × band* — the link-budget sum:
+    ///   consecutive antenna pairings whose `(boresight_gain_a,
+    ///   boresight_gain_b)` bits repeat reuse the last best band, so a
+    ///   pair whose antennas share one pattern computes it once.
     ///
     /// A coarse spatial grid buckets platforms by `max_range_m` in
     /// ECEF, so only pairs within ±1 cell per axis — a superset of
@@ -344,6 +351,10 @@ pub(crate) struct PairSweep<'a> {
     out: Vec<CandidateLink>,
 }
 
+/// The band with the highest margin among those that are not
+/// infeasible, and its budget; `None` when every band is infeasible.
+type BestBand = Option<(u8, LinkBudgetReport)>;
+
 impl<'a> PairSweep<'a> {
     pub(crate) fn new(
         config: &'a EvaluatorConfig,
@@ -424,28 +435,38 @@ impl<'a> PairSweep<'a> {
                 .integrate(&a.pos, &b.pos, range, self.weather, self.at.as_ms());
         let first = self.out.len();
         let mut best_margin_db = f64::NEG_INFINITY;
+        // The best band of an antenna pairing is a pure function of the
+        // two gains and the path. A platform's antennas usually share
+        // one pattern, so a pairing usually repeats the last one's gain
+        // bits and reuses its best band (folding the repeat's margins
+        // into `best_margin_db` again could not change the max).
+        let mut last: Option<((u64, u64), BestBand)> = None;
         for &ai in &self.pointable_a {
             for &bi in &self.pointable_b {
-                // Best band for this antenna pairing.
-                let mut best: Option<(u8, tssdn_rf::LinkBudgetReport)> = None;
-                for (band_i, band) in self.bands.iter().enumerate() {
-                    let rep = band.evaluate(
-                        a.boresight_gain_dbi[ai],
-                        b.boresight_gain_dbi[bi],
-                        attenuations[band_i],
-                    );
-                    best_margin_db = best_margin_db.max(rep.margin_db);
-                    if rep.quality == LinkQuality::Infeasible {
-                        continue;
+                let (gain_a, gain_b) = (a.boresight_gain_dbi[ai], b.boresight_gain_dbi[bi]);
+                let key = (gain_a.to_bits(), gain_b.to_bits());
+                let best = match last {
+                    Some((last_key, best)) if last_key == key => best,
+                    _ => {
+                        let mut best: BestBand = None;
+                        for (band_i, band) in self.bands.iter().enumerate() {
+                            let rep = band.evaluate(gain_a, gain_b, attenuations[band_i]);
+                            best_margin_db = best_margin_db.max(rep.margin_db);
+                            if rep.quality == LinkQuality::Infeasible {
+                                continue;
+                            }
+                            let better = match &best {
+                                None => true,
+                                Some((_, b)) => rep.margin_db > b.margin_db,
+                            };
+                            if better {
+                                best = Some((band_i as u8, rep));
+                            }
+                        }
+                        last = Some((key, best));
+                        best
                     }
-                    let better = match &best {
-                        None => true,
-                        Some((_, b)) => rep.margin_db > b.margin_db,
-                    };
-                    if better {
-                        best = Some((band_i as u8, rep));
-                    }
-                }
+                };
                 if let Some((band, rep)) = best {
                     self.out.push(CandidateLink {
                         a: pa.transceivers[ai].id,
@@ -723,6 +744,68 @@ mod tests {
             "optimized sweep diverged from the reference on a NaN gauge"
         );
         assert!(graph.num_b2b() > 0 && graph.num_b2g() == 0);
+    }
+
+    /// The decay memo and the budget memo against the naive
+    /// reference on a live-like fleet: 72 balloons on 36 shared float
+    /// altitudes, so altitude pairs repeat, and more distinct pairs reach
+    /// the integral than the integrators of all workers hold together,
+    /// so some worker's table evicts. Mixed antenna patterns on some
+    /// balloons give their pairs more than one gain pair.
+    #[test]
+    fn memoised_sweep_matches_reference_on_shared_altitudes() {
+        use tssdn_rf::{AntennaPattern, PathIntegrator};
+        let mut m = small_model();
+        for i in 0..72u32 {
+            let id = PlatformId(100 + i);
+            let mut xs = balloon_transceivers(id);
+            if i % 5 == 2 {
+                xs[2].pattern = AntennaPattern::e_band_ground_station();
+            }
+            m.add_platform(id, tssdn_sim::PlatformKind::Balloon, xs);
+            let (ring, spoke) = ((i / 12) as f64, (i % 12) as f64);
+            let theta = spoke * std::f64::consts::TAU / 12.0 + 0.3 * ring;
+            let r_deg = 0.25 + 0.3 * ring;
+            m.report_position(
+                id,
+                fix(
+                    r_deg * theta.sin(),
+                    37.5 + r_deg * theta.cos(),
+                    15_500.0 + 100.0 * (i % 36) as f64,
+                ),
+            );
+            m.report_power(id, true);
+        }
+        let evaluator = LinkEvaluator::default();
+        let graph = evaluator.evaluate(&m, SimTime::ZERO);
+        assert!(
+            graph == crate::reference::evaluate_reference(&evaluator, &m, SimTime::ZERO),
+            "memoised sweep diverged from the reference"
+        );
+
+        let alt = |p: PlatformId| {
+            m.predicted_position(p, SimTime::ZERO)
+                .expect("placed")
+                .alt_m
+        };
+        let mut pairs: Vec<_> = graph
+            .links
+            .iter()
+            .map(|l| (l.a.platform, l.b.platform))
+            .collect();
+        pairs.dedup();
+        let mut keys: Vec<_> = pairs
+            .iter()
+            .map(|&(a, b)| (alt(a).to_bits(), alt(b).to_bits()))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert!(pairs.len() > keys.len(), "altitude pairs repeat");
+        assert!(
+            keys.len() > PathIntegrator::DECAY_SLOTS * crate::fan_out::host_workers(),
+            "{} distinct altitude pairs: some worker must evict",
+            keys.len()
+        );
     }
 
     #[test]
