@@ -1,9 +1,16 @@
 //! Criterion bench: per-simulated-second cost of each MANET protocol
 //! on a Loon-sized mesh (15 nodes, ~20 links), and of the BATMAN flood
 //! on a mesh the size of the e2e `dense50_morning` world (53 nodes,
-//! 67 links), where the flood is the largest stage of the loop.
+//! 67 links), where the flood is the largest stage of the loop. Two
+//! more price the `manet-loss` draws the flood makes once per link
+//! copy: a draw from a running ChaCha8 stream, and the first draw of a
+//! fresh one (a refill computes four blocks, so a stream drawn from
+//! once pays for words it never reads — `poll_links` derives one per link
+//! machine per poll).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rand::Rng;
+use std::hint::black_box;
 use tssdn_manet::{Aodv, Batman, Dsdv, Harness, ManetProtocol, Olsr};
 use tssdn_sim::{PlatformId, RngStreams, SimDuration, SimTime};
 
@@ -90,6 +97,23 @@ fn bench_manet(c: &mut Criterion) {
     group.bench_function("olsr", |b| {
         let mut f = run_one(Olsr::new, mesh_edges(), false);
         b.iter(&mut f)
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("manet_loss_draw");
+    let streams = RngStreams::new(7);
+    group.bench_function("chacha8_gen_bool", |b| {
+        let mut rng = streams.stream("manet-loss");
+        b.iter(|| rng.gen_bool(black_box(0.95)))
+    });
+    group.bench_function("chacha8_fresh_stream_first_draw", |b| {
+        let mut index = 0u64;
+        b.iter(|| {
+            index += 1;
+            streams
+                .indexed_stream("link", black_box(index))
+                .gen_bool(0.95)
+        })
     });
     group.finish();
 }

@@ -81,8 +81,7 @@ impl Orchestrator {
             let hops = manet
                 .selected_gateway(b)
                 .filter(|g| session_up && !self.tunnels.ecs_of(*g).is_empty())
-                .and_then(|g| manet.route_path(b, g))
-                .map(|path| path.len() as u32 - 1);
+                .and_then(|g| manet.route_hops(b, g));
             let Some(hops) = hops else {
                 self.cdpi.node_disconnected_inband(b);
                 continue;

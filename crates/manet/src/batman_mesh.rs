@@ -61,4 +61,10 @@ impl BatmanMesh {
     pub fn route_path(&self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
         self.harness.route_path(from, to)
     }
+
+    /// The hop count `from → to`, if the route is complete and
+    /// loop-free ([`Harness::route_hops`]).
+    pub fn route_hops(&self, from: NodeId, to: NodeId) -> Option<u32> {
+        self.harness.route_hops(from, to)
+    }
 }

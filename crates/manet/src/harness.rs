@@ -302,6 +302,14 @@ impl<P: ManetProtocol> Harness<P> {
         self.walk(from, to, |hop| path.push(hop)).then_some(path)
     }
 
+    /// The hop count of the realized forwarding path, if complete and
+    /// loop-free: [`Harness::route_path`]'s length less one, without
+    /// building the path.
+    pub fn route_hops(&self, from: NodeId, to: NodeId) -> Option<u32> {
+        let mut hops = 0;
+        self.walk(from, to, |_| hops += 1).then_some(hops)
+    }
+
     /// Walk the next-hop chain from `from`, reporting each hop taken;
     /// true when the walk ends at `to`.
     fn walk(&self, from: NodeId, to: NodeId, mut visit: impl FnMut(NodeId)) -> bool {
@@ -487,6 +495,7 @@ mod tests {
         h.set_link(n(0), n(1), 1.0);
         h.set_link(n(1), n(2), 1.0);
         assert_eq!(h.route_path(n(0), n(2)), Some(vec![n(0), n(1), n(2)]));
+        assert_eq!(h.route_hops(n(0), n(2)), Some(2));
         assert!(h.route_works(n(0), n(2)));
     }
 
@@ -500,6 +509,7 @@ mod tests {
         h.set_link(n(1), n(2), 1.0);
         h.remove_link(n(1), n(2));
         assert!(!h.route_works(n(0), n(2)), "stale next hop detected");
+        assert_eq!(h.route_hops(n(0), n(2)), None);
     }
 
     #[test]
@@ -511,6 +521,7 @@ mod tests {
         h.set_link(n(0), n(1), 1.0);
         h.add_node(n(9));
         assert!(!h.route_works(n(0), n(9)));
+        assert_eq!(h.route_hops(n(0), n(9)), None);
     }
 
     /// Node 0 broadcasts its tick count every tick; everyone logs
@@ -580,5 +591,6 @@ mod tests {
         h.add_node(n(4));
         assert!(h.route_works(n(4), n(4)));
         assert_eq!(h.route_path(n(4), n(4)), Some(vec![n(4)]));
+        assert_eq!(h.route_hops(n(4), n(4)), Some(0));
     }
 }

@@ -3,7 +3,8 @@
 #
 #   ./scripts/verify.sh          # everything: lint + build + tests +
 #                                # smoke benches
-#   ./scripts/verify.sh --lint   # fast-fail subset: fmt + clippy
+#   ./scripts/verify.sh --lint   # fast-fail subset: fmt + doc citations +
+#                                # the unsafe gate + clippy
 #   ./scripts/verify.sh --build  # build + tests + smoke benches +
 #                                # scorecard diff and byte-identity
 #                                # against baselines/scorecards/
@@ -88,6 +89,18 @@ if [ "$mode" != "build" ]; then
   if [ -n "$stale" ]; then
     echo "documentation cites members the workspace does not have:" >&2
     printf '%s' "$stale" >&2
+    exit 1
+  fi
+
+  # `unsafe` lives in one file, where it is argued: the vendored
+  # ChaCha8 generator's SSE2 lanes. Clippy's
+  # `undocumented_unsafe_blocks`, denied in that crate, holds every
+  # block there to a `// SAFETY:` comment.
+  echo "==> unsafe appears only in vendor/rand_chacha/src/lib.rs"
+  stray=$(git grep -nw unsafe -- '*.rs' ':!vendor/rand_chacha/src/lib.rs' || true)
+  if [ -n "$stray" ]; then
+    echo "$stray" >&2
+    echo "unsafe outside vendor/rand_chacha/src/lib.rs" >&2
     exit 1
   fi
 
