@@ -31,6 +31,15 @@
 //! demand (the total is `A` and no member may exceed its cap, so there
 //! is no other solution). Only a strictly partial grant water-fills.
 //!
+//! **Layout and the two halves.** All members sit in one flat list,
+//! group after group (compressed sparse rows: `(flow, weight)` pairs
+//! and the group bounds). [`HierarchicalAllocator::grant`] water-fills
+//! the aggregate tree from per-aggregate demand sums;
+//! [`HierarchicalAllocator::distribute`] hands one aggregate's grant to
+//! its members. [`HierarchicalAllocator::allocate_into`] composes them;
+//! the traffic engine sums its own aggregates and distributes only
+//! strictly partial grants (DESIGN.md §8).
+//!
 //! **When aggregation is lossless.** The hierarchical result
 //! collapses bit-for-bit to the flat weighted max-min when
 //!
@@ -67,6 +76,7 @@
 //! by `traffic_scale`'s identity gates.
 
 use crate::allocator::{FairShareAllocator, TrafficClass, DEMAND_CAP_BPS};
+use std::mem::take;
 
 /// One member of an aggregate: a flow index in the caller's flow
 /// space and its max-min weight within the aggregate (0 is promoted
@@ -103,10 +113,12 @@ pub struct AggregateSpec {
 pub struct HierarchicalAllocator {
     /// The aggregate-tree water-fill (one flow per aggregate).
     inner: FairShareAllocator,
-    /// Per-aggregate member lists, weight-promoted to u64.
-    members: Vec<Vec<(u32, u64)>>,
+    /// Every aggregate's members, weight-promoted to u64, group after
+    /// group: aggregate `g`'s are `members[bounds[g]..bounds[g + 1]]`.
+    members: Vec<(u32, u64)>,
+    bounds: Vec<usize>,
     n_flows: usize,
-    /// Scratch: aggregate demands (uncapped member sums) / rates and
+    /// Scratch: aggregate demands (uncapped member sums) / grants and
     /// the per-group active set, reused so capacity-only ticks
     /// allocate nothing.
     agg_demands: Vec<u64>,
@@ -141,18 +153,15 @@ impl HierarchicalAllocator {
         let mut weights = Vec::with_capacity(groups.len());
         let mut classes = Vec::with_capacity(groups.len());
         self.members.clear();
+        self.bounds.clear();
+        self.bounds.push(0);
         for g in groups {
-            let mut w_sum = 0u64;
-            let mut mem = Vec::with_capacity(g.members.len());
-            for m in &g.members {
-                let w = m.weight.max(1) as u64;
-                w_sum = w_sum.saturating_add(w);
-                mem.push((m.flow, w));
-            }
+            let mem = g.members.iter().map(|m| (m.flow, m.weight.max(1) as u64));
+            self.members.extend(mem.clone());
+            self.bounds.push(self.members.len());
+            weights.push(mem.fold(0u64, |sum, (_, w)| sum.saturating_add(w)));
             flow_links.push(g.links);
-            weights.push(w_sum);
             classes.push(g.class);
-            self.members.push(mem);
         }
         self.inner
             .set_flows_raw(flow_links, weights, classes, n_links);
@@ -168,9 +177,11 @@ impl HierarchicalAllocator {
         rates
     }
 
-    /// [`allocate`](Self::allocate) into a caller-owned vector. After
-    /// the first call, a capacity-only tick (same tree, fresh
-    /// capacities, reused `rates`) performs zero heap allocation.
+    /// [`allocate`](Self::allocate) into a caller-owned vector: member
+    /// demands rolled up per aggregate, then [`grant`](Self::grant) and
+    /// [`distribute`](Self::distribute). After the first call, a
+    /// capacity-only tick (same tree, fresh capacities, reused `rates`)
+    /// performs zero heap allocation.
     pub fn allocate_into(&mut self, demands: &[u64], capacities: &[u64], rates: &mut Vec<u64>) {
         assert_eq!(demands.len(), self.n_flows, "demands ≠ tree flows");
 
@@ -179,41 +190,53 @@ impl HierarchicalAllocator {
         // run caps it like any flat demand, so it stays overflow-free.
         // (A sum that hits the cap makes the collapse lossy; the
         // engine's per-site demands are nowhere near it.)
-        self.agg_demands.clear();
-        self.agg_demands.extend(self.members.iter().map(|mem| {
-            mem.iter().fold(0u64, |sum, &(f, _)| {
+        let (mut sums, mut grants) = (take(&mut self.agg_demands), take(&mut self.agg_rates));
+        sums.clear();
+        sums.extend(self.bounds.windows(2).map(|b| {
+            self.members[b[0]..b[1]].iter().fold(0u64, |sum, &(f, _)| {
                 sum.saturating_add(demands[f as usize].min(DEMAND_CAP_BPS))
             })
         }));
+        self.grant(&sums, capacities, &mut grants);
 
-        // The exact water-fill over the aggregate tree...
-        let mut agg_rates = std::mem::take(&mut self.agg_rates);
-        self.inner
-            .allocate_into(&self.agg_demands, capacities, &mut agg_rates);
-
-        // ...then exact distribution of each aggregate's grant to its
-        // members, in group order. `distribute` hands out exactly the
-        // grant and never lifts a member above its capped demand, so a
-        // grant of nothing leaves every member at 0 and a grant of the
-        // whole member sum puts every member at its capped demand:
-        // neither needs the rounds. (A sum above the cap is granted
-        // at most the cap, so it takes them.)
+        // `distribute` hands out exactly the grant and never lifts a
+        // member above its capped demand, so a grant of nothing leaves
+        // every member at 0 and a grant of the whole member sum puts
+        // every member at its capped demand: neither needs the rounds.
+        // (A sum above the cap is granted at most the cap, so it takes
+        // them.)
         rates.clear();
         rates.resize(self.n_flows, 0);
-        let grants = agg_rates.iter().zip(&self.agg_demands);
-        for (mem, (&grant, &sum)) in self.members.iter().zip(grants) {
+        for (g, (&grant, &sum)) in grants.iter().zip(&sums).enumerate() {
             if grant == 0 {
                 continue;
             }
             if grant == sum {
-                for &(f, _) in mem {
+                for &(f, _) in &self.members[self.bounds[g]..self.bounds[g + 1]] {
                     rates[f as usize] = demands[f as usize].min(DEMAND_CAP_BPS);
                 }
             } else {
-                distribute(grant, mem, demands, rates, &mut self.dist_active);
+                self.distribute(g, grant, demands, rates);
             }
         }
-        self.agg_rates = agg_rates;
+        (self.agg_demands, self.agg_rates) = (sums, grants);
+    }
+
+    /// The exact water-fill over the aggregate tree: aggregate `g`
+    /// demands `sums[g]` (its members' capped demands, summed
+    /// saturating) and is granted `grants[g] ≤ sums[g]`.
+    pub fn grant(&mut self, sums: &[u64], capacities: &[u64], grants: &mut Vec<u64>) {
+        self.inner.allocate_into(sums, capacities, grants);
+    }
+
+    /// Hand aggregate `g`'s grant `budget` to its members: writes
+    /// `rates[f]` for those members and no other slot.
+    pub fn distribute(&mut self, g: usize, budget: u64, demands: &[u64], rates: &mut [u64]) {
+        let members = &self.members[self.bounds[g]..self.bounds[g + 1]];
+        for &(f, _) in members {
+            rates[f as usize] = 0;
+        }
+        distribute(budget, members, demands, rates, &mut self.dist_active);
     }
 }
 

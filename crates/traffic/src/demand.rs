@@ -157,11 +157,18 @@ impl LoadFactor {
 
 /// `x.round() as u64` — half away from zero, negatives and NaN to 0,
 /// saturating at `u64::MAX` — without `f64::round`, which is a call
-/// into libm on this target: truncate, then compare the fraction,
-/// which is exact wherever an `f64` has one (below 2⁵³). The add
-/// saturates because `u64::MAX as f64` is 2⁶⁴, and +∞ and 2⁶⁵ are
-/// more than a half above it.
+/// into libm on this target. From ½ to 2⁵², `x + ½` floored is exact:
+/// ½ is a multiple of `x`'s ulp there, so the sum is exact unless it
+/// reaches the next power of two, which is then `x`'s rounding too;
+/// that arm goes through `i64`, one instruction on SSE2 where the
+/// `u64` conversions are sequences. Elsewhere: truncate, then compare
+/// the fraction, which is exact wherever an `f64` has one (below 2⁵³);
+/// the add saturates because `u64::MAX as f64` is 2⁶⁴, and +∞ and 2⁶⁵
+/// are more than a half above it.
 fn round_to_u64(x: f64) -> u64 {
+    if (0.5..4_503_599_627_370_496.0).contains(&x) {
+        return (x + 0.5) as i64 as u64;
+    }
     let t = x as u64;
     t.saturating_add((x - t as f64 >= 0.5) as u64)
 }
@@ -263,22 +270,13 @@ impl DemandGenerator {
         }
     }
 
-    /// Write the offered load of every flow of `run` under `factor`
-    /// into `out` (one slot per flow of the run) and return the sum.
-    /// A bulk flow offers the left-to-right product `users · busy_hour
-    /// · weight · diurnal · surge`, rounded; a control flow the steady
-    /// [`DemandConfig::control_bps_per_site`].
-    pub fn offer_run(&self, run: &SiteRun, factor: LoadFactor, out: &mut [u64]) -> u64 {
-        let n_bulk = (run.bulk_end - run.first) as usize;
+    /// The offered load of each bulk flow of `run` under `factor`, in
+    /// flow order: the left-to-right product `users · busy_hour ·
+    /// weight · diurnal · surge`, rounded. Each of the run's control
+    /// flows offers the steady [`DemandConfig::control_bps_per_site`].
+    pub fn offer_run(&self, run: &SiteRun, factor: LoadFactor) -> impl Iterator<Item = u64> + '_ {
         let base = &self.base_bps[run.first as usize..run.bulk_end as usize];
-        let (bulk, control) = out.split_at_mut(n_bulk);
-        let mut sum = 0u64;
-        for (o, &b) in bulk.iter_mut().zip(base) {
-            *o = factor.bulk_bps(b);
-            sum += *o;
-        }
-        control.fill(self.config.control_bps_per_site);
-        sum + self.config.control_bps_per_site * control.len() as u64
+        base.iter().map(move |&b| factor.bulk_bps(b))
     }
 
     /// Offered load of flow `idx` at `now`, bps: the one-flow form of
@@ -468,6 +466,21 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #[test]
+        fn round_to_u64_is_round_then_cast_across_the_i64_arm(k in 0u64..1 << 24) {
+            // Up to 2²⁴ ulps either side of the `i64` arm's two ends,
+            // ½ and 2⁵², and the negations.
+            for edge in [0.5f64.to_bits(), 4_503_599_627_370_496f64.to_bits()] {
+                for x in [f64::from_bits(edge - k), f64::from_bits(edge + k)] {
+                    for x in [x, -x] {
+                        proptest::prop_assert_eq!(round_to_u64(x), x.round() as u64, "x = {:e}", x);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn round_to_u64_matches_at_the_edges() {
         let two64 = u64::MAX as f64;
@@ -479,7 +492,13 @@ mod tests {
             0.49999999999999994,
             1.5,
             2.5,
-            4503599627370495.5, // 2^52 - 0.5, the largest tie
+            -1.5,
+            -0.49999999999999994,
+            4503599627370495.0, // 2^52 - 1
+            4503599627370495.5, // 2^52 - 0.5, the largest tie and the i64 arm's last value
+            4503599627370496.0, // 2^52, the first past the i64 arm
+            4503599627370497.0, // 2^52 + 1
+            -4503599627370496.0,
             9007199254740991.0, // 2^53 - 1
             9007199254740992.0,
             9007199254740994.0,
@@ -514,9 +533,11 @@ mod tests {
             let now = SimTime::from_hours(h);
             let factor = g.load_factor(now);
             for run in g.runs() {
-                let mut out = vec![0u64; (run.end - run.first) as usize];
-                let sum = g.offer_run(run, factor, &mut out);
-                assert_eq!(sum, out.iter().sum::<u64>());
+                let bulk = g.offer_run(run, factor);
+                let control = run.bulk_end..run.end;
+                let ctl = control.map(|_| cfg.control_bps_per_site);
+                let out: Vec<u64> = bulk.chain(ctl).collect();
+                assert_eq!(out.len(), (run.end - run.first) as usize);
                 for (i, &o) in (run.first as usize..).zip(&out) {
                     assert_eq!(o, g.offered_bps(i, now));
                     if g.flows()[i].class == TrafficClass::Bulk {

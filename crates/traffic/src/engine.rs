@@ -259,7 +259,14 @@ struct SiteSlot {
     /// first bulk flow, when the site is dual-path in the cached
     /// incidence; bulk flow `run.first + i` splits onto `alt_first + i`.
     alt_first: Option<u32>,
+    /// The aggregates of the run's flows in the cached incidence,
+    /// indexed by `TrafficClass as usize`, then its alt subflows' at
+    /// [`ALT`].
+    agg: [u32; 3],
 }
+
+/// Where [`SiteSlot::agg`] keeps the alternate-path aggregate.
+const ALT: usize = 2;
 
 /// What one run did this tick. A run that is not `offering` is skipped
 /// by every later step: its flows offered nothing, so their demands —
@@ -293,9 +300,6 @@ pub struct TrafficEngine {
     incidence: Incidence,
     backlog: Backlog,
     accounting: Accounting,
-    /// Offered load per demand flow, bps, reused from tick to tick;
-    /// only the runs `offering` this tick hold this tick's values.
-    offered: Vec<u64>,
     /// What each demand run did this tick.
     runs: Vec<RunTick>,
 }
@@ -317,10 +321,10 @@ impl TrafficEngine {
                 run: *run,
                 acc: site_ids.binary_search(&run.site).expect("run site listed"),
                 alt_first: None,
+                agg: [0; 3],
             })
             .collect();
         TrafficEngine {
-            offered: vec![0; n_flows],
             runs: vec![RunTick::default(); slots.len()],
             incidence: Incidence::new(slots, config.tunnel_capacity_bps),
             backlog: Backlog::new(config.store_forward),
@@ -356,6 +360,12 @@ impl TrafficEngine {
         self.accounting.demand_weight_bps(site)
     }
 
+    /// Aggregate-ticks so far granted strictly between nothing and
+    /// their demand: the only ones water-filled member by member.
+    pub fn partial_grants(&self) -> u64 {
+        self.incidence.partial_grants()
+    }
+
     /// Lifetime store-and-forward and custody totals; both ledger laws
     /// hold at every tick boundary.
     pub fn snf_totals(&self) -> SnfTotals {
@@ -364,7 +374,8 @@ impl TrafficEngine {
 
     /// Advance one tick of length `dt` ending at `now`: offer demand,
     /// allocate over the forwarding graph, and account the outcome —
-    /// this list of calls and nothing else (DESIGN.md §8). From `offer`
+    /// this list of calls and nothing else (DESIGN.md §8). `offer` and
+    /// `account` are the tick's two walks over the flows; from `offer`
     /// on, a run that offers nothing is skipped by every step.
     pub fn tick(&mut self, now: SimTime, dt: SimDuration, view: &TopologyView) -> TickSummary {
         let (now_ms, dt_ms) = (now.as_ms(), dt.as_ms());
@@ -378,11 +389,12 @@ impl TrafficEngine {
         self.backlog.custody_arrivals(view, now_ms, series, &mut s);
         self.backlog.wipe_dead(view, series, &mut s);
         self.backlog.expire(now_ms, series, &mut s);
-        self.offer(now, dt_ms, view, &mut s);
+        self.offer(now, view);
         let (inc, acc, backlog) = (&mut self.incidence, &mut self.accounting, &mut self.backlog);
-        inc.allocate();
-        acc.account(now, dt_ms, inc, &self.offered, &mut self.runs, &mut s);
         let (sf, flows) = (self.config.store_forward, self.demand.flows());
+        inc.allocate();
+        let backlog_on = sf.enabled.then_some(&mut *backlog);
+        acc.account(now, dt_ms, inc, &mut self.runs, backlog_on, &mut s);
         if sf.enabled && !backlog.is_empty() {
             inc.residuals_after_live(&self.runs, dt_ms);
             backlog.drain(now, view, inc, flows, acc.sinks(), &mut s);
@@ -401,35 +413,29 @@ impl TrafficEngine {
         s
     }
 
-    /// Offered load and allocator demand, run by run. An ineligible or
-    /// dead site offers nothing; a routeless one offers (counted
-    /// against goodput) and its bulk bits wait in the backlog; a routed
-    /// one demands what it offers, split over two paths if it has two.
-    fn offer(&mut self, now: SimTime, dt_ms: u64, view: &TopologyView, s: &mut TickSummary) {
+    /// Pass 1, run by run: offered load, its allocator demand and the
+    /// aggregate sums. An ineligible or dead site offers nothing; a
+    /// routeless one offers (counted against goodput, its bulk bits
+    /// queued in pass 2); a routed one demands what it offers, split
+    /// over two paths if it has two.
+    fn offer(&mut self, now: SimTime, view: &TopologyView) {
         let factor = self.demand.load_factor(now);
+        let control = self.demand.config().control_bps_per_site;
         for (k, run) in self.demand.runs().iter().enumerate() {
             let rt = &mut self.runs[k];
             *rt = RunTick::default();
             if !view.eligible.contains(&run.site) || view.dead.contains(&run.site) {
                 continue;
             }
-            let offered = &mut self.offered[run.first as usize..run.end as usize];
-            if self.demand.offer_run(run, factor, offered) == 0 {
-                continue;
-            }
             let routed = view.paths.contains_key(&run.site);
+            let bulk = self.demand.offer_run(run, factor);
+            let (offering, multipath) = self.incidence.demand_run(k, routed, bulk, control);
             *rt = RunTick {
-                offering: true,
+                offering,
                 routed,
+                multipath,
                 ..RunTick::default()
             };
-            let offered = &self.offered;
-            if routed {
-                rt.multipath = self.incidence.demand_run(k, offered);
-            } else if self.config.store_forward.enabled {
-                let (backlog, sinks) = (&mut self.backlog, self.accounting.sinks());
-                backlog.enqueue(run, offered, now.as_ms(), dt_ms, sinks, s);
-            }
         }
     }
 }

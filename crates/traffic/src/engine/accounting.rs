@@ -2,13 +2,13 @@
 //! reroutes and disruptions, and the demand digest (DESIGN.md §8).
 
 use std::collections::BTreeMap;
-use std::iter;
 
 use tssdn_sim::{PlatformId, SimTime};
 use tssdn_telemetry::{GoodputSeries, ServiceClass};
 
+use super::backlog::Backlog;
 use super::incidence::Incidence;
-use super::{FlowStats, RunTick, Sinks, TickSummary, TopologyView, TrafficConfig};
+use super::{FlowStats, RunTick, Sinks, TickSummary, TopologyView, TrafficConfig, ALT};
 use crate::allocator::TrafficClass;
 
 /// The service classes in `TrafficClass` order — the order the class
@@ -67,19 +67,21 @@ struct RangeTotals {
 }
 
 /// Credit one class range of a run to its flows' lifetime stats and
-/// total it. `rates` yields each flow's `(primary, alternate)` rate;
-/// bits are floored per flow, as the per-flow ledgers are.
+/// total it. `flows` yields each flow's `(offered, primary rate,
+/// alternate rate)`; bits are floored per flow, as the per-flow ledgers
+/// are. `queue` sees each flow's stats and offered bits.
 fn account_flows(
-    offered: &[u64],
     stats: &mut [FlowStats],
     dt_ms: u64,
-    rates: impl Iterator<Item = (u64, u64)>,
+    flows: impl Iterator<Item = (u64, u64, u64)>,
+    mut queue: impl FnMut(&mut FlowStats, u64),
 ) -> RangeTotals {
     let mut t = RangeTotals::default();
-    for ((&o, fs), (rate_p, rate_a)) in offered.iter().zip(stats).zip(rates) {
+    for (fs, (o, rate_p, rate_a)) in stats.iter_mut().zip(flows) {
         let (ob, db) = (o * dt_ms / 1000, (rate_p + rate_a) * dt_ms / 1000);
         fs.offered_bits += ob;
         fs.delivered_bits += db;
+        queue(fs, ob);
         t.offered_bps += o;
         t.rate_primary += rate_p;
         t.rate_alt += rate_a;
@@ -156,19 +158,20 @@ impl Accounting {
         self.last_paths.clone_from(&view.paths);
     }
 
-    /// Account bits per flow, per site and per class (an alt
-    /// subflow's rate folds back into its demand flow), then record
-    /// the tick's series rows.
+    /// Pass 2: account bits per flow, per site and per class — each
+    /// rate read off its aggregate's `share`, an alt subflow's folded
+    /// back into its demand flow, a routeless run's bulk bits queued in
+    /// `backlog` when there is one — then record the tick's series rows.
     pub(super) fn account(
         &mut self,
         now: SimTime,
         dt_ms: u64,
         incidence: &Incidence,
-        offered: &[u64],
         runs: &mut [RunTick],
+        mut backlog: Option<&mut Backlog>,
         s: &mut TickSummary,
     ) {
-        let rates = incidence.rates();
+        let demands = incidence.demands();
         self.sites.fill(SiteTotals::default());
         let mut fleet = [RowBits::default(); 2];
         for (slot, rt) in incidence.slots().iter().zip(runs) {
@@ -182,20 +185,53 @@ impl Accounting {
                 (TrafficClass::Bulk, r.first as usize, r.bulk_end as usize),
                 (TrafficClass::Control, r.bulk_end as usize, r.end as usize),
             ] {
-                let offered = &offered[first..end];
                 let stats = &mut self.flow_stats[first..end];
-                let t = if !rt.routed {
-                    // A routeless run was allocated nothing.
-                    account_flows(offered, stats, dt_ms, iter::repeat((0, 0)))
-                } else {
-                    let primary = rates[first..end].iter();
-                    match slot.alt_first.filter(|_| class == TrafficClass::Bulk) {
-                        None => account_flows(offered, stats, dt_ms, primary.map(|&p| (p, 0))),
-                        Some(a) => {
-                            let alt = &rates[a as usize..][..end - first];
-                            let both = primary.zip(alt).map(|(&p, &a)| (p, a));
-                            account_flows(offered, stats, dt_ms, both)
+                let own = &demands[first..end];
+                // A routeless run was allocated nothing.
+                let (p, alt) = match rt.routed {
+                    false => (Some(0), None),
+                    true => (
+                        incidence.share(slot.agg[class as usize]),
+                        slot.alt_first
+                            .filter(|_| class == TrafficClass::Bulk)
+                            .map(|a| (a as usize, incidence.share(slot.agg[ALT]))),
+                    ),
+                };
+                let t = match (p, alt, backlog.as_deref_mut()) {
+                    // Routeless Bulk: its bits wait in the backlog.
+                    (_, _, Some(queue)) if !rt.routed && class == TrafficClass::Bulk => {
+                        let mut bits = Vec::with_capacity(own.len());
+                        let flows = own.iter().map(|&d| (d, 0, 0));
+                        let t = account_flows(stats, dt_ms, flows, |fs, ob| {
+                            fs.buffered_bits += ob;
+                            bits.push(ob);
+                        });
+                        if t.offered_bits > 0 {
+                            queue.enqueue(&r, bits, now.as_ms(), &mut self.series, s);
                         }
+                        t
+                    }
+                    (Some(cp), None, _) => {
+                        let flows = own.iter().map(|&d| (d, d.min(cp), 0));
+                        account_flows(stats, dt_ms, flows, |_, _| ())
+                    }
+                    (Some(cp), Some((a, Some(ca))), _) => {
+                        let both = own.iter().zip(&demands[a..a + own.len()]);
+                        let both = both.map(|(&d_p, &d_a)| (d_p + d_a, d_p.min(cp), d_a.min(ca)));
+                        account_flows(stats, dt_ms, both, |_, _| ())
+                    }
+                    // A strictly partial grant: `distribute` wrote rates.
+                    (p, alt, _) => {
+                        let rate = |cap: Option<u64>, f: usize| {
+                            cap.map_or_else(|| incidence.rates()[f], |c| demands[f].min(c))
+                        };
+                        let flows = (first..end).map(|f| {
+                            let alt = alt.map(|(a, cap)| (a + f - first, cap));
+                            let (d_a, r_a) =
+                                alt.map_or((0, 0), |(a, cap)| (demands[a], rate(cap, a)));
+                            (demands[f] + d_a, rate(p, f), r_a)
+                        });
+                        account_flows(stats, dt_ms, flows, |_, _| ())
                     }
                 };
                 site.offered_bps += t.offered_bps;
@@ -293,8 +329,8 @@ mod tests {
         let offering = offered.iter().any(|&o| o > 0);
         acc.note_path_changes(view);
         inc.refresh(view, &flows);
-        if routed && offering {
-            inc.demand_run(0, &offered);
+        if offering {
+            inc.demand_run(0, routed, offered[..1].iter().copied(), offered[1]);
         }
         inc.allocate();
         let mut runs = [RunTick {
@@ -303,7 +339,7 @@ mod tests {
             ..RunTick::default()
         }];
         let (now, mut s) = (SimTime::from_hours(12), TickSummary::default());
-        acc.account(now, MINUTE, inc, &offered, &mut runs, &mut s);
+        acc.account(now, MINUTE, inc, &mut runs, None, &mut s);
     }
 
     #[test]

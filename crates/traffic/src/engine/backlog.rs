@@ -127,35 +127,23 @@ impl Backlog {
         }
     }
 
-    /// A routeless run's Bulk bits (`offered` is indexed by flow) wait
-    /// in its site's buffer as one segment, one chunk per flow in flow
-    /// order — the order drains and handoffs take. Control is never
-    /// buffered: it stays fail-fast.
+    /// A routeless run's Bulk bits, one slot per bulk flow in flow
+    /// order (their ledgers already credited), wait in its site's
+    /// buffer as one segment — the order drains and handoffs take.
+    /// Control is never buffered: it stays fail-fast.
     pub(super) fn enqueue(
         &mut self,
         run: &SiteRun,
-        offered: &[u64],
+        bits: Vec<u64>,
         now_ms: u64,
-        dt_ms: u64,
-        sinks: Sinks<'_>,
+        series: &mut GoodputSeries,
         s: &mut TickSummary,
     ) {
-        let bulk = run.first as usize..run.bulk_end as usize;
-        let offered = &offered[bulk.clone()];
-        let bits_of = |o: u64| o * dt_ms / 1000;
-        if !offered.iter().any(|&o| bits_of(o) > 0) {
-            return;
-        }
         let buf = self.buffer_of(run.site);
-        let stats = sinks.flow_stats[bulk].iter_mut();
-        let bits = stats.zip(offered).map(|(fs, &o)| {
-            fs.buffered_bits += bits_of(o);
-            bits_of(o)
-        });
         let (queued, evicted) = buf.enqueue_run(now_ms, run.first, bits);
-        sinks.series.record_buffered(run.site, queued);
+        series.record_buffered(run.site, queued);
         if evicted > 0 {
-            sinks.series.record_buffer_evicted(run.site, evicted);
+            series.record_buffer_evicted(run.site, evicted);
         }
         s.snf_queued_bits += queued;
         s.snf_evicted_bits += evicted;
@@ -285,17 +273,12 @@ mod tests {
     }
 
     /// A backlog holding `bits` of flow `i` at each `sites[i]`.
-    fn backlog(sites: &[PlatformId], bits: u64, stats: &mut [FlowStats]) -> Backlog {
+    fn backlog(sites: &[PlatformId], bits: u64) -> Backlog {
         let mut b = Backlog::new(StoreForwardConfig::default());
         let mut series = GoodputSeries::new(SECOND);
-        let offered = vec![bits; sites.len()];
         for slot in slots(sites) {
-            let sinks = Sinks {
-                flow_stats: stats,
-                series: &mut series,
-            };
             let mut s = TickSummary::default();
-            b.enqueue(&slot.run, &offered, 0, SECOND, sinks, &mut s);
+            b.enqueue(&slot.run, vec![bits], 0, &mut series, &mut s);
         }
         b
     }
@@ -306,7 +289,7 @@ mod tests {
         // carries 1 000 bits this second; each holds 600.
         let sites = [A, B];
         let mut stats = vec![FlowStats::default(); 2];
-        let mut b = backlog(&sites, 600, &mut stats);
+        let mut b = backlog(&sites, 600);
         let mut view = TopologyView::default();
         for s in sites {
             view.paths.insert(s, vec![s, GS, EC]);
@@ -339,8 +322,7 @@ mod tests {
         // an edge no path crosses, rated 500 bps.
         let (r, c) = (PlatformId(7), PlatformId(8));
         let sites = [A, B];
-        let mut stats = vec![FlowStats::default(); 2];
-        let mut b = backlog(&sites, 600, &mut stats);
+        let mut b = backlog(&sites, 600);
         let mut view = TopologyView::default();
         view.paths.insert(A, vec![A, r, EC]);
         view.link_capacity_bps.insert(edge_key(A, r), 1_000);

@@ -5,9 +5,9 @@ use std::collections::BTreeMap;
 
 use tssdn_sim::PlatformId;
 
-use super::{edge_key, RunTick, SiteSlot, TopologyView};
+use super::{edge_key, RunTick, SiteSlot, TopologyView, ALT};
 use crate::aggregate::{AggregateMember, AggregateSpec, HierarchicalAllocator};
-use crate::allocator::TrafficClass;
+use crate::allocator::{TrafficClass, DEMAND_CAP_BPS};
 use crate::demand::AggregateFlow;
 
 /// Signature of the programmed primary and alternate paths: equal
@@ -53,12 +53,18 @@ pub(super) struct Incidence {
     path_ids: BTreeMap<PlatformId, (Vec<u32>, Vec<u32>)>,
     /// The site×class aggregate-tree allocator.
     hier: HierarchicalAllocator,
-    /// Demand per allocator flow, bps; all zero outside a tick.
+    /// Load per allocator flow, bps: what a flow puts on its primary
+    /// path (all it offers unless dual-path), or an alt subflow on the
+    /// alternate. Only eligible, live sites' runs hold this tick's.
     demands: Vec<u64>,
-    /// Some run wrote `demands` since they were last zeroed.
-    demanded: bool,
-    /// Rate per allocator flow; read only for runs that demanded.
+    /// Per aggregate, this tick's saturating sum of capped member
+    /// demands, and what the allocation granted it.
+    sums: Vec<u64>,
+    grants: Vec<u64>,
+    /// Rate per allocator flow of a strictly partial grant's members.
     rates: Vec<u64>,
+    /// Aggregate-ticks granted strictly between 0 and their sum.
+    partial_grants: u64,
     /// Capacity per cached link id, bps.
     capacities: Vec<u64>,
     /// Bits each link can still carry in this tick's `window_ms`.
@@ -79,8 +85,27 @@ impl Incidence {
         &self.slots
     }
 
+    pub(super) fn demands(&self) -> &[u64] {
+        &self.demands
+    }
+
     pub(super) fn rates(&self) -> &[u64] {
         &self.rates
+    }
+
+    pub(super) fn partial_grants(&self) -> u64 {
+        self.partial_grants
+    }
+
+    /// After `allocate`, the cap on aggregate `g`'s members' demands
+    /// that is their rate: 0 if it was granted nothing, the allocator's
+    /// cap if granted its whole sum; `None` if `rates` holds them.
+    pub(super) fn share(&self, g: u32) -> Option<u64> {
+        match self.grants[g as usize] {
+            0 => Some(0),
+            grant if grant == self.sums[g as usize] => Some(DEMAND_CAP_BPS),
+            _ => None,
+        }
     }
 
     /// Rebuild only when the programmed paths changed, then read this
@@ -92,6 +117,7 @@ impl Incidence {
             self.rebuild(view, flows);
             self.paths_sig = Some(sig);
         }
+        self.sums.fill(0);
         let tunnel = self.tunnel_bps;
         self.capacities.clear();
         self.capacities.extend(
@@ -146,6 +172,7 @@ impl Incidence {
         // flow order, so one run's subflows are contiguous.
         let mut next_alt = flows.len() as u32;
         for slot in &mut self.slots {
+            slot.agg = [0; 3];
             let n_bulk = slot.run.bulk_end - slot.run.first;
             let dual =
                 matches!(self.path_ids.get(&slot.run.site), Some((_, alt)) if !alt.is_empty());
@@ -155,9 +182,7 @@ impl Incidence {
             }
         }
         let n_alloc = next_alt as usize;
-        self.demands.clear();
         self.demands.resize(n_alloc, 0);
-        self.demanded = false;
 
         // Site×class aggregate tree: the flows of one (site, class,
         // path) triple cross identical links, so each becomes one
@@ -172,7 +197,7 @@ impl Incidence {
         };
         let mut groups: Vec<AggregateSpec> = Vec::new();
         let mut last: Option<(PlatformId, TrafficClass)> = None;
-        for slot in &self.slots {
+        for slot in &mut self.slots {
             let r = slot.run;
             for (class, range) in [
                 (TrafficClass::Bulk, r.first..r.bulk_end),
@@ -190,12 +215,13 @@ impl Incidence {
                     });
                     last = Some((r.site, class));
                 }
+                slot.agg[class as usize] = groups.len() as u32 - 1;
                 let group = groups.last_mut().expect("group pushed");
                 group.members.extend(range.map(|f| member(f, f)));
             }
         }
         let mut last_site: Option<PlatformId> = None;
-        for slot in &self.slots {
+        for slot in &mut self.slots {
             let (Some(alt_first), r) = (slot.alt_first, slot.run) else {
                 continue;
             };
@@ -207,71 +233,91 @@ impl Incidence {
                 });
                 last_site = Some(r.site);
             }
+            slot.agg[ALT] = groups.len() as u32 - 1;
             let group = groups.last_mut().expect("group pushed");
             group
                 .members
                 .extend((r.first..r.bulk_end).map(|f| member(alt_first + f - r.first, f)));
         }
+        self.sums.resize(groups.len(), 0);
         self.hier.set_aggregates(groups, n_links, n_alloc);
     }
 
-    /// Demand what run `k` offered (`offered` is indexed by flow),
-    /// split over two paths when its site has two. Returns whether
-    /// some dual-path bulk flow offered load.
-    pub(super) fn demand_run(&mut self, k: usize, offered: &[u64]) -> bool {
-        let run = self.slots[k].run;
-        let all = run.first as usize..run.end as usize;
-        self.demanded = true;
-        self.demands[all.clone()].copy_from_slice(&offered[all]);
-        self.slots[k].alt_first.is_some() && self.split_dual_path(k, offered)
-    }
-
-    /// Split a dual-path run's bulk demand across its primary and
-    /// alternate paths, weighted by their instantaneous bottleneck
-    /// capacities. The quotient is exact either way: `u64` when the
-    /// product and the sum fit, `u128` otherwise.
-    fn split_dual_path(&mut self, k: usize, offered: &[u64]) -> bool {
-        let SiteSlot { run, alt_first, .. } = self.slots[k];
-        let alt_first = alt_first.expect("dual-path run") as usize;
-        let bulk = run.first as usize..run.bulk_end as usize;
-        let (p_ids, a_ids) = &self.path_ids[&run.site];
-        let tunnel = self.tunnel_bps;
-        let bp = bottleneck_bps(p_ids, &self.capacities, tunnel);
-        let ba = bottleneck_bps(a_ids, &self.capacities, tunnel);
-        let narrow_sum = bp.checked_add(ba);
-        let (primary, alts) = self.demands.split_at_mut(alt_first);
-        let alts = &mut alts[..bulk.len()];
-        let mut any = false;
-        for ((d_p, d_a), &o) in primary[bulk.clone()]
-            .iter_mut()
-            .zip(alts)
-            .zip(&offered[bulk])
-        {
-            *d_p = match (narrow_sum, o.checked_mul(bp)) {
-                (Some(0), _) => o,
-                (Some(sum), Some(product)) => product / sum,
-                _ => ((o as u128 * bp as u128) / (bp as u128 + ba as u128)) as u64,
-            };
-            *d_a = o - *d_p;
-            any |= o > 0;
+    /// Pass 1 for run `k` of an eligible, live site: its bulk flows
+    /// offer what `bulk` yields, its control flows `control`. Writes the
+    /// loads into `demands`, split over a dual-path site's two paths,
+    /// and adds a `routed` run's to its aggregates' sums. Returns
+    /// whether some flow, and some dual-path bulk flow, offered load.
+    pub(super) fn demand_run(
+        &mut self,
+        k: usize,
+        routed: bool,
+        bulk: impl Iterator<Item = u64>,
+        control: u64,
+    ) -> (bool, bool) {
+        let slot = self.slots[k];
+        let (run, agg, alt_first) = (slot.run, slot.agg, slot.alt_first);
+        let bulk_flows = run.first as usize..run.bulk_end as usize;
+        // Exact sums of capped loads, saturated when added to `sums`.
+        let capped = |d: u64| d.min(DEMAND_CAP_BPS) as u128;
+        let (mut any, mut sum, mut alt_sum) = (0u64, 0u128, 0u128);
+        if let Some(alt_first) = alt_first {
+            // The quotient is exact either way: `u64` when the product
+            // and the sum fit, `u128` otherwise.
+            let (p_ids, a_ids) = &self.path_ids[&run.site];
+            let bp = bottleneck_bps(p_ids, &self.capacities, self.tunnel_bps);
+            let ba = bottleneck_bps(a_ids, &self.capacities, self.tunnel_bps);
+            let narrow_sum = bp.checked_add(ba);
+            let (primary, alts) = self.demands.split_at_mut(alt_first as usize);
+            let alts = &mut alts[..bulk_flows.len()];
+            for ((d_p, d_a), o) in primary[bulk_flows].iter_mut().zip(alts).zip(bulk) {
+                *d_p = match (narrow_sum, o.checked_mul(bp)) {
+                    (Some(0), _) => o,
+                    (Some(sum), Some(product)) => product / sum,
+                    _ => ((o as u128 * bp as u128) / (bp as u128 + ba as u128)) as u64,
+                };
+                *d_a = o - *d_p;
+                any |= o;
+                (sum, alt_sum) = (sum + capped(*d_p), alt_sum + capped(*d_a));
+            }
+        } else {
+            for (d, o) in self.demands[bulk_flows].iter_mut().zip(bulk) {
+                *d = o;
+                any |= o;
+                sum += capped(o);
+            }
         }
-        any
+        let control_flows = &mut self.demands[run.bulk_end as usize..run.end as usize];
+        control_flows.fill(control);
+        let control_sum = capped(control) * control_flows.len() as u128;
+        // In `agg` order; an empty range adds 0 and may name no aggregate.
+        for (&g, sum) in agg.iter().zip([control_sum, sum, alt_sum]) {
+            if routed && sum != 0 {
+                let sum = sum.min(u64::MAX as u128) as u64;
+                self.sums[g as usize] = self.sums[g as usize].saturating_add(sum);
+            }
+        }
+        let offering = any != 0 || control_sum != 0;
+        (offering, alt_first.is_some() && any != 0)
     }
 
-    /// Max-min allocation of this tick's demands, which it then zeroes.
-    /// When no run demanded, every rate is zero and nothing reads one,
-    /// so the allocator is not called.
+    /// Grant this tick's aggregate sums and distribute each strictly
+    /// partial grant to its members' `rates`. When every sum is 0, no
+    /// routed run offers, so no grant is read: the allocator is skipped.
     pub(super) fn allocate(&mut self) {
-        if !self.demanded {
+        if self.sums.iter().all(|&sum| sum == 0) {
             return;
         }
         self.hier
-            .allocate_into(&self.demands, &self.capacities, &mut self.rates);
-        // What skipping a non-offering run rests on: zero demand,
-        // zero rate.
-        debug_assert!(self.rates.iter().zip(&self.demands).all(|(r, d)| r <= d));
-        self.demands.fill(0);
-        self.demanded = false;
+            .grant(&self.sums, &self.capacities, &mut self.grants);
+        for (g, (&grant, &sum)) in self.grants.iter().zip(&self.sums).enumerate() {
+            if grant != 0 && grant != sum {
+                self.rates.resize(self.demands.len(), 0);
+                self.hier
+                    .distribute(g, grant, &self.demands, &mut self.rates);
+                self.partial_grants += 1;
+            }
+        }
     }
 
     /// What each cached link can still carry in a window of `dt_ms`
@@ -363,11 +409,12 @@ pub(super) mod tests {
             bulk_end,
             end,
         };
-        let (acc, alt_first) = (0, None);
+        let (acc, alt_first, agg) = (0, None, [0; 3]);
         SiteSlot {
             run,
             acc,
             alt_first,
+            agg,
         }
     }
 
@@ -419,13 +466,17 @@ pub(super) mod tests {
         v.alt_paths.insert(S, v.paths[&S].clone());
         assert!(inc.refresh(&v, &flows));
         assert_eq!(inc.slots()[0].alt_first, None);
-        assert!(!inc.demand_run(0, &[10, 20, 5]), "one path, no split");
+        let offers = || [10, 20].into_iter();
+        assert!(
+            !inc.demand_run(0, true, offers(), 5).1,
+            "one path, no split"
+        );
         // A distinct alternate gives each bulk flow a subflow, numbered
         // after the demand flows.
         v.alt_paths.insert(S, vec![S, PlatformId(102), EC]);
         assert!(inc.refresh(&v, &flows));
         assert_eq!(inc.slots()[0].alt_first, Some(3));
-        assert!(inc.demand_run(0, &[10, 20, 5]));
+        assert!(inc.demand_run(0, true, offers(), 5).1);
     }
 
     #[test]
@@ -433,7 +484,7 @@ pub(super) mod tests {
         let (mut inc, flows) = incidence();
         // Neither edge is rated: both carry the tunnel's 1 kbps.
         assert!(inc.refresh(&view(None), &flows));
-        inc.demand_run(0, &[3_000, 0, 0]);
+        inc.demand_run(0, true, [3_000, 0].into_iter(), 0);
         inc.allocate();
         assert_eq!(inc.rates()[0], 1_000);
         inc.residuals_after_live(&[RunTick::default()], 1_000);

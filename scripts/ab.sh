@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # A/B the whole-loop benchmark (BENCHMARK.json) against another revision.
 #
-#   ./scripts/ab.sh BASE_REV [--pairs N] [--seed S] [--workload W]... [--layer METRIC]...
-#                            # defaults: 10 pairs, seed 20220822, all four workloads, no layer rows
+#   ./scripts/ab.sh BASE_REV [--pairs N] [--seed S] [--workload W]... [--layer METRIC]... [--stages]
+#                            # defaults: 10 pairs, seed 20220822, all four workloads, no layer rows,
+#                            # no stage table
 #
 # Exports BASE_REV (git archive) into the ignored .bench_build/ab-base, builds
 # `tssdn-e2e` there and here, and for each workload runs
@@ -20,15 +21,22 @@
 # BENCHMARK.json's `per_layer`, e.g. core.solver.solve_ms), one traced run per
 # side and workload follows the untraced pairs and the named metrics are printed
 # side by side — where the saving appears, or that a count repeats exactly. One
-# traced run is a reading, not a distribution. Not part of verify.sh or CI.
+# traced run is a reading, not a distribution. With `--stages`, `scenario_matrix`
+# is built on both sides too and, per workload, N more alternating runs of
+# `scenario_matrix --spec` (the workload's spec at seed S, from 00:00 to its
+# horizon rather than the e2e window) give the before/after profile: each
+# side's median wall seconds and median share of each `Orchestrator::stage_wall`
+# stage, side by side (raw lines in artifact_out/e2e/ab_stages.txt). Not part
+# of verify.sh or CI.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-usage() { echo "usage: ab.sh BASE_REV [--pairs N] [--seed S] [--workload W]... [--layer METRIC]..." >&2; exit 2; }
+usage() { echo "usage: ab.sh BASE_REV [--pairs N] [--seed S] [--workload W]... [--layer METRIC]... [--stages]" >&2; exit 2; }
 [ $# -ge 1 ] || usage
 base_rev="$1"; shift
-pairs=10; seed=20220822; workloads=(); layers=()
+pairs=10; seed=20220822; workloads=(); layers=(); stages=0
 while [ $# -gt 0 ]; do
   case "$1" in
+    --stages) stages=1; shift ;;
     --pairs) pairs="${2:?}"; shift 2 ;;
     --seed) seed="${2:?}"; shift 2 ;;
     --workload) workloads+=("${2:?}"); shift 2 ;;
@@ -47,6 +55,10 @@ find "$base" -mindepth 1 -maxdepth 1 ! -name target -exec rm -rf {} +
 git archive "$base_rev" | tar -x -C "$base"
 (cd "$base" && cargo build --release -q -p tssdn-e2e)
 cargo build --release -q -p tssdn-e2e
+if [ "$stages" = 1 ]; then
+  (cd "$base" && cargo build --release -q -p tssdn-bench --bin scenario_matrix)
+  cargo build --release -q -p tssdn-bench --bin scenario_matrix
+fi
 
 # run SIDE DIR WORKLOAD: one untraced run; its result line goes to $runs.
 run() {
@@ -123,5 +135,43 @@ if [ ${#layers[@]} -gt 0 ]; then
         'BEGIN { printf "%-16s %-40s %14.4f %14.4f %9.3f\n", w, m, b, t, b ? t / b : 0 }'
     done
   done
+fi
+# Per workload, N alternating `scenario_matrix --spec` runs per side; each
+# stage's median share (and the median wall seconds) side by side. Raw
+# lines in artifact_out/e2e/ab_stages.txt.
+if [ "$stages" = 1 ]; then
+  profiles="$tree/artifact_out/e2e/ab_stages.txt"; : > "$profiles"
+  # profile SIDE DIR WORKLOAD SPEC: the run's wall seconds and stage shares, one line.
+  profile() {
+    (cd "$2" && ./target/release/scenario_matrix --spec "$4" 2>/dev/null) |
+      awk -v side="$1" -v w="$3" '/ s wall for / { wall = $2 } /^stages / { sub(/^stages [^:]*: /, ""); print side, w, "wall_s", wall ", " $0 }' >> "$profiles"
+  }
+  printf '\n%-16s %-24s %12s %12s\n' workload stage base_median tree_median
+  for w in "${workloads[@]}"; do
+    spec="$tree/.bench_build/ab-spec-$w.json"
+    sed -E "s/^(  \"seed\": )[0-9]+/\1$seed/" "$tree/crates/e2e/workloads/$w.json" > "$spec"
+    for i in $(seq 1 "$pairs"); do
+      if [ $((i % 2)) -eq 1 ]; then profile base "$base" "$w" "$spec"; profile tree "$tree" "$w" "$spec"
+      else profile tree "$tree" "$w" "$spec"; profile base "$base" "$w" "$spec"; fi
+    done
+  done
+  awk '
+  function sort(a, n,   i, j, x) { for (i = 2; i <= n; i++) { x = a[i]; for (j = i - 1; j >= 1 && a[j] > x; j--) a[j + 1] = a[j]; a[j + 1] = x } }
+  function median(key,   a, i, n) { n = cnt[key]; for (i = 1; i <= n; i++) a[i] = val[key, i]; sort(a, n); return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 }
+  {
+    side = $1; w = $2; sub(/^[a-z]+ [^ ]+ /, ""); k = split($0, parts, ", ")
+    if (!(w in seen_w)) { seen_w[w] = 1; ws[++nw] = w }
+    for (i = 1; i <= k; i++) {
+      st = parts[i]; v = st; sub(/ [^ ]*$/, "", st); sub(/^.* /, "", v); sub(/%$/, "", v)
+      if (!((w, st) in seen)) { seen[w, st] = 1; order[w, ++ns[w]] = st }
+      val[side SUBSEP w SUBSEP st, ++cnt[side SUBSEP w SUBSEP st]] = v + 0
+    }
+  }
+  END {
+    for (j = 1; j <= nw; j++) for (i = 1; i <= ns[ws[j]]; i++) {
+      w = ws[j]; st = order[w, i]
+      printf "%-16s %-24s %12.2f %12.2f\n", w, st, median("base" SUBSEP w SUBSEP st), median("tree" SUBSEP w SUBSEP st)
+    }
+  }' "$profiles"
 fi
 exit "${status:-0}"

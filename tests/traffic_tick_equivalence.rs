@@ -8,6 +8,13 @@
 //! one listed twice — and one random schedule of views, and demands
 //! equal outputs after **every** tick, so a divergence is caught on the
 //! tick that caused it, not hundreds of ticks later in a total.
+//!
+//! No end-to-end workload grants an aggregate part of its demand, so
+//! these cases are what reaches `HierarchicalAllocator::distribute`
+//! from a tick: the random walk counts the ticks that did and demands
+//! some. Two fixed schedules run the same comparison: a dual-path
+//! site's bulk aggregates granted in part tick after tick, and an
+//! offered load above the allocator's cap.
 
 mod traffic_reference;
 
@@ -15,6 +22,7 @@ use proptest::prelude::*;
 use rand::rand_core::SeedableRng;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
+use std::cell::Cell;
 use traffic_reference::ReferenceEngine;
 use tssdn_sim::{PlatformId, RngStreams, SimDuration, SimTime};
 use tssdn_traffic::{
@@ -134,6 +142,13 @@ fn mutate(view: &mut TopologyView, distinct: &[PlatformId], rng: &mut ChaCha8Rng
 
 const DTS_MS: [u64; 8] = [1, 10, 999, 1_000, 10_000, 60_000, 600_000, 3_600_000];
 
+thread_local! {
+    /// Cases of the random walk run so far on this test's thread, and
+    /// the ticks among them in which some aggregate was granted
+    /// strictly between nothing and its demand sum.
+    static WALK: Cell<(u32, u64)> = const { Cell::new((0, 0)) };
+}
+
 proptest! {
     #[test]
     fn fast_tick_matches_the_frozen_reference(
@@ -207,8 +222,12 @@ proptest! {
             mutate(&mut view, &distinct, &mut rng);
             let dt = SimDuration(DTS_MS[rng.gen_range(0..DTS_MS.len())]);
             now += dt;
+            let partial_before = fast.partial_grants();
             let got = fast.tick(now, dt, &view);
             let want = slow.tick(now, dt, &view);
+            let (cases, partial_ticks) = WALK.get();
+            let partial = fast.partial_grants() > partial_before;
+            WALK.set((cases, partial_ticks + partial as u64));
             prop_assert_eq!(got, want, "summary diverged at tick {tick}: {got:?} vs {want:?}");
             prop_assert!(
                 fast.flow_stats() == slow.flow_stats(),
@@ -226,5 +245,105 @@ proptest! {
                 "series diverged at tick {tick}"
             );
         }
+        let (cases, partial_ticks) = WALK.get();
+        WALK.set((cases + 1, partial_ticks));
+        if cases + 1 == proptest::DEFAULT_CASES {
+            prop_assert!(partial_ticks > 0, "no tick of any case granted an aggregate in part");
+        }
     }
+}
+
+/// Both engines over one fixed schedule, compared after every tick as
+/// the random walk compares them. Returns, per tick, how many
+/// aggregates were granted in part.
+fn lockstep(
+    config: TrafficConfig,
+    sites: &[PlatformId],
+    ticks: &[(SimTime, u64, TopologyView)],
+) -> Vec<u64> {
+    let streams = RngStreams::new(20220822);
+    let mut fast = TrafficEngine::new(config, sites, &streams);
+    let mut slow = ReferenceEngine::new(config, sites, &streams);
+    let mut partial = Vec::new();
+    for (i, (now, dt_ms, view)) in ticks.iter().enumerate() {
+        let (before, dt) = (fast.partial_grants(), SimDuration(*dt_ms));
+        assert_eq!(
+            fast.tick(*now, dt, view),
+            slow.tick(*now, dt, view),
+            "tick {i}"
+        );
+        partial.push(fast.partial_grants() - before);
+        assert!(
+            fast.flow_stats() == slow.flow_stats(),
+            "flow stats, tick {i}"
+        );
+        assert_eq!(fast.snf_totals(), slow.snf_totals(), "tick {i}");
+        for &s in sites {
+            assert_eq!(fast.demand_weight_bps(s), slow.demand_weight_bps(s));
+        }
+        let (f, s) = (fast.series(), slow.series());
+        assert!(format!("{f:?}") == format!("{s:?}"), "series, tick {i}");
+    }
+    partial
+}
+
+/// `site` routed over `site → GS → EC`, with an alternate over
+/// `site → GS2 → EC`, the two access edges rated as given.
+fn dual_path_view(site: PlatformId, primary_bps: u64, alt_bps: u64) -> TopologyView {
+    let mut view = TopologyView::default();
+    view.eligible.insert(site);
+    view.paths.insert(site, vec![site, GS, EC]);
+    view.alt_paths.insert(site, vec![site, GS2, EC]);
+    view.link_capacity_bps.insert(edge(site, GS), primary_bps);
+    view.link_capacity_bps.insert(edge(site, GS2), alt_bps);
+    view
+}
+
+#[test]
+fn a_dual_path_site_held_partially_granted_matches_tick_by_tick() {
+    // Two sites, one of them dual-path, offer ≈ 50 Mbps each at the
+    // evening peak. The dual-path site's two access edges carry 12 and
+    // 5 Mbps, re-rated every tick: both of its bulk aggregates are
+    // granted part of their demand on every tick, its control
+    // aggregate all of it; the other site has room for everything.
+    let (dual, wide) = (PlatformId(3), PlatformId(8));
+    let ticks: Vec<_> = (0..30u64)
+        .map(|k| {
+            let mut view = dual_path_view(dual, 12_000_000 + k * 97_000, 5_000_000 - k * 61_000);
+            view.eligible.insert(wide);
+            view.paths.insert(wide, vec![wide, GS, EC]);
+            view.link_capacity_bps.insert(edge(wide, GS), 1_000_000_000);
+            let now = SimTime::from_hours(20) + SimDuration::from_secs(10 * k);
+            (now, 10_000, view)
+        })
+        .collect();
+    let partial = lockstep(TrafficConfig::default(), &[wide, dual], &ticks);
+    assert_eq!(partial, vec![2; ticks.len()]);
+}
+
+#[test]
+fn an_offered_load_above_the_allocator_cap_matches_tick_by_tick() {
+    // One bulk flow whose offered load saturates `u64`, split over two
+    // paths of near-`u64::MAX` capacity: the primary share is one bit
+    // above the allocator's cap, the alternate's exactly at it. Each
+    // aggregate's sum is its capped member demand, so both are granted
+    // in full. 1 ms ticks keep the reference's bit conversions in range.
+    let site = PlatformId(5);
+    let config = TrafficConfig {
+        demand: DemandConfig {
+            users_per_site: 1,
+            flows_per_site: 1,
+            busy_hour_bps_per_user: 1e20,
+            control_bps_per_site: 0,
+            ..DemandConfig::default()
+        },
+        tunnel_capacity_bps: u64::MAX,
+        ..TrafficConfig::default()
+    };
+    let view = dual_path_view(site, u64::MAX, u64::MAX - 5);
+    let now = SimTime::from_hours(20);
+    let ticks: Vec<_> = (0..5)
+        .map(|k| (now + SimDuration(k), 1, view.clone()))
+        .collect();
+    assert_eq!(lockstep(config, &[site], &ticks), vec![0; ticks.len()]);
 }
