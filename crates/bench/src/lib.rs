@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn manifest_is_strict_json_with_its_provenance_keys() {
         let manifest = manifest_json("smoke");
-        let mut o = tssdn_scenario::json::parse(&manifest)
+        let mut o = tssdn_json::parse(&manifest)
             .expect("parses")
             .into_obj("manifest")
             .expect("an object");

@@ -9,18 +9,25 @@
 //! plan (seeded or directed, including satcom-provider outage days),
 //! the traffic-engine switches, and the seed and horizon. Building the
 //! spec is deterministic — equal specs make bit-identical worlds — and
-//! the JSON form round-trips losslessly under a strict parser
-//! ([`json`]): unknown fields are rejected, not ignored.
+//! the JSON form round-trips losslessly under the strict parser of
+//! `tssdn-json`: unknown fields are rejected, not ignored.
 //!
-//! * [`spec`] — the spec types and their strict JSON codec.
+//! * [`spec`] — the spec types, declared once as a `tssdn_json::Document`.
 //! * [`world`] — spec → `Orchestrator` (and the shared wet-season
 //!   weather truth, [`stormy_truth`]).
 //! * [`run`] — run a spec and reduce it to a telemetry `Scorecard`.
 //! * [`catalog`] — the named scenario matrix (E21) with per-scenario
 //!   scorecard floors, plus the CI smoke subset.
+//! * [`diff`] — the matrix's artifact (spec, floors and scorecard in
+//!   one document) and `scenario_matrix --diff` over two directories
+//!   of them.
+//!
+//! The `json` re-export is `tssdn-json` under its old name, kept for
+//! the frozen `crates/e2e` benchmark; everything else names the leaf
+//! crate.
 
 pub mod catalog;
-pub mod json;
+pub mod diff;
 pub mod run;
 pub mod spec;
 pub mod world;
@@ -31,4 +38,5 @@ pub use spec::{
     DemandSpec, FaultModeSpec, FaultsSpec, FleetSpec, Geography, KindSpec, ScenarioSpec,
     ShardingSpec, SurgeSpec, TrafficSpec, WeatherRegime, WeatherSpec, WindowSpec,
 };
+pub use tssdn_json as json;
 pub use world::stormy_truth;

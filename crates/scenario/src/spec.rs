@@ -11,13 +11,13 @@
 //!
 //! Each spec type states its fields once, in a `declare` method that
 //! destructures it: key, type and the [`Rule`]s on the value alone.
-//! Reading is one pass over those declarations, listing
-//! ([`ScenarioSpec::fields`]) the other; writing, checking and the
-//! DESIGN.md §12 table read the listing. Only the rules relating two
-//! values are code of their own.
+//! [`ScenarioSpec`] is a [`Document`]: reading is one pass over those
+//! declarations, listing ([`Document::fields`]) the other; writing,
+//! checking and the DESIGN.md §12 table read the listing. Only the
+//! rules relating two values are code of their own.
 
-use crate::json::{fits_ms, flat, parse, Cx, Field, Json, Res, Rule, HOUR_MS, MIN_MS};
 use tssdn_core::ShardingConfig;
+use tssdn_json::{fits_ms, flat, Cx, Document, Res, Rule, HOUR_MS, MIN_MS};
 use tssdn_link::Transceiver;
 use tssdn_sim::PlatformKind;
 use tssdn_traffic::{DemandConfig, StoreForwardConfig};
@@ -313,7 +313,9 @@ const DURATION_HOURS: &str = "duration_hours";
 const BALLOON: &str = "balloon";
 
 #[rustfmt::skip]
-impl ScenarioSpec {
+impl Document for ScenarioSpec {
+    const NAME: &'static str = "spec";
+
     fn declare(&mut self, cx: &mut Cx) -> Res {
         let ScenarioSpec {
             name, seed, duration_hours, multipath, fleet, demand, weather, faults, traffic, sharding,
@@ -644,71 +646,33 @@ impl ScenarioSpec {
         }
     }
 
-    /// The fields, this spec's or (`every_arm`) the format's.
-    fn list(&self, every_arm: bool) -> Vec<Field> {
-        let mut cx = Cx::new(None, every_arm, String::new(), Vec::new());
-        let listed = self.clone().declare(&mut cx).and_then(|()| cx.finish());
-        listed.expect("listing reads nothing")
-    }
-
-    /// The fields this spec carries, in the order the format writes
-    /// them: path, place, type, rules and value.
-    pub fn fields(&self) -> Vec<Field> {
-        self.list(false)
-    }
-
     /// Serialize to pretty JSON. [`ScenarioSpec::from_json`] reads it
     /// back to an equal spec (lossless round trip).
     pub fn to_json(&self) -> String {
-        let mut doc = Json::Obj(Vec::new());
-        for f in self.fields() {
-            if let Some(v) = f.value {
-                doc.set(&f.at, v);
-            }
-        }
-        doc.to_text()
+        Document::to_json(self)
     }
 
     /// Parse and validate a spec from JSON text. Strict: unknown
     /// fields, duplicate keys, wrong types and out-of-range values
-    /// are all errors.
+    /// are all errors. [`Document::decode`] is this without
+    /// [`ScenarioSpec::validate`].
     pub fn from_json(text: &str) -> Result<Self, String> {
         let spec = Self::decode(text)?;
         spec.validate()?;
         Ok(spec)
     }
 
-    /// Read a spec's structure — keys, types, union tags — without
-    /// checking its values: [`ScenarioSpec::from_json`] is this, then
-    /// [`ScenarioSpec::validate`].
-    pub fn decode(text: &str) -> Result<Self, String> {
-        let top = parse(text)?.into_obj("spec")?;
-        let mut cx = Cx::new(Some(top), false, String::new(), Vec::new());
-        let mut spec = ScenarioSpec::default();
-        spec.declare(&mut cx)?;
-        cx.finish()?;
-        Ok(spec)
-    }
-
     /// Every field of the format, over every union arm, as the
     /// Markdown table DESIGN.md §12 carries.
     pub fn field_table() -> String {
-        let mut rows: Vec<String> = (ScenarioSpec::default().list(true).into_iter())
-            .map(|f| {
-                let rules: Vec<String> = f.rules.iter().map(|r| r.describe()).collect();
-                let rules = if rules.is_empty() {
-                    "—".into()
-                } else {
-                    rules.join("; ")
-                };
-                format!("| `{}` | {} | {rules} |", f.path, f.ty)
-            })
-            .collect();
-        rows.dedup();
-        format!(
-            "| path | type | rule |\n|---|---|---|\n{}\n",
-            rows.join("\n")
-        )
+        Self::table("rule", |f| {
+            let rules: Vec<String> = f.rules.iter().map(|r| r.describe()).collect();
+            if rules.is_empty() {
+                "—".into()
+            } else {
+                rules.join("; ")
+            }
+        })
     }
 }
 

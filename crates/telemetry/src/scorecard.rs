@@ -15,8 +15,16 @@
 //! uniformly to every scenario (the PR 5 soak assertions generalized:
 //! Control goodput ≥ 0.99 whenever offered, SNF conservation, custody
 //! ledger balance, no stale alternate routes).
+//!
+//! Both are [`Document`]s: each states its fields once, in a `declare`
+//! method, and the JSON form, the strict reader and (for the
+//! scorecard) the `scenario_matrix --diff` comparison of every row are
+//! passes over that statement. [`Scorecard::field_table`] is the
+//! comparison table DESIGN.md §12 carries.
 
-use std::fmt::Write as _;
+use std::fmt::Debug;
+
+use tssdn_json::{rows, Compare, Cx, Document, Json, Res};
 
 /// Store-and-forward conservation rows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,7 +77,7 @@ pub struct RegionScore {
 /// One scenario's end-of-run service outcomes. All fields derive
 /// deterministically from a seeded run, so [`Scorecard::to_json`] is
 /// a rerun-identity witness.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Scorecard {
     /// Scenario name (catalog key).
     pub scenario: String,
@@ -112,11 +120,66 @@ pub struct Scorecard {
     pub regions: Vec<RegionScore>,
 }
 
-/// `Some(x)` → shortest round-trip float, `None` → `null`.
-fn jopt(x: Option<f64>) -> String {
-    match x {
-        Some(v) => format!("{v:?}"),
-        None => "null".into(),
+#[rustfmt::skip]
+impl Document for Scorecard {
+    const NAME: &'static str = "scorecard";
+
+    fn declare(&mut self, cx: &mut Cx) -> Res {
+        use Compare::{FallBy, FallTo, Is, Not, RiseBy, RiseTo};
+        let Scorecard {
+            scenario, seed, duration_hours, offered_bits, delivered_bits, goodput, control_goodput,
+            bulk_goodput, link_availability, data_availability, recovery_p95_s, disruptions,
+            reroutes, intents_created, links_established, stale_alt_routes, snf, custody, regions,
+        } = self;
+        // Ratios may fall 2 % absolute, an order tighter than the ~20 %
+        // floor margin.
+        const RATIO: Compare = FallBy(0.02);
+        cx.compared("scenario", scenario, Not)?;
+        cx.compared("seed", seed, Not)?;
+        cx.compared("duration_hours", duration_hours, Not)?;
+        cx.compared("offered_bits", offered_bits, Not)?;
+        cx.compared("delivered_bits", delivered_bits, FallTo(0.95))?;
+        cx.compared("goodput", goodput, RATIO)?;
+        cx.compared("control_goodput", control_goodput, RATIO)?;
+        cx.compared("bulk_goodput", bulk_goodput, RATIO)?;
+        cx.compared("link_availability", link_availability, RATIO)?;
+        cx.compared("data_availability", data_availability, RATIO)?;
+        cx.compared("recovery_p95_s", recovery_p95_s, RiseTo(1.10, 60.0))?;
+        cx.compared("disruptions", disruptions, RiseBy(2.0))?;
+        cx.compared("reroutes", reroutes, Not)?;
+        cx.compared("intents_created", intents_created, Not)?;
+        cx.compared("links_established", links_established, Not)?;
+        cx.compared("stale_alt_routes", stale_alt_routes, Is(Json::U64(0), "stale_alt_routes != 0"))?;
+        cx.object("snf", |cx| {
+            let SnfScore {
+                queued_bits, drained_bits, evicted_bits, resident_bits, in_transit_bits, conserved,
+            } = snf;
+            cx.compared("queued_bits", queued_bits, Not)?;
+            cx.compared("drained_bits", drained_bits, Not)?;
+            cx.compared("evicted_bits", evicted_bits, Not)?;
+            cx.compared("resident_bits", resident_bits, Not)?;
+            cx.compared("in_transit_bits", in_transit_bits, Not)?;
+            cx.compared("conserved", conserved, Is(Json::Bool(true), "SNF ledger not conserved"))
+        })?;
+        cx.object("custody", |cx| {
+            let CustodyScore {
+                initiated_bits, accepted_bits, refused_bits, lost_bits, in_transit_bits,
+                backlog_lost_bits, balanced,
+            } = custody;
+            cx.compared("initiated_bits", initiated_bits, Not)?;
+            cx.compared("accepted_bits", accepted_bits, Not)?;
+            cx.compared("refused_bits", refused_bits, Not)?;
+            cx.compared("lost_bits", lost_bits, Not)?;
+            cx.compared("in_transit_bits", in_transit_bits, Not)?;
+            cx.compared("backlog_lost_bits", backlog_lost_bits, Not)?;
+            cx.compared("balanced", balanced, Is(Json::Bool(true), "custody ledger not balanced"))
+        })?;
+        cx.list(rows("regions"), regions, RegionScore::default, |r, cx| {
+            let RegionScore { region, members, handoffs_in } = r;
+            cx.compared("region", region, Not)?;
+            cx.compared("members", members, Not)?;
+            cx.compared("handoffs_in", handoffs_in, Not)
+        })
     }
 }
 
@@ -125,158 +188,62 @@ impl Scorecard {
     /// Rust's shortest round-trip formatting; two identical runs
     /// produce byte-identical output.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"scenario\": \"{}\",", escape(&self.scenario));
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"duration_hours\": {},", self.duration_hours);
-        let _ = writeln!(s, "  \"offered_bits\": {},", self.offered_bits);
-        let _ = writeln!(s, "  \"delivered_bits\": {},", self.delivered_bits);
-        let _ = writeln!(s, "  \"goodput\": {},", jopt(self.goodput));
-        let _ = writeln!(s, "  \"control_goodput\": {},", jopt(self.control_goodput));
-        let _ = writeln!(s, "  \"bulk_goodput\": {},", jopt(self.bulk_goodput));
-        let _ = writeln!(
-            s,
-            "  \"link_availability\": {},",
-            jopt(self.link_availability)
-        );
-        let _ = writeln!(
-            s,
-            "  \"data_availability\": {},",
-            jopt(self.data_availability)
-        );
-        let _ = writeln!(s, "  \"recovery_p95_s\": {},", jopt(self.recovery_p95_s));
-        let _ = writeln!(s, "  \"disruptions\": {},", self.disruptions);
-        let _ = writeln!(s, "  \"reroutes\": {},", self.reroutes);
-        let _ = writeln!(s, "  \"intents_created\": {},", self.intents_created);
-        let _ = writeln!(s, "  \"links_established\": {},", self.links_established);
-        let _ = writeln!(s, "  \"stale_alt_routes\": {},", self.stale_alt_routes);
-        let _ = writeln!(s, "  \"snf\": {{");
-        let _ = writeln!(s, "    \"queued_bits\": {},", self.snf.queued_bits);
-        let _ = writeln!(s, "    \"drained_bits\": {},", self.snf.drained_bits);
-        let _ = writeln!(s, "    \"evicted_bits\": {},", self.snf.evicted_bits);
-        let _ = writeln!(s, "    \"resident_bits\": {},", self.snf.resident_bits);
-        let _ = writeln!(s, "    \"in_transit_bits\": {},", self.snf.in_transit_bits);
-        let _ = writeln!(s, "    \"conserved\": {}", self.snf.conserved);
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"custody\": {{");
-        let _ = writeln!(
-            s,
-            "    \"initiated_bits\": {},",
-            self.custody.initiated_bits
-        );
-        let _ = writeln!(s, "    \"accepted_bits\": {},", self.custody.accepted_bits);
-        let _ = writeln!(s, "    \"refused_bits\": {},", self.custody.refused_bits);
-        let _ = writeln!(s, "    \"lost_bits\": {},", self.custody.lost_bits);
-        let _ = writeln!(
-            s,
-            "    \"in_transit_bits\": {},",
-            self.custody.in_transit_bits
-        );
-        let _ = writeln!(
-            s,
-            "    \"backlog_lost_bits\": {},",
-            self.custody.backlog_lost_bits
-        );
-        let _ = writeln!(s, "    \"balanced\": {}", self.custody.balanced);
-        let _ = writeln!(s, "  }},");
-        if self.regions.is_empty() {
-            let _ = writeln!(s, "  \"regions\": []");
-        } else {
-            let _ = writeln!(s, "  \"regions\": [");
-            for (i, r) in self.regions.iter().enumerate() {
-                let comma = if i + 1 < self.regions.len() { "," } else { "" };
-                let _ = writeln!(
-                    s,
-                    "    {{ \"region\": {}, \"members\": {}, \"handoffs_in\": {} }}{}",
-                    r.region, r.members, r.handoffs_in, comma
-                );
-            }
-            let _ = writeln!(s, "  ]");
-        }
-        let _ = write!(s, "}}");
-        s
+        Document::to_json(self)
     }
 
-    /// Header for the matrix summary CSV (one scenario per row).
-    pub fn summary_header() -> Vec<&'static str> {
-        vec![
-            "scenario",
-            "seed",
-            "duration_hours",
-            "offered_bits",
-            "delivered_bits",
-            "goodput",
-            "control_goodput",
-            "bulk_goodput",
-            "link_availability",
-            "data_availability",
-            "recovery_p95_s",
-            "disruptions",
-            "reroutes",
-            "intents_created",
-            "links_established",
-            "stale_alt_routes",
+    /// Every row as the Markdown table DESIGN.md §12 carries: path,
+    /// type and how `scenario_matrix --diff` compares it.
+    pub fn field_table() -> String {
+        Self::table("`--diff` comparison", |f| {
+            f.compare.as_ref().map_or("—".into(), Compare::describe)
+        })
+    }
+
+    /// Header for the matrix summary CSV (one scenario per row): the
+    /// top-level rows, then the ledger flags and totals, the region
+    /// count and the handoff total.
+    pub fn summary_header() -> Vec<String> {
+        let tail = [
             "snf_conserved",
             "custody_balanced",
             "custody_initiated_bits",
             "backlog_lost_bits",
             "regions",
             "handoffs",
-        ]
+        ];
+        let top = Self::default().top_rows().into_iter().map(|(k, _)| k);
+        top.chain(tail.map(String::from)).collect()
     }
 
     /// One summary-CSV row, column order matching
     /// [`Scorecard::summary_header`].
     pub fn summary_row(&self) -> Vec<String> {
-        let f = |x: Option<f64>| x.map_or_else(|| "-".into(), |v| format!("{v:?}"));
-        vec![
-            self.scenario.clone(),
-            self.seed.to_string(),
-            self.duration_hours.to_string(),
-            self.offered_bits.to_string(),
-            self.delivered_bits.to_string(),
-            f(self.goodput),
-            f(self.control_goodput),
-            f(self.bulk_goodput),
-            f(self.link_availability),
-            f(self.data_availability),
-            f(self.recovery_p95_s),
-            self.disruptions.to_string(),
-            self.reroutes.to_string(),
-            self.intents_created.to_string(),
-            self.links_established.to_string(),
-            self.stale_alt_routes.to_string(),
+        let handoffs: u64 = self.regions.iter().map(|r| r.handoffs_in).sum();
+        let tail = [
             self.snf.conserved.to_string(),
             self.custody.balanced.to_string(),
             self.custody.initiated_bits.to_string(),
             self.custody.backlog_lost_bits.to_string(),
             self.regions.len().to_string(),
-            self.regions
-                .iter()
-                .map(|r| r.handoffs_in)
-                .sum::<u64>()
-                .to_string(),
-        ]
+            handoffs.to_string(),
+        ];
+        let top = self.top_rows().into_iter().map(|(_, v)| v);
+        top.chain(tail).collect()
     }
-}
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+    /// The top-level rows as `(key, CSV cell)`: a string bare, `null`
+    /// as `-`.
+    fn top_rows(&self) -> Vec<(String, String)> {
+        let top = self.fields().into_iter().filter(|f| f.at.len() == 1);
+        let cell = |v: Json| match v {
+            Json::Arr(_) => None,
+            Json::Str(s) => Some(s),
+            Json::Null => Some("-".into()),
+            v => Some(v.to_text()),
+        };
+        let rows = top.filter_map(|f| Some((f.path, cell(f.value?)?)));
+        rows.collect()
     }
-    out
 }
 
 /// Per-scenario floor values: the minimum acceptable scorecard. Every
@@ -333,18 +300,18 @@ impl Default for ScorecardFloors {
 impl ScorecardFloors {
     /// Every floor the card fails, as human-readable rows. Empty
     /// means the scenario passed.
+    #[rustfmt::skip]
     pub fn violations(&self, c: &Scorecard) -> Vec<String> {
+        // A floor on a row the card measured.
+        fn under<T: PartialOrd + Debug>(v: &mut Vec<String>, row: &str, x: Option<T>, floor: Option<T>) {
+            match (x, floor) {
+                (Some(x), Some(floor)) if x < floor => v.push(format!("{row} {x:?} < floor {floor:?}")),
+                _ => {}
+            }
+        }
         let mut v = Vec::new();
-        if let (Some(floor), Some(g)) = (self.min_goodput, c.goodput) {
-            if g < floor {
-                v.push(format!("goodput {g:?} < floor {floor:?}"));
-            }
-        }
-        if let (Some(floor), Some(a)) = (self.min_data_availability, c.data_availability) {
-            if a < floor {
-                v.push(format!("data_availability {a:?} < floor {floor:?}"));
-            }
-        }
+        under(&mut v, "goodput", c.goodput, self.min_goodput);
+        under(&mut v, "data_availability", c.data_availability, self.min_data_availability);
         if self.min_goodput.is_some() && c.goodput.is_none() {
             v.push("goodput floor set but nothing was offered".into());
         }
@@ -353,32 +320,11 @@ impl ScorecardFloors {
         }
         // Control goodput is gated only when the class was offered:
         // a scenario with no control demand cannot fail this row.
-        if let (Some(floor), Some(g)) = (self.min_control_goodput, c.control_goodput) {
-            if g < floor {
-                v.push(format!("control_goodput {g:?} < floor {floor:?}"));
-            }
-        }
-        if let Some(floor) = self.min_delivered_bits {
-            if c.delivered_bits < floor {
-                v.push(format!(
-                    "delivered_bits {} < floor {floor}",
-                    c.delivered_bits
-                ));
-            }
-        }
-        if let Some(floor) = self.min_disruptions {
-            if c.disruptions < floor {
-                v.push(format!("disruptions {} < floor {floor}", c.disruptions));
-            }
-        }
-        if let Some(floor) = self.min_custody_initiated_bits {
-            if c.custody.initiated_bits < floor {
-                v.push(format!(
-                    "custody_initiated_bits {} < floor {floor}",
-                    c.custody.initiated_bits
-                ));
-            }
-        }
+        under(&mut v, "control_goodput", c.control_goodput, self.min_control_goodput);
+        under(&mut v, "delivered_bits", Some(c.delivered_bits), self.min_delivered_bits);
+        under(&mut v, "disruptions", Some(c.disruptions), self.min_disruptions);
+        let custody = Some(c.custody.initiated_bits);
+        under(&mut v, "custody_initiated_bits", custody, self.min_custody_initiated_bits);
         if let (Some(cap), Some(p)) = (self.max_recovery_p95_s, c.recovery_p95_s) {
             if p > cap {
                 v.push(format!("recovery_p95_s {p:?} > cap {cap:?}"));
@@ -395,57 +341,30 @@ impl ScorecardFloors {
         }
         v
     }
+}
 
-    /// Deterministic JSON rendering (embedded in the scorecard
-    /// artifact so the gate values travel with the results).
-    pub fn to_json(&self) -> String {
-        let ju = |x: Option<u64>| x.map_or_else(|| "null".into(), |v| v.to_string());
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"min_goodput\": {},", jopt(self.min_goodput));
-        let _ = writeln!(
-            s,
-            "  \"min_data_availability\": {},",
-            jopt(self.min_data_availability)
-        );
-        let _ = writeln!(
-            s,
-            "  \"min_control_goodput\": {},",
-            jopt(self.min_control_goodput)
-        );
-        let _ = writeln!(
-            s,
-            "  \"min_delivered_bits\": {},",
-            ju(self.min_delivered_bits)
-        );
-        let _ = writeln!(s, "  \"min_disruptions\": {},", ju(self.min_disruptions));
-        let _ = writeln!(
-            s,
-            "  \"min_custody_initiated_bits\": {},",
-            ju(self.min_custody_initiated_bits)
-        );
-        let _ = writeln!(
-            s,
-            "  \"max_recovery_p95_s\": {},",
-            jopt(self.max_recovery_p95_s)
-        );
-        let _ = writeln!(
-            s,
-            "  \"require_snf_conserved\": {},",
-            self.require_snf_conserved
-        );
-        let _ = writeln!(
-            s,
-            "  \"require_custody_balanced\": {},",
-            self.require_custody_balanced
-        );
-        let _ = writeln!(
-            s,
-            "  \"require_no_stale_alt\": {}",
-            self.require_no_stale_alt
-        );
-        let _ = write!(s, "}}");
-        s
+/// Embedded in the scenario matrix's artifact, so the gate values
+/// travel with the results.
+#[rustfmt::skip]
+impl Document for ScorecardFloors {
+    const NAME: &'static str = "floors";
+
+    fn declare(&mut self, cx: &mut Cx) -> Res {
+        let ScorecardFloors {
+            min_goodput, min_data_availability, min_control_goodput, min_delivered_bits,
+            min_disruptions, min_custody_initiated_bits, max_recovery_p95_s, require_snf_conserved,
+            require_custody_balanced, require_no_stale_alt,
+        } = self;
+        cx.field("min_goodput", min_goodput, &[])?;
+        cx.field("min_data_availability", min_data_availability, &[])?;
+        cx.field("min_control_goodput", min_control_goodput, &[])?;
+        cx.field("min_delivered_bits", min_delivered_bits, &[])?;
+        cx.field("min_disruptions", min_disruptions, &[])?;
+        cx.field("min_custody_initiated_bits", min_custody_initiated_bits, &[])?;
+        cx.field("max_recovery_p95_s", max_recovery_p95_s, &[])?;
+        cx.field("require_snf_conserved", require_snf_conserved, &[])?;
+        cx.field("require_custody_balanced", require_custody_balanced, &[])?;
+        cx.field("require_no_stale_alt", require_no_stale_alt, &[])
     }
 }
 
@@ -547,6 +466,48 @@ mod tests {
             ..ScorecardFloors::default()
         };
         assert!(floors.violations(&c).is_empty());
+    }
+
+    #[test]
+    fn the_comparison_table_is_the_documented_one() {
+        let design = include_str!("../../../DESIGN.md");
+        let table = Scorecard::field_table();
+        assert!(
+            design.contains(&table),
+            "DESIGN.md §12's scorecard table differs from the declarations; it should read:\n{table}"
+        );
+        // Every value row states how `--diff` compares it.
+        for f in card().fields() {
+            let leaf = !matches!(f.value, Some(Json::Arr(_)) | Some(Json::Obj(_)));
+            assert!(
+                !leaf || f.compare.is_some(),
+                "{} states no comparison",
+                f.path
+            );
+        }
+    }
+
+    #[test]
+    fn cards_and_floors_read_back_what_they_wrote() {
+        let c = card();
+        let text = c.to_json();
+        assert_eq!(Scorecard::decode(&text), Ok(c));
+        // Region rows are one line each; nothing else is.
+        let rows: Vec<&str> = text.lines().filter(|l| l.contains("\"region\"")).collect();
+        assert_eq!(
+            rows,
+            [
+                "    { \"region\": 0, \"members\": 4, \"handoffs_in\": 0 },",
+                "    { \"region\": 1, \"members\": 3, \"handoffs_in\": 2 }"
+            ]
+        );
+        assert_eq!(text.lines().filter(|l| l.contains('{')).count(), 5);
+        let floors = ScorecardFloors {
+            min_goodput: Some(0.8),
+            min_delivered_bits: Some(1),
+            ..ScorecardFloors::default()
+        };
+        assert_eq!(ScorecardFloors::decode(&floors.to_json()), Ok(floors));
     }
 
     #[test]

@@ -104,6 +104,27 @@ if [ "$mode" != "build" ]; then
     exit 1
   fi
 
+  # The JSON layer is a leaf, so that any crate can write through it:
+  # crates/json/Cargo.toml declares no dependencies, and the old
+  # `json` re-export of tssdn-scenario is named only by the frozen
+  # crates/e2e it is kept for.
+  echo "==> crates/json depends on nothing; tssdn_scenario::json only in crates/e2e"
+  deps=$(awk '
+    /^\[/ { in_deps = ($0 ~ /^\[(.*\.)?dependencies(\..*)?\]/); next }
+    in_deps && !/^[[:space:]]*(#|$)/ { print FILENAME ": " $0 }
+  ' crates/json/Cargo.toml)
+  if [ -n "$deps" ]; then
+    echo "$deps" >&2
+    echo "crates/json must stay a leaf: no dependencies" >&2
+    exit 1
+  fi
+  stray=$(git grep -n -F 'tssdn_scenario::json' -- '*.rs' ':!crates/e2e' || true)
+  if [ -n "$stray" ]; then
+    echo "$stray" >&2
+    echo "name tssdn_json, not tssdn_scenario::json, outside crates/e2e" >&2
+    exit 1
+  fi
+
   echo "==> cargo clippy --workspace --all-targets -- -D warnings"
   cargo clippy --workspace --all-targets -- -D warnings
 fi
@@ -119,8 +140,9 @@ if [ "$mode" != "lint" ]; then
   ./scripts/bench.sh --smoke
 
   # The smoke matrix just wrote artifact_out/scorecards/. The tolerant
-  # diff (2 % on ratio metrics, exact on invariants) catches
-  # service-metric slips the ~20 %-margin floors cannot; a PR that means
+  # diff (each row's comparison is declared on the scorecard: the table
+  # in DESIGN.md §12) catches service-metric slips the ~20 %-margin
+  # floors cannot; a PR that means
   # to move a metric or a spec regenerates the baselines in the same
   # change (`scenario_matrix --smoke --out tmp && cp
   # tmp/scorecards/*.json baselines/scorecards/`) and passes both.

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::rand_core::SeedableRng;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use tssdn_scenario::json::{parse, Json, Rule};
+use tssdn_json::{parse, Document, Json, Rule};
 use tssdn_scenario::{
     run_scenario, DemandSpec, FaultModeSpec, FaultsSpec, FleetSpec, Geography, KindSpec,
     ScenarioSpec, ShardingSpec, SurgeSpec, TrafficSpec, WeatherRegime, WeatherSpec, WindowSpec,
