@@ -11,10 +11,11 @@
 //! diff consecutive graphs. Payload power is forced on so the churn is
 //! geometric/RF, as in the paper's definition of the candidate set.
 
-use tssdn_bench::{days, seed, stormy_truth};
+use tssdn_bench::{days, seed};
 use tssdn_core::{EvaluatorConfig, LinkEvaluator, NetworkModel, WeatherSource};
 use tssdn_geo::TrajectorySample;
 use tssdn_link::Transceiver;
+use tssdn_scenario::stormy_truth;
 use tssdn_sim::{Fleet, FleetConfig, PlatformKind, RngStreams, SimTime};
 use tssdn_telemetry::percentile;
 

@@ -21,6 +21,7 @@
 //! series), `traffic_classes.csv` (control vs bulk).
 
 use tssdn_bench::{days, seed};
+use tssdn_core::orchestrator::DEMAND_BPS;
 use tssdn_core::Orchestrator;
 use tssdn_scenario::{chaos_soak_spec, FaultsSpec, ScenarioSpec, WeatherRegime, WeatherSpec};
 use tssdn_sim::{PlatformId, SimTime};
@@ -146,7 +147,7 @@ fn main() -> std::io::Result<()> {
         let w = engine.demand_weight_bps(b);
         println!(
             "  {b:>4}  {:>10}  {:>10}",
-            o.config.demand_bps,
+            DEMAND_BPS,
             w.map_or_else(|| "-".into(), |v| v.to_string()),
         );
     }

@@ -7,11 +7,8 @@
 //! results.
 
 use tssdn_core::OrchestratorConfig;
+use tssdn_scenario::stormy_truth;
 use tssdn_telemetry::percentile;
-
-// The wet-season weather truth lives with the scenario builder now;
-// re-exported so existing figure binaries keep compiling unchanged.
-pub use tssdn_scenario::stormy_truth;
 
 /// Standard experiment seed (override with `TSSDN_SEED`).
 pub fn seed() -> u64 {

@@ -24,21 +24,24 @@ use tssdn_link::{LinkKind, TransceiverId};
 use tssdn_rf::{BandConsts, LinkBudgetReport, LinkQuality, PathIntegrator, RadioParams};
 use tssdn_sim::{PlatformId, PlatformKind, SimTime};
 
+/// Required terrain clearance for line of sight, meters.
+pub(crate) const LOS_CLEARANCE_M: f64 = 100.0;
+
+/// Hard cap on link range, meters (radio tracking limit).
+pub(crate) const MAX_RANGE_M: f64 = 800_000.0;
+
+/// Extra loss the controller *assumes* beyond the truth, dB. "We
+/// intentionally selected a pessimistic level from the ITU-R regional
+/// seasonal average model to increase confidence in forming the
+/// selected links. This is clearly visible in the 4.3 dB right-shift"
+/// (§5, Figure 10).
+pub(crate) const MODEL_PESSIMISM_DB: f64 = 4.0;
+
 /// Evaluator configuration.
 #[derive(Debug, Clone)]
 pub struct EvaluatorConfig {
     /// The RF bands available to every link (E band low/high).
     pub bands: Vec<RadioParams>,
-    /// Required terrain clearance for line of sight, meters.
-    pub los_clearance_m: f64,
-    /// Hard cap on link range, meters (radio tracking limit).
-    pub max_range_m: f64,
-    /// Extra loss the controller *assumes* beyond the truth, dB. "We
-    /// intentionally selected a pessimistic level from the ITU-R
-    /// regional seasonal average model to increase confidence in
-    /// forming the selected links. This is clearly visible in the
-    /// 4.3 dB right-shift" (§5, Figure 10).
-    pub model_pessimism_db: f64,
 }
 
 impl EvaluatorConfig {
@@ -46,7 +49,7 @@ impl EvaluatorConfig {
     /// riding in as extra assumed implementation loss.
     pub(crate) fn band_consts(&self) -> Vec<BandConsts> {
         let pessimistic = |band: &RadioParams| RadioParams {
-            implementation_loss_db: band.implementation_loss_db + self.model_pessimism_db,
+            implementation_loss_db: band.implementation_loss_db + MODEL_PESSIMISM_DB,
             ..*band
         };
         self.bands
@@ -60,9 +63,6 @@ impl Default for EvaluatorConfig {
     fn default() -> Self {
         EvaluatorConfig {
             bands: vec![RadioParams::e_band_low(), RadioParams::e_band_high()],
-            los_clearance_m: 100.0,
-            max_range_m: 800_000.0,
-            model_pessimism_db: 4.0,
         }
     }
 }
@@ -231,11 +231,11 @@ impl LinkEvaluator {
     ///   boresight_gain_b)` bits repeat reuse the last best band, so a
     ///   pair whose antennas share one pattern computes it once.
     ///
-    /// A coarse spatial grid buckets platforms by `max_range_m` in
+    /// A coarse spatial grid buckets platforms by [`MAX_RANGE_M`] in
     /// ECEF, so only pairs within ±1 cell per axis — a superset of
     /// every pair within range — reach the slant-range/LoS math. Any
     /// pair farther apart than one cell edge on some axis is farther
-    /// apart than `max_range_m` in space, which the naive sweep would
+    /// apart than [`MAX_RANGE_M`] in space, which the naive sweep would
     /// discard at its range check anyway. The surviving pair list is
     /// sorted and fanned across scoped worker threads in contiguous
     /// chunks, merged back in chunk order. Candidate order is
@@ -254,10 +254,10 @@ impl LinkEvaluator {
             .filter_map(|p| PlatformSnap::of(model, p, at))
             .collect();
 
-        // Coarse spatial grid, cell edge = max_range_m: two points
+        // Coarse spatial grid, cell edge = MAX_RANGE_M: two points
         // within range always land within ±1 cell of each other on
         // every axis.
-        let cell = self.config.max_range_m;
+        let cell = MAX_RANGE_M;
         let key_of = |e: &Ecef| -> (i64, i64, i64) {
             (
                 (e.x / cell).floor() as i64,
@@ -300,7 +300,7 @@ impl LinkEvaluator {
         // there are.
         let workers = if pairs.len() < 64 { 1 } else { host_workers() };
         let links = fan_out(&pairs, workers, |chunk| {
-            let mut sweep = PairSweep::new(&self.config, &bands, &weather, at);
+            let mut sweep = PairSweep::new(&bands, &weather, at);
             for &(i, j) in chunk {
                 sweep.evaluate_pair(&snaps[i as usize], &snaps[j as usize]);
             }
@@ -339,7 +339,6 @@ impl<'m> PlatformSnap<'m> {
 /// One worker's share of the pair sweep: the shared inputs plus the
 /// scratch a pair needs, reused from pair to pair.
 pub(crate) struct PairSweep<'a> {
-    config: &'a EvaluatorConfig,
     bands: &'a [BandConsts],
     weather: &'a ModelWeather<'a>,
     at: SimTime,
@@ -356,14 +355,8 @@ pub(crate) struct PairSweep<'a> {
 type BestBand = Option<(u8, LinkBudgetReport)>;
 
 impl<'a> PairSweep<'a> {
-    pub(crate) fn new(
-        config: &'a EvaluatorConfig,
-        bands: &'a [BandConsts],
-        weather: &'a ModelWeather<'a>,
-        at: SimTime,
-    ) -> Self {
+    pub(crate) fn new(bands: &'a [BandConsts], weather: &'a ModelWeather<'a>, at: SimTime) -> Self {
         PairSweep {
-            config,
             bands,
             weather,
             at,
@@ -393,13 +386,13 @@ impl<'a> PairSweep<'a> {
         // is exactly the ECEF chord, so reusing the snapshot's
         // conversion is bit-identical to `GeoPoint::slant_range_m`.
         let range = a.frame.ecef.distance_m(&b.frame.ecef);
-        if range > self.config.max_range_m {
+        if range > MAX_RANGE_M {
             return PairAbsence::OutOfRange {
                 range_m: range,
-                limit_m: self.config.max_range_m,
+                limit_m: MAX_RANGE_M,
             };
         }
-        if !line_of_sight_clear(&a.pos, &b.pos, self.config.los_clearance_m) {
+        if !line_of_sight_clear(&a.pos, &b.pos, LOS_CLEARANCE_M) {
             return PairAbsence::NoLineOfSight;
         }
         let point_ab = PointingSolution::from_frame(&a.frame, &b.frame.ecef);
@@ -714,7 +707,6 @@ mod tests {
                     ..RadioParams::e_band_low()
                 },
             ],
-            ..Default::default()
         });
         let at = SimTime::from_hours(2);
         let graph = evaluator.evaluate(&m, at);

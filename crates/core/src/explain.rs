@@ -110,7 +110,7 @@ pub fn explain_pair(
         let [lo, hi] =
             infos.map(|p| PlatformSnap::of(model, p, at).ok_or(PairAbsence::NoPosition(p.id)));
         let (bands, weather) = (config.band_consts(), ModelWeather { model });
-        Ok(PairSweep::new(config, &bands, &weather, at).evaluate_pair(&lo?, &hi?))
+        Ok(PairSweep::new(&bands, &weather, at).evaluate_pair(&lo?, &hi?))
     };
     answer().unwrap_or_else(|why| why)
 }
@@ -162,6 +162,7 @@ mod tests {
     use super::*;
     use crate::evaluator::{CandidateLink, LinkEvaluator};
     use crate::model::WeatherSource;
+    use crate::solver::MIN_BEAM_SEPARATION_DEG;
     use tssdn_dataplane::{BackhaulRequest, DrainMode};
     use tssdn_geo::{GeoPoint, TrajectorySample};
     use tssdn_link::Transceiver;
@@ -469,7 +470,7 @@ mod tests {
             ..Default::default()
         };
         let (solver, now) = (o.solver(), o.now());
-        let min_sep = solver.config.min_beam_separation_deg;
+        let min_sep = MIN_BEAM_SEPARATION_DEG;
         let (mut busy, mut interfered, mut free) = (0, 0, 0);
         for plan in [&full, &sparse] {
             let keys = plan.key_set();

@@ -98,7 +98,7 @@ impl FeedbackStats {
     }
 
     /// Decayed enactment success rate, if enough evidence exists.
-    pub fn success_rate(&self, a: PlatformId, b: PlatformId, now: SimTime) -> Option<f64> {
+    fn success_rate(&self, a: PlatformId, b: PlatformId, now: SimTime) -> Option<f64> {
         let mut e = *self.pairs.get(&key(a, b))?;
         e.decay(now, self.half_life);
         if e.attempts < self.min_evidence {
@@ -107,20 +107,10 @@ impl FeedbackStats {
         Some(e.successes / e.attempts)
     }
 
-    /// Decayed mean realized lifetime, seconds.
-    pub fn mean_lifetime_s(&self, a: PlatformId, b: PlatformId, now: SimTime) -> Option<f64> {
-        let mut e = *self.pairs.get(&key(a, b))?;
-        e.decay(now, self.half_life);
-        if e.completed < 1.0 {
-            return None;
-        }
-        Some(e.lifetime_s / e.completed)
-    }
-
     /// The solver cost multiplier for a pair: 1 for unknown or
     /// reliable pairs, rising toward [`Self::max_penalty`] as the
     /// observed success rate collapses.
-    pub fn cost_multiplier(&self, a: PlatformId, b: PlatformId, now: SimTime) -> f64 {
+    fn cost_multiplier(&self, a: PlatformId, b: PlatformId, now: SimTime) -> f64 {
         match self.success_rate(a, b, now) {
             None => 1.0,
             Some(rate) => 1.0 + (self.max_penalty - 1.0) * (1.0 - rate).powi(2),
@@ -203,18 +193,6 @@ mod tests {
         let later = f.cost_multiplier(p(0), p(1), SimTime::from_hours(12));
         assert!(soon > 3.0);
         assert_eq!(later, 1.0, "old failures are forgotten");
-    }
-
-    #[test]
-    fn lifetime_statistics_accumulate() {
-        let mut f = FeedbackStats::new();
-        f.record_lifetime(p(0), p(1), 100.0, SimTime::ZERO);
-        f.record_lifetime(p(0), p(1), 300.0, SimTime::from_secs(1));
-        let m = f
-            .mean_lifetime_s(p(0), p(1), SimTime::from_secs(2))
-            .expect("evidence");
-        assert!((m - 200.0).abs() < 1.0, "got {m}");
-        assert!(f.mean_lifetime_s(p(5), p(6), SimTime::ZERO).is_none());
     }
 
     #[test]

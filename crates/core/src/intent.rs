@@ -126,13 +126,6 @@ impl IntentStore {
         self.intents.get(&id)
     }
 
-    /// Find the live intent for a pairing key.
-    pub fn live_by_key(&self, key: (TransceiverId, TransceiverId)) -> Option<&LinkIntent> {
-        self.intents
-            .values()
-            .find(|i| i.is_live() && i.key() == key)
-    }
-
     /// Create a new intent in `Desired`.
     pub fn create(&mut self, link: CandidateLink, now: SimTime) -> IntentId {
         let id = IntentId(self.next);
@@ -301,8 +294,7 @@ mod tests {
         assert_eq!(d.to_establish.len(), 1, "retry after unplanned end");
         let id2 = s.create(cand(0, 0, 1, 0), SimTime::from_secs(20));
         assert_ne!(id, id2);
-        assert!(s
-            .live_by_key((cand(0, 0, 1, 0).a, cand(0, 0, 1, 0).b))
-            .is_some());
+        let key = (cand(0, 0, 1, 0).a, cand(0, 0, 1, 0).b);
+        assert!(s.live().any(|i| i.key() == key));
     }
 }

@@ -8,7 +8,7 @@
 use super::{Orchestrator, UpLinks};
 use crate::intent::{IntentId, IntentStore, LinkIntentState};
 use std::collections::{BTreeMap, BTreeSet};
-use tssdn_link::{AcqConfig, EndReason, LinkKind, LinkStateMachine, LinkTransition, TransceiverId};
+use tssdn_link::{EndReason, LinkStateMachine, LinkTransition, TransceiverId};
 use tssdn_sim::{PlatformId, PlatformKind, SimDuration, SimTime};
 use tssdn_telemetry::BreakCause;
 
@@ -328,15 +328,8 @@ impl Orchestrator {
             }
         }
         let ledger_id = self.ledger.open(link.a, link.b, link.kind, self.now);
-        let acq = AcqConfig {
-            infant_hazard_per_s: match link.kind {
-                LinkKind::B2G => self.config.b2g_infant_hazard_per_s,
-                LinkKind::B2B => self.config.b2b_infant_hazard_per_s,
-            },
-            ..self.config.acq
-        };
         self.enactment.machines.push(ActiveMachine {
-            machine: LinkStateMachine::new(tte, slew_s, acq),
+            machine: LinkStateMachine::new(tte, slew_s, link.kind, self.config.acq),
             ledger_id,
             intent: iid,
             a: link.a,

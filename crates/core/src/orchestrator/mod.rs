@@ -48,6 +48,7 @@ mod traffic_view;
 mod truth;
 
 pub use observe::{DataPlaneStatus, RunSummary};
+pub use planner::DEMAND_BPS;
 
 use crate::evaluator::EvaluatorConfig;
 use crate::intent::{IntentId, IntentStore};
@@ -113,27 +114,10 @@ pub struct OrchestratorConfig {
     pub solve_interval: SimDuration,
     /// How far ahead of now the evaluator models the world.
     pub plan_lead: SimDuration,
-    /// Position/power report cadence into the model.
-    pub report_interval: SimDuration,
     /// Reachability probe cadence.
     pub probe_interval: SimDuration,
-    /// Latency of the controller's reaction pipeline: time from
-    /// learning about a topology change to issuing the re-solve's
-    /// commands (telemetry ingestion, incremental solve, actuation
-    /// compilation — "tens of seconds" end to end in production).
-    pub controller_pipeline: SimDuration,
-    /// Per-balloon backhaul demand, bps.
-    pub demand_bps: u64,
     /// Antennas per balloon (3 in production; Appendix A sweeps it).
     pub transceivers_per_balloon: u8,
-    /// Infant (tracking-settling) drop hazard for B2G links, per
-    /// second over the first [`AcqConfig::infant_period`]. Low
-    /// elevation + ground clutter made fresh B2G locks fragile
-    /// (Figure 11: 44.8% of B2G links lasted under a minute).
-    pub b2g_infant_hazard_per_s: f64,
-    /// Infant drop hazard for B2B links (Figure 11: 15% early
-    /// mortality).
-    pub b2b_infant_hazard_per_s: f64,
     /// Which weather belief the controller runs with (E11 sweeps it).
     pub weather_model: WeatherModelKind,
     /// Scheduled fault windows driven by the chaos engine. Empty by
@@ -204,14 +188,9 @@ impl OrchestratorConfig {
             tick: SimDuration::from_secs(5),
             solve_interval: SimDuration::from_secs(60),
             plan_lead: SimDuration::from_secs(180),
-            report_interval: SimDuration::from_secs(60),
             probe_interval: SimDuration::from_secs(10),
-            controller_pipeline: SimDuration::from_secs(20),
-            demand_bps: 50_000_000,
             transceivers_per_balloon: 3,
             weather_model: WeatherModelKind::ItuOnly,
-            b2g_infant_hazard_per_s: 0.010,
-            b2b_infant_hazard_per_s: 0.0027,
             fault_plan: FaultPlan::new(),
             traffic: None,
             multipath_routes: false,
@@ -390,7 +369,7 @@ impl Orchestrator {
         // The EC pod gets a tunnel from every ground station.
         let mut tunnels = TunnelRegistry::new();
         for gs in &fleet.ground_stations {
-            tunnels.establish(gs.id, routes.ec(), SimTime::ZERO);
+            tunnels.establish(gs.id, routes.ec());
         }
         Orchestrator {
             model: build_model(&config, fleet),

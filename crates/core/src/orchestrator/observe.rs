@@ -130,8 +130,7 @@ impl Orchestrator {
                 (Layer::DataPlane, data_up),
                 (Layer::DataPlaneStale, data_up && !control_up),
             ] {
-                self.availability
-                    .record(b, layer, eligible, is_up, self.now);
+                self.availability.record(layer, eligible, is_up, self.now);
             }
 
             // Figure-8 recovery tracking (only inside eligible windows:

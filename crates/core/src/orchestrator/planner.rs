@@ -14,7 +14,18 @@ use tssdn_cpl::CommandBody;
 use tssdn_dataplane::BackhaulRequest;
 use tssdn_link::TransceiverId;
 use tssdn_rf::BandConsts;
-use tssdn_sim::{Fleet, PlatformId, PlatformKind, SimTime};
+use tssdn_sim::{Fleet, PlatformId, PlatformKind, SimDuration, SimTime};
+
+/// Per-balloon backhaul demand, bps: the `min_bitrate_bps` of every
+/// standing request until the traffic engine's measured digest
+/// rewrites it.
+pub const DEMAND_BPS: u64 = 50_000_000;
+
+/// Latency of the controller's reaction pipeline: time from learning
+/// about a topology change to issuing the re-solve's commands
+/// (telemetry ingestion, incremental solve, actuation compilation —
+/// "tens of seconds" end to end in production).
+const CONTROLLER_PIPELINE: SimDuration = SimDuration::from_secs(20);
 
 pub(super) struct Planner {
     evaluator: LinkEvaluator,
@@ -33,7 +44,7 @@ pub(super) struct Planner {
     /// the first evaluation.
     reachable: BTreeSet<PlatformId>,
     /// When the controller first learned of an unacted topology
-    /// change; the event-driven re-solve fires `controller_pipeline`
+    /// change; the event-driven re-solve fires [`CONTROLLER_PIPELINE`]
     /// later.
     dirty_since: Option<SimTime>,
     next_solve: SimTime,
@@ -46,7 +57,7 @@ impl Planner {
             .map(|b| BackhaulRequest {
                 node: PlatformId(b),
                 ec,
-                min_bitrate_bps: config.demand_bps,
+                min_bitrate_bps: DEMAND_BPS,
                 redundancy_group: None,
             })
             .collect();
@@ -147,7 +158,7 @@ impl Orchestrator {
         let due = self
             .planner
             .dirty_since
-            .is_some_and(|t| self.now.since(t) >= self.config.controller_pipeline);
+            .is_some_and(|t| self.now.since(t) >= CONTROLLER_PIPELINE);
         if !due {
             return;
         }

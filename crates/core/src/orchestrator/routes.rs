@@ -680,7 +680,7 @@ pub(super) mod tests {
         let iid = intents.create(b2g_candidate(b, gs), now);
         intents.set_state(iid, LinkIntentState::Established { at: now });
         let mut tunnels = TunnelRegistry::new();
-        tunnels.establish(gs, ec, SimTime::ZERO);
+        tunnels.establish(gs, ec);
         let mut cdpi = CdpiFrontend::new(CdpiConfig::default(), &RngStreams::new(1));
         let requests = [BackhaulRequest {
             node: b,

@@ -196,6 +196,7 @@ impl Orchestrator {
 pub(super) mod tests {
     use super::super::tests::small;
     use super::*;
+    use crate::orchestrator::DEMAND_BPS;
     use tssdn_traffic::TrafficConfig;
 
     pub(in crate::orchestrator) fn traffic_engine_carries_load_once_routes_exist() {
@@ -216,7 +217,7 @@ pub(super) mod tests {
         let fed = o
             .backhaul_requests()
             .iter()
-            .any(|r| r.min_bitrate_bps != o.config.demand_bps);
+            .any(|r| r.min_bitrate_bps != DEMAND_BPS);
         assert!(fed, "demand feedback updated request weights");
     }
 
@@ -227,6 +228,6 @@ pub(super) mod tests {
         assert!(o
             .backhaul_requests()
             .iter()
-            .all(|r| r.min_bitrate_bps == o.config.demand_bps));
+            .all(|r| r.min_bitrate_bps == DEMAND_BPS));
     }
 }

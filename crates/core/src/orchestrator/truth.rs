@@ -6,6 +6,7 @@
 //! mask; the controller only ever sees the reports generated here.
 
 use super::{Orchestrator, OrchestratorConfig};
+use crate::evaluator::LOS_CLEARANCE_M;
 use crate::model::WeatherSource;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -16,7 +17,10 @@ use tssdn_geo::{
 };
 use tssdn_link::TransceiverId;
 use tssdn_rf::BandConsts;
-use tssdn_sim::{Fleet, PlatformId, PlatformKind, RngStreams, SimTime};
+use tssdn_sim::{Fleet, PlatformId, PlatformKind, RngStreams, SimDuration, SimTime};
+
+/// Position/power report cadence into the model.
+const REPORT_INTERVAL: SimDuration = SimDuration::from_secs(60);
 
 /// The field of regard every ground-station transceiver was surveyed
 /// with. The controller's model and the true masks both start from it
@@ -125,7 +129,7 @@ impl Orchestrator {
         let fleet = &self.truth.fleet;
         let pos_a = fleet.position(a.platform);
         let pos_b = fleet.position(b.platform);
-        if !line_of_sight_clear(&pos_a, &pos_b, self.config.evaluator.los_clearance_m) {
+        if !line_of_sight_clear(&pos_a, &pos_b, LOS_CLEARANCE_M) {
             return None;
         }
         let p_ab = PointingSolution::between(&pos_a, &pos_b);
@@ -212,7 +216,7 @@ impl Orchestrator {
         if self.now < self.next_report {
             return;
         }
-        self.next_report = self.now + self.config.report_interval;
+        self.next_report = self.now + REPORT_INTERVAL;
         for (id, kind) in self.truth.fleet.platform_ids() {
             let pos = self.truth.fleet.position(id);
             // GPS noise on balloon reports (~10 m).

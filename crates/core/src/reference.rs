@@ -44,9 +44,11 @@
 //! Nothing else belongs in this module: one naive specification per
 //! production algorithm, no intermediate generations.
 
-use crate::evaluator::{CandidateGraph, CandidateLink, LinkEvaluator};
+use crate::evaluator::{
+    CandidateGraph, CandidateLink, LinkEvaluator, LOS_CLEARANCE_M, MAX_RANGE_M, MODEL_PESSIMISM_DB,
+};
 use crate::model::NetworkModel;
-use crate::solver::{scale_cost, Solver, TopologyPlan};
+use crate::solver::{scale_cost, Solver, TopologyPlan, MARGINAL_PENALTY};
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use tssdn_dataplane::{BackhaulRequest, DrainRegistry};
 use tssdn_geo::GeoPoint;
@@ -309,7 +311,7 @@ fn estimate_utilities(
         let is_selected = selected.contains(&i);
         let mut cost = if is_selected { 0.1 } else { 1.0 };
         if l.quality == LinkQuality::Marginal {
-            cost += solver.config.marginal_penalty;
+            cost += MARGINAL_PENALTY;
         }
         if previous.contains(&l.key()) {
             cost = (cost - solver.config.hysteresis_bonus).max(0.05);
@@ -436,10 +438,10 @@ pub fn evaluate_reference(
             };
             // Geometric pruning common to all antenna combos.
             let range = pos_a.slant_range_m(&pos_b);
-            if range > evaluator.config.max_range_m {
+            if range > MAX_RANGE_M {
                 continue;
             }
-            if !line_of_sight_clear(&pos_a, &pos_b, evaluator.config.los_clearance_m) {
+            if !line_of_sight_clear(&pos_a, &pos_b, LOS_CLEARANCE_M) {
                 continue;
             }
             let point_ab = PointingSolution::between(&pos_a, &pos_b);
@@ -456,8 +458,7 @@ pub fn evaluate_reference(
                 .bands
                 .iter()
                 .map(|band| RadioParams {
-                    implementation_loss_db: band.implementation_loss_db
-                        + evaluator.config.model_pessimism_db,
+                    implementation_loss_db: band.implementation_loss_db + MODEL_PESSIMISM_DB,
                     ..*band
                 })
                 .collect();

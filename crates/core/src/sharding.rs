@@ -150,7 +150,7 @@ impl RegionMap {
     /// The band a longitude falls in, ignoring hysteresis: interior
     /// bands are `band_deg` wide, centered as a group about
     /// `origin_lon_deg`; the outer two extend to ±∞.
-    pub fn home_region(&self, lon_deg: f64) -> RegionId {
+    fn home_region(&self, lon_deg: f64) -> RegionId {
         let n = self.num_regions();
         let half_span = n as f64 * self.cfg.band_deg / 2.0;
         let x = (lon_deg - self.cfg.origin_lon_deg + half_span) / self.cfg.band_deg;
@@ -187,7 +187,7 @@ impl RegionMap {
 
     /// Owner, defaulting unknown platforms to region 0 so request
     /// partitioning is total.
-    pub fn owner_or_default(&self, p: PlatformId) -> RegionId {
+    fn owner_or_default(&self, p: PlatformId) -> RegionId {
         self.owner(p).unwrap_or(RegionId(0))
     }
 

@@ -1,14 +1,14 @@
 //! The link-conflict rule (§3.2), stated once: two links cannot
 //! coexist when they share a transceiver, or when they are on one band,
 //! share a platform and their beams there are closer than
-//! `min_beam_separation_deg`. [`Solver::conflict`] is the statement;
+//! [`MIN_BEAM_SEPARATION_DEG`]. [`Solver::conflict`] is the statement;
 //! the kept-set test the incumbents phase runs, the list-driven
 //! invalidation the greedy loop runs and `core::explain` only narrow
 //! *which* pairs it is asked about. `core::reference` shares it on
 //! purpose — it is the definition, not an algorithm.
 
 use super::index::{LiveLists, SolveIndex};
-use super::Solver;
+use super::{Solver, MIN_BEAM_SEPARATION_DEG};
 use crate::evaluator::CandidateLink;
 use tssdn_geo::AzEl;
 use tssdn_sim::PlatformId;
@@ -49,7 +49,7 @@ impl Solver {
     /// The separation of two beams when it is under the minimum.
     fn too_close(&self, a: &AzEl, b: &AzEl) -> Option<f64> {
         let separation_deg = a.angular_distance_deg(b);
-        (separation_deg < self.config.min_beam_separation_deg).then_some(separation_deg)
+        (separation_deg < MIN_BEAM_SEPARATION_DEG).then_some(separation_deg)
     }
 
     /// Why `a` and `b` cannot coexist, if they cannot. Symmetric to

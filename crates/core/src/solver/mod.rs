@@ -60,29 +60,29 @@ pub(crate) fn scale_cost(c: f64) -> u64 {
     (c * 1e6).round() as u64
 }
 
+/// Extra hop cost for marginal-quality links.
+pub(crate) const MARGINAL_PENALTY: f64 = 2.0;
+
+/// Minimum angular separation (degrees) between same-band links
+/// sharing a platform (interference constraint).
+pub const MIN_BEAM_SEPARATION_DEG: f64 = 5.0;
+
 /// Solver tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct SolverConfig {
     /// Cost discount for links present in the previous topology
     /// (hysteresis; subtracted from the hop cost).
     pub hysteresis_bonus: f64,
-    /// Extra cost for marginal-quality links.
-    pub marginal_penalty: f64,
     /// Fraction of post-demand idle transceivers to task with
     /// redundant links (the paper's intended ~0.7).
     pub redundancy_target: f64,
-    /// Minimum angular separation (degrees) between same-band links
-    /// sharing a platform (interference constraint).
-    pub min_beam_separation_deg: f64,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             hysteresis_bonus: 0.4,
-            marginal_penalty: 2.0,
             redundancy_target: 0.7,
-            min_beam_separation_deg: 5.0,
         }
     }
 }
@@ -175,7 +175,7 @@ impl Solver {
     pub(crate) fn edge_cost(&self, l: &CandidateLink, in_previous: bool, is_selected: bool) -> f64 {
         let mut cost = if is_selected { 0.1 } else { 1.0 };
         if l.quality == LinkQuality::Marginal {
-            cost += self.config.marginal_penalty;
+            cost += MARGINAL_PENALTY;
         }
         if in_previous {
             cost = (cost - self.config.hysteresis_bonus).max(0.05);

@@ -11,11 +11,11 @@
 //! * [`ModelValidator::record`] accumulates modelled-vs-measured
 //!   signal samples (Figure 10's histogram is its output), each tagged
 //!   with the ground-station pointing vector.
-//! * [`ModelValidator::find_stale_obstructions`] bins samples by
-//!   azimuth and flags sectors whose *persistent* error is much worse
-//!   than the site baseline — the Figure 13 screenshot as an
-//!   algorithm (experiment E13: a "new building" appears mid-run and
-//!   gets detected).
+//! * [`ModelValidator::find_new_obstructions`] bins samples by
+//!   azimuth and flags sectors whose error became much worse after a
+//!   split instant — the Figure 13 screenshot as an algorithm
+//!   (experiment E13: a "new building" appears mid-run and gets
+//!   detected).
 
 use tssdn_geo::AzEl;
 use tssdn_link::LinkKind;
@@ -193,64 +193,6 @@ impl ModelValidator {
             })
             .collect()
     }
-
-    /// Find azimuth sectors at `site` whose B2G error is persistently
-    /// worse (more negative) than the site's own baseline by at least
-    /// `threshold_db`, with at least `min_samples` supporting samples.
-    pub fn find_stale_obstructions(
-        &self,
-        site: PlatformId,
-        bin_width_deg: f64,
-        threshold_db: f64,
-        min_samples: usize,
-    ) -> Vec<ObstructionFinding> {
-        let site_samples: Vec<&ModelErrorSample> = self
-            .samples
-            .iter()
-            .filter(|s| s.observer == site && s.kind == LinkKind::B2G)
-            .collect();
-        if site_samples.is_empty() {
-            return Vec::new();
-        }
-        let bins = (360.0 / bin_width_deg).ceil() as usize;
-        let mut sums = vec![0.0f64; bins];
-        let mut counts = vec![0usize; bins];
-        for s in &site_samples {
-            let b =
-                ((tssdn_geo::norm_deg(s.pointing.az_deg) / bin_width_deg) as usize).min(bins - 1);
-            sums[b] += s.error_db();
-            counts[b] += 1;
-        }
-        // Site baseline: median of populated bin means — robust to a
-        // few bad sectors.
-        let mut bin_means: Vec<f64> = (0..bins)
-            .filter(|b| counts[*b] >= min_samples)
-            .map(|b| sums[b] / counts[b] as f64)
-            .collect();
-        if bin_means.is_empty() {
-            return Vec::new();
-        }
-        bin_means.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let baseline = bin_means[bin_means.len() / 2];
-
-        (0..bins)
-            .filter(|b| counts[*b] >= min_samples)
-            .filter_map(|b| {
-                let mean = sums[b] / counts[b] as f64;
-                if mean <= baseline - threshold_db {
-                    Some(ObstructionFinding {
-                        site,
-                        az_start_deg: b as f64 * bin_width_deg,
-                        az_end_deg: (b + 1) as f64 * bin_width_deg,
-                        mean_error_db: mean,
-                        samples: counts[b],
-                    })
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -300,22 +242,45 @@ mod tests {
         assert_eq!(h[3].1, 1);
     }
 
+    /// The instant the tests' obstruction appears, and a sample
+    /// time after it.
+    const SPLIT: SimTime = SimTime(3_600_000);
+    const LATER: SimTime = SimTime(7_200_000);
+
+    /// `sample` taken at `at`.
+    fn sample_at(at: SimTime, az: f64, measured: f64) -> ModelErrorSample {
+        ModelErrorSample {
+            at,
+            ..sample(az, 5.0, measured, LinkKind::B2G)
+        }
+    }
+
+    /// Four healthy samples every `step` degrees, before and after the
+    /// split, skipping azimuths `skip` rejects after it.
+    fn healthy_site(v: &mut ModelValidator, step: usize, skip: impl Fn(f64) -> bool) {
+        for at in [SimTime::ZERO, LATER] {
+            for az in (0..360).step_by(step).map(|az| az as f64 + 0.5) {
+                if at == LATER && skip(az) {
+                    continue;
+                }
+                for _ in 0..4 {
+                    v.record(sample_at(at, az, 9.0));
+                }
+            }
+        }
+    }
+
     #[test]
     fn detects_bad_sector_against_baseline() {
         let mut v = ModelValidator::new();
-        // Healthy sectors: small positive error everywhere.
-        for az in (0..360).step_by(5) {
-            for _ in 0..4 {
-                v.record(sample(az as f64, 5.0, 9.0, LinkKind::B2G));
-            }
-        }
+        healthy_site(&mut v, 5, |_| false);
         // A new building at azimuth 40–60°: signal 20 dB below model.
         for az in [42.0, 47.0, 52.0, 57.0] {
             for _ in 0..5 {
-                v.record(sample(az, 5.0, -15.0, LinkKind::B2G));
+                v.record(sample_at(LATER, az, -15.0));
             }
         }
-        let findings = v.find_stale_obstructions(PlatformId(100), 20.0, 8.0, 4);
+        let findings = v.find_new_obstructions(PlatformId(100), 20.0, 8.0, 4, SPLIT);
         assert!(!findings.is_empty(), "building detected");
         for f in &findings {
             assert!(
@@ -329,28 +294,20 @@ mod tests {
     #[test]
     fn clean_site_yields_no_findings() {
         let mut v = ModelValidator::new();
-        for az in (0..360).step_by(5) {
-            for _ in 0..4 {
-                v.record(sample(az as f64, 5.0, 9.5, LinkKind::B2G));
-            }
-        }
+        healthy_site(&mut v, 5, |_| false);
         assert!(v
-            .find_stale_obstructions(PlatformId(100), 20.0, 8.0, 4)
+            .find_new_obstructions(PlatformId(100), 20.0, 8.0, 4, SPLIT)
             .is_empty());
     }
 
     #[test]
     fn sparse_bins_ignored() {
         let mut v = ModelValidator::new();
-        // One terrible sample in an otherwise empty sector: not enough
-        // support.
-        v.record(sample(100.0, 5.0, -30.0, LinkKind::B2G));
-        for az in (0..360).step_by(10) {
-            for _ in 0..4 {
-                v.record(sample(az as f64 + 0.5, 5.0, 9.0, LinkKind::B2G));
-            }
-        }
-        let findings = v.find_stale_obstructions(PlatformId(100), 20.0, 8.0, 5);
+        // After the split the 100–120° sector holds one terrible
+        // sample and nothing else: not enough support.
+        healthy_site(&mut v, 10, |az| (100.0..120.0).contains(&az));
+        v.record(sample_at(LATER, 105.0, -30.0));
+        let findings = v.find_new_obstructions(PlatformId(100), 20.0, 8.0, 4, SPLIT);
         assert!(
             findings.is_empty(),
             "single outlier is not a finding: {findings:?}"
@@ -360,13 +317,21 @@ mod tests {
     #[test]
     fn other_sites_not_mixed_in() {
         let mut v = ModelValidator::new();
-        let mut s = sample(10.0, 5.0, -20.0, LinkKind::B2G);
-        s.observer = PlatformId(101);
-        for _ in 0..10 {
-            v.record(s);
+        for (at, measured) in [(SimTime::ZERO, 9.0), (LATER, -20.0)] {
+            let mut s = sample_at(at, 10.0, measured);
+            s.observer = PlatformId(101);
+            for _ in 0..10 {
+                v.record(s);
+            }
         }
         assert!(v
-            .find_stale_obstructions(PlatformId(100), 20.0, 8.0, 4)
+            .find_new_obstructions(PlatformId(100), 20.0, 8.0, 4, SPLIT)
             .is_empty());
+        assert_eq!(
+            v.find_new_obstructions(PlatformId(101), 20.0, 8.0, 4, SPLIT)
+                .len(),
+            1,
+            "the other site's own query finds it"
+        );
     }
 }

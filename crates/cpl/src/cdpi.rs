@@ -28,48 +28,51 @@ use rand::Rng;
 use std::collections::BTreeMap;
 use tssdn_sim::{PlatformId, RngStreams, SimDuration, SimTime};
 
+/// TTE margin when any recipient needs satcom (the p95 one-way delay;
+/// "an extra 3m6s TTE delay", §4.2).
+const SATCOM_TTE_MARGIN: SimDuration = SimDuration::from_secs(186);
+
+/// TTE margin when all recipients are in-band.
+const INBAND_TTE_MARGIN: SimDuration = SimDuration::from_secs(3);
+
+/// TTE margin when LoRa carries the slowest command of an intent.
+const LORA_TTE_MARGIN: SimDuration = SimDuration::from_secs(10);
+
+/// Response timeout for link commands (boot + search can take 2m30s
+/// on top of delivery).
+const LINK_TIMEOUT: SimDuration = SimDuration::from_secs(240);
+
+/// Response timeout for route commands.
+const ROUTE_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+
+/// Give up on a command after this many attempts.
+const MAX_ATTEMPTS: u32 = 4;
+
+/// First-retry backoff; attempt `n` waits `base · 2^(n-1)` (plus
+/// deterministic jitter) before redispatching. Immediate retries
+/// against a dead channel only feed the satcom rate limiter.
+const RETRY_BACKOFF_BASE: SimDuration = SimDuration::from_secs(5);
+
+/// Ceiling on the exponential retry backoff.
+const RETRY_BACKOFF_CAP: SimDuration = SimDuration::from_secs(60);
+
+/// A command's response timeout, counted from its TTE.
+fn timeout_for(kind: IntentKind) -> SimDuration {
+    match kind {
+        IntentKind::Link => LINK_TIMEOUT,
+        // Route commands use one short timeout everywhere: they can't
+        // ride satcom at all, and a LoRa frame won't fit a table
+        // either, so the retry ladder must spin quickly.
+        IntentKind::Route => ROUTE_TIMEOUT,
+    }
+}
+
 /// Frontend tunables.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CdpiConfig {
-    /// TTE margin when any recipient needs satcom (the p95 one-way
-    /// delay; "an extra 3m6s TTE delay", §4.2).
-    pub satcom_tte_margin: SimDuration,
-    /// TTE margin when all recipients are in-band.
-    pub inband_tte_margin: SimDuration,
-    /// Response timeout for link commands (boot + search can take
-    /// 2m30s on top of delivery).
-    pub link_timeout: SimDuration,
-    /// Response timeout for route commands.
-    pub route_timeout: SimDuration,
-    /// Give up after this many attempts.
-    pub max_attempts: u32,
     /// Enable the prototype LoRaWAN bootstrap channel (§2.2). Off by
     /// default — Loon never deployed it; E15 measures what it buys.
     pub lora_enabled: bool,
-    /// TTE margin when LoRa carries the slowest command of an intent.
-    pub lora_tte_margin: SimDuration,
-    /// First-retry backoff; attempt `n` waits `base · 2^(n-1)` (plus
-    /// deterministic jitter) before redispatching. Immediate retries
-    /// against a dead channel only feed the satcom rate limiter.
-    pub retry_backoff_base: SimDuration,
-    /// Ceiling on the exponential backoff.
-    pub retry_backoff_cap: SimDuration,
-}
-
-impl Default for CdpiConfig {
-    fn default() -> Self {
-        CdpiConfig {
-            satcom_tte_margin: SimDuration::from_secs(186),
-            inband_tte_margin: SimDuration::from_secs(3),
-            link_timeout: SimDuration::from_secs(240),
-            route_timeout: SimDuration::from_secs(10),
-            max_attempts: 4,
-            lora_enabled: false,
-            lora_tte_margin: SimDuration::from_secs(10),
-            retry_backoff_base: SimDuration::from_secs(5),
-            retry_backoff_cap: SimDuration::from_secs(60),
-        }
-    }
 }
 
 /// Delivery-boundary chaos knobs (normally all zero; driven by the
@@ -257,11 +260,11 @@ impl CdpiFrontend {
                     && b.size_bytes() <= self.lora.max_payload)
         });
         let tte = if all_inband {
-            now + self.config.inband_tte_margin
+            now + INBAND_TTE_MARGIN
         } else if all_fast {
-            now + self.config.lora_tte_margin
+            now + LORA_TTE_MARGIN
         } else {
-            now + self.config.satcom_tte_margin
+            now + SATCOM_TTE_MARGIN
         };
         let intent_id = self.next_intent;
         self.next_intent += 1;
@@ -281,7 +284,7 @@ impl CdpiFrontend {
             if matches!(channel, Channel::Satcom(_)) {
                 used_satcom = true;
             }
-            let timeout = self.timeout_for(kind, channel);
+            let timeout = timeout_for(kind);
             self.outstanding.insert(
                 id,
                 Outstanding {
@@ -307,16 +310,6 @@ impl CdpiFrontend {
             },
         );
         (intent_id, tte)
-    }
-
-    fn timeout_for(&self, kind: IntentKind, _channel: Channel) -> SimDuration {
-        match kind {
-            IntentKind::Link => self.config.link_timeout,
-            // Route commands use one short timeout everywhere: they
-            // can't ride satcom at all, and a LoRa frame won't fit a
-            // table either, so the retry ladder must spin quickly.
-            IntentKind::Route => self.config.route_timeout,
-        }
     }
 
     /// Pick the lowest-latency available channel and hand the command
@@ -566,14 +559,14 @@ impl CdpiFrontend {
             };
             let kind = body.kind();
             let tte = if self.inband.is_reachable(dest, now) {
-                now + self.config.inband_tte_margin
+                now + INBAND_TTE_MARGIN
             } else if self.config.lora_enabled
                 && self.lora.is_covered(dest)
                 && body.size_bytes() <= self.lora.max_payload
             {
-                now + self.config.lora_tte_margin
+                now + LORA_TTE_MARGIN
             } else {
-                now + self.config.satcom_tte_margin
+                now + SATCOM_TTE_MARGIN
             };
             let cmd = Command {
                 id,
@@ -583,7 +576,7 @@ impl CdpiFrontend {
                 submitted: now,
             };
             let channel = self.dispatch(cmd.clone(), now);
-            let timeout = self.timeout_for(kind, channel);
+            let timeout = timeout_for(kind);
             let o = self.outstanding.get_mut(&id).expect("listed");
             o.cmd = cmd;
             o.channel = channel;
@@ -612,15 +605,15 @@ impl CdpiFrontend {
             .collect();
         for id in timed_out {
             let o = self.outstanding.get(&id).expect("listed");
-            if o.attempt >= self.config.max_attempts {
+            if o.attempt >= MAX_ATTEMPTS {
                 let intent_id = o.intent_id;
                 self.outstanding.remove(&id);
                 events.push(CdpiEvent::Expired { id, intent_id });
                 continue;
             }
             let attempt = o.attempt;
-            let base_ms = self.config.retry_backoff_base.as_ms();
-            let cap_ms = self.config.retry_backoff_cap.as_ms();
+            let base_ms = RETRY_BACKOFF_BASE.as_ms();
+            let cap_ms = RETRY_BACKOFF_CAP.as_ms();
             let exp_ms = base_ms
                 .saturating_mul(1u64 << (attempt.saturating_sub(1)).min(16))
                 .min(cap_ms);
@@ -814,7 +807,7 @@ mod tests {
             .iter()
             .filter(|e| matches!(e, CdpiEvent::Retried { .. }))
             .count();
-        assert_eq!(retries as u32, CdpiConfig::default().max_attempts - 1);
+        assert_eq!(retries as u32, MAX_ATTEMPTS - 1);
         assert!(
             events
                 .iter()
@@ -960,7 +953,7 @@ mod tests {
             }
         }
         let at = first_retry.expect("retried");
-        let base = CdpiConfig::default().retry_backoff_base;
+        let base = RETRY_BACKOFF_BASE;
         assert!(
             at >= SimTime::from_secs(196) + base,
             "backoff respected: first retry at {at}, timeout at 196 s + base {base}"
@@ -1041,7 +1034,7 @@ mod tests {
             "attempts exhausted: {events:?}"
         );
         assert!(
-            f.chaos_corrupted >= u64::from(CdpiConfig::default().max_attempts),
+            f.chaos_corrupted >= u64::from(MAX_ATTEMPTS),
             "every attempt was corrupted: {}",
             f.chaos_corrupted
         );

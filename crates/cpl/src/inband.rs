@@ -87,7 +87,7 @@ impl InbandChannel {
     }
 
     /// Expected one-way delivery latency to `node`, if reachable.
-    pub fn estimate_latency(&self, node: PlatformId) -> Option<SimDuration> {
+    fn estimate_latency(&self, node: PlatformId) -> Option<SimDuration> {
         let hops = *self.reachable.get(&node)?;
         Some(SimDuration(
             self.base_latency.as_ms() + self.per_hop_latency.as_ms() * hops as u64,

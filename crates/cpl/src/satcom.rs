@@ -71,7 +71,7 @@ impl SatcomConfig {
 
     /// Expected (median) one-way latency — what the gateway uses for
     /// its arrive-by-TTE prediction.
-    pub fn median_one_way(&self) -> SimDuration {
+    fn median_one_way(&self) -> SimDuration {
         SimDuration(((self.floor_s + self.mu.exp()) * 1000.0) as u64)
     }
 }
@@ -153,15 +153,6 @@ impl SatcomGateway {
     /// Provider config (for TTE estimation by the frontend).
     pub fn provider(&self, i: u8) -> &SatcomConfig {
         &self.providers[i as usize]
-    }
-
-    /// Estimated delivery time if `cmd` were submitted now: earliest
-    /// over providers of `max(now, next_slot) + median latency`.
-    pub fn estimate_delivery(&self, dest: PlatformId, now: SimTime) -> SimTime {
-        (0..self.providers.len() as u8)
-            .map(|p| self.ready_at(p, dest, now) + self.providers[p as usize].median_one_way())
-            .min()
-            .expect("at least one provider")
     }
 
     fn ready_at(&self, provider: u8, dest: PlatformId, now: SimTime) -> SimTime {
@@ -260,12 +251,6 @@ impl SatcomGateway {
             });
         }
         self.queue = requeue;
-    }
-
-    /// Queue depth (invisible to the frontend when it sets TTEs — a
-    /// §4.2 "challenge" the ablations quantify).
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -387,11 +372,11 @@ mod tests {
         }
         gw.poll(SimTime::from_secs(1), &mut out);
         assert_eq!(gw.sent, 2, "one per provider immediately");
-        assert_eq!(gw.queue_depth(), 2, "rest rate-limited");
+        assert_eq!(gw.queue.len(), 2, "rest rate-limited");
         // After the 60 s interval the next pair goes out.
         gw.poll(SimTime::from_secs(62), &mut out);
         assert_eq!(gw.sent, 4);
-        assert_eq!(gw.queue_depth(), 0);
+        assert_eq!(gw.queue.len(), 0);
     }
 
     #[test]
@@ -407,18 +392,5 @@ mod tests {
         }
         gw.poll(SimTime::from_secs(1), &mut out);
         assert_eq!(gw.sent, 6, "rate limit is per destination");
-    }
-
-    #[test]
-    fn estimate_accounts_for_consumed_slots() {
-        let mut gw = SatcomGateway::new(rng());
-        let mut out = Vec::new();
-        let e0 = gw.estimate_delivery(PlatformId(3), SimTime::ZERO);
-        for i in 0..2 {
-            gw.submit(link_cmd(i, 3, 3600, SimTime::ZERO), SimTime::ZERO, &mut out);
-        }
-        gw.poll(SimTime::from_secs(1), &mut out);
-        let e1 = gw.estimate_delivery(PlatformId(3), SimTime::from_secs(1));
-        assert!(e1 > e0, "both slots consumed pushes the estimate out");
     }
 }

@@ -18,21 +18,9 @@ pub struct NodePrefix {
 }
 
 impl NodePrefix {
-    /// The address of service `index` within this prefix (interface
-    /// id = 1 + index; 0 is reserved).
-    pub fn service_addr(&self, index: u16) -> Ipv6Addr {
-        let v: u128 = ((self.bits as u128) << 64) | (1 + index as u128);
-        Ipv6Addr::from(v)
-    }
-
     /// Whether `addr` falls inside this /64.
     pub fn contains(&self, addr: Ipv6Addr) -> bool {
         (u128::from(addr) >> 64) as u64 == self.bits
-    }
-
-    /// Render as standard prefix notation.
-    pub fn to_string_prefix(&self) -> String {
-        format!("{}/64", Ipv6Addr::from((self.bits as u128) << 64))
     }
 }
 
@@ -84,15 +72,6 @@ impl PrefixAllocator {
         self.assigned.get(&node).copied()
     }
 
-    /// Reverse lookup: which node owns the prefix containing `addr`?
-    pub fn node_of(&self, addr: Ipv6Addr) -> Option<PlatformId> {
-        let bits = (u128::from(addr) >> 64) as u64;
-        self.assigned
-            .iter()
-            .find(|(_, p)| p.bits == bits)
-            .map(|(n, _)| *n)
-    }
-
     /// Number of assigned prefixes.
     pub fn len(&self) -> usize {
         self.assigned.len()
@@ -108,6 +87,12 @@ impl PrefixAllocator {
 mod tests {
     use super::*;
 
+    /// The address of service `index` within `p` (interface id =
+    /// 1 + index; 0 is reserved).
+    fn service_addr(p: &NodePrefix, index: u16) -> Ipv6Addr {
+        Ipv6Addr::from(((p.bits as u128) << 64) | (1 + index as u128))
+    }
+
     #[test]
     fn assignment_is_stable_and_unique() {
         let mut a = PrefixAllocator::loon_default();
@@ -122,27 +107,18 @@ mod tests {
     fn service_addresses_live_in_prefix() {
         let mut a = PrefixAllocator::loon_default();
         let p = a.prefix_for(PlatformId(7));
-        let agent = p.service_addr(0);
-        let enb1 = p.service_addr(1);
+        let agent = service_addr(&p, 0);
+        let enb1 = service_addr(&p, 1);
         assert!(p.contains(agent));
         assert!(p.contains(enb1));
         assert_ne!(agent, enb1);
     }
 
     #[test]
-    fn reverse_lookup_finds_owner() {
-        let mut a = PrefixAllocator::loon_default();
-        let p = a.prefix_for(PlatformId(3));
-        assert_eq!(a.node_of(p.service_addr(5)), Some(PlatformId(3)));
-        // An address outside any assigned prefix.
-        assert_eq!(a.node_of(Ipv6Addr::LOCALHOST), None);
-    }
-
-    #[test]
     fn prefixes_are_under_the_site_48() {
         let mut a = PrefixAllocator::loon_default();
         let p = a.prefix_for(PlatformId(0));
-        let s = p.to_string_prefix();
+        let s = Ipv6Addr::from((p.bits as u128) << 64).to_string();
         assert!(s.starts_with("2001:db8:100:"), "got {s}");
     }
 
@@ -151,7 +127,7 @@ mod tests {
         let mut a = PrefixAllocator::loon_default();
         let p0 = a.prefix_for(PlatformId(0));
         let p1 = a.prefix_for(PlatformId(1));
-        assert!(!p0.contains(p1.service_addr(0)));
-        assert!(!p1.contains(p0.service_addr(0)));
+        assert!(!p0.contains(service_addr(&p1, 0)));
+        assert!(!p1.contains(service_addr(&p0, 0)));
     }
 }

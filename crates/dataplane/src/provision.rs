@@ -109,30 +109,6 @@ impl DrainRegistry {
         self.active(node, now)
     }
 
-    /// Whether existing traffic must be evicted from `node` now.
-    pub fn evict_traffic(&self, node: PlatformId, now: SimTime) -> bool {
-        self.active(node, now)
-            && self
-                .drains
-                .get(&node)
-                .map(|d| d.mode == DrainMode::Force)
-                .unwrap_or(false)
-    }
-
-    /// Solver cost penalty multiplier for transiting `node`
-    /// (Deter biases away without forbidding).
-    pub fn transit_penalty(&self, node: PlatformId, now: SimTime) -> f64 {
-        if !self.active(node, now) {
-            return 1.0;
-        }
-        match self.drains.get(&node).map(|d| d.mode) {
-            Some(DrainMode::Deter) => 10.0,
-            Some(DrainMode::Opportunistic) => 1.0,
-            Some(DrainMode::Force) => f64::INFINITY,
-            None => 1.0,
-        }
-    }
-
     /// Update latches: an Opportunistic drain latches once the node
     /// carries no traffic (`transit_routes == 0` and `own_flows == 0`).
     /// Returns nodes that latched on this update (ready for
@@ -157,16 +133,6 @@ impl DrainRegistry {
             }
         }
         latched
-    }
-
-    /// Nodes currently safe to take down (latched, or Force past
-    /// enactment).
-    pub fn maintenance_ready(&self, now: SimTime) -> Vec<PlatformId> {
-        self.drains
-            .iter()
-            .filter(|(n, d)| d.latched || (d.mode == DrainMode::Force && self.active(**n, now)))
-            .map(|(n, _)| *n)
-            .collect()
     }
 }
 
@@ -203,29 +169,25 @@ mod tests {
         // every node to become fully disconnected every night").
         let l = r.update_latches(SimTime::from_hours(20), |_| (0, 0));
         assert_eq!(l, vec![pid(1)]);
-        assert!(r
-            .maintenance_ready(SimTime::from_hours(20))
-            .contains(&pid(1)));
+        assert!(r.get(pid(1)).expect("drain").latched);
     }
 
     #[test]
     fn force_drain_evicts_immediately() {
+        // With no enactment time a Force drain holds from the next
+        // instant: the solver keeps every path off the node, and the
+        // re-solve moves its traffic (`dataplane_consistency.rs`
+        // follows the eviction through a running world).
         let mut r = DrainRegistry::new();
         r.request(pid(2), DrainMode::Force, SimTime::ZERO, None);
-        assert!(r.evict_traffic(pid(2), SimTime::from_secs(1)));
-        assert!(r.maintenance_ready(SimTime::from_secs(1)).contains(&pid(2)));
-        assert_eq!(
-            r.transit_penalty(pid(2), SimTime::from_secs(1)),
-            f64::INFINITY
-        );
+        assert!(r.active(pid(2), SimTime::from_secs(1)));
+        assert!(r.excludes_new_paths(pid(2), SimTime::from_secs(1)));
     }
 
     #[test]
-    fn deter_penalizes_without_evicting() {
+    fn deter_excludes_new_paths() {
         let mut r = DrainRegistry::new();
         r.request(pid(3), DrainMode::Deter, SimTime::ZERO, None);
-        assert!(!r.evict_traffic(pid(3), SimTime::from_secs(1)));
-        assert!(r.transit_penalty(pid(3), SimTime::from_secs(1)) > 1.0);
         assert!(r.excludes_new_paths(pid(3), SimTime::from_secs(1)));
     }
 
@@ -235,14 +197,13 @@ mod tests {
         r.request(pid(4), DrainMode::Deter, SimTime::ZERO, None);
         r.cancel(pid(4));
         assert!(!r.active(pid(4), SimTime::from_secs(1)));
-        assert_eq!(r.transit_penalty(pid(4), SimTime::from_secs(1)), 1.0);
+        assert!(!r.excludes_new_paths(pid(4), SimTime::from_secs(1)));
     }
 
     #[test]
     fn undrained_nodes_unaffected() {
         let r = DrainRegistry::new();
         assert!(!r.active(pid(9), SimTime::ZERO));
-        assert!(!r.evict_traffic(pid(9), SimTime::ZERO));
-        assert_eq!(r.transit_penalty(pid(9), SimTime::ZERO), 1.0);
+        assert!(!r.excludes_new_paths(pid(9), SimTime::ZERO));
     }
 }

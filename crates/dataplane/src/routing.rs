@@ -185,13 +185,6 @@ impl RoutingFabric {
         }
     }
 
-    /// Drop all state on one node (power loss).
-    pub fn reset_node(&mut self, node: PlatformId) {
-        if let Some(t) = self.tables.get_mut(&node) {
-            *t = RouteTable::default();
-        }
-    }
-
     /// Walk the path programmed on `plane` for a flow starting at
     /// `from`; returns the node sequence if it reaches the node owning
     /// `dst_owner` without loops, checking each hop against
@@ -307,28 +300,6 @@ mod tests {
             .trace_flow(Primary, b0, ec, pid(0), pid(9), |_, _| true)
             .is_none());
         assert_eq!(f.table(pid(5)).expect("exists").len(), 0);
-    }
-
-    #[test]
-    fn node_reset_clears_mid_path_state() {
-        let (mut a, mut f) = setup();
-        let b0 = a.prefix_for(pid(0));
-        let ec = a.prefix_for(pid(9));
-        f.program_path(Primary, b0, ec, &[pid(0), pid(5), pid(9)], 3);
-        f.reset_node(pid(5));
-        assert!(f
-            .trace_flow(Primary, b0, ec, pid(0), pid(9), |_, _| true)
-            .is_none());
-        assert_eq!(
-            f.table(pid(5)).expect("exists").version(Primary),
-            0,
-            "version reset too"
-        );
-        assert_eq!(
-            f.table(pid(0)).expect("exists").version(Primary),
-            3,
-            "others keep state"
-        );
     }
 
     #[test]

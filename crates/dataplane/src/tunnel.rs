@@ -11,7 +11,7 @@
 //! that choice consults.
 
 use std::collections::BTreeMap;
-use tssdn_sim::{PlatformId, SimTime};
+use tssdn_sim::PlatformId;
 
 /// Identifier of a GS↔EC tunnel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -21,7 +21,6 @@ pub struct TunnelId(pub u32);
 struct Tunnel {
     gs: PlatformId,
     ec: PlatformId,
-    established_at: SimTime,
     up: bool,
 }
 
@@ -40,7 +39,7 @@ impl TunnelRegistry {
 
     /// Establish (or return the existing) tunnel between `gs` and
     /// `ec`.
-    pub fn establish(&mut self, gs: PlatformId, ec: PlatformId, now: SimTime) -> TunnelId {
+    pub fn establish(&mut self, gs: PlatformId, ec: PlatformId) -> TunnelId {
         if let Some((id, _)) = self.tunnels.iter().find(|(_, t)| t.gs == gs && t.ec == ec) {
             let id = *id;
             self.tunnels.get_mut(&id).expect("exists").up = true;
@@ -48,15 +47,7 @@ impl TunnelRegistry {
         }
         let id = TunnelId(self.next);
         self.next += 1;
-        self.tunnels.insert(
-            id,
-            Tunnel {
-                gs,
-                ec,
-                established_at: now,
-                up: true,
-            },
-        );
+        self.tunnels.insert(id, Tunnel { gs, ec, up: true });
         id
     }
 
@@ -101,11 +92,6 @@ impl TunnelRegistry {
     pub fn is_empty(&self) -> bool {
         self.tunnels.is_empty()
     }
-
-    /// Establishment time of a tunnel.
-    pub fn established_at(&self, id: TunnelId) -> Option<SimTime> {
-        self.tunnels.get(&id).map(|t| t.established_at)
-    }
 }
 
 #[cfg(test)]
@@ -119,21 +105,16 @@ mod tests {
     #[test]
     fn establish_is_idempotent() {
         let mut r = TunnelRegistry::new();
-        let a = r.establish(pid(100), pid(200), SimTime::ZERO);
-        let b = r.establish(pid(100), pid(200), SimTime::from_secs(50));
+        let a = r.establish(pid(100), pid(200));
+        let b = r.establish(pid(100), pid(200));
         assert_eq!(a, b);
         assert_eq!(r.len(), 1);
-        assert_eq!(
-            r.established_at(a),
-            Some(SimTime::ZERO),
-            "original timestamp kept"
-        );
     }
 
     #[test]
     fn connectivity_is_directional_pairing() {
         let mut r = TunnelRegistry::new();
-        r.establish(pid(100), pid(200), SimTime::ZERO);
+        r.establish(pid(100), pid(200));
         assert!(r.connected(pid(100), pid(200)));
         assert!(
             !r.connected(pid(101), pid(200)),
@@ -145,20 +126,20 @@ mod tests {
     #[test]
     fn down_tunnels_do_not_connect() {
         let mut r = TunnelRegistry::new();
-        let id = r.establish(pid(100), pid(200), SimTime::ZERO);
+        let id = r.establish(pid(100), pid(200));
         r.set_down(id);
         assert!(!r.connected(pid(100), pid(200)));
         // Re-establish brings it back up.
-        r.establish(pid(100), pid(200), SimTime::from_secs(9));
+        r.establish(pid(100), pid(200));
         assert!(r.connected(pid(100), pid(200)));
     }
 
     #[test]
     fn gateway_and_ec_listings() {
         let mut r = TunnelRegistry::new();
-        r.establish(pid(100), pid(200), SimTime::ZERO);
-        r.establish(pid(100), pid(201), SimTime::ZERO);
-        r.establish(pid(101), pid(200), SimTime::ZERO);
+        r.establish(pid(100), pid(200));
+        r.establish(pid(100), pid(201));
+        r.establish(pid(101), pid(200));
         assert_eq!(r.ecs_of(pid(100)), vec![pid(200), pid(201)]);
         assert_eq!(r.gateways_to(pid(200)), vec![pid(100), pid(101)]);
         assert_eq!(r.gateways_to(pid(999)), Vec::<PlatformId>::new());

@@ -11,7 +11,7 @@
 
 use tssdn_dataplane::Plane::{Alt, Primary};
 use tssdn_dataplane::{PrefixAllocator, RoutingFabric, TunnelRegistry};
-use tssdn_sim::{PlatformId, SimTime};
+use tssdn_sim::PlatformId;
 
 const B0: PlatformId = PlatformId(0);
 const RELAY: PlatformId = PlatformId(5);
@@ -37,7 +37,7 @@ fn withdrawal_while_assigned_stops_forwarding_not_silently_continues() {
     let dst = prefixes.prefix_for(EC);
     let mut fabric = RoutingFabric::new();
     let mut tunnels = TunnelRegistry::new();
-    tunnels.establish(GS, EC, SimTime::ZERO);
+    tunnels.establish(GS, EC);
 
     // Traffic is assigned: the flow traces end-to-end over the tunnel.
     fabric.program_path(Primary, src, dst, &[B0, RELAY, GS, EC], 1);
@@ -107,7 +107,7 @@ fn tunnel_teardown_disrupts_an_intact_route_program() {
     let dst = prefixes.prefix_for(EC);
     let mut fabric = RoutingFabric::new();
     let mut tunnels = TunnelRegistry::new();
-    let tid = tunnels.establish(GS, EC, SimTime::ZERO);
+    let tid = tunnels.establish(GS, EC);
     fabric.program_path(Primary, src, dst, &[B0, GS, EC], 1);
 
     assert!(fabric

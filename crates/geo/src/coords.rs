@@ -104,7 +104,7 @@ impl Ecef {
     }
 
     /// Vector from `self` to `other`.
-    pub fn vector_to(&self, other: &Ecef) -> (f64, f64, f64) {
+    fn vector_to(&self, other: &Ecef) -> (f64, f64, f64) {
         (other.x - self.x, other.y - self.y, other.z - self.z)
     }
 

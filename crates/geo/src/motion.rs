@@ -115,11 +115,6 @@ impl Trajectory {
             alt_m: a.pos.alt_m + f * (b.pos.alt_m - a.pos.alt_m),
         })
     }
-
-    /// How stale the newest fix is relative to `now_ms`, milliseconds.
-    pub fn staleness_ms(&self, now_ms: u64) -> Option<u64> {
-        self.latest().map(|s| now_ms.saturating_sub(s.t_ms))
-    }
 }
 
 /// A simple constant-velocity motion model — used for ground stations
@@ -134,17 +129,6 @@ pub struct LinearMotion {
 }
 
 impl LinearMotion {
-    /// A platform that never moves (ground stations).
-    pub fn stationary(pos: GeoPoint) -> Self {
-        Self {
-            start: pos,
-            start_ms: 0,
-            vel_east_mps: 0.0,
-            vel_north_mps: 0.0,
-            vel_up_mps: 0.0,
-        }
-    }
-
     /// Position at `t_ms` (clamped to `start_ms` for earlier times).
     pub fn position_at(&self, t_ms: u64) -> GeoPoint {
         let dt = t_ms.saturating_sub(self.start_ms) as f64 / 1000.0;
@@ -174,7 +158,7 @@ mod tests {
     fn empty_trajectory_returns_none() {
         let t = Trajectory::with_capacity(8);
         assert!(t.position_at(1000).is_none());
-        assert!(t.staleness_ms(0).is_none());
+        assert!(t.latest().is_none());
     }
 
     #[test]
@@ -229,16 +213,14 @@ mod tests {
 
     #[test]
     fn stationary_linear_motion_never_moves() {
-        let m = LinearMotion::stationary(GeoPoint::new(-1.0, 36.8, 1600.0));
+        let m = LinearMotion {
+            start: GeoPoint::new(-1.0, 36.8, 1600.0),
+            start_ms: 0,
+            vel_east_mps: 0.0,
+            vel_north_mps: 0.0,
+            vel_up_mps: 0.0,
+        };
         let p = m.position_at(1_000_000_000);
         assert_eq!(p, GeoPoint::new(-1.0, 36.8, 1600.0));
-    }
-
-    #[test]
-    fn staleness_tracks_latest_fix() {
-        let mut t = Trajectory::with_capacity(4);
-        t.push(fix(10_000, 0.0, 36.0, 18_000.0));
-        assert_eq!(t.staleness_ms(25_000), Some(15_000));
-        assert_eq!(t.staleness_ms(5_000), Some(0));
     }
 }

@@ -115,16 +115,6 @@ impl ObstructionMask {
     pub fn sectors(&self) -> &[ObstructionSector] {
         &self.sectors
     }
-
-    /// Minimum clear elevation at an azimuth: the highest `max_el_deg`
-    /// among sectors covering that azimuth, or `None` if unobstructed.
-    pub fn horizon_at(&self, az_deg: f64) -> Option<f64> {
-        self.sectors
-            .iter()
-            .filter(|s| s.blocks(&AzEl::new(az_deg, s.min_el_deg)))
-            .map(|s| s.max_el_deg)
-            .fold(None, |acc, el| Some(acc.map_or(el, |a: f64| a.max(el))))
-    }
 }
 
 #[cfg(test)]
@@ -180,9 +170,11 @@ mod tests {
         let m = ObstructionMask::clear()
             .with_sector(0.0, 90.0, 3.0)
             .with_sector(45.0, 135.0, 8.0);
-        assert_eq!(m.horizon_at(20.0), Some(3.0));
-        assert_eq!(m.horizon_at(60.0), Some(8.0));
-        assert_eq!(m.horizon_at(120.0), Some(8.0));
-        assert_eq!(m.horizon_at(200.0), None);
+        // The clear horizon at an azimuth is the highest sector
+        // covering it.
+        assert!(m.blocks(&AzEl::new(20.0, 3.0)) && !m.blocks(&AzEl::new(20.0, 3.1)));
+        assert!(m.blocks(&AzEl::new(60.0, 8.0)) && !m.blocks(&AzEl::new(60.0, 8.1)));
+        assert!(m.blocks(&AzEl::new(120.0, 8.0)) && !m.blocks(&AzEl::new(120.0, 8.1)));
+        assert!(!m.blocks(&AzEl::new(200.0, -90.0)));
     }
 }

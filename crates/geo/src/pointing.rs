@@ -131,19 +131,6 @@ impl FieldOfRegard {
         }
         !self.mask.blocks(dir)
     }
-
-    /// Fraction of the azimuth circle blocked at a given elevation —
-    /// used by tests and by the obstruction-staleness experiment (E13).
-    pub fn blocked_fraction_at(&self, el_deg: f64, samples: usize) -> f64 {
-        let mut blocked = 0usize;
-        for i in 0..samples {
-            let az = 360.0 * i as f64 / samples as f64;
-            if !self.contains(&AzEl::new(az, el_deg)) {
-                blocked += 1;
-            }
-        }
-        blocked as f64 / samples as f64
-    }
 }
 
 #[cfg(test)]
@@ -207,7 +194,10 @@ mod tests {
     #[test]
     fn blocked_fraction_matches_wedge_width() {
         let f = FieldOfRegard::balloon_with_bus_occlusion(90.0, 72.0);
-        let frac = f.blocked_fraction_at(5.0, 3600);
+        let blocked = (0..3600)
+            .filter(|i| !f.contains(&AzEl::new(*i as f64 / 10.0, 5.0)))
+            .count();
+        let frac = blocked as f64 / 3600.0;
         assert!(
             (frac - 0.2).abs() < 0.01,
             "expected ~20% blocked, got {frac}"

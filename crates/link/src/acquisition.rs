@@ -15,14 +15,50 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use tssdn_sim::{SimDuration, SimTime};
 
-use crate::lifetime::EndReason;
+use crate::lifetime::{EndReason, LinkKind};
+
+/// Radio boot + minimum search overhead once slewing completes.
+const SEARCH_MIN: SimDuration = SimDuration::from_secs(25);
+
+/// Search attempts before the machine gives up and reports failure.
+/// The TS-SDN "retried repeatedly" at intent level; this bounds one
+/// enactment.
+const MAX_SEARCH_ATTEMPTS: u32 = 3;
+
+/// Margin (dB) below which an *established* link drops. Negative:
+/// established links hold below the establish threshold ("establish at
+/// 130 km ... maintain to 250+ km").
+const HOLD_MARGIN_DB: f64 = -3.0;
+
+/// Margin (dB) required for a search attempt to succeed.
+const ESTABLISH_MARGIN_DB: f64 = 0.0;
+
+/// How long the true margin must stay below hold before the link
+/// actually drops (local tracking loops ride out short fades).
+const FADE_TOLERANCE: SimDuration = SimDuration::from_secs(10);
+
+/// How long the infant hazard applies after establishment.
+const INFANT_PERIOD: SimDuration = SimDuration::from_secs(90);
+
+/// Elevated drop hazard right after establishment while the tracking
+/// loops settle ("infant mortality"; §2.2's local tracking loops
+/// failed most often immediately after the mutual search locked).
+/// Per-second probability during [`INFANT_PERIOD`], by link kind:
+/// low elevation + ground clutter made fresh B2G locks fragile
+/// (Figure 11: 44.8% of B2G links lasted under a minute, against 15%
+/// early mortality for B2B).
+const fn infant_hazard_per_s(kind: LinkKind) -> f64 {
+    match kind {
+        LinkKind::B2G => 0.010,
+        LinkKind::B2B => 0.0027,
+    }
+}
 
 /// Tunable acquisition dynamics.
 #[derive(Debug, Clone, Copy)]
 pub struct AcqConfig {
-    /// Radio boot + minimum search overhead once slewing completes.
-    pub search_min: SimDuration,
-    /// Additional uniformly-distributed search time.
+    /// Additional uniformly-distributed search time on top of the
+    /// fixed boot + search overhead.
     pub search_jitter: SimDuration,
     /// Probability a single search attempt locks on, given the true
     /// RF margin is adequate. Models mechanical/tracking misses.
@@ -30,30 +66,9 @@ pub struct AcqConfig {
     /// Probability an otherwise-successful lock lands on the first
     /// side lobe (−14 dB) instead of the main lobe.
     pub sidelobe_lock_prob: f64,
-    /// Search attempts before the machine gives up and reports
-    /// failure. The TS-SDN "retried repeatedly" at intent level;
-    /// this bounds one enactment.
-    pub max_attempts: u32,
-    /// Margin (dB) below which an *established* link drops. Negative:
-    /// established links hold below the establish threshold
-    /// ("establish at 130 km ... maintain to 250+ km").
-    pub hold_margin_db: f64,
-    /// Margin (dB) required for a search attempt to succeed.
-    pub establish_margin_db: f64,
     /// Per-second probability of a spontaneous hardware drop while
     /// established (radio reboot, gimbal fault).
     pub hardware_hazard_per_s: f64,
-    /// How long the true margin must stay below hold before the link
-    /// actually drops (local tracking loops ride out short fades).
-    pub fade_tolerance: SimDuration,
-    /// Elevated drop hazard right after establishment while the
-    /// tracking loops settle ("infant mortality"; §2.2's local
-    /// tracking loops failed most often immediately after the mutual
-    /// search locked). Per-second probability during
-    /// [`Self::infant_period`].
-    pub infant_hazard_per_s: f64,
-    /// How long the infant hazard applies after establishment.
-    pub infant_period: SimDuration,
 }
 
 impl AcqConfig {
@@ -64,17 +79,10 @@ impl AcqConfig {
     /// ~5% of locks land on a side lobe (Figure 10's bump).
     pub fn loon_default() -> Self {
         AcqConfig {
-            search_min: SimDuration::from_secs(25),
             search_jitter: SimDuration::from_secs(50),
             search_success_prob: 0.55,
             sidelobe_lock_prob: 0.05,
-            max_attempts: 3,
-            hold_margin_db: -3.0,
-            establish_margin_db: 0.0,
             hardware_hazard_per_s: 2.0e-6,
-            fade_tolerance: SimDuration::from_secs(10),
-            infant_hazard_per_s: 0.0,
-            infant_period: SimDuration::from_secs(90),
         }
     }
 }
@@ -118,6 +126,8 @@ pub enum LinkTransition {
 pub struct LinkStateMachine {
     phase: LinkPhase,
     config: AcqConfig,
+    /// [`infant_hazard_per_s`] of the link's kind.
+    infant_hazard_per_s: f64,
     /// Worst-endpoint slew duration for this enactment, ms.
     slew_ms: u64,
     /// Last poll instant (for hazard-rate integration).
@@ -131,12 +141,14 @@ pub struct LinkStateMachine {
 }
 
 impl LinkStateMachine {
-    /// Start an enactment: `enact_at` is the synchronized TTE,
-    /// `slew_s` the worse of the two endpoints' slew times.
-    pub fn new(enact_at: SimTime, slew_s: f64, config: AcqConfig) -> Self {
+    /// Start an enactment of a `kind` link: `enact_at` is the
+    /// synchronized TTE, `slew_s` the worse of the two endpoints' slew
+    /// times.
+    pub fn new(enact_at: SimTime, slew_s: f64, kind: LinkKind, config: AcqConfig) -> Self {
         LinkStateMachine {
             phase: LinkPhase::Pending { enact_at },
             config,
+            infant_hazard_per_s: infant_hazard_per_s(kind),
             slew_ms: (slew_s.max(0.0) * 1000.0) as u64,
             last_poll: None,
             fade_since: None,
@@ -245,7 +257,7 @@ impl LinkStateMachine {
                     return None;
                 }
                 let rf_ok = true_margin_db
-                    .map(|m| m >= self.config.establish_margin_db)
+                    .map(|m| m >= ESTABLISH_MARGIN_DB)
                     .unwrap_or(false);
                 let lock = rf_ok && rng.gen_bool(self.config.search_success_prob);
                 if lock {
@@ -256,7 +268,7 @@ impl LinkStateMachine {
                     };
                     self.fade_since = None;
                     Some(LinkTransition::Established { at: now, sidelobe })
-                } else if attempt >= self.config.max_attempts {
+                } else if attempt >= MAX_SEARCH_ATTEMPTS {
                     let reason = if rf_ok {
                         EndReason::SearchExhausted
                     } else {
@@ -279,10 +291,10 @@ impl LinkStateMachine {
                 // last poll so the outcome is tick-rate independent.
                 let dt_s = now.since(self.last_poll.unwrap_or(now)).as_secs_f64();
                 self.last_poll = Some(now);
-                let infant = now.since(since) < self.config.infant_period;
+                let infant = now.since(since) < INFANT_PERIOD;
                 let hazard = self.config.hardware_hazard_per_s
                     + if infant {
-                        self.config.infant_hazard_per_s
+                        self.infant_hazard_per_s
                     } else {
                         0.0
                     };
@@ -290,7 +302,7 @@ impl LinkStateMachine {
                 if p_drop > 0.0 && rng.gen_bool(p_drop.min(1.0)) {
                     // Infant drops are tracking losses; later drops are
                     // hardware faults.
-                    let reason = if infant && self.config.infant_hazard_per_s > 0.0 {
+                    let reason = if infant {
                         EndReason::RfFade
                     } else {
                         EndReason::HardwareFault
@@ -303,7 +315,7 @@ impl LinkStateMachine {
                         // Side-lobe locks sit ~14 dB down: their
                         // effective margin is reduced accordingly.
                         let eff = if sidelobe { m - 14.0 } else { m };
-                        eff >= self.config.hold_margin_db
+                        eff >= HOLD_MARGIN_DB
                     }
                     None => false,
                 };
@@ -312,7 +324,7 @@ impl LinkStateMachine {
                     None
                 } else {
                     let start = *self.fade_since.get_or_insert(now);
-                    if now.since(start) >= self.config.fade_tolerance {
+                    if now.since(start) >= FADE_TOLERANCE {
                         let reason = if true_margin_db.is_none() {
                             EndReason::LineOfSightLost
                         } else {
@@ -331,7 +343,7 @@ impl LinkStateMachine {
 
     fn search_duration(&self, rng: &mut ChaCha8Rng) -> SimDuration {
         let jitter = rng.gen_range(0..=self.config.search_jitter.as_ms());
-        SimDuration(self.config.search_min.as_ms() + jitter)
+        SimDuration(SEARCH_MIN.as_ms() + jitter)
     }
 }
 
@@ -361,19 +373,27 @@ mod tests {
         out
     }
 
+    /// A machine without infant mortality, so that only the rule
+    /// under test can end its link.
+    fn machine(enact_at: SimTime, slew_s: f64, config: AcqConfig) -> LinkStateMachine {
+        LinkStateMachine {
+            infant_hazard_per_s: 0.0,
+            ..LinkStateMachine::new(enact_at, slew_s, LinkKind::B2B, config)
+        }
+    }
+
     fn cfg_deterministic() -> AcqConfig {
         AcqConfig {
             search_success_prob: 1.0,
             sidelobe_lock_prob: 0.0,
             hardware_hazard_per_s: 0.0,
             search_jitter: SimDuration::ZERO,
-            ..AcqConfig::loon_default()
         }
     }
 
     #[test]
     fn happy_path_establishes_after_tte_slew_search() {
-        let mut m = LinkStateMachine::new(SimTime::from_secs(60), 9.0, cfg_deterministic());
+        let mut m = machine(SimTime::from_secs(60), 9.0, cfg_deterministic());
         let mut r = rng();
         let trs = drive(&mut m, |_| Some(10.0), SimTime::from_secs(200), &mut r);
         assert!(
@@ -388,7 +408,7 @@ mod tests {
             }
         ));
         assert!(m.is_established());
-        // Established at TTE + slew(9s) + search_min(25s) = 94s.
+        // Established at TTE + slew(9s) + SEARCH_MIN(25s) = 94s.
         if let LinkTransition::Established { at, .. } = trs[2] {
             assert_eq!(at, SimTime::from_secs(94));
         }
@@ -396,7 +416,7 @@ mod tests {
 
     #[test]
     fn nothing_happens_before_tte() {
-        let mut m = LinkStateMachine::new(SimTime::from_secs(100), 0.0, cfg_deterministic());
+        let mut m = machine(SimTime::from_secs(100), 0.0, cfg_deterministic());
         let mut r = rng();
         let trs = drive(&mut m, |_| Some(10.0), SimTime::from_secs(99), &mut r);
         assert!(trs.is_empty());
@@ -405,7 +425,7 @@ mod tests {
 
     #[test]
     fn rf_infeasible_fails_after_max_attempts() {
-        let mut m = LinkStateMachine::new(SimTime::ZERO, 0.0, cfg_deterministic());
+        let mut m = machine(SimTime::ZERO, 0.0, cfg_deterministic());
         let mut r = rng();
         let trs = drive(&mut m, |_| Some(-10.0), SimTime::from_secs(600), &mut r);
         let fails = trs
@@ -424,7 +444,7 @@ mod tests {
 
     #[test]
     fn lost_los_during_search_fails() {
-        let mut m = LinkStateMachine::new(SimTime::ZERO, 0.0, cfg_deterministic());
+        let mut m = machine(SimTime::ZERO, 0.0, cfg_deterministic());
         let mut r = rng();
         let trs = drive(&mut m, |_| None, SimTime::from_secs(600), &mut r);
         assert!(matches!(
@@ -450,7 +470,7 @@ mod tests {
         let mut failed = 0;
         let streams = RngStreams::new(5);
         for i in 0..200 {
-            let mut m = LinkStateMachine::new(SimTime::ZERO, 0.0, cfg);
+            let mut m = machine(SimTime::ZERO, 0.0, cfg);
             let mut r = streams.indexed_stream("acq", i);
             let trs = drive(&mut m, |_| Some(10.0), SimTime::from_secs(700), &mut r);
             if m.is_established() {
@@ -480,7 +500,7 @@ mod tests {
 
     #[test]
     fn fade_tolerance_rides_out_short_dips() {
-        let mut m = LinkStateMachine::new(SimTime::ZERO, 0.0, cfg_deterministic());
+        let mut m = machine(SimTime::ZERO, 0.0, cfg_deterministic());
         let mut r = rng();
         // Establish, then margin dips for 5 s (tolerance is 10 s).
         let margin = |t: SimTime| {
@@ -497,7 +517,7 @@ mod tests {
 
     #[test]
     fn sustained_fade_drops_link() {
-        let mut m = LinkStateMachine::new(SimTime::ZERO, 0.0, cfg_deterministic());
+        let mut m = machine(SimTime::ZERO, 0.0, cfg_deterministic());
         let mut r = rng();
         let margin = |t: SimTime| {
             if t >= SimTime::from_secs(100) {
@@ -514,7 +534,7 @@ mod tests {
                 ..
             })
         ));
-        // Drop happens ~fade_tolerance after the fade began.
+        // Drop happens ~FADE_TOLERANCE after the fade began.
         if let Some(LinkTransition::Ended { at, .. }) = trs.last() {
             assert!(*at >= SimTime::from_secs(110) && *at <= SimTime::from_secs(112));
         }
@@ -524,7 +544,7 @@ mod tests {
     fn hold_margin_is_laxer_than_establish() {
         // Margin of -1 dB: below establish (0) but above hold (−3).
         let cfg = cfg_deterministic();
-        let mut m = LinkStateMachine::new(SimTime::ZERO, 0.0, cfg);
+        let mut m = machine(SimTime::ZERO, 0.0, cfg);
         let mut r = rng();
         // Start healthy so we establish, then sag to −1 dB.
         let margin = |t: SimTime| {
@@ -540,7 +560,7 @@ mod tests {
 
     #[test]
     fn withdrawal_of_established_link_is_planned_end() {
-        let mut m = LinkStateMachine::new(SimTime::ZERO, 0.0, cfg_deterministic());
+        let mut m = machine(SimTime::ZERO, 0.0, cfg_deterministic());
         let mut r = rng();
         drive(&mut m, |_| Some(10.0), SimTime::from_secs(100), &mut r);
         assert!(m.is_established());
@@ -557,7 +577,7 @@ mod tests {
 
     #[test]
     fn withdrawal_before_establishment_cancels() {
-        let mut m = LinkStateMachine::new(SimTime::from_secs(1000), 0.0, cfg_deterministic());
+        let mut m = machine(SimTime::from_secs(1000), 0.0, cfg_deterministic());
         let mut r = rng();
         m.withdraw();
         let tr = m.poll(SimTime::from_secs(1), Some(10.0), &mut r);
@@ -577,9 +597,8 @@ mod tests {
             sidelobe_lock_prob: 1.0, // force side-lobe lock
             hardware_hazard_per_s: 0.0,
             search_jitter: SimDuration::ZERO,
-            ..AcqConfig::loon_default()
         };
-        let mut m = LinkStateMachine::new(SimTime::ZERO, 0.0, cfg);
+        let mut m = machine(SimTime::ZERO, 0.0, cfg);
         let mut r = rng();
         // True margin +5 dB: main-lobe would hold easily, side-lobe
         // effective margin is 5−14 = −9 < hold(−3) → drops.
@@ -598,7 +617,7 @@ mod tests {
 
     #[test]
     fn poll_after_terminal_is_noop() {
-        let mut m = LinkStateMachine::new(SimTime::ZERO, 0.0, cfg_deterministic());
+        let mut m = machine(SimTime::ZERO, 0.0, cfg_deterministic());
         let mut r = rng();
         m.withdraw();
         m.poll(SimTime::ZERO, None, &mut r);

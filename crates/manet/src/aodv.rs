@@ -105,14 +105,6 @@ impl Aodv {
         }
     }
 
-    /// Whether `node` holds a live route to `dest`.
-    pub fn has_route(&self, node: NodeId, dest: NodeId) -> bool {
-        self.nodes
-            .get(&node)
-            .map(|s| s.table.contains_key(&dest))
-            .unwrap_or(false)
-    }
-
     fn install(
         &mut self,
         now: SimTime,
@@ -371,6 +363,13 @@ mod tests {
         PlatformId(i)
     }
 
+    /// Whether `node` holds a live route to `dest`.
+    fn has_route(aodv: &Aodv, node: NodeId, dest: NodeId) -> bool {
+        aodv.nodes
+            .get(&node)
+            .is_some_and(|s| s.table.contains_key(&dest))
+    }
+
     fn line_harness(seed: u64) -> Harness<Aodv> {
         let mut h = Harness::new(Aodv::new(), &RngStreams::new(seed));
         h.set_link(n(0), n(1), 0.95);
@@ -408,7 +407,7 @@ mod tests {
         // state exists, and on-demand purging removes what's unused.
         h.run_until(SimTime::from_secs(40));
         assert!(
-            !h.protocol().has_route(n(0), n(3)) || h.route_works(n(3), n(0)),
+            !has_route(h.protocol(), n(0), n(3)) || h.route_works(n(3), n(0)),
             "no gratuitous full-mesh tables"
         );
     }

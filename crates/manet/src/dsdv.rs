@@ -60,11 +60,6 @@ impl Dsdv {
             route_timeout: SimDuration::from_secs(5),
         }
     }
-
-    /// Metric (hop count) of `node`'s route to `dest`, if any.
-    pub fn route_metric(&self, node: NodeId, dest: NodeId) -> Option<u32> {
-        self.nodes.get(&node)?.table.get(&dest).map(|r| r.metric)
-    }
 }
 
 impl ManetProtocol for Dsdv {
@@ -156,6 +151,11 @@ mod tests {
         PlatformId(i)
     }
 
+    /// Metric (hop count) of `node`'s route to `dest`, if any.
+    fn route_metric(dsdv: &Dsdv, node: NodeId, dest: NodeId) -> Option<u32> {
+        dsdv.nodes.get(&node)?.table.get(&dest).map(|r| r.metric)
+    }
+
     fn line_harness(seed: u64) -> Harness<Dsdv> {
         let mut h = Harness::new(Dsdv::new(), &RngStreams::new(seed));
         h.set_link(n(0), n(1), 0.95);
@@ -176,7 +176,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(h.protocol().route_metric(n(0), n(3)), Some(3));
+        assert_eq!(route_metric(h.protocol(), n(0), n(3)), Some(3));
     }
 
     #[test]
@@ -188,7 +188,7 @@ mod tests {
         h.set_link(n(0), n(2), 0.99);
         h.run_until(SimTime::from_secs(10));
         assert_eq!(
-            h.protocol().route_metric(n(0), n(2)),
+            route_metric(h.protocol(), n(0), n(2)),
             Some(1),
             "direct route wins"
         );
@@ -224,7 +224,7 @@ mod tests {
         h.remove_link(n(1), n(2));
         h.run_until(SimTime::from_secs(30));
         assert!(!h.route_works(n(0), n(3)));
-        assert_eq!(h.protocol().route_metric(n(0), n(3)), None, "purged");
+        assert_eq!(route_metric(h.protocol(), n(0), n(3)), None, "purged");
     }
 
     #[test]

@@ -79,14 +79,6 @@ impl Olsr {
         }
     }
 
-    /// The MPR set `node` currently uses (test/diagnostic access).
-    pub fn mprs(&self, node: NodeId) -> Vec<NodeId> {
-        self.nodes
-            .get(&node)
-            .map(|s| s.mprs.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// Greedy MPR selection: cover the whole 2-hop neighborhood with
     /// as few 1-hop neighbors as possible (RFC 3626 heuristic).
     fn select_mprs(st: &mut NodeState, me: NodeId) {
@@ -326,6 +318,14 @@ mod tests {
         PlatformId(i)
     }
 
+    /// The MPR set `node` currently uses.
+    fn mprs(olsr: &Olsr, node: NodeId) -> Vec<NodeId> {
+        olsr.nodes
+            .get(&node)
+            .map(|s| s.mprs.iter().copied().collect())
+            .unwrap_or_default()
+    }
+
     fn line_harness(seed: u64) -> Harness<Olsr> {
         let mut h = Harness::new(Olsr::new(), &RngStreams::new(seed));
         h.set_link(n(0), n(1), 0.95);
@@ -352,8 +352,8 @@ mod tests {
         let mut h = line_harness(2);
         h.run_until(SimTime::from_secs(15));
         // Node 1's only way to cover its 2-hop set {3} is via 2.
-        assert!(h.protocol().mprs(n(1)).contains(&n(2)));
-        assert!(h.protocol().mprs(n(2)).contains(&n(1)));
+        assert!(mprs(h.protocol(), n(1)).contains(&n(2)));
+        assert!(mprs(h.protocol(), n(2)).contains(&n(1)));
     }
 
     #[test]
@@ -365,7 +365,7 @@ mod tests {
         }
         h.run_until(SimTime::from_secs(15));
         for i in 1..=4 {
-            assert_eq!(h.protocol().mprs(n(i)), vec![n(0)], "leaf {i}");
+            assert_eq!(mprs(h.protocol(), n(i)), vec![n(0)], "leaf {i}");
         }
         assert!(h.route_works(n(1), n(4)));
         assert_eq!(h.route_path(n(1), n(4)), Some(vec![n(1), n(0), n(4)]));

@@ -73,11 +73,6 @@ impl AntennaPattern {
         g.max(-10.0)
     }
 
-    /// Pointing loss relative to boresight at `offset_deg`, dB (≥ 0).
-    pub fn pointing_loss_db(&self, offset_deg: f64) -> f64 {
-        self.boresight_gain_dbi - self.gain_dbi(offset_deg)
-    }
-
     /// Offset (degrees) of the center of the first side-lobe ring —
     /// where a mis-locked tracker settles.
     pub fn first_sidelobe_offset_deg(&self) -> f64 {
@@ -93,7 +88,6 @@ mod tests {
     fn boresight_gain_at_zero_offset() {
         let p = AntennaPattern::e_band_balloon();
         assert_eq!(p.gain_dbi(0.0), 50.0);
-        assert_eq!(p.pointing_loss_db(0.0), 0.0);
     }
 
     #[test]

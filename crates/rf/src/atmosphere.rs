@@ -38,16 +38,6 @@ pub fn vapor_coefficient(freq_ghz: f64) -> f64 {
     0.004 * (freq_ghz / 10.0).powf(1.6)
 }
 
-/// Sea-level specific gaseous attenuation at `freq_ghz`, dB/km, for a
-/// moderately humid (tropical) atmosphere.
-///
-/// Fit anchored at: ~0.09 dB/km at 12 GHz, ~0.35 dB/km at 73 GHz,
-/// ~0.45 dB/km at 86 GHz (away from the 60 GHz oxygen complex, which
-/// none of our bands touch).
-pub fn sea_level_gaseous_db_per_km(freq_ghz: f64) -> f64 {
-    oxygen_coefficient(freq_ghz) + vapor_coefficient(freq_ghz)
-}
-
 /// The two altitude decay factors `(oxygen, vapor)` at `alt_m` —
 /// functions of the altitude alone, so a multi-band path integral
 /// computes them once per step.
@@ -59,7 +49,12 @@ pub fn altitude_decay(alt_m: f64) -> (f64, f64) {
     )
 }
 
-/// Specific gaseous attenuation at altitude `alt_m`, dB/km.
+/// Specific gaseous attenuation at altitude `alt_m`, dB/km, for a
+/// moderately humid (tropical) atmosphere.
+///
+/// The sea-level fit is anchored at ~0.09 dB/km at 12 GHz, ~0.35 dB/km
+/// at 73 GHz and ~0.45 dB/km at 86 GHz (away from the 60 GHz oxygen
+/// complex, which none of our bands touch).
 pub fn gaseous_db_per_km(freq_ghz: f64, alt_m: f64) -> f64 {
     let (oxygen_decay, vapor_decay) = altitude_decay(alt_m);
     oxygen_coefficient(freq_ghz) * oxygen_decay + vapor_coefficient(freq_ghz) * vapor_decay
@@ -97,10 +92,18 @@ mod tests {
 
     #[test]
     fn sea_level_e_band_attenuation_in_expected_range() {
-        let g = sea_level_gaseous_db_per_km(73.0);
+        let g = gaseous_db_per_km(73.0, 0.0);
         assert!(g > 0.2 && g < 0.6, "got {g}");
-        let g86 = sea_level_gaseous_db_per_km(86.0);
+        let g86 = gaseous_db_per_km(86.0, 0.0);
         assert!(g86 > g, "attenuation grows with frequency");
+    }
+
+    #[test]
+    fn sea_level_matches_altitude_zero() {
+        // At sea level both decay factors are one: the attenuation is
+        // the two sea-level coefficients' sum.
+        let sea = oxygen_coefficient(73.0) + vapor_coefficient(73.0);
+        assert!((sea - gaseous_db_per_km(73.0, 0.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -111,11 +114,6 @@ mod tests {
             strat < sea / 20.0,
             "stratosphere is nearly transparent: {strat} vs {sea}"
         );
-    }
-
-    #[test]
-    fn sea_level_matches_altitude_zero() {
-        assert!((sea_level_gaseous_db_per_km(73.0) - gaseous_db_per_km(73.0, 0.0)).abs() < 1e-12);
     }
 
     #[test]

@@ -49,18 +49,6 @@ pub use weather::{
     WeatherGrid, WeatherSample,
 };
 
-/// Convert a linear power ratio to decibels.
-#[inline]
-pub fn to_db(ratio: f64) -> f64 {
-    10.0 * ratio.log10()
-}
-
-/// Convert decibels to a linear power ratio.
-#[inline]
-pub fn from_db(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
 /// Thermal noise floor for a receiver: `kTB` plus noise figure, dBm.
 #[inline]
 pub fn noise_floor_dbm(bandwidth_hz: f64, noise_figure_db: f64) -> f64 {
@@ -70,13 +58,6 @@ pub fn noise_floor_dbm(bandwidth_hz: f64, noise_figure_db: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn db_roundtrip() {
-        for r in [0.001, 0.5, 1.0, 10.0, 12345.0] {
-            assert!((from_db(to_db(r)) - r).abs() / r < 1e-12);
-        }
-    }
 
     #[test]
     fn noise_floor_for_e_band_receiver() {

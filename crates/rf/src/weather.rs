@@ -145,14 +145,14 @@ pub struct RainCell {
 
 impl RainCell {
     /// Cell center position at time `t_ms`.
-    pub fn center_at(&self, t_ms: u64) -> GeoPoint {
+    fn center_at(&self, t_ms: u64) -> GeoPoint {
         let dt = t_ms.saturating_sub(self.start_ms) as f64 / 1000.0;
         self.center
             .offset(self.vel_east_mps * dt, self.vel_north_mps * dt, 0.0)
     }
 
     /// Rain rate contributed by this cell at `pos`/`t_ms`.
-    pub fn rain_at(&self, pos: &GeoPoint, t_ms: u64) -> f64 {
+    fn rain_at(&self, pos: &GeoPoint, t_ms: u64) -> f64 {
         if t_ms < self.start_ms || t_ms > self.end_ms {
             return 0.0;
         }
@@ -170,7 +170,7 @@ impl RainCell {
 
     /// Cloud water associated with the cell (clouds extend ~2× the
     /// rain footprint and persist at altitudes up to the cloud layer).
-    pub fn cloud_at(&self, pos: &GeoPoint, t_ms: u64) -> f64 {
+    fn cloud_at(&self, pos: &GeoPoint, t_ms: u64) -> f64 {
         if t_ms < self.start_ms || t_ms > self.end_ms {
             return 0.0;
         }

@@ -48,7 +48,7 @@ pub struct FmsController;
 
 impl FmsController {
     /// Choose a target altitude (meters) for a balloon at `pos`.
-    pub fn choose_altitude(
+    fn choose_altitude(
         &self,
         pos: &GeoPoint,
         target: &GeoPoint,
@@ -120,15 +120,6 @@ impl Balloon {
         }
     }
 
-    /// Ground distance to the station-keeping target, meters.
-    pub fn distance_to_target_m(&self) -> f64 {
-        self.pos.ground_distance_m(&GeoPoint::new(
-            self.config.target.lat_deg,
-            self.config.target.lon_deg,
-            self.pos.alt_m,
-        ))
-    }
-
     /// Advance flight by `dt` ending at absolute time `now`.
     /// The wind field must already be advanced to `now`.
     pub fn step(&mut self, now: SimTime, dt: SimDuration, wind: &WindField) {
@@ -165,6 +156,15 @@ impl Balloon {
 mod tests {
     use super::*;
     use crate::rng::RngStreams;
+
+    /// Ground distance to the station-keeping target, meters.
+    fn distance_to_target_m(b: &Balloon) -> f64 {
+        b.pos.ground_distance_m(&GeoPoint::new(
+            b.config.target.lat_deg,
+            b.config.target.lon_deg,
+            b.pos.alt_m,
+        ))
+    }
 
     fn kenya_target() -> GeoPoint {
         GeoPoint::new(0.0, 37.5, 18_000.0)
@@ -230,7 +230,7 @@ mod tests {
         let mut pinned_sum = 0.0;
         for seed in 0..6u64 {
             let steered = run_balloon(start, 3, seed);
-            steered_sum += steered.distance_to_target_m();
+            steered_sum += distance_to_target_m(&steered);
 
             // Pinned: never change altitude (disable FMS by huge loiter
             // radius so it always "loiters" — but loiter picks slowest
@@ -247,7 +247,7 @@ mod tests {
                 wind.advance_to(now);
                 b.step(now, dt, &wind);
             }
-            pinned_sum += b.distance_to_target_m();
+            pinned_sum += distance_to_target_m(&b);
         }
         assert!(
             steered_sum < pinned_sum,

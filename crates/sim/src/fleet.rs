@@ -49,37 +49,36 @@ pub struct GroundStationSite {
 pub struct FleetConfig {
     /// Number of balloons to spawn.
     pub num_balloons: usize,
-    /// Service-region center; balloons station-seek toward it.
-    pub region_center: GeoPoint,
-    /// Balloons spawn uniformly within this radius of the center, m.
+    /// Balloons spawn uniformly within this radius of
+    /// `REGION_CENTER`, m.
     pub spawn_radius_m: f64,
     /// Ground-station site positions. Loon ran 3 sites (§2.2).
     pub ground_sites: Vec<GeoPoint>,
-    /// Flight parameters shared by all balloons.
-    pub balloon: BalloonConfig,
-    /// Power parameters shared by all balloons.
-    pub power: PowerConfig,
-    /// Simulation tick for fleet physics.
-    pub tick: SimDuration,
 }
+
+/// Simulation tick for fleet physics.
+const PHYSICS_TICK: SimDuration = SimDuration::from_secs(60);
+
+/// Service-region center, (0°, 37.5°E) at 18 km over Kenya; balloons
+/// spawn around it and station-seek toward it.
+const REGION_CENTER: GeoPoint = GeoPoint {
+    lat_deg: 0.0,
+    lon_deg: 37.5,
+    alt_m: 18_000.0,
+};
 
 impl FleetConfig {
     /// A Kenya-like deployment: `n` balloons around (0°, 37.5°E), three
     /// ground stations spread ~100–200 km apart.
     pub fn kenya(n: usize) -> Self {
-        let center = GeoPoint::new(0.0, 37.5, 18_000.0);
         FleetConfig {
             num_balloons: n,
-            region_center: center,
             spawn_radius_m: 400_000.0,
             ground_sites: vec![
                 GeoPoint::new(-1.25, 36.85, 1_700.0), // Nairobi-like
                 GeoPoint::new(0.05, 37.65, 1_600.0),  // Mt. Kenya foothills
                 GeoPoint::new(-0.45, 39.65, 100.0),   // coastal plain
             ],
-            balloon: BalloonConfig::loon_default(center),
-            power: PowerConfig::loon_default(),
-            tick: SimDuration::from_secs(60),
         }
     }
 }
@@ -106,22 +105,22 @@ impl Fleet {
         let wind = WindField::loon_stratosphere(streams);
         let mut balloons = Vec::with_capacity(config.num_balloons);
         let mut power = Vec::with_capacity(config.num_balloons);
+        // Flight and power parameters are shared by all balloons.
+        let flight = BalloonConfig::loon_default(REGION_CENTER);
+        let battery = PowerConfig::loon_default();
         for i in 0..config.num_balloons {
             // Uniform in a disc around the region center.
             let theta: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
             let r = config.spawn_radius_m * rng.gen_range(0.0f64..1.0).sqrt();
             let alt = rng.gen_range(15_200.0..19_800.0);
-            let pos = config.region_center.offset(
-                r * theta.sin(),
-                r * theta.cos(),
-                alt - config.region_center.alt_m,
-            );
-            balloons.push(Balloon::new(pos, config.balloon));
+            let pos =
+                REGION_CENTER.offset(r * theta.sin(), r * theta.cos(), alt - REGION_CENTER.alt_m);
+            balloons.push(Balloon::new(pos, flight));
             // Stagger initial charge so the fleet doesn't boot in
             // lockstep.
             let soc = rng.gen_range(0.4..0.8);
             let _ = i;
-            power.push(PowerSystem::new(config.power, soc));
+            power.push(PowerSystem::new(battery, soc));
         }
         let ground_stations = config
             .ground_sites
@@ -200,10 +199,10 @@ impl Fleet {
     }
 
     /// Advance the whole fleet (winds, flight, power) to `to`, in
-    /// config-tick steps.
+    /// `PHYSICS_TICK` steps.
     pub fn advance_to(&mut self, to: SimTime) {
         while self.now < to {
-            let next = (self.now + self.config.tick).min(to);
+            let next = (self.now + PHYSICS_TICK).min(to);
             let dt = next - self.now;
             self.wind.advance_to(next);
             for b in &mut self.balloons {

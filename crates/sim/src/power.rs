@@ -56,7 +56,7 @@ impl PowerConfig {
     }
 
     /// Solar generation at local time-of-day `hour`, watts.
-    pub fn solar_w(&self, hour: f64) -> f64 {
+    fn solar_w(&self, hour: f64) -> f64 {
         if hour <= self.dawn_hour || hour >= self.dusk_hour {
             return 0.0;
         }

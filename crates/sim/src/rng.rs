@@ -21,11 +21,6 @@ impl RngStreams {
         Self { master_seed }
     }
 
-    /// The master seed this factory was built from.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// Derive the deterministic stream for `name`.
     pub fn stream(&self, name: &str) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(self.master_seed ^ fnv1a(name))

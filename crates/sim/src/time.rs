@@ -61,7 +61,7 @@ impl SimTime {
     }
 
     /// Milliseconds since local midnight.
-    pub fn ms_of_day(&self) -> u64 {
+    fn ms_of_day(&self) -> u64 {
         self.0 % MS_PER_DAY
     }
 
@@ -81,17 +81,17 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Construct from whole seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1000)
     }
 
     /// Construct from whole minutes.
-    pub fn from_mins(m: u64) -> Self {
+    pub const fn from_mins(m: u64) -> Self {
         SimDuration(m * 60_000)
     }
 
     /// Construct from whole hours.
-    pub fn from_hours(h: u64) -> Self {
+    pub const fn from_hours(h: u64) -> Self {
         SimDuration(h * 3_600_000)
     }
 

@@ -31,12 +31,6 @@ impl WindSample {
     pub fn speed_mps(&self) -> f64 {
         (self.east_mps * self.east_mps + self.north_mps * self.north_mps).sqrt()
     }
-
-    /// Direction the wind blows *toward*, degrees clockwise from
-    /// north.
-    pub fn heading_deg(&self) -> f64 {
-        tssdn_geo::norm_deg(tssdn_geo::rad_to_deg(self.east_mps.atan2(self.north_mps)))
-    }
 }
 
 /// One altitude layer of the wind field.
@@ -208,8 +202,13 @@ mod tests {
     #[test]
     fn layers_have_distinct_headings() {
         let f = field();
-        let h0 = f.layers()[0].prevailing.heading_deg();
-        let h2 = f.layers()[2].prevailing.heading_deg();
+        // Direction the wind blows *toward*, degrees clockwise from
+        // north.
+        let heading = |w: &WindSample| {
+            tssdn_geo::norm_deg(tssdn_geo::rad_to_deg(w.east_mps.atan2(w.north_mps)))
+        };
+        let h0 = heading(&f.layers()[0].prevailing);
+        let h2 = heading(&f.layers()[2].prevailing);
         assert!(
             tssdn_geo::angular_separation_deg(h0, h2) > 30.0,
             "vertical shear exists"

@@ -8,7 +8,7 @@
 //! from periodic probes.
 
 use std::collections::BTreeMap;
-use tssdn_sim::{PlatformId, SimTime};
+use tssdn_sim::SimTime;
 
 /// The three availability layers of Figure 6, plus the fail-static
 /// tracking layer.
@@ -51,8 +51,6 @@ pub struct AvailabilitySeries {
     window_ms: u64,
     /// (window index, layer) → counter, aggregated over nodes.
     buckets: BTreeMap<(u64, Layer), Counter>,
-    /// Per-node totals across the whole run.
-    per_node: BTreeMap<(PlatformId, Layer), Counter>,
 }
 
 impl AvailabilitySeries {
@@ -62,31 +60,18 @@ impl AvailabilitySeries {
         AvailabilitySeries {
             window_ms,
             buckets: BTreeMap::new(),
-            per_node: BTreeMap::new(),
         }
     }
 
-    /// Record one probe result. `eligible` marks whether the node was
-    /// in its potential-operable window at all; ineligible probes do
-    /// not count against availability.
-    pub fn record(
-        &mut self,
-        node: PlatformId,
-        layer: Layer,
-        eligible: bool,
-        up: bool,
-        now: SimTime,
-    ) {
+    /// Record one node's probe result. `eligible` marks whether the
+    /// node was in its potential-operable window at all; ineligible
+    /// probes do not count against availability.
+    pub fn record(&mut self, layer: Layer, eligible: bool, up: bool, now: SimTime) {
         if !eligible {
             return;
         }
         let w = now.as_ms() / self.window_ms;
         let c = self.buckets.entry((w, layer)).or_default();
-        c.eligible_probes += 1;
-        if up {
-            c.up_probes += 1;
-        }
-        let c = self.per_node.entry((node, layer)).or_default();
         c.eligible_probes += 1;
         if up {
             c.up_probes += 1;
@@ -128,16 +113,6 @@ impl AvailabilitySeries {
             Some(up as f64 / eligible as f64)
         }
     }
-
-    /// Whole-run availability of a layer for one node.
-    pub fn node_overall(&self, node: PlatformId, layer: Layer) -> Option<f64> {
-        let c = self.per_node.get(&(node, layer))?;
-        if c.eligible_probes == 0 {
-            None
-        } else {
-            Some(c.up_probes as f64 / c.eligible_probes as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -149,14 +124,13 @@ mod tests {
     #[test]
     fn ratio_counts_only_eligible_probes() {
         let mut s = AvailabilitySeries::new(DAY_MS);
-        let n = PlatformId(0);
         // 3 eligible probes (2 up), plus 5 night probes that must not
         // count.
-        s.record(n, Layer::Link, true, true, SimTime::from_hours(10));
-        s.record(n, Layer::Link, true, true, SimTime::from_hours(12));
-        s.record(n, Layer::Link, true, false, SimTime::from_hours(14));
+        s.record(Layer::Link, true, true, SimTime::from_hours(10));
+        s.record(Layer::Link, true, true, SimTime::from_hours(12));
+        s.record(Layer::Link, true, false, SimTime::from_hours(14));
         for h in 0..5 {
-            s.record(n, Layer::Link, false, false, SimTime::from_hours(h));
+            s.record(Layer::Link, false, false, SimTime::from_hours(h));
         }
         let r = s.window_ratio(0, Layer::Link).expect("probed");
         assert!((r - 2.0 / 3.0).abs() < 1e-12);
@@ -165,9 +139,8 @@ mod tests {
     #[test]
     fn windows_separate_days() {
         let mut s = AvailabilitySeries::new(DAY_MS);
-        let n = PlatformId(0);
-        s.record(n, Layer::DataPlane, true, true, SimTime::from_hours(10));
-        s.record(n, Layer::DataPlane, true, false, SimTime::from_hours(34)); // day 1
+        s.record(Layer::DataPlane, true, true, SimTime::from_hours(10));
+        s.record(Layer::DataPlane, true, false, SimTime::from_hours(34)); // day 1
         assert_eq!(s.window_ratio(0, Layer::DataPlane), Some(1.0));
         assert_eq!(s.window_ratio(1, Layer::DataPlane), Some(0.0));
         let series = s.series(Layer::DataPlane);
@@ -177,9 +150,8 @@ mod tests {
     #[test]
     fn layers_are_independent() {
         let mut s = AvailabilitySeries::new(DAY_MS);
-        let n = PlatformId(3);
-        s.record(n, Layer::Link, true, true, SimTime::from_hours(1));
-        s.record(n, Layer::ControlPlane, true, false, SimTime::from_hours(1));
+        s.record(Layer::Link, true, true, SimTime::from_hours(1));
+        s.record(Layer::ControlPlane, true, false, SimTime::from_hours(1));
         assert_eq!(s.overall(Layer::Link), Some(1.0));
         assert_eq!(s.overall(Layer::ControlPlane), Some(0.0));
         assert_eq!(s.overall(Layer::DataPlane), None);
@@ -188,22 +160,9 @@ mod tests {
     #[test]
     fn per_node_totals() {
         let mut s = AvailabilitySeries::new(DAY_MS);
-        s.record(
-            PlatformId(0),
-            Layer::Link,
-            true,
-            true,
-            SimTime::from_hours(1),
-        );
-        s.record(
-            PlatformId(1),
-            Layer::Link,
-            true,
-            false,
-            SimTime::from_hours(1),
-        );
-        assert_eq!(s.node_overall(PlatformId(0), Layer::Link), Some(1.0));
-        assert_eq!(s.node_overall(PlatformId(1), Layer::Link), Some(0.0));
+        // Two nodes' probes in one window: one up, one down.
+        s.record(Layer::Link, true, true, SimTime::from_hours(1));
+        s.record(Layer::Link, true, false, SimTime::from_hours(1));
         assert_eq!(s.overall(Layer::Link), Some(0.5));
     }
 }

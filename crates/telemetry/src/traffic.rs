@@ -468,15 +468,6 @@ impl GoodputSeries {
         }
     }
 
-    /// Per-window goodput series for one class: `(window, ratio)`.
-    pub fn class_series(&self, class: ServiceClass) -> Vec<(u64, f64)> {
-        self.class_buckets
-            .iter()
-            .filter(|((c, _), v)| *c == class && v.offered_bits > 0)
-            .map(|((_, w), v)| (*w, v.delivered_bits as f64 / v.offered_bits as f64))
-            .collect()
-    }
-
     /// `(offered_bits, delivered_bits)` totals for one window across
     /// all sites — the raw volumes behind [`Self::window_goodput`].
     pub fn window_volume(&self, w: u64) -> (u64, u64) {
@@ -538,10 +529,6 @@ mod tests {
         assert_eq!(s.class_goodput(ServiceClass::Control), Some(1.0));
         assert_eq!(s.class_goodput(ServiceClass::Bulk), Some(0.375));
         assert_eq!(s.class_volume(ServiceClass::Bulk), (2_000, 750));
-        assert_eq!(
-            s.class_series(ServiceClass::Bulk),
-            vec![(0, 0.5), (1, 0.25)]
-        );
         assert_eq!(s.classes(), vec![ServiceClass::Control, ServiceClass::Bulk]);
         // Class accounting is independent of the site-keyed buckets.
         assert_eq!(s.overall(), None);

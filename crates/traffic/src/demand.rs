@@ -291,17 +291,6 @@ impl DemandGenerator {
             TrafficClass::Bulk => factor.bulk_bps(self.base_bps[idx]),
         }
     }
-
-    /// Total offered load across a site's flows at `now`, bps.
-    pub fn site_offered_bps(&self, site: PlatformId, now: SimTime) -> u64 {
-        let factor = self.load_factor(now);
-        self.runs
-            .iter()
-            .filter(|r| r.site == site)
-            .flat_map(|r| r.first..r.end)
-            .map(|i| self.offered_under(i as usize, factor))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -563,7 +552,17 @@ mod tests {
             .filter(|i| g.flows()[*i].site == site)
             .map(|i| g.offered_bps(i, t))
             .sum();
-        assert_eq!(g.site_offered_bps(site, t), total);
+        // The site's runs, priced under one load factor, carry the
+        // same load.
+        let factor = g.load_factor(t);
+        let by_runs: u64 = g
+            .runs()
+            .iter()
+            .filter(|r| r.site == site)
+            .flat_map(|r| r.first..r.end)
+            .map(|i| g.offered_under(i as usize, factor))
+            .sum();
+        assert_eq!(by_runs, total);
         assert!(total > 0);
     }
 
@@ -572,7 +571,11 @@ mod tests {
         // 20k users × 2.5 kbps at peak ≈ 50 Mbps per site — matching
         // the orchestrator's default per-balloon backhaul request.
         let g = gen();
-        let total = g.site_offered_bps(PlatformId(0), SimTime::from_hours(20));
+        let t = SimTime::from_hours(20);
+        let total: u64 = (0..g.flows().len())
+            .filter(|i| g.flows()[*i].site == PlatformId(0))
+            .map(|i| g.offered_bps(i, t))
+            .sum();
         assert!(
             (25_000_000..100_000_000).contains(&total),
             "peak site load ≈ tens of Mbps, got {total}"

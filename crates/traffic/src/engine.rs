@@ -32,6 +32,7 @@ mod incidence;
 mod tests;
 
 use accounting::Accounting;
+pub use accounting::{FEEDBACK_ALPHA, GOODPUT_WINDOW_MS};
 use backlog::Backlog;
 use incidence::Incidence;
 
@@ -80,10 +81,6 @@ pub struct TrafficConfig {
     pub tunnel_capacity_bps: u64,
     /// Feed measured demand back into the planner's request weights.
     pub feedback: bool,
-    /// EWMA smoothing factor for the demand digest (0..1].
-    pub feedback_alpha: f64,
-    /// Goodput-series bucket width, ms.
-    pub window_ms: u64,
     /// Delay-tolerant buffering for routeless Bulk traffic.
     pub store_forward: StoreForwardConfig,
 }
@@ -94,8 +91,6 @@ impl Default for TrafficConfig {
             demand: DemandConfig::default(),
             tunnel_capacity_bps: 10_000_000_000,
             feedback: true,
-            feedback_alpha: 0.2,
-            window_ms: 24 * 3600 * 1000,
             store_forward: StoreForwardConfig::default(),
         }
     }
@@ -328,7 +323,7 @@ impl TrafficEngine {
             runs: vec![RunTick::default(); slots.len()],
             incidence: Incidence::new(slots, config.tunnel_capacity_bps),
             backlog: Backlog::new(config.store_forward),
-            accounting: Accounting::new(site_ids, n_flows, &config),
+            accounting: Accounting::new(site_ids, n_flows),
             config,
             demand,
         }

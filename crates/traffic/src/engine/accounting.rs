@@ -8,7 +8,7 @@ use tssdn_telemetry::{GoodputSeries, ServiceClass};
 
 use super::backlog::Backlog;
 use super::incidence::Incidence;
-use super::{FlowStats, RunTick, Sinks, TickSummary, TopologyView, TrafficConfig, ALT};
+use super::{FlowStats, RunTick, Sinks, TickSummary, TopologyView, ALT};
 use crate::allocator::TrafficClass;
 
 /// The service classes in `TrafficClass` order — the order the class
@@ -92,13 +92,17 @@ fn account_flows(
     t
 }
 
+/// EWMA smoothing factor of the demand digest (0..1].
+pub const FEEDBACK_ALPHA: f64 = 0.2;
+
+/// Goodput-series bucket width, ms: one bucket per simulated day.
+pub const GOODPUT_WINDOW_MS: u64 = 24 * 3600 * 1000;
+
 /// The series, the per-flow ledgers and the digest.
 #[derive(Debug)]
 pub(super) struct Accounting {
     series: GoodputSeries,
     flow_stats: Vec<FlowStats>,
-    /// EWMA smoothing factor of the digest.
-    alpha: f64,
     /// EWMA of measured offered load per site — the demand digest.
     digest_bps: BTreeMap<PlatformId, f64>,
     /// Last tick's path per site, for reroute/disruption detection.
@@ -112,11 +116,10 @@ pub(super) struct Accounting {
 }
 
 impl Accounting {
-    pub(super) fn new(site_ids: Vec<PlatformId>, n_flows: usize, config: &TrafficConfig) -> Self {
+    pub(super) fn new(site_ids: Vec<PlatformId>, n_flows: usize) -> Self {
         Accounting {
-            series: GoodputSeries::new(config.window_ms),
+            series: GoodputSeries::new(GOODPUT_WINDOW_MS),
             flow_stats: vec![FlowStats::default(); n_flows],
-            alpha: config.feedback_alpha,
             digest_bps: BTreeMap::new(),
             last_paths: BTreeMap::new(),
             last_offered: BTreeMap::new(),
@@ -280,7 +283,7 @@ impl Accounting {
             }
         }
         self.last_offered.clear();
-        let alpha = self.alpha;
+        let alpha = FEEDBACK_ALPHA;
         for (&id, site) in sites() {
             let (off, del) = (site.offered_bps, site.delivered_bps);
             s.offered_bps += off;
@@ -313,12 +316,8 @@ mod tests {
     /// One site with a bulk flow (index 0) and a control flow (1),
     /// and its incidence over a 1 Gbps tunnel.
     fn accounting() -> (Accounting, Incidence) {
-        let config = TrafficConfig {
-            window_ms: MINUTE,
-            ..TrafficConfig::default()
-        };
         let incidence = Incidence::new(vec![slot(S, 0, 1, 2)], 1_000_000_000);
-        (Accounting::new(vec![S], 2, &config), incidence)
+        (Accounting::new(vec![S], 2), incidence)
     }
 
     /// One tick in which the site offers `offered` (bulk, control),

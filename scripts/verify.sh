@@ -4,7 +4,8 @@
 #   ./scripts/verify.sh          # everything: lint + build + tests +
 #                                # smoke benches
 #   ./scripts/verify.sh --lint   # fast-fail subset: fmt + doc citations +
-#                                # the unsafe gate + clippy
+#                                # the unsafe gate + the unused-pub-fn
+#                                # gate + clippy
 #   ./scripts/verify.sh --build  # build + tests + smoke benches +
 #                                # scorecard diff and byte-identity
 #                                # against baselines/scorecards/
@@ -125,6 +126,23 @@ if [ "$mode" != "build" ]; then
     exit 1
   fi
 
+  # A `pub fn` that no other file names is surface nothing uses. Every
+  # `pub fn` outside crates/bench, crates/e2e (binaries and the frozen
+  # whole-loop benchmark) and vendor/ (third-party API) must be named in
+  # some other tracked Rust file: give it a caller, make it private or
+  # delete it.
+  echo "==> every pub fn is named outside its own file"
+  dead=$(git grep -n -o -E '^\s*pub fn [A-Za-z_][A-Za-z0-9_]*' -- '*.rs' \
+    ':!crates/bench' ':!crates/e2e' ':!vendor' | while IFS=: read -r file line m; do
+    name=${m##* }
+    git grep -q -w "$name" -- '*.rs' ":!$file" || echo "$file:$line: pub fn $name"
+  done)
+  if [ -n "$dead" ]; then
+    echo "$dead" >&2
+    echo "pub fns no other file names" >&2
+    exit 1
+  fi
+
   echo "==> cargo clippy --workspace --all-targets -- -D warnings"
   cargo clippy --workspace --all-targets -- -D warnings
 fi
@@ -145,16 +163,18 @@ if [ "$mode" != "lint" ]; then
   # floors cannot; a PR that means
   # to move a metric or a spec regenerates the baselines in the same
   # change (`scenario_matrix --smoke --out tmp && cp
-  # tmp/scorecards/*.json baselines/scorecards/`) and passes both.
+  # tmp/scorecards/{*.json,summary.csv} baselines/scorecards/`) and
+  # passes both. `--diff` reads the JSON artifacts only.
   echo "==> scorecard diff vs baselines/scorecards"
   cargo run --release -q -p tssdn-bench --bin scenario_matrix -- \
     --diff baselines/scorecards artifact_out/scorecards
 
   # The exact gate: every other PR — refactors, performance work —
-  # leaves the smoke scorecards byte for byte what is committed.
-  echo "==> smoke scorecards byte-identical to baselines/scorecards"
+  # leaves the smoke scorecards and the summary table written beside
+  # them byte for byte what is committed.
+  echo "==> smoke scorecards and summary.csv byte-identical to baselines/scorecards"
   status=0
-  for got in artifact_out/scorecards/smoke_*.json; do
+  for got in artifact_out/scorecards/smoke_*.json artifact_out/scorecards/summary.csv; do
     cmp "baselines/scorecards/$(basename "$got")" "$got" || status=1
   done
   [ "$status" -eq 0 ]

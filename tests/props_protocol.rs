@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use tssdn_cpl::{CdpiConfig, CdpiEvent, CdpiFrontend, CommandBody};
-use tssdn_link::{AcqConfig, LinkPhase, LinkStateMachine, LinkTransition, TransceiverId};
+use tssdn_link::{AcqConfig, LinkKind, LinkPhase, LinkStateMachine, LinkTransition, TransceiverId};
 use tssdn_sim::{PlatformId, RngStreams, SimDuration, SimTime};
 
 /// Drive a machine over a margin trace sampled every second; return
@@ -37,7 +37,7 @@ proptest! {
         seed in 0u64..5000,
     ) {
         let cfg = AcqConfig::loon_default();
-        let mut m = LinkStateMachine::new(SimTime::from_secs(enact_s), slew, cfg);
+        let mut m = LinkStateMachine::new(SimTime::from_secs(enact_s), slew, LinkKind::B2G, cfg);
         let log = drive(&mut m, &margins, seed);
 
         let mut state = 0; // 0 pending, 1 enacting, 2 searching, 3 up, 4 terminal
@@ -84,7 +84,7 @@ proptest! {
         seed in 0u64..5000,
     ) {
         let cfg = AcqConfig::loon_default();
-        let mut m = LinkStateMachine::new(SimTime::from_secs(enact_s), 0.0, cfg);
+        let mut m = LinkStateMachine::new(SimTime::from_secs(enact_s), 0.0, LinkKind::B2G, cfg);
         let log = drive(&mut m, &margins, seed);
         if let Some((t, _)) = log.first() {
             prop_assert!(*t >= enact_s, "first transition at {t} before TTE {enact_s}");
@@ -99,7 +99,7 @@ proptest! {
         seed in 0u64..5000,
     ) {
         let cfg = AcqConfig::loon_default();
-        let mut m = LinkStateMachine::new(SimTime::ZERO, 0.0, cfg);
+        let mut m = LinkStateMachine::new(SimTime::ZERO, 0.0, LinkKind::B2G, cfg);
         let margins = vec![None; len];
         let log = drive(&mut m, &margins, seed);
         let established =
@@ -116,7 +116,7 @@ proptest! {
         seed in 0u64..5000,
     ) {
         let cfg = AcqConfig::loon_default();
-        let mut m = LinkStateMachine::new(SimTime::ZERO, 2.0, cfg);
+        let mut m = LinkStateMachine::new(SimTime::ZERO, 2.0, LinkKind::B2G, cfg);
         let mut rng = RngStreams::new(seed).stream("prop-acq");
         for (s, margin) in margins.iter().enumerate() {
             if s == withdraw_at.min(margins.len() - 1) {

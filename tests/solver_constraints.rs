@@ -4,6 +4,7 @@
 //! fleet.
 
 use std::collections::{BTreeMap, BTreeSet};
+use tssdn_core::solver::MIN_BEAM_SEPARATION_DEG;
 use tssdn_core::{EvaluatorConfig, LinkEvaluator, NetworkModel, Solver, WeatherSource};
 use tssdn_dataplane::{BackhaulRequest, DrainRegistry};
 use tssdn_geo::TrajectorySample;
@@ -109,8 +110,7 @@ fn plans_respect_all_constraints_across_a_drifting_day() {
                     for (py, dy) in [(y.a.platform, y.pointing_a), (y.b.platform, y.pointing_b)] {
                         if px == py {
                             assert!(
-                                dx.angular_distance_deg(&dy)
-                                    >= solver.config.min_beam_separation_deg - 1e-9,
+                                dx.angular_distance_deg(&dy) >= MIN_BEAM_SEPARATION_DEG - 1e-9,
                                 "interference at hour {hour} on {px}"
                             );
                         }

@@ -17,6 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use tssdn_dataplane::{BufferedSegment, StoreForwardBuffer};
 use tssdn_sim::{PlatformId, RngStreams, SimDuration, SimTime};
 use tssdn_telemetry::GoodputSeries;
+use tssdn_traffic::engine::{FEEDBACK_ALPHA, GOODPUT_WINDOW_MS};
 use tssdn_traffic::{
     AggregateMember, AggregateSpec, DemandGenerator, FlowStats, HierarchicalAllocator, SnfTotals,
     TickSummary, TopologyView, TrafficClass, TrafficConfig,
@@ -131,7 +132,7 @@ impl ReferenceEngine {
             hier: HierarchicalAllocator::new(),
             n_alloc: 0,
             rates_buf: Vec::new(),
-            series: GoodputSeries::new(config.window_ms),
+            series: GoodputSeries::new(GOODPUT_WINDOW_MS),
             flow_stats: vec![FlowStats::default(); n_flows],
             paths_sig: None,
             links: Vec::new(),
@@ -561,7 +562,7 @@ impl ReferenceEngine {
                 .record(*site, now, off * dt_ms / 1000, del * dt_ms / 1000);
             // Demand digest: EWMA over the site's measured offered
             // load while in its operable window.
-            let alpha = self.config.feedback_alpha;
+            let alpha = FEEDBACK_ALPHA;
             self.digest_bps
                 .entry(*site)
                 .and_modify(|w| *w = alpha * off as f64 + (1.0 - alpha) * *w)
