@@ -54,7 +54,6 @@ fn setup(
             node: PlatformId(i),
             ec,
             min_bitrate_bps: 50_000_000,
-            redundancy_group: None,
         })
         .collect();
     let gs: Vec<PlatformId> = fleet.ground_stations.iter().map(|g| g.id).collect();

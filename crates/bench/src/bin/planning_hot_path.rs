@@ -32,13 +32,13 @@
 
 use std::collections::BTreeSet;
 use std::time::Instant;
-use tssdn_core::reference::{evaluate_reference, solve_reference};
 use tssdn_core::{
     CandidateGraph, EvaluatorConfig, LinkEvaluator, NetworkModel, Solver, WeatherSource,
 };
 use tssdn_dataplane::{BackhaulRequest, DrainRegistry};
 use tssdn_geo::TrajectorySample;
 use tssdn_link::Transceiver;
+use tssdn_oracle::planning::{evaluate_reference, solve_reference};
 use tssdn_sim::{Fleet, FleetConfig, PlatformId, PlatformKind, RngStreams, SimTime};
 use tssdn_telemetry::percentile;
 
@@ -145,7 +145,6 @@ fn run_fleet(spec: &FleetSpec, iters: usize) -> FleetResult {
             node: PlatformId(i),
             ec,
             min_bitrate_bps: 50_000_000,
-            redundancy_group: None,
         })
         .collect();
     let gw = |_: PlatformId| gs.clone();

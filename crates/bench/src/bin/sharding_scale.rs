@@ -85,7 +85,6 @@ fn build_world(n: usize, spawn_radius_m: f64) -> World {
             node: PlatformId(i),
             ec: EC,
             min_bitrate_bps: 50_000_000,
-            redundancy_group: None,
         })
         .collect();
     World {

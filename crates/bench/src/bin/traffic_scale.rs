@@ -148,19 +148,34 @@ fn build_mesh(n: usize, flows_per_site: usize, n_chains: usize) -> Mesh {
     }
 }
 
-/// Time `f` over `iters` runs; returns (p50_ns, p95_ns).
-fn time_ns<T>(iters: usize, mut f: impl FnMut() -> T) -> (f64, f64) {
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
+/// Time `cold` and `warm` over `iters` runs each, alternating one of
+/// each, so a stretch the host deschedules the process lands on both
+/// sides; returns their (p50_ns, p95_ns). At 41 samples p95 is the
+/// 39th smallest, so two stalled samples of a side cannot decide it.
+fn time_cold_warm<C, W>(
+    iters: usize,
+    mut cold: impl FnMut() -> C,
+    mut warm: impl FnMut() -> W,
+) -> ((f64, f64), (f64, f64)) {
+    fn sample<T>(f: &mut impl FnMut() -> T) -> f64 {
         let t0 = Instant::now();
         let out = f();
-        samples.push(t0.elapsed().as_nanos() as f64);
+        let ns = t0.elapsed().as_nanos() as f64;
         drop(out);
+        ns
     }
-    (
-        percentile(&samples, 50.0).expect("non-empty"),
-        percentile(&samples, 95.0).expect("non-empty"),
-    )
+    let (mut c, mut w) = (Vec::with_capacity(iters), Vec::with_capacity(iters));
+    for _ in 0..iters {
+        c.push(sample(&mut cold));
+        w.push(sample(&mut warm));
+    }
+    let p = |xs: &[f64]| {
+        (
+            percentile(xs, 50.0).expect("non-empty"),
+            percentile(xs, 95.0).expect("non-empty"),
+        )
+    };
+    (p(&c), p(&w))
 }
 
 struct MeshResult {
@@ -234,13 +249,16 @@ fn run_mesh_flat(n: usize, iters: usize) -> MeshResult {
 
     // ---- timings ----
     // Cold: topology changed (replan) — rebuild incidence + allocate.
-    let cold = time_ns(iters, || {
-        let mut a = FairShareAllocator::new();
-        a.set_flows(mesh.specs.clone(), mesh.n_links);
-        a.allocate(&mesh.demands, &mesh.capacities)
-    });
     // Warm: capacity-only tick (weather fade) — cached incidence.
-    let warm = time_ns(iters, || reused.allocate(&mesh.demands, &mesh.capacities));
+    let (cold, warm) = time_cold_warm(
+        iters,
+        || {
+            let mut a = FairShareAllocator::new();
+            a.set_flows(mesh.specs.clone(), mesh.n_links);
+            a.allocate(&mesh.demands, &mesh.capacities)
+        },
+        || reused.allocate(&mesh.demands, &mesh.capacities),
+    );
     assert!(
         warm.1 <= cold.1 * WARM_COLD_SLACK,
         "{n}-balloon mesh: warm p95 {:.2}ms exceeds cold p95 {:.2}ms × {WARM_COLD_SLACK}",
@@ -291,13 +309,16 @@ fn run_mesh_hierarchical(iters: usize) -> MeshResult {
 
     // ---- timings ----
     // Cold: topology changed — rebuild the aggregate tree + allocate.
-    let cold = time_ns(iters, || {
-        let mut a = HierarchicalAllocator::new();
-        a.set_aggregates(mesh.groups.clone(), mesh.n_links, n_flows);
-        a.allocate(&mesh.demands, &mesh.capacities)
-    });
     // Warm: capacity-only tick — cached tree, recycled scratch.
-    let warm = time_ns(iters, || reused.allocate(&mesh.demands, &mesh.capacities));
+    let (cold, warm) = time_cold_warm(
+        iters,
+        || {
+            let mut a = HierarchicalAllocator::new();
+            a.set_aggregates(mesh.groups.clone(), mesh.n_links, n_flows);
+            a.allocate(&mesh.demands, &mesh.capacities)
+        },
+        || reused.allocate(&mesh.demands, &mesh.capacities),
+    );
     assert!(
         cold.0 <= MILLION_FLOW_BUDGET_NS,
         "million-flow cold p50 {:.2}ms blows the {:.0}ms tick budget",
@@ -333,7 +354,7 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_traffic.json".to_string());
 
-    let iters = if smoke { 5 } else { 30 };
+    let iters = if smoke { 41 } else { 101 };
     const SIZES: &[usize] = &[25, 50, 100];
     println!("=== traffic allocator scaling: max-min fill at fleet scale ===");
     println!(

@@ -24,18 +24,20 @@ use tssdn_link::{LinkKind, TransceiverId};
 use tssdn_rf::{BandConsts, LinkBudgetReport, LinkQuality, PathIntegrator, RadioParams};
 use tssdn_sim::{PlatformId, PlatformKind, SimTime};
 
-/// Required terrain clearance for line of sight, meters.
-pub(crate) const LOS_CLEARANCE_M: f64 = 100.0;
+/// Required terrain clearance for line of sight, meters. Shared with
+/// the planning oracle.
+pub const LOS_CLEARANCE_M: f64 = 100.0;
 
-/// Hard cap on link range, meters (radio tracking limit).
-pub(crate) const MAX_RANGE_M: f64 = 800_000.0;
+/// Hard cap on link range, meters (radio tracking limit). Shared with
+/// the planning oracle.
+pub const MAX_RANGE_M: f64 = 800_000.0;
 
 /// Extra loss the controller *assumes* beyond the truth, dB. "We
 /// intentionally selected a pessimistic level from the ITU-R regional
 /// seasonal average model to increase confidence in forming the
 /// selected links. This is clearly visible in the 4.3 dB right-shift"
-/// (§5, Figure 10).
-pub(crate) const MODEL_PESSIMISM_DB: f64 = 4.0;
+/// (§5, Figure 10). Shared with the planning oracle.
+pub const MODEL_PESSIMISM_DB: f64 = 4.0;
 
 /// Evaluator configuration.
 #[derive(Debug, Clone)]
@@ -210,8 +212,8 @@ impl LinkEvaluator {
     /// controller's model.
     ///
     /// This is the optimized sweep; it must produce a graph
-    /// **bit-identical** to the naive all-pairs reference
-    /// ([`crate::reference::evaluate_reference`]). What is computed
+    /// **bit-identical** to the naive all-pairs oracle
+    /// (`tssdn_oracle::planning::evaluate_reference`). What is computed
     /// where (DESIGN.md §7):
     ///
     /// * *per evaluate* — the pessimism-adjusted bands and each band's
@@ -369,9 +371,9 @@ impl<'a> PairSweep<'a> {
 
     /// Evaluate one platform pair and append its candidates; the
     /// answer is how many, or why none (what `core::explain` reports —
-    /// the sweep itself ignores it). The naive reference keeps its own
-    /// verbatim copy of the pre-hoisting logic (per-pair band rebuild,
-    /// per-band path walk, per-pairing gains).
+    /// the sweep itself ignores it). The planning oracle spells the
+    /// same pair out naively (per-pair band rebuild, per-band path
+    /// walk, per-pairing gains).
     pub(crate) fn evaluate_pair(
         &mut self,
         a: &PlatformSnap<'_>,
@@ -633,171 +635,6 @@ mod tests {
             assert!(l.range_m > 0.0);
             assert!(l.bitrate_bps > 0 || l.quality == LinkQuality::Marginal);
         }
-    }
-
-    /// The hoists against the naive reference on inputs the default
-    /// worlds never produce: three bands (one far off E band), a
-    /// platform whose antennas have different boresight gains, and a
-    /// gauges-over-forecast weather belief with a live gauge reading
-    /// and a storm on the B2G paths, then with a NaN gauge reading and
-    /// a negative forecast — on enough platforms that the threaded
-    /// sweep engages where cores allow.
-    #[test]
-    fn hoisted_sweep_matches_reference_on_unusual_inputs() {
-        use tssdn_rf::{AntennaPattern, ForecastView, RainCell, RainGauge, SyntheticWeather};
-        let site = GeoPoint::new(0.3, 37.0, 1_500.0);
-        let storm = SyntheticWeather::new().with_cell(RainCell {
-            center: GeoPoint::new(0.2, 37.3, 0.0),
-            vel_east_mps: 5.0,
-            vel_north_mps: 0.0,
-            radius_m: 30_000.0,
-            peak_rain_mm_h: 35.0,
-            start_ms: 0,
-            end_ms: 6 * 3_600_000,
-        });
-        let belief = |intensity_scale| WeatherSource::GaugesAndForecast {
-            gauges: vec![RainGauge {
-                site,
-                representative_radius_m: 25_000.0,
-            }],
-            forecast: ForecastView::new(storm.clone(), 10_000.0, 600_000, intensity_scale),
-            backstop: ItuSeasonal::tropical_wet(),
-        };
-        let mut m = NetworkModel::new(belief(0.8));
-        m.gauge_readings = vec![(site, 6.5, SimTime::from_hours(2))];
-        for i in 0..12u32 {
-            let id = PlatformId(i);
-            let mut xs = balloon_transceivers(id);
-            if i % 4 == 1 {
-                // One dish of a different class on the same bus.
-                xs[1].pattern = AntennaPattern::e_band_ground_station();
-            }
-            m.add_platform(id, tssdn_sim::PlatformKind::Balloon, xs);
-            let (row, col) = ((i / 4) as f64, (i % 4) as f64);
-            m.report_position(
-                id,
-                fix(-0.6 + 0.7 * row, 36.6 + 0.8 * col, 16_500.0 + 400.0 * col),
-            );
-            m.report_power(id, true);
-        }
-        let gs = PlatformId(12);
-        m.add_platform(
-            gs,
-            tssdn_sim::PlatformKind::GroundStation,
-            gs_transceivers(gs),
-        );
-        m.report_position(gs, fix(site.lat_deg, site.lon_deg, site.alt_m));
-        m.report_power(gs, true);
-
-        // Powers balanced so that every band is the best one somewhere:
-        // the high channel's extra 1.15 dB just covers its extra
-        // free-space loss on short stratospheric paths and not on long
-        // ones, and the weak 38 GHz channel wins only under the storm.
-        let evaluator = LinkEvaluator::new(EvaluatorConfig {
-            bands: vec![
-                RadioParams::e_band_low(),
-                RadioParams {
-                    tx_power_dbm: 26.15,
-                    ..RadioParams::e_band_high()
-                },
-                RadioParams {
-                    freq_ghz: 38.0,
-                    tx_power_dbm: 12.0,
-                    bandwidth_hz: 2.5e8,
-                    ..RadioParams::e_band_low()
-                },
-            ],
-        });
-        let at = SimTime::from_hours(2);
-        let graph = evaluator.evaluate(&m, at);
-        assert!(
-            graph == crate::reference::evaluate_reference(&evaluator, &m, at),
-            "optimized sweep diverged from the reference"
-        );
-        // The inputs did what they were chosen for: every band wins
-        // somewhere, and both link kinds are present.
-        for band in 0..3u8 {
-            assert!(
-                graph.links.iter().any(|l| l.band == band),
-                "band {band} never selected"
-            );
-        }
-        assert!(graph.num_b2b() > 0 && graph.num_b2g() > 0);
-
-        // Hostile readings: a NaN gauge, which every B2G path crosses
-        // below the rain height inside the gauge's circle (NaN margin,
-        // pruned), and a forecast scaled by −1, whose storm is negative
-        // rain and cloud the integral must treat as dry.
-        m.weather = belief(-1.0);
-        m.gauge_readings = vec![(site, f64::NAN, at)];
-        let graph = evaluator.evaluate(&m, at);
-        assert!(
-            graph == crate::reference::evaluate_reference(&evaluator, &m, at),
-            "optimized sweep diverged from the reference on a NaN gauge"
-        );
-        assert!(graph.num_b2b() > 0 && graph.num_b2g() == 0);
-    }
-
-    /// The decay memo and the budget memo against the naive
-    /// reference on a live-like fleet: 72 balloons on 36 shared float
-    /// altitudes, so altitude pairs repeat, and more distinct pairs reach
-    /// the integral than the integrators of all workers hold together,
-    /// so some worker's table evicts. Mixed antenna patterns on some
-    /// balloons give their pairs more than one gain pair.
-    #[test]
-    fn memoised_sweep_matches_reference_on_shared_altitudes() {
-        use tssdn_rf::{AntennaPattern, PathIntegrator};
-        let mut m = small_model();
-        for i in 0..72u32 {
-            let id = PlatformId(100 + i);
-            let mut xs = balloon_transceivers(id);
-            if i % 5 == 2 {
-                xs[2].pattern = AntennaPattern::e_band_ground_station();
-            }
-            m.add_platform(id, tssdn_sim::PlatformKind::Balloon, xs);
-            let (ring, spoke) = ((i / 12) as f64, (i % 12) as f64);
-            let theta = spoke * std::f64::consts::TAU / 12.0 + 0.3 * ring;
-            let r_deg = 0.25 + 0.3 * ring;
-            m.report_position(
-                id,
-                fix(
-                    r_deg * theta.sin(),
-                    37.5 + r_deg * theta.cos(),
-                    15_500.0 + 100.0 * (i % 36) as f64,
-                ),
-            );
-            m.report_power(id, true);
-        }
-        let evaluator = LinkEvaluator::default();
-        let graph = evaluator.evaluate(&m, SimTime::ZERO);
-        assert!(
-            graph == crate::reference::evaluate_reference(&evaluator, &m, SimTime::ZERO),
-            "memoised sweep diverged from the reference"
-        );
-
-        let alt = |p: PlatformId| {
-            m.predicted_position(p, SimTime::ZERO)
-                .expect("placed")
-                .alt_m
-        };
-        let mut pairs: Vec<_> = graph
-            .links
-            .iter()
-            .map(|l| (l.a.platform, l.b.platform))
-            .collect();
-        pairs.dedup();
-        let mut keys: Vec<_> = pairs
-            .iter()
-            .map(|&(a, b)| (alt(a).to_bits(), alt(b).to_bits()))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        assert!(pairs.len() > keys.len(), "altitude pairs repeat");
-        assert!(
-            keys.len() > PathIntegrator::DECAY_SLOTS * crate::fan_out::host_workers(),
-            "{} distinct altitude pairs: some worker must evict",
-            keys.len()
-        );
     }
 
     #[test]

@@ -132,7 +132,7 @@ pub fn explain_absence(
         return SelectionAbsence::NotACandidate;
     };
     for p in [cand.a.platform, cand.b.platform] {
-        if drains.excludes_new_paths(p, now) {
+        if drains.active(p, now) {
             return SelectionAbsence::Drained(p);
         }
     }
@@ -163,7 +163,7 @@ mod tests {
     use crate::evaluator::{CandidateLink, LinkEvaluator};
     use crate::model::WeatherSource;
     use crate::solver::MIN_BEAM_SEPARATION_DEG;
-    use tssdn_dataplane::{BackhaulRequest, DrainMode};
+    use tssdn_dataplane::BackhaulRequest;
     use tssdn_geo::{GeoPoint, TrajectorySample};
     use tssdn_link::Transceiver;
     use tssdn_sim::{PlatformId, PlatformKind};
@@ -280,7 +280,6 @@ mod tests {
             node: PlatformId(0),
             ec,
             min_bitrate_bps: 50_000_000,
-            redundancy_group: None,
         }];
         let gw = |e: PlatformId| {
             if e == ec {
@@ -338,7 +337,7 @@ mod tests {
 
         // Drained endpoint.
         let mut drains2 = DrainRegistry::new();
-        drains2.request(PlatformId(1), DrainMode::Force, SimTime::ZERO, None);
+        drains2.request(PlatformId(1), SimTime::ZERO, None);
         let plan2 = solver.solve(
             &graph,
             &req,

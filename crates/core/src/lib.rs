@@ -28,7 +28,6 @@ pub mod feedback;
 pub mod intent;
 pub mod model;
 pub mod orchestrator;
-pub mod reference;
 pub mod sharding;
 pub mod solver;
 pub mod validation;

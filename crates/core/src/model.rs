@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use tssdn_geo::{GeoPoint, Trajectory, TrajectorySample};
 use tssdn_link::{Transceiver, TransceiverId};
-use tssdn_rf::{ItuSeasonal, RainGauge, SyntheticWeather, WeatherField, WeatherSample};
+use tssdn_rf::{ItuSeasonal, RainGauge, WeatherField, WeatherSample};
 use tssdn_sim::{PlatformId, PlatformKind, SimTime};
 
 /// Static + believed-dynamic state for one platform.
@@ -228,27 +228,10 @@ impl WeatherField for ModelWeather<'_> {
     }
 }
 
-/// A truth-weather wrapper the orchestrator uses: plain re-export of
-/// the synthetic truth so both sides use the same trait.
-pub struct TruthWeather {
-    /// The ground-truth field.
-    pub truth: SyntheticWeather,
-}
-
-impl WeatherField for TruthWeather {
-    fn sample(&self, pos: &GeoPoint, t_ms: u64) -> WeatherSample {
-        self.truth.sample(pos, t_ms)
-    }
-
-    fn clear_above_m(&self) -> f64 {
-        self.truth.clear_above_m()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tssdn_rf::{ForecastView, RainCell};
+    use tssdn_rf::{ForecastView, RainCell, SyntheticWeather};
 
     fn cell() -> RainCell {
         // A 6-hour storm; tests sample mid-life (intensity ramps in

@@ -58,7 +58,6 @@ impl Planner {
                 node: PlatformId(b),
                 ec,
                 min_bitrate_bps: DEMAND_BPS,
-                redundancy_group: None,
             })
             .collect();
         Planner {

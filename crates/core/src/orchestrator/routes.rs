@@ -686,7 +686,6 @@ pub(super) mod tests {
             node: b,
             ec,
             min_bitrate_bps: 1,
-            redundancy_group: None,
         }];
         let mut program = |routes: &mut Routes| {
             routes.program(&requests, &intents, &tunnels, &mut cdpi, true, now);

@@ -57,7 +57,7 @@ use tssdn_sim::{PlatformId, PlatformKind, SimTime};
 /// Halo and hysteresis widths are configured in km and converted to
 /// band-relative degrees through this one constant so the mapping is
 /// identical everywhere.
-pub const KM_PER_DEG: f64 = 2.0 * std::f64::consts::PI * 6_371.0 / 360.0;
+const KM_PER_DEG: f64 = 2.0 * std::f64::consts::PI * 6_371.0 / 360.0;
 
 /// A region's identity: index into the longitude-band partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

@@ -4,7 +4,7 @@
 //! [`MIN_BEAM_SEPARATION_DEG`]. [`Solver::conflict`] is the statement;
 //! the kept-set test the incumbents phase runs, the list-driven
 //! invalidation the greedy loop runs and `core::explain` only narrow
-//! *which* pairs it is asked about. `core::reference` shares it on
+//! *which* pairs it is asked about. `tssdn_oracle::planning` shares it on
 //! purpose — it is the definition, not an algorithm.
 
 use super::index::{LiveLists, SolveIndex};
@@ -70,8 +70,9 @@ impl Solver {
         found.map(|separation_deg| Conflict::BeamsTooClose { separation_deg })
     }
 
-    /// Whether two candidates cannot coexist.
-    pub(crate) fn conflicts(&self, a: &CandidateLink, b: &CandidateLink) -> bool {
+    /// Whether two candidates cannot coexist. Shared with the planning
+    /// oracle: the definition of "cannot coexist".
+    pub fn conflicts(&self, a: &CandidateLink, b: &CandidateLink) -> bool {
         self.conflict(a, b).is_some()
     }
 

@@ -68,11 +68,7 @@ impl Solver {
     ) -> CandidateState {
         let links = index.links;
         // Exclude candidates touching drained nodes outright.
-        let drained: Vec<bool> = index
-            .plats
-            .iter()
-            .map(|p| drains.excludes_new_paths(*p, now))
-            .collect();
+        let drained: Vec<bool> = index.plats.iter().map(|p| drains.active(*p, now)).collect();
         let mut viable: Vec<bool> = index
             .endpoints
             .iter()

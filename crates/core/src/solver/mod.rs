@@ -53,15 +53,15 @@ use tssdn_sim::{PlatformId, SimTime};
 /// *different* integer than the exact `600000`, perturbing tie-breaks
 /// between equal-cost paths). Resolution is 1e-6 cost units; sums stay
 /// far below `u64::MAX` for any realistic path (< 1.8e13 total cost).
-/// Both the optimized solver and the retained naive reference
-/// ([`crate::reference`]) route through this one function so their
-/// arithmetic is identical.
-pub(crate) fn scale_cost(c: f64) -> u64 {
+/// Shared with the planning oracle (`tssdn_oracle::planning`): the
+/// fixed-point contract itself, so both sides' arithmetic is identical.
+pub fn scale_cost(c: f64) -> u64 {
     (c * 1e6).round() as u64
 }
 
-/// Extra hop cost for marginal-quality links.
-pub(crate) const MARGINAL_PENALTY: f64 = 2.0;
+/// Extra hop cost for marginal-quality links. Shared with the
+/// planning oracle, which spells the edge cost out around it.
+pub const MARGINAL_PENALTY: f64 = 2.0;
 
 /// Minimum angular separation (degrees) between same-band links
 /// sharing a platform (interference constraint).
@@ -118,8 +118,8 @@ impl Solver {
     /// * `drains` — administrative drains to respect.
     ///
     /// This is the optimized hot path. It is required to produce
-    /// output **bit-identical** to the retained naive implementation
-    /// ([`crate::reference::solve_reference`]) — same demand links in
+    /// output **bit-identical** to the naive planning oracle
+    /// (`tssdn_oracle::planning::solve_reference`) — same demand links in
     /// the same order, same redundant links, same routes — which is
     /// what the golden-equivalence gates in `tests/props.rs` and
     /// `tests/golden_determinism.rs` assert. Each phase below is one

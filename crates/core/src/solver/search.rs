@@ -2,7 +2,7 @@
 //! / heap buffers kept between calls.
 //!
 //! Bit-identical to the reference's `BTreeMap` implementation
-//! ([`crate::reference`]): the heap orders by `(cost, node slot)` and
+//! (`tssdn_oracle::planning`): the heap orders by `(cost, node slot)` and
 //! slots are assigned in sorted `PlatformId` order, so tie-breaks
 //! agree; relaxation uses the same strict `<` (first relaxation at the
 //! final distance wins, later equal-cost ones are ignored); and

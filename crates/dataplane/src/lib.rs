@@ -1,6 +1,6 @@
 //! Data plane: IPv6 addressing, source-destination routes, IPsec-like
-//! tunnels, and the provisioning concepts (flow classifiers,
-//! redundancy groups, drains) from the paper's Appendix C.
+//! tunnels, and the provisioning concepts (backhaul requests and
+//! drains) from the paper's Appendix C.
 //!
 //! "Each node in the Loon network was assigned its own global unicast
 //! IPv6 /64 prefix ... The TS-SDN enacted data plane connectivity by
@@ -23,6 +23,6 @@ pub mod tunnel;
 
 pub use addressing::{NodePrefix, PrefixAllocator};
 pub use buffer::{BufferedSegment, FlowKey, StoreForwardBuffer};
-pub use provision::{BackhaulRequest, DrainMode, DrainRegistry, DrainState};
+pub use provision::{BackhaulRequest, DrainRegistry, DrainState};
 pub use routing::{Plane, RouteEntry, RouteTable, RoutingFabric};
 pub use tunnel::{TunnelId, TunnelRegistry};

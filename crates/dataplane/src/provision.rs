@@ -1,12 +1,13 @@
-//! Northbound provisioning concepts: backhaul service requests, flow
-//! classifiers, redundancy groups, and administrative drains.
+//! Northbound provisioning concepts: backhaul service requests and
+//! administrative drains.
 //!
 //! Appendix C "Network Provisioning": the LTE management stack
 //! "would automatically request backhaul for a balloon's eNodeB ...
 //! The requests specified flow classifier matching rules, the required
-//! bandwidth, and the desired path redundancy. The system was designed
-//! to choose topologies and assign routes such that routes with the
-//! same redundancy group tag would seek disjoint paths."
+//! bandwidth, and the desired path redundancy." A request here carries
+//! the node, its EC and the bandwidth; Appendix C's redundancy groups
+//! and drain policies are not reproduced (DESIGN.md §5): a drain keeps
+//! new paths off a node from its enactment time until it is cancelled.
 
 use std::collections::BTreeMap;
 use tssdn_sim::{PlatformId, SimTime};
@@ -21,35 +22,16 @@ pub struct BackhaulRequest {
     pub ec: PlatformId,
     /// Minimum required bitrate, bps (`b_min`).
     pub min_bitrate_bps: u64,
-    /// Redundancy-group tag: requests sharing a tag seek disjoint
-    /// paths.
-    pub redundancy_group: Option<u32>,
 }
 
-/// Drain actuation policy (Appendix C "Administrative Drains").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrainMode {
-    /// Passively wait for the node to naturally lose all traffic,
-    /// then latch the drained state.
-    Opportunistic,
-    /// Bias traffic away from the node until it drains.
-    Deter,
-    /// Evict traffic immediately.
-    Force,
-}
-
-/// Lifecycle of one drain request.
+/// One drain request (Appendix C "Administrative Drains").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainState {
-    /// Policy.
-    pub mode: DrainMode,
     /// When the drain was requested.
     pub requested: SimTime,
     /// Optional scheduled enactment time (drains "could be specified
     /// with enactment times").
     pub enact_at: Option<SimTime>,
-    /// Whether the node has fully drained (latched for Opportunistic).
-    pub latched: bool,
 }
 
 /// All active drains.
@@ -65,22 +47,12 @@ impl DrainRegistry {
     }
 
     /// Request a drain of `node`.
-    pub fn request(
-        &mut self,
-        node: PlatformId,
-        mode: DrainMode,
-        now: SimTime,
-        enact_at: Option<SimTime>,
-    ) {
-        self.drains.insert(
-            node,
-            DrainState {
-                mode,
-                requested: now,
-                enact_at,
-                latched: false,
-            },
-        );
+    pub fn request(&mut self, node: PlatformId, now: SimTime, enact_at: Option<SimTime>) {
+        let drain = DrainState {
+            requested: now,
+            enact_at,
+        };
+        self.drains.insert(node, drain);
     }
 
     /// Cancel a drain (maintenance done / aborted).
@@ -94,45 +66,13 @@ impl DrainRegistry {
     }
 
     /// Whether a drain is *active* at `now` (requested and past its
-    /// enactment time).
+    /// enactment time): the solver keeps every path off an active
+    /// drain's node.
     pub fn active(&self, node: PlatformId, now: SimTime) -> bool {
         self.drains
             .get(&node)
             .map(|d| d.enact_at.map(|t| now >= t).unwrap_or(true))
             .unwrap_or(false)
-    }
-
-    /// Whether the solver must exclude `node` from *new* paths at
-    /// `now`: any active drain excludes new transit; latched and Force
-    /// drains exclude everything.
-    pub fn excludes_new_paths(&self, node: PlatformId, now: SimTime) -> bool {
-        self.active(node, now)
-    }
-
-    /// Update latches: an Opportunistic drain latches once the node
-    /// carries no traffic (`transit_routes == 0` and `own_flows == 0`).
-    /// Returns nodes that latched on this update (ready for
-    /// maintenance).
-    pub fn update_latches(
-        &mut self,
-        now: SimTime,
-        mut load: impl FnMut(PlatformId) -> (usize, usize),
-    ) -> Vec<PlatformId> {
-        let mut latched = Vec::new();
-        let nodes: Vec<PlatformId> = self.drains.keys().copied().collect();
-        for n in nodes {
-            let active = self.active(n, now);
-            let d = self.drains.get_mut(&n).expect("listed");
-            if !active || d.latched {
-                continue;
-            }
-            let (transit, own) = load(n);
-            if transit == 0 && own == 0 {
-                d.latched = true;
-                latched.push(n);
-            }
-        }
-        latched
     }
 }
 
@@ -147,63 +87,48 @@ mod tests {
     #[test]
     fn scheduled_drain_waits_for_enactment() {
         let mut r = DrainRegistry::new();
-        r.request(
-            pid(1),
-            DrainMode::Opportunistic,
-            SimTime::ZERO,
-            Some(SimTime::from_hours(2)),
-        );
+        r.request(pid(1), SimTime::ZERO, Some(SimTime::from_hours(2)));
         assert!(!r.active(pid(1), SimTime::from_hours(1)));
         assert!(r.active(pid(1), SimTime::from_hours(3)));
     }
 
     #[test]
-    fn opportunistic_latches_only_when_traffic_gone() {
-        let mut r = DrainRegistry::new();
-        r.request(pid(1), DrainMode::Opportunistic, SimTime::ZERO, None);
-        // Still carrying traffic.
-        let l = r.update_latches(SimTime::from_secs(10), |_| (3, 1));
-        assert!(l.is_empty());
-        assert!(!r.get(pid(1)).expect("drain").latched);
-        // Traffic gone (e.g. nightly power-down, §C: "we could expect
-        // every node to become fully disconnected every night").
-        let l = r.update_latches(SimTime::from_hours(20), |_| (0, 0));
-        assert_eq!(l, vec![pid(1)]);
-        assert!(r.get(pid(1)).expect("drain").latched);
-    }
-
-    #[test]
     fn force_drain_evicts_immediately() {
-        // With no enactment time a Force drain holds from the next
-        // instant: the solver keeps every path off the node, and the
-        // re-solve moves its traffic (`dataplane_consistency.rs`
-        // follows the eviction through a running world).
+        // With no enactment time a drain holds from the next instant:
+        // the solver keeps every path off the node, and the re-solve
+        // moves its traffic (`dataplane_consistency.rs` follows the
+        // eviction through a running world).
         let mut r = DrainRegistry::new();
-        r.request(pid(2), DrainMode::Force, SimTime::ZERO, None);
+        r.request(pid(2), SimTime::ZERO, None);
         assert!(r.active(pid(2), SimTime::from_secs(1)));
-        assert!(r.excludes_new_paths(pid(2), SimTime::from_secs(1)));
     }
 
     #[test]
     fn deter_excludes_new_paths() {
+        // A drain keeps new paths off its own node from the request
+        // instant on, and off no other node.
         let mut r = DrainRegistry::new();
-        r.request(pid(3), DrainMode::Deter, SimTime::ZERO, None);
-        assert!(r.excludes_new_paths(pid(3), SimTime::from_secs(1)));
+        r.request(pid(3), SimTime::ZERO, None);
+        assert!(r.active(pid(3), SimTime::ZERO));
+        assert!(!r.active(pid(5), SimTime::ZERO));
+        let state = DrainState {
+            requested: SimTime::ZERO,
+            enact_at: None,
+        };
+        assert_eq!(r.get(pid(3)), Some(state));
     }
 
     #[test]
     fn cancel_restores_normal_state() {
         let mut r = DrainRegistry::new();
-        r.request(pid(4), DrainMode::Deter, SimTime::ZERO, None);
+        r.request(pid(4), SimTime::ZERO, None);
         r.cancel(pid(4));
         assert!(!r.active(pid(4), SimTime::from_secs(1)));
-        assert!(!r.excludes_new_paths(pid(4), SimTime::from_secs(1)));
     }
 
     #[test]
     fn undrained_nodes_unaffected() {
         let r = DrainRegistry::new();
         assert!(!r.active(pid(9), SimTime::ZERO));
-        assert!(!r.excludes_new_paths(pid(9), SimTime::ZERO));
     }
 }

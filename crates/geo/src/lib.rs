@@ -28,7 +28,7 @@ pub mod pointing;
 pub mod visibility;
 
 pub use coords::{Ecef, Enu, GeoPoint, LocalFrame, EARTH_RADIUS_M, WGS84_A, WGS84_F};
-pub use motion::{LinearMotion, Trajectory, TrajectorySample};
+pub use motion::{Trajectory, TrajectorySample};
 pub use occlusion::{ObstructionMask, ObstructionSector};
 pub use pointing::{AzEl, FieldOfRegard, PointingSolution};
 pub use visibility::{line_of_sight_clear, max_slant_range_m, slant_range_m};

@@ -75,11 +75,6 @@ impl Trajectory {
         self.samples.is_empty()
     }
 
-    /// The most recent fix.
-    pub fn latest(&self) -> Option<&TrajectorySample> {
-        self.samples.last()
-    }
-
     /// Position estimate at `t_ms`.
     ///
     /// * Between fixes: linear interpolation.
@@ -117,29 +112,6 @@ impl Trajectory {
     }
 }
 
-/// A simple constant-velocity motion model — used for ground stations
-/// (zero velocity) and test fixtures.
-#[derive(Debug, Clone, Copy)]
-pub struct LinearMotion {
-    pub start: GeoPoint,
-    pub start_ms: u64,
-    pub vel_east_mps: f64,
-    pub vel_north_mps: f64,
-    pub vel_up_mps: f64,
-}
-
-impl LinearMotion {
-    /// Position at `t_ms` (clamped to `start_ms` for earlier times).
-    pub fn position_at(&self, t_ms: u64) -> GeoPoint {
-        let dt = t_ms.saturating_sub(self.start_ms) as f64 / 1000.0;
-        self.start.offset(
-            self.vel_east_mps * dt,
-            self.vel_north_mps * dt,
-            self.vel_up_mps * dt,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +130,7 @@ mod tests {
     fn empty_trajectory_returns_none() {
         let t = Trajectory::with_capacity(8);
         assert!(t.position_at(1000).is_none());
-        assert!(t.latest().is_none());
+        assert!(t.samples.last().is_none());
     }
 
     #[test]
@@ -208,19 +180,6 @@ mod tests {
         // A correction at t=5000 drops the t=10000 fix.
         t.push(fix(5_000, 0.5, 36.05, 18_000.0));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.latest().unwrap().t_ms, 5_000);
-    }
-
-    #[test]
-    fn stationary_linear_motion_never_moves() {
-        let m = LinearMotion {
-            start: GeoPoint::new(-1.0, 36.8, 1600.0),
-            start_ms: 0,
-            vel_east_mps: 0.0,
-            vel_north_mps: 0.0,
-            vel_up_mps: 0.0,
-        };
-        let p = m.position_at(1_000_000_000);
-        assert_eq!(p, GeoPoint::new(-1.0, 36.8, 1600.0));
+        assert_eq!(t.samples.last().unwrap().t_ms, 5_000);
     }
 }

@@ -14,7 +14,7 @@
 use crate::coords::{GeoPoint, EARTH_RADIUS_M};
 
 /// Effective Earth radius factor accounting for standard refraction.
-pub const K_FACTOR: f64 = 4.0 / 3.0;
+const K_FACTOR: f64 = 4.0 / 3.0;
 
 /// Line-of-sight (slant) distance between two geodetic points, meters.
 pub fn slant_range_m(a: &GeoPoint, b: &GeoPoint) -> f64 {

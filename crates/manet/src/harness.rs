@@ -180,11 +180,6 @@ impl<P: ManetProtocol> Harness<P> {
         &self.proto
     }
 
-    /// Mutable protocol access (e.g. to configure gateways).
-    pub fn protocol_mut(&mut self) -> &mut P {
-        &mut self.proto
-    }
-
     /// Ground-truth topology.
     pub fn topology(&self) -> &Topology {
         &self.topo

@@ -12,13 +12,13 @@
 
 /// Water-vapor scale height, meters. Specific attenuation from vapor
 /// decays as `exp(-h/H)`.
-pub const VAPOR_SCALE_HEIGHT_M: f64 = 2_000.0;
+const VAPOR_SCALE_HEIGHT_M: f64 = 2_000.0;
 
 /// Effective dry-air (oxygen) attenuation scale height, meters.
 /// Continuum absorption scales roughly with pressure squared, so the
 /// attenuation scale height is about half the 6 km pressure scale
 /// height — the stratosphere is nearly transparent at E band.
-pub const OXYGEN_SCALE_HEIGHT_M: f64 = 3_000.0;
+const OXYGEN_SCALE_HEIGHT_M: f64 = 3_000.0;
 
 /// Cloud liquid water is concentrated in the troposphere below this
 /// altitude (tropical convective clouds top out near 12–16 km, but

@@ -324,7 +324,6 @@ fn distribute(
 mod tests {
     use super::*;
     use crate::allocator::{FlowSpec, TrafficClass};
-    use crate::reference::allocate_hierarchical_reference;
 
     fn singleton_groups(specs: &[FlowSpec]) -> Vec<AggregateSpec> {
         specs
@@ -452,8 +451,8 @@ mod tests {
     }
 
     /// One Bulk aggregate over `links` with the given member weights,
-    /// allocated by the production allocator after checking it against
-    /// the naive hierarchical oracle.
+    /// allocated by the production allocator. `tests/traffic_props.rs`
+    /// holds the same cases to the oracle's tree.
     fn one_aggregate(links: Vec<u32>, weights: &[u32], demands: &[u64], caps: &[u64]) -> Vec<u64> {
         let members = weights
             .iter()
@@ -468,12 +467,8 @@ mod tests {
             members: members.collect(),
         }];
         let mut hier = HierarchicalAllocator::new();
-        hier.set_aggregates(groups.clone(), caps.len(), demands.len());
-        let rates = hier.allocate(demands, caps);
-        let slow =
-            allocate_hierarchical_reference(&groups, caps.len(), demands.len(), demands, caps);
-        assert_eq!(rates, slow, "production ≠ oracle");
-        rates
+        hier.set_aggregates(groups, caps.len(), demands.len());
+        hier.allocate(demands, caps)
     }
 
     #[test]

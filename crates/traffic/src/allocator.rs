@@ -30,16 +30,15 @@
 //!   Because a link consumes at most `W_l` bps per level unit, no
 //!   link can saturate mid-window, so the batched fixpoint is
 //!   byte-identical to the one-freeze-per-round filler — enforced
-//!   against [`crate::reference::allocate_weighted_unbatched`] by
-//!   proptest.
+//!   against `tssdn_oracle::max_min::allocate` by proptest.
 //!
 //! Topology (which links each flow crosses, plus per-flow weight and
 //! class) is set once per forwarding graph via
 //! [`FairShareAllocator::set_flows`]; capacity-only changes (weather
 //! fade moving the MCS operating point) reuse the cached incidence,
-//! which is what makes the per-tick recompute incremental. With every flow at weight 1, class Bulk, the output
-//! is bit-identical to the pre-tiering allocator
-//! ([`crate::reference::allocate_reference`], enforced by proptest).
+//! which is what makes the per-tick recompute incremental. With every
+//! flow at weight 1, class Bulk, the filler is the textbook equal-share
+//! one (the same proptest runs that projection).
 
 /// A flow's rate is capped by `u64::MAX / 2` to keep `rate + inc`
 /// overflow-free without checked arithmetic in the hot loop.

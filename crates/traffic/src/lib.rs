@@ -15,9 +15,8 @@
 //!   strict-priority [`TrafficClass::Control`] class drained before
 //!   bulk, and a batch-freeze round structure in exact integer bps
 //!   arithmetic; capacity-only changes reuse the installed flow→link
-//!   incidence. [`reference`] keeps the pre-tiering filler,
-//!   an unbatched weighted filler, and a naive hierarchical filler as
-//!   proptest oracles.
+//!   incidence. `tssdn_oracle::max_min` holds it and the tree below
+//!   to a one-freeze-per-round specification.
 //! * [`aggregate`] — the million-flow path
 //!   ([`HierarchicalAllocator`]): per-site × service-class aggregate
 //!   nodes water-filled exactly over the (much smaller) aggregate
@@ -45,7 +44,6 @@ pub mod aggregate;
 pub mod allocator;
 pub mod demand;
 pub mod engine;
-pub mod reference;
 
 pub use aggregate::{AggregateMember, AggregateSpec, HierarchicalAllocator};
 pub use allocator::{FairShareAllocator, FlowSpec, TrafficClass};

@@ -6,19 +6,21 @@
 //! drain, the SDN controller would passively wait for a node to
 //! naturally lose all traffic, then latch that state."
 //!
-//! This example drains one relay balloon opportunistically mid-day,
-//! shows traffic leaving it while service continues, then cancels the
-//! drain after the "update".
+//! The controller's one drain keeps new paths off the node; waiting
+//! for the node to empty is the operator's part here. This example
+//! drains one relay balloon mid-day, watches traffic leave it while
+//! service continues (the node's transit paths and links, read from
+//! the orchestrator's public state), then cancels the drain after the
+//! "update".
 //!
 //! Run with: `cargo run --release -p tssdn-examples --bin drain_maintenance`
 
 use tssdn_core::{Orchestrator, OrchestratorConfig};
-use tssdn_dataplane::DrainMode;
 use tssdn_sim::{PlatformId, SimDuration, SimTime};
 use tssdn_telemetry::Layer;
 
 fn main() {
-    println!("== drain_maintenance: opportunistic drain for a software update ==\n");
+    println!("== drain_maintenance: draining a relay for a software update ==\n");
 
     let mut config = OrchestratorConfig::kenya(10, 99);
     config.fleet.spawn_radius_m = 220_000.0;
@@ -42,19 +44,16 @@ fn main() {
         .filter_map(|b| o.active_path(PlatformId(b)))
         .filter(|p| p.contains(&victim))
         .count();
-    println!(
-        "[10:00] draining {victim} (Opportunistic): {live_transit} working paths currently via it",
-    );
-    o.drains
-        .request(victim, DrainMode::Opportunistic, o.now(), None);
+    println!("[10:00] draining {victim}: {live_transit} working paths currently via it",);
+    o.drains.request(victim, o.now(), None);
 
     // Watch the drain progress: the solver stops routing new paths
     // through the node; traffic bleeds off as topology evolves. The
-    // latch condition counts *working* paths through the node — a
-    // stale forwarding entry on a disconnected node carries no
-    // traffic.
-    let mut latched_at = None;
-    while o.now() < SimTime::from_hours(20) && latched_at.is_none() {
+    // node is empty once no *working* path crosses it and it holds no
+    // link — a stale forwarding entry on a disconnected node carries
+    // no traffic.
+    let mut drained_at = None;
+    while o.now() < SimTime::from_hours(20) && drained_at.is_none() {
         o.run_until(o.now() + SimDuration::from_mins(15));
         let transit = (0..10u32)
             .filter(|b| PlatformId(*b) != victim)
@@ -66,22 +65,21 @@ fn main() {
             .established()
             .filter(|i| i.link.a.platform == victim || i.link.b.platform == victim)
             .count();
-        let l = o.drains.update_latches(o.now(), |_| (transit, own));
-        if !l.is_empty() {
-            latched_at = Some(o.now());
+        if transit == 0 && own == 0 {
+            drained_at = Some(o.now());
         }
         println!(
             "[{}] transit via {victim}: {transit:>2}, own links: {own} {}",
             o.now(),
-            if latched_at.is_some() {
-                "→ LATCHED (safe for maintenance)"
+            if drained_at.is_some() {
+                "→ EMPTY (safe for maintenance)"
             } else {
                 ""
             }
         );
     }
 
-    match latched_at {
+    match drained_at {
         Some(t) => {
             println!("\n{victim} fully drained at {t}; applying software update...");
             // The update takes 20 minutes; the node stays excluded.

@@ -4,8 +4,8 @@
 #   ./scripts/verify.sh          # everything: lint + build + tests +
 #                                # smoke benches
 #   ./scripts/verify.sh --lint   # fast-fail subset: fmt + doc citations +
-#                                # the unsafe gate + the unused-pub-fn
-#                                # gate + clippy
+#                                # the unsafe gate + the unused-pub-item
+#                                # gate + the oracle gate + clippy
 #   ./scripts/verify.sh --build  # build + tests + smoke benches +
 #                                # scorecard diff and byte-identity
 #                                # against baselines/scorecards/
@@ -126,20 +126,42 @@ if [ "$mode" != "build" ]; then
     exit 1
   fi
 
-  # A `pub fn` that no other file names is surface nothing uses. Every
-  # `pub fn` outside crates/bench, crates/e2e (binaries and the frozen
-  # whole-loop benchmark) and vendor/ (third-party API) must be named in
-  # some other tracked Rust file: give it a caller, make it private or
-  # delete it.
-  echo "==> every pub fn is named outside its own file"
-  dead=$(git grep -n -o -E '^\s*pub fn [A-Za-z_][A-Za-z0-9_]*' -- '*.rs' \
+  # A `pub` item that no other file names is surface nothing uses.
+  # Every `pub fn`, `pub struct`, `pub enum`, `pub trait` and `pub const`
+  # outside crates/bench, crates/e2e (binaries and the frozen whole-loop
+  # benchmark) and vendor/ (third-party API) must be named in some other
+  # tracked Rust file: give it a caller, make it private or delete it.
+  # A type its own file names in a `pub` field, a `pub fn` line or an
+  # associated `type` cannot be private while that item is public, so
+  # it counts as named; the census checks the item that carries it.
+  echo "==> every pub fn, struct, enum, trait and const is named outside its own file"
+  dead=$(git grep -n -o -E '^\s*pub (fn|struct|enum|trait|const) [A-Za-z_][A-Za-z0-9_]*' -- '*.rs' \
     ':!crates/bench' ':!crates/e2e' ':!vendor' | while IFS=: read -r file line m; do
     name=${m##* }
-    git grep -q -w "$name" -- '*.rs' ":!$file" || echo "$file:$line: pub fn $name"
+    git grep -q -w "$name" -- '*.rs' ":!$file" && continue
+    case "$m" in
+      *"pub fn "* | *"pub const "*) ;;
+      *) grep -q -E "(pub [a-z_0-9]+: |pub fn |type [A-Za-z_0-9]+ = ).*\b$name\b" "$file" && continue ;;
+    esac
+    echo "$file:$line: ${m#"${m%%pub *}"}"
   done)
   if [ -n "$dead" ]; then
     echo "$dead" >&2
-    echo "pub fns no other file names" >&2
+    echo "pub items no other file names" >&2
+    exit 1
+  fi
+
+  # The oracles are specifications for tests, never part of the
+  # product: only the integration tests and the bench package may
+  # depend on tssdn-oracle, and no crate keeps a `reference` module of
+  # its own.
+  echo "==> tssdn-oracle only in tests/ and crates/bench; no mod reference in crates/*/src"
+  stray=$(git grep -n -w 'tssdn-oracle' -- '*Cargo.toml' ':!Cargo.toml' ':!tests/Cargo.toml' \
+    ':!crates/bench/Cargo.toml' ':!crates/oracle/Cargo.toml' || true)
+  stray="$stray$(git grep -n -E '^\s*(pub(\([a-z]+\))? )?mod reference\b' -- 'crates/*/src/*.rs' || true)"
+  if [ -n "$stray" ]; then
+    echo "$stray" >&2
+    echo "production crates must not contain or depend on an oracle" >&2
     exit 1
   fi
 

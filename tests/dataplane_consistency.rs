@@ -2,7 +2,6 @@
 //! drains, and tunnels behave per Appendix C while the full loop runs.
 
 use tssdn_core::{orchestrator::DataPlaneStatus, Orchestrator, OrchestratorConfig};
-use tssdn_dataplane::DrainMode;
 use tssdn_sim::{PlatformId, SimDuration, SimTime};
 
 fn world(seed: u64) -> Orchestrator {
@@ -77,7 +76,7 @@ fn force_drain_evicts_and_cancel_restores() {
         // Mesh too sparse this seed; nothing to assert.
         return;
     };
-    o.drains.request(victim, DrainMode::Force, o.now(), None);
+    o.drains.request(victim, o.now(), None);
     o.run_until(o.now() + SimDuration::from_mins(30));
     // The solver must not route new paths through the drained node.
     for b in 0..10u32 {

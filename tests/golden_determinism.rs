@@ -8,17 +8,16 @@
 //!   `last_plan` at every checkpoint) and identical `RunSummary`s.
 //! * **Golden equivalence** — at periodic checkpoints mid-run, an
 //!   evaluate→solve on the orchestrator's live state is bit-identical
-//!   to the retained naive reference (`evaluate_reference` /
-//!   `solve_reference`, the pre-optimization algorithms kept verbatim
-//!   in `tssdn_core::reference`). This exercises the hysteresis path
+//!   to the naive planning oracle (`tssdn_oracle::planning::
+//!   {evaluate_reference, solve_reference}`). This exercises the hysteresis path
 //!   (live intents as the previous topology), drains, and
 //!   enactment-feedback pair penalties as they actually occur in a
 //!   long run — not just synthetic inputs.
 
 use std::collections::BTreeSet;
-use tssdn_core::reference::{evaluate_reference, solve_reference};
 use tssdn_core::{Orchestrator, OrchestratorConfig, RunSummary};
 use tssdn_fault::{FaultPlan, PlanConfig};
+use tssdn_oracle::planning::{evaluate_reference, solve_reference};
 use tssdn_sim::{PlatformId, SimDuration, SimTime};
 
 const N_BALLOONS: usize = 5;

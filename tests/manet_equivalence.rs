@@ -1,9 +1,9 @@
-//! The in-band mesh fast path against its frozen predecessor.
+//! The in-band mesh fast path against its specification.
 //!
-//! `tssdn-manet`'s `Topology` / `Harness` / `Batman` were rewritten
-//! for speed under one rule: same callbacks in the same order, same
-//! draws from the `manet-loss` stream (DESIGN.md §2). The structures
-//! they replaced live on in `manet_reference` as the oracle. Each
+//! `tssdn-manet`'s `Topology` / `Harness` / `Batman` are held to one
+//! rule: same callbacks in the same order, same draws from the
+//! `manet-loss` stream (DESIGN.md §2) as the `BTreeMap` flood in
+//! `tssdn_oracle::mesh`. Each
 //! property drives both with one random script — sparse, out-of-order
 //! node ids; links set, re-rated and removed; nodes added mid-run;
 //! hop latency and tick interval changed between steps — and after
@@ -12,10 +12,9 @@
 //! in a different order desynchronises the two RNG streams and shows
 //! up within a step or two.
 
-mod manet_reference;
-
 use proptest::prelude::*;
 use tssdn_manet::{Aodv, Batman, Dsdv, ManetProtocol, NodeId, Olsr, OverheadStats};
+use tssdn_oracle::mesh;
 use tssdn_sim::{PlatformId, RngStreams, SimDuration, SimTime};
 
 /// The operations a script needs, over either harness.
@@ -81,7 +80,7 @@ macro_rules! impl_rig {
     };
 }
 impl_rig!(tssdn_manet::Harness<P>);
-impl_rig!(manet_reference::Harness<P>);
+impl_rig!(mesh::Harness<P>);
 
 /// One scripted operation: `(kind, a, b, quality, milliseconds)`.
 /// `a` and `b` index the node list and `quality` indexes
@@ -257,7 +256,7 @@ fn same_under_both_harnesses<P: ManetProtocol>(
     prop_assume!(ids.len() >= 4);
     let streams = RngStreams::new(seed);
     let mut new = tssdn_manet::Harness::new(make(), &streams);
-    let mut old = manet_reference::Harness::new(make(), &streams);
+    let mut old = mesh::Harness::new(make(), &streams);
     drive(&mut new, &mut old, &ids, spare, &ops, |_, _, _| Ok(()))
 }
 
@@ -269,7 +268,7 @@ proptest! {
         prop_assume!(ids.len() >= 4);
         let streams = RngStreams::new(seed);
         let mut fast = Batman::new();
-        let mut reference = manet_reference::Batman::new();
+        let mut reference = mesh::Batman::new();
         // Gateways are configured before the nodes are registered, as
         // the orchestrator does; they are the last ids, so some join
         // mid-run.
@@ -278,7 +277,7 @@ proptest! {
             reference.set_gateway(gw, true);
         }
         let mut new = tssdn_manet::Harness::new(fast, &streams);
-        let mut old = manet_reference::Harness::new(reference, &streams);
+        let mut old = mesh::Harness::new(reference, &streams);
         drive(&mut new, &mut old, &ids, spare, &ops, |fast, reference, ids| {
             for &x in ids {
                 if fast.selected_gateway(x) != reference.selected_gateway(x) {

@@ -4,14 +4,14 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use tssdn_core::reference::solve_reference;
 use tssdn_core::{CandidateGraph, CandidateLink, Solver};
 use tssdn_dataplane::{
-    BackhaulRequest, DrainMode, DrainRegistry, Plane, PrefixAllocator, RouteEntry, RoutingFabric,
+    BackhaulRequest, DrainRegistry, Plane, PrefixAllocator, RouteEntry, RoutingFabric,
 };
 use tssdn_geo::{AzEl, GeoPoint, ObstructionMask};
 use tssdn_link::{LinkKind, TransceiverId};
 use tssdn_manet::Topology;
+use tssdn_oracle::planning::solve_reference;
 use tssdn_rf::LinkQuality;
 use tssdn_sim::{EventQueue, PlatformId, SimTime};
 use tssdn_telemetry::{mean, percentile};
@@ -325,7 +325,7 @@ proptest! {
         requests.push(request(PlatformId(3), PlatformId(201))); // EC without gateways
         let mut drains = DrainRegistry::new();
         if let Some(d) = drain {
-            drains.request(plat(d).0, DrainMode::Opportunistic, SimTime::ZERO, None);
+            drains.request(plat(d).0, SimTime::ZERO, None);
         }
         let mut solver = Solver::default();
         if let Some((x, y)) = penalty_pair {
@@ -472,7 +472,6 @@ fn request(node: PlatformId, ec: PlatformId) -> BackhaulRequest {
         node,
         ec,
         min_bitrate_bps: 50_000_000,
-        redundancy_group: None,
     }
 }
 

@@ -118,7 +118,6 @@ fn chain_problem(n: u32, spacing_deg: f64, gs_mask: u32, margins: &[f64]) -> Pro
             node: PlatformId(i),
             ec: PlatformId(200),
             min_bitrate_bps: 50_000_000,
-            redundancy_group: if i.is_multiple_of(2) { Some(1) } else { None },
         })
         .collect();
     Problem {

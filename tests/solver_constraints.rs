@@ -70,7 +70,6 @@ fn plans_respect_all_constraints_across_a_drifting_day() {
             node: PlatformId(i),
             ec,
             min_bitrate_bps: 50_000_000,
-            redundancy_group: None,
         })
         .collect();
     let gs_ids = [PlatformId(10), PlatformId(11), PlatformId(12)];
@@ -155,7 +154,6 @@ fn hysteresis_dampens_plan_churn() {
             node: PlatformId(i),
             ec,
             min_bitrate_bps: 50_000_000,
-            redundancy_group: None,
         })
         .collect();
     let gs_ids = [PlatformId(10), PlatformId(11), PlatformId(12)];
@@ -204,7 +202,6 @@ fn marginal_links_only_used_when_necessary() {
             node: PlatformId(i),
             ec,
             min_bitrate_bps: 50_000_000,
-            redundancy_group: None,
         })
         .collect();
     let gs_ids = [PlatformId(10), PlatformId(11), PlatformId(12)];

@@ -1,17 +1,14 @@
 //! Property-based tests for the tiered-service traffic allocator:
 //! fairness within a class, strict priority across classes, and
 //! byte-identity of the batch-freeze production filler against the
-//! slow reference fillers (`tssdn_traffic::reference`) — plus the
+//! one-freeze-per-round filler of `tssdn_oracle::max_min` — plus the
 //! hierarchical site×class aggregation layer's contracts: lossless
 //! collapse to the flat allocator on singleton and uncongested
-//! inputs, byte-identity against the naive hierarchical oracle,
-//! per-link feasibility, and control isolation through the aggregate
-//! tree.
+//! inputs, byte-identity against the oracle's tree, per-link
+//! feasibility, and control isolation through the aggregate tree.
 
 use proptest::prelude::*;
-use tssdn_traffic::reference::{
-    allocate_hierarchical_reference, allocate_reference, allocate_weighted_unbatched,
-};
+use tssdn_oracle::max_min;
 use tssdn_traffic::{
     AggregateMember, AggregateSpec, FairShareAllocator, FlowSpec, HierarchicalAllocator,
     TrafficClass,
@@ -160,31 +157,30 @@ fn allocate_hier(
 
 proptest! {
     /// The batch-freeze production filler is byte-identical to the
-    /// one-freeze-per-round reference on arbitrary weighted, classed
-    /// flow sets — the two may only differ in round count.
+    /// one-freeze-per-round oracle on arbitrary weighted, classed flow
+    /// sets — the two may only differ in round count.
     #[test]
     fn batch_freeze_matches_unbatched_filler(case in raw_case()) {
         let (flows, caps) = case;
         let specs = specs_of(&flows);
         let demands = demands_of(&flows);
         let fast = allocate(&specs, &demands, &caps);
-        let slow = allocate_weighted_unbatched(&specs, N_LINKS, &demands, &caps);
+        let slow = max_min::allocate(&specs, N_LINKS, &demands, &caps);
         prop_assert_eq!(fast, slow);
     }
 
     /// Compatibility oracle: with every flow at weight 1, class Bulk,
-    /// the tiered allocator collapses to the pre-tiering (PR 3)
-    /// filler bit-for-bit.
+    /// the tiered allocator collapses to the textbook equal-share
+    /// filler, which is the oracle's filler on that projection.
     #[test]
     fn weight1_bulk_collapses_to_pr3_reference(case in raw_case()) {
         let (flows, caps) = case;
-        let flow_links: Vec<Vec<u32>> =
-            specs_of(&flows).into_iter().map(|s| s.links).collect();
-        let specs: Vec<FlowSpec> = flow_links.iter().cloned().map(FlowSpec::bulk).collect();
         let demands = demands_of(&flows);
-        let tiered = allocate(&specs, &demands, &caps);
-        let pr3 = allocate_reference(&flow_links, N_LINKS, &demands, &caps);
-        prop_assert_eq!(tiered, pr3);
+        let bulk: Vec<FlowSpec> =
+            specs_of(&flows).into_iter().map(|s| FlowSpec::bulk(s.links)).collect();
+        let fast = allocate(&bulk, &demands, &caps);
+        let slow = max_min::allocate(&bulk, N_LINKS, &demands, &caps);
+        prop_assert_eq!(fast, slow);
     }
 
     /// Feasibility: no flow exceeds its demand, no link carries more
@@ -358,8 +354,8 @@ proptest! {
 
     /// The optimized hierarchical allocator (batch-freeze fill,
     /// recycled scratch, no rounds for an aggregate granted nothing or
-    /// everything) is byte-identical to the naive one-freeze-per-round
-    /// hierarchical oracle — on arbitrary grouped inputs, and on
+    /// everything) is byte-identical to the oracle's one-freeze-per-round
+    /// tree — on arbitrary grouped inputs, and on
     /// multi-member aggregates whose link is sized so that each is
     /// granted nothing, everything, or strictly in between.
     #[test]
@@ -368,12 +364,12 @@ proptest! {
         let demands = demands_of(&flows);
         let groups = groups_of(&flows);
         let fast = allocate_hier(&groups, flows.len(), &demands, &caps);
-        let slow = allocate_hierarchical_reference(&groups, N_LINKS, flows.len(), &demands, &caps);
+        let slow = max_min::allocate_tree(&groups, N_LINKS, flows.len(), &demands, &caps);
         prop_assert_eq!(fast, slow);
 
         let (groups, demands, caps) = forced_case(&forced);
         let fast = allocate_hier(&groups, demands.len(), &demands, &caps);
-        let slow = allocate_hierarchical_reference(&groups, N_LINKS, demands.len(), &demands, &caps);
+        let slow = max_min::allocate_tree(&groups, N_LINKS, demands.len(), &demands, &caps);
         prop_assert_eq!(&fast, &slow);
         // The forcing worked: each aggregate got what its link was
         // sized for.
@@ -467,4 +463,116 @@ proptest! {
             }
         }
     }
+}
+
+/// The flat allocator against the oracle's filler on a fixed
+/// equal-weight Bulk case.
+#[test]
+fn production_matches_reference_on_fixed_case() {
+    let fl = [
+        vec![0],
+        vec![0, 1],
+        vec![1, 2],
+        vec![2],
+        vec![0, 2],
+        vec![1],
+    ];
+    let specs: Vec<FlowSpec> = fl.iter().cloned().map(FlowSpec::bulk).collect();
+    let demands = [37u64, 91, 13, 70, 55, 28];
+    let caps = [90u64, 60, 50];
+    let mut a = FairShareAllocator::new();
+    a.set_flows(specs.clone(), 3);
+    assert_eq!(
+        a.allocate(&demands, &caps),
+        max_min::allocate(&specs, 3, &demands, &caps)
+    );
+}
+
+#[test]
+fn unbatched_matches_production_on_weighted_case() {
+    let specs = vec![
+        FlowSpec::new(vec![0], 3, TrafficClass::Control),
+        FlowSpec::new(vec![0, 1], 2, TrafficClass::Bulk),
+        FlowSpec::new(vec![1], 1, TrafficClass::Bulk),
+        FlowSpec::new(vec![0, 1], 1, TrafficClass::Bulk),
+    ];
+    let demands = [40u64, 500, 120, 9];
+    let caps = [200u64, 90];
+    let mut a = FairShareAllocator::new();
+    a.set_flows(specs.clone(), 2);
+    assert_eq!(
+        a.allocate(&demands, &caps),
+        max_min::allocate(&specs, 2, &demands, &caps)
+    );
+}
+
+#[test]
+fn hierarchical_reference_matches_production_on_fixed_case() {
+    let member = |flow, weight| AggregateMember { flow, weight };
+    let groups = vec![
+        AggregateSpec {
+            links: vec![0],
+            class: TrafficClass::Control,
+            members: vec![member(0, 1)],
+        },
+        AggregateSpec {
+            links: vec![0, 1],
+            class: TrafficClass::Bulk,
+            members: vec![member(1, 2), member(2, 1), member(3, 1)],
+        },
+        AggregateSpec {
+            links: vec![1],
+            class: TrafficClass::Bulk,
+            members: vec![member(4, 3), member(5, 1)],
+        },
+    ];
+    let demands = [40u64, 500, 13, 120, 77, 9_001];
+    let caps = [200u64, 90];
+    let mut hier = HierarchicalAllocator::new();
+    hier.set_aggregates(groups.clone(), 2, 6);
+    assert_eq!(
+        hier.allocate(&demands, &caps),
+        max_min::allocate_tree(&groups, 2, 6, &demands, &caps)
+    );
+}
+
+/// One Bulk aggregate over `links` with the given member weights:
+/// production against the oracle's tree.
+fn one_aggregate(links: Vec<u32>, weights: &[u32], demands: &[u64], caps: &[u64]) {
+    let members = weights.iter().enumerate();
+    let groups = vec![AggregateSpec {
+        links,
+        class: TrafficClass::Bulk,
+        members: members
+            .map(|(f, &weight)| AggregateMember {
+                flow: f as u32,
+                weight,
+            })
+            .collect(),
+    }];
+    let mut hier = HierarchicalAllocator::new();
+    hier.set_aggregates(groups.clone(), caps.len(), demands.len());
+    let slow = max_min::allocate_tree(&groups, caps.len(), demands.len(), demands, caps);
+    assert_eq!(
+        hier.allocate(demands, caps),
+        slow,
+        "{weights:?} {demands:?}"
+    );
+}
+
+/// The cases `tssdn_traffic::aggregate`'s unit tests pin to exact
+/// rates — one Bulk aggregate at each edge of the distribution: the
+/// whole capped sum granted, a member sum above the cap, silent
+/// members, no links, weight 0 — against the oracle's tree.
+#[test]
+fn one_aggregate_edge_cases_match_the_tree_oracle() {
+    let cap = u64::MAX / 2;
+    one_aggregate(vec![], &[1, 1], &[u64::MAX, 0], &[]);
+    one_aggregate(vec![], &[1, 1], &[u64::MAX, cap], &[]);
+    one_aggregate(vec![0], &[3, 1, 2, 1], &[0, 40, 0, 2], &[42]);
+    one_aggregate(vec![], &[1, 2, 3, 4], &[5, 0, 1 << 40, 77], &[9]);
+    for grant in [300, 0, 200] {
+        one_aggregate(vec![0], &[0, 1, 2], &[100, 100, 100], &[grant]);
+    }
+    one_aggregate(vec![0], &[1, 2, 4], &[1_000, 50, 1_000], &[700]);
 }

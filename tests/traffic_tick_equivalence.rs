@@ -1,9 +1,10 @@
-//! The probe-cadence traffic tick against its frozen predecessor.
+//! The probe-cadence traffic tick against its specification.
 //!
-//! `TrafficEngine::tick` was rewritten as a list of phases that walk
-//! the flow population as per-site runs and skip a site that offers
-//! nothing (DESIGN.md §8), under one rule: the same numbers. The tick
-//! it replaced lives on in `traffic_reference` as the oracle. Each case
+//! `TrafficEngine::tick` is a list of phases that walk the flow
+//! population as per-site runs and skip a site that offers nothing
+//! (DESIGN.md §8), held to one rule: the numbers of the per-flow tick
+//! in `tssdn_oracle::traffic_tick`, which rebuilds its aggregates every
+//! tick and allocates through the naive `max_min` tree. Each case
 //! hands both engines the same sites — in random order, sometimes with
 //! one listed twice — and one random schedule of views, and demands
 //! equal outputs after **every** tick, so a divergence is caught on the
@@ -16,14 +17,12 @@
 //! site's bulk aggregates granted in part tick after tick, and an
 //! offered load above the allocator's cap.
 
-mod traffic_reference;
-
 use proptest::prelude::*;
 use rand::rand_core::SeedableRng;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::Cell;
-use traffic_reference::ReferenceEngine;
+use tssdn_oracle::traffic_tick::ReferenceEngine;
 use tssdn_sim::{PlatformId, RngStreams, SimDuration, SimTime};
 use tssdn_traffic::{
     DemandConfig, DemandSurge, StoreForwardConfig, TopologyView, TrafficConfig, TrafficEngine,
